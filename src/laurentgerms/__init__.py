@@ -12,6 +12,7 @@ from .exact import (  # noqa: F401
     linear_factorization,
     q_dual_family,
     q_orthogonal_complement,
+    span_key,
 )
 from .germs import (  # noqa: F401
     GermSum,
@@ -29,6 +30,7 @@ from .germs import (  # noqa: F401
     mero_neg,
     mero_scale,
     mero_sub,
+    mero_sum,
     numerator_is_orthogonal,
     reduce_to_independent,
 )
@@ -77,7 +79,6 @@ from .residues import (  # noqa: F401
     pi_minus,
     pi_plus,
     project_U_p,
-    span_key,
 )
 from .latticeexp import (  # noqa: F401
     DEFAULT_TRUNCATION,

@@ -129,6 +129,8 @@ def _config(args) -> SessionConfig:
         raise FormatError("--dim must be a positive integer")
     if args.gram:
         rows = load_rows(args.gram)
+        if len(rows) != k or len(rows[0]) != k:
+            raise FormatError(f"{args.gram}: gram matrix must be {k}x{k}")
         gram = mat(rows)
     else:
         gram = AmbientSpace.standard(k).gram

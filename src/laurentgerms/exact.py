@@ -163,6 +163,16 @@ def mat_rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
+def span_key(vectors: Sequence[Sequence]) -> tuple[Vec, ...]:
+    """Canonical key for a rational subspace: its reduced echelon basis."""
+    rows = tuple(vec(v) for v in vectors)
+    rows = tuple(r for r in rows if not vec_is_zero(r))
+    if not rows:
+        return ()
+    red, pivots = rref(rows)
+    return tuple(red[i] for i in range(len(pivots)))
+
+
 def nullspace(m: Mat) -> list[Vec]:
     """Canonical basis of { x : m x = 0 }, primitivized echelon vectors."""
     if not m:

@@ -49,7 +49,7 @@ from .germs import (
     canonicalize_polar,
     decompose,
     make_mero,
-    mero_add,
+    mero_sum,
 )
 
 __all__ = [
@@ -168,11 +168,15 @@ def expansion_neg(x: FormalExpansion) -> FormalExpansion:
 
 
 def phi(x: FormalExpansion) -> MeromorphicGerm:
-    """Forget the cone decoration: add all terms as rational functions."""
-    total = make_mero(x.polynomial_part)
-    for dc, num in x.terms:
-        total = mero_add(total, make_mero(num, dc.factors))
-    return total
+    """Forget the cone decoration: add all terms as rational functions.
+
+    The terms are summed span by span (``mero_sum``): the pieces that a
+    subdivision makes of one polar term share its span and cancel back to
+    that term before terms of different spans are multiplied together.
+    """
+    return mero_sum([make_mero(x.polynomial_part)]
+                    + [make_mero(num, dc.factors) for dc, num in x.terms],
+                    x.nvars)
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,10 @@ class _Parser:
 def parse_expr(text: str, k: int) -> Node:
     """Parse an expression over variables x1..xk (eps1..epsk accepted)."""
     parser = _Parser(text, k)
-    node = parser.expr()
+    try:
+        node = parser.expr()
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply") from None
     kind, val, pos = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {val!r}", pos)
@@ -365,7 +368,11 @@ def to_germ(node: Node, k: int) -> MeromorphicGerm:
 
 
 def parse_germ(text: str, k: int) -> MeromorphicGerm:
-    return to_germ(parse_expr(text, k), k)
+    node = parse_expr(text, k)
+    try:
+        return to_germ(node, k)
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotPolar, PoleHit
 from .exact import (
@@ -38,6 +38,7 @@ from .exact import (
     primitive_pseudo_positive,
     q_orthogonal_complement,
     solve,
+    span_key,
     vec_dot,
 )
 
@@ -129,6 +130,38 @@ def mero_add(f: MeromorphicGerm, g: MeromorphicGerm) -> MeromorphicGerm:
     return make_mero(num, tuple(lcm.items()))
 
 
+def mero_sum(germs: Iterable[MeromorphicGerm], nvars: int) -> MeromorphicGerm:
+    """Exact sum of germs in ``nvars`` variables, added span by span.
+
+    A left-to-right fold carries its running numerator up to the LCM of every
+    pole form seen so far and cancels only at the end.  Instead the nonzero
+    summands are grouped by the linear span of their pole forms, each group
+    is added pairwise as a balanced tree, and then the group sums the same
+    way.  The pieces of one cone's subdivision all lie in that cone's span
+    and sum back to its term, so they cancel inside their group, before any
+    product across spans is formed.  Germs are canonical (lowest terms,
+    sorted primitive forms), so the result does not depend on the order of
+    the summands.
+    """
+    terms = [g for g in germs if not g.is_zero()]
+    if not terms:
+        return make_mero(Polynomial.zero(nvars))
+    if len(terms) > 2:
+        groups: dict[tuple[Vec, ...], list[MeromorphicGerm]] = {}
+        for g in terms:
+            groups.setdefault(span_key([v for v, _ in g.den]), []).append(g)
+        terms = [_tree_sum(sorted(group, key=lambda t: t.den))
+                 for _, group in sorted(groups.items())]
+    return _tree_sum(terms)
+
+
+def _tree_sum(terms: list[MeromorphicGerm]) -> MeromorphicGerm:
+    while len(terms) > 1:
+        pairs = [mero_add(a, b) for a, b in zip(terms[::2], terms[1::2])]
+        terms = pairs + terms[2 * len(pairs):]
+    return terms[0]
+
+
 def mero_neg(f: MeromorphicGerm) -> MeromorphicGerm:
     return MeromorphicGerm(-f.numerator, f.den)
 
@@ -217,10 +250,8 @@ def as_mero(x) -> MeromorphicGerm:
     if isinstance(x, PolarGerm):
         return x.as_mero()
     if isinstance(x, GermSum):
-        total = make_mero(x.poly)
-        for t in x.terms:
-            total = mero_add(total, t.as_mero())
-        return total
+        return mero_sum([make_mero(x.poly)] + [t.as_mero() for t in x.terms],
+                        x.nvars)
     # formal expansions provide .as_germ_sum()
     if hasattr(x, "as_germ_sum"):
         return as_mero(x.as_germ_sum())

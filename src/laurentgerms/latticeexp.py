@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp
+from math import exp, factorial
 from itertools import product as iter_product
 from typing import Sequence
 
@@ -63,6 +63,7 @@ from .germs import (
     make_mero,
     mero_add,
     mero_mul,
+    mero_sum,
 )
 from .residues import p_res
 
@@ -243,7 +244,7 @@ def bernoulli_tail_coeffs(n: int) -> list[Fraction]:
     Obtained by exact power-series inversion of (e^x - 1)/x and a sign flip:
     1/(1-e^x) = -(1/x) * [x/(e^x-1)].
     """
-    g = [ONE / _factorial(j + 1) for j in range(n + 2)]
+    g = [ONE / factorial(j + 1) for j in range(n + 2)]
     b = [ONE]
     for m in range(1, n + 2):
         acc = ZERO
@@ -251,13 +252,6 @@ def bernoulli_tail_coeffs(n: int) -> list[Fraction]:
             acc += g[i] * b[m - i]
         b.append(-acc)
     return [-b[j + 1] for j in range(n + 1)]
-
-
-def _factorial(n: int) -> Fraction:
-    out = ONE
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 @dataclass(frozen=True)
@@ -348,7 +342,7 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
                 power = _truncate_poly(power * form, trunc)
             tail = tail + power.scale(c)
         tails.append(tail)
-    total = make_mero(Polynomial.zero(k))
+    pieces = []
     d = len(gens)
     for mask in range(1 << d):
         polar_idx = [i for i in range(d) if mask & (1 << i)]
@@ -356,9 +350,8 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
         for i in range(d):
             if i not in polar_idx:
                 num = _truncate_poly(num * tails[i], trunc)
-        piece = make_mero(num, [(gens[i], 1) for i in polar_idx])
-        total = mero_add(total, piece)
-    s = decompose(space, total)
+        pieces.append(make_mero(num, [(gens[i], 1) for i in polar_idx]))
+    s = decompose(space, mero_sum(pieces, k))
     polar = make_germ_sum(list(s.terms), Polynomial.zero(k))
     return TruncatedGerm(polar, _truncate_poly(s.poly, trunc), trunc)
 

@@ -22,7 +22,7 @@ from .exact import (
     Vec,
     mat_rank,
     primitive_pseudo_positive,
-    rref,
+    span_key,
     vec,
     vec_is_zero,
 )
@@ -41,7 +41,6 @@ __all__ = [
     "Arrangement",
     "CoproductTerm",
     "make_arrangement",
-    "span_key",
     "graded_split",
     "pi_plus",
     "pi_minus",
@@ -52,16 +51,6 @@ __all__ = [
     "p_res",
     "coproduct",
 ]
-
-
-def span_key(vectors: Sequence[Sequence]) -> tuple[Vec, ...]:
-    """Canonical key for a rational subspace: its reduced echelon basis."""
-    rows = tuple(vec(v) for v in vectors)
-    rows = tuple(r for r in rows if not vec_is_zero(r))
-    if not rows:
-        return ()
-    red, pivots = rref(rows)
-    return tuple(red[i] for i in range(len(pivots)))
 
 
 @dataclass(frozen=True)

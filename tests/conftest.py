@@ -4,6 +4,7 @@ Everything is driven by explicitly seeded random.Random instances so
 failures reproduce bit-for-bit.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -56,6 +57,17 @@ def random_germ(rng: random.Random, k: int, max_forms: int = 4,
         g = mero_mul(g, make_mero(Polynomial.constant(k, 1),
                                   ((form, 1),)))
     return g
+
+
+@functools.lru_cache(maxsize=1)
+def round_trip_corpus():
+    """The acceptance-04 corpus: 200 random germs in 1 to 3 variables."""
+    rng = random.Random(4)
+    out = []
+    for _ in range(200):
+        k = rng.randint(1, 3)
+        out.append((k, random_germ(rng, k, max_forms=4, degree=3)))
+    return out
 
 
 def random_space(rng: random.Random, k: int) -> AmbientSpace:

@@ -5,7 +5,6 @@ with ``pytest -s`` or ``-rA``); a failure reads as the matching FAILED line
 in the pytest report.
 """
 
-import functools
 import json
 import math
 import random
@@ -53,7 +52,7 @@ from laurentgerms.residues import (
     pi_plus,
 )
 
-from conftest import random_fraction, random_germ
+from conftest import random_fraction, round_trip_corpus
 
 F = Fraction
 SP = AmbientSpace.standard(2)
@@ -62,16 +61,6 @@ SP = AmbientSpace.standard(2)
 def simple_polar(c, *forms, k=2):
     return make_mero(Polynomial.constant(k, c),
                      tuple((vec(v), 1) for v in forms))
-
-
-@functools.lru_cache(maxsize=1)
-def round_trip_corpus():
-    rng = random.Random(4)
-    out = []
-    for _ in range(200):
-        k = rng.randint(1, 3)
-        out.append((k, random_germ(rng, k, max_forms=4, degree=3)))
-    return out
 
 
 def skew_space(k):

@@ -231,6 +231,21 @@ def test_exit_code_2_for_parse_and_format_errors(capsys, tmp_path):
     assert code == 2
 
 
+def test_gram_of_the_wrong_size_is_a_format_error(capsys, tmp_path):
+    gram = write_json(tmp_path, "g3.json", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    code, captured = run(capsys, "--dim", "2", "--gram", gram,
+                         "decompose", "1/(x1*x2)")
+    assert code == 2
+    assert "gram matrix must be 2x2" in captured.err
+
+
+def test_deeply_nested_input_is_a_syntax_error(capsys):
+    nested = "(" * 2000 + "x1" + ")" * 2000
+    code, captured = run(capsys, "verify", nested, "x1")
+    assert code == 2
+    assert captured.err == "error: expression nested too deeply\n"
+
+
 def test_exit_code_3_for_mathematical_errors(capsys, tmp_path):
     cases = [
         ["decompose", "1/(x1*x2+1)"],

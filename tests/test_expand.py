@@ -29,14 +29,17 @@ from laurentgerms.expand import (
 )
 from laurentgerms.germs import (
     PolarGerm,
+    as_mero,
     canonicalize_polar,
     decompose,
     germ_equal,
     make_mero,
+    mero_add,
     mero_scale,
+    mero_sum,
 )
 
-from conftest import random_germ
+from conftest import random_germ, round_trip_corpus
 
 F = Fraction
 SP = AmbientSpace.standard(2)
@@ -316,3 +319,49 @@ def test_type_two_kernel_element_is_structurally_nonzero():
     # the re-supported copy lives on three decorated cones
     type_two = elements[1]
     assert len(type_two.terms) == 3
+
+
+# ---------------------------------------------------------------------------
+# mero_sum: the one exact sum behind phi and GermSum
+
+def left_fold(germs, nvars):
+    """Reference sum: add the summands one by one, left to right."""
+    total = make_mero(Polynomial.zero(nvars))
+    for g in germs:
+        total = mero_add(total, g)
+    return total
+
+
+def test_mero_sum_of_nothing_is_zero():
+    assert mero_sum([], 3) == make_mero(Polynomial.zero(3))
+    zero = make_mero(Polynomial.zero(2), ((vec([1, 1]), 2),))
+    assert mero_sum([zero, zero, zero], 2) == make_mero(Polynomial.zero(2))
+
+
+def test_phi_is_structurally_the_left_fold_on_the_corpus():
+    rng = random.Random(43)
+    for k, f in round_trip_corpus():
+        x = laurent_expand(AmbientSpace.standard(k), f)
+        summands = [make_mero(x.polynomial_part)]
+        summands += [make_mero(num, dc.factors) for dc, num in x.terms]
+        expected = left_fold(summands, k)
+        assert phi(x) == expected
+        assert mero_sum(summands[::-1], k) == expected
+        rng.shuffle(summands)
+        assert mero_sum(summands, k) == expected
+
+
+def test_as_mero_of_a_germ_sum_is_structurally_the_left_fold():
+    rng = random.Random(44)
+    sums = 0
+    for k, f in round_trip_corpus():
+        s = decompose(AmbientSpace.standard(k), f)
+        if len(s.terms) < 2:
+            continue
+        sums += 1
+        summands = [make_mero(s.poly)] + [t.as_mero() for t in s.terms]
+        expected = left_fold(summands, k)
+        assert as_mero(s) == expected == f
+        rng.shuffle(summands)
+        assert mero_sum(summands, k) == expected
+    assert sums > 20

@@ -117,6 +117,16 @@ def test_parse_errors_carry_positions():
         parse_expr("x1^x2", 2)
 
 
+def test_too_deep_input_is_a_syntax_error_not_a_crash():
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse_expr("(" * 2000 + "x1" + ")" * 2000, 2)
+    # parses iteratively, but its tree is 3000 levels deep
+    long_sum = "x1" + "+x1" * 3000
+    assert isinstance(parse_expr(long_sum, 2), BinOp)
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse_germ(long_sum, 2)
+
+
 def test_unknown_variables_are_rejected():
     with pytest.raises(UnknownVariable):
         parse_expr("x3", 2)

@@ -7,7 +7,7 @@ import pytest
 
 from laurentgerms.cones import make_simplicial_cone
 from laurentgerms.errors import NotInRDelta
-from laurentgerms.exact import AmbientSpace, Polynomial, mat, vec
+from laurentgerms.exact import AmbientSpace, Polynomial, mat, span_key, vec
 from laurentgerms.germs import (
     as_mero,
     decompose,
@@ -28,7 +28,6 @@ from laurentgerms.residues import (
     pi_minus,
     pi_plus,
     project_U_p,
-    span_key,
 )
 
 from conftest import random_germ
