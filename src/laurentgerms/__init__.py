@@ -48,6 +48,7 @@ from .cones import (  # noqa: F401
     is_subdivision,
     make_poly_cone,
     make_simplicial_cone,
+    positioning_witness,
     triangulate_cone,
     union_contains_line,
 )

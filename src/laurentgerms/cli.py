@@ -27,8 +27,7 @@ from .cones import (
     DEFAULT_DIMENSION_CAP,
     ConeFamily,
     common_refinement,
-    cones_meet_along_face,
-    union_contains_line,
+    positioning_witness,
 )
 from .expand import laurent_expand
 from .residues import (
@@ -74,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--gram", metavar="FILE",
                      help="JSON file with a KxK rational inner-product matrix "
                           "(default: identity)")
-    top.add_argument("--seed", type=int, default=0,
-                     help="seed recorded in the session config")
     top.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION,
                      metavar="N", help="truncation order for exponential sums")
     top.add_argument("--dim-cap", type=int, default=DEFAULT_DIMENSION_CAP,
@@ -135,7 +132,7 @@ def _config(args) -> SessionConfig:
     else:
         gram = AmbientSpace.standard(k).gram
     return SessionConfig(k, gram, truncation=args.trunc,
-                         dim_cap=args.dim_cap, seed=args.seed)
+                         dim_cap=args.dim_cap)
 
 
 def _emit(payload: dict):
@@ -213,23 +210,9 @@ def _run_cone(args, cfg: SessionConfig) -> int:
                "pieces": serialize(ConeFamily(tuple(pieces)))["cones"],
                "index_sets": [sorted(s) for s in index_sets]})
         return 0
-    witness = None
-    for i in range(len(cones)):
-        for j in range(i, len(cones)):
-            if union_contains_line([cones[i], cones[j]]):
-                witness = {"pair": [i, j], "reason": "union contains a line"}
-                break
-        if witness:
-            break
-    if witness is None:
-        for i in range(len(cones)):
-            for j in range(i + 1, len(cones)):
-                if not cones_meet_along_face(cones[i], cones[j]):
-                    witness = {"pair": [i, j],
-                               "reason": "intersection is not a common face"}
-                    break
-            if witness:
-                break
+    found = positioning_witness(cones, dim_cap=cfg.dim_cap)
+    witness = None if found is None else {"pair": [found[0], found[1]],
+                                          "reason": found[2]}
     _emit({"kind": "positioning-check",
            "properly_positioned": witness is None,
            "witness": witness})

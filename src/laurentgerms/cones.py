@@ -64,6 +64,7 @@ __all__ = [
     "cone_contains",
     "cones_meet_along_face",
     "union_contains_line",
+    "positioning_witness",
     "is_properly_positioned",
     "common_refinement",
     "triangulate_cone",
@@ -262,6 +263,14 @@ def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone,
     return True
 
 
+def _pair_contains_line(k: int, hrep_a, hrep_b) -> bool:
+    """Some nonzero v lies in cone a while -v lies in cone b."""
+    ea, ia = hrep_a
+    eb, ib = hrep_b
+    neg_ib = tuple(vec_scale(-1, c) for c in ib)
+    return bool(_extreme_rays(k, ea + eb, ia + neg_ib))
+
+
 def union_contains_line(cones: Sequence[SimplicialCone],
                         dim_cap: int | None = None) -> bool:
     """True when some nonzero v has v in one member and -v in another."""
@@ -270,25 +279,41 @@ def union_contains_line(cones: Sequence[SimplicialCone],
     k = cones[0].ambient
     _check_cap(k, dim_cap)
     hreps = [_simplicial_hrep(c) for c in cones]
-    for a in range(len(cones)):
-        ea, ia = hreps[a]
-        for b in range(a, len(cones)):
-            eb, ib = hreps[b]
-            neg_ib = tuple(vec_scale(-1, c) for c in ib)
-            if _extreme_rays(k, ea + eb, ia + neg_ib):
-                return True
-    return False
+    return any(_pair_contains_line(k, hreps[a], hreps[b])
+               for a in range(len(cones)) for b in range(a, len(cones)))
+
+
+def positioning_witness(cones: Sequence[SimplicialCone],
+                        dim_cap: int | None = None
+                        ) -> tuple[int, int, str] | None:
+    """First pair (i, j) of members that are not properly positioned.
+
+    Pairs (i, j >= i) whose union contains a line are searched first, then
+    pairs i < j whose intersection is not a common face; the result is
+    (i, j, reason), or None when the family is properly positioned.
+    """
+    cones = list(cones)
+    if not cones:
+        return None
+    k = cones[0].ambient
+    _check_cap(k, dim_cap)
+    hreps = [_simplicial_hrep(c) for c in cones]
+    n = len(cones)
+    for a in range(n):
+        for b in range(a, n):
+            if _pair_contains_line(k, hreps[a], hreps[b]):
+                return a, b, "union contains a line"
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not cones_meet_along_face(cones[a], cones[b], dim_cap):
+                return a, b, "intersection is not a common face"
+    return None
 
 
 def is_properly_positioned(cones: Sequence[SimplicialCone],
                            dim_cap: int | None = None) -> bool:
     """Pairwise intersections are common faces and the union has no line."""
-    cones = list(cones)
-    for a in range(len(cones)):
-        for b in range(a + 1, len(cones)):
-            if not cones_meet_along_face(cones[a], cones[b], dim_cap):
-                return False
-    return not union_contains_line(cones, dim_cap)
+    return positioning_witness(cones, dim_cap) is None
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +386,23 @@ def _piece_facets(piece: _Piece) -> list[_Piece]:
     return [facets[k] for k in sorted(facets, key=lambda s: tuple(sorted(s)))]
 
 
-def _pull_triangulate(piece: _Piece) -> list[tuple[Vec, ...]]:
-    """Pulling triangulation: cone the lex-least ray over the opposite facets.
+def _pull_triangulate(piece: _Piece,
+                      reverse: bool = False) -> list[tuple[Vec, ...]]:
+    """Pulling triangulation: cone the lex-least ray (lex-greatest with
+    ``reverse``) over the opposite facets.
 
     Keyed only to the global lexicographic order on primitive rays, so the
     triangulations of two cones that share a face agree on that face.
+    Piece rays are kept sorted, so the pulled ray is the first or last.
     """
     if len(piece.rays) == piece.dim:
         return [piece.rays]
-    r0 = piece.rays[0]
+    r0 = piece.rays[-1] if reverse else piece.rays[0]
     simplices = []
     for facet in _piece_facets(piece):
         if r0 in facet.rays:
             continue
-        for simplex in _pull_triangulate(facet):
+        for simplex in _pull_triangulate(facet, reverse):
             simplices.append(tuple(sorted(simplex + (r0,))))
     return simplices
 
@@ -393,27 +421,10 @@ def triangulate_cone(cone: SimplicialCone | PolyCone,
     k = cone.ambient
     _check_cap(k, dim_cap)
     eqs, ineqs = _hrep_from_rays(k, cone.rays)
-    rays = tuple(sorted(cone.rays, reverse=reverse_order))
-    piece = _prune_ineqs(_Piece(eqs, ineqs, rays, mat_rank(cone.rays)))
-    if reverse_order:
-        simplices = _pull_triangulate_ordered(piece, reverse=True)
-    else:
-        simplices = _pull_triangulate(piece)
-    return [SimplicialCone(tuple(sorted(s))) for s in simplices]
-
-
-def _pull_triangulate_ordered(piece: _Piece, reverse: bool) -> list[tuple[Vec, ...]]:
-    if len(piece.rays) == piece.dim:
-        return [piece.rays]
-    ordered = sorted(piece.rays, reverse=reverse)
-    r0 = ordered[0]
-    simplices = []
-    for facet in _piece_facets(piece):
-        if r0 in facet.rays:
-            continue
-        for simplex in _pull_triangulate_ordered(facet, reverse):
-            simplices.append(tuple(sorted(simplex + (r0,))))
-    return simplices
+    piece = _prune_ineqs(_Piece(eqs, ineqs, tuple(sorted(cone.rays)),
+                                mat_rank(cone.rays)))
+    return [SimplicialCone(tuple(sorted(s)))
+            for s in _pull_triangulate(piece, reverse_order)]
 
 
 # ---------------------------------------------------------------------------

@@ -194,21 +194,15 @@ def subdivide_simple(space: AmbientSpace, g: PolarGerm,
 
     The coefficient of each piece is the ratio of minor-sum weights, which is
     exactly what makes the cone valuation additive: summing the output with
-    ``phi`` returns the input germ.
+    ``phi`` returns the input germ.  This is ``_subdivide_term`` with no
+    pole orders to raise.
     """
     if any(s != 1 for _, s in g.factors):
         raise ValueError("subdivide_simple needs all exponents equal to 1")
-    forms = [v for v, _ in g.factors]
-    n = len(forms)
-    cone = SimplicialCone(tuple(forms))
+    cone = SimplicialCone(tuple(v for v, _ in g.factors))
     if validate and not is_subdivision(pieces, cone):
         raise NotASubdivision("pieces do not tile the supporting cone")
-    a = max_minor_abs_sum(forms, n)
-    items = []
-    for piece in pieces:
-        b = max_minor_abs_sum(list(piece.generators), n)
-        factors = tuple((v, 1) for v in piece.generators)
-        items.append((factors, g.numerator.scale(b / a)))
+    items = _subdivide_term(space, g.factors, g.numerator, pieces)
     return make_expansion(space, items, Polynomial.zero(g.nvars),
                           validate=False)
 

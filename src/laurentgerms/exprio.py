@@ -113,7 +113,6 @@ class SessionConfig:
     gram: Mat
     truncation: int = 8
     dim_cap: int = 6
-    seed: int = 0
 
     def space(self) -> AmbientSpace:
         return AmbientSpace(self.dimension, self.gram)

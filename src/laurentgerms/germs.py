@@ -25,16 +25,13 @@ from .exact import (
     ONE,
     ZERO,
     AmbientSpace,
-    Mat,
     Polynomial,
     Vec,
     mat_from_columns,
-    mat_identity,
     mat_inverse,
     mat_mul,
     mat_rank,
     mat_transpose,
-    mat_vec,
     primitive_pseudo_positive,
     q_orthogonal_complement,
     solve,

@@ -37,7 +37,6 @@ from .exact import (
     det,
     frac,
     mat_from_columns,
-    mat_identity,
     mat_rank,
     nullspace,
     primitive_vector,
@@ -382,14 +381,6 @@ def exp_integral(lc: LatticeCone, dim_cap: int | None = None) -> GermSum:
 # ---------------------------------------------------------------------------
 # smooth subdivision in rank two
 
-def _unimodular_to_first_axis(u: Vec) -> tuple[tuple[int, ...], ...]:
-    """Integer 2x2 matrix T with det +-1 and T u = (1, 0); u primitive."""
-    a, b = int(u[0]), int(u[1])
-    # extended gcd: x*a + y*b == 1
-    x, y = _ext_gcd(a, b)
-    return ((x, y), (-b, a))
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -404,111 +395,48 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _mat2_mul(m, n):
-    return tuple(tuple(sum(m[i][l] * n[l][j] for l in range(2))
-                       for j in range(2)) for i in range(2))
-
-
-def _mat2_inv(m):
-    d = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    assert abs(d) == 1
-    return ((m[1][1] // d, -m[0][1] // d), (-m[1][0] // d, m[0][0] // d))
-
-
-def _mat2_apply(m, v):
-    return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
-
-
 def smooth_subdivide_2d(lc: LatticeCone) -> list[LatticeCone]:
     """Subdivide a two-dimensional lattice cone into smooth pieces.
 
     After a unimodular change of lattice coordinates the cone is spanned by
-    (1,0) and (p,q) with 0 <= p < q.  The inserted rays are the lattice
-    points on the bounded edge of the convex hull of the nonzero lattice
-    points of the cone; consecutive rays always span unimodular pieces.
+    (1,0) and (p,q) with 0 <= p < q, where q = |det(u1, u2)| for the rays'
+    lattice coordinates u1, u2.  The inserted rays are the Hirzebruch-Jung
+    chain v0 = (1,0), v1 = (1,1), v_{i+1} = a_i v_i - v_{i-1}, whose a_i are
+    the partial quotients of q/(q-p) in the continued fraction with
+    subtracted remainders (Fulton, Introduction to Toric Varieties, 2.6).
+    These are exactly the lattice points on the bounded edge of the convex
+    hull of the nonzero lattice points of the cone, so the subdivision is
+    the minimal smooth one; consecutive rays span unimodular pieces.  Each
+    inserted ray costs one step of integer arithmetic.
     """
     rays = lc.rays
     if len(rays) != 2 or lc.dim != 2:
         raise NotDimensionTwo("smooth subdivision needs a rank-two cone")
     if isinstance(lc.cone, SimplicialCone) and is_smooth(lc):
         return [lc]
-    u1 = _lattice_coords(lc.lattice_basis, rays[0])
-    u2 = _lattice_coords(lc.lattice_basis, rays[1])
-    u1i = (int(u1[0]), int(u1[1]))
-    u2i = (int(u2[0]), int(u2[1]))
-    t = _unimodular_to_first_axis(u1i)
-    w = _mat2_apply(t, u2i)
-    if w[1] < 0:
-        t = _mat2_mul(((1, 0), (0, -1)), t)
-        w = (w[0], -w[1])
-    p, q = w
-    shift = -(p // q)  # shear so 0 <= p < q; fixes (1,0)
-    shear = ((1, shift), (0, 1))
-    t = _mat2_mul(shear, t)
-    p = p + shift * q
-    # lattice points of the fundamental parallelogram of (1,0), (p,q)
-    candidates = []
-    for x in range(0, p + 2):
-        for y in range(0, q + 1):
-            if (x, y) == (0, 0):
-                continue
-            tt = Fraction(y, q)
-            ss = Fraction(x) - tt * p
-            if 0 <= ss <= 1 and tt <= 1:
-                candidates.append((x, y))
-    # one representative per direction, the shortest
-    by_dir = {}
-    for pt in candidates:
-        g = _gcd2(pt)
-        key = (pt[0] // g, pt[1] // g)
-        if key not in by_dir or g < by_dir[key][1]:
-            by_dir[key] = (pt, g)
-    points = [v for v, _ in by_dir.values()]
-    points.sort(key=_AngularKey)
-    # convex chain from (1,0) to (p,q), keeping collinear boundary points
-    chain = []
-    for pt in points:
-        while len(chain) >= 2 and _cross(
-                _sub2(chain[-1], chain[-2]), _sub2(pt, chain[-1])) > 0:
-            chain.pop()
-        chain.append(pt)
-    assert chain[0] == (1, 0) and chain[-1] == (p, q)
-    tinv = _mat2_inv(t)
-    out = []
-    for a, b in zip(chain, chain[1:]):
-        assert abs(_cross(a, b)) == 1, "hull pieces must be unimodular"
-        back = [_mat2_apply(tinv, a), _mat2_apply(tinv, b)]
-        gens = [_from_coords(lc.lattice_basis, vec(c)) for c in back]
-        out.append(LatticeCone(SimplicialCone(tuple(sorted(
-            primitive_vector(g) for g in gens))), lc.lattice_basis))
-    return out
-
-
-def _gcd2(v):
-    from math import gcd
-    return gcd(abs(v[0]), abs(v[1])) or 1
-
-
-def _sub2(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _cross(a, b):
-    return a[0] * b[1] - a[1] * b[0]
-
-
-class _AngularKey:
-    __slots__ = ("pt",)
-
-    def __init__(self, pt):
-        self.pt = pt
-
-    def __lt__(self, other):
-        a, b = self.pt, other.pt
-        c = _cross(a, b)
-        if c != 0:
-            return c > 0
-        return abs(a[0]) + abs(a[1]) < abs(b[0]) + abs(b[1])
+    u1 = [int(c) for c in _lattice_coords(lc.lattice_basis, rays[0])]
+    u2 = [int(c) for c in _lattice_coords(lc.lattice_basis, rays[1])]
+    # the unimodular map with rows (s, t) and (-u1[1], u1[0]) sends u1 to
+    # (1,0) and u2 to (p', +-q); a reflection and a shear fixing (1,0) then
+    # bring u2 to (p, q) with p = p' mod q
+    s, t = _ext_gcd(*u1)
+    q = abs(u1[0] * u2[1] - u1[1] * u2[0])
+    p = (s * u2[0] + t * u2[1]) % q
+    chain = [(1, 0), (1, 1) if q > 1 else (0, 1)]
+    n, d = q, q - p  # remainders of the expansion of q/(q-p)
+    while chain[-1] != (p, q):
+        a = -(-n // d)
+        n, d = d, a * d - n
+        (x0, y0), (x1, y1) = chain[-2:]
+        chain.append((a * x1 - x0, a * y1 - y0))
+    # (x, y) = ((q x - p y)/q) (1,0) + (y/q) (p,q), so it is the same
+    # combination of u1 and u2 in the cone's own lattice coordinates
+    gens = [_from_coords(lc.lattice_basis, vec(
+        ((q * x - p * y) * c1 + y * c2) // q for c1, c2 in zip(u1, u2)))
+        for x, y in chain]
+    return [LatticeCone(SimplicialCone(tuple(sorted(
+        primitive_vector(g) for g in pair))), lc.lattice_basis)
+        for pair in zip(gens, gens[1:])]
 
 
 def p_res_exp_sum(lc: LatticeCone,

@@ -146,6 +146,19 @@ def test_cone_check_finds_witnesses(capsys, tmp_path):
     assert got["witness"]["reason"] == "union contains a line"
 
 
+def test_cone_check_honours_the_dimension_cap(capsys, tmp_path):
+    family = write_json(tmp_path, "family3.json",
+                        [[[1, 0, 0], [1, 1, 0], [0, 0, 1]],
+                         [[0, 1, 0], [1, 1, 0], [0, 0, 1]]])
+    code, captured = run(capsys, "--dim", "3", "--dim-cap", "2",
+                         "cone", "check", family)
+    assert code == 4
+    assert captured.out == "" and captured.err.startswith("error:")
+    got = run_json(capsys, "--dim", "3", "--dim-cap", "3",
+                   "cone", "check", family)
+    assert got["properly_positioned"] is True
+
+
 # ---------------------------------------------------------------------------
 # exponential sums
 
@@ -229,6 +242,13 @@ def test_exit_code_2_for_parse_and_format_errors(capsys, tmp_path):
     bad_rows = write_json(tmp_path, "bad.json", [[1, 0], [1]])
     code, _ = run(capsys, "cone", "refine", bad_rows)
     assert code == 2
+
+
+def test_there_is_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "1", "decompose", "1/x1"])
+    assert exc.value.code == 2
+    assert "--seed" not in capsys.readouterr().err
 
 
 def test_gram_of_the_wrong_size_is_a_format_error(capsys, tmp_path):

@@ -18,6 +18,7 @@ from laurentgerms.cones import (
     is_subdivision,
     make_poly_cone,
     make_simplicial_cone,
+    positioning_witness,
     triangulate_cone,
     union_contains_line,
 )
@@ -128,6 +129,21 @@ def test_proper_positioning():
     assert not is_properly_positioned([cone((1, 0)), cone((-1, 0))])
 
 
+def test_positioning_witness_names_the_first_offending_pair():
+    good = [cone((1, 0), (1, 1)), cone((0, 1), (1, 1))]
+    assert positioning_witness(good) is None
+    overlap = [cone((1, 0), (0, 1)), cone((1, 0), (1, 1)),
+               cone((0, 1), (-1, 1))]
+    assert positioning_witness(overlap) == (
+        0, 1, "intersection is not a common face")
+    # a line anywhere is reported before any bad intersection
+    line = overlap + [cone((-1, -1))]
+    assert positioning_witness(line) == (0, 3, "union contains a line")
+    assert not is_properly_positioned(line)
+    with pytest.raises(DimensionCapExceeded):
+        positioning_witness([cone((1, 0, 0))], dim_cap=2)
+
+
 # ---------------------------------------------------------------------------
 # triangulation and refinement
 
@@ -136,6 +152,19 @@ def test_triangulate_cone_over_square():
     pieces = triangulate_cone(pc)
     assert len(pieces) == 2
     assert is_subdivision(pieces, pc)
+
+
+def test_triangulate_cone_pulls_the_least_or_the_greatest_ray():
+    pc = make_poly_cone([(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, -1, 1),
+                         (1, -1, 1)])
+    assert triangulate_cone(pc) == [
+        cone((-1, -1, 1), (-1, 1, 1), (0, 1, 1)),
+        cone((-1, -1, 1), (0, 1, 1), (1, 0, 1)),
+        cone((-1, -1, 1), (1, -1, 1), (1, 0, 1))]
+    assert triangulate_cone(pc, reverse_order=True) == [
+        cone((-1, -1, 1), (-1, 1, 1), (1, 0, 1)),
+        cone((-1, -1, 1), (1, -1, 1), (1, 0, 1)),
+        cone((-1, 1, 1), (0, 1, 1), (1, 0, 1))]
 
 
 def test_triangulate_simplicial_cone_is_identity():

@@ -15,6 +15,7 @@ from laurentgerms.errors import (
 )
 from laurentgerms.exact import AmbientSpace, Polynomial, vec
 from laurentgerms.expand import (
+    DecoratedCone,
     FormalExpansion,
     delta_op,
     expansion_add,
@@ -126,6 +127,20 @@ def test_subdivide_simple_weights_scale_with_subcone_volume():
     pieces = [cone((1, 0), (1, 2)), cone((0, 1), (1, 2))]
     x = subdivide_simple(SP, g, pieces)
     assert germ_equal(phi(x), g.as_mero())
+
+
+def test_subdivide_simple_scales_each_piece_by_its_minor_ratio():
+    g = canonicalize_polar(None, Polynomial.constant(2, 3),
+                           ((vec([1, 0]), 1), (vec([0, 1]), 1)))
+    pieces = [cone((1, 0), (1, 2)), cone((0, 1), (1, 2))]
+    x = subdivide_simple(SP, g, pieces)
+    assert x == make_expansion(
+        SP, [(((vec([1, 0]), 1), (vec([1, 2]), 1)), Polynomial.constant(2, 6)),
+             (((vec([0, 1]), 1), (vec([1, 2]), 1)), Polynomial.constant(2, 3))],
+        Polynomial.zero(2), validate=False)
+    whole = FormalExpansion(((DecoratedCone(g.factors), g.numerator),),
+                            Polynomial.zero(2))
+    assert x == subdivision_operator(SP, whole, pieces)
 
 
 def test_subdivide_simple_rejects_higher_exponents():

@@ -323,6 +323,6 @@ def test_session_config_builds_spaces():
     cfg = SessionConfig.standard(3)
     assert cfg.dimension == 3
     assert cfg.space() == AmbientSpace.standard(3)
-    assert cfg.truncation == 8 and cfg.dim_cap == 6 and cfg.seed == 0
+    assert cfg.truncation == 8 and cfg.dim_cap == 6
     custom = SessionConfig(2, ((F(2), F(1)), (F(1), F(1))), truncation=4)
     assert custom.space().pairing(vec([1, 0]), vec([0, 1])) == F(1)

@@ -1,19 +1,25 @@
 """Lattice cones, exponential sums/integrals, and truncated arithmetic."""
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from laurentgerms.cones import is_subdivision, make_poly_cone, make_simplicial_cone
+from laurentgerms.cones import (
+    SimplicialCone,
+    is_subdivision,
+    make_poly_cone,
+    make_simplicial_cone,
+)
 from laurentgerms.errors import (
     NoSmoothSubdivisionAvailable,
     NotASubdivision,
     NotDimensionTwo,
     NotSmooth,
 )
-from laurentgerms.exact import AmbientSpace, Polynomial, vec
+from laurentgerms.exact import AmbientSpace, Polynomial, primitive_vector, vec
 from laurentgerms.germs import (
     as_mero,
     evaluate,
@@ -23,6 +29,7 @@ from laurentgerms.germs import (
     mero_mul,
 )
 from laurentgerms.latticeexp import (
+    LatticeCone,
     bernoulli_tail_coeffs,
     evaluate_truncated,
     exp_integral,
@@ -295,6 +302,94 @@ def test_smooth_subdivide_random_cones_tile_and_are_smooth():
         assert all(is_smooth(p) for p in pieces)
         assert all(p.lattice_basis == lc.lattice_basis for p in pieces)
         assert is_subdivision([p.cone for p in pieces], lc.cone)
+
+
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def hull_walk_chain(p, q):
+    """Rays from (1,0) to (p,q) on the bounded edge of the convex hull of the
+    nonzero lattice points of that cone (0 <= p < q, gcd(p, q) = 1).
+
+    The hull walk that ``smooth_subdivide_2d`` used before the
+    Hirzebruch-Jung chain, kept as the reference: list the primitive lattice
+    points of the fundamental parallelogram, sort them by angle and walk the
+    lower convex chain, keeping collinear points.
+    """
+    points = [(x, y) for y in range(q + 1)
+              for x in range(-(-p * y // q), p * y // q + 2)
+              if (x, y) != (0, 0) and q * x - p * y <= q
+              and math.gcd(x, y) == 1]
+    points.sort(key=functools.cmp_to_key(lambda a, b: -_cross(a, b)))
+    chain = []
+    for pt in points:
+        while len(chain) >= 2 and _cross(
+                (chain[-1][0] - chain[-2][0], chain[-1][1] - chain[-2][1]),
+                (pt[0] - chain[-1][0], pt[1] - chain[-1][1])) > 0:
+            chain.pop()
+        chain.append(pt)
+    assert chain[0] == (1, 0) and chain[-1] == (p, q)
+    return chain
+
+
+def embedded_cone(p, q, m, basis):
+    """The cone (1,0), (p,q) carried by the unimodular m and then into the
+    lattice with the given basis rows; returns the lattice cone and the map
+    from the (p, q) coordinates to ambient vectors."""
+    def embed(v):
+        w = (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
+        return vec(w[0] * b0 + w[1] * b1 for b0, b1 in zip(*basis))
+    lc = make_lattice_cone([embed((1, 0)), embed((p, q))], basis)
+    return lc, embed
+
+
+def hull_walk_subdivide(p, q, m, basis):
+    lc, embed = embedded_cone(p, q, m, basis)
+    if q == 1:
+        return lc, [lc]
+    rays = [primitive_vector(embed(v)) for v in hull_walk_chain(p, q)]
+    if rays[0] != primitive_vector(lc.rays[0]):
+        rays.reverse()
+    return lc, [LatticeCone(SimplicialCone(tuple(sorted(pair))),
+                            lc.lattice_basis)
+                for pair in zip(rays, rays[1:])]
+
+
+def random_unimodular(rng):
+    m = ((1, 0), (0, 1))
+    for _ in range(4):
+        s = rng.randint(-2, 2)
+        e = rng.choice([((1, s), (0, 1)), ((1, 0), (s, 1)),
+                        ((0, 1), (1, 0)), ((-1, 0), (0, 1))])
+        m = tuple(tuple(sum(e[i][l] * m[l][j] for l in range(2))
+                        for j in range(2)) for i in range(2))
+    return m
+
+
+def test_smooth_subdivide_matches_the_hull_walk():
+    rng = random.Random(2)
+    standard = [(1, 0), (0, 1)]
+    for q in range(1, 41):
+        for p in range(q):
+            if math.gcd(p, q) != 1:
+                continue
+            for _ in range(2):
+                lc, expected = hull_walk_subdivide(
+                    p, q, random_unimodular(rng), standard)
+                assert smooth_subdivide_2d(lc) == expected, (p, q)
+    for p, q in [(5, 17), (12, 29)]:
+        lc, expected = hull_walk_subdivide(
+            p, q, random_unimodular(rng), [(2, 0), (1, 3)])
+        assert smooth_subdivide_2d(lc) == expected, (p, q)
+
+
+def test_smooth_subdivide_of_a_huge_determinant_cone():
+    n = 10 ** 12
+    lc = make_lattice_cone([(1, 0), (n - 1, n)])
+    assert ray_sets(smooth_subdivide_2d(lc)) == {
+        (vec([1, 0]), vec([1, 1])), (vec([1, 1]), vec([n - 1, n]))}
+    assert germ_equal(p_res_exp_sum(lc), exp_integral(lc))
 
 
 # ---------------------------------------------------------------------------
