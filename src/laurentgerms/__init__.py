@@ -35,7 +35,6 @@ from .germs import (  # noqa: F401
     reduce_to_independent,
 )
 from .cones import (  # noqa: F401
-    DEFAULT_DIMENSION_CAP,
     ConeFamily,
     I_cone,
     I_simplicial,
@@ -99,6 +98,7 @@ from .latticeexp import (  # noqa: F401
     truncated_mul,
 )
 from .exprio import (  # noqa: F401
+    DEFAULT_DIMENSION_CAP,
     SessionConfig,
     ast_evaluate,
     ast_to_string,

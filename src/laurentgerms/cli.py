@@ -5,7 +5,9 @@ object to stdout, and is deterministic for a fixed configuration.
 
 Exit codes: 0 success; 2 parse or format error in an expression or input
 file; 3 mathematical precondition violated (nonlinear pole, improper
-support, non-smooth cone, ...); 4 ambient/refinement dimension cap hit.
+support, non-smooth cone, ...); 4 ambient dimension above ``--dim-cap``,
+checked before any cone geometry runs (``decompose`` and ``verify`` build
+no cones and are not capped; the library itself has no cap).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import (
 from .exact import ONE, AmbientSpace, mat, solve, vec
 from .germs import decompose, germ_equal
 from .cones import (
-    DEFAULT_DIMENSION_CAP,
     ConeFamily,
     common_refinement,
     positioning_witness,
@@ -52,6 +53,7 @@ from .latticeexp import (
     p_res_exp_sum,
 )
 from .exprio import (
+    DEFAULT_DIMENSION_CAP,
     SessionConfig,
     frac_str,
     load_cone_family,
@@ -76,7 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION,
                      metavar="N", help="truncation order for exponential sums")
     top.add_argument("--dim-cap", type=int, default=DEFAULT_DIMENSION_CAP,
-                     metavar="D", help="refinement dimension cap")
+                     metavar="D",
+                     help="dimension cap of the commands that build cones")
     sub = top.add_subparsers(dest="command", required=True)
 
     def expr_cmd(name, help_text):
@@ -135,6 +138,12 @@ def _config(args) -> SessionConfig:
                          dim_cap=args.dim_cap)
 
 
+def _check_dim_cap(k: int, cfg: SessionConfig):
+    if k > cfg.dim_cap:
+        raise DimensionCapExceeded(
+            f"ambient dimension {k} exceeds the cap {cfg.dim_cap}")
+
+
 def _emit(payload: dict):
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -148,6 +157,8 @@ def _run(args) -> int:
     cfg = _config(args)
     space = cfg.space()
     k = cfg.dimension
+    if args.command not in ("decompose", "verify", "cone"):
+        _check_dim_cap(k, cfg)  # cone checks its family's dimension
 
     if args.command == "decompose":
         _emit(serialize(decompose(space, parse_germ(args.expr, k))))
@@ -203,14 +214,15 @@ def _run(args) -> int:
 
 def _run_cone(args, cfg: SessionConfig) -> int:
     cones = load_cone_family(args.family)
+    _check_dim_cap(cones[0].ambient if cones else 0, cfg)
     if args.cone_command == "refine":
-        pieces, index_sets = common_refinement(cones, dim_cap=cfg.dim_cap)
+        pieces, index_sets = common_refinement(cones)
         _emit({"kind": "refinement",
                "dim": pieces[0].ambient if pieces else 0,
                "pieces": serialize(ConeFamily(tuple(pieces)))["cones"],
                "index_sets": [sorted(s) for s in index_sets]})
         return 0
-    found = positioning_witness(cones, dim_cap=cfg.dim_cap)
+    found = positioning_witness(cones)
     witness = None if found is None else {"pair": [found[0], found[1]],
                                           "reason": found[2]}
     _emit({"kind": "positioning-check",
@@ -223,10 +235,14 @@ def _run_exp_sum(args, cfg: SessionConfig) -> int:
     space = cfg.space()
     gens = load_rows(args.cone)
     basis = load_rows(args.lattice) if args.lattice else None
+    for path, rows in ((args.cone, gens), (args.lattice, basis)):
+        if rows and len(rows[0]) != cfg.dimension:
+            raise FormatError(f"{path}: rows of dimension {len(rows[0])} "
+                              f"under --dim {cfg.dimension}")
     lc = make_lattice_cone(gens, basis)
 
     pres = p_res_exp_sum(lc, space=space)
-    integral = exp_integral(lc, dim_cap=cfg.dim_cap)
+    integral = exp_integral(lc)
     order = max((t.p_order for t in pres.terms), default=0)
     report = {"kind": "exp-sum", "dim": lc.ambient,
               "generators": _span_rows(lc.rays),

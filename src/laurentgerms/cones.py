@@ -4,9 +4,9 @@ Cones live in the ambient rational space (no inner product is involved in
 any of the geometry here).  Simplicial cones carry independent primitive
 generators in a canonical sorted order; general pointed cones are handled
 through exact half-space representations and extreme-ray enumeration, which
-at the desk-scale dimensions this package targets (ambient dimension capped
-at 6 by default) is done by straightforward subset enumeration over the
-constraints — robust, exact, and fast enough.
+is done by straightforward subset enumeration over the constraints — robust,
+exact, and fast enough at desk-scale dimensions.  Nothing here limits the
+dimension; the command-line tool caps it (``--dim-cap``).
 
 The refinement algorithm makes a family of cones "properly positioned"
 (pairwise intersections are common faces and the union contains no line):
@@ -26,7 +26,6 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (
-    DimensionCapExceeded,
     NotASubdivision,
     NotSimplicial,
     NotStrictlyConvexUnion,
@@ -51,10 +50,7 @@ from .exact import (
 )
 from .germs import GermSum, PolarGerm, canonicalize_polar, make_germ_sum
 
-DEFAULT_DIMENSION_CAP = 6
-
 __all__ = [
-    "DEFAULT_DIMENSION_CAP",
     "SimplicialCone",
     "PolyCone",
     "ConeFamily",
@@ -72,13 +68,6 @@ __all__ = [
     "I_simplicial",
     "I_cone",
 ]
-
-
-def _check_cap(k: int, dim_cap: int | None):
-    cap = DEFAULT_DIMENSION_CAP if dim_cap is None else dim_cap
-    if k > cap:
-        raise DimensionCapExceeded(
-            f"ambient dimension {k} exceeds the cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -137,15 +126,13 @@ def make_simplicial_cone(generators: Iterable[Sequence]) -> SimplicialCone:
     return SimplicialCone(gens)
 
 
-def make_poly_cone(rays: Iterable[Sequence],
-                   dim_cap: int | None = None) -> PolyCone:
+def make_poly_cone(rays: Iterable[Sequence]) -> PolyCone:
     """Pointed cone from (possibly redundant) generating rays."""
     raw = [primitive_vector(tuple(Fraction(c) for c in r)) for r in rays]
     raw = [r for r in raw if not vec_is_zero(r)]
     if not raw:
         raise ValueError("a cone needs at least one nonzero ray")
     k = len(raw[0])
-    _check_cap(k, dim_cap)
     eqs, ineqs = _hrep_from_rays(k, raw)
     # a nontrivial lineality space means the cone contains a line
     if mat_rank(tuple(eqs) + tuple(ineqs)) < k:
@@ -239,11 +226,9 @@ def _extreme_rays(k: int, eqs: Sequence[Vec], ineqs: Sequence[Vec]) -> list[Vec]
 # ---------------------------------------------------------------------------
 # face relations
 
-def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone,
-                          dim_cap: int | None = None) -> bool:
+def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone) -> bool:
     """True when the intersection is a face of both cones."""
     k = c1.ambient
-    _check_cap(k, dim_cap)
     e1, i1 = _simplicial_hrep(c1)
     e2, i2 = _simplicial_hrep(c2)
     rays = _extreme_rays(k, e1 + e2, i1 + i2)
@@ -271,49 +256,46 @@ def _pair_contains_line(k: int, hrep_a, hrep_b) -> bool:
     return bool(_extreme_rays(k, ea + eb, ia + neg_ib))
 
 
-def union_contains_line(cones: Sequence[SimplicialCone],
-                        dim_cap: int | None = None) -> bool:
-    """True when some nonzero v has v in one member and -v in another."""
+def union_contains_line(cones: Sequence[SimplicialCone]) -> bool:
+    """True when some nonzero v has v in one member and -v in another.
+
+    Only pairs of distinct members are tested: a simplicial cone has
+    independent generators, so it contains no line on its own.
+    """
     if not cones:
         return False
     k = cones[0].ambient
-    _check_cap(k, dim_cap)
     hreps = [_simplicial_hrep(c) for c in cones]
-    return any(_pair_contains_line(k, hreps[a], hreps[b])
-               for a in range(len(cones)) for b in range(a, len(cones)))
+    return any(_pair_contains_line(k, ha, hb)
+               for ha, hb in combinations(hreps, 2))
 
 
-def positioning_witness(cones: Sequence[SimplicialCone],
-                        dim_cap: int | None = None
+def positioning_witness(cones: Sequence[SimplicialCone]
                         ) -> tuple[int, int, str] | None:
     """First pair (i, j) of members that are not properly positioned.
 
-    Pairs (i, j >= i) whose union contains a line are searched first, then
-    pairs i < j whose intersection is not a common face; the result is
+    Pairs i < j whose union contains a line are searched first, then pairs
+    i < j whose intersection is not a common face; the result is
     (i, j, reason), or None when the family is properly positioned.
     """
     cones = list(cones)
     if not cones:
         return None
     k = cones[0].ambient
-    _check_cap(k, dim_cap)
     hreps = [_simplicial_hrep(c) for c in cones]
-    n = len(cones)
-    for a in range(n):
-        for b in range(a, n):
-            if _pair_contains_line(k, hreps[a], hreps[b]):
-                return a, b, "union contains a line"
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not cones_meet_along_face(cones[a], cones[b], dim_cap):
-                return a, b, "intersection is not a common face"
+    pairs = list(combinations(range(len(cones)), 2))
+    for a, b in pairs:
+        if _pair_contains_line(k, hreps[a], hreps[b]):
+            return a, b, "union contains a line"
+    for a, b in pairs:
+        if not cones_meet_along_face(cones[a], cones[b]):
+            return a, b, "intersection is not a common face"
     return None
 
 
-def is_properly_positioned(cones: Sequence[SimplicialCone],
-                           dim_cap: int | None = None) -> bool:
+def is_properly_positioned(cones: Sequence[SimplicialCone]) -> bool:
     """Pairwise intersections are common faces and the union has no line."""
-    return positioning_witness(cones, dim_cap) is None
+    return positioning_witness(cones) is None
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +390,6 @@ def _pull_triangulate(piece: _Piece,
 
 
 def triangulate_cone(cone: SimplicialCone | PolyCone,
-                     dim_cap: int | None = None,
                      reverse_order: bool = False) -> list[SimplicialCone]:
     """Canonical pulling triangulation of a pointed cone (no new rays).
 
@@ -419,7 +400,6 @@ def triangulate_cone(cone: SimplicialCone | PolyCone,
     if isinstance(cone, SimplicialCone):
         return [cone]
     k = cone.ambient
-    _check_cap(k, dim_cap)
     eqs, ineqs = _hrep_from_rays(k, cone.rays)
     piece = _prune_ineqs(_Piece(eqs, ineqs, tuple(sorted(cone.rays)),
                                 mat_rank(cone.rays)))
@@ -431,8 +411,8 @@ def triangulate_cone(cone: SimplicialCone | PolyCone,
 # common refinement
 
 def common_refinement(
-        cones: Sequence[SimplicialCone],
-        dim_cap: int | None = None) -> tuple[list[SimplicialCone], list[list[int]]]:
+        cones: Sequence[SimplicialCone]
+) -> tuple[list[SimplicialCone], list[list[int]]]:
     """Subdivide every member so the results form one properly positioned
     family.
 
@@ -444,9 +424,7 @@ def common_refinement(
     cones = list(cones)
     if not cones:
         return [], []
-    k = cones[0].ambient
-    _check_cap(k, dim_cap)
-    if union_contains_line(cones, dim_cap):
+    if union_contains_line(cones):
         raise NotStrictlyConvexUnion(
             "the union of the cones contains a linear subspace")
     hreps = [_simplicial_hrep(c) for c in cones]
@@ -482,8 +460,7 @@ def _sign_canonical(v: Vec) -> Vec:
 # subdivision checking
 
 def is_subdivision(pieces: Sequence[SimplicialCone],
-                   target: SimplicialCone | PolyCone,
-                   dim_cap: int | None = None) -> bool:
+                   target: SimplicialCone | PolyCone) -> bool:
     """Exact check that the pieces tile the target cone.
 
     Same dimension, contained in the target, pairwise intersections along
@@ -494,16 +471,13 @@ def is_subdivision(pieces: Sequence[SimplicialCone],
     pieces = list(pieces)
     if not pieces:
         return False
+    k = target.ambient
     if isinstance(target, SimplicialCone):
-        k = target.ambient
-        _check_cap(k, dim_cap)
         t_eqs, t_ineqs = _simplicial_hrep(target)
         t_rays = target.generators
         t_dim = target.dim
         member = lambda x: cone_contains(target, x)
     else:
-        k = target.ambient
-        _check_cap(k, dim_cap)
         t_eqs, t_ineqs = _hrep_from_rays(k, target.rays)
         t_rays = target.rays
         t_dim = mat_rank(target.rays)
@@ -514,10 +488,9 @@ def is_subdivision(pieces: Sequence[SimplicialCone],
     for p in pieces:
         if not all(member(g) for g in p.generators):
             return False
-    for a in range(len(pieces)):
-        for b in range(a + 1, len(pieces)):
-            if not cones_meet_along_face(pieces[a], pieces[b], dim_cap):
-                return False
+    if not all(cones_meet_along_face(p, q)
+               for p, q in combinations(pieces, 2)):
+        return False
     hyper: set[Vec] = set()
     for p in pieces:
         _, ineqs = _simplicial_hrep(p)
@@ -553,8 +526,8 @@ def I_simplicial(cone: SimplicialCone) -> PolarGerm:
 
 
 def I_cone(cone: SimplicialCone | PolyCone,
-           triangulation: Sequence[SimplicialCone] | None = None,
-           dim_cap: int | None = None) -> GermSum:
+           triangulation: Sequence[SimplicialCone] | None = None
+           ) -> GermSum:
     """Valuation of a pointed cone, via a triangulation.
 
     With an explicit triangulation the subdivision property is validated
@@ -562,11 +535,11 @@ def I_cone(cone: SimplicialCone | PolyCone,
     chosen; subdivision invariance is what the weight w buys.
     """
     if triangulation is not None:
-        if not is_subdivision(triangulation, cone, dim_cap):
+        if not is_subdivision(triangulation, cone):
             raise NotASubdivision("given cones do not tile the target")
         simplices = list(triangulation)
     else:
-        simplices = triangulate_cone(cone, dim_cap)
+        simplices = triangulate_cone(cone)
     k = cone.ambient
     return make_germ_sum([I_simplicial(s) for s in simplices],
                          Polynomial.zero(k))

@@ -34,7 +34,7 @@ class OrthogonalityViolated(LaurentGermsError):
 
 
 class DimensionCapExceeded(LaurentGermsError):
-    """Ambient dimension exceeds the configured cap for cone geometry."""
+    """Ambient dimension exceeds the command-line cap (``--dim-cap``)."""
 
 
 class NotStrictlyConvexUnion(LaurentGermsError):

@@ -646,9 +646,13 @@ def linear_factorization(
             work = q
             factors[key] = factors.get(key, 0) + 1
 
-    # single-variable (monomial) factors first
+    # single-variable (monomial) factors first, each power in one step
     for i in range(k):
-        extract(unit_vec(k, i))
+        m = min(e[i] for e in work.terms)
+        if m:
+            work = Polynomial(k, {e[:i] + (e[i] - m,) + e[i + 1:]: c
+                                  for e, c in work.terms.items()})
+            factors[unit_vec(k, i)] = m
 
     def slice_roots(i: int, m: int) -> list[Fraction]:
         """Roots r of the bivariate restriction (all other vars 0, x_i = 1)

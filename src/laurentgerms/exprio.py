@@ -47,8 +47,12 @@ from .germs import (
 )
 from .cones import ConeFamily, SimplicialCone, make_simplicial_cone
 from .expand import FormalExpansion, make_expansion
+from .latticeexp import DEFAULT_TRUNCATION
+
+DEFAULT_DIMENSION_CAP = 6
 
 __all__ = [
+    "DEFAULT_DIMENSION_CAP",
     "Num",
     "Var",
     "Neg",
@@ -111,8 +115,8 @@ class SessionConfig:
 
     dimension: int
     gram: Mat
-    truncation: int = 8
-    dim_cap: int = 6
+    truncation: int = DEFAULT_TRUNCATION
+    dim_cap: int = DEFAULT_DIMENSION_CAP
 
     def space(self) -> AmbientSpace:
         return AmbientSpace(self.dimension, self.gram)
@@ -333,6 +337,10 @@ def _mero_invert(g: MeromorphicGerm) -> MeromorphicGerm:
     return make_mero(num, factors)
 
 
+_BINOPS = {"+": mero_add, "-": mero_sub, "*": mero_mul,
+           "/": lambda a, b: mero_mul(a, _mero_invert(b))}
+
+
 def to_germ(node: Node, k: int) -> MeromorphicGerm:
     """Interpret the tree as an exact meromorphic germ in k variables.
 
@@ -351,19 +359,20 @@ def to_germ(node: Node, k: int) -> MeromorphicGerm:
         if e < 0:
             base = _mero_invert(base)
             e = -e
-        out = make_mero(Polynomial.constant(k, ONE))
-        for _ in range(e):
-            out = mero_mul(out, base)
-        return out
-    a = to_germ(node.left, k)
-    b = to_germ(node.right, k)
-    if node.op == "+":
-        return mero_add(a, b)
-    if node.op == "-":
-        return mero_sub(a, b)
-    if node.op == "*":
-        return mero_mul(a, b)
-    return mero_mul(a, _mero_invert(b))
+        # no pole form divides the reduced numerator, so none divides its
+        # power: this equals the product of e copies of the base
+        return make_mero(base.numerator ** e,
+                         [(v, s * e) for v, s in base.den])
+    # a flat sum or product of n operands is n levels deep on the left:
+    # walk that spine in a loop and recurse only into the right operands
+    chain = []
+    while isinstance(node, BinOp):
+        chain.append(node)
+        node = node.left
+    a = to_germ(node, k)
+    for link in reversed(chain):
+        a = _BINOPS[link.op](a, to_germ(link.right, k))
+    return a
 
 
 def parse_germ(text: str, k: int) -> MeromorphicGerm:

@@ -34,7 +34,7 @@ from .exact import (
     mat_transpose,
     primitive_pseudo_positive,
     q_orthogonal_complement,
-    solve,
+    rref,
     span_key,
     vec_dot,
 )
@@ -352,22 +352,18 @@ def reduce_to_independent(
 
     def outer(coef: Fraction, den: dict[Vec, int]):
         forms = sorted(v for v, e in den.items() if e)
-        if mat_rank(tuple(forms)) == len(forms):
+        # one rref of the forms as columns: the pivot columns are the greedy
+        # independent subset in canonical order, the first other column is
+        # the first dependent form, and its rref column holds its
+        # coordinates over the pivot forms
+        red, pivots = rref(mat_from_columns(forms))
+        dep = next((j for j in range(len(forms)) if j not in pivots), None)
+        if dep is None:
             emit(coef, den)
             return
-        # greedy maximal independent subset in canonical order
-        basis: list[Vec] = []
-        dep: Vec | None = None
-        for v in forms:
-            if mat_rank(tuple(basis + [v])) == len(basis) + 1:
-                basis.append(v)
-            elif dep is None:
-                dep = v
-        assert dep is not None
-        coords = solve(mat_from_columns(basis), dep)
-        assert coords is not None
-        rel = [(b, c) for b, c in zip(basis, coords) if c != 0]
-        inner(coef, den, dep, rel)
+        rel = [(forms[p], red[i][dep]) for i, p in enumerate(pivots)
+               if red[i][dep] != 0]
+        inner(coef, den, forms[dep], rel)
 
     def inner(coef: Fraction, den: dict[Vec, int], dep: Vec,
               rel: list[tuple[Vec, Fraction]]):

@@ -355,7 +355,7 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
     return TruncatedGerm(polar, _truncate_poly(s.poly, trunc), trunc)
 
 
-def exp_integral(lc: LatticeCone, dim_cap: int | None = None) -> GermSum:
+def exp_integral(lc: LatticeCone) -> GermSum:
     """Cone valuation normalized against the lattice.
 
     Per simplicial piece of a triangulation: (-1)^d |det| / (L_1 ... L_d)
@@ -364,7 +364,7 @@ def exp_integral(lc: LatticeCone, dim_cap: int | None = None) -> GermSum:
     irrelevant, and the weight makes the result subdivision-invariant.
     """
     k = lc.ambient
-    pieces = triangulate_cone(lc.cone, dim_cap)
+    pieces = triangulate_cone(lc.cone)
     d = lc.dim
     terms = []
     for piece in pieces:

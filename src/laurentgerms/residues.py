@@ -159,9 +159,8 @@ def project_U_p(space: AmbientSpace, f, subspace: Sequence[Sequence],
                 p: int) -> GermSum:
     """The graded component supported on span(subspace) with pole order p."""
     key = GradedComponentKey(span_key(subspace), int(p))
-    split = graded_split(space, f)
-    k = _as_expansion(space, f).nvars
-    return split.get(key, make_germ_sum([], Polynomial.zero(k)))
+    return graded_split(space, f).get(
+        key, make_germ_sum([], Polynomial.zero(space.dimension)))
 
 
 def jk_residue(space: AmbientSpace, f,

@@ -294,3 +294,47 @@ def test_exit_code_4_when_the_dimension_cap_is_hit(capsys, tmp_path):
     code, _ = run(capsys, "--dim", "7", "--dim-cap", "7",
                   "cone", "refine", family)
     assert code == 0
+
+
+def test_every_cone_building_command_honours_the_dimension_cap(capsys,
+                                                               tmp_path):
+    expr = "1/(x1*(x1+x2)*x3)"
+    arr = write_json(tmp_path, "arr.json", [[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    orthant = write_json(tmp_path, "orthant.json",
+                         [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    commands = [[name, expr] for name in (
+        "laurent", "project-plus", "project-minus", "grade", "jk",
+        "p-order", "p-res", "coproduct")]
+    commands += [["brion-vergne", expr, "--arrangement", arr],
+                 ["exp-sum", "--cone", orthant]]
+    for argv in commands:
+        code, captured = run(capsys, "--dim", "3", "--dim-cap", "2", *argv)
+        assert code == 4, argv
+        assert captured.out == ""
+        assert captured.err == "error: ambient dimension 3 exceeds the cap 2\n"
+        assert run(capsys, "--dim", "3", "--dim-cap", "3", *argv)[0] == 0
+
+
+def test_a_cap_above_the_default_admits_larger_expansions(capsys):
+    got = run_json(capsys, "--dim", "7", "--dim-cap", "7",
+                   "laurent", "1/(x1*x7)")
+    assert got["dim"] == 7 and len(got["terms"]) == 1
+    code, captured = run(capsys, "--dim", "7", "laurent", "1/(x1*x7)")
+    assert code == 4 and captured.out == ""
+    # commands that build no cones are not capped
+    assert run(capsys, "--dim", "7", "--dim-cap", "1",
+               "decompose", "1/x1")[0] == 0
+
+
+def test_exp_sum_input_must_have_the_dimension_of_dim(capsys, tmp_path):
+    plane = write_json(tmp_path, "plane.json", [[1, 0], [1, 1]])
+    space = write_json(tmp_path, "space.json", [[1, 0, 0], [0, 1, 0]])
+    code, captured = run(capsys, "--dim", "3", "exp-sum", "--cone", plane)
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: {plane}: rows of dimension 2 "
+                            "under --dim 3\n")
+    code, captured = run(capsys, "exp-sum", "--cone", plane,
+                         "--lattice", space)
+    assert code == 2
+    assert captured.err == (f"error: {space}: rows of dimension 3 "
+                            "under --dim 2\n")

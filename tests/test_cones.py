@@ -23,14 +23,14 @@ from laurentgerms.cones import (
     union_contains_line,
 )
 from laurentgerms.errors import (
-    DimensionCapExceeded,
     NotASubdivision,
     NotSimplicial,
     NotStrictlyConvexUnion,
 )
-from laurentgerms.exact import vec
+from laurentgerms.exact import AmbientSpace, Polynomial, vec
+from laurentgerms.expand import laurent_expand, phi
+from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import as_mero, germ_equal, make_mero, mero_add
-from laurentgerms.exact import Polynomial
 
 F = Fraction
 
@@ -140,8 +140,6 @@ def test_positioning_witness_names_the_first_offending_pair():
     line = overlap + [cone((-1, -1))]
     assert positioning_witness(line) == (0, 3, "union contains a line")
     assert not is_properly_positioned(line)
-    with pytest.raises(DimensionCapExceeded):
-        positioning_witness([cone((1, 0, 0))], dim_cap=2)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +217,12 @@ def test_is_subdivision_rejects_gaps_and_overlaps():
     assert not is_subdivision([a, b, cone((1, -1), (1, 0))], quadrant)
 
 
-def test_dimension_cap_guards_refinement():
+def test_refinement_and_expansion_have_no_dimension_cap():
     gens = [tuple(1 if i == j else 0 for i in range(7)) for j in range(7)]
-    with pytest.raises(DimensionCapExceeded):
-        common_refinement([make_simplicial_cone(gens)], dim_cap=6)
+    orthant = make_simplicial_cone(gens)
+    assert common_refinement([orthant]) == ([orthant], [[0]])
+    f = parse_germ("1/(x1*x7)", 7)
+    assert germ_equal(phi(laurent_expand(AmbientSpace.standard(7), f)), f)
 
 
 # ---------------------------------------------------------------------------

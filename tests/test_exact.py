@@ -327,6 +327,14 @@ def test_linear_factorization_of_form_products():
         assert rebuilt == p
 
 
+def test_linear_factorization_of_high_monomial_powers():
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    p = (x ** 20000 * y ** 3 * (x + y) ** 2).scale(3)
+    assert linear_factorization(p) == (
+        3, [(vec([0, 1]), 3), (vec([1, 0]), 20000), (vec([1, 1]), 2)])
+
+
 def test_linear_factorization_rejects_irreducible():
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)

@@ -15,7 +15,13 @@ from laurentgerms.errors import (
 )
 from laurentgerms.exact import AmbientSpace, Polynomial, vec
 from laurentgerms.expand import laurent_expand
-from laurentgerms.germs import evaluate, germ_equal, make_mero, decompose
+from laurentgerms.germs import (
+    decompose,
+    evaluate,
+    germ_equal,
+    make_mero,
+    mero_mul,
+)
 from laurentgerms.exprio import (
     BinOp,
     Neg,
@@ -120,11 +126,14 @@ def test_parse_errors_carry_positions():
 def test_too_deep_input_is_a_syntax_error_not_a_crash():
     with pytest.raises(ExprSyntaxError, match="nested too deeply"):
         parse_expr("(" * 2000 + "x1" + ")" * 2000, 2)
-    # parses iteratively, but its tree is 3000 levels deep
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse_germ("(" * 2000 + "x1" + ")" * 2000, 2)
+    # parses iteratively, and its 3000-level left spine converts in a loop
     long_sum = "x1" + "+x1" * 3000
     assert isinstance(parse_expr(long_sum, 2), BinOp)
-    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
-        parse_germ(long_sum, 2)
+    assert parse_germ(long_sum, 2) == parse_germ("3001*x1", 2)
+    long_quotient = "x1" + "*x2/x1" * 1500
+    assert parse_germ(long_quotient, 2) == parse_germ("x2^1500/x1^1499", 2)
 
 
 def test_unknown_variables_are_rejected():
@@ -164,6 +173,21 @@ def test_germ_conversion_rejects_non_linear_poles():
         parse_germ("1/(x1*x2+1)", 2)
     with pytest.raises(NonLinearPole):
         parse_germ("1/(x1^2+x2^2)", 2)
+
+
+def test_powers_are_the_repeated_products():
+    for src in ("x1", "x1+2*x2", "(x1-x2)/(x1*(x1+x2)^2)", "3/x2", "0", "1"):
+        base = parse_germ(src, 2)
+        inverse = parse_germ(f"1/({src})", 2) if src != "0" else None
+        power = make_mero(Polynomial.constant(2, 1))
+        for e in range(5):
+            assert parse_germ(f"({src})^{e}", 2) == power
+            if inverse is not None:
+                assert parse_germ(f"({src})^-{e}", 2) == parse_germ(
+                    f"1/({src})^{e}", 2)
+            power = mero_mul(power, base)
+    big = make_mero(Polynomial.constant(1, 1), ((vec([1]), 20000),))
+    assert parse_germ("1/x1^20000", 1) == parse_germ("x1^-20000", 1) == big
 
 
 def test_division_by_the_zero_germ_is_an_error():

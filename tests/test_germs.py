@@ -35,6 +35,7 @@ from laurentgerms.germs import (
 
 from conftest import (
     random_fraction,
+    round_trip_corpus,
     random_germ,
     random_polynomial,
     random_space,
@@ -248,6 +249,55 @@ def test_reduce_preserves_value_on_random_dependent_germs():
         for _, _, factors in parts:
             forms = [v for v, _ in factors]
             assert mat_rank(mat(forms)) == len(forms)
+
+
+def _reduce_by_greedy_rank_loop(f):
+    """Reference for reduce_to_independent: the greedy independent subset
+    by one rank test per form, and the dependent form's coordinates by a
+    linear solve."""
+    from laurentgerms.exact import mat_from_columns, mat_rank, solve
+
+    out = {}
+
+    def outer(coef, den):
+        forms = sorted(v for v, e in den.items() if e)
+        if mat_rank(tuple(forms)) == len(forms):
+            key = tuple(sorted((v, e) for v, e in den.items() if e))
+            out[key] = out.get(key, F(0)) + coef
+            return
+        basis, dep = [], None
+        for v in forms:
+            if mat_rank(tuple(basis + [v])) == len(basis) + 1:
+                basis.append(v)
+            elif dep is None:
+                dep = v
+        coords = solve(mat_from_columns(basis), dep)
+        inner(coef, den, dep, [(b, c) for b, c in zip(basis, coords) if c])
+
+    def inner(coef, den, dep, rel):
+        for b, c in rel:
+            child = dict(den)
+            child[b] -= 1
+            child[dep] = child.get(dep, 0) + 1
+            if child[b] == 0:
+                del child[b]
+                outer(coef * c, child)
+            else:
+                inner(coef * c, child, dep, rel)
+
+    if f.is_zero():
+        return []
+    outer(F(1), dict(f.den))
+    return [(c, f.numerator, den) for den, c in sorted(out.items()) if c]
+
+
+def test_reduce_is_structurally_the_greedy_rank_loop():
+    germs = [g for _, g in round_trip_corpus()]
+    rng = random.Random(26)
+    germs += [random_germ(rng, rng.randint(1, 4), max_forms=5, degree=2)
+              for _ in range(100)]
+    for g in germs:
+        assert reduce_to_independent(g) == _reduce_by_greedy_rank_loop(g)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+import laurentgerms.residues as residues
 from laurentgerms.cones import make_simplicial_cone
 from laurentgerms.errors import NotInRDelta
 from laurentgerms.exact import AmbientSpace, Polynomial, mat, span_key, vec
+from laurentgerms.expand import laurent_expand
 from laurentgerms.germs import (
     as_mero,
     decompose,
     germ_equal,
+    make_germ_sum,
     make_mero,
     mero_add,
     mero_mul,
@@ -136,6 +139,23 @@ def test_project_U_p_extracts_named_component():
     got = project_U_p(SP, f, axis, 2)
     assert germ_equal(got, mero(1, ([1, 0], 2)))
     assert project_U_p(SP, f, axis, 1).is_zero()
+
+
+def test_project_U_p_and_jk_residue_expand_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return laurent_expand(*args, **kwargs)
+
+    monkeypatch.setattr(residues, "laurent_expand", counting)
+    f = mero_add(mero(1, ([1, 0], 1), ([0, 1], 1)), mero(1, ([1, 0], 2)))
+    project_U_p(SP, f, [vec([1, 0])], 2)
+    assert len(calls) == 1
+    jk_residue(SP, f)
+    assert len(calls) == 2
+    assert project_U_p(SP, f, [vec([1, 1])], 1) == make_germ_sum(
+        [], Polynomial.zero(2))
 
 
 def test_jk_residue_defaults_to_full_pole_span():
