@@ -144,6 +144,12 @@ def _check_dim_cap(k: int, cfg: SessionConfig):
             f"ambient dimension {k} exceeds the cap {cfg.dim_cap}")
 
 
+def _check_file_dim(path: str, found: int, k: int):
+    """Vectors read from ``path`` must live in the ``--dim`` space."""
+    if found != k:
+        raise FormatError(f"{path}: rows of dimension {found} under --dim {k}")
+
+
 def _emit(payload: dict):
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -166,6 +172,8 @@ def _run(args) -> int:
         support = None
         if args.support:
             support = load_cone_family(args.support)
+            if support:
+                _check_file_dim(args.support, support[0].ambient, k)
         g = parse_germ(args.expr, k)
         _emit(serialize(laurent_expand(space, g, support=support)))
     elif args.command == "project-plus":
@@ -182,11 +190,16 @@ def _run(args) -> int:
                                "component": serialize(split[key])})
         _emit({"kind": "graded-split", "dim": k, "components": components})
     elif args.command == "jk":
-        subspace = load_rows(args.subspace) if args.subspace else None
+        subspace = None
+        if args.subspace:
+            subspace = load_rows(args.subspace)
+            _check_file_dim(args.subspace, len(subspace[0]), k)
         g = parse_germ(args.expr, k)
         _emit(serialize(jk_residue(space, g, subspace=subspace)))
     elif args.command == "brion-vergne":
-        arr = make_arrangement(load_rows(args.arrangement))
+        rows = load_rows(args.arrangement)
+        _check_file_dim(args.arrangement, len(rows[0]), k)
+        arr = make_arrangement(rows)
         gen, rest = brion_vergne_split(space, parse_germ(args.expr, k), arr)
         _emit({"kind": "brion-vergne", "dim": k,
                "generating": serialize(gen), "rest": serialize(rest)})
@@ -236,9 +249,8 @@ def _run_exp_sum(args, cfg: SessionConfig) -> int:
     gens = load_rows(args.cone)
     basis = load_rows(args.lattice) if args.lattice else None
     for path, rows in ((args.cone, gens), (args.lattice, basis)):
-        if rows and len(rows[0]) != cfg.dimension:
-            raise FormatError(f"{path}: rows of dimension {len(rows[0])} "
-                              f"under --dim {cfg.dimension}")
+        if rows:
+            _check_file_dim(path, len(rows[0]), cfg.dimension)
     lc = make_lattice_cone(gens, basis)
 
     pres = p_res_exp_sum(lc, space=space)

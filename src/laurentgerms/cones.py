@@ -8,6 +8,14 @@ is done by straightforward subset enumeration over the constraints — robust,
 exact, and fast enough at desk-scale dimensions.  Nothing here limits the
 dimension; the command-line tool caps it (``--dim-cap``).
 
+The arithmetic is integer.  Facet normals and rays are primitive integer
+vectors, converted to tuples of ints once, where they enter (half-space
+representations, extreme rays, the generators of a cone being sliced), so
+every incidence and sign test is an int dot product and every rank test runs
+on integer rows.  Public results carry Fractions again.  A cone built
+directly with non-integral generators keeps them as they are; the same tests
+then run on Fractions.
+
 The refinement algorithm makes a family of cones "properly positioned"
 (pairwise intersections are common faces and the union contains no line):
 every defining hyperplane of every member is collected, every cone is sliced
@@ -23,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -41,12 +50,11 @@ from .exact import (
     mat_rank,
     max_minor_abs_sum,
     nullspace,
+    primitive_ints,
     primitive_vector,
     solve,
-    vec_dot,
+    vec,
     vec_is_zero,
-    vec_scale,
-    vec_sub,
 )
 from .germs import GermSum, PolarGerm, canonicalize_polar, make_germ_sum
 
@@ -140,7 +148,7 @@ def make_poly_cone(rays: Iterable[Sequence]) -> PolyCone:
     extreme = _extreme_rays(k, eqs, ineqs)
     if not extreme:
         raise NotStrictlyConvexUnion("rays do not span a pointed cone")
-    return PolyCone(tuple(sorted(extreme)))
+    return PolyCone(tuple(vec(r) for r in extreme))
 
 
 def cone_contains(cone: SimplicialCone, x: Sequence) -> bool:
@@ -163,63 +171,81 @@ def _simplicial_coords(cone: SimplicialCone, v: Vec) -> Vec | None:
 
 
 # ---------------------------------------------------------------------------
+# integer vectors
+
+IntVec = tuple[int, ...]
+
+
+def _dot(u, v):
+    """Plain dot product; an int, with no Fraction arithmetic, on int rows."""
+    return sum(map(mul, u, v))
+
+
+def _neg(v):
+    return tuple(-a for a in v)
+
+
+def _as_ints(v: Vec):
+    """An integral vector as a tuple of ints; any other vector unchanged.
+
+    Every vector the library makes is integral.  A non-integral generator of
+    a directly built cone keeps its exact value, since the rays of a slice
+    are part of the output.
+    """
+    if all(a.denominator == 1 for a in v):
+        return tuple(a.numerator for a in v)
+    return v
+
+
+# ---------------------------------------------------------------------------
 # half-space representations and extreme rays
 
-def _simplicial_hrep(cone: SimplicialCone) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """(equalities, inequalities) cutting out the cone exactly."""
+def _simplicial_hrep(cone: SimplicialCone
+                     ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """(equalities, inequalities) cutting out the cone exactly, as primitive
+    integer normals."""
     k = cone.ambient
     n = cone.dim
     comp = nullspace(tuple(cone.generators))  # annihilator of the span
     m = mat_from_columns(list(cone.generators) + comp)
     rows = mat_inverse(m)
-    ineqs = tuple(primitive_vector(rows[i]) for i in range(n))
-    eqs = tuple(primitive_vector(rows[i]) for i in range(n, k))
+    ineqs = tuple(primitive_ints(rows[i]) for i in range(n))
+    eqs = tuple(primitive_ints(rows[i]) for i in range(n, k))
     return eqs, ineqs
 
 
-def _hrep_from_rays(k: int, rays: Sequence[Vec]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+def _hrep_from_rays(k: int, rays: Sequence
+                    ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
     """H-representation of the pointed cone generated by the rays."""
-    span_ann = tuple(nullspace(tuple(rays)))
+    span_ann = tuple(_as_ints(v) for v in nullspace(tuple(rays)))
     # facet normals = extreme rays of the dual cone within the span
     normals = _extreme_rays(k, span_ann, tuple(rays))
     return span_ann, tuple(normals)
 
 
-def _extreme_rays(k: int, eqs: Sequence[Vec], ineqs: Sequence[Vec]) -> list[Vec]:
-    """Extreme rays of { x : eqs x = 0, ineqs x >= 0 }.
+def _extreme_rays(k: int, eqs: Sequence, ineqs: Sequence) -> list[IntVec]:
+    """Extreme rays of { x : eqs x = 0, ineqs x >= 0 }, primitive and sorted.
 
     Works for pointed cones; if the set contains a line, representatives of
     both directions are returned (useful for emptiness tests).  Every extreme
     ray is the kernel of a rank-(k-1) subsystem of active constraints, so
     enumerating constraint subsets finds them all.
     """
-    eqs = tuple(dict.fromkeys(primitive_vector(e) for e in eqs if not vec_is_zero(e)))
-    ineqs = tuple(dict.fromkeys(primitive_vector(c) for c in ineqs if not vec_is_zero(c)))
-    rank_e = mat_rank(eqs) if eqs else 0
-    need = k - 1 - rank_e
+    eqs = tuple(dict.fromkeys(primitive_ints(e) for e in eqs if not vec_is_zero(e)))
+    ineqs = tuple(dict.fromkeys(primitive_ints(c) for c in ineqs if not vec_is_zero(c)))
+    need = k - 1 - mat_rank(eqs)
     if need < 0:
         return []
-    found: set[Vec] = set()
-
-    def consider(v: Vec):
-        for sign in (1, -1):
-            w = v if sign == 1 else vec_scale(-1, v)
-            if all(vec_dot(c, w) >= 0 for c in ineqs):
-                found.add(primitive_vector(w))
-
-    if need == 0:
-        kernel = nullspace(eqs) if eqs else ([primitive_vector((ONE,))] if k == 1 else nullspace(((ZERO,) * k,)))
-        if len(kernel) == 1:
-            consider(kernel[0])
-        return sorted(found)
+    found: set[IntVec] = set()
     for subset in combinations(ineqs, need):
         stack = eqs + subset
         if mat_rank(stack) != k - 1:
             continue
-        kernel = nullspace(stack)
-        if len(kernel) != 1:
-            continue
-        consider(kernel[0])
+        # the kernel of a rank-(k-1) system is one primitive line
+        v = _as_ints(nullspace(stack)[0]) if stack else (1,)
+        for w in (v, _neg(v)):
+            if all(_dot(c, w) >= 0 for c in ineqs):
+                found.add(w)
     return sorted(found)
 
 
@@ -235,14 +261,15 @@ def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone) -> bool:
     if not rays:
         return True  # they meet only at the origin, the trivial common face
     for cone in (c1, c2):
-        inside = {g for g in cone.generators
-                  if all(vec_dot(e, g) == 0 for e in (e1 + e2))
-                  and all(vec_dot(c, g) >= 0 for c in (i1 + i2))}
+        gens = [_as_ints(g) for g in cone.generators]
+        inside = {g for g in gens
+                  if all(_dot(e, g) == 0 for e in (e1 + e2))
+                  and all(_dot(c, g) >= 0 for c in (i1 + i2))}
         for r in rays:
             coords = _simplicial_coords(cone, r)
             if coords is None:
                 return False
-            support = {cone.generators[j] for j, c in enumerate(coords) if c != 0}
+            support = {gens[j] for j, c in enumerate(coords) if c != 0}
             if not support <= inside:
                 return False
     return True
@@ -252,8 +279,12 @@ def _pair_contains_line(k: int, hrep_a, hrep_b) -> bool:
     """Some nonzero v lies in cone a while -v lies in cone b."""
     ea, ia = hrep_a
     eb, ib = hrep_b
-    neg_ib = tuple(vec_scale(-1, c) for c in ib)
-    return bool(_extreme_rays(k, ea + eb, ia + neg_ib))
+    return bool(_extreme_rays(k, ea + eb, ia + tuple(map(_neg, ib))))
+
+
+def _hreps_contain_line(k: int, hreps) -> bool:
+    return any(_pair_contains_line(k, ha, hb)
+               for ha, hb in combinations(hreps, 2))
 
 
 def union_contains_line(cones: Sequence[SimplicialCone]) -> bool:
@@ -264,10 +295,8 @@ def union_contains_line(cones: Sequence[SimplicialCone]) -> bool:
     """
     if not cones:
         return False
-    k = cones[0].ambient
-    hreps = [_simplicial_hrep(c) for c in cones]
-    return any(_pair_contains_line(k, ha, hb)
-               for ha, hb in combinations(hreps, 2))
+    return _hreps_contain_line(cones[0].ambient,
+                               [_simplicial_hrep(c) for c in cones])
 
 
 def positioning_witness(cones: Sequence[SimplicialCone]
@@ -303,19 +332,23 @@ def is_properly_positioned(cones: Sequence[SimplicialCone]) -> bool:
 
 @dataclass
 class _Piece:
-    """A pointed cone tracked in both representations during slicing."""
+    """A pointed cone tracked in both representations during slicing.
 
-    eqs: tuple[Vec, ...]
-    ineqs: tuple[Vec, ...]
-    rays: tuple[Vec, ...]
+    Normals are primitive int vectors; rays are int vectors, except the
+    non-integral generators of a directly built cone (see ``_as_ints``).
+    """
+
+    eqs: tuple[IntVec, ...]
+    ineqs: tuple[IntVec, ...]
+    rays: tuple[tuple, ...]
     dim: int
 
 
 def _prune_ineqs(piece: _Piece) -> _Piece:
     """Keep one copy per facet: constraints tight on a rank-(dim-1) ray set."""
-    seen: dict[frozenset, Vec] = {}
+    seen: dict[frozenset, IntVec] = {}
     for c in piece.ineqs:
-        tight = [r for r in piece.rays if vec_dot(c, r) == 0]
+        tight = [r for r in piece.rays if _dot(c, r) == 0]
         if mat_rank(tuple(tight)) != piece.dim - 1:
             continue
         key = frozenset(tight)
@@ -323,30 +356,24 @@ def _prune_ineqs(piece: _Piece) -> _Piece:
     return _Piece(piece.eqs, tuple(seen.values()), piece.rays, piece.dim)
 
 
-def _split_piece(piece: _Piece, w: Vec) -> list[_Piece]:
+def _split_piece(piece: _Piece, w: IntVec) -> list[_Piece]:
     """Slice by the hyperplane w=0; keep full-dimensional closed halves."""
-    vals = [vec_dot(w, r) for r in piece.rays]
+    vals = [_dot(w, r) for r in piece.rays]
     if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
         return [piece]
-    plus = [r for r, v in zip(piece.rays, vals) if v > 0]
+    plus = [(r, v) for r, v in zip(piece.rays, vals) if v > 0]
     zero = [r for r, v in zip(piece.rays, vals) if v == 0]
-    minus = [r for r, v in zip(piece.rays, vals) if v < 0]
-    fresh = []
-    for rp in plus:
-        vp = vec_dot(w, rp)
-        for rm in minus:
-            vm = vec_dot(w, rm)
-            cand = primitive_vector(vec_sub(vec_scale(vp, rm), vec_scale(vm, rp)))
-            fresh.append(cand)
+    minus = [(r, v) for r, v in zip(piece.rays, vals) if v < 0]
+    fresh = [primitive_ints([vp * a - vm * b for a, b in zip(rm, rp)])
+             for rp, vp in plus for rm, vm in minus]
     halves = []
-    for side_rays, normal in ((plus, w), (minus, vec_scale(-1, w))):
+    for side, normal in ((plus, w), (minus, _neg(w))):
         ineqs = piece.ineqs + (normal,)
-        candidates = list(dict.fromkeys(side_rays + zero + fresh))
+        candidates = dict.fromkeys([r for r, _ in side] + zero + fresh)
         kept = []
         for r in candidates:
-            active = list(piece.eqs)
-            active += [c for c in ineqs if vec_dot(c, r) == 0]
-            if mat_rank(tuple(active)) == len(r) - 1:
+            active = piece.eqs + tuple(c for c in ineqs if _dot(c, r) == 0)
+            if mat_rank(active) == len(r) - 1:
                 kept.append(r)
         if mat_rank(tuple(kept)) == piece.dim:
             half = _Piece(piece.eqs, ineqs, tuple(sorted(kept)), piece.dim)
@@ -357,7 +384,7 @@ def _split_piece(piece: _Piece, w: Vec) -> list[_Piece]:
 def _piece_facets(piece: _Piece) -> list[_Piece]:
     facets: dict[frozenset, _Piece] = {}
     for c in piece.ineqs:
-        tight = tuple(sorted(r for r in piece.rays if vec_dot(c, r) == 0))
+        tight = tuple(sorted(r for r in piece.rays if _dot(c, r) == 0))
         if mat_rank(tight) != piece.dim - 1:
             continue
         key = frozenset(tight)
@@ -399,11 +426,10 @@ def triangulate_cone(cone: SimplicialCone | PolyCone,
     """
     if isinstance(cone, SimplicialCone):
         return [cone]
-    k = cone.ambient
-    eqs, ineqs = _hrep_from_rays(k, cone.rays)
-    piece = _prune_ineqs(_Piece(eqs, ineqs, tuple(sorted(cone.rays)),
-                                mat_rank(cone.rays)))
-    return [SimplicialCone(tuple(sorted(s)))
+    rays = tuple(sorted(_as_ints(r) for r in cone.rays))
+    eqs, ineqs = _hrep_from_rays(cone.ambient, rays)
+    piece = _prune_ineqs(_Piece(eqs, ineqs, rays, mat_rank(rays)))
+    return [SimplicialCone(tuple(vec(r) for r in s))
             for s in _pull_triangulate(piece, reverse_order)]
 
 
@@ -424,20 +450,18 @@ def common_refinement(
     cones = list(cones)
     if not cones:
         return [], []
-    if union_contains_line(cones):
+    hreps = [_simplicial_hrep(c) for c in cones]
+    if _hreps_contain_line(cones[0].ambient, hreps):
         raise NotStrictlyConvexUnion(
             "the union of the cones contains a linear subspace")
-    hreps = [_simplicial_hrep(c) for c in cones]
-    hyper: set[Vec] = set()
-    for eqs, ineqs in hreps:
-        for w in eqs + ineqs:
-            hyper.add(_sign_canonical(w))
-    hyperplanes = sorted(hyper)
-    piece_index: dict[tuple[Vec, ...], int] = {}
+    hyperplanes = sorted({_sign_canonical(w)
+                          for eqs, ineqs in hreps for w in eqs + ineqs})
+    piece_index: dict[tuple, int] = {}
     collected: list[SimplicialCone] = []
     index_sets: list[list[int]] = []
     for cone, (eqs, ineqs) in zip(cones, hreps):
-        pieces = [_prune_ineqs(_Piece(eqs, ineqs, cone.generators, cone.dim))]
+        rays = tuple(_as_ints(g) for g in cone.generators)
+        pieces = [_prune_ineqs(_Piece(eqs, ineqs, rays, cone.dim))]
         for w in hyperplanes:
             pieces = [half for p in pieces for half in _split_piece(p, w)]
         mine = set()
@@ -445,15 +469,16 @@ def common_refinement(
             for simplex in _pull_triangulate(p):
                 if simplex not in piece_index:
                     piece_index[simplex] = len(collected)
-                    collected.append(SimplicialCone(simplex))
+                    collected.append(
+                        SimplicialCone(tuple(vec(r) for r in simplex)))
                 mine.add(piece_index[simplex])
         index_sets.append(sorted(mine))
     return collected, index_sets
 
 
-def _sign_canonical(v: Vec) -> Vec:
-    w = primitive_vector(v)
-    return w if is_pseudo_positive(w) else vec_scale(-1, w)
+def _sign_canonical(w: IntVec) -> IntVec:
+    """The pseudo-positive one of the primitive normals w and -w."""
+    return w if is_pseudo_positive(w) else _neg(w)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +506,8 @@ def is_subdivision(pieces: Sequence[SimplicialCone],
         t_eqs, t_ineqs = _hrep_from_rays(k, target.rays)
         t_rays = target.rays
         t_dim = mat_rank(target.rays)
-        member = lambda x: (all(vec_dot(e, x) == 0 for e in t_eqs)
-                            and all(vec_dot(c, x) >= 0 for c in t_ineqs))
+        member = lambda x: (all(_dot(e, x) == 0 for e in t_eqs)
+                            and all(_dot(c, x) >= 0 for c in t_ineqs))
     if any(p.dim != t_dim for p in pieces):
         return False
     for p in pieces:
@@ -496,7 +521,8 @@ def is_subdivision(pieces: Sequence[SimplicialCone],
         _, ineqs = _simplicial_hrep(p)
         for w in ineqs:
             hyper.add(_sign_canonical(w))
-    cells = [_prune_ineqs(_Piece(t_eqs, t_ineqs, tuple(sorted(t_rays)), t_dim))]
+    t_rays = tuple(sorted(_as_ints(r) for r in t_rays))
+    cells = [_prune_ineqs(_Piece(t_eqs, t_ineqs, t_rays, t_dim))]
     for w in sorted(hyper):
         cells = [half for c in cells for half in _split_piece(c, w)]
     for cell in cells:

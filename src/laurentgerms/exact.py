@@ -4,7 +4,9 @@ Everything is built on :class:`fractions.Fraction` (always reduced, positive
 denominator), so equality tests are decisive and nothing is ever rounded.
 Vectors are tuples of Fractions, matrices are tuples of row tuples, and
 polynomials map exponent tuples to nonzero rational coefficients with
-graded-lexicographic canonical ordering.
+graded-lexicographic canonical ordering.  Elimination (``rref``,
+``mat_rank``, ``det``) runs on Python ints: rows are scaled to integers and
+reduced fraction-free (Bareiss 1968); only results become Fractions.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DependentInput, RankDeficient
@@ -70,10 +72,26 @@ def primitive_vector(v: Vec) -> Vec:
     """
     if vec_is_zero(v):
         return v
-    denom = lcm(*(a.denominator for a in v))
-    ints = [a.numerator * (denom // a.denominator) for a in v]
-    g = gcd(*(abs(n) for n in ints))
-    return tuple(Fraction(n // g) for n in ints)
+    return tuple(Fraction(n) for n in primitive_ints(v))
+
+
+def primitive_ints(v) -> tuple[int, ...]:
+    """:func:`primitive_vector` of a nonzero vector, as Python ints."""
+    ints, _ = _scaled_row(v)
+    g = gcd(*ints)
+    return tuple(n // g for n in ints)
+
+
+def _scaled_row(row) -> tuple[list[int], int]:
+    """The row times the lcm ``d`` of its denominators, and ``d``.
+
+    A positive row scaling: it changes neither the row space nor the sign of
+    any entry, so the RREF, the rank and the solution sets stay the same.
+    """
+    d = lcm(*(a.denominator for a in row))
+    if d == 1:
+        return [a.numerator for a in row], 1
+    return [a.numerator * (d // a.denominator) for a in row], d
 
 
 def is_pseudo_positive(v: Vec) -> bool:
@@ -132,35 +150,75 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices."""
-    rows = [list(r) for r in m]
+def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free forward elimination of integer rows, in place.
+
+    Bareiss (Math. Comp. 22, 1968): every update is divided exactly by the
+    previous pivot, so each entry of row r is an (r+1)-minor of the input
+    and no entry grows beyond the minors.  Columns without a pivot are
+    skipped.  Returns the pivot columns and the sign of the row
+    permutation; the last pivot of a nonsingular square matrix is its
+    determinant.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
+    sign = 1
+    prev = 1
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+        p = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        piv = top[c]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            rows[i] = [(a * piv - f * b) // prev
+                       for a, b in zip(rows[i], top)]
+        prev = piv
+        pivots.append(c)
+        r += 1
+    return pivots, sign
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices.
+
+    The arithmetic is integer: each row is scaled by the lcm of its
+    denominators, :func:`_echelon` eliminates below the pivots, back
+    substitution clears above them with gcd-reduced integer rows, and only
+    the final entries become Fractions.  The RREF is unique, so this is the
+    same matrix exact rational Gauss-Jordan elimination gives.
+    """
+    rows = [_scaled_row(r)[0] for r in m]
+    pivots, _ = _echelon(rows)
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        g = gcd(*rows[r])
+        top = rows[r] = [a // g for a in rows[r]]
+        piv = top[c]
+        for i in range(r):
+            f = rows[i][c]
+            if f:
+                row = [a * piv - f * b for a, b in zip(rows[i], top)]
+                g = gcd(*row)
+                rows[i] = [a // g for a in row]
+    ncols = len(rows[0]) if rows else 0
+    red = [tuple(Fraction(a, rows[r][c]) if a else ZERO for a in rows[r])
+           for r, c in enumerate(pivots)]
+    red += [(ZERO,) * ncols] * (len(rows) - len(pivots))
+    return tuple(red), tuple(pivots)
 
 
 def mat_rank(m: Mat) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
+    """Rank by integer forward elimination (no reduced form is built)."""
+    return len(_echelon([_scaled_row(r)[0] for r in m])[0])
 
 
 def span_key(vectors: Sequence[Sequence]) -> tuple[Vec, ...]:
@@ -212,26 +270,21 @@ def solve(m: Mat, b: Vec) -> Vec | None:
 
 
 def det(m: Mat) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
+    """Determinant by Bareiss elimination over the integers.
+
+    The rows are scaled to integers first; the determinant of the scaled
+    matrix is the last Bareiss pivot, divided here by the product of the
+    row scales.
+    """
     n = len(m)
     if n == 0:
         return ONE
-    rows = [list(r) for r in m]
-    result = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return result
+    scaled = [_scaled_row(r) for r in m]
+    rows = [r for r, _ in scaled]
+    pivots, sign = _echelon(rows)
+    if len(pivots) < n:
+        return ZERO
+    return Fraction(sign * rows[-1][-1], prod(d for _, d in scaled))
 
 
 def mat_inverse(m: Mat) -> Mat:

@@ -590,7 +590,8 @@ def load_rows(path: str) -> list[Vec]:
 def load_cone_family(path: str) -> list[SimplicialCone]:
     """A JSON file holding a list of cones, each a list of generator rows.
 
-    The wrapped {"kind": "cone-family", ...} form is accepted too.
+    The wrapped {"kind": "cone-family", ...} form is accepted too.  All
+    cones must have the same ambient dimension.
     """
     try:
         with open(path) as fh:
@@ -602,10 +603,17 @@ def load_cone_family(path: str) -> list[SimplicialCone]:
     if isinstance(data, dict):
         family = deserialize(data)
         if isinstance(family, ConeFamily):
-            return list(family.cones)
-        if isinstance(family, SimplicialCone):
-            return [family]
-        raise FormatError(f"{path}: not a cone family")
-    if not isinstance(data, list):
+            cones = list(family.cones)
+        elif isinstance(family, SimplicialCone):
+            cones = [family]
+        else:
+            raise FormatError(f"{path}: not a cone family")
+    elif isinstance(data, list):
+        cones = [_cone_in(c, f"{path}: cone {i}") for i, c in enumerate(data)]
+    else:
         raise FormatError(f"{path}: expected a list of cones")
-    return [_cone_in(c, f"{path}: cone {i}") for i, c in enumerate(data)]
+    for i, cone in enumerate(cones):
+        if cone.ambient != cones[0].ambient:
+            raise FormatError(f"{path}: cone {i} has dimension {cone.ambient}, "
+                              f"cone 0 has dimension {cones[0].ambient}")
+    return cones

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
 from .errors import NotPolar, PoleHit
@@ -340,45 +341,54 @@ def reduce_to_independent(
     denominators change, by repeated use of the exchange identity
     1/(L_1...L_r) = sum_i a_i/(L_1...L_i-hat...L_r L_0) for a dependent form
     L_0 = sum_i a_i L_i among the poles.
+
+    Equal denominators reached along different exchange paths are merged,
+    their coefficients summed, before they are expanded further.  Every
+    step moves one power from a form to a later form in the sorted order,
+    so the sum of exponent times sort position grows strictly; taking the
+    denominators in that order expands each one once, after all of its
+    contributions have arrived.
     """
     f = as_mero(f)
     if f.is_zero():
         return []
+    position = {v: i for i, v in enumerate(sorted(v for v, _ in f.den))}
+
+    def potential(key: Factors) -> int:
+        return sum(position[v] * e for v, e in key)
+
+    start = tuple(sorted((v, e) for v, e in f.den if e))
+    pending: dict[Factors, Fraction] = {start: ONE}
+    queue = [(potential(start), start)]
     out: dict[Factors, Fraction] = {}
-
-    def emit(coef: Fraction, den: dict[Vec, int]):
-        key = tuple(sorted((v, e) for v, e in den.items() if e))
-        out[key] = out.get(key, ZERO) + coef
-
-    def outer(coef: Fraction, den: dict[Vec, int]):
-        forms = sorted(v for v, e in den.items() if e)
+    while queue:
+        _, key = heappop(queue)
+        coef = pending.pop(key)
+        if coef == 0:
+            continue
+        forms = [v for v, _ in key]
         # one rref of the forms as columns: the pivot columns are the greedy
         # independent subset in canonical order, the first other column is
         # the first dependent form, and its rref column holds its
-        # coordinates over the pivot forms
+        # coordinates over the pivot forms (all of them earlier forms)
         red, pivots = rref(mat_from_columns(forms))
         dep = next((j for j in range(len(forms)) if j not in pivots), None)
         if dep is None:
-            emit(coef, den)
-            return
-        rel = [(forms[p], red[i][dep]) for i, p in enumerate(pivots)
-               if red[i][dep] != 0]
-        inner(coef, den, forms[dep], rel)
-
-    def inner(coef: Fraction, den: dict[Vec, int], dep: Vec,
-              rel: list[tuple[Vec, Fraction]]):
-        # den has every rel-form with positive exponent; one identity step
-        for b, c in rel:
-            child = dict(den)
-            child[b] -= 1
-            child[dep] = child.get(dep, 0) + 1
-            if child[b] == 0:
-                del child[b]
-                outer(coef * c, child)  # a distinct form vanished
-            else:
-                inner(coef * c, child, dep, rel)
-
-    outer(ONE, dict(f.den))
+            out[key] = coef
+            continue
+        for i, p in enumerate(pivots):
+            c = red[i][dep]
+            if c == 0:
+                continue
+            child = dict(key)
+            child[forms[p]] -= 1
+            child[forms[dep]] += 1
+            if child[forms[p]] == 0:
+                del child[forms[p]]
+            child_key = tuple(sorted(child.items()))
+            if child_key not in pending:
+                heappush(queue, (potential(child_key), child_key))
+            pending[child_key] = pending.get(child_key, ZERO) + coef * c
     return [(c, f.numerator, den) for den, c in sorted(out.items()) if c != 0]
 
 

@@ -191,7 +191,8 @@ def brion_vergne_split(space: AmbientSpace, f,
     allowed = set(arr.delta)
     for v, _ in g.den:
         if v not in allowed:
-            raise NotInRDelta(f"pole direction {v} is not in the arrangement")
+            raise NotInRDelta(f"pole direction ({', '.join(map(str, v))}) "
+                              "is not in the arrangement")
     r = arr.r
     k = g.nvars
     full: list[PolarGerm] = []

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from laurentgerms.cli import main
-from laurentgerms.exprio import deserialize
+from laurentgerms.exprio import deserialize, parse_germ
 from laurentgerms.germs import germ_equal
 
 
@@ -338,3 +338,50 @@ def test_exp_sum_input_must_have_the_dimension_of_dim(capsys, tmp_path):
     assert code == 2
     assert captured.err == (f"error: {space}: rows of dimension 3 "
                             "under --dim 2\n")
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["--dim", "2", "jk", "1/x1", "--subspace"], [[1, 0, 0], [0, 1, 0]]),
+    (["--dim", "3", "brion-vergne", "1/x1", "--arrangement"],
+     [[1, 0], [0, 1]]),
+    (["--dim", "2", "laurent", "1/x1", "--support"], [[[1, 0, 0]]]),
+])
+def test_input_files_must_have_the_dimension_of_dim(capsys, tmp_path,
+                                                    argv, rows):
+    path = write_json(tmp_path, "input.json", rows)
+    found = len(rows[0][0]) if isinstance(rows[0][0], list) else len(rows[0])
+    code, captured = run(capsys, *argv, path)
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: {path}: rows of dimension {found} "
+                            f"under --dim {argv[1]}\n")
+
+
+@pytest.mark.parametrize("family", [
+    [[[1, 0]], [[1, 0, 0]]],
+    {"kind": "cone-family", "dim": 2,
+     "cones": [[["1", "0"]], [["1", "0", "0"]]]},
+])
+@pytest.mark.parametrize("command", ["refine", "check"])
+def test_cone_family_of_mixed_dimension_is_a_format_error(capsys, tmp_path,
+                                                          family, command):
+    path = write_json(tmp_path, "mixed.json", family)
+    code, captured = run(capsys, "cone", command, path)
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: {path}: cone 1 has dimension 3, "
+                            "cone 0 has dimension 2\n")
+
+
+def test_pole_outside_the_arrangement_is_named_in_coordinates(capsys,
+                                                              tmp_path):
+    arr = write_json(tmp_path, "arr.json", [[1, 0], [0, 1]])
+    code, captured = run(capsys, "brion-vergne", "1/(x1+2*x2)",
+                         "--arrangement", arr)
+    assert code == 3
+    assert captured.err == ("error: pole direction (1, 2) is not in the "
+                            "arrangement\n")
+
+
+def test_decompose_of_many_dependent_forms_finishes(capsys):
+    expr = " + ".join(f"{i}/(x1+{i}*x2)" for i in range(1, 13))
+    got = run_json(capsys, "decompose", expr)
+    assert germ_equal(deserialize(got), parse_germ(expr, 2))

@@ -1,5 +1,6 @@
 """Cone geometry: containment, faces, refinement, subdivisions, the I map."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -200,6 +201,69 @@ def test_common_refinement_pieces_subdivide_each_input():
         for i, c in enumerate(cones):
             mine = [pieces[j] for j in index_sets[i]]
             assert is_subdivision(mine, c)
+
+
+def _random_family(rng):
+    k = rng.choice((2, 3))
+    family = []
+    for _ in range(rng.randint(1, 4)):
+        gens = [[rng.randint(-3, 3) for _ in range(k)]
+                for _ in range(rng.randint(1, k))]
+        try:
+            family.append(make_simplicial_cone(gens))
+        except NotSimplicial:
+            pass
+    return family
+
+
+def _refinement_record(family):
+    try:
+        pieces, index_sets = common_refinement(family)
+    except NotStrictlyConvexUnion:
+        return "line"
+    return ([tuple(tuple(str(x) for x in g) for g in p.generators)
+             for p in pieces], index_sets, positioning_witness(family))
+
+
+def test_refinement_and_witness_are_pinned_on_random_families():
+    # digest of the records of 148 families, taken from the Fraction
+    # implementation of the slicing before it moved to integer arithmetic
+    rng = random.Random(43)
+    digest = hashlib.sha256()
+    count = 0
+    for _ in range(150):
+        family = _random_family(rng)
+        if family:
+            digest.update(repr(_refinement_record(family)).encode())
+            count += 1
+    assert count == 148
+    assert digest.hexdigest() == (
+        "2e2689f0e6d4b4d2c2938eef2567e73448c3f38eab2a7ff1f30273b2af978dcf")
+
+
+def test_refinement_keeps_directly_built_non_primitive_generators():
+    scaled = SimplicialCone(((F(0), F(3)), (F(2), F(0))))
+    pieces, index_sets, witness = _refinement_record(
+        [scaled, cone([1, 1], [-1, 2])])
+    assert pieces == [(("0", "3"), ("1", "1")), (("1", "1"), ("2", "0")),
+                      (("0", "1"), ("1", "1")), (("-1", "2"), ("0", "1"))]
+    assert index_sets == [[0, 1], [2, 3]]
+    assert witness == (0, 1, "intersection is not a common face")
+    rational = SimplicialCone(((F(2), F(0), F(0)), (F(0), F(2), F(2)),
+                               (F(0), F(0), F(3, 2))))
+    pieces, index_sets, witness = _refinement_record(
+        [rational, cone([1, 1, 0], [0, 1, 0], [1, 0, 1])])
+    assert pieces == [
+        (("0", "0", "3/2"), ("0", "2", "2"), ("1", "1", "1")),
+        (("0", "0", "3/2"), ("1", "0", "1"), ("1", "1", "1")),
+        (("1", "0", "1"), ("1", "1", "1"), ("2", "1", "1")),
+        (("1", "0", "1"), ("2", "0", "0"), ("2", "1", "1")),
+        (("0", "1", "0"), ("1", "1", "0"), ("2", "1", "1")),
+        (("0", "1", "0"), ("1", "1", "1"), ("2", "1", "1"))]
+    assert index_sets == [[0, 1, 2, 3], [2, 4, 5]]
+    assert witness == (0, 1, "intersection is not a common face")
+    refined, _ = common_refinement([rational])
+    assert all(type(x) is F for p in refined for g in p.generators for x in g)
 
 
 def test_common_refinement_rejects_union_with_line():

@@ -157,6 +157,145 @@ def test_max_minor_abs_sum_known_values():
 
 
 # ---------------------------------------------------------------------------
+# the integer kernel against Fraction elimination and an independent oracle
+
+def _fraction_rref(m):
+    """Reference: Gauss-Jordan elimination over Fractions."""
+    rows = [list(r) for r in m]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def _fraction_det(m):
+    """Reference: Gaussian elimination over Fractions."""
+    n = len(m)
+    rows = [list(r) for r in m]
+    result = F(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            result = -result
+        result *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return result
+
+
+def _reference_nullspace(m):
+    ncols = len(m[0])
+    red, pivots = _fraction_rref(m)
+    basis = []
+    for free in (j for j in range(ncols) if j not in pivots):
+        x = [F(0)] * ncols
+        x[free] = F(1)
+        for r, p in enumerate(pivots):
+            x[p] = -red[r][free]
+        basis.append(primitive_vector(tuple(x)))
+    return basis
+
+
+def _reference_solve(m, b):
+    ncols = len(m[0])
+    red, pivots = _fraction_rref(tuple(row + (bi,) for row, bi in zip(m, b)))
+    if ncols in pivots:
+        return None
+    x = [F(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][ncols]
+    return tuple(x)
+
+
+def _kernel_matrix(rng, n, m):
+    """Integral or rational, entries up to 10^12, often rank-deficient and
+    with zero rows."""
+    big = rng.random() < 0.3
+    top = 10 ** 12 if big else 4
+    den = (10 ** 6 if big else 6) if rng.random() < 0.4 else 1
+    rows = [[F(rng.randint(-top, top), rng.randint(1, den))
+             if rng.random() < 0.75 else F(0) for _ in range(m)]
+            for _ in range(n)]
+    if n > 1 and rng.random() < 0.4:
+        i, j = rng.sample(range(n), 2)
+        c = F(rng.randint(-5, 5), rng.randint(1, 3))
+        rows[i] = [c * a + b for a, b in zip(rows[j], rows[i])]
+        if n > 2 and rng.random() < 0.5:
+            rows[rng.randrange(n)] = [3 * a for a in rows[j]]
+    if rng.random() < 0.15:
+        rows[rng.randrange(n)] = [F(0)] * m
+    return tuple(tuple(r) for r in rows)
+
+
+def test_integer_kernel_matches_fraction_elimination():
+    rng = random.Random(41)
+    for _ in range(3000):
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        a = _kernel_matrix(rng, n, m)
+        red, pivots = _fraction_rref(a)
+        assert rref(a) == (red, pivots)
+        assert mat_rank(a) == len(pivots)
+        assert nullspace(a) == _reference_nullspace(a)
+        b = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+        assert solve(a, b) == _reference_solve(a, b)
+        square = tuple(row[:n] for row in a) if m >= n else None
+        if square:
+            d = _fraction_det(square)
+            assert det(square) == d
+            if d == 0:
+                with pytest.raises(DependentInput):
+                    mat_inverse(square)
+            else:
+                aug = tuple(row + tuple(F(int(i == j)) for j in range(n))
+                            for i, row in enumerate(square))
+                assert mat_inverse(square) == tuple(
+                    row[n:] for row in _fraction_rref(aug)[0])
+
+
+def test_integer_kernel_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(42)
+
+    def to_fraction(x):
+        return F(int(x.p), int(x.q))
+
+    for _ in range(150):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        a = _kernel_matrix(rng, n, m)
+        sm = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                            for x in row] for row in a])
+        sred, spivots = sm.rref()
+        red, pivots = rref(a)
+        assert pivots == tuple(spivots)
+        assert red == tuple(tuple(to_fraction(sred[i, j]) for j in range(m))
+                            for i in range(n))
+        assert mat_rank(a) == sm.rank()
+        if m >= n:
+            square = tuple(row[:n] for row in a)
+            assert det(square) == to_fraction(sm[:, :n].det())
+
+
+# ---------------------------------------------------------------------------
 # the inner product
 
 def test_standard_space_pairing_is_dot_product():

@@ -1,6 +1,7 @@
 """Germ arithmetic, canonical forms, and polar decomposition."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -298,6 +299,26 @@ def test_reduce_is_structurally_the_greedy_rank_loop():
               for _ in range(100)]
     for g in germs:
         assert reduce_to_independent(g) == _reduce_by_greedy_rank_loop(g)
+
+
+def _forms_product(k, forms):
+    return make_mero(Polynomial.constant(k, 1), tuple(forms))
+
+
+def test_reduce_merges_equal_denominators():
+    # the path recursion of the reference grows about 8x per form in 2D
+    for n in range(3, 8):
+        g = _forms_product(2, [(vec([1, i]), 1) for i in range(1, n + 1)])
+        assert reduce_to_independent(g) == _reduce_by_greedy_rank_loop(g)
+    g = _forms_product(3, [(vec(v), e) for v, e in [
+        ([1, 0, 0], 2), ([0, 1, 0], 1), ([1, 1, 1], 2), ([1, 2, 1], 1),
+        ([0, 1, 3], 1), ([2, -1, 1], 1)]])
+    assert reduce_to_independent(g) == _reduce_by_greedy_rank_loop(g)
+    g = _forms_product(2, [(vec([1, i]), 1) for i in range(1, 13)])
+    start = time.perf_counter()
+    parts = reduce_to_independent(g)
+    assert time.perf_counter() - start < 1.0
+    assert _reassemble(2, parts) == g
 
 
 # ---------------------------------------------------------------------------
