@@ -48,8 +48,7 @@ from .germs import (
     PolarGerm,
     canonicalize_polar,
     decompose,
-    make_mero,
-    mero_sum,
+    fraction_sum,
 )
 
 __all__ = [
@@ -170,13 +169,12 @@ def expansion_neg(x: FormalExpansion) -> FormalExpansion:
 def phi(x: FormalExpansion) -> MeromorphicGerm:
     """Forget the cone decoration: add all terms as rational functions.
 
-    The terms are summed span by span (``mero_sum``): the pieces that a
-    subdivision makes of one polar term share its span and cancel back to
-    that term before terms of different spans are multiplied together.
+    The terms go to ``fraction_sum`` as they are stored, each one rewritten
+    onto nbc denominators on its own, so the pieces that a subdivision makes
+    of one polar term cancel as polynomial sums over shared denominators.
     """
-    return mero_sum([make_mero(x.polynomial_part)]
-                    + [make_mero(num, dc.factors) for dc, num in x.terms],
-                    x.nvars)
+    return fraction_sum([(x.polynomial_part, ())]
+                        + [(num, dc.factors) for dc, num in x.terms], x.nvars)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ A germ is a quotient p / prod <v_i, eps>^{s_i} with a polynomial numerator
 and finitely many linear pole forms.  Denominator forms are always stored as
 primitive pseudo-positive integer vectors (scalars are absorbed into the
 numerator, using 1/(-L)^s = (-1)^s/L^s), sorted canonically, and reduced so
-that no pole form divides the numerator.  This makes structural equality
-meaningful and germ equality a single cross-multiplication.
+that no pole form divides the numerator.  A reduced germ is unique, so two
+germs are equal iff they are structurally equal, and exact sums
+(``fraction_sum``) may group their summands in any way.
 
 A *polar* germ additionally keeps its numerator orthogonal to the pole forms:
 the numerator is a polynomial in linear functions <w, eps> with Q(w, v_i) = 0
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import NotPolar, PoleHit
 from .exact import (
@@ -33,14 +34,17 @@ from .exact import (
     mat_mul,
     mat_rank,
     mat_transpose,
+    nullspace,
+    primitive_ints,
     primitive_pseudo_positive,
     q_orthogonal_complement,
     rref,
-    span_key,
     vec_dot,
 )
 
 Factors = tuple[tuple[Vec, int], ...]
+K = TypeVar("K")
+V = TypeVar("V")
 
 
 def _canonical_factors(raw: Sequence[tuple[Vec, int]]) -> tuple[Fraction, Factors]:
@@ -129,27 +133,40 @@ def mero_add(f: MeromorphicGerm, g: MeromorphicGerm) -> MeromorphicGerm:
 
 
 def mero_sum(germs: Iterable[MeromorphicGerm], nvars: int) -> MeromorphicGerm:
-    """Exact sum of germs in ``nvars`` variables, added span by span.
+    """Exact sum of germs in ``nvars`` variables (see ``fraction_sum``)."""
+    return fraction_sum([(g.numerator, g.den) for g in germs], nvars)
 
-    A left-to-right fold carries its running numerator up to the LCM of every
-    pole form seen so far and cancels only at the end.  Instead the nonzero
-    summands are grouped by the linear span of their pole forms, each group
-    is added pairwise as a balanced tree, and then the group sums the same
-    way.  The pieces of one cone's subdivision all lie in that cone's span
-    and sum back to its term, so they cancel inside their group, before any
-    product across spans is formed.  Germs are canonical (lowest terms,
-    sorted primitive forms), so the result does not depend on the order of
-    the summands.
+
+def fraction_sum(fractions: Iterable[tuple[Polynomial, Factors]],
+                 nvars: int) -> MeromorphicGerm:
+    """Exact sum of ``numerator / prod form^power`` pairs, as a reduced germ.
+
+    Each fraction is first rewritten on its own onto denominators whose pole
+    sets contain no broken circuit (nbc) of the arrangement of all forms
+    present.  Those span every fraction over the arrangement (Brion &
+    Vergne, Ann. Sci. ENS 32, 1999; Terao, J. Algebra 250, 2002), so the
+    many pieces of a subdivision collapse onto a few shared denominators,
+    where they cancel as plain polynomial sums.  The survivors are then
+    reduced and added pairwise as a balanced tree, in denominator order.
+    When the forms present are independent every pole set is already nbc
+    and the rewrite is skipped; when it leaves more fractions than it was
+    given (a few unrelated fractions over many dependent forms), those are
+    summed as given.  The factors must be canonical (sorted, positive
+    exponents), as every germ type stores them.  A reduced germ is unique,
+    so the result does not depend on the order of the summands.
     """
-    terms = [g for g in germs if not g.is_zero()]
+    merged: dict[Factors, Polynomial] = {}
+    for num, den in fractions:
+        merged[den] = merged[den] + num if den in merged else num
+    merged = {den: num for den, num in merged.items() if not num.is_zero()}
+    arrangement = sorted({v for den in merged for v, _ in den})
+    if len(merged) > 1 and mat_rank(tuple(arrangement)) < len(arrangement):
+        rewritten = _nbc_rewrite(merged, arrangement)
+        if len(rewritten) < len(merged):
+            merged = rewritten
+    terms = [make_mero(num, den) for den, num in sorted(merged.items())]
     if not terms:
         return make_mero(Polynomial.zero(nvars))
-    if len(terms) > 2:
-        groups: dict[tuple[Vec, ...], list[MeromorphicGerm]] = {}
-        for g in terms:
-            groups.setdefault(span_key([v for v, _ in g.den]), []).append(g)
-        terms = [_tree_sum(sorted(group, key=lambda t: t.den))
-                 for _, group in sorted(groups.items())]
     return _tree_sum(terms)
 
 
@@ -158,6 +175,104 @@ def _tree_sum(terms: list[MeromorphicGerm]) -> MeromorphicGerm:
         pairs = [mero_add(a, b) for a, b in zip(terms[::2], terms[1::2])]
         terms = pairs + terms[2 * len(pairs):]
     return terms[0]
+
+
+def _nbc_rewrite(fractions: dict[Factors, Polynomial],
+                 arrangement: list[Vec]) -> dict[Factors, Polynomial]:
+    """The same sum with every pole set nbc under the arrangement's order.
+
+    A pole set S holds a broken circuit iff some form L0 of the arrangement
+    lies in the span of the members of S greater than L0.  For the least
+    such L0, write L0 = sum_i c_i L_i over a basis of those members; then
+    1/prod = sum_i c_i/(L0 * prod/L_i) moves one power from each L_i to the
+    smaller L0, so the sum of exponent times reversed sort position grows
+    strictly and the exchange worklist terminates.  Denominators are keyed
+    by the sort positions of their forms while they are rewritten.
+    """
+    n = len(arrangement)
+    index = {v: i for i, v in enumerate(arrangement)}
+    ints = [primitive_ints(v) for v in arrangement]
+    steps: dict[tuple[int, ...], tuple[int, list[tuple[int, Fraction]]] | None] = {}
+
+    def nbc_step(forms: tuple[int, ...]):
+        # the forms below position i and from the previous member on have
+        # forms[j:] as their greater members; search them in order
+        lo = 0
+        for j, i in enumerate(forms):
+            members = forms[j:]
+            candidates = range(lo, i)
+            lo = i
+            if not candidates:
+                continue
+            vectors = [arrangement[m] for m in members]
+            normals = [primitive_ints(w) for w in nullspace(tuple(vectors))]
+            for l0 in candidates:
+                x = ints[l0]
+                if all(sum(a * b for a, b in zip(x, w)) == 0 for w in normals):
+                    red, pivots = rref(mat_from_columns(vectors + [arrangement[l0]]))
+                    col = len(members)
+                    return l0, [(members[p], red[r][col])
+                                for r, p in enumerate(pivots) if red[r][col]]
+        return None
+
+    def expand(key, num: Polynomial):
+        if num.is_zero():
+            return []
+        forms = tuple(i for i, _ in key)
+        if forms not in steps:
+            steps[forms] = nbc_step(forms)
+        step = steps[forms]
+        if step is None:
+            return None
+        l0, coords = step
+        return [(_exchanged(key, i, l0), num.scale(c)) for i, c in coords]
+
+    start = {tuple((index[v], e) for v, e in den): num
+             for den, num in fractions.items()}
+    out = _exchange_worklist(
+        start, lambda key: sum((n - i) * e for i, e in key), expand)
+    return {tuple((arrangement[i], e) for i, e in key): num
+            for key, num in out.items()}
+
+
+def _exchanged(key: tuple[tuple[K, int], ...], src: K,
+               dst: K) -> tuple[tuple[K, int], ...]:
+    """The denominator ``key`` with one power moved from ``src`` to ``dst``."""
+    child = dict(key)
+    child[src] -= 1
+    if not child[src]:
+        del child[src]
+    child[dst] = child.get(dst, 0) + 1
+    return tuple(sorted(child.items()))
+
+
+def _exchange_worklist(start: dict[K, V], potential, expand) -> dict[K, V]:
+    """Expand denominators until none can be, merging equal ones first.
+
+    ``expand(key, value)`` returns None when ``key`` is final, else the
+    children ``(child_key, child_value)`` of ``value / key`` (none when the
+    value is zero).  Every child must have a strictly larger ``potential``
+    than its parent.  Taking the denominators lowest potential first then
+    expands each one once, after all of its contributions have arrived.
+    """
+    pending = dict(start)
+    queue = [(potential(key), key) for key in pending]
+    heapify(queue)
+    out: dict[K, V] = {}
+    while queue:
+        _, key = heappop(queue)
+        value = pending.pop(key)
+        children = expand(key, value)
+        if children is None:
+            out[key] = value
+            continue
+        for child, v in children:
+            if child in pending:
+                pending[child] = pending[child] + v
+            else:
+                pending[child] = v
+                heappush(queue, (potential(child), child))
+    return out
 
 
 def mero_neg(f: MeromorphicGerm) -> MeromorphicGerm:
@@ -239,26 +354,41 @@ def make_germ_sum(terms: Sequence[PolarGerm], poly: Polynomial) -> GermSum:
     return GermSum(tuple(out), poly)
 
 
+def _fractions(x) -> list[tuple[Polynomial, Factors]]:
+    """The summands of a germ-like object as (numerator, factors) pairs."""
+    if isinstance(x, MeromorphicGerm):
+        return [(x.numerator, x.den)]
+    if isinstance(x, Polynomial):
+        return [(x, ())]
+    if isinstance(x, PolarGerm):
+        return [(x.numerator, x.factors)]
+    if isinstance(x, GermSum):
+        return [(x.poly, ())] + [(t.numerator, t.factors) for t in x.terms]
+    # truncated germs provide .as_germ_sum()
+    if hasattr(x, "as_germ_sum"):
+        return _fractions(x.as_germ_sum())
+    raise TypeError(f"cannot interpret {type(x).__name__} as a germ")
+
+
 def as_mero(x) -> MeromorphicGerm:
     """Coerce a Polynomial, PolarGerm, GermSum, or germ to MeromorphicGerm."""
     if isinstance(x, MeromorphicGerm):
         return x
-    if isinstance(x, Polynomial):
-        return make_mero(x)
-    if isinstance(x, PolarGerm):
-        return x.as_mero()
-    if isinstance(x, GermSum):
-        return mero_sum([make_mero(x.poly)] + [t.as_mero() for t in x.terms],
-                        x.nvars)
-    # formal expansions provide .as_germ_sum()
-    if hasattr(x, "as_germ_sum"):
-        return as_mero(x.as_germ_sum())
-    raise TypeError(f"cannot interpret {type(x).__name__} as a germ")
+    pairs = _fractions(x)
+    return fraction_sum(pairs, pairs[0][0].nvars)
 
 
 def germ_equal(f, g) -> bool:
-    """Exact equality of germs by cross-multiplication, no evaluation."""
-    return mero_sub(as_mero(f), as_mero(g)).is_zero()
+    """Exact equality of germs, no evaluation.
+
+    Every constructor reduces a ``MeromorphicGerm`` to lowest terms over
+    canonical forms, so two of them are equal iff they are structurally
+    equal.  Otherwise f - g is summed exactly and tested for zero.
+    """
+    if isinstance(f, MeromorphicGerm) and isinstance(g, MeromorphicGerm):
+        return f == g
+    pairs = _fractions(f) + [(-num, den) for num, den in _fractions(g)]
+    return fraction_sum(pairs, pairs[0][0].nvars).is_zero()
 
 
 def evaluate(x, point: Sequence) -> Fraction:
@@ -345,27 +475,17 @@ def reduce_to_independent(
     Equal denominators reached along different exchange paths are merged,
     their coefficients summed, before they are expanded further.  Every
     step moves one power from a form to a later form in the sorted order,
-    so the sum of exponent times sort position grows strictly; taking the
-    denominators in that order expands each one once, after all of its
-    contributions have arrived.
+    so the sum of exponent times sort position grows strictly, as
+    ``_exchange_worklist`` needs.
     """
     f = as_mero(f)
     if f.is_zero():
         return []
     position = {v: i for i, v in enumerate(sorted(v for v, _ in f.den))}
 
-    def potential(key: Factors) -> int:
-        return sum(position[v] * e for v, e in key)
-
-    start = tuple(sorted((v, e) for v, e in f.den if e))
-    pending: dict[Factors, Fraction] = {start: ONE}
-    queue = [(potential(start), start)]
-    out: dict[Factors, Fraction] = {}
-    while queue:
-        _, key = heappop(queue)
-        coef = pending.pop(key)
+    def expand(key: Factors, coef: Fraction):
         if coef == 0:
-            continue
+            return []
         forms = [v for v, _ in key]
         # one rref of the forms as columns: the pivot columns are the greedy
         # independent subset in canonical order, the first other column is
@@ -374,22 +494,14 @@ def reduce_to_independent(
         red, pivots = rref(mat_from_columns(forms))
         dep = next((j for j in range(len(forms)) if j not in pivots), None)
         if dep is None:
-            out[key] = coef
-            continue
-        for i, p in enumerate(pivots):
-            c = red[i][dep]
-            if c == 0:
-                continue
-            child = dict(key)
-            child[forms[p]] -= 1
-            child[forms[dep]] += 1
-            if child[forms[p]] == 0:
-                del child[forms[p]]
-            child_key = tuple(sorted(child.items()))
-            if child_key not in pending:
-                heappush(queue, (potential(child_key), child_key))
-            pending[child_key] = pending.get(child_key, ZERO) + coef * c
-    return [(c, f.numerator, den) for den, c in sorted(out.items()) if c != 0]
+            return None
+        return [(_exchanged(key, forms[p], forms[dep]), coef * red[i][dep])
+                for i, p in enumerate(pivots) if red[i][dep]]
+
+    start = tuple(sorted((v, e) for v, e in f.den if e))
+    out = _exchange_worklist(
+        {start: ONE}, lambda key: sum(position[v] * e for v, e in key), expand)
+    return [(c, f.numerator, den) for den, c in sorted(out.items())]
 
 
 # ---------------------------------------------------------------------------

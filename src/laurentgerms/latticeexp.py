@@ -62,7 +62,6 @@ from .germs import (
     make_mero,
     mero_add,
     mero_mul,
-    mero_sum,
 )
 from .residues import p_res
 
@@ -341,7 +340,10 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
                 power = _truncate_poly(power * form, trunc)
             tail = tail + power.scale(c)
         tails.append(tail)
-    pieces = []
+    # decompose is linear and the poles of every piece are independent
+    # members of one basis, so each piece splits on its own
+    polar: list[PolarGerm] = []
+    poly = Polynomial.zero(k)
     d = len(gens)
     for mask in range(1 << d):
         polar_idx = [i for i in range(d) if mask & (1 << i)]
@@ -349,10 +351,11 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
         for i in range(d):
             if i not in polar_idx:
                 num = _truncate_poly(num * tails[i], trunc)
-        pieces.append(make_mero(num, [(gens[i], 1) for i in polar_idx]))
-    s = decompose(space, mero_sum(pieces, k))
-    polar = make_germ_sum(list(s.terms), Polynomial.zero(k))
-    return TruncatedGerm(polar, _truncate_poly(s.poly, trunc), trunc)
+        s = decompose(space, make_mero(num, [(gens[i], 1) for i in polar_idx]))
+        polar.extend(s.terms)
+        poly = poly + s.poly
+    return TruncatedGerm(make_germ_sum(polar, Polynomial.zero(k)),
+                         _truncate_poly(poly, trunc), trunc)
 
 
 def exp_integral(lc: LatticeCone) -> GermSum:

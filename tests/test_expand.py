@@ -380,3 +380,19 @@ def test_as_mero_of_a_germ_sum_is_structurally_the_left_fold():
         rng.shuffle(summands)
         assert mero_sum(summands, k) == expected
     assert sums > 20
+
+
+def test_phi_of_heavy_expansions_is_the_germ():
+    # germ 56 of the perfbench corpus with seed 11: 315 terms over 50 forms
+    heavy = make_mero(
+        Polynomial(3, {(0, 0, 0): F(-1, 2), (0, 0, 1): F(1, 3),
+                       (0, 0, 2): F(-1, 2), (0, 1, 1): F(-1, 2)}),
+        tuple((vec(v), 1) for v in ((-2, 2, 1), (1, -2, 1), (1, 2, 1), (2, 1, 1))))
+    # 1/(x1 x2 x3 x4 (x1+x2+x3+x4) (x1+2x2+3x3+4x4)): 2,797 terms
+    forms = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+             (1, 1, 1, 1), (1, 2, 3, 4)]
+    four = make_mero(Polynomial.constant(4, 1), tuple((vec(v), 1) for v in forms))
+    for f, terms in ((heavy, 315), (four, 2797)):
+        x = laurent_expand(AmbientSpace.standard(f.nvars), f)
+        assert len(x.terms) == terms
+        assert phi(x) == f

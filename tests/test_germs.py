@@ -1,5 +1,6 @@
 """Germ arithmetic, canonical forms, and polar decomposition."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -10,14 +11,18 @@ from laurentgerms.exact import (
     AmbientSpace,
     Polynomial,
     is_pseudo_positive,
+    mat_rank,
     primitive_vector,
     vec,
     vec_dot,
 )
 from laurentgerms.errors import DependentInput, NotPolar, PoleHit
+from laurentgerms.expand import laurent_expand, phi
+from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import (
     GermSum,
     PolarGerm,
+    _nbc_rewrite,
     as_mero,
     canonicalize_polar,
     decompose,
@@ -30,6 +35,7 @@ from laurentgerms.germs import (
     mero_neg,
     mero_scale,
     mero_sub,
+    mero_sum,
     numerator_is_orthogonal,
     reduce_to_independent,
 )
@@ -151,6 +157,38 @@ def test_germ_equal_sees_through_representation():
     b = make_mero(lin(1, 1), ((vec([1, 0]), 1), (vec([0, 1]), 1)))
     assert germ_equal(a, b)
     assert not germ_equal(a, make_mero(const(2, 1)))
+
+
+def test_germ_equal_of_meromorphic_germs_is_structural_equality():
+    # (x1+2x2)/(x1 x2 (x1+x2)) = 1/(x1 x2) + 1/(x1 (x1+x2)), built six ways
+    f = parse_germ("(x1+2*x2)/(x1*x2*(x1+x2))", 2)
+    a = make_mero(const(2, 1), ((vec([1, 0]), 1), (vec([0, 1]), 1)))
+    b = make_mero(const(2, 1), ((vec([1, 0]), 1), (vec([1, 1]), 1)))
+    e = make_mero(lin(1, 1), ((vec([1, 0]), 1),))
+    builds = [
+        parse_germ("(x1+2*x2)/(x1^2*x2 + x1*x2^2)", 2),
+        parse_germ("1/(x1*x2) + 1/(x1*(x1+x2))", 2),
+        mero_add(b, a),
+        mero_sub(mero_add(mero_add(b, e), a), e),
+        mero_scale(-1, mero_scale(-1, f)),
+        phi(laurent_expand(AmbientSpace.standard(2), f)),
+    ]
+    for x in builds:
+        assert x == f
+        assert germ_equal(x, f) and germ_equal(f, x)
+    # unequal germs, some sharing a numerator or a denominator
+    others = [a, b, e, mero_add(f, b), make_mero(const(2, 1), ((vec([0, 1]), 1),)),
+              make_mero(const(2, 1), ((vec([1, 0]), 1),)), make_mero(lin(1, 2))]
+    for x in others + [f]:
+        for y in others + [f]:
+            assert germ_equal(x, y) is (x == y) is mero_sub(x, y).is_zero()
+    rng = random.Random(48)
+    for k, h in round_trip_corpus()[:60]:
+        e = random_germ(rng, k, max_forms=2, degree=2)
+        for x in (mero_scale(-1, mero_scale(-1, h)),
+                  mero_sub(mero_add(h, e), e),
+                  phi(laurent_expand(AmbientSpace.standard(k), h))):
+            assert x == h and germ_equal(x, h)
 
 
 # ---------------------------------------------------------------------------
@@ -386,3 +424,170 @@ def test_as_mero_on_germ_sum_adds_everything():
         mero_add(make_mero(const(2, 1), fac1), make_mero(const(2, 1), fac2)),
         make_mero(const(2, 3)))
     assert as_mero(s) == expected
+
+
+# ---------------------------------------------------------------------------
+# exact sums: the nbc rewrite against independent references
+
+def left_fold(x, k):
+    """Reference sum: the summands of x added one by one with mero_add."""
+    if isinstance(x, GermSum):
+        summands = [make_mero(x.poly)] + [t.as_mero() for t in x.terms]
+    else:
+        summands = [x]
+    total = make_mero(Polynomial.zero(k))
+    for g in summands:
+        total = mero_add(total, g)
+    return total
+
+
+def cross_multiplied_equal(f, g, k) -> bool:
+    """Reference equality: one cross-multiplication of the folded sides."""
+    return mero_sub(left_fold(f, k), left_fold(g, k)).is_zero()
+
+
+def perturbed(rng, s: GermSum, k: int) -> GermSum:
+    """s plus a nonzero germ, so never equal to s."""
+    choice = rng.randrange(3) if s.terms else 2
+    if choice == 0:
+        i = rng.randrange(len(s.terms))
+        t = s.terms[i]
+        c = rng.choice([F(-1), F(2), F(1, 3)])
+        terms = list(s.terms)
+        terms[i] = PolarGerm(t.numerator.scale(c), t.factors)
+        return make_germ_sum(terms, s.poly)
+    if choice == 1:
+        extra = canonicalize_polar(None, const(k, random_fraction(rng, 1, 3)),
+                                   ((random_vector(rng, k, -2, 2), rng.randint(1, 2)),))
+        return make_germ_sum(list(s.terms) + [extra], s.poly)
+    return make_germ_sum(list(s.terms), s.poly + const(k, 1))
+
+
+def test_germ_equal_agrees_with_cross_multiplication():
+    rng = random.Random(49)
+    pairs = equal = 0
+    while pairs < 2000:
+        k = rng.randint(1, 3)
+        f = random_germ(rng, k, max_forms=3, degree=2)
+        s = decompose(AmbientSpace.standard(k), f)
+        t = decompose(random_space(rng, k), f)
+        cases = [(s, t, True), (t, f, True), (f, s, True),
+                 (perturbed(rng, t, k), s, False),
+                 (f, perturbed(rng, s, k), False),
+                 (f, mero_add(f, make_mero(const(k, 1), ((random_vector(rng, k), 1),))),
+                  False)]
+        for x, y, expected in cases:
+            assert germ_equal(x, y) is expected
+            assert cross_multiplied_equal(x, y, k) is expected
+            pairs += 1
+            equal += expected
+    assert equal == pairs // 2
+
+
+def pooled_fractions(rng, k):
+    """Fractions over a few shared, dependent forms, as subdivisions make."""
+    pool = [random_vector(rng, k, -2, 2) for _ in range(k + 2)]
+    out = []
+    for _ in range(rng.randint(3, 10)):
+        forms = rng.sample(pool, rng.randint(1, k))
+        out.append(make_mero(random_polynomial(rng, k, degree=1, terms=2),
+                             tuple((v, rng.randint(1, 2)) for v in forms)))
+    return out
+
+
+def is_nbc(forms, arrangement) -> bool:
+    """No broken circuit (a circuit minus its least form) inside ``forms``."""
+    for size in range(2, len(arrangement) + 1):
+        for circuit in itertools.combinations(arrangement, size):
+            if (mat_rank(circuit) == size - 1
+                    and all(mat_rank(circuit[:i] + circuit[i + 1:]) == size - 1
+                            for i in range(size))
+                    and set(circuit[1:]) <= set(forms)):
+                return False
+    return True
+
+
+def test_nbc_rewrite_keeps_the_sum_and_leaves_only_nbc_pole_sets():
+    rng = random.Random(50)
+    rewrites = 0
+    for _ in range(80):
+        k = rng.randint(2, 3)
+        summands = pooled_fractions(rng, k)
+        merged = {}
+        for g in summands:
+            merged[g.den] = merged.get(g.den, Polynomial.zero(k)) + g.numerator
+        arrangement = sorted({v for den in merged for v, _ in den})
+        out = _nbc_rewrite(merged, arrangement)
+        for den in out:
+            assert is_nbc([v for v, _ in den], arrangement)
+        # the same rational function: exact values at points off the poles
+        for _ in range(3):
+            point = [random_fraction(rng, -9, 9, 7) for _ in range(k)]
+            if any(vec_dot(v, point) == 0 for v in arrangement):
+                continue
+            assert (sum(evaluate(make_mero(num, den), point)
+                        for den, num in out.items())
+                    == sum(evaluate(g, point) for g in summands))
+        rewrites += out != merged
+    assert rewrites > 60
+
+
+def test_mero_sum_is_structurally_the_left_fold_on_random_dependent_sums():
+    rng = random.Random(52)
+    for _ in range(50):
+        k = rng.randint(2, 3)
+        summands = pooled_fractions(rng, k) + [
+            random_germ(rng, k, max_forms=3, degree=1)]
+        # a sum that cancels to zero must come out structurally zero
+        cancel = summands + [mero_neg(g) for g in summands]
+        rng.shuffle(cancel)
+        assert mero_sum(cancel, k) == make_mero(Polynomial.zero(k))
+        expected = make_mero(Polynomial.zero(k))
+        for g in summands:
+            expected = mero_add(expected, g)
+        rng.shuffle(summands)
+        assert mero_sum(summands, k) == expected
+
+
+def test_sums_agree_with_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(51)
+
+    def to_sympy(g, xs):
+        g = as_mero(g)
+        num = sum(sympy.Rational(c.numerator, c.denominator)
+                  * sympy.Mul(*(x ** p for x, p in zip(xs, e)))
+                  for e, c in g.numerator.terms.items())
+        den = sympy.Mul(*(sum(int(a) * x for a, x in zip(v, xs)) ** p
+                          for v, p in g.den))
+        return num / den
+
+    checked = 0
+    for k in (1, 2, 3, 4):
+        xs = sympy.symbols(f"x1:{k + 1}")
+        for _ in range(12 if k < 4 else 6):
+            num = random_polynomial(rng, k, degree=2)
+            forms = [random_vector(rng, k, -2, 2)
+                     for _ in range(rng.randint(0, 4 if k < 4 else 3))]
+            source = to_sympy(num, xs) / sympy.Mul(
+                *(sum(a * x for a, x in zip(v, xs)) for v in forms))
+            reduced = sympy.cancel(source)
+            f = make_mero(num, tuple((v, 1) for v in forms))
+            # our reduced germ has the reduced denominator's degree
+            den = sympy.fraction(reduced)[1]
+            assert sum(p for _, p in f.den) == sympy.Poly(den, *xs).total_degree()
+            s = decompose(random_space(rng, k), f)
+            # the decomposition, summed by sympy, and its sum by as_mero
+            pieces = [to_sympy(s.poly, xs)] + [to_sympy(t, xs) for t in s.terms]
+            n1, d1 = sympy.fraction(sympy.together(sympy.Add(*pieces)))
+            n2, d2 = sympy.fraction(source)
+            assert sympy.expand(n1 * d2 - n2 * d1) == 0
+            assert sympy.cancel(to_sympy(as_mero(s), xs) - source) == 0
+            x = laurent_expand(AmbientSpace.standard(k), f)
+            assert sympy.cancel(to_sympy(phi(x), xs) - source) == 0
+            bad = perturbed(rng, s, k)
+            for g in (s, bad):
+                oracle = sympy.cancel(to_sympy(g, xs) - source) == 0
+                assert germ_equal(f, g) is oracle is (g is s)
+            checked += 1
+    assert checked == 42
