@@ -38,6 +38,7 @@ from .germs import (
     GermSum,
     MeromorphicGerm,
     PolarGerm,
+    _canonical_factors,
     make_germ_sum,
     make_mero,
     mero_add,
@@ -434,7 +435,7 @@ def _factors_out(factors) -> list[dict]:
     return [{"form": _vec_out(v), "power": e} for v, e in factors]
 
 
-def _factors_in(items, where: str) -> tuple:
+def _factors_in(items, k: int, where: str) -> tuple:
     if not isinstance(items, list):
         raise FormatError(f"{where}: expected a list of factors")
     out = []
@@ -445,8 +446,20 @@ def _factors_in(items, where: str) -> tuple:
         power = item.get("power", 1)
         if not isinstance(power, int) or power < 1:
             raise FormatError(f"{spot}.power: expected a positive integer")
-        out.append((_vec_in(item["form"], f"{spot}.form"), power))
+        form = _vec_in(item["form"], f"{spot}.form")
+        if len(form) != k:
+            raise FormatError(f"{spot}.form: expected {k} coordinates")
+        if not any(form):
+            raise FormatError(f"{spot}.form: the zero vector is not a pole form")
+        out.append((form, power))
     return tuple(out)
+
+
+def _fraction_in(num: Polynomial, factors: tuple) -> tuple[Polynomial, tuple]:
+    """``num / prod factors`` over canonical factors, as every germ type
+    stores them: primitive pseudo-positive forms, merged and sorted."""
+    scale, fac = _canonical_factors(factors)
+    return num.scale(ONE / scale), fac
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +513,12 @@ def deserialize(data: dict):
         return _poly_in(data.get("poly"), k, "poly")
     if kind == "germ":
         num = _poly_in(data.get("numerator"), k, "numerator")
-        den = _factors_in(data.get("denominator", []), "denominator")
+        den = _factors_in(data.get("denominator", []), k, "denominator")
         return make_mero(num, den)
     if kind == "polar-germ":
         num = _poly_in(data.get("numerator"), k, "numerator")
-        fac = _factors_in(data.get("factors", []), "factors")
-        return PolarGerm(num, fac)
+        fac = _factors_in(data.get("factors", []), k, "factors")
+        return PolarGerm(*_fraction_in(num, fac))
     if kind == "germ-sum":
         items = data.get("polar", [])
         if not isinstance(items, list):
@@ -515,8 +528,8 @@ def deserialize(data: dict):
             if not isinstance(item, dict):
                 raise FormatError(f"polar[{i}]: expected an object")
             num = _poly_in(item.get("numerator"), k, f"polar[{i}].numerator")
-            fac = _factors_in(item.get("factors", []), f"polar[{i}].factors")
-            terms.append(PolarGerm(num, fac))
+            fac = _factors_in(item.get("factors", []), k, f"polar[{i}].factors")
+            terms.append(PolarGerm(*_fraction_in(num, fac)))
         poly = _poly_in(data.get("poly", "0"), k, "poly")
         return make_germ_sum(terms, poly)
     if kind == "expansion":
@@ -527,8 +540,9 @@ def deserialize(data: dict):
         for i, item in enumerate(items):
             if not isinstance(item, dict):
                 raise FormatError(f"terms[{i}]: expected an object")
-            fac = _factors_in(item.get("factors", []), f"terms[{i}].factors")
+            fac = _factors_in(item.get("factors", []), k, f"terms[{i}].factors")
             num = _poly_in(item.get("numerator"), k, f"terms[{i}].numerator")
+            num, fac = _fraction_in(num, fac)
             terms.append((fac, num))
         poly = _poly_in(data.get("poly", "0"), k, "poly")
         return make_expansion(None, terms, poly, validate=False)

@@ -151,9 +151,11 @@ def fraction_sum(fractions: Iterable[tuple[Polynomial, Factors]],
     When the forms present are independent every pole set is already nbc
     and the rewrite is skipped; when it leaves more fractions than it was
     given (a few unrelated fractions over many dependent forms), those are
-    summed as given.  The factors must be canonical (sorted, positive
-    exponents), as every germ type stores them.  A reduced germ is unique,
-    so the result does not depend on the order of the summands.
+    summed as given.  The factors must be canonical (primitive
+    pseudo-positive forms, each once, sorted, positive exponents), as every
+    germ type stores them; ``exprio.deserialize`` canonicalizes the factors
+    it reads.  A reduced germ is unique, so the result does not depend on
+    the order of the summands.
     """
     merged: dict[Factors, Polynomial] = {}
     for num, den in fractions:

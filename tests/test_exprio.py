@@ -14,12 +14,14 @@ from laurentgerms.errors import (
     UnknownVariable,
 )
 from laurentgerms.exact import AmbientSpace, Polynomial, vec
-from laurentgerms.expand import laurent_expand
+from laurentgerms.expand import laurent_expand, phi
 from laurentgerms.germs import (
+    as_mero,
     decompose,
     evaluate,
     germ_equal,
     make_mero,
+    mero_add,
     mero_mul,
 )
 from laurentgerms.exprio import (
@@ -300,6 +302,74 @@ def test_deserialize_rejects_malformed_input():
             deserialize(data)
     with pytest.raises(FormatError):
         from_json("{not json")
+
+
+def _raw_factors(rng, k):
+    """Pole factors as a file may give them: unsorted, repeated, scaled,
+    and of either sign."""
+    basis = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (0, 0, 1)]
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        v = rng.choice(basis)[:k]
+        if not any(v):
+            continue
+        c = rng.choice([1, 2, -1, -3, F(1, 2)])
+        out.append(([str(c * a) for a in v], rng.randint(1, 2)))
+    return out
+
+
+def test_deserialized_factors_are_canonical():
+    """Sums of deserialized germ-sums, polar germs and expansions are the
+    sums of their terms, however the file writes the pole factors."""
+    rng = random.Random(6)
+    one = Polynomial.constant(2, 1)
+    # 1/(2 x1)^2 + 1/x1 + 1/x2: dependent forms, one of them repeated
+    data = {"kind": "germ-sum", "dim": 2, "poly": "0", "polar": [
+        {"numerator": "1", "factors": [{"form": ["2", "0"]},
+                                       {"form": ["2", "0"]}]},
+        {"numerator": "1", "factors": [{"form": ["1", "0"]}]},
+        {"numerator": "1", "factors": [{"form": ["0", "1"]}]}]}
+    expected = mero_add(mero_add(
+        make_mero(one, [((2, 0), 2)]), make_mero(one, [((1, 0), 1)])),
+        make_mero(one, [((0, 1), 1)]))
+    assert as_mero(deserialize(data)) == expected
+    for trial in range(60):
+        k = rng.choice([2, 3])
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            num = rng.choice(["1", "-2", "x1", "3/2"])
+            terms.append((num, _raw_factors(rng, k)))
+        fac = [[{"form": v, "power": e} for v, e in raw] for _, raw in terms]
+        expected = make_mero(Polynomial.zero(k))
+        for num, raw in terms:
+            expected = mero_add(expected, make_mero(
+                parse_germ(num, k).numerator,
+                [(vec(v), e) for v, e in raw]))
+        gs = deserialize({"kind": "germ-sum", "dim": k, "poly": "0",
+                          "polar": [{"numerator": num, "factors": f}
+                                    for (num, _), f in zip(terms, fac)]})
+        ex = deserialize({"kind": "expansion", "dim": k, "poly": "0",
+                          "terms": [{"numerator": num, "factors": f}
+                                    for (num, _), f in zip(terms, fac)]})
+        assert as_mero(gs) == expected, trial
+        assert phi(ex) == expected, trial
+        assert germ_equal(gs, expected)
+        pg = deserialize({"kind": "polar-germ", "dim": k,
+                          "numerator": terms[0][0], "factors": fac[0]})
+        assert pg.as_mero() == make_mero(parse_germ(terms[0][0], k).numerator,
+                                         [(vec(v), e) for v, e in terms[0][1]])
+        for obj in (gs, ex, pg):
+            assert from_json(to_json(obj)) == obj
+
+
+def test_zero_or_misdimensioned_pole_form_is_a_format_error():
+    for kind, key in (("germ", "denominator"), ("polar-germ", "factors")):
+        for form, message in ((["0", "0"], "zero vector"),
+                              (["1", "2", "3"], "expected 2 coordinates"),
+                              (["1"], "expected 2 coordinates")):
+            with pytest.raises(FormatError, match=message):
+                deserialize({"kind": kind, "dim": 2, "numerator": "1",
+                             key: [{"form": form}]})
 
 
 # ---------------------------------------------------------------------------
