@@ -1,12 +1,18 @@
 """Exact rational linear algebra and sparse multivariate polynomials.
 
-Everything is built on :class:`fractions.Fraction` (always reduced, positive
-denominator), so equality tests are decisive and nothing is ever rounded.
-Vectors are tuples of Fractions, matrices are tuples of row tuples, and
-polynomials map exponent tuples to nonzero rational coefficients with
-graded-lexicographic canonical ordering.  Elimination (``rref``,
-``mat_rank``, ``det``) runs on Python ints: rows are scaled to integers and
-reduced fraction-free (Bareiss 1968); only results become Fractions.
+Everything is exact over the rationals, so equality tests are decisive and
+nothing is ever rounded.  Vectors are tuples of :class:`fractions.Fraction`
+and matrices are tuples of row tuples.  Elimination (``rref``, ``mat_rank``,
+``det``) runs on Python ints: rows are scaled to integers and reduced
+fraction-free (Bareiss 1968); only results become Fractions.
+
+A :class:`Polynomial` is stored the same way: int numerators keyed by
+exponent tuples over one positive int denominator, reduced so that the form
+is unique.  Sums, products, substitution and derivatives run on ints
+(sparse term-by-term products, Johnson 1974), and division by a linear form
+is a pseudo-division by its primitive integer form.  The Fraction
+coefficients are a read-only view (``Polynomial.terms``) built on demand;
+the canonical term order for printing is graded lexicographic.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
+from operator import add
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .errors import DependentInput, RankDeficient
@@ -344,7 +352,8 @@ def q_dual_family(space: AmbientSpace, forms: Sequence[Vec]) -> list[Vec]:
     """
     if mat_rank(tuple(forms)) != len(forms):
         raise DependentInput("dual family requires independent forms")
-    g = tuple(tuple(space.pairing(a, b) for b in forms) for a in forms)
+    q_forms = [mat_vec(space.gram, b) for b in forms]
+    g = tuple(tuple(vec_dot(a, qb) for qb in q_forms) for a in forms)
     ginv = mat_inverse(g)
     duals = []
     for j in range(len(forms)):
@@ -374,47 +383,93 @@ def max_minor_abs_sum(columns: Sequence[Vec], n: int) -> Fraction:
 # polynomials
 
 Exponent = tuple[int, ...]
+IntTerms = dict[Exponent, int]
 
 
 def _grlex_key(e: Exponent):
     return (sum(e), e)
 
 
+def _mul_terms(a: IntTerms, b: IntTerms) -> IntTerms:
+    """Product of two int term dicts (cancelled terms stay as zeros)."""
+    out: IntTerms = {}
+    get = out.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _nonzero(terms: IntTerms) -> IntTerms:
+    return {e: c for e, c in terms.items() if c}
+
+
 class Polynomial:
     """Sparse exact polynomial in k variables over the rationals.
 
-    Immutable by convention; ``terms`` maps exponent tuples to nonzero
-    Fractions.  The canonical term order is graded lexicographic.
+    Immutable by convention.  The value is ``coeffs / den``: ``coeffs``
+    maps exponent tuples to nonzero Python ints and ``den`` is a positive
+    int with gcd(den, coeffs) = 1 (the zero polynomial has ``den`` 1).  That
+    form is unique, so equality compares ints, and every arithmetic method
+    works on ints and reduces its result once.  ``terms`` is a read-only
+    view of the same coefficients as Fractions, built on first use.  The
+    canonical term order is graded lexicographic.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "coeffs", "den", "_terms")
 
     def __init__(self, nvars: int, terms: dict[Exponent, Fraction] | None = None):
-        object.__setattr__(self, "nvars", nvars)
         clean: dict[Exponent, Fraction] = {}
         for e, c in (terms or {}).items():
             c = frac(c)
             if c != 0:
                 clean[tuple(e)] = c
-        object.__setattr__(self, "terms", clean)
+        # reduced Fractions over the lcm of their denominators: the gcd of
+        # the lcm and the numerators is already 1
+        den = lcm(*(c.denominator for c in clean.values()))
+        coeffs = {e: c.numerator * (den // c.denominator)
+                  for e, c in clean.items()}
+        _init(self, nvars, coeffs, den)
+        object.__setattr__(self, "_terms", MappingProxyType(clean))
 
     def __setattr__(self, *_):  # pragma: no cover - defensive
         raise AttributeError("Polynomial is immutable")
 
     # -- constructors ------------------------------------------------------
     @classmethod
+    def from_ints(cls, nvars: int, coeffs: IntTerms, den: int = 1) -> "Polynomial":
+        """The polynomial ``coeffs / den``, reduced to canonical form.
+
+        ``coeffs`` must not hold zeros; ``den`` may be any nonzero int.
+        """
+        if den != 1:
+            g = gcd(den, *coeffs.values())
+            if den < 0:
+                g = -g
+            if g != 1:
+                coeffs = {e: c // g for e, c in coeffs.items()}
+                den //= g
+        p = object.__new__(cls)
+        _init(p, nvars, coeffs, den)
+        return p
+
+    @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
+        return cls.from_ints(nvars, {})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: frac(c)})
+        c = frac(c)
+        if c == 0:
+            return cls.zero(nvars)
+        return cls.from_ints(nvars, {(0,) * nvars: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): ONE})
+        return cls.from_ints(nvars, {tuple(e): 1})
 
     @classmethod
     def linear_form(cls, v: Vec) -> "Polynomial":
@@ -429,58 +484,109 @@ class Polynomial:
         return cls(k, terms)
 
     # -- structure ---------------------------------------------------------
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only map of exponent tuples to nonzero Fraction coefficients."""
+        view = self._terms
+        if view is None:
+            den = self.den
+            view = MappingProxyType(
+                {e: Fraction(c, den) for e, c in self.coeffs.items()})
+            object.__setattr__(self, "_terms", view)
+        return view
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(any(e) for e in self.coeffs)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, ZERO)
+        c = self.coeffs.get((0,) * self.nvars)
+        return Fraction(c, self.den) if c else ZERO
 
     def total_degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.coeffs), default=-1)
 
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None if mixed/zero."""
-        degrees = {sum(e) for e in self.terms}
+        degrees = {sum(e) for e in self.coeffs}
         return degrees.pop() if len(degrees) == 1 else None
 
     def degree_in(self, i: int) -> int:
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self.coeffs), default=0)
 
     def support_variables(self) -> list[int]:
         return [i for i in range(self.nvars)
-                if any(e[i] > 0 for e in self.terms)]
+                if any(e[i] > 0 for e in self.coeffs)]
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
 
+    def truncated(self, n: int) -> "Polynomial":
+        """The terms of total degree at most ``n``."""
+        return Polynomial.from_ints(self.nvars, {
+            e: c for e, c in self.coeffs.items() if sum(e) <= n}, self.den)
+
+    def peel(self, m: int) -> tuple["Polynomial", list["Polynomial"]]:
+        """``(h, [q_0, ..., q_(m-1)])`` with self = h + sum_i x_i q_i, where
+        h is free of x_0..x_(m-1) and q_i is free of x_0..x_(i-1): each term
+        goes to its first variable among the first ``m``."""
+        h: IntTerms = {}
+        parts: list[IntTerms] = [{} for _ in range(m)]
+        for e, c in self.coeffs.items():
+            i = next((j for j in range(m) if e[j]), None)
+            if i is None:
+                h[e] = c
+            else:
+                parts[i][e[:i] + (e[i] - 1,) + e[i + 1:]] = c
+        return (Polynomial.from_ints(self.nvars, h, self.den),
+                [Polynomial.from_ints(self.nvars, q, self.den) for q in parts])
+
     # -- arithmetic --------------------------------------------------------
+    def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign * other over the lcm of the two denominators."""
+        da, db = self.den, other.den
+        den = da if da == db else lcm(da, db)
+        ma, mb = den // da, sign * (den // db)
+        out = dict(self.coeffs) if ma == 1 else {
+            e: c * ma for e, c in self.coeffs.items()}
+        get = out.get
+        for e, c in other.coeffs.items():
+            out[e] = get(e, 0) + c * mb
+        return Polynomial.from_ints(self.nvars, _nonzero(out), den)
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, ZERO) + c
-        return Polynomial(self.nvars, terms)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        return self._combine(other, 1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        p = object.__new__(Polynomial)
+        _init(p, self.nvars, {e: -c for e, c in self.coeffs.items()}, self.den)
+        return p
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        if not other.coeffs:
+            return self
+        return self._combine(other, -1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        terms: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, ZERO) + c1 * c2
-        return Polynomial(self.nvars, terms)
+        out = _mul_terms(self.coeffs, other.coeffs)
+        return Polynomial.from_ints(self.nvars, _nonzero(out),
+                                    self.den * other.den)
 
     def scale(self, c) -> "Polynomial":
         c = frac(c)
-        return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
+        if c == 0:
+            return Polynomial.zero(self.nvars)
+        n = c.numerator
+        coeffs = self.coeffs if n == 1 else {
+            e: v * n for e, v in self.coeffs.items()}
+        return Polynomial.from_ints(self.nvars, coeffs, self.den * c.denominator)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -490,70 +596,95 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial) and self.nvars == other.nvars
-                and self.terms == other.terms)
+                and self.den == other.den and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.coeffs.items())))
 
     # -- evaluation and substitution --------------------------------------
     def evaluate(self, point: Sequence) -> Fraction:
         pt = vec(point)
         total = ZERO
-        for e, c in self.terms.items():
-            v = c
+        for e, c in self.coeffs.items():
             for x, p in zip(pt, e):
                 if p:
-                    v *= x ** p
-            total += v
+                    c *= x ** p
+            total += c
+        return total / self.den
+
+    def numerator_at(self, point: Sequence[int]) -> int:
+        """The value at an integer point times ``den``, on ints alone."""
+        total = 0
+        for e, c in self.coeffs.items():
+            for x, p in zip(point, e):
+                if p:
+                    c *= x ** p
+            total += c
         return total
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Compose: replace variable i by images[i] (exact expansion)."""
+        """Compose: replace variable i by images[i] (exact expansion).
+
+        With images M_i / d_i and t_i the degree of ``self`` in variable i,
+        the term c * prod x_i^p_i becomes c * prod d_i^(t_i - p_i) M_i^p_i
+        over the shared denominator den * prod d_i^t_i, so the whole sum
+        runs on ints.
+        """
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
         nvars_out = images[0].nvars if images else self.nvars
-        result = Polynomial.zero(nvars_out)
-        # cache powers of each image as needed
-        powers: list[dict[int, Polynomial]] = [
-            {0: Polynomial.constant(nvars_out, 1)} for _ in images]
-        for e, c in self.terms.items():
-            term = Polynomial.constant(nvars_out, c)
+        if not self.coeffs:
+            return Polynomial.zero(nvars_out)
+        tops = [self.degree_in(i) for i in range(self.nvars)]
+        dens = [im.den for im in images]
+        # powers[i][p] holds the numerators of images[i] ** p, p >= 1
+        powers = [[{}, im.coeffs] for im in images]
+        out: IntTerms = {}
+        get = out.get
+        for e, c in self.coeffs.items():
+            term = None
             for i, p in enumerate(e):
+                if dens[i] != 1 and p != tops[i]:
+                    c *= dens[i] ** (tops[i] - p)
                 if p:
                     cache = powers[i]
-                    if p not in cache:
-                        q = max(d for d in cache if d <= p)
-                        acc = cache[q]
-                        while q < p:
-                            acc = acc * images[i]
-                            q += 1
-                            cache[q] = acc
-                    term = term * cache[p]
-            result = result + term
-        return result
+                    while len(cache) <= p:
+                        cache.append(_mul_terms(cache[-1], cache[1]))
+                    term = cache[p] if term is None else _mul_terms(term, cache[p])
+            if term is None:
+                e0 = (0,) * nvars_out
+                out[e0] = get(e0, 0) + c
+                continue
+            for e2, c2 in term.items():
+                out[e2] = get(e2, 0) + c * c2
+        den = self.den
+        for d, t in zip(dens, tops):
+            if d != 1:
+                den *= d ** t
+        return Polynomial.from_ints(nvars_out, _nonzero(out), den)
 
     def set_variables_zero(self, indices: Sequence[int]) -> "Polynomial":
         """Keep only terms with exponent zero in all the given slots."""
-        idx = set(indices)
-        return Polynomial(self.nvars, {
-            e: c for e, c in self.terms.items()
-            if all(e[i] == 0 for i in idx)})
+        idx = tuple(set(indices))
+        return Polynomial.from_ints(self.nvars, {
+            e: c for e, c in self.coeffs.items()
+            if not any(e[i] for i in idx)}, self.den)
 
     def derivative(self, i: int) -> "Polynomial":
         """Partial derivative in variable ``i``."""
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            d = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-            out[d] = out.get(d, ZERO) + c * e[i]
-        return Polynomial(self.nvars, out)
+        out: IntTerms = {}
+        for e, c in self.coeffs.items():
+            p = e[i]
+            if p:
+                out[e[:i] + (p - 1,) + e[i + 1:]] = c * p
+        return Polynomial.from_ints(self.nvars, out, self.den)
 
     def directional_derivative(self, w: Vec) -> "Polynomial":
         """Derivative along the coordinate vector ``w``."""
@@ -566,28 +697,49 @@ class Polynomial:
     # -- division by a linear form ----------------------------------------
     def divmod_linear(self, form: Vec) -> tuple["Polynomial", "Polynomial"]:
         """Quotient and remainder dividing by <form, eps>; the remainder has
-        no occurrence of the form's leading (highest-index) variable."""
+        no occurrence of the form's leading (highest-index) variable.
+
+        Pseudo-division by the primitive integer form a*x_j + m, layer by
+        layer in x_j: with N_k the numerators of the x_j^k layer and t the
+        top degree, T_t = N_t and T_k = a^(t-k) N_k - m T_(k+1); the
+        quotient's x_j^(k-1) layer is T_k / (den a^(t-k+1)) and the
+        remainder is T_0 / (den a^t).
+        """
         if vec_is_zero(form):
             raise ZeroDivisionError("division by the zero form")
-        j = max(i for i, c in enumerate(form) if c != 0)
-        c = form[j]
-        divisor = Polynomial.linear_form(form)
-        quotient = Polynomial.zero(self.nvars)
-        r = self
-        while True:
-            d = r.degree_in(j)
-            if d == 0:
+        ell = primitive_ints(form)
+        j = max(i for i, c in enumerate(ell) if c)
+        a = ell[j]
+        fj = frac(form[j])
+        low = [(i, c) for i, c in enumerate(ell) if c and i != j]
+        layers: dict[int, IntTerms] = {}
+        for e, c in self.coeffs.items():
+            layers.setdefault(e[j], {})[e[:j] + (0,) + e[j + 1:]] = c
+        top = max(layers, default=0)
+        if top == 0:
+            return Polynomial.zero(self.nvars), self
+        quotient: IntTerms = {}
+        t: IntTerms = {}
+        apow = 1
+        for k in range(top, -1, -1):
+            nxt = {e: apow * c for e, c in layers.get(k, {}).items()}
+            get = nxt.get
+            for e, c in t.items():
+                for i, li in low:
+                    e2 = e[:i] + (e[i] + 1,) + e[i + 1:]
+                    nxt[e2] = get(e2, 0) - li * c
+            t = _nonzero(nxt)
+            if k == 0:
                 break
-            top = {e: v for e, v in r.terms.items() if e[j] == d}
-            shifted = {}
-            for e, v in top.items():
-                e2 = list(e)
-                e2[j] -= 1
-                shifted[tuple(e2)] = v / c
-            t = Polynomial(self.nvars, shifted)
-            quotient = quotient + t
-            r = r - t * divisor
-        return quotient, r
+            # layer k-1 of the quotient by ell over den * a^top; the form is
+            # (form_j / a) * ell, so its quotient is a / form_j times that
+            lift = a ** (k - 1) * fj.denominator
+            for e, c in t.items():
+                quotient[e[:j] + (k - 1,) + e[j + 1:]] = c * lift
+            apow *= a
+        q = Polynomial.from_ints(self.nvars, quotient,
+                                 self.den * a ** (top - 1) * fj.numerator)
+        return q, Polynomial.from_ints(self.nvars, t, self.den * apow)
 
     def divided_by_form(self, form: Vec) -> "Polynomial | None":
         """Exact quotient by the linear form, or None when not divisible."""
@@ -617,6 +769,14 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.to_string()})"
+
+
+def _init(p: Polynomial, nvars: int, coeffs: IntTerms, den: int) -> None:
+    setattr_ = object.__setattr__
+    setattr_(p, "nvars", nvars)
+    setattr_(p, "coeffs", coeffs)
+    setattr_(p, "den", den)
+    setattr_(p, "_terms", None)
 
 
 def poly_linear_substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
@@ -697,21 +857,23 @@ def linear_factorization(
 
     # single-variable (monomial) factors first, each power in one step
     for i in range(k):
-        m = min(e[i] for e in work.terms)
+        m = min(e[i] for e in work.coeffs)
         if m:
-            work = Polynomial(k, {e[:i] + (e[i] - m,) + e[i + 1:]: c
-                                  for e, c in work.terms.items()})
+            work = Polynomial.from_ints(
+                k, {e[:i] + (e[i] - m,) + e[i + 1:]: c
+                    for e, c in work.coeffs.items()}, work.den)
             factors[unit_vec(k, i)] = m
 
     def slice_roots(i: int, m: int) -> list[Fraction]:
         """Roots r of the bivariate restriction (all other vars 0, x_i = 1)
         viewed as a polynomial in x_m."""
-        coeffs: dict[int, Fraction] = {}
-        for e, c in work.terms.items():
+        # the int numerators: scaling by the denominator keeps the roots
+        coeffs: dict[int, int] = {}
+        for e, c in work.coeffs.items():
             if all(p_ == 0 for j, p_ in enumerate(e) if j not in (i, m)):
-                coeffs[e[m]] = coeffs.get(e[m], ZERO) + c
+                coeffs[e[m]] = coeffs.get(e[m], 0) + c
         top = max(coeffs, default=-1)
-        as_list = [coeffs.get(d, ZERO) for d in range(top + 1)]
+        as_list = [Fraction(coeffs.get(d, 0)) for d in range(top + 1)]
         return _rational_roots(as_list)
 
     while work.total_degree() > 0:
@@ -719,8 +881,7 @@ def linear_factorization(
         support = work.support_variables()
         m = max(support)
         # factors free of x_m divide the x_m-degree-zero layer
-        layer0 = Polynomial(k, {e: c for e, c in work.terms.items()
-                                if e[m] == 0})
+        layer0 = work.set_variables_zero([m])
         if not layer0.is_zero() and not layer0.is_constant():
             sub = linear_factorization(layer0)
             if sub is None:

@@ -33,6 +33,7 @@ from .exact import (
     mat_vec,
     max_minor_abs_sum,
     q_dual_family,
+    vec_dot,
 )
 from .cones import (
     SimplicialCone,
@@ -108,6 +109,11 @@ class FormalExpansion:
     def is_zero(self) -> bool:
         return not self.terms and self.polynomial_part.is_zero()
 
+    def fractions(self) -> list[tuple[Polynomial, Factors]]:
+        """The summands as (numerator, factors) pairs, polynomial part first."""
+        return ([(self.polynomial_part, ())]
+                + [(num, dc.factors) for dc, num in self.terms])
+
     def support(self) -> list[SimplicialCone]:
         """Underlying geometric cones of the nonzero terms, deduplicated."""
         seen = dict.fromkeys(dc.cone for dc, _ in self.terms)
@@ -173,8 +179,7 @@ def phi(x: FormalExpansion) -> MeromorphicGerm:
     onto nbc denominators on its own, so the pieces that a subdivision makes
     of one polar term cancel as polynomial sums over shared denominators.
     """
-    return fraction_sum([(x.polynomial_part, ())]
-                        + [(num, dc.factors) for dc, num in x.terms], x.nvars)
+    return fraction_sum(x.fractions(), x.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +245,8 @@ def _subdivide_term(space: AmbientSpace, factors: Factors, num: Polynomial,
     exps = [s for _, s in factors]
     n = len(forms)
     a = max_minor_abs_sum(forms, n)
-    duals = q_dual_family(space, forms)
+    # Q(L*_j, v) = <Q L*_j, v>: one matrix product per dual, not per pair
+    q_duals = [mat_vec(space.gram, d) for d in q_dual_family(space, forms)]
     scale = ONE
     for s in exps:
         scale /= factorial(s - 1)
@@ -254,7 +260,7 @@ def _subdivide_term(space: AmbientSpace, factors: Factors, num: Polynomial,
                 nxt = []
                 for coef, den in state:
                     for v, r in den.items():
-                        q = space.pairing(duals[j], v)
+                        q = vec_dot(q_duals[j], v)
                         if q == 0:
                             continue
                         bumped = dict(den)

@@ -104,6 +104,8 @@ def make_mero(numerator: Polynomial, factors: Sequence[tuple[Vec, int]] = ()) ->
     den_d = dict(den)
     for v in list(den_d):
         while den_d.get(v, 0) > 0:
+            if _nonzero_on_hyperplane(num, v):
+                break
             q = num.divided_by_form(v)
             if q is None:
                 break
@@ -112,6 +114,20 @@ def make_mero(numerator: Polynomial, factors: Sequence[tuple[Vec, int]] = ()) ->
         if den_d.get(v) == 0:
             del den_d[v]
     return MeromorphicGerm(num, tuple(sorted(den_d.items())))
+
+
+def _nonzero_on_hyperplane(num: Polynomial, v: Vec) -> bool:
+    """True when ``num`` is nonzero at one integer point of {<v, eps> = 0},
+    which proves that the form does not divide it.
+
+    ``v`` is a canonical form with leading entry a = v_j; the point has
+    x_i = a (i + 2) for i != j and x_j = -sum_(i != j) v_i (i + 2).
+    """
+    j = max(i for i, c in enumerate(v) if c)
+    a = v[j].numerator
+    point = [a * (i + 2) for i in range(len(v))]
+    point[j] = -sum(c.numerator * (i + 2) for i, c in enumerate(v) if i != j)
+    return num.numerator_at(point) != 0
 
 
 def _den_poly(nvars: int, den: Factors) -> Polynomial:
@@ -125,8 +141,9 @@ def mero_add(f: MeromorphicGerm, g: MeromorphicGerm) -> MeromorphicGerm:
     lcm: dict[Vec, int] = dict(f.den)
     for v, e in g.den:
         lcm[v] = max(lcm.get(v, 0), e)
-    fd = tuple((v, lcm[v] - dict(f.den).get(v, 0)) for v in lcm)
-    gd = tuple((v, lcm[v] - dict(g.den).get(v, 0)) for v in lcm)
+    f_den, g_den = dict(f.den), dict(g.den)
+    fd = tuple((v, lcm[v] - f_den.get(v, 0)) for v in lcm)
+    gd = tuple((v, lcm[v] - g_den.get(v, 0)) for v in lcm)
     num = (f.numerator * _den_poly(f.nvars, tuple((v, e) for v, e in fd if e))
            + g.numerator * _den_poly(g.nvars, tuple((v, e) for v, e in gd if e)))
     return make_mero(num, tuple(lcm.items()))
@@ -366,14 +383,17 @@ def _fractions(x) -> list[tuple[Polynomial, Factors]]:
         return [(x.numerator, x.factors)]
     if isinstance(x, GermSum):
         return [(x.poly, ())] + [(t.numerator, t.factors) for t in x.terms]
-    # truncated germs provide .as_germ_sum()
+    # formal expansions provide .fractions(), truncated germs .as_germ_sum()
+    if hasattr(x, "fractions"):
+        return x.fractions()
     if hasattr(x, "as_germ_sum"):
         return _fractions(x.as_germ_sum())
     raise TypeError(f"cannot interpret {type(x).__name__} as a germ")
 
 
 def as_mero(x) -> MeromorphicGerm:
-    """Coerce a Polynomial, PolarGerm, GermSum, or germ to MeromorphicGerm."""
+    """Coerce a Polynomial, PolarGerm, GermSum, FormalExpansion, truncated
+    germ or germ to MeromorphicGerm."""
     if isinstance(x, MeromorphicGerm):
         return x
     pairs = _fractions(x)
@@ -546,24 +566,16 @@ def decompose(space: AmbientSpace, f) -> GermSum:
         forms = tuple(v for v, _ in den)
         m = len(forms)
         to_u, to_eps = coordinate_maps(forms)
-        h = num.substitute(to_u)
-        h0 = h.set_variables_zero(range(m))
+        # the terms free of the pole directions form the polar numerator;
+        # every other term is routed through its first pole-direction
+        # variable, which it loses
+        h0, parts = num.substitute(to_u).peel(m)
         if not h0.is_zero():
             polar.append(PolarGerm(h0.substitute(to_eps), den))
-        rest = h - h0
-        if rest.is_zero():
-            return
-        # route each term through its first pole-direction variable
-        parts: list[dict] = [dict() for _ in range(m)]
-        for e, c in rest.terms.items():
-            i = next(j for j in range(m) if e[j] > 0)
-            e2 = list(e)
-            e2[i] -= 1
-            parts[i][tuple(e2)] = parts[i].get(tuple(e2), ZERO) + c
-        for i in range(m):
-            if not parts[i]:
+        for i, part in enumerate(parts):
+            if part.is_zero():
                 continue
-            g = Polynomial(k, parts[i]).substitute(to_eps)
+            g = part.substitute(to_eps)
             child = tuple((v, e - 1 if j == i else e)
                           for j, (v, e) in enumerate(den) if e - (j == i) > 0)
             rec(g, child)

@@ -274,16 +274,11 @@ class TruncatedGerm:
                 f"tail to degree {self.truncation_order})")
 
 
-def _truncate_poly(p: Polynomial, n: int) -> Polynomial:
-    return Polynomial(p.nvars, {e: c for e, c in p.terms.items()
-                                if sum(e) <= n})
-
-
 def make_truncated(space: AmbientSpace, f, n: int) -> TruncatedGerm:
     """Split a germ into exact polar part and degree-n truncated tail."""
     s = decompose(space, as_mero(f))
     polar = make_germ_sum(list(s.terms), Polynomial.zero(s.nvars))
-    return TruncatedGerm(polar, _truncate_poly(s.poly, n), n)
+    return TruncatedGerm(polar, s.poly.truncated(n), n)
 
 
 def truncated_add(a: TruncatedGerm, b: TruncatedGerm) -> TruncatedGerm:
@@ -291,7 +286,7 @@ def truncated_add(a: TruncatedGerm, b: TruncatedGerm) -> TruncatedGerm:
     polar = make_germ_sum(list(a.polar_part.terms) + list(b.polar_part.terms),
                           a.polar_part.poly + b.polar_part.poly)
     return TruncatedGerm(polar,
-                         _truncate_poly(a.taylor_tail + b.taylor_tail, n), n)
+                         (a.taylor_tail + b.taylor_tail).truncated(n), n)
 
 
 def truncated_mul(space: AmbientSpace, a: TruncatedGerm,
@@ -303,7 +298,7 @@ def truncated_mul(space: AmbientSpace, a: TruncatedGerm,
     fb = mero_add(as_mero(b.polar_part), make_mero(b.taylor_tail))
     s = decompose(space, mero_mul(fa, fb))
     polar = make_germ_sum(list(s.terms), Polynomial.zero(s.nvars))
-    return TruncatedGerm(polar, _truncate_poly(s.poly, n), n)
+    return TruncatedGerm(polar, s.poly.truncated(n), n)
 
 
 def evaluate_truncated(tg: TruncatedGerm, point: Sequence) -> Fraction:
@@ -337,7 +332,7 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
         power = Polynomial.constant(k, ONE)
         for j, c in enumerate(coeffs):
             if j > 0:
-                power = _truncate_poly(power * form, trunc)
+                power = (power * form).truncated(trunc)
             tail = tail + power.scale(c)
         tails.append(tail)
     # decompose is linear and the poles of every piece are independent
@@ -350,12 +345,12 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
         num = Polynomial.constant(k, (-ONE) ** len(polar_idx))
         for i in range(d):
             if i not in polar_idx:
-                num = _truncate_poly(num * tails[i], trunc)
+                num = (num * tails[i]).truncated(trunc)
         s = decompose(space, make_mero(num, [(gens[i], 1) for i in polar_idx]))
         polar.extend(s.terms)
         poly = poly + s.poly
     return TruncatedGerm(make_germ_sum(polar, Polynomial.zero(k)),
-                         _truncate_poly(poly, trunc), trunc)
+                         poly.truncated(trunc), trunc)
 
 
 def exp_integral(lc: LatticeCone) -> GermSum:

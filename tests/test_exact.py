@@ -1,5 +1,6 @@
 """Exact linear algebra and polynomial arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -445,6 +446,159 @@ def test_divmod_linear_reconstructs():
         ell = Polynomial.linear_form(form)
         q, r = p.divmod_linear(form)
         assert q * ell + r == p
+
+
+# ---------------------------------------------------------------------------
+# the int polynomial kernel against Fraction-dict arithmetic
+
+def _ref_add(p, q):
+    terms = dict(p)
+    for e, c in q.items():
+        terms[e] = terms.get(e, F(0)) + c
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_mul(p, q):
+    terms = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, F(0)) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def _ref_substitute(p, images, nvars_out):
+    """Reference: Fraction-dict composition, one term at a time."""
+    result = {}
+    for e, c in p.items():
+        term = {(0,) * nvars_out: c}
+        for i, power in enumerate(e):
+            for _ in range(power):
+                term = _ref_mul(term, images[i])
+        result = _ref_add(result, term)
+    return result
+
+
+def _ref_divmod_linear(p, form):
+    """Reference: Fraction-dict division, one leading layer at a time."""
+    k = len(form)
+    j = max(i for i, c in enumerate(form) if c != 0)
+    divisor = {tuple(int(i == m) for m in range(k)): c
+               for i, c in enumerate(form) if c != 0}
+    quotient, r = {}, dict(p)
+    while True:
+        d = max((e[j] for e in r), default=0)
+        if d == 0:
+            return quotient, r
+        t = {e[:j] + (d - 1,) + e[j + 1:]: c / form[j]
+             for e, c in r.items() if e[j] == d}
+        quotient = _ref_add(quotient, t)
+        r = _ref_add(r, {e: -c for e, c in _ref_mul(t, divisor).items()})
+
+
+def _random_form(rng, k):
+    """A nonzero form, often with rational entries and a negative leading
+    (highest-index) coefficient."""
+    while True:
+        v = tuple(F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+                  for _ in range(k))
+        if any(v):
+            return v
+
+
+def _same(p, ref):
+    expected = Polynomial(p.nvars, ref)
+    assert p == expected
+    assert p.sorted_terms() == expected.sorted_terms()
+    assert dict(p.terms) == ref
+
+
+def test_int_kernel_matches_fraction_arithmetic():
+    rng = random.Random(51)
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        p = random_polynomial(rng, k, degree=4, terms=6)
+        q = random_polynomial(rng, k, degree=3, terms=5)
+        pt, qt = dict(p.terms), dict(q.terms)
+        _same(p + q, _ref_add(pt, qt))
+        _same(p - q, _ref_add(pt, {e: -c for e, c in qt.items()}))
+        _same(p * q, _ref_mul(pt, qt))
+        c = random_fraction(rng)
+        _same(p.scale(c), {e: c * v for e, v in pt.items() if c})
+        k_out = rng.randint(1, 4)
+        images = [Polynomial.linear_form(_random_form(rng, k_out))
+                  if rng.random() < 0.8
+                  else random_polynomial(rng, k_out, degree=2, terms=3)
+                  for _ in range(k)]
+        _same(p.substitute(images),
+              _ref_substitute(pt, [dict(im.terms) for im in images], k_out))
+        form = _random_form(rng, k)
+        quot, rem = p.divmod_linear(form)
+        ref_q, ref_r = _ref_divmod_linear(pt, form)
+        _same(quot, ref_q)
+        _same(rem, ref_r)
+        if not (rng.random() < 0.5):
+            continue
+        # an exact multiple divides back to its cofactor
+        multiple = p * Polynomial.linear_form(form)
+        assert multiple.divided_by_form(form) == p
+        assert multiple.divmod_linear(form)[1].is_zero()
+
+
+def test_int_kernel_products_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(52)
+
+    def to_sympy(p, xs):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.prod([x ** a for x, a in zip(xs, e)])
+                    for e, c in p.terms.items()), sympy.Integer(0))
+
+    def from_sympy(expr, xs):
+        poly = sympy.Poly(expr, *xs, domain="QQ")
+        return Polynomial(len(xs), {
+            e: F(int(c.p), int(c.q)) for e, c in zip(poly.monoms(), poly.coeffs())})
+
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        xs = sympy.symbols(f"x0:{k}")
+        p = random_polynomial(rng, k, degree=4, terms=6)
+        q = random_polynomial(rng, k, degree=3, terms=5)
+        assert p * q == from_sympy(sympy.expand(to_sympy(p, xs) * to_sympy(q, xs)), xs)
+        form = _random_form(rng, k)
+        j = max(i for i, c in enumerate(form) if c != 0)
+        ell = to_sympy(Polynomial.linear_form(form), xs)
+        # lex order with x_j first: the remainder is free of x_j
+        gens = (xs[j],) + xs[:j] + xs[j + 1:]
+        sq, sr = sympy.div(to_sympy(p, xs), ell, *gens, domain="QQ")
+        quot, rem = p.divmod_linear(form)
+        assert quot == from_sympy(sq.as_expr(), xs)
+        assert rem == from_sympy(sr.as_expr(), xs)
+        assert rem.degree_in(j) == 0
+
+
+def test_polynomial_form_is_canonical():
+    rng = random.Random(53)
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        e = tuple(rng.randint(0, 3) for _ in range(k))
+        direct = Polynomial(k, {e: F(2, 4)})
+        mono = Polynomial(k, {e: F(3)})
+        # the same value reached through arithmetic, via other denominators
+        reached = (mono.scale(F(5, 6)) - mono.scale(F(2, 3))
+                   + mono.scale(F(1, 9)) * Polynomial.constant(k, F(9, 2))
+                   - mono.scale(F(1, 2)))
+        assert reached == direct and hash(reached) == hash(direct)
+        assert (direct.coeffs, direct.den) == ({e: 1}, 2)
+        p = random_polynomial(rng, k)
+        zero = p - p
+        assert zero == Polynomial.zero(k) and zero.den == 1
+        assert hash(zero) == hash(Polynomial.zero(k))
+        assert (p * zero).den == 1 and p.scale(0).den == 1
+        # numerators and denominator share no factor, denominator positive
+        q = p.scale(random_fraction(rng) or 1)
+        assert q.den > 0
+        assert math.gcd(q.den, *q.coeffs.values()) == 1
 
 
 def test_linear_factorization_of_form_products():

@@ -426,6 +426,26 @@ def test_as_mero_on_germ_sum_adds_everything():
     assert as_mero(s) == expected
 
 
+def test_formal_expansions_are_read_as_germs():
+    sp = AmbientSpace.standard(2)
+    f = make_mero(const(2, 1), ((vec([1, 0]), 1), (vec([1, 1]), 1)))
+    x = laurent_expand(sp, f)
+    assert as_mero(x) == f == phi(x)
+    assert germ_equal(x, f) and germ_equal(f, x)
+    assert not germ_equal(x, mero_scale(2, f))
+    assert evaluate(x, [1, 2]) == F(1, 3)
+    with pytest.raises(PoleHit):
+        evaluate(x, [0, 1])
+    rng = random.Random(54)
+    for k, g in round_trip_corpus()[:25]:
+        sp = random_space(rng, k)
+        y = laurent_expand(sp, g)
+        assert as_mero(y) == g and germ_equal(y, g)
+        pt = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(k)]
+        if all(vec_dot(v, vec(pt)) != 0 for v, _ in g.den):
+            assert evaluate(y, pt) == evaluate(g, pt)
+
+
 # ---------------------------------------------------------------------------
 # exact sums: the nbc rewrite against independent references
 
