@@ -8,13 +8,12 @@ is done by straightforward subset enumeration over the constraints — robust,
 exact, and fast enough at desk-scale dimensions.  Nothing here limits the
 dimension; the command-line tool caps it (``--dim-cap``).
 
-The arithmetic is integer.  Facet normals and rays are primitive integer
-vectors, converted to tuples of ints once, where they enter (half-space
-representations, extreme rays, the generators of a cone being sliced), so
-every incidence and sign test is an int dot product and every rank test runs
-on integer rows.  Public results carry Fractions again.  A cone built
-directly with non-integral generators keeps them as they are; the same tests
-then run on Fractions.
+The arithmetic is integer.  Generators, rays and facet normals are
+primitive integer vectors, stored as tuples of ints (see
+``exact.primitive_vector``), so every incidence and sign test is an int dot
+product and every rank test runs on integer rows.  A cone built directly
+with non-integral generators keeps them as Fractions; the same tests then
+run on Fractions.
 
 The refinement algorithm makes a family of cones "properly positioned"
 (pairwise intersections are common faces and the union contains no line):
@@ -29,7 +28,6 @@ consistently to faces, so the output is properly positioned by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import mul
 from typing import Iterable, Sequence
@@ -50,7 +48,6 @@ from .exact import (
     mat_rank,
     max_minor_abs_sum,
     nullspace,
-    primitive_ints,
     primitive_vector,
     solve,
     vec,
@@ -124,7 +121,7 @@ class ConeFamily:
 def make_simplicial_cone(generators: Iterable[Sequence]) -> SimplicialCone:
     gens = []
     for g in generators:
-        v = tuple(Fraction(c) for c in g)
+        v = vec(g)
         if vec_is_zero(v):
             raise NotSimplicial("zero vector cannot generate a cone")
         gens.append(primitive_vector(v))
@@ -136,7 +133,7 @@ def make_simplicial_cone(generators: Iterable[Sequence]) -> SimplicialCone:
 
 def make_poly_cone(rays: Iterable[Sequence]) -> PolyCone:
     """Pointed cone from (possibly redundant) generating rays."""
-    raw = [primitive_vector(tuple(Fraction(c) for c in r)) for r in rays]
+    raw = [primitive_vector(vec(r)) for r in rays]
     raw = [r for r in raw if not vec_is_zero(r)]
     if not raw:
         raise ValueError("a cone needs at least one nonzero ray")
@@ -148,13 +145,12 @@ def make_poly_cone(rays: Iterable[Sequence]) -> PolyCone:
     extreme = _extreme_rays(k, eqs, ineqs)
     if not extreme:
         raise NotStrictlyConvexUnion("rays do not span a pointed cone")
-    return PolyCone(tuple(vec(r) for r in extreme))
+    return PolyCone(tuple(extreme))
 
 
 def cone_contains(cone: SimplicialCone, x: Sequence) -> bool:
     """Exact membership in a simplicial cone."""
-    v = tuple(Fraction(c) for c in x)
-    coords = _simplicial_coords(cone, v)
+    coords = _simplicial_coords(cone, vec(x))
     return coords is not None and all(c >= 0 for c in coords)
 
 
@@ -170,12 +166,6 @@ def _simplicial_coords(cone: SimplicialCone, v: Vec) -> Vec | None:
     return coords if recon == v else None
 
 
-# ---------------------------------------------------------------------------
-# integer vectors
-
-IntVec = tuple[int, ...]
-
-
 def _dot(u, v):
     """Plain dot product; an int, with no Fraction arithmetic, on int rows."""
     return sum(map(mul, u, v))
@@ -185,23 +175,11 @@ def _neg(v):
     return tuple(-a for a in v)
 
 
-def _as_ints(v: Vec):
-    """An integral vector as a tuple of ints; any other vector unchanged.
-
-    Every vector the library makes is integral.  A non-integral generator of
-    a directly built cone keeps its exact value, since the rays of a slice
-    are part of the output.
-    """
-    if all(a.denominator == 1 for a in v):
-        return tuple(a.numerator for a in v)
-    return v
-
-
 # ---------------------------------------------------------------------------
 # half-space representations and extreme rays
 
 def _simplicial_hrep(cone: SimplicialCone
-                     ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+                     ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """(equalities, inequalities) cutting out the cone exactly, as primitive
     integer normals."""
     k = cone.ambient
@@ -209,21 +187,21 @@ def _simplicial_hrep(cone: SimplicialCone
     comp = nullspace(tuple(cone.generators))  # annihilator of the span
     m = mat_from_columns(list(cone.generators) + comp)
     rows = mat_inverse(m)
-    ineqs = tuple(primitive_ints(rows[i]) for i in range(n))
-    eqs = tuple(primitive_ints(rows[i]) for i in range(n, k))
+    ineqs = tuple(primitive_vector(rows[i]) for i in range(n))
+    eqs = tuple(primitive_vector(rows[i]) for i in range(n, k))
     return eqs, ineqs
 
 
 def _hrep_from_rays(k: int, rays: Sequence
-                    ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
+                    ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
     """H-representation of the pointed cone generated by the rays."""
-    span_ann = tuple(_as_ints(v) for v in nullspace(tuple(rays)))
+    span_ann = tuple(nullspace(tuple(rays)))
     # facet normals = extreme rays of the dual cone within the span
     normals = _extreme_rays(k, span_ann, tuple(rays))
     return span_ann, tuple(normals)
 
 
-def _extreme_rays(k: int, eqs: Sequence, ineqs: Sequence) -> list[IntVec]:
+def _extreme_rays(k: int, eqs: Sequence, ineqs: Sequence) -> list[Vec]:
     """Extreme rays of { x : eqs x = 0, ineqs x >= 0 }, primitive and sorted.
 
     Works for pointed cones; if the set contains a line, representatives of
@@ -231,18 +209,18 @@ def _extreme_rays(k: int, eqs: Sequence, ineqs: Sequence) -> list[IntVec]:
     ray is the kernel of a rank-(k-1) subsystem of active constraints, so
     enumerating constraint subsets finds them all.
     """
-    eqs = tuple(dict.fromkeys(primitive_ints(e) for e in eqs if not vec_is_zero(e)))
-    ineqs = tuple(dict.fromkeys(primitive_ints(c) for c in ineqs if not vec_is_zero(c)))
+    eqs = tuple(dict.fromkeys(primitive_vector(e) for e in eqs if not vec_is_zero(e)))
+    ineqs = tuple(dict.fromkeys(primitive_vector(c) for c in ineqs if not vec_is_zero(c)))
     need = k - 1 - mat_rank(eqs)
     if need < 0:
         return []
-    found: set[IntVec] = set()
+    found: set[Vec] = set()
     for subset in combinations(ineqs, need):
         stack = eqs + subset
         if mat_rank(stack) != k - 1:
             continue
         # the kernel of a rank-(k-1) system is one primitive line
-        v = _as_ints(nullspace(stack)[0]) if stack else (1,)
+        v = nullspace(stack)[0] if stack else (1,)
         for w in (v, _neg(v)):
             if all(_dot(c, w) >= 0 for c in ineqs):
                 found.add(w)
@@ -261,7 +239,7 @@ def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone) -> bool:
     if not rays:
         return True  # they meet only at the origin, the trivial common face
     for cone in (c1, c2):
-        gens = [_as_ints(g) for g in cone.generators]
+        gens = cone.generators
         inside = {g for g in gens
                   if all(_dot(e, g) == 0 for e in (e1 + e2))
                   and all(_dot(c, g) >= 0 for c in (i1 + i2))}
@@ -334,19 +312,19 @@ def is_properly_positioned(cones: Sequence[SimplicialCone]) -> bool:
 class _Piece:
     """A pointed cone tracked in both representations during slicing.
 
-    Normals are primitive int vectors; rays are int vectors, except the
-    non-integral generators of a directly built cone (see ``_as_ints``).
+    Normals are primitive int vectors.  Rays are int vectors too, except the
+    non-integral generators of a directly built cone, which stay Fractions.
     """
 
-    eqs: tuple[IntVec, ...]
-    ineqs: tuple[IntVec, ...]
-    rays: tuple[tuple, ...]
+    eqs: tuple[Vec, ...]
+    ineqs: tuple[Vec, ...]
+    rays: tuple[Vec, ...]
     dim: int
 
 
 def _prune_ineqs(piece: _Piece) -> _Piece:
     """Keep one copy per facet: constraints tight on a rank-(dim-1) ray set."""
-    seen: dict[frozenset, IntVec] = {}
+    seen: dict[frozenset, Vec] = {}
     for c in piece.ineqs:
         tight = [r for r in piece.rays if _dot(c, r) == 0]
         if mat_rank(tuple(tight)) != piece.dim - 1:
@@ -356,7 +334,7 @@ def _prune_ineqs(piece: _Piece) -> _Piece:
     return _Piece(piece.eqs, tuple(seen.values()), piece.rays, piece.dim)
 
 
-def _split_piece(piece: _Piece, w: IntVec) -> list[_Piece]:
+def _split_piece(piece: _Piece, w: Vec) -> list[_Piece]:
     """Slice by the hyperplane w=0; keep full-dimensional closed halves."""
     vals = [_dot(w, r) for r in piece.rays]
     if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
@@ -364,7 +342,7 @@ def _split_piece(piece: _Piece, w: IntVec) -> list[_Piece]:
     plus = [(r, v) for r, v in zip(piece.rays, vals) if v > 0]
     zero = [r for r, v in zip(piece.rays, vals) if v == 0]
     minus = [(r, v) for r, v in zip(piece.rays, vals) if v < 0]
-    fresh = [primitive_ints([vp * a - vm * b for a, b in zip(rm, rp)])
+    fresh = [primitive_vector([vp * a - vm * b for a, b in zip(rm, rp)])
              for rp, vp in plus for rm, vm in minus]
     halves = []
     for side, normal in ((plus, w), (minus, _neg(w))):
@@ -426,11 +404,10 @@ def triangulate_cone(cone: SimplicialCone | PolyCone,
     """
     if isinstance(cone, SimplicialCone):
         return [cone]
-    rays = tuple(sorted(_as_ints(r) for r in cone.rays))
+    rays = tuple(sorted(cone.rays))
     eqs, ineqs = _hrep_from_rays(cone.ambient, rays)
     piece = _prune_ineqs(_Piece(eqs, ineqs, rays, mat_rank(rays)))
-    return [SimplicialCone(tuple(vec(r) for r in s))
-            for s in _pull_triangulate(piece, reverse_order)]
+    return [SimplicialCone(s) for s in _pull_triangulate(piece, reverse_order)]
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +437,7 @@ def common_refinement(
     collected: list[SimplicialCone] = []
     index_sets: list[list[int]] = []
     for cone, (eqs, ineqs) in zip(cones, hreps):
-        rays = tuple(_as_ints(g) for g in cone.generators)
-        pieces = [_prune_ineqs(_Piece(eqs, ineqs, rays, cone.dim))]
+        pieces = [_prune_ineqs(_Piece(eqs, ineqs, cone.generators, cone.dim))]
         for w in hyperplanes:
             pieces = [half for p in pieces for half in _split_piece(p, w)]
         mine = set()
@@ -469,14 +445,13 @@ def common_refinement(
             for simplex in _pull_triangulate(p):
                 if simplex not in piece_index:
                     piece_index[simplex] = len(collected)
-                    collected.append(
-                        SimplicialCone(tuple(vec(r) for r in simplex)))
+                    collected.append(SimplicialCone(simplex))
                 mine.add(piece_index[simplex])
         index_sets.append(sorted(mine))
     return collected, index_sets
 
 
-def _sign_canonical(w: IntVec) -> IntVec:
+def _sign_canonical(w: Vec) -> Vec:
     """The pseudo-positive one of the primitive normals w and -w."""
     return w if is_pseudo_positive(w) else _neg(w)
 
@@ -521,7 +496,7 @@ def is_subdivision(pieces: Sequence[SimplicialCone],
         _, ineqs = _simplicial_hrep(p)
         for w in ineqs:
             hyper.add(_sign_canonical(w))
-    t_rays = tuple(sorted(_as_ints(r) for r in t_rays))
+    t_rays = tuple(sorted(t_rays))
     cells = [_prune_ineqs(_Piece(t_eqs, t_ineqs, t_rays, t_dim))]
     for w in sorted(hyper):
         cells = [half for c in cells for half in _split_piece(c, w)]

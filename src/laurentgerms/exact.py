@@ -1,10 +1,15 @@
 """Exact rational linear algebra and sparse multivariate polynomials.
 
 Everything is exact over the rationals, so equality tests are decisive and
-nothing is ever rounded.  Vectors are tuples of :class:`fractions.Fraction`
-and matrices are tuples of row tuples.  Elimination (``rref``, ``mat_rank``,
-``det``) runs on Python ints: rows are scaled to integers and reduced
-fraction-free (Bareiss 1968); only results become Fractions.
+nothing is ever rounded.  Vectors are tuples and matrices are tuples of row
+tuples.  An integral vector (a pole form, a cone generator or ray, a facet
+normal, a kernel or lattice basis vector) is a tuple of Python ints, made by
+:func:`primitive_vector` or built from ints; rational input stays
+:class:`fractions.Fraction`.  Ints and equal Fractions compare, hash and
+print the same, and every routine here accepts either.  Elimination
+(``rref``, ``mat_rank``, ``det``) runs on Python ints: rows are scaled to
+integers and reduced fraction-free (Bareiss 1968); only results become
+Fractions.
 
 A :class:`Polynomial` is stored the same way: int numerators keyed by
 exponent tuples over one positive int denominator, reduced so that the form
@@ -27,7 +32,7 @@ from typing import Iterable, Sequence
 
 from .errors import DependentInput, RankDeficient
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int | Fraction, ...]
 Mat = tuple[Vec, ...]
 
 ZERO = Fraction(0)
@@ -43,8 +48,8 @@ def vec(coords: Iterable) -> Vec:
     return tuple(frac(c) for c in coords)
 
 
-def unit_vec(k: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(k))
+def unit_vec(k: int, i: int) -> tuple[int, ...]:
+    return tuple(int(j == i) for j in range(k))
 
 
 def zero_vec(k: int) -> Vec:
@@ -69,21 +74,16 @@ def vec_is_zero(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
-def primitive_vector(v: Vec) -> Vec:
+def primitive_vector(v: Vec) -> tuple[int, ...]:
     """Scale ``v`` by a *positive* rational so entries are coprime integers.
 
-    The ray direction is preserved; the zero vector is returned unchanged.
+    The result is a tuple of Python ints, the one form in which the library
+    stores an integral vector.  The ray direction is preserved; the zero
+    vector becomes a tuple of int zeros.
     """
-    if vec_is_zero(v):
-        return v
-    return tuple(Fraction(n) for n in primitive_ints(v))
-
-
-def primitive_ints(v) -> tuple[int, ...]:
-    """:func:`primitive_vector` of a nonzero vector, as Python ints."""
     ints, _ = _scaled_row(v)
     g = gcd(*ints)
-    return tuple(n // g for n in ints)
+    return tuple(n // g for n in ints) if g > 1 else tuple(ints)
 
 
 def _scaled_row(row) -> tuple[list[int], int]:
@@ -121,9 +121,9 @@ def primitive_pseudo_positive(v: Vec) -> tuple[Fraction, Vec]:
     w = primitive_vector(v)
     # v = c*w with c > 0; flip if w is not pseudo-positive.
     if not is_pseudo_positive(w):
-        w = vec_scale(-1, w)
+        w = tuple(-a for a in w)
     i = next(j for j, a in enumerate(w) if a != 0)
-    return v[i] / w[i], w
+    return Fraction(v[i], w[i]), w
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +707,7 @@ class Polynomial:
         """
         if vec_is_zero(form):
             raise ZeroDivisionError("division by the zero form")
-        ell = primitive_ints(form)
+        ell = primitive_vector(form)
         j = max(i for i, c in enumerate(ell) if c)
         a = ell[j]
         fj = frac(form[j])

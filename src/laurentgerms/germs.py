@@ -35,7 +35,6 @@ from .exact import (
     mat_rank,
     mat_transpose,
     nullspace,
-    primitive_ints,
     primitive_pseudo_positive,
     q_orthogonal_complement,
     rref,
@@ -124,9 +123,9 @@ def _nonzero_on_hyperplane(num: Polynomial, v: Vec) -> bool:
     x_i = a (i + 2) for i != j and x_j = -sum_(i != j) v_i (i + 2).
     """
     j = max(i for i, c in enumerate(v) if c)
-    a = v[j].numerator
+    a = v[j]
     point = [a * (i + 2) for i in range(len(v))]
-    point[j] = -sum(c.numerator * (i + 2) for i, c in enumerate(v) if i != j)
+    point[j] = -sum(c * (i + 2) for i, c in enumerate(v) if i != j)
     return num.numerator_at(point) != 0
 
 
@@ -137,15 +136,19 @@ def _den_poly(nvars: int, den: Factors) -> Polynomial:
     return p
 
 
-def mero_add(f: MeromorphicGerm, g: MeromorphicGerm) -> MeromorphicGerm:
-    lcm: dict[Vec, int] = dict(f.den)
-    for v, e in g.den:
-        lcm[v] = max(lcm.get(v, 0), e)
-    f_den, g_den = dict(f.den), dict(g.den)
-    fd = tuple((v, lcm[v] - f_den.get(v, 0)) for v in lcm)
-    gd = tuple((v, lcm[v] - g_den.get(v, 0)) for v in lcm)
-    num = (f.numerator * _den_poly(f.nvars, tuple((v, e) for v, e in fd if e))
-           + g.numerator * _den_poly(g.nvars, tuple((v, e) for v, e in gd if e)))
+def mero_add(*germs: MeromorphicGerm) -> MeromorphicGerm:
+    """The sum of one or more germs: their numerators are brought over the
+    least common denominator, added, and the sum is reduced once."""
+    lcm: dict[Vec, int] = {}
+    for g in germs:
+        for v, e in g.den:
+            lcm[v] = max(lcm.get(v, 0), e)
+    num = Polynomial.zero(germs[0].nvars)
+    for g in germs:
+        own = dict(g.den)
+        cofactor = tuple((v, e - own.get(v, 0)) for v, e in lcm.items()
+                         if e > own.get(v, 0))
+        num = num + g.numerator * _den_poly(g.nvars, cofactor)
     return make_mero(num, tuple(lcm.items()))
 
 
@@ -164,11 +167,11 @@ def fraction_sum(fractions: Iterable[tuple[Polynomial, Factors]],
     Vergne, Ann. Sci. ENS 32, 1999; Terao, J. Algebra 250, 2002), so the
     many pieces of a subdivision collapse onto a few shared denominators,
     where they cancel as plain polynomial sums.  The survivors are then
-    reduced and added pairwise as a balanced tree, in denominator order.
-    When the forms present are independent every pole set is already nbc
-    and the rewrite is skipped; when it leaves more fractions than it was
-    given (a few unrelated fractions over many dependent forms), those are
-    summed as given.  The factors must be canonical (primitive
+    added by one ``mero_add`` over their least common denominator, which
+    reduces the sum once.  When the forms present are independent every
+    pole set is already nbc and the rewrite is skipped; when it leaves more
+    fractions than it was given (a few unrelated fractions over many
+    dependent forms), those are summed as given.  The factors must be canonical (primitive
     pseudo-positive forms, each once, sorted, positive exponents), as every
     germ type stores them; ``exprio.deserialize`` canonicalizes the factors
     it reads.  A reduced germ is unique, so the result does not depend on
@@ -183,17 +186,9 @@ def fraction_sum(fractions: Iterable[tuple[Polynomial, Factors]],
         rewritten = _nbc_rewrite(merged, arrangement)
         if len(rewritten) < len(merged):
             merged = rewritten
-    terms = [make_mero(num, den) for den, num in sorted(merged.items())]
-    if not terms:
+    if not merged:
         return make_mero(Polynomial.zero(nvars))
-    return _tree_sum(terms)
-
-
-def _tree_sum(terms: list[MeromorphicGerm]) -> MeromorphicGerm:
-    while len(terms) > 1:
-        pairs = [mero_add(a, b) for a, b in zip(terms[::2], terms[1::2])]
-        terms = pairs + terms[2 * len(pairs):]
-    return terms[0]
+    return mero_add(*(MeromorphicGerm(num, den) for den, num in merged.items()))
 
 
 def _nbc_rewrite(fractions: dict[Factors, Polynomial],
@@ -210,7 +205,6 @@ def _nbc_rewrite(fractions: dict[Factors, Polynomial],
     """
     n = len(arrangement)
     index = {v: i for i, v in enumerate(arrangement)}
-    ints = [primitive_ints(v) for v in arrangement]
     steps: dict[tuple[int, ...], tuple[int, list[tuple[int, Fraction]]] | None] = {}
 
     def nbc_step(forms: tuple[int, ...]):
@@ -224,11 +218,11 @@ def _nbc_rewrite(fractions: dict[Factors, Polynomial],
             if not candidates:
                 continue
             vectors = [arrangement[m] for m in members]
-            normals = [primitive_ints(w) for w in nullspace(tuple(vectors))]
+            normals = nullspace(tuple(vectors))
             for l0 in candidates:
-                x = ints[l0]
+                x = arrangement[l0]
                 if all(sum(a * b for a, b in zip(x, w)) == 0 for w in normals):
-                    red, pivots = rref(mat_from_columns(vectors + [arrangement[l0]]))
+                    red, pivots = rref(mat_from_columns(vectors + [x]))
                     col = len(members)
                     return l0, [(members[p], red[r][col])
                                 for r, p in enumerate(pivots) if red[r][col]]

@@ -41,6 +41,7 @@ from .exact import (
     nullspace,
     primitive_vector,
     solve,
+    unit_vec,
     vec,
     vec_dot,
 )
@@ -114,20 +115,14 @@ class LatticeCone:
 
 
 def _integer_kernel(rows: Sequence[Vec], k: int) -> list[Vec]:
-    """Basis of the lattice { x in Z^k : rows . x = 0 } (saturated).
+    """Basis of the lattice { x in Z^k : rows . x = 0 } (saturated), for
+    integer rows.
 
     Unimodular column elimination: reduce the matrix to column echelon form
     while tracking the operations on an identity matrix; the tracked columns
     over the zeroed-out part are exactly a kernel lattice basis.
     """
-    if not rows:
-        return [tuple(ONE if j == i else ZERO for j in range(k))
-                for i in range(k)]
-    ints = []
-    for r in rows:
-        p = primitive_vector(r)
-        ints.append([int(c) for c in p])
-    a = [[row[j] for j in range(k)] for row in ints]
+    a = [list(r) for r in rows]
     u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     start = 0
 
@@ -154,8 +149,7 @@ def _integer_kernel(rows: Sequence[Vec], k: int) -> list[Vec]:
         if nz:
             colswap(start, nz[0])
             start += 1
-    return [tuple(Fraction(u[i][j]) for i in range(k))
-            for j in range(start, k)]
+    return [tuple(u[i][j] for i in range(k)) for j in range(start, k)]
 
 
 def _lattice_coords(basis: Sequence[Vec], v: Vec) -> Vec:
@@ -169,10 +163,10 @@ def _lattice_coords(basis: Sequence[Vec], v: Vec) -> Vec:
     return coords
 
 
-def _from_coords(basis: Sequence[Vec], coords: Sequence[Fraction]) -> Vec:
-    k = len(basis[0])
-    return tuple(sum((c * b[i] for c, b in zip(coords, basis)), ZERO)
-                 for i in range(k))
+def _from_coords(basis: Sequence[Vec], coords: Sequence[int]) -> Vec:
+    """The lattice vector with integer ``coords`` in ``basis``."""
+    return tuple(sum(c * b[i] for c, b in zip(coords, basis))
+                 for i in range(len(basis[0])))
 
 
 def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
@@ -194,16 +188,15 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
     k = cone.ambient
     d = mat_rank(rays)
     if lattice_basis is None:
-        if d == k:
-            basis = [tuple(ONE if j == i else ZERO for j in range(k))
-                     for i in range(k)]
-        else:
-            basis = _integer_kernel(nullspace(rays), k)
+        basis = ([unit_vec(k, i) for i in range(k)] if d == k
+                 else _integer_kernel(nullspace(rays), k))
     else:
-        basis = [vec(b) for b in lattice_basis]
-        for b in basis:
+        basis = []
+        for b in lattice_basis:
+            b = vec(b)
             if any(c.denominator != 1 for c in b):
                 raise ValueError("lattice basis vectors must be integer")
+            basis.append(tuple(c.numerator for c in b))
     if mat_rank(tuple(basis)) != len(basis) or len(basis) != d:
         raise ValueError("lattice basis must be independent and span lin(C)")
     if mat_rank(tuple(rays) + tuple(basis)) != d:
@@ -429,8 +422,8 @@ def smooth_subdivide_2d(lc: LatticeCone) -> list[LatticeCone]:
         chain.append((a * x1 - x0, a * y1 - y0))
     # (x, y) = ((q x - p y)/q) (1,0) + (y/q) (p,q), so it is the same
     # combination of u1 and u2 in the cone's own lattice coordinates
-    gens = [_from_coords(lc.lattice_basis, vec(
-        ((q * x - p * y) * c1 + y * c2) // q for c1, c2 in zip(u1, u2)))
+    gens = [_from_coords(lc.lattice_basis, [
+        ((q * x - p * y) * c1 + y * c2) // q for c1, c2 in zip(u1, u2)])
         for x, y in chain]
     return [LatticeCone(SimplicialCone(tuple(sorted(
         primitive_vector(g) for g in pair))), lc.lattice_basis)

@@ -50,9 +50,12 @@ def test_frac_accepts_strings_ints_fractions():
 
 
 def test_primitive_vector_clears_denominators_and_content():
-    assert primitive_vector(vec(["1/2", "3/2"])) == (F(1), F(3))
-    assert primitive_vector(vec([4, -6])) == (F(2), F(-3))
-    assert primitive_vector(vec([0, 0])) == (F(0), F(0))
+    cases = [(vec(["1/2", "3/2"]), (1, 3)), (vec([4, -6]), (2, -3)),
+             ((4, -6), (2, -3)), (vec([0, 0]), (0, 0))]
+    for v, expected in cases:
+        w = primitive_vector(v)
+        assert w == expected
+        assert all(type(c) is int for c in w)
 
 
 def test_vec_dot_matches_sum():

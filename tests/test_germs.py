@@ -12,6 +12,7 @@ from laurentgerms.exact import (
     Polynomial,
     is_pseudo_positive,
     mat_rank,
+    primitive_pseudo_positive,
     primitive_vector,
     vec,
     vec_dot,
@@ -98,6 +99,19 @@ def test_denominators_are_primitive_pseudo_positive():
             assert primitive_vector(v) == v
 
 
+def test_int_forms_beyond_float_precision_stay_exact():
+    # coefficients beyond 2^53: a float division anywhere in the
+    # normalization would round the scale pushed into the numerator
+    n = 10 ** 20 + 1
+    scale, form = primitive_pseudo_positive((n, 2 * n))
+    assert form == (1, 2)
+    assert type(scale) is Fraction and scale == n
+    assert (make_mero(const(2, 1), [((n, 2 * n), 1)])
+            == make_mero(const(2, F(1, n)), [((1, 2), 1)]))
+    scale, form = primitive_pseudo_positive((-n, 1 - n))
+    assert form == (n, n - 1) and scale == -1
+
+
 def test_zero_numerator_collapses():
     g = make_mero(Polynomial.zero(2), ((vec([1, 0]), 2),))
     assert g.is_zero() and g.den == ()
@@ -116,6 +130,8 @@ def test_mero_ring_laws():
         assert mero_add(f, g) == mero_add(g, f)
         assert mero_mul(f, g) == mero_mul(g, f)
         assert mero_add(mero_add(f, g), h) == mero_add(f, mero_add(g, h))
+        assert mero_add(f, g, h) == mero_add(mero_add(f, g), h)
+        assert mero_add(f) == f
         assert mero_mul(mero_mul(f, g), h) == mero_mul(f, mero_mul(g, h))
         assert (mero_mul(f, mero_add(g, h))
                 == mero_add(mero_mul(f, g), mero_mul(f, h)))
