@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import add
 from types import MappingProxyType
 from typing import Iterable, Sequence
@@ -191,14 +191,13 @@ def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices.
+def _reduced_rows(m: Mat) -> tuple[list[list[int]], list[int]]:
+    """The pivot rows of the RREF of ``m`` as gcd-reduced integer rows (each
+    a nonzero multiple of its reduced row) and the pivot columns.
 
-    The arithmetic is integer: each row is scaled by the lcm of its
-    denominators, :func:`_echelon` eliminates below the pivots, back
-    substitution clears above them with gcd-reduced integer rows, and only
-    the final entries become Fractions.  The RREF is unique, so this is the
-    same matrix exact rational Gauss-Jordan elimination gives.
+    Each row is scaled by the lcm of its denominators, :func:`_echelon`
+    eliminates below the pivots and back substitution clears above them,
+    reducing every updated row by the gcd of its entries.
     """
     rows = [_scaled_row(r)[0] for r in m]
     pivots, _ = _echelon(rows)
@@ -213,10 +212,21 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
                 row = [a * piv - f * b for a, b in zip(rows[i], top)]
                 g = gcd(*row)
                 rows[i] = [a // g for a in row]
-    ncols = len(rows[0]) if rows else 0
-    red = [tuple(Fraction(a, rows[r][c]) if a else ZERO for a in rows[r])
-           for r, c in enumerate(pivots)]
-    red += [(ZERO,) * ncols] * (len(rows) - len(pivots))
+    return rows[:len(pivots)], pivots
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices.
+
+    The arithmetic is integer (:func:`_reduced_rows`) and only the final
+    entries become Fractions.  The RREF is unique, so this is the same
+    matrix exact rational Gauss-Jordan elimination gives.
+    """
+    rows, pivots = _reduced_rows(m)
+    ncols = len(m[0]) if m else 0
+    red = [tuple(Fraction(a, row[c]) if a else ZERO for a in row)
+           for row, c in zip(rows, pivots)]
+    red += [(ZERO,) * ncols] * (len(m) - len(pivots))
     return tuple(red), tuple(pivots)
 
 
@@ -235,22 +245,28 @@ def span_key(vectors: Sequence[Sequence]) -> tuple[Vec, ...]:
     return tuple(red[i] for i in range(len(pivots)))
 
 
-def nullspace(m: Mat) -> list[Vec]:
-    """Canonical basis of { x : m x = 0 }, primitivized echelon vectors."""
+def nullspace(m: Mat) -> list[tuple[int, ...]]:
+    """Canonical basis of { x : m x = 0 }, primitivized echelon vectors.
+
+    For a free column f the vector has x_f = L, the lcm of the pivots of
+    the integer reduced rows, and x_p = -row[f] * L / row[p] at each pivot
+    p; dividing by the gcd gives the primitive vector of the same ray.
+    """
     if not m:
         return []
+    rows, pivots = _reduced_rows(m)
     ncols = len(m[0])
-    red, pivots = rref(m)
-    pivset = set(pivots)
+    big = lcm(*(row[c] for row, c in zip(rows, pivots)))
     basis = []
     for free in range(ncols):
-        if free in pivset:
+        if free in pivots:
             continue
-        x = [ZERO] * ncols
-        x[free] = ONE
-        for r, p in enumerate(pivots):
-            x[p] = -red[r][free]
-        basis.append(primitive_vector(tuple(x)))
+        x = [0] * ncols
+        x[free] = big
+        for row, c in zip(rows, pivots):
+            x[c] = -row[free] * (big // row[c])
+        g = gcd(*x)
+        basis.append(tuple(a // g for a in x))
     return basis
 
 
@@ -789,39 +805,103 @@ def poly_linear_substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polyn
 
 # ---------------------------------------------------------------------------
 # factoring a polynomial into linear forms (for denominators)
+#
+# The pole forms come from the rational roots of two-variable slices, found
+# by p-adic (Hensel) lifting of the roots modulo a small prime (von zur
+# Gathen & Gerhard, Modern Computer Algebra, ch. 15), in time polynomial in
+# the number of digits of the coefficients.
+
+def _poly_divmod(a: list[Fraction], b: list[Fraction]
+                 ) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of univariate polynomials, coefficient lists
+    from the constant term up; ``b`` has a nonzero leading coefficient."""
+    rem = list(a)
+    quo = [ZERO] * max(len(a) - len(b) + 1, 0)
+    lead = b[-1]
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + len(b) - 1] / lead
+        quo[i] = c
+        if c:
+            for j, bj in enumerate(b):
+                rem[i + j] -= c * bj
+    rem = rem[:len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def _squarefree_part(f: list[Fraction]) -> list[int]:
+    """``f / gcd(f, f')`` (Euclid over the rationals) as primitive ints."""
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    s = _poly_divmod(f, a)[0]
+    return list(primitive_vector(s))
+
+
+def _horner(s: Sequence[int], x: int, mod: int) -> int:
+    v = 0
+    for c in reversed(s):
+        v = (v * x + c) % mod
+    return v
+
+
+def _odd_primes():
+    p = 3
+    while True:
+        if all(p % q for q in range(3, isqrt(p) + 1, 2)):
+            yield p
+        p += 2
+
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of sum(coeffs[i] x^i), found by the rational root
-    theorem after clearing denominators.  Trailing zero coefficients (root 0)
-    must be stripped by the caller."""
+    """All rational roots of sum(coeffs[i] x^i), sorted, each once.
+
+    The root 0 is split off; the others are the roots of the squarefree part
+    s with primitive integer coefficients.  A root a/b in lowest terms has b
+    dividing lc = lc(s) and a dividing s(0), so lc*a/b is an integer of
+    absolute value at most |lc*s(0)|.  The prime p is the first odd prime
+    not dividing lc modulo which every root of s is simple; every prime
+    that divides neither lc nor the discriminant of s qualifies, so the
+    search ends.  Newton lifting takes each root mod p to a modulus
+    M = p^(2^j) > 2|lc*s(0)|, where the symmetric residue of lc*r is that
+    integer (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
+    Each candidate is kept only if s vanishes there exactly.
+    """
+    coeffs = [frac(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-    if len(coeffs) <= 1:
-        return []
-    denom = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    a0, an = ints[0], ints[-1]
-    if a0 == 0:
-        # factor out x and recurse
-        return sorted(set([ZERO] + _rational_roots([frac(c) for c in ints[1:]])))
-
-    def divisors(n: int) -> list[int]:
-        n = abs(n)
-        ds = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                ds.extend([d, n // d])
-            d += 1
-        return sorted(set(ds))
-
-    roots = []
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * cand ** i for i, c in enumerate(ints)) == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+        coeffs.pop()
+    zeros = 0
+    while zeros < len(coeffs) and coeffs[zeros] == 0:
+        zeros += 1
+    roots = [ZERO] if zeros else []
+    f = coeffs[zeros:]
+    if len(f) <= 1:
+        return roots
+    s = _squarefree_part(f)
+    if len(s) == 2:
+        return sorted(roots + [Fraction(-s[0], s[1])])
+    ds = [i * c for i, c in enumerate(s)][1:]
+    lc = s[-1]
+    for p in _odd_primes():
+        if lc % p == 0:
+            continue
+        modp = [r for r in range(p) if _horner(s, r, p) == 0]
+        if all(_horner(ds, r, p) for r in modp):
+            break
+    d = len(s) - 1
+    bound = 2 * abs(lc * s[0])
+    for r in modp:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(s, r, m) * pow(_horner(ds, r, m), -1, m)) % m
+        y = lc * r % m
+        if 2 * y > m:
+            y -= m
+        if not sum(c * y ** i * lc ** (d - i) for i, c in enumerate(s)):
+            roots.append(Fraction(y, lc))
+    return sorted(roots)
 
 
 def linear_factorization(

@@ -169,13 +169,14 @@ def fraction_sum(fractions: Iterable[tuple[Polynomial, Factors]],
     where they cancel as plain polynomial sums.  The survivors are then
     added by one ``mero_add`` over their least common denominator, which
     reduces the sum once.  When the forms present are independent every
-    pole set is already nbc and the rewrite is skipped; when it leaves more
-    fractions than it was given (a few unrelated fractions over many
-    dependent forms), those are summed as given.  The factors must be canonical (primitive
-    pseudo-positive forms, each once, sorted, positive exponents), as every
-    germ type stores them; ``exprio.deserialize`` canonicalizes the factors
-    it reads.  A reduced germ is unique, so the result does not depend on
-    the order of the summands.
+    pole set is already nbc and the rewrite is skipped.  When it would not
+    leave fewer fractions than it was given (a few unrelated fractions over
+    many dependent forms), it stops as soon as that is certain and the
+    fractions are summed as given.  The factors must be canonical
+    (primitive pseudo-positive forms, each once, sorted, positive
+    exponents), as every germ type stores them; ``exprio.deserialize``
+    canonicalizes the factors it reads.  A reduced germ is unique, so the
+    result does not depend on the order of the summands.
     """
     merged: dict[Factors, Polynomial] = {}
     for num, den in fractions:
@@ -183,17 +184,18 @@ def fraction_sum(fractions: Iterable[tuple[Polynomial, Factors]],
     merged = {den: num for den, num in merged.items() if not num.is_zero()}
     arrangement = sorted({v for den in merged for v, _ in den})
     if len(merged) > 1 and mat_rank(tuple(arrangement)) < len(arrangement):
-        rewritten = _nbc_rewrite(merged, arrangement)
-        if len(rewritten) < len(merged):
+        rewritten = _nbc_rewrite(merged, arrangement, len(merged))
+        if rewritten is not None:
             merged = rewritten
     if not merged:
         return make_mero(Polynomial.zero(nvars))
     return mero_add(*(MeromorphicGerm(num, den) for den, num in merged.items()))
 
 
-def _nbc_rewrite(fractions: dict[Factors, Polynomial],
-                 arrangement: list[Vec]) -> dict[Factors, Polynomial]:
-    """The same sum with every pole set nbc under the arrangement's order.
+def _nbc_rewrite(fractions: dict[Factors, Polynomial], arrangement: list[Vec],
+                 limit: int | None = None) -> dict[Factors, Polynomial] | None:
+    """The same sum with every pole set nbc under the arrangement's order,
+    or None as soon as it is certain to have ``limit`` fractions or more.
 
     A pole set S holds a broken circuit iff some form L0 of the arrangement
     lies in the span of the members of S greater than L0.  For the least
@@ -243,7 +245,9 @@ def _nbc_rewrite(fractions: dict[Factors, Polynomial],
     start = {tuple((index[v], e) for v, e in den): num
              for den, num in fractions.items()}
     out = _exchange_worklist(
-        start, lambda key: sum((n - i) * e for i, e in key), expand)
+        start, lambda key: sum((n - i) * e for i, e in key), expand, limit)
+    if out is None:
+        return None
     return {tuple((arrangement[i], e) for i, e in key): num
             for key, num in out.items()}
 
@@ -259,14 +263,18 @@ def _exchanged(key: tuple[tuple[K, int], ...], src: K,
     return tuple(sorted(child.items()))
 
 
-def _exchange_worklist(start: dict[K, V], potential, expand) -> dict[K, V]:
+def _exchange_worklist(start: dict[K, V], potential, expand,
+                       limit: int | None = None) -> dict[K, V] | None:
     """Expand denominators until none can be, merging equal ones first.
 
     ``expand(key, value)`` returns None when ``key`` is final, else the
     children ``(child_key, child_value)`` of ``value / key`` (none when the
     value is zero).  Every child must have a strictly larger ``potential``
     than its parent.  Taking the denominators lowest potential first then
-    expands each one once, after all of its contributions have arrived.
+    expands each one once, after all of its contributions have arrived, so
+    a final denominator is final in value too: nothing reaches it later to
+    cancel it.  The result therefore has ``limit`` entries or more as soon
+    as that many are final, and the worklist then stops and returns None.
     """
     pending = dict(start)
     queue = [(potential(key), key) for key in pending]
@@ -278,6 +286,8 @@ def _exchange_worklist(start: dict[K, V], potential, expand) -> dict[K, V]:
         children = expand(key, value)
         if children is None:
             out[key] = value
+            if len(out) == limit:
+                return None
             continue
         for child, v in children:
             if child in pending:

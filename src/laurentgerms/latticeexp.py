@@ -153,6 +153,14 @@ def _integer_kernel(rows: Sequence[Vec], k: int) -> list[Vec]:
 
 
 def _lattice_coords(basis: Sequence[Vec], v: Vec) -> Vec:
+    """Coordinates of ``v`` in ``basis``; ValueError outside its span.
+
+    On the standard basis of the whole space they are ``v`` itself.
+    """
+    k = len(v)
+    if len(basis) == k and all(b == unit_vec(k, i)
+                               for i, b in enumerate(basis)):
+        return v
     coords = solve(mat_from_columns(list(basis)), v)
     if coords is None:
         raise ValueError("vector lies outside the lattice span")

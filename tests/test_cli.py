@@ -46,6 +46,14 @@ def test_decompose_splits_polar_and_polynomial_parts(capsys):
                              "factors": [{"form": ["1", "0"], "power": 1}]}]
 
 
+def test_decompose_of_a_pole_form_with_a_huge_coefficient(capsys):
+    # finding the form needs the rational roots of 1 + 10^40 t
+    got = run_json(capsys, "decompose", "1/(x1+10^40*x2)")
+    assert got["poly"] == "0"
+    assert got["polar"] == [{"numerator": "1", "factors": [
+        {"form": ["1", str(10 ** 40)], "power": 1}]}]
+
+
 def test_laurent_expansion_known_coefficients(capsys, tmp_path):
     def summarize(payload):
         return {(tuple(tuple(f["form"]) for f in t["factors"]),

@@ -9,6 +9,7 @@ import pytest
 from laurentgerms.exact import (
     AmbientSpace,
     Polynomial,
+    _rational_roots,
     det,
     frac,
     linear_factorization,
@@ -636,6 +637,105 @@ def test_linear_factorization_rejects_irreducible():
     y = Polynomial.variable(2, 1)
     assert linear_factorization(x * x + y * y) is None
     assert linear_factorization(x * y + Polynomial.constant(2, 1)) is None
+
+
+# ---------------------------------------------------------------------------
+# rational roots by p-adic lifting, against trial division and sympy
+
+def _trial_division_roots(coeffs):
+    """Reference: every p/q with p | a0 and q | an, divisors by trial
+    division, on the cleared integer coefficients."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    if len(coeffs) <= 1:
+        return []
+    d = math.lcm(*(F(c).denominator for c in coeffs))
+    ints = [int(F(c) * d) for c in coeffs]
+    if ints[0] == 0:
+        return sorted({F(0)} | set(_trial_division_roots(ints[1:])))
+
+    def divisors(n):
+        n = abs(n)
+        return {x for q in range(1, math.isqrt(n) + 1) if n % q == 0
+                for x in (q, n // q)}
+
+    n = len(ints) - 1
+    return sorted({F(a, b) for a0 in divisors(ints[0]) for a in (a0, -a0)
+                   for b in divisors(ints[-1])
+                   if sum(x * a ** i * b ** (n - i)
+                          for i, x in enumerate(ints)) == 0})
+
+
+def _poly_mul(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_root_polynomial(rng):
+    """Coefficients, constant term first: a rational scale times up to four
+    factors, each linear b*x + a (non-unit b, a = 0 included) or an
+    irreducible quadratic, some squared, sometimes with a zero leading
+    coefficient appended."""
+    p = [F(rng.choice([1, -1, 2, -3]), rng.choice([1, 2, 5]))]
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.7:
+            f = [F(rng.randint(-6, 6)), F(rng.choice([1, 2, 3, -4, 6]))]
+        else:
+            f = [F(c) for c in rng.choice(
+                [(1, 0, 1), (2, 0, -1), (1, 1, 1), (3, 1, 2)])]
+        p = _poly_mul(p, f)
+        if rng.random() < 0.25:
+            p = _poly_mul(p, f)
+    if rng.random() < 0.1:
+        p = p + [F(0)]
+    return p
+
+
+def test_rational_roots_match_trial_division():
+    rng = random.Random(61)
+    nonunit = 0
+    for _ in range(1200):
+        p = _random_root_polynomial(rng)
+        roots = _rational_roots(list(p))
+        assert roots == _trial_division_roots(p)
+        nonunit += any(r.denominator > 1 for r in roots)
+    assert nonunit > 100
+
+
+def test_rational_roots_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(62)
+    for _ in range(200):
+        p = _random_root_polynomial(rng)
+        while p and p[-1] == 0:
+            p.pop()
+        if len(p) <= 1:
+            continue
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                   for i, c in enumerate(p))
+        expected = sorted(F(int(r.p), int(r.q))
+                          for r in sympy.Poly(expr, x).ground_roots())
+        assert _rational_roots(p) == expected
+
+
+def test_rational_roots_of_huge_coefficients():
+    # (10^40 x + 7)(3x - 10^20)^2 (x^2 + 1): trial division would need
+    # about 10^20 steps for the constant term
+    p = _poly_mul(_poly_mul([F(7), F(10 ** 40)], [F(-10 ** 20), F(3)]),
+                  _poly_mul([F(-10 ** 20), F(3)], [F(1), F(0), F(1)]))
+    assert _rational_roots(p) == [F(-7, 10 ** 40), F(10 ** 20, 3)]
+
+
+def test_linear_factorization_of_forms_with_huge_coefficients():
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    p = (x + y.scale(10 ** 40 + 7)) * (x.scale(3) - y.scale(10 ** 20)) * y
+    assert linear_factorization(p) == (
+        -1, [((-3, 10 ** 20), 1), ((0, 1), 1), ((1, 10 ** 40 + 7), 1)])
 
 
 def test_to_string_known_forms():

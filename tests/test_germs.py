@@ -568,6 +568,38 @@ def test_nbc_rewrite_keeps_the_sum_and_leaves_only_nbc_pole_sets():
     assert rewrites > 60
 
 
+def test_nbc_rewrite_stops_once_it_cannot_shrink_the_sum():
+    # a final denominator is never reached again, so once ``limit`` of them
+    # are out the rewrite cannot end with fewer fractions; expansions
+    # shrink, sums of unrelated germs do not
+    rng = random.Random(53)
+    sums = [laurent_expand(AmbientSpace.standard(k), g).fractions()[1:]
+            for k, g in round_trip_corpus()]
+    for _ in range(60):
+        k = rng.randint(2, 3)
+        sums.append([(g.numerator, g.den) for g in (
+            random_germ(rng, k, max_forms=4, degree=1)
+            for _ in range(rng.randint(2, 6)))])
+    stopped = shrunk = 0
+    for pairs in sums:
+        merged = {}
+        for num, den in pairs:
+            merged[den] = merged[den] + num if den in merged else num
+        merged = {d: n for d, n in merged.items() if not n.is_zero()}
+        arrangement = sorted({v for den in merged for v, _ in den})
+        if len(merged) < 2 or mat_rank(arrangement) == len(arrangement):
+            continue
+        full = _nbc_rewrite(merged, arrangement)
+        got = _nbc_rewrite(merged, arrangement, len(merged))
+        if len(full) < len(merged):
+            assert got == full
+            shrunk += 1
+        else:
+            assert got is None
+            stopped += 1
+    assert stopped > 15 and shrunk > 15
+
+
 def test_mero_sum_is_structurally_the_left_fold_on_random_dependent_sums():
     rng = random.Random(52)
     for _ in range(50):

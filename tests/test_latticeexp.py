@@ -30,6 +30,7 @@ from laurentgerms.germs import (
 )
 from laurentgerms.latticeexp import (
     LatticeCone,
+    _lattice_coords,
     bernoulli_tail_coeffs,
     evaluate_truncated,
     exp_integral,
@@ -91,6 +92,19 @@ def test_make_lattice_cone_validates_basis():
     with pytest.raises(ValueError):
         make_lattice_cone([(1, 0), (0, 1)],
                           lattice_basis=[(2, 0), (0, 1)])
+
+
+def test_lattice_coords_on_the_standard_lattice_are_the_vector():
+    std = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    v = (3, F(1, 2), -4)
+    assert _lattice_coords(std, v) is v
+    assert _lattice_coords([(1, 1), (1, -1)], (3, 1)) == (2, 1)
+    assert _lattice_coords([(0, 1), (1, 0)], (3, 1)) == (1, 3)
+    with pytest.raises(ValueError):
+        _lattice_coords([(1, 0, 0), (0, 1, 0)], (0, 0, 1))
+    # a raw generator off the standard lattice is still refused
+    with pytest.raises(ValueError, match="not a lattice vector"):
+        make_lattice_cone([(F(1, 2), 0), (0, 1)])
 
 
 def test_is_smooth_depends_on_the_lattice():
