@@ -10,10 +10,10 @@ dimension; the command-line tool caps it (``--dim-cap``).
 
 The arithmetic is integer.  Generators, rays and facet normals are
 primitive integer vectors, stored as tuples of ints (see
-``exact.primitive_vector``), so every incidence and sign test is an int dot
-product and every rank test runs on integer rows.  A cone built directly
-with non-integral generators keeps them as Fractions; the same tests then
-run on Fractions.
+``exact.primitive_vector``), so every incidence and sign test is an
+``exact.vec_dot`` of int rows, itself an int, and every rank test runs on
+integer rows.  A cone built directly with non-integral generators keeps
+them as Fractions; the same tests then run on Fractions.
 
 The refinement algorithm makes a family of cones "properly positioned"
 (pairwise intersections are common faces and the union contains no line):
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -39,7 +38,6 @@ from .errors import (
 )
 from .exact import (
     ONE,
-    ZERO,
     Polynomial,
     Vec,
     is_pseudo_positive,
@@ -51,6 +49,7 @@ from .exact import (
     primitive_vector,
     solve,
     vec,
+    vec_dot,
     vec_is_zero,
 )
 from .germs import GermSum, PolarGerm, canonicalize_polar, make_germ_sum
@@ -156,19 +155,7 @@ def cone_contains(cone: SimplicialCone, x: Sequence) -> bool:
 
 def _simplicial_coords(cone: SimplicialCone, v: Vec) -> Vec | None:
     """Coordinates of v in the generator basis, or None if v is off-span."""
-    m = mat_from_columns(list(cone.generators))
-    coords = solve(m, v)
-    if coords is None:
-        return None
-    # solve() only guarantees consistency of pivot rows; verify exactly
-    recon = tuple(sum((coords[j] * g[i] for j, g in enumerate(cone.generators)),
-                      ZERO) for i in range(len(v)))
-    return coords if recon == v else None
-
-
-def _dot(u, v):
-    """Plain dot product; an int, with no Fraction arithmetic, on int rows."""
-    return sum(map(mul, u, v))
+    return solve(mat_from_columns(list(cone.generators)), v)
 
 
 def _neg(v):
@@ -222,7 +209,7 @@ def _extreme_rays(k: int, eqs: Sequence, ineqs: Sequence) -> list[Vec]:
         # the kernel of a rank-(k-1) system is one primitive line
         v = nullspace(stack)[0] if stack else (1,)
         for w in (v, _neg(v)):
-            if all(_dot(c, w) >= 0 for c in ineqs):
+            if all(vec_dot(c, w) >= 0 for c in ineqs):
                 found.add(w)
     return sorted(found)
 
@@ -241,8 +228,8 @@ def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone) -> bool:
     for cone in (c1, c2):
         gens = cone.generators
         inside = {g for g in gens
-                  if all(_dot(e, g) == 0 for e in (e1 + e2))
-                  and all(_dot(c, g) >= 0 for c in (i1 + i2))}
+                  if all(vec_dot(e, g) == 0 for e in (e1 + e2))
+                  and all(vec_dot(c, g) >= 0 for c in (i1 + i2))}
         for r in rays:
             coords = _simplicial_coords(cone, r)
             if coords is None:
@@ -326,7 +313,7 @@ def _prune_ineqs(piece: _Piece) -> _Piece:
     """Keep one copy per facet: constraints tight on a rank-(dim-1) ray set."""
     seen: dict[frozenset, Vec] = {}
     for c in piece.ineqs:
-        tight = [r for r in piece.rays if _dot(c, r) == 0]
+        tight = [r for r in piece.rays if vec_dot(c, r) == 0]
         if mat_rank(tuple(tight)) != piece.dim - 1:
             continue
         key = frozenset(tight)
@@ -336,7 +323,7 @@ def _prune_ineqs(piece: _Piece) -> _Piece:
 
 def _split_piece(piece: _Piece, w: Vec) -> list[_Piece]:
     """Slice by the hyperplane w=0; keep full-dimensional closed halves."""
-    vals = [_dot(w, r) for r in piece.rays]
+    vals = [vec_dot(w, r) for r in piece.rays]
     if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
         return [piece]
     plus = [(r, v) for r, v in zip(piece.rays, vals) if v > 0]
@@ -350,7 +337,7 @@ def _split_piece(piece: _Piece, w: Vec) -> list[_Piece]:
         candidates = dict.fromkeys([r for r, _ in side] + zero + fresh)
         kept = []
         for r in candidates:
-            active = piece.eqs + tuple(c for c in ineqs if _dot(c, r) == 0)
+            active = piece.eqs + tuple(c for c in ineqs if vec_dot(c, r) == 0)
             if mat_rank(active) == len(r) - 1:
                 kept.append(r)
         if mat_rank(tuple(kept)) == piece.dim:
@@ -362,7 +349,7 @@ def _split_piece(piece: _Piece, w: Vec) -> list[_Piece]:
 def _piece_facets(piece: _Piece) -> list[_Piece]:
     facets: dict[frozenset, _Piece] = {}
     for c in piece.ineqs:
-        tight = tuple(sorted(r for r in piece.rays if _dot(c, r) == 0))
+        tight = tuple(sorted(r for r in piece.rays if vec_dot(c, r) == 0))
         if mat_rank(tight) != piece.dim - 1:
             continue
         key = frozenset(tight)
@@ -481,8 +468,8 @@ def is_subdivision(pieces: Sequence[SimplicialCone],
         t_eqs, t_ineqs = _hrep_from_rays(k, target.rays)
         t_rays = target.rays
         t_dim = mat_rank(target.rays)
-        member = lambda x: (all(_dot(e, x) == 0 for e in t_eqs)
-                            and all(_dot(c, x) >= 0 for c in t_ineqs))
+        member = lambda x: (all(vec_dot(e, x) == 0 for e in t_eqs)
+                            and all(vec_dot(c, x) >= 0 for c in t_ineqs))
     if any(p.dim != t_dim for p in pieces):
         return False
     for p in pieces:

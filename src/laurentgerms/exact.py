@@ -6,10 +6,14 @@ tuples.  An integral vector (a pole form, a cone generator or ray, a facet
 normal, a kernel or lattice basis vector) is a tuple of Python ints, made by
 :func:`primitive_vector` or built from ints; rational input stays
 :class:`fractions.Fraction`.  Ints and equal Fractions compare, hash and
-print the same, and every routine here accepts either.  Elimination
-(``rref``, ``mat_rank``, ``det``) runs on Python ints: rows are scaled to
-integers and reduced fraction-free (Bareiss 1968); only results become
-Fractions.
+print the same, and every routine here accepts either.  There is one dot
+product, :func:`vec_dot`, and it is an int on int rows, so pairings of
+integral vectors (and ``mat_vec``, ``mat_mul`` and
+``AmbientSpace.pairing`` built on it) never touch Fraction arithmetic.
+Elimination (``rref``, ``mat_rank``, ``det``) runs on Python ints: rows are
+scaled to integers and reduced fraction-free (Bareiss 1968); only results
+become Fractions.  There is one coordinate solve, :func:`solve`, and it
+returns None exactly when the right-hand side is outside the column span.
 
 A :class:`Polynomial` is stored the same way: int numerators keyed by
 exponent tuples over one positive int denominator, reduced so that the form
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm, prod
-from operator import add
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -52,22 +56,13 @@ def unit_vec(k: int, i: int) -> tuple[int, ...]:
     return tuple(int(j == i) for j in range(k))
 
 
-def zero_vec(k: int) -> Vec:
-    return (ZERO,) * k
+def vec_dot(u: Vec, v: Vec) -> int | Fraction:
+    """Plain coordinate dot product (duality pairing, no inner product).
 
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * a for a in v)
-
-
-def vec_dot(u: Vec, v: Vec) -> Fraction:
-    """Plain coordinate dot product (duality pairing, no inner product)."""
-    return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
+    An int on int rows and a Fraction once an entry is one.  The vectors
+    must have equal length; it is not checked.
+    """
+    return sum(map(mul, u, v))
 
 
 def vec_is_zero(v: Vec) -> bool:
@@ -271,13 +266,17 @@ def nullspace(m: Mat) -> list[tuple[int, ...]]:
 
 
 def solve(m: Mat, b: Vec) -> Vec | None:
-    """One solution of ``m x = b``, or None when inconsistent.
+    """One solution of ``m x = b``, or None exactly when b lies outside the
+    column span of ``m``.
 
-    Free variables are set to zero; with independent columns the solution is
-    the unique one.
+    That is when the augmented column of the reduced form holds a pivot;
+    otherwise every row without a pivot is zero, so the pivot rows alone
+    give an exact solution.  Free variables are set to zero; with
+    independent columns the solution is the unique one.  A matrix with no
+    columns (the empty tuple) spans only the zero vector.
     """
     if not m:
-        return ()
+        return None if any(b) else ()
     ncols = len(m[0])
     aug = tuple(row + (bi,) for row, bi in zip(m, b, strict=True))
     red, pivots = rref(aug)
@@ -348,7 +347,7 @@ class AmbientSpace:
     def standard(cls, k: int) -> "AmbientSpace":
         return cls(k, mat_identity(k))
 
-    def pairing(self, u: Vec, v: Vec) -> Fraction:
+    def pairing(self, u: Vec, v: Vec) -> int | Fraction:
         return vec_dot(u, mat_vec(self.gram, v))
 
 
@@ -368,16 +367,10 @@ def q_dual_family(space: AmbientSpace, forms: Sequence[Vec]) -> list[Vec]:
     """
     if mat_rank(tuple(forms)) != len(forms):
         raise DependentInput("dual family requires independent forms")
-    q_forms = [mat_vec(space.gram, b) for b in forms]
-    g = tuple(tuple(vec_dot(a, qb) for qb in q_forms) for a in forms)
-    ginv = mat_inverse(g)
-    duals = []
-    for j in range(len(forms)):
-        w = zero_vec(space.dimension)
-        for l, form in enumerate(forms):
-            w = vec_add(w, vec_scale(ginv[l][j], form))
-        duals.append(w)
-    return duals
+    # G = F Q F^T holds Q(L_i, L_j), and L*_j = sum_l (G^-1)_lj L_l is row
+    # j of (G^-1)^T F, for F the forms as rows
+    g = mat_mul(mat_mul(forms, space.gram), mat_transpose(forms))
+    return list(mat_mul(mat_transpose(mat_inverse(g)), forms))
 
 
 def max_minor_abs_sum(columns: Sequence[Vec], n: int) -> Fraction:
@@ -626,6 +619,10 @@ class Polynomial:
 
     # -- evaluation and substitution --------------------------------------
     def evaluate(self, point: Sequence) -> Fraction:
+        """The exact value at a point with one coordinate per variable."""
+        if len(point) != self.nvars:
+            raise ValueError(f"expected a point with {self.nvars} "
+                             f"coordinates, got {len(point)}")
         pt = vec(point)
         total = ZERO
         for e, c in self.coeffs.items():

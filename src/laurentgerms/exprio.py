@@ -38,7 +38,8 @@ from .germs import (
     GermSum,
     MeromorphicGerm,
     PolarGerm,
-    _canonical_factors,
+    canonical_fraction,
+    den_poly,
     make_germ_sum,
     make_mero,
     mero_add,
@@ -332,10 +333,7 @@ def _mero_invert(g: MeromorphicGerm) -> MeromorphicGerm:
             f"denominator {g.numerator.to_string()} does not factor into "
             "linear forms over the rationals")
     const, factors = factored
-    num = Polynomial.constant(g.nvars, ONE / const)
-    for v, e in g.den:
-        num = num * Polynomial.linear_form(v) ** e
-    return make_mero(num, factors)
+    return make_mero(den_poly(g.nvars, g.den).scale(ONE / const), factors)
 
 
 _BINOPS = {"+": mero_add, "-": mero_sub, "*": mero_mul,
@@ -455,13 +453,6 @@ def _factors_in(items, k: int, where: str) -> tuple:
     return tuple(out)
 
 
-def _fraction_in(num: Polynomial, factors: tuple) -> tuple[Polynomial, tuple]:
-    """``num / prod factors`` over canonical factors, as every germ type
-    stores them: primitive pseudo-positive forms, merged and sorted."""
-    scale, fac = _canonical_factors(factors)
-    return num.scale(ONE / scale), fac
-
-
 # ---------------------------------------------------------------------------
 # object serialization
 
@@ -518,7 +509,7 @@ def deserialize(data: dict):
     if kind == "polar-germ":
         num = _poly_in(data.get("numerator"), k, "numerator")
         fac = _factors_in(data.get("factors", []), k, "factors")
-        return PolarGerm(*_fraction_in(num, fac))
+        return PolarGerm(*canonical_fraction(num, fac))
     if kind == "germ-sum":
         items = data.get("polar", [])
         if not isinstance(items, list):
@@ -529,7 +520,7 @@ def deserialize(data: dict):
                 raise FormatError(f"polar[{i}]: expected an object")
             num = _poly_in(item.get("numerator"), k, f"polar[{i}].numerator")
             fac = _factors_in(item.get("factors", []), k, f"polar[{i}].factors")
-            terms.append(PolarGerm(*_fraction_in(num, fac)))
+            terms.append(PolarGerm(*canonical_fraction(num, fac)))
         poly = _poly_in(data.get("poly", "0"), k, "poly")
         return make_germ_sum(terms, poly)
     if kind == "expansion":
@@ -542,7 +533,7 @@ def deserialize(data: dict):
                 raise FormatError(f"terms[{i}]: expected an object")
             fac = _factors_in(item.get("factors", []), k, f"terms[{i}].factors")
             num = _poly_in(item.get("numerator"), k, f"terms[{i}].numerator")
-            num, fac = _fraction_in(num, fac)
+            num, fac = canonical_fraction(num, fac)
             terms.append((fac, num))
         poly = _poly_in(data.get("poly", "0"), k, "poly")
         return make_expansion(None, terms, poly, validate=False)

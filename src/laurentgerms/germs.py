@@ -38,6 +38,7 @@ from .exact import (
     primitive_pseudo_positive,
     q_orthogonal_complement,
     rref,
+    solve,
     vec_dot,
 )
 
@@ -46,11 +47,14 @@ K = TypeVar("K")
 V = TypeVar("V")
 
 
-def _canonical_factors(raw: Sequence[tuple[Vec, int]]) -> tuple[Fraction, Factors]:
-    """Normalize pole factors to primitive pseudo-positive vectors.
+def canonical_fraction(numerator: Polynomial,
+                       raw: Sequence[tuple[Vec, int]]) -> tuple[Polynomial, Factors]:
+    """``numerator / prod raw`` over canonical pole factors.
 
-    Returns (c, factors) with prod raw^s = c * prod canonical^s; the scalar
-    c is what the *numerator* must be divided by to keep the germ equal.
+    Every form becomes its primitive pseudo-positive vector, equal forms are
+    merged and sorted, and the scalar taken out of the forms moves into the
+    numerator, so the fraction keeps its value.  This is how every germ type
+    stores its factors.
     """
     merged: dict[Vec, int] = {}
     scale = ONE
@@ -62,8 +66,7 @@ def _canonical_factors(raw: Sequence[tuple[Vec, int]]) -> tuple[Fraction, Factor
         c, w = primitive_pseudo_positive(tuple(v))
         scale *= c ** e
         merged[w] = merged.get(w, 0) + e
-    factors = tuple(sorted(merged.items()))
-    return scale, factors
+    return numerator.scale(ONE / scale), tuple(sorted(merged.items()))
 
 
 @dataclass(frozen=True)
@@ -95,8 +98,7 @@ class MeromorphicGerm:
 
 def make_mero(numerator: Polynomial, factors: Sequence[tuple[Vec, int]] = ()) -> MeromorphicGerm:
     """Build a reduced germ; scalars from form normalization are absorbed."""
-    scale, den = _canonical_factors(factors)
-    num = numerator.scale(ONE / scale)
+    num, den = canonical_fraction(numerator, factors)
     if num.is_zero():
         return MeromorphicGerm(num, ())
     # cancel pole forms that divide the numerator
@@ -129,7 +131,8 @@ def _nonzero_on_hyperplane(num: Polynomial, v: Vec) -> bool:
     return num.numerator_at(point) != 0
 
 
-def _den_poly(nvars: int, den: Factors) -> Polynomial:
+def den_poly(nvars: int, den: Factors) -> Polynomial:
+    """The product of the pole factors as a polynomial."""
     p = Polynomial.constant(nvars, 1)
     for v, e in den:
         p = p * Polynomial.linear_form(v) ** e
@@ -148,7 +151,7 @@ def mero_add(*germs: MeromorphicGerm) -> MeromorphicGerm:
         own = dict(g.den)
         cofactor = tuple((v, e - own.get(v, 0)) for v, e in lcm.items()
                          if e > own.get(v, 0))
-        num = num + g.numerator * _den_poly(g.nvars, cofactor)
+        num = num + g.numerator * den_poly(g.nvars, cofactor)
     return make_mero(num, tuple(lcm.items()))
 
 
@@ -223,11 +226,9 @@ def _nbc_rewrite(fractions: dict[Factors, Polynomial], arrangement: list[Vec],
             normals = nullspace(tuple(vectors))
             for l0 in candidates:
                 x = arrangement[l0]
-                if all(sum(a * b for a, b in zip(x, w)) == 0 for w in normals):
-                    red, pivots = rref(mat_from_columns(vectors + [x]))
-                    col = len(members)
-                    return l0, [(members[p], red[r][col])
-                                for r, p in enumerate(pivots) if red[r][col]]
+                if all(vec_dot(x, w) == 0 for w in normals):
+                    coords = solve(mat_from_columns(vectors), x)
+                    return l0, [(m, c) for m, c in zip(members, coords) if c]
         return None
 
     def expand(key, num: Polynomial):
@@ -471,8 +472,7 @@ def canonicalize_polar(space: AmbientSpace | None, numerator: Polynomial,
     numerator not orthogonal to the poles.  ``space`` may be None only when
     the numerator is constant (orthogonality is then vacuous).
     """
-    scale, fac = _canonical_factors(factors)
-    num = numerator.scale(ONE / scale)
+    num, fac = canonical_fraction(numerator, factors)
     if num.is_zero():
         raise NotPolar("polar germ needs a nonzero numerator")
     forms = [v for v, _ in fac]

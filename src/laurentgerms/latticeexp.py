@@ -38,6 +38,7 @@ from .exact import (
     frac,
     mat_from_columns,
     mat_rank,
+    mat_vec,
     nullspace,
     primitive_vector,
     solve,
@@ -164,17 +165,12 @@ def _lattice_coords(basis: Sequence[Vec], v: Vec) -> Vec:
     coords = solve(mat_from_columns(list(basis)), v)
     if coords is None:
         raise ValueError("vector lies outside the lattice span")
-    recon = tuple(sum((coords[j] * b[i] for j, b in enumerate(basis)), ZERO)
-                  for i in range(len(v)))
-    if recon != v:
-        raise ValueError("vector lies outside the lattice span")
     return coords
 
 
 def _from_coords(basis: Sequence[Vec], coords: Sequence[int]) -> Vec:
     """The lattice vector with integer ``coords`` in ``basis``."""
-    return tuple(sum(c * b[i] for c, b in zip(coords, basis))
-                 for i in range(len(basis[0])))
+    return mat_vec(mat_from_columns(basis), coords)
 
 
 def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
@@ -492,5 +488,5 @@ def lattice_sum_numeric(lc: LatticeCone, point: Sequence,
     pairings = [float(vec_dot(g, pt)) for g in gens]
     total = 0.0
     for combo in iter_product(range(height + 1), repeat=len(gens)):
-        total += exp(sum(a * p for a, p in zip(combo, pairings)))
+        total += exp(vec_dot(combo, pairings))
     return total

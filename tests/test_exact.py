@@ -102,10 +102,26 @@ def test_solve_recovers_solutions_of_consistent_systems():
 def test_solve_detects_inconsistency():
     a = mat([[1, 0], [1, 0]])
     assert solve(a, vec([1, 2])) is None
+    # None exactly when b is outside the column span, and any other answer
+    # solves the system exactly
+    rng = random.Random(41)
+    for _ in range(200):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        a = random_matrix(rng, n, m)
+        b = tuple(random_fraction(rng) for _ in range(n))
+        got = solve(a, b)
+        on_span = (mat_rank(tuple(r + (c,) for r, c in zip(a, b)))
+                   == mat_rank(a))
+        assert (got is not None) == on_span
+        if got is not None:
+            assert tuple(vec_dot(row, got) for row in a) == b
 
 
 def test_solve_handles_empty_system():
     assert solve((), ()) == ()
+    # no columns: only the zero vector is in the span
+    assert solve((), (0, 0)) == ()
+    assert solve((), (1, 0)) is None
 
 
 def test_nullspace_vectors_are_annihilated():
@@ -395,6 +411,15 @@ def test_polynomial_evaluation_is_a_homomorphism():
         pt = [random_fraction(rng) for _ in range(k)]
         assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
         assert (p + q).evaluate(pt) == p.evaluate(pt) + q.evaluate(pt)
+
+
+def test_polynomial_evaluation_needs_one_coordinate_per_variable():
+    # x2^2 + 3 in two variables
+    p = Polynomial(2, {(0, 2): 1, (0, 0): 3})
+    assert p.evaluate((5, 2)) == 7
+    for point in ((5,), (1, 2, 3), ()):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            p.evaluate(point)
 
 
 def test_substitute_agrees_with_evaluation():

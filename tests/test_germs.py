@@ -166,6 +166,15 @@ def test_evaluate_raises_on_pole():
         evaluate(g, [1, 1])
 
 
+def test_evaluate_needs_one_coordinate_per_variable():
+    g = make_mero(Polynomial(2, {(0, 2): 1, (0, 0): 3}),
+                  ((vec([1, 1]), 1),))
+    assert evaluate(g, [1, 2]) == F(7, 3)
+    for point in ([5], [1, 2, 3]):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            evaluate(g, point)
+
+
 def test_germ_equal_sees_through_representation():
     # 1/x1 + 1/x2 == (x1+x2)/(x1 x2)
     a = mero_add(make_mero(const(2, 1), ((vec([1, 0]), 1),)),

@@ -18,7 +18,9 @@ from laurentgerms.exact import (
     AmbientSpace,
     Polynomial,
     linear_factorization,
+    mat_vec,
     nullspace,
+    vec_dot,
 )
 from laurentgerms.expand import laurent_expand
 from laurentgerms.exprio import parse_germ
@@ -83,3 +85,17 @@ def test_lattice_rays_and_bases_are_int_tuples():
         for piece in pieces:
             assert_int_vectors(piece.rays)
             assert_int_vectors(piece.lattice_basis)
+
+
+def test_pairings_of_int_vectors_are_ints():
+    u, v = (1, -2, 3), (4, 0, -1)
+    assert type(vec_dot(u, v)) is int and vec_dot(u, v) == 1
+    assert type(vec_dot((), ())) is int
+    m = ((1, 2, 0), (0, -1, 5))
+    assert_int_vectors([mat_vec(m, v)])
+    assert mat_vec(m, v) == (4, -5)
+    space = AmbientSpace.standard(3)
+    assert type(space.pairing(u, v)) is int and space.pairing(u, v) == 1
+    # one Fraction entry makes the pairing a Fraction of the same value
+    half = vec_dot((F(1, 2), 1), (2, 3))
+    assert type(half) is F and half == 4

@@ -102,6 +102,14 @@ def test_lattice_coords_on_the_standard_lattice_are_the_vector():
     assert _lattice_coords([(0, 1), (1, 0)], (3, 1)) == (1, 3)
     with pytest.raises(ValueError):
         _lattice_coords([(1, 0, 0), (0, 1, 0)], (0, 0, 1))
+    # off the span of a basis that is not a part of the standard one
+    assert _lattice_coords([(1, 1, 0), (0, 1, 1)], (1, 3, 2)) == (1, 2)
+    with pytest.raises(ValueError):
+        _lattice_coords([(1, 1, 0), (0, 1, 1)], (1, 0, 0))
+    # the empty basis spans only the origin
+    assert _lattice_coords([], (0, 0)) == ()
+    with pytest.raises(ValueError):
+        _lattice_coords([], (1, 0))
     # a raw generator off the standard lattice is still refused
     with pytest.raises(ValueError, match="not a lattice vector"):
         make_lattice_cone([(F(1, 2), 0), (0, 1)])
