@@ -124,6 +124,8 @@ def make_simplicial_cone(generators: Iterable[Sequence]) -> SimplicialCone:
         if vec_is_zero(v):
             raise NotSimplicial("zero vector cannot generate a cone")
         gens.append(primitive_vector(v))
+    if not gens:
+        raise NotSimplicial("a cone needs at least one generator")
     gens = tuple(sorted(gens))
     if mat_rank(gens) != len(gens):
         raise NotSimplicial("generators must be linearly independent")

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, isqrt, lcm, prod
+from itertools import combinations, count, islice
+from math import comb, gcd, isqrt, lcm, prod
 from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Sequence
@@ -526,10 +526,6 @@ class Polynomial:
     def degree_in(self, i: int) -> int:
         return max((e[i] for e in self.coeffs), default=0)
 
-    def support_variables(self) -> list[int]:
-        return [i for i in range(self.nvars)
-                if any(e[i] > 0 for e in self.coeffs)]
-
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
 
@@ -683,13 +679,6 @@ class Polynomial:
                 den *= d ** t
         return Polynomial.from_ints(nvars_out, _nonzero(out), den)
 
-    def set_variables_zero(self, indices: Sequence[int]) -> "Polynomial":
-        """Keep only terms with exponent zero in all the given slots."""
-        idx = tuple(set(indices))
-        return Polynomial.from_ints(self.nvars, {
-            e: c for e, c in self.coeffs.items()
-            if not any(e[i] for i in idx)}, self.den)
-
     def derivative(self, i: int) -> "Polynomial":
         """Partial derivative in variable ``i``."""
         out: IntTerms = {}
@@ -803,10 +792,11 @@ def poly_linear_substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polyn
 # ---------------------------------------------------------------------------
 # factoring a polynomial into linear forms (for denominators)
 #
-# The pole forms come from the rational roots of two-variable slices, found
-# by p-adic (Hensel) lifting of the roots modulo a small prime (von zur
-# Gathen & Gerhard, Modern Computer Algebra, ch. 15), in time polynomial in
-# the number of digits of the coefficients.
+# Pole forms are read off one line through the moment curve, by the
+# evaluation approach of von zur Gathen & Gerhard, Modern Computer Algebra,
+# ch. 16 (see ``linear_factorization``).  The rational roots on the line come
+# from p-adic (Hensel) lifting of the roots modulo a small prime (ibid.,
+# ch. 15), in time polynomial in the number of digits of the coefficients.
 
 def _poly_divmod(a: list[Fraction], b: list[Fraction]
                  ) -> tuple[list[Fraction], list[Fraction]]:
@@ -909,6 +899,20 @@ def linear_factorization(
 
     Only products of *homogeneous* linear forms qualify (poles at zero), so a
     non-homogeneous or irreducible-over-Q input yields None.
+
+    After the factors x_i^m, the rest, ``work`` of degree d, is cut by lines
+    w + t*u through points (1, j, ..., j^(k-1)) of the moment curve: u is
+    the first point with work(u) != 0 (a product of d forms vanishes at no
+    more than d(k-1) of them) and w runs over the later ones.  Each form L
+    dividing work e times gives f(t) = work(w + t*u) e roots at
+    rho = -L(w)/L(u), so f must split over Q.  If no other form has that
+    root, then with work = L^e * R the (e-1)-th derivative of work along u
+    has at q = w + rho*u the gradient e! L(u)^(e-1) R(q) grad L: the form L
+    itself.  So a simple root whose gradient divides nothing proves work is
+    no product.  Forms L1, L2 share a root only when
+    L1(w) L2(u) = L2(w) L1(u), a hyperplane meeting the curve at u and at
+    most k - 2 other points, so one of the first C(d, 2)(k - 2) + 1 choices
+    of w splits a product completely.
     """
     if p.is_zero():
         return None
@@ -941,52 +945,37 @@ def linear_factorization(
                     for e, c in work.coeffs.items()}, work.den)
             factors[unit_vec(k, i)] = m
 
-    def slice_roots(i: int, m: int) -> list[Fraction]:
-        """Roots r of the bivariate restriction (all other vars 0, x_i = 1)
-        viewed as a polynomial in x_m."""
-        # the int numerators: scaling by the denominator keeps the roots
-        coeffs: dict[int, int] = {}
-        for e, c in work.coeffs.items():
-            if all(p_ == 0 for j, p_ in enumerate(e) if j not in (i, m)):
-                coeffs[e[m]] = coeffs.get(e[m], 0) + c
-        top = max(coeffs, default=-1)
-        as_list = [Fraction(coeffs.get(d, 0)) for d in range(top + 1)]
-        return _rational_roots(as_list)
-
-    while work.total_degree() > 0:
-        before = work
-        support = work.support_variables()
-        m = max(support)
-        # factors free of x_m divide the x_m-degree-zero layer
-        layer0 = work.set_variables_zero([m])
-        if not layer0.is_zero() and not layer0.is_constant():
-            sub = linear_factorization(layer0)
-            if sub is None:
+    d = work.total_degree()
+    curve = (tuple(j ** i for i in range(k)) for j in count(1))
+    u = next((pt for pt in islice(curve, d * (k - 1) + 1)
+              if work.numerator_at(pt)), None)
+    if u is None:
+        return None
+    # ``curve`` is consumed up to u, so w runs over the points after it
+    for w in islice(curve, comb(d, 2) * (k - 2) + 1):
+        line = work.substitute(
+            [Polynomial(1, {(0,): a, (1,): b}) for a, b in zip(w, u)])
+        f = [Fraction(line.coeffs.get((i,), 0))
+             for i in range(work.total_degree() + 1)]
+        for rho in _rational_roots(f):
+            e = 0
+            while not (qr := _poly_divmod(f, [-rho, ONE]))[1]:
+                f, e = qr[0], e + 1
+            # rho.denominator * q and the numerator of work are integral,
+            # and scaling either scales the gradient by a positive int
+            q = tuple(rho.denominator * a + rho.numerator * b
+                      for a, b in zip(w, u))
+            g = Polynomial.from_ints(k, work.coeffs)
+            for _ in range(e - 1):
+                g = g.directional_derivative(u)
+            grad = tuple(g.derivative(i).numerator_at(q) for i in range(k))
+            before = work
+            if any(grad):
+                extract(grad)
+            if work is before and e == 1:
                 return None
-            for form, _ in sub[1]:
-                extract(form)
-        # remaining factors all involve x_m: coefficients from 2-variable
-        # slices, leading coefficient normalized to 1
-        lower = [i for i in work.support_variables() if i != m]
-        candidate_sets = [sorted(set([ZERO] + [-r for r in slice_roots(i, m)]))
-                          for i in lower]
-
-        def assemble(idx: int, coords: dict[int, Fraction]):
-            if idx == len(lower):
-                v = [ZERO] * k
-                v[m] = ONE
-                for i, a in coords.items():
-                    v[i] = a
-                extract(tuple(v))
-                return
-            for a in candidate_sets[idx]:
-                coords[lower[idx]] = a
-                assemble(idx + 1, coords)
-            del coords[lower[idx]]
-
-        assemble(0, {})
-        if work == before:
-            return None  # no progress: not a product of rational linear forms
-    const = work.constant_term()
-    ordered = sorted(factors.items(), key=lambda t: t[0])
-    return const, ordered
+        if len(f) > 1:
+            return None  # f does not split over Q
+        if work.is_constant():
+            return work.constant_term(), sorted(factors.items())
+    return None

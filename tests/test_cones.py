@@ -66,6 +66,11 @@ def test_dependent_generators_rejected():
         cone((0, 0))
 
 
+def test_cone_without_generators_rejected():
+    with pytest.raises(NotSimplicial):
+        make_simplicial_cone([])
+
+
 def test_containment_of_combinations_and_outside_points():
     rng = random.Random(30)
     c = cone((1, 0), (1, 2))

@@ -20,11 +20,13 @@ from laurentgerms.exact import (
     max_minor_abs_sum,
     nullspace,
     poly_linear_substitute,
+    primitive_pseudo_positive,
     primitive_vector,
     q_dual_family,
     q_orthogonal_complement,
     rref,
     solve,
+    unit_vec,
     vec,
     vec_dot,
     vec_is_zero,
@@ -761,6 +763,217 @@ def test_linear_factorization_of_forms_with_huge_coefficients():
     p = (x + y.scale(10 ** 40 + 7)) * (x.scale(3) - y.scale(10 ** 20)) * y
     assert linear_factorization(p) == (
         -1, [((-3, 10 ** 20), 1), ((0, 1), 1), ((1, 10 ** 40 + 7), 1)])
+
+
+# ---------------------------------------------------------------------------
+# linear factorization against the slice-root search and sympy
+
+def _support_variables(p):
+    return [i for i in range(p.nvars) if any(e[i] for e in p.coeffs)]
+
+
+def _set_variable_zero(p, m):
+    return Polynomial.from_ints(
+        p.nvars, {e: c for e, c in p.coeffs.items() if not e[m]}, p.den)
+
+
+def _reference_linear_factorization(p):
+    """The candidate-product search: every combination of the rational roots
+    of the two-variable slices (x_i, x_m) is tried as a form, after a
+    recursion on the x_m-free layer."""
+    if p.is_zero():
+        return None
+    if p.is_constant():
+        return p.constant_term(), []
+    if p.homogeneous_degree() is None:
+        return None
+    k = p.nvars
+    factors = {}
+    work = p
+
+    def extract(form):
+        nonlocal work
+        key = primitive_pseudo_positive(form)[1]
+        while True:
+            q = work.divided_by_form(key)
+            if q is None:
+                return
+            work = q
+            factors[key] = factors.get(key, 0) + 1
+
+    for i in range(k):
+        m = min(e[i] for e in work.coeffs)
+        if m:
+            work = Polynomial.from_ints(
+                k, {e[:i] + (e[i] - m,) + e[i + 1:]: c
+                    for e, c in work.coeffs.items()}, work.den)
+            factors[unit_vec(k, i)] = m
+
+    def slice_roots(i, m):
+        coeffs = {}
+        for e, c in work.coeffs.items():
+            if all(p_ == 0 for j, p_ in enumerate(e) if j not in (i, m)):
+                coeffs[e[m]] = coeffs.get(e[m], 0) + c
+        top = max(coeffs, default=-1)
+        return _rational_roots([F(coeffs.get(d, 0)) for d in range(top + 1)])
+
+    while work.total_degree() > 0:
+        before = work
+        m = max(_support_variables(work))
+        layer0 = _set_variable_zero(work, m)
+        if not layer0.is_zero() and not layer0.is_constant():
+            sub = _reference_linear_factorization(layer0)
+            if sub is None:
+                return None
+            for form, _ in sub[1]:
+                extract(form)
+        lower = [i for i in _support_variables(work) if i != m]
+        candidate_sets = [sorted(set([F(0)] + [-r for r in slice_roots(i, m)]))
+                          for i in lower]
+
+        def assemble(idx, coords):
+            if idx == len(lower):
+                v = [F(0)] * k
+                v[m] = F(1)
+                for i, a in coords.items():
+                    v[i] = a
+                extract(tuple(v))
+                return
+            for a in candidate_sets[idx]:
+                coords[lower[idx]] = a
+                assemble(idx + 1, coords)
+            del coords[lower[idx]]
+
+        assemble(0, {})
+        if work == before:
+            return None
+    return work.constant_term(), sorted(factors.items())
+
+
+def _irreducible_quadratic(rng, k):
+    """a*A^2 + b*A*B + c*B^2 for independent forms A, B and a binary form
+    with a non-square discriminant, so irreducible over the rationals."""
+    while True:
+        a_form = random_vector(rng, k)
+        b_form = random_vector(rng, k)
+        if mat_rank((a_form, b_form)) < 2:
+            continue
+        a, b, c = (rng.randint(-3, 3) for _ in range(3))
+        disc = b * b - 4 * a * c
+        if disc < 0 or math.isqrt(disc) ** 2 != disc:
+            break
+    x, y = Polynomial.linear_form(a_form), Polynomial.linear_form(b_form)
+    return (x * x).scale(a) + (x * y).scale(b) + (y * y).scale(c)
+
+
+def _random_form_products(seed, n):
+    """n random (k, p): a rational scale times up to four forms in k <= 4
+    variables, entries in [-3, 3], each to a power <= 3, and about one in
+    five times an irreducible quadratic."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        k = rng.randint(1, 4)
+        p = Polynomial.constant(k, random_fraction(rng) or 1)
+        for _ in range(rng.randint(0, 4)):
+            form = Polynomial.linear_form(random_vector(rng, k))
+            p = p * form ** rng.randint(1, 3)
+        if k > 1 and rng.random() < 0.2:
+            p = p * _irreducible_quadratic(rng, k)
+        out.append((k, p))
+    return out
+
+
+def test_linear_factorization_matches_the_slice_root_search():
+    cases = _random_form_products(71, 400)
+    results = [linear_factorization(p) for _, p in cases]
+    assert results == [_reference_linear_factorization(p) for _, p in cases]
+    rejected = sum(r is None for r in results)
+    assert 40 < rejected < 120
+    for (k, p), result in zip(cases, results):
+        if result is not None:
+            const, factors = result
+            rebuilt = Polynomial.constant(k, const)
+            for form, e in factors:
+                rebuilt = rebuilt * Polynomial.linear_form(form) ** e
+            assert rebuilt == p
+
+
+def test_linear_factorization_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    for k, p in _random_form_products(72, 120):
+        if p.is_constant():
+            continue
+        gens = sympy.symbols(f"x0:{k}")
+        expr = sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator)
+             for e, c in p.terms.items()}, *gens)
+        _, sym_factors = expr.factor_list()
+        result = linear_factorization(p)
+        if any(f.total_degree() > 1 for f, _ in sym_factors):
+            assert result is None
+            continue
+        expected = sorted(
+            (primitive_pseudo_positive(tuple(
+                int(f.coeff_monomial(x)) for x in gens))[1], e)
+            for f, e in sym_factors)
+        assert result is not None and result[1] == expected
+
+
+def test_linear_factorization_retries_when_forms_share_a_root():
+    # u = (1, 1, 1) and w = (1, 2, 4) are the first moment points; both
+    # forms vanish at w - 3/2 u, since 3 * 6 = 9 * 2, so the first line
+    # gives a double root whose gradient divides nothing
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    l1, l2, l3 = (1, 1, 0), (5, 0, 1), (0, 1, -2)
+    u, w = (1, 1, 1), (1, 2, 4)
+    assert vec_dot(l1, w) * vec_dot(l2, u) == vec_dot(l2, w) * vec_dot(l1, u)
+    p = ((x + y) * (x.scale(5) + z) ** 2 * (y - z.scale(2))).scale(F(-2, 7))
+    assert linear_factorization(p) == (
+        F(2, 7), [((0, -1, 2), 1), ((1, 1, 0), 1), ((5, 0, 1), 2)])
+
+
+def test_linear_factorization_rejects_a_quadric_that_splits_on_the_line():
+    # x*y + z*(2x - 3y + z) has a Gram matrix of determinant -7/4, so rank
+    # 3 and irreducible; 2x - 3y + z vanishes on the span of u = (1, 1, 1)
+    # and w = (1, 2, 4), so on the first line it is (1 + t)(2 + t)
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    p = x * y + z * (x.scale(2) - y.scale(3) + z)
+    t = Polynomial.variable(1, 0)
+    one = Polynomial.constant(1, 1)
+    on_line = p.substitute([one + t, one.scale(2) + t, one.scale(4) + t])
+    assert on_line == (one + t) * (one.scale(2) + t)
+    assert linear_factorization(p) is None
+
+
+def test_linear_factorization_rejects_a_quadric_square_on_every_line():
+    # x^2 + 16z(2x - 3y + z) has a Gram matrix of determinant -576, so it is
+    # irreducible; on the lines through u = (1, 1, 1) and w = (1, 2, 4) or
+    # (1, 3, 9) it is (1 + t)^2 or (17 + t)^2, so both lines allowed for
+    # degree 2 in 3 variables give a double root and no factor
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    p = x * x + z * (x.scale(2) - y.scale(3) + z).scale(16)
+    t = Polynomial.variable(1, 0)
+    one = Polynomial.constant(1, 1)
+    for j, root in ((2, 1), (3, 17)):
+        on_line = p.substitute([one + t, one.scale(j) + t,
+                                one.scale(j * j) + t])
+        assert on_line == (one.scale(root) + t) ** 2
+    assert linear_factorization(p) is None
+
+
+def test_linear_factorization_of_eight_moment_forms_in_six_variables():
+    k = 6
+    forms = [tuple(j ** i for i in range(k)) for j in range(1, 9)]
+    p = Polynomial.constant(k, 3)
+    for form in forms:
+        p = p * Polynomial.linear_form(form)
+    const, factors = linear_factorization(p)
+    assert sorted(form for form, _ in factors) == sorted(forms)
+    rebuilt = Polynomial.constant(k, const)
+    for form, e in factors:
+        rebuilt = rebuilt * Polynomial.linear_form(form) ** e
+    assert rebuilt == p
 
 
 def test_to_string_known_forms():
