@@ -127,6 +127,8 @@ def _config(args) -> SessionConfig:
     k = args.dim
     if k < 1:
         raise FormatError("--dim must be a positive integer")
+    if args.trunc < 0:
+        raise FormatError("--trunc must be a non-negative integer")
     if args.gram:
         rows = load_rows(args.gram)
         if len(rows) != k or len(rows[0]) != k:

@@ -412,12 +412,18 @@ def common_refinement(
     simplicial cones; index_sets[i] lists the pieces that tile cones[i].
     Raises NotStrictlyConvexUnion when the union of the input contains a
     nonzero linear subspace (no such refinement exists then).
+
+    The line test is skipped when every generator is pseudo-positive, as
+    the pole forms ``decompose`` stores are: such vectors are closed under
+    positive combination and meet their negatives only in 0, so no v and -v
+    can both lie in the union.
     """
     cones = list(cones)
     if not cones:
         return [], []
     hreps = [_simplicial_hrep(c) for c in cones]
-    if _hreps_contain_line(cones[0].ambient, hreps):
+    if (not all(is_pseudo_positive(g) for c in cones for g in c.generators)
+            and _hreps_contain_line(cones[0].ambient, hreps)):
         raise NotStrictlyConvexUnion(
             "the union of the cones contains a linear subspace")
     hyperplanes = sorted({_sign_canonical(w)

@@ -293,9 +293,11 @@ def det(m: Mat) -> Fraction:
 
     The rows are scaled to integers first; the determinant of the scaled
     matrix is the last Bareiss pivot, divided here by the product of the
-    row scales.
+    row scales.  Raises ValueError when the matrix is not square.
     """
     n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("det needs a square matrix")
     if n == 0:
         return ONE
     scaled = [_scaled_row(r) for r in m]

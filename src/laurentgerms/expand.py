@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -30,10 +30,10 @@ from .exact import (
     AmbientSpace,
     Polynomial,
     Vec,
+    det,
+    mat_inverse,
     mat_vec,
-    max_minor_abs_sum,
-    q_dual_family,
-    vec_dot,
+    rref,
 )
 from .cones import (
     SimplicialCone,
@@ -195,17 +195,18 @@ def subdivide_simple(space: AmbientSpace, g: PolarGerm,
                      validate: bool = True) -> FormalExpansion:
     """Re-support a simple polar germ (all exponents 1) on a subdivision.
 
-    The coefficient of each piece is the ratio of minor-sum weights, which is
-    exactly what makes the cone valuation additive: summing the output with
-    ``phi`` returns the input germ.  This is ``_subdivide_term`` with no
-    pole orders to raise.
+    The coefficient of each piece is |det| of its generators' coordinates in
+    the basis of the pole forms (the ratio of the minor-sum weights of piece
+    and cone), which is what makes the cone valuation additive: summing the
+    output with ``phi`` returns the input germ.  It does not depend on Q.
+    This is ``_subdivide_term`` with no pole orders to raise.
     """
     if any(s != 1 for _, s in g.factors):
         raise ValueError("subdivide_simple needs all exponents equal to 1")
     cone = SimplicialCone(tuple(v for v, _ in g.factors))
     if validate and not is_subdivision(pieces, cone):
         raise NotASubdivision("pieces do not tile the supporting cone")
-    items = _subdivide_term(space, g.factors, g.numerator, pieces)
+    items = _subdivide_term(g.factors, g.numerator, pieces)
     return make_expansion(space, items, Polynomial.zero(g.nvars),
                           validate=False)
 
@@ -238,29 +239,42 @@ def delta_op(space: AmbientSpace, lstar: Vec,
                           validate=False)
 
 
-def _subdivide_term(space: AmbientSpace, factors: Factors, num: Polynomial,
+def _subdivide_term(factors: Factors, num: Polynomial,
                     pieces: Sequence[SimplicialCone]) -> list[tuple[Factors, Polynomial]]:
-    """One decorated term onto tiling pieces: simple split, then delta powers."""
+    """One decorated term onto tiling pieces: simple split, then delta powers.
+
+    A piece generator is v = sum_j c_j L_j in the basis of the pole forms.
+    The delta step along L*_j pairs Q(L*_j, v) = c_j, and the weight of a
+    piece, its minor sum over that of the forms, is |det| of its generators'
+    c: each n-minor of the piece is that det times the forms' matching minor.
+    So every coefficient is a coordinate in the cone's basis, free of Q.
+    """
     forms = [v for v, _ in factors]
     exps = [s for _, s in factors]
-    n = len(forms)
-    a = max_minor_abs_sum(forms, n)
-    # Q(L*_j, v) = <Q L*_j, v>: one matrix product per dual, not per pair
-    q_duals = [mat_vec(space.gram, d) for d in q_dual_family(space, forms)]
-    scale = ONE
+    # the pivot columns of the forms hold an invertible block; its inverse
+    # times the lcm d of its denominators sends a vector of the span to d * c
+    _, cols = rref(forms)
+    inverse = mat_inverse(tuple(tuple(f[p] for f in forms) for p in cols))
+    d = lcm(*(a.denominator for row in inverse for a in row))
+    to_basis = tuple(tuple(a.numerator * (d // a.denominator) for a in row)
+                     for row in inverse)
+    coords = {v: mat_vec(to_basis, [v[p] for p in cols])
+              for piece in pieces for v in piece.generators}
+    # d^n from the det and one more d for each of the sum(s_j - 1) raises
+    scale = ONE / d ** sum(exps)
     for s in exps:
         scale /= factorial(s - 1)
     out: list[tuple[Factors, Polynomial]] = []
     for piece in pieces:
-        b = max_minor_abs_sum(list(piece.generators), n)
+        weight = abs(det(tuple(coords[v] for v in piece.generators)))
         state: list[tuple[Fraction, dict[Vec, int]]] = [
-            (b / a, {v: 1 for v in piece.generators})]
+            (weight, {v: 1 for v in piece.generators})]
         for j, s in enumerate(exps):
             for _ in range(s - 1):
                 nxt = []
                 for coef, den in state:
                     for v, r in den.items():
-                        q = vec_dot(q_duals[j], v)
+                        q = coords[v][j]
                         if q == 0:
                             continue
                         bumped = dict(den)
@@ -306,8 +320,7 @@ def subdivision_operator(space: AmbientSpace, x: FormalExpansion,
     assignment = _pieces_by_cone(support, family, validate)
     items: list[tuple[Factors, Polynomial]] = []
     for dc, num in x.terms:
-        items.extend(_subdivide_term(space, dc.factors, num,
-                                     assignment[dc.cone]))
+        items.extend(_subdivide_term(dc.factors, num, assignment[dc.cone]))
     return make_expansion(space, items, x.polynomial_part, validate=False)
 
 
@@ -323,7 +336,8 @@ def laurent_expand(space: AmbientSpace, f,
     every supporting cone strictly convex; the common refinement of the
     supporting cones is properly positioned, and the subdivision operator
     moves every term onto it.  Summing the result with ``phi`` gives back
-    ``f`` exactly.
+    ``f`` exactly.  Only ``decompose`` uses Q: the subdivision coefficients
+    are coordinates in each cone's basis.
 
     With an explicit ``support`` the expansion is re-supported on its
     members; if they cannot tile the canonical supporting cones the germ
@@ -355,7 +369,7 @@ def laurent_expand(space: AmbientSpace, f,
     items: list[tuple[Factors, Polynomial]] = []
     for t in s.terms:
         cone = SimplicialCone(tuple(v for v, _ in t.factors))
-        items.extend(_subdivide_term(space, t.factors, t.numerator,
+        items.extend(_subdivide_term(t.factors, t.numerator,
                                      assignment[cone]))
     return make_expansion(space, items, s.poly, validate=False)
 

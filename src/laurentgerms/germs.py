@@ -567,6 +567,10 @@ def decompose(space: AmbientSpace, f) -> GermSum:
         if not den:
             poly = poly + num
             return
+        if num.is_constant():
+            # a constant has no part along a pole direction
+            polar.append(PolarGerm(num, den))
+            return
         forms = tuple(v for v, _ in den)
         m = len(forms)
         to_u, to_eps = coordinate_maps(forms)

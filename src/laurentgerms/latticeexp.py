@@ -272,7 +272,9 @@ class TruncatedGerm:
 
 
 def make_truncated(space: AmbientSpace, f, n: int) -> TruncatedGerm:
-    """Split a germ into exact polar part and degree-n truncated tail."""
+    """Split a germ into exact polar part and degree-n tail (n >= 0)."""
+    if n < 0:
+        raise ValueError(f"truncation order must be >= 0, got {n}")
     s = decompose(space, as_mero(f))
     polar = make_germ_sum(list(s.terms), Polynomial.zero(s.nvars))
     return TruncatedGerm(polar, s.poly.truncated(n), n)
@@ -313,7 +315,10 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
     expansion of the product keeps every pole exact and truncates only the
     holomorphic content at total degree ``trunc``.  The highest-order polar
     term is exactly (-1)^d / (L_1 ... L_d) independent of the truncation.
+    Raises ValueError when ``trunc`` is negative.
     """
+    if trunc < 0:
+        raise ValueError(f"truncation order must be >= 0, got {trunc}")
     if not is_smooth(lc):
         raise NotSmooth("the generators are not a lattice basis of the span")
     assert isinstance(lc.cone, SimplicialCone)

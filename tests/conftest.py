@@ -13,8 +13,11 @@ from laurentgerms import (
     MeromorphicGerm,
     Polynomial,
     make_mero,
+    make_simplicial_cone,
     mero_mul,
 )
+from laurentgerms.errors import NotSimplicial
+from laurentgerms.exact import mat, primitive_pseudo_positive
 
 
 def random_fraction(rng: random.Random, lo: int = -3, hi: int = 3,
@@ -40,6 +43,18 @@ def random_polynomial(rng: random.Random, k: int, degree: int = 3,
         mono = Polynomial(k, {tuple(e): random_fraction(rng)})
         out = out + mono
     return out
+
+
+def random_pseudo_positive_cone(rng: random.Random, k: int, n: int):
+    """A simplicial cone on n sign-normalized generators, as ``decompose``
+    stores pole forms (entries in [-3, 3] before normalizing)."""
+    while True:
+        gens = [primitive_pseudo_positive(random_vector(rng, k))[1]
+                for _ in range(n)]
+        try:
+            return make_simplicial_cone(gens)
+        except NotSimplicial:
+            pass
 
 
 def random_germ(rng: random.Random, k: int, max_forms: int = 4,
@@ -79,3 +94,14 @@ def random_space(rng: random.Random, k: int) -> AmbientSpace:
     for i in range(k):
         rows[i][i] = Fraction(k + rng.randint(1, 3))
     return AmbientSpace(k, tuple(tuple(r) for r in rows))
+
+
+def skew_space(k: int) -> AmbientSpace:
+    """The skew pairing of acceptance 9: [[2, 1], [1, 1]] padded by the
+    identity ([[2]] when k = 1)."""
+    rows = [[2, 1], [1, 1]]
+    padded = [[rows[i][j] if i < 2 and j < 2 else (1 if i == j else 0)
+               for j in range(k)] for i in range(k)]
+    if k == 1:
+        padded = [[2]]
+    return AmbientSpace(k, mat(padded))

@@ -18,7 +18,7 @@ from laurentgerms.cones import (
     make_simplicial_cone,
     triangulate_cone,
 )
-from laurentgerms.exact import AmbientSpace, Polynomial, mat, primitive_vector, vec
+from laurentgerms.exact import AmbientSpace, Polynomial, primitive_vector, vec
 from laurentgerms.expand import (
     kernel_generators,
     laurent_expand,
@@ -52,7 +52,7 @@ from laurentgerms.residues import (
     pi_plus,
 )
 
-from conftest import random_fraction, round_trip_corpus
+from conftest import random_fraction, round_trip_corpus, skew_space
 
 F = Fraction
 SP = AmbientSpace.standard(2)
@@ -61,15 +61,6 @@ SP = AmbientSpace.standard(2)
 def simple_polar(c, *forms, k=2):
     return make_mero(Polynomial.constant(k, c),
                      tuple((vec(v), 1) for v in forms))
-
-
-def skew_space(k):
-    rows = [[2, 1], [1, 1]]
-    padded = [[rows[i][j] if i < 2 and j < 2 else (1 if i == j else 0)
-               for j in range(k)] for i in range(k)]
-    if k == 1:
-        padded = [[2]]
-    return AmbientSpace(k, mat(padded))
 
 
 def test_criterion_01_partial_fraction_identity(capsys):

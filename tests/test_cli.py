@@ -250,6 +250,12 @@ def test_exit_code_2_for_parse_and_format_errors(capsys, tmp_path):
     bad_rows = write_json(tmp_path, "bad.json", [[1, 0], [1]])
     code, _ = run(capsys, "cone", "refine", bad_rows)
     assert code == 2
+    # a negative order would drop the constant Bernoulli terms from the
+    # polar part
+    orthant = write_json(tmp_path, "orthant.json", [[1, 0], [0, 1]])
+    code, captured = run(capsys, "--trunc", "-1", "exp-sum", "--cone", orthant)
+    assert code == 2
+    assert captured.err == "error: --trunc must be a non-negative integer\n"
 
 
 def test_there_is_no_seed_option(capsys):
@@ -283,6 +289,8 @@ def test_exit_code_3_for_mathematical_errors(capsys, tmp_path):
         ["laurent", "1/(x1*x2)", "--support",
          write_json(tmp_path, "overlap.json",
                     [[[1, 0], [0, 1]], [[1, 0], [1, 1]]])],
+        ["cone", "refine", write_json(tmp_path, "line.json",
+                                      [[[1, 0], [0, 1]], [[-1, -1]]])],
     ]
     for argv in cases:
         code, captured = run(capsys, *argv)

@@ -33,6 +33,8 @@ from laurentgerms.expand import laurent_expand, phi
 from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import as_mero, germ_equal, make_mero, mero_add
 
+from conftest import random_pseudo_positive_cone
+
 F = Fraction
 
 
@@ -126,6 +128,14 @@ def test_union_contains_line_detection():
     assert union_contains_line([cone((1, 0), (0, 1)), cone((-1, -1))])
     assert not union_contains_line([cone((1, 0), (0, 1)),
                                     cone((0, 1), (-1, 1))])
+    # pseudo-positive generators never make a line: the full test agrees
+    # with the shortcut common_refinement takes on such families
+    rng = random.Random(12)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        family = [random_pseudo_positive_cone(rng, k, rng.randint(1, k))
+                  for _ in range(rng.randint(2, 4))]
+        assert union_contains_line(family) is False
 
 
 def test_proper_positioning():
@@ -272,8 +282,16 @@ def test_refinement_keeps_directly_built_non_primitive_generators():
 
 
 def test_common_refinement_rejects_union_with_line():
-    with pytest.raises(NotStrictlyConvexUnion):
-        common_refinement([cone((1, 0)), cone((-1, 0))])
+    # each family holds a generator that is not pseudo-positive, so the
+    # line test runs
+    for family in (
+        [cone((1, 0)), cone((-1, 0))],
+        [cone((1, 0), (0, 1)), cone((-1, -1))],
+        [cone((1, 0, 0), (0, 1, 1)), cone((0, 0, 1)),
+         cone((-1, -1, -1), (0, 1, 0))],
+    ):
+        with pytest.raises(NotStrictlyConvexUnion):
+            common_refinement(family)
 
 
 def test_is_subdivision_rejects_gaps_and_overlaps():

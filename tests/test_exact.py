@@ -151,6 +151,12 @@ def test_det_of_triangular_is_diagonal_product():
     assert det(a) == F(-3)
 
 
+def test_det_rejects_a_matrix_that_is_not_square():
+    for m in (((1, 0, 0), (0, 1, 0)), ((1, 0), (0, 1), (1, 1)), ((1,), ())):
+        with pytest.raises(ValueError):
+            det(m)
+
+
 def test_inverse_of_random_invertible_matrices():
     rng = random.Random(7)
     done = 0

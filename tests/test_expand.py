@@ -1,11 +1,12 @@
 """Formal expansions, the subdivision operator, and Laurent expansion."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from laurentgerms.cones import make_simplicial_cone
+from laurentgerms.cones import common_refinement, make_simplicial_cone
 from laurentgerms.errors import (
     NotAPanSubdivision,
     NotASubdivision,
@@ -13,9 +14,18 @@ from laurentgerms.errors import (
     NotProperlyPositioned,
     OrthogonalityViolated,
 )
-from laurentgerms.exact import AmbientSpace, Polynomial, vec
+from laurentgerms.exact import (
+    AmbientSpace,
+    Polynomial,
+    mat_vec,
+    max_minor_abs_sum,
+    q_dual_family,
+    vec,
+    vec_dot,
+)
 from laurentgerms.expand import (
     DecoratedCone,
+    _subdivide_term,
     FormalExpansion,
     delta_op,
     expansion_add,
@@ -40,7 +50,13 @@ from laurentgerms.germs import (
     mero_sum,
 )
 
-from conftest import random_germ, round_trip_corpus
+from conftest import (
+    random_germ,
+    random_polynomial,
+    random_pseudo_positive_cone,
+    round_trip_corpus,
+    skew_space,
+)
 
 F = Fraction
 SP = AmbientSpace.standard(2)
@@ -155,6 +171,9 @@ def test_subdivide_simple_rejects_non_subdivision():
                            ((vec([1, 0]), 1), (vec([0, 1]), 1)))
     with pytest.raises(NotASubdivision):
         subdivide_simple(SP, g, [cone((1, 0), (1, 1))])
+    # unvalidated, a piece of the wrong dimension still fails loudly
+    with pytest.raises(ValueError):
+        subdivide_simple(SP, g, [cone((1, 1))], validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +263,63 @@ def test_subdivision_operator_rejects_non_pan_subdivision():
                              Polynomial.constant(2, 1))], Polynomial.zero(2))
     with pytest.raises((NotAPanSubdivision, NotASubdivision)):
         subdivision_operator(SP, x, [cone((1, 0), (1, 1))])
+
+
+# ---------------------------------------------------------------------------
+# subdivision coefficients against the minor-sum and Q-dual formula
+
+def _reference_subdivide_term(space, factors, num, pieces):
+    """Each piece weighted by max_minor_abs_sum(piece) / max_minor_abs_sum
+    (forms), each raising step by Q(L*_j, v) through q_dual_family."""
+    forms = [v for v, _ in factors]
+    exps = [s for _, s in factors]
+    n = len(forms)
+    a = max_minor_abs_sum(forms, n)
+    q_duals = [mat_vec(space.gram, d) for d in q_dual_family(space, forms)]
+    scale = F(1)
+    for s in exps:
+        scale /= math.factorial(s - 1)
+    out = []
+    for piece in pieces:
+        b = max_minor_abs_sum(list(piece.generators), n)
+        state = [(b / a, {v: 1 for v in piece.generators})]
+        for j, s in enumerate(exps):
+            for _ in range(s - 1):
+                nxt = []
+                for coef, den in state:
+                    for v, r in den.items():
+                        q = vec_dot(q_duals[j], v)
+                        if q == 0:
+                            continue
+                        bumped = dict(den)
+                        bumped[v] = r + 1
+                        nxt.append((coef * r * q, bumped))
+                state = nxt
+        for coef, den in state:
+            out.append((tuple(sorted(den.items())), num.scale(coef * scale)))
+    return out
+
+
+def test_subdivision_coefficients_are_the_minor_sum_and_dual_formula():
+    # the coefficients come from coordinates in the cone's basis; they must
+    # equal the Q-dependent formula under both pairings of acceptance 9
+    rng = random.Random(12)
+    split = low_split = 0
+    for _ in range(100):
+        k = rng.randint(1, 3)
+        target = random_pseudo_positive_cone(rng, k, rng.randint(1, k))
+        others = [random_pseudo_positive_cone(rng, k, rng.randint(1, k))
+                  for _ in range(rng.randint(1, 3))]
+        pieces, index_sets = common_refinement([target] + others)
+        mine = [pieces[i] for i in index_sets[0]]
+        factors = tuple((g, rng.randint(1, 3)) for g in target.generators)
+        num = random_polynomial(rng, k)
+        got = _subdivide_term(factors, num, mine)
+        for space in (AmbientSpace.standard(k), skew_space(k)):
+            assert got == _reference_subdivide_term(space, factors, num, mine)
+        split += len(mine) > 1
+        low_split += len(mine) > 1 and target.dim < k == 3
+    assert split >= 30 and low_split >= 10
 
 
 # ---------------------------------------------------------------------------

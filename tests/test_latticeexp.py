@@ -215,6 +215,20 @@ def test_exp_sum_top_polar_term_is_truncation_free():
         assert germ_equal(p_res(SP, tg), mero(1, ([1, 0], 1), ([1, 1], 1)))
 
 
+def test_truncation_order_must_be_non_negative():
+    orthant = make_lattice_cone([(1, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        exp_sum_smooth(orthant, trunc=-1)
+    with pytest.raises(ValueError):
+        make_truncated(SP, mero(1, ([1, 0], 1)), -1)
+    # order 0 is the least one, and it keeps the -1/2 * 1/x_i terms
+    tg = exp_sum_smooth(orthant, trunc=0)
+    assert germ_equal(tg.polar_part, mero_add(
+        mero(1, ([1, 0], 1), ([0, 1], 1)),
+        mero(F(-1, 2), ([1, 0], 1)), mero(F(-1, 2), ([0, 1], 1))))
+    assert tg.taylor_tail == Polynomial.constant(2, F(1, 4))
+
+
 def test_exp_sum_requires_smoothness():
     with pytest.raises(NotSmooth):
         exp_sum_smooth(make_lattice_cone([(1, 0), (1, 2)]))
