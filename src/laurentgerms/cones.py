@@ -3,10 +3,9 @@
 Cones live in the ambient rational space (no inner product is involved in
 any of the geometry here).  Simplicial cones carry independent primitive
 generators in a canonical sorted order; general pointed cones are handled
-through exact half-space representations and extreme-ray enumeration, which
-is done by straightforward subset enumeration over the constraints — robust,
-exact, and fast enough at desk-scale dimensions.  Nothing here limits the
-dimension; the command-line tool caps it (``--dim-cap``).
+through exact half-space representations.  Nothing here limits the
+dimension; the command-line tool caps it (``--dim-cap``).  The members of
+one family must share their ambient dimension (ValueError otherwise).
 
 The arithmetic is integer.  Generators, rays and facet normals are
 primitive integer vectors, stored as tuples of ints (see
@@ -17,12 +16,21 @@ them as Fractions; the same tests then run on Fractions.
 
 The refinement algorithm makes a family of cones "properly positioned"
 (pairwise intersections are common faces and the union contains no line):
-every defining hyperplane of every member is collected, every cone is sliced
-to pieces lying on one closed side of every hyperplane, and the pieces are
-triangulated by the canonical pulling triangulation keyed to a single global
-lexicographic order on primitive rays.  Sign-pure pieces over one hyperplane
-set always intersect in common faces, and pulling triangulations restrict
-consistently to faces, so the output is properly positioned by construction.
+the defining hyperplanes of all members are collected, each member is
+sliced by those that cut it into pieces lying on one closed side of every
+hyperplane, and the pieces are triangulated by the canonical pulling
+triangulation keyed to a single global lexicographic order on primitive
+rays.  Sign-pure pieces over one hyperplane set always intersect in common
+faces, and pulling triangulations restrict consistently to faces, so the
+output is properly positioned by construction.
+
+A piece keeps both representations: its extreme rays and one inequality
+per facet.  Slicing and facet finding then need incidences only, which
+rays are tight on which inequalities (the double description method).
+Extreme rays are enumerated over subsets of constraints, one rank test per
+subset, only where no ray representation is at hand: for ``make_poly_cone``,
+for the H-representation in ``triangulate_cone`` and in ``is_subdivision``
+of a general cone, and for the line and face tests.
 """
 
 from __future__ import annotations
@@ -242,6 +250,20 @@ def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone) -> bool:
     return True
 
 
+def _common_ambient(cones: Sequence[SimplicialCone]) -> int:
+    """The ambient dimension the members of a nonempty family share.
+
+    ``vec_dot`` does not check lengths, so a family mixing dimensions is
+    refused here, before any geometry runs.
+    """
+    k = cones[0].ambient
+    for c in cones:
+        if c.ambient != k:
+            raise ValueError(f"cones of one family live in ambient dimensions"
+                             f" {k} and {c.ambient}")
+    return k
+
+
 def _pair_contains_line(k: int, hrep_a, hrep_b) -> bool:
     """Some nonzero v lies in cone a while -v lies in cone b."""
     ea, ia = hrep_a
@@ -262,7 +284,7 @@ def union_contains_line(cones: Sequence[SimplicialCone]) -> bool:
     """
     if not cones:
         return False
-    return _hreps_contain_line(cones[0].ambient,
+    return _hreps_contain_line(_common_ambient(cones),
                                [_simplicial_hrep(c) for c in cones])
 
 
@@ -277,7 +299,7 @@ def positioning_witness(cones: Sequence[SimplicialCone]
     cones = list(cones)
     if not cones:
         return None
-    k = cones[0].ambient
+    k = _common_ambient(cones)
     hreps = [_simplicial_hrep(c) for c in cones]
     pairs = list(combinations(range(len(cones)), 2))
     for a, b in pairs:
@@ -303,6 +325,8 @@ class _Piece:
 
     Normals are primitive int vectors.  Rays are int vectors too, except the
     non-integral generators of a directly built cone, which stay Fractions.
+    The rays are exactly the extreme rays, and every facet is cut out by one
+    of the inequalities; the incidence tests below rely on both.
     """
 
     eqs: tuple[Vec, ...]
@@ -311,55 +335,89 @@ class _Piece:
     dim: int
 
 
+def _facets(piece: _Piece) -> dict[int, Vec]:
+    """The facets of a piece: bitmask of its tight rays -> first inequality.
+
+    Each inequality is tight on a face of the piece, and the facets are its
+    maximal proper faces (Ziegler, *Lectures on Polytopes*, ch. 2).  Every
+    facet is cut out by one of the inequalities, so the facets are exactly
+    the maximal proper tight sets; faces are compared by their rays, which
+    needs no rank test.  Facets come in the order of their first inequality.
+    """
+    rays = piece.rays
+    masks = [sum(1 << i for i, r in enumerate(rays) if vec_dot(c, r) == 0)
+             for c in piece.ineqs]
+    full = (1 << len(rays)) - 1
+    proper = {m for m in masks if m != full}
+    facets: dict[int, Vec] = {}
+    for c, m in zip(piece.ineqs, masks):
+        if m in proper and not any(m & o == m != o for o in proper):
+            facets.setdefault(m, c)
+    return facets
+
+
 def _prune_ineqs(piece: _Piece) -> _Piece:
-    """Keep one copy per facet: constraints tight on a rank-(dim-1) ray set."""
-    seen: dict[frozenset, Vec] = {}
-    for c in piece.ineqs:
-        tight = [r for r in piece.rays if vec_dot(c, r) == 0]
-        if mat_rank(tuple(tight)) != piece.dim - 1:
-            continue
-        key = frozenset(tight)
-        seen.setdefault(key, c)
-    return _Piece(piece.eqs, tuple(seen.values()), piece.rays, piece.dim)
+    """Keep one inequality per facet, the first that defines it, in the
+    order of the inequalities (found by incidence, see ``_facets``)."""
+    return _Piece(piece.eqs, tuple(_facets(piece).values()), piece.rays,
+                  piece.dim)
 
 
 def _split_piece(piece: _Piece, w: Vec) -> list[_Piece]:
-    """Slice by the hyperplane w=0; keep full-dimensional closed halves."""
-    vals = [vec_dot(w, r) for r in piece.rays]
+    """Slice by the hyperplane w=0; keep both closed halves.
+
+    One step of the double description method (Fukuda & Prodon, "Double
+    description method revisited", 1996).  The inequalities of a piece are
+    its facets.  Its rays on a closed side stay extreme rays of that half;
+    the new rays are the crossings of the edges (r+, r-) the hyperplane
+    cuts.  Two rays span an edge when no third ray is tight on every facet
+    tight at both: the facets tight at both cut out the least face holding
+    them, and it is an edge exactly when it has no other ray.  A strict cut
+    leaves two halves of full dimension.
+    """
+    rays = piece.rays
+    vals = [vec_dot(w, r) for r in rays]
     if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
         return [piece]
-    plus = [(r, v) for r, v in zip(piece.rays, vals) if v > 0]
-    zero = [r for r, v in zip(piece.rays, vals) if v == 0]
-    minus = [(r, v) for r, v in zip(piece.rays, vals) if v < 0]
-    fresh = [primitive_vector([vp * a - vm * b for a, b in zip(rm, rp)])
-             for rp, vp in plus for rm, vm in minus]
-    halves = []
-    for side, normal in ((plus, w), (minus, _neg(w))):
-        ineqs = piece.ineqs + (normal,)
-        candidates = dict.fromkeys([r for r, _ in side] + zero + fresh)
-        kept = []
-        for r in candidates:
-            active = piece.eqs + tuple(c for c in ineqs if vec_dot(c, r) == 0)
-            if mat_rank(active) == len(r) - 1:
-                kept.append(r)
-        if mat_rank(tuple(kept)) == piece.dim:
-            half = _Piece(piece.eqs, ineqs, tuple(sorted(kept)), piece.dim)
-            halves.append(_prune_ineqs(half))
-    return halves
+    tight = [sum(1 << j for j, c in enumerate(piece.ineqs)
+                 if vec_dot(c, r) == 0) for r in rays]
+    plus = [i for i, v in enumerate(vals) if v > 0]
+    zero = [r for r, v in zip(rays, vals) if v == 0]
+    minus = [i for i, v in enumerate(vals) if v < 0]
+    fresh = []
+    for p in plus:
+        for m in minus:
+            common = tight[p] & tight[m]
+            if any(tight[i] & common == common
+                   for i in range(len(rays)) if i != p and i != m):
+                continue
+            vp, vm = vals[p], vals[m]
+            fresh.append(primitive_vector(
+                [vp * a - vm * b for a, b in zip(rays[m], rays[p])]))
+    return [_prune_ineqs(_Piece(piece.eqs, piece.ineqs + (normal,),
+                                tuple(sorted([rays[i] for i in side]
+                                             + zero + fresh)),
+                                piece.dim))
+            for side, normal in ((plus, w), (minus, _neg(w)))]
 
 
 def _piece_facets(piece: _Piece) -> list[_Piece]:
-    facets: dict[frozenset, _Piece] = {}
-    for c in piece.ineqs:
-        tight = tuple(sorted(r for r in piece.rays if vec_dot(c, r) == 0))
-        if mat_rank(tight) != piece.dim - 1:
-            continue
-        key = frozenset(tight)
-        if key not in facets:
-            facets[key] = _Piece(piece.eqs + (c,),
-                                 tuple(x for x in piece.ineqs if x != c),
-                                 tight, piece.dim - 1)
-    return [facets[k] for k in sorted(facets, key=lambda s: tuple(sorted(s)))]
+    """The facets of a piece as pieces, ordered by their sorted rays.
+
+    Found by incidence, as in ``_facets``.  Each facet F keeps its first
+    defining inequality as an equality and the other inequalities as they
+    are.  Every facet of F is F meeting another facet of the piece, so the
+    inequalities kept still cut out each facet of F.
+    """
+    facets = []
+    for mask, c in _facets(piece).items():
+        tight = tuple(sorted(r for i, r in enumerate(piece.rays)
+                             if mask >> i & 1))
+        facets.append(_Piece(piece.eqs + (c,),
+                             tuple(x for x in piece.ineqs if x != c),
+                             tight, piece.dim - 1))
+    facets.sort(key=lambda f: f.rays)
+    return facets
 
 
 def _pull_triangulate(piece: _Piece,
@@ -417,13 +475,23 @@ def common_refinement(
     the pole forms ``decompose`` stores are: such vectors are closed under
     positive combination and meet their negatives only in 0, so no v and -v
     can both lie in the union.
+
+    A family of one member is returned as it is.  Otherwise each member is
+    sliced, in the global sorted order, by the hyperplanes whose normal
+    takes both signs on its generators; any other hyperplane leaves the
+    member, and so each of its pieces, on one closed side.  A member's
+    first piece is its simplicial H-representation, whose n inequalities
+    are exactly its n facets.
     """
     cones = list(cones)
     if not cones:
         return [], []
+    k = _common_ambient(cones)
+    if len(cones) == 1:
+        return cones, [[0]]
     hreps = [_simplicial_hrep(c) for c in cones]
     if (not all(is_pseudo_positive(g) for c in cones for g in c.generators)
-            and _hreps_contain_line(cones[0].ambient, hreps)):
+            and _hreps_contain_line(k, hreps)):
         raise NotStrictlyConvexUnion(
             "the union of the cones contains a linear subspace")
     hyperplanes = sorted({_sign_canonical(w)
@@ -432,9 +500,11 @@ def common_refinement(
     collected: list[SimplicialCone] = []
     index_sets: list[list[int]] = []
     for cone, (eqs, ineqs) in zip(cones, hreps):
-        pieces = [_prune_ineqs(_Piece(eqs, ineqs, cone.generators, cone.dim))]
+        pieces = [_Piece(eqs, ineqs, cone.generators, cone.dim)]
         for w in hyperplanes:
-            pieces = [half for p in pieces for half in _split_piece(p, w)]
+            vals = [vec_dot(w, g) for g in cone.generators]
+            if min(vals) < 0 < max(vals):
+                pieces = [half for p in pieces for half in _split_piece(p, w)]
         mine = set()
         for p in pieces:
             for simplex in _pull_triangulate(p):

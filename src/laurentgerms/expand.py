@@ -250,6 +250,10 @@ def _subdivide_term(factors: Factors, num: Polynomial,
     So every coefficient is a coordinate in the cone's basis, free of Q.
     """
     forms = [v for v, _ in factors]
+    if len(pieces) == 1 and pieces[0].generators == tuple(forms):
+        # the cone tiles itself: the weight d^n and the raises
+        # d^(sum(s_j - 1)) * prod((s_j - 1)!) cancel the scale exactly
+        return [(factors, num)]
     exps = [s for _, s in factors]
     # the pivot columns of the forms hold an invertible block; its inverse
     # times the lcm d of its denominators sends a vector of the span to d * c

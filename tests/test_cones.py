@@ -31,7 +31,13 @@ from laurentgerms.errors import (
 from laurentgerms.exact import AmbientSpace, Polynomial, vec
 from laurentgerms.expand import laurent_expand, phi
 from laurentgerms.exprio import parse_germ
-from laurentgerms.germs import as_mero, germ_equal, make_mero, mero_add
+from laurentgerms.germs import (
+    as_mero,
+    decompose,
+    germ_equal,
+    make_mero,
+    mero_add,
+)
 
 from conftest import random_pseudo_positive_cone
 
@@ -256,6 +262,63 @@ def test_refinement_and_witness_are_pinned_on_random_families():
         "2e2689f0e6d4b4d2c2938eef2567e73448c3f38eab2a7ff1f30273b2af978dcf")
 
 
+def _random_family_4d(rng):
+    # member dimensions 1..4; a third of the families draw entries from
+    # [-2, 3], so some generators are not pseudo-positive and the line test
+    # runs
+    lo = rng.choice((0, 0, -2))
+    family = []
+    for _ in range(rng.randint(1, 4)):
+        gens = [[rng.randint(lo, 3) for _ in range(4)]
+                for _ in range(rng.randint(1, 4))]
+        try:
+            family.append(make_simplicial_cone(gens))
+        except NotSimplicial:
+            pass
+    return family
+
+
+def test_refinement_and_witness_are_pinned_on_random_4d_families():
+    # digest of the records of 147 families in four dimensions (10 of them
+    # hold a line), taken from the slicing that tested every candidate ray
+    # and every inequality by rank
+    rng = random.Random(44)
+    digest = hashlib.sha256()
+    count = lines = 0
+    for _ in range(150):
+        family = _random_family_4d(rng)
+        if family:
+            record = _refinement_record(family)
+            digest.update(repr(record).encode())
+            count += 1
+            lines += record == "line"
+    assert (count, lines) == (147, 10)
+    assert digest.hexdigest() == (
+        "3073db28af522a439c7b1ffcf24279730867dc8d77ea9b0c22daec39ba2c9723")
+
+
+def _growth_cones(k):
+    """The supporting cones of 1/(x1...xk (x1+...+xk) (x1+2x2+...+kxk))."""
+    poles = "*".join(f"x{i}" for i in range(1, k + 1))
+    plain = "+".join(f"x{i}" for i in range(1, k + 1))
+    graded = "+".join(f"{i}*x{i}" for i in range(1, k + 1))
+    f = parse_germ(f"1/({poles}*({plain})*({graded}))", k)
+    terms = decompose(AmbientSpace.standard(k), f).terms
+    return list(dict.fromkeys(SimplicialCone(tuple(v for v, _ in t.factors))
+                              for t in terms))
+
+
+def test_growth_germ_refinement_is_pinned_in_four_dimensions():
+    cones = _growth_cones(4)
+    assert len(cones) == 10
+    pieces, index_sets = common_refinement(cones)
+    assert len(pieces) == 560
+    record = ([tuple(tuple(str(x) for x in g) for g in p.generators)
+               for p in pieces], index_sets)
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == (
+        "ef5f6db0212c6a7d7e867dec3540459e46fed7f609087d5beb983a688b75bdca")
+
+
 def test_refinement_keeps_directly_built_non_primitive_generators():
     scaled = SimplicialCone(((F(0), F(3)), (F(2), F(0))))
     pieces, index_sets, witness = _refinement_record(
@@ -310,6 +373,17 @@ def test_refinement_and_expansion_have_no_dimension_cap():
     assert common_refinement([orthant]) == ([orthant], [[0]])
     f = parse_germ("1/(x1*x7)", 7)
     assert germ_equal(phi(laurent_expand(AmbientSpace.standard(7), f)), f)
+
+
+def test_family_functions_reject_mixed_ambient_dimensions():
+    plane = cone((1, 0), (0, 1))
+    space = cone((1, 0, 0), (0, 1, 0))
+    for family, dims in (([plane, space], "2 and 3"),
+                         ([space, space, plane], "3 and 2")):
+        for check in (common_refinement, union_contains_line,
+                      positioning_witness, is_properly_positioned):
+            with pytest.raises(ValueError, match=f"dimensions {dims}$"):
+                check(family)
 
 
 # ---------------------------------------------------------------------------

@@ -304,7 +304,7 @@ def test_subdivision_coefficients_are_the_minor_sum_and_dual_formula():
     # the coefficients come from coordinates in the cone's basis; they must
     # equal the Q-dependent formula under both pairings of acceptance 9
     rng = random.Random(12)
-    split = low_split = 0
+    split = low_split = unsplit = 0
     for _ in range(100):
         k = rng.randint(1, 3)
         target = random_pseudo_positive_cone(rng, k, rng.randint(1, k))
@@ -319,7 +319,9 @@ def test_subdivision_coefficients_are_the_minor_sum_and_dual_formula():
             assert got == _reference_subdivide_term(space, factors, num, mine)
         split += len(mine) > 1
         low_split += len(mine) > 1 and target.dim < k == 3
-    assert split >= 30 and low_split >= 10
+        # a term whose only piece is its own cone passes through unchanged
+        unsplit += mine == [target]
+    assert split >= 30 and low_split >= 10 and unsplit >= 50
 
 
 # ---------------------------------------------------------------------------
