@@ -27,10 +27,10 @@ output is properly positioned by construction.
 A piece keeps both representations: its extreme rays and one inequality
 per facet.  Slicing and facet finding then need incidences only, which
 rays are tight on which inequalities (the double description method).
-Extreme rays are enumerated over subsets of constraints, one rank test per
-subset, only where no ray representation is at hand: for ``make_poly_cone``,
-for the H-representation in ``triangulate_cone`` and in ``is_subdivision``
-of a general cone, and for the line and face tests.
+One double-description cut finds every ray: a piece sliced by a
+hyperplane, a piece met with more constraints (the line and face tests
+start from a member's simplicial piece), and the facets of a cone given by
+rays, which are the rays of its dual cone cut out one generator at a time.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .exact import (
     max_minor_abs_sum,
     nullspace,
     primitive_vector,
+    rref,
     solve,
     vec,
     vec_dot,
@@ -134,6 +135,7 @@ def make_simplicial_cone(generators: Iterable[Sequence]) -> SimplicialCone:
         gens.append(primitive_vector(v))
     if not gens:
         raise NotSimplicial("a cone needs at least one generator")
+    _common_length([len(g) for g in gens], "generators of a cone have lengths")
     gens = tuple(sorted(gens))
     if mat_rank(gens) != len(gens):
         raise NotSimplicial("generators must be linearly independent")
@@ -143,137 +145,184 @@ def make_simplicial_cone(generators: Iterable[Sequence]) -> SimplicialCone:
 def make_poly_cone(rays: Iterable[Sequence]) -> PolyCone:
     """Pointed cone from (possibly redundant) generating rays."""
     raw = [primitive_vector(vec(r)) for r in rays]
-    raw = [r for r in raw if not vec_is_zero(r)]
+    raw = list(dict.fromkeys(r for r in raw if not vec_is_zero(r)))
     if not raw:
         raise ValueError("a cone needs at least one nonzero ray")
-    k = len(raw[0])
-    eqs, ineqs = _hrep_from_rays(k, raw)
+    k = _common_length([len(r) for r in raw], "rays of a cone have lengths")
+    hull = _poly_piece(raw)
     # a nontrivial lineality space means the cone contains a line
-    if mat_rank(tuple(eqs) + tuple(ineqs)) < k:
+    if mat_rank(hull.eqs + hull.ineqs) < k:
         raise NotStrictlyConvexUnion("rays do not span a pointed cone")
-    extreme = _extreme_rays(k, eqs, ineqs)
-    if not extreme:
-        raise NotStrictlyConvexUnion("rays do not span a pointed cone")
-    return PolyCone(tuple(extreme))
+    # the facets tight at a ray cut out the least face holding it, and an
+    # extreme ray is the only ray in that face
+    tight = [sum(1 << j for j, c in enumerate(hull.ineqs)
+                 if vec_dot(c, r) == 0) for r in hull.rays]
+    return PolyCone(tuple(
+        r for i, (r, t) in enumerate(zip(hull.rays, tight))
+        if not any(t & o == t for j, o in enumerate(tight) if j != i)))
 
 
 def cone_contains(cone: SimplicialCone, x: Sequence) -> bool:
     """Exact membership in a simplicial cone."""
-    coords = _simplicial_coords(cone, vec(x))
+    coords = solve(mat_from_columns(list(cone.generators)), vec(x))
     return coords is not None and all(c >= 0 for c in coords)
-
-
-def _simplicial_coords(cone: SimplicialCone, v: Vec) -> Vec | None:
-    """Coordinates of v in the generator basis, or None if v is off-span."""
-    return solve(mat_from_columns(list(cone.generators)), v)
 
 
 def _neg(v):
     return tuple(-a for a in v)
 
 
+def _satisfies(x: Vec, eqs: Iterable[Vec], ineqs: Iterable[Vec]) -> bool:
+    return (all(vec_dot(e, x) == 0 for e in eqs)
+            and all(vec_dot(c, x) >= 0 for c in ineqs))
+
+
 # ---------------------------------------------------------------------------
-# half-space representations and extreme rays
+# double description: half-space representations and extreme rays
 
-def _simplicial_hrep(cone: SimplicialCone
-                     ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """(equalities, inequalities) cutting out the cone exactly, as primitive
-    integer normals."""
-    k = cone.ambient
-    n = cone.dim
-    comp = nullspace(tuple(cone.generators))  # annihilator of the span
-    m = mat_from_columns(list(cone.generators) + comp)
-    rows = mat_inverse(m)
-    ineqs = tuple(primitive_vector(rows[i]) for i in range(n))
-    eqs = tuple(primitive_vector(rows[i]) for i in range(n, k))
-    return eqs, ineqs
+@dataclass
+class _Piece:
+    """A pointed cone tracked in both representations.
 
-
-def _hrep_from_rays(k: int, rays: Sequence
-                    ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-    """H-representation of the pointed cone generated by the rays."""
-    span_ann = tuple(nullspace(tuple(rays)))
-    # facet normals = extreme rays of the dual cone within the span
-    normals = _extreme_rays(k, span_ann, tuple(rays))
-    return span_ann, tuple(normals)
-
-
-def _extreme_rays(k: int, eqs: Sequence, ineqs: Sequence) -> list[Vec]:
-    """Extreme rays of { x : eqs x = 0, ineqs x >= 0 }, primitive and sorted.
-
-    Works for pointed cones; if the set contains a line, representatives of
-    both directions are returned (useful for emptiness tests).  Every extreme
-    ray is the kernel of a rank-(k-1) subsystem of active constraints, so
-    enumerating constraint subsets finds them all.
+    Normals are primitive int vectors.  Rays are int vectors too, except the
+    non-integral generators of a directly built cone, which stay Fractions.
+    The rays are exactly the extreme rays, and every facet is cut out by one
+    of the inequalities; the incidence tests below rely on both.
     """
-    eqs = tuple(dict.fromkeys(primitive_vector(e) for e in eqs if not vec_is_zero(e)))
-    ineqs = tuple(dict.fromkeys(primitive_vector(c) for c in ineqs if not vec_is_zero(c)))
-    need = k - 1 - mat_rank(eqs)
-    if need < 0:
-        return []
-    found: set[Vec] = set()
-    for subset in combinations(ineqs, need):
-        stack = eqs + subset
-        if mat_rank(stack) != k - 1:
-            continue
-        # the kernel of a rank-(k-1) system is one primitive line
-        v = nullspace(stack)[0] if stack else (1,)
-        for w in (v, _neg(v)):
-            if all(vec_dot(c, w) >= 0 for c in ineqs):
-                found.add(w)
-    return sorted(found)
+
+    eqs: tuple[Vec, ...]
+    ineqs: tuple[Vec, ...]
+    rays: tuple[Vec, ...]
+    dim: int
+
+
+def _simplicial_piece(gens: Sequence[Vec]) -> _Piece:
+    """The cone over independent generators, cut out exactly by the rows
+    of the inverse of [generators | annihilator of their span], primitive:
+    the first n are its n facet normals (and the extreme rays of the dual
+    cone within the span), the others span the equalities.
+    """
+    n = len(gens)
+    comp = nullspace(tuple(gens))  # annihilator of the span
+    rows = [primitive_vector(r)
+            for r in mat_inverse(mat_from_columns(list(gens) + comp))]
+    return _Piece(tuple(rows[n:]), tuple(rows[:n]), tuple(gens), n)
+
+
+def _cut(ineqs: Sequence[Vec], rays: Sequence[Vec], w: Vec
+         ) -> tuple[list[Vec], list[Vec], list[Vec], list[Vec]]:
+    """One step of the double description method (Fukuda & Prodon, "Double
+    description method revisited", 1996): the rays with w > 0, w = 0 and
+    w < 0, and the fresh rays where w = 0 crosses the edges (r+, r-).
+
+    The rays are the extreme rays of a pointed cone, and every facet is cut
+    out by one of the inequalities (others may be redundant).  Two rays
+    span an edge when no third ray is tight on every inequality tight at
+    both: those cut out the least face holding both, an edge exactly when
+    it has no other ray.
+    """
+    vals = [vec_dot(w, r) for r in rays]
+    plus = [i for i, v in enumerate(vals) if v > 0]
+    minus = [i for i, v in enumerate(vals) if v < 0]
+    fresh = []
+    if plus and minus:
+        tight = [sum(1 << j for j, c in enumerate(ineqs) if vec_dot(c, r) == 0)
+                 for r in rays]
+        for p in plus:
+            for m in minus:
+                common = tight[p] & tight[m]
+                if any(tight[i] & common == common
+                       for i in range(len(rays)) if i != p and i != m):
+                    continue
+                vp, vm = vals[p], vals[m]
+                fresh.append(primitive_vector(
+                    [vp * a - vm * b for a, b in zip(rays[m], rays[p])]))
+    return ([rays[i] for i in plus], [r for r, v in zip(rays, vals) if v == 0],
+            [rays[i] for i in minus], fresh)
+
+
+def _meet(piece: _Piece, eqs: Iterable[Vec], ineqs: Iterable[Vec]
+          ) -> list[Vec]:
+    """Extreme rays of { x in piece : eqs x = 0, ineqs x >= 0 }, primitive
+    and sorted; none when only 0 is left.
+
+    One ``_cut`` per constraint.  An equality keeps the rays on it and the
+    fresh ones; an inequality that cuts keeps those on its closed positive
+    side and the fresh ones, and joins the inequalities.
+    """
+    normals, rays = piece.ineqs, piece.rays
+    for w, keep_plus in [(e, False) for e in eqs] + [(c, True) for c in ineqs]:
+        if not rays:
+            break
+        plus, zero, minus, fresh = _cut(normals, rays, w)
+        if not keep_plus:
+            rays = zero + fresh
+        elif minus:
+            rays = plus + zero + fresh
+            normals += (w,)
+    return sorted(primitive_vector(r) for r in rays)
+
+
+def _poly_piece(rays: Sequence[Vec]) -> _Piece:
+    """The cone the rays generate: its facet normals, primitive and sorted,
+    and the given rays, sorted (a piece once they are its extreme rays).
+
+    The facet normals are the extreme rays of the dual cone within the
+    span.  The dual of the rays at the rref pivots is simplicial, and each
+    other ray r cuts it by r.y >= 0.
+    """
+    rays = tuple(sorted(rays))
+    _, cols = rref(mat_from_columns(rays))
+    basis = _simplicial_piece([rays[j] for j in cols])
+    dual = _Piece(basis.eqs, basis.rays, basis.ineqs, basis.dim)
+    normals = _meet(dual, (), [r for j, r in enumerate(rays) if j not in cols])
+    return _Piece(basis.eqs, tuple(normals), rays, basis.dim)
 
 
 # ---------------------------------------------------------------------------
 # face relations
 
-def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone) -> bool:
-    """True when the intersection is a face of both cones."""
-    k = c1.ambient
-    e1, i1 = _simplicial_hrep(c1)
-    e2, i2 = _simplicial_hrep(c2)
-    rays = _extreme_rays(k, e1 + e2, i1 + i2)
-    if not rays:
-        return True  # they meet only at the origin, the trivial common face
-    for cone in (c1, c2):
-        gens = cone.generators
-        inside = {g for g in gens
-                  if all(vec_dot(e, g) == 0 for e in (e1 + e2))
-                  and all(vec_dot(c, g) >= 0 for c in (i1 + i2))}
-        for r in rays:
-            coords = _simplicial_coords(cone, r)
-            if coords is None:
-                return False
-            support = {gens[j] for j, c in enumerate(coords) if c != 0}
-            if not support <= inside:
-                return False
+def _pieces_meet_along_face(a: _Piece, b: _Piece) -> bool:
+    """True when two simplicial pieces meet in a face of both: the support
+    of every ray of the intersection lies in it.  The j-th facet normal of
+    a simplicial piece is positive on a ray of the piece exactly when the
+    ray's support holds the j-th generator."""
+    rays = _meet(a, b.eqs, b.ineqs)
+    eqs, ineqs = a.eqs + b.eqs, a.ineqs + b.ineqs
+    for p in (a, b):
+        inside = {g for g in p.rays if _satisfies(g, eqs, ineqs)}
+        if any(vec_dot(c, r) != 0 and g not in inside
+               for r in rays for g, c in zip(p.rays, p.ineqs)):
+            return False
     return True
 
 
-def _common_ambient(cones: Sequence[SimplicialCone]) -> int:
-    """The ambient dimension the members of a nonempty family share.
+def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone) -> bool:
+    """True when the intersection is a face of both cones."""
+    _common_ambient((c1, c2))
+    return _pieces_meet_along_face(_simplicial_piece(c1.generators),
+                                   _simplicial_piece(c2.generators))
 
-    ``vec_dot`` does not check lengths, so a family mixing dimensions is
-    refused here, before any geometry runs.
+
+def _common_length(lengths: Sequence[int], what: str) -> int:
+    """The one length in ``lengths``, else ValueError naming two: mixed
+    lengths are refused before any geometry runs (``vec_dot`` ignores them).
     """
-    k = cones[0].ambient
-    for c in cones:
-        if c.ambient != k:
-            raise ValueError(f"cones of one family live in ambient dimensions"
-                             f" {k} and {c.ambient}")
-    return k
+    for n in lengths:
+        if n != lengths[0]:
+            raise ValueError(f"{what} {lengths[0]} and {n}")
+    return lengths[0]
 
 
-def _pair_contains_line(k: int, hrep_a, hrep_b) -> bool:
-    """Some nonzero v lies in cone a while -v lies in cone b."""
-    ea, ia = hrep_a
-    eb, ib = hrep_b
-    return bool(_extreme_rays(k, ea + eb, ia + tuple(map(_neg, ib))))
+def _common_ambient(cones: Sequence[SimplicialCone | PolyCone]) -> int:
+    """The ambient dimension the members of a nonempty family share."""
+    return _common_length([c.ambient for c in cones],
+                          "cones of one family live in ambient dimensions")
 
 
-def _hreps_contain_line(k: int, hreps) -> bool:
-    return any(_pair_contains_line(k, ha, hb)
-               for ha, hb in combinations(hreps, 2))
+def _pair_contains_line(a: _Piece, b: _Piece) -> bool:
+    """Some nonzero v lies in piece a while -v lies in piece b."""
+    return bool(_meet(a, b.eqs, map(_neg, b.ineqs)))
 
 
 def union_contains_line(cones: Sequence[SimplicialCone]) -> bool:
@@ -284,8 +333,9 @@ def union_contains_line(cones: Sequence[SimplicialCone]) -> bool:
     """
     if not cones:
         return False
-    return _hreps_contain_line(_common_ambient(cones),
-                               [_simplicial_hrep(c) for c in cones])
+    _common_ambient(cones)
+    pieces = [_simplicial_piece(c.generators) for c in cones]
+    return any(_pair_contains_line(a, b) for a, b in combinations(pieces, 2))
 
 
 def positioning_witness(cones: Sequence[SimplicialCone]
@@ -299,14 +349,14 @@ def positioning_witness(cones: Sequence[SimplicialCone]
     cones = list(cones)
     if not cones:
         return None
-    k = _common_ambient(cones)
-    hreps = [_simplicial_hrep(c) for c in cones]
-    pairs = list(combinations(range(len(cones)), 2))
+    _common_ambient(cones)
+    pieces = [_simplicial_piece(c.generators) for c in cones]
+    pairs = list(combinations(range(len(pieces)), 2))
     for a, b in pairs:
-        if _pair_contains_line(k, hreps[a], hreps[b]):
+        if _pair_contains_line(pieces[a], pieces[b]):
             return a, b, "union contains a line"
     for a, b in pairs:
-        if not cones_meet_along_face(cones[a], cones[b]):
+        if not _pieces_meet_along_face(pieces[a], pieces[b]):
             return a, b, "intersection is not a common face"
     return None
 
@@ -318,22 +368,6 @@ def is_properly_positioned(cones: Sequence[SimplicialCone]) -> bool:
 
 # ---------------------------------------------------------------------------
 # slicing machinery
-
-@dataclass
-class _Piece:
-    """A pointed cone tracked in both representations during slicing.
-
-    Normals are primitive int vectors.  Rays are int vectors too, except the
-    non-integral generators of a directly built cone, which stay Fractions.
-    The rays are exactly the extreme rays, and every facet is cut out by one
-    of the inequalities; the incidence tests below rely on both.
-    """
-
-    eqs: tuple[Vec, ...]
-    ineqs: tuple[Vec, ...]
-    rays: tuple[Vec, ...]
-    dim: int
-
 
 def _facets(piece: _Piece) -> dict[int, Vec]:
     """The facets of a piece: bitmask of its tight rays -> first inequality.
@@ -356,49 +390,25 @@ def _facets(piece: _Piece) -> dict[int, Vec]:
     return facets
 
 
-def _prune_ineqs(piece: _Piece) -> _Piece:
-    """Keep one inequality per facet, the first that defines it, in the
-    order of the inequalities (found by incidence, see ``_facets``)."""
-    return _Piece(piece.eqs, tuple(_facets(piece).values()), piece.rays,
-                  piece.dim)
-
-
 def _split_piece(piece: _Piece, w: Vec) -> list[_Piece]:
     """Slice by the hyperplane w=0; keep both closed halves.
 
-    One step of the double description method (Fukuda & Prodon, "Double
-    description method revisited", 1996).  The inequalities of a piece are
-    its facets.  Its rays on a closed side stay extreme rays of that half;
-    the new rays are the crossings of the edges (r+, r-) the hyperplane
-    cuts.  Two rays span an edge when no third ray is tight on every facet
-    tight at both: the facets tight at both cut out the least face holding
-    them, and it is an edge exactly when it has no other ray.  A strict cut
-    leaves two halves of full dimension.
+    One ``_cut``: the rays on a closed side stay extreme rays of that half,
+    joined by the fresh rays on the hyperplane.  The inequalities of a
+    piece are its facets: each half gains w or -w and keeps the first
+    inequality of each of its facets, in order.  A strict cut leaves two
+    halves of full dimension.
     """
-    rays = piece.rays
-    vals = [vec_dot(w, r) for r in rays]
-    if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
+    plus, zero, minus, fresh = _cut(piece.ineqs, piece.rays, w)
+    if not plus or not minus:
         return [piece]
-    tight = [sum(1 << j for j, c in enumerate(piece.ineqs)
-                 if vec_dot(c, r) == 0) for r in rays]
-    plus = [i for i, v in enumerate(vals) if v > 0]
-    zero = [r for r, v in zip(rays, vals) if v == 0]
-    minus = [i for i, v in enumerate(vals) if v < 0]
-    fresh = []
-    for p in plus:
-        for m in minus:
-            common = tight[p] & tight[m]
-            if any(tight[i] & common == common
-                   for i in range(len(rays)) if i != p and i != m):
-                continue
-            vp, vm = vals[p], vals[m]
-            fresh.append(primitive_vector(
-                [vp * a - vm * b for a, b in zip(rays[m], rays[p])]))
-    return [_prune_ineqs(_Piece(piece.eqs, piece.ineqs + (normal,),
-                                tuple(sorted([rays[i] for i in side]
-                                             + zero + fresh)),
-                                piece.dim))
-            for side, normal in ((plus, w), (minus, _neg(w)))]
+    halves = []
+    for side, normal in ((plus, w), (minus, _neg(w))):
+        half = _Piece(piece.eqs, piece.ineqs + (normal,),
+                      tuple(sorted(side + zero + fresh)), piece.dim)
+        halves.append(_Piece(half.eqs, tuple(_facets(half).values()),
+                             half.rays, half.dim))
+    return halves
 
 
 def _piece_facets(piece: _Piece) -> list[_Piece]:
@@ -451,10 +461,8 @@ def triangulate_cone(cone: SimplicialCone | PolyCone,
     """
     if isinstance(cone, SimplicialCone):
         return [cone]
-    rays = tuple(sorted(cone.rays))
-    eqs, ineqs = _hrep_from_rays(cone.ambient, rays)
-    piece = _prune_ineqs(_Piece(eqs, ineqs, rays, mat_rank(rays)))
-    return [SimplicialCone(s) for s in _pull_triangulate(piece, reverse_order)]
+    return [SimplicialCone(s)
+            for s in _pull_triangulate(_poly_piece(cone.rays), reverse_order)]
 
 
 # ---------------------------------------------------------------------------
@@ -486,21 +494,22 @@ def common_refinement(
     cones = list(cones)
     if not cones:
         return [], []
-    k = _common_ambient(cones)
+    _common_ambient(cones)
     if len(cones) == 1:
         return cones, [[0]]
-    hreps = [_simplicial_hrep(c) for c in cones]
+    firsts = [_simplicial_piece(c.generators) for c in cones]
     if (not all(is_pseudo_positive(g) for c in cones for g in c.generators)
-            and _hreps_contain_line(k, hreps)):
+            and any(_pair_contains_line(a, b)
+                    for a, b in combinations(firsts, 2))):
         raise NotStrictlyConvexUnion(
             "the union of the cones contains a linear subspace")
     hyperplanes = sorted({_sign_canonical(w)
-                          for eqs, ineqs in hreps for w in eqs + ineqs})
+                          for p in firsts for w in p.eqs + p.ineqs})
     piece_index: dict[tuple, int] = {}
     collected: list[SimplicialCone] = []
     index_sets: list[list[int]] = []
-    for cone, (eqs, ineqs) in zip(cones, hreps):
-        pieces = [_Piece(eqs, ineqs, cone.generators, cone.dim)]
+    for cone, first in zip(cones, firsts):
+        pieces = [first]
         for w in hyperplanes:
             vals = [vec_dot(w, g) for g in cone.generators]
             if min(vals) < 0 < max(vals):
@@ -536,38 +545,26 @@ def is_subdivision(pieces: Sequence[SimplicialCone],
     pieces = list(pieces)
     if not pieces:
         return False
-    k = target.ambient
+    k = _common_ambient([target] + pieces)
     if isinstance(target, SimplicialCone):
-        t_eqs, t_ineqs = _simplicial_hrep(target)
-        t_rays = target.generators
-        t_dim = target.dim
-        member = lambda x: cone_contains(target, x)
+        cell = _simplicial_piece(target.generators)
     else:
-        t_eqs, t_ineqs = _hrep_from_rays(k, target.rays)
-        t_rays = target.rays
-        t_dim = mat_rank(target.rays)
-        member = lambda x: (all(vec_dot(e, x) == 0 for e in t_eqs)
-                            and all(vec_dot(c, x) >= 0 for c in t_ineqs))
-    if any(p.dim != t_dim for p in pieces):
+        cell = _poly_piece(target.rays)
+    if any(p.dim != cell.dim for p in pieces):
         return False
-    for p in pieces:
-        if not all(member(g) for g in p.generators):
-            return False
-    if not all(cones_meet_along_face(p, q)
-               for p, q in combinations(pieces, 2)):
+    if not all(_satisfies(g, cell.eqs, cell.ineqs)
+               for p in pieces for g in p.generators):
         return False
-    hyper: set[Vec] = set()
-    for p in pieces:
-        _, ineqs = _simplicial_hrep(p)
-        for w in ineqs:
-            hyper.add(_sign_canonical(w))
-    t_rays = tuple(sorted(t_rays))
-    cells = [_prune_ineqs(_Piece(t_eqs, t_ineqs, t_rays, t_dim))]
-    for w in sorted(hyper):
+    parts = [_simplicial_piece(p.generators) for p in pieces]
+    if not all(_pieces_meet_along_face(a, b)
+               for a, b in combinations(parts, 2)):
+        return False
+    cells = [cell]
+    for w in sorted({_sign_canonical(w) for p in parts for w in p.ineqs}):
         cells = [half for c in cells for half in _split_piece(c, w)]
-    for cell in cells:
-        interior = tuple(sum(r[i] for r in cell.rays) for i in range(k))
-        if not any(cone_contains(p, interior) for p in pieces):
+    for c in cells:
+        interior = tuple(sum(r[i] for r in c.rays) for i in range(k))
+        if not any(_satisfies(interior, p.eqs, p.ineqs) for p in parts):
             return False
     return True
 

@@ -206,9 +206,8 @@ def subdivide_simple(space: AmbientSpace, g: PolarGerm,
     cone = SimplicialCone(tuple(v for v, _ in g.factors))
     if validate and not is_subdivision(pieces, cone):
         raise NotASubdivision("pieces do not tile the supporting cone")
-    items = _subdivide_term(g.factors, g.numerator, pieces)
-    return make_expansion(space, items, Polynomial.zero(g.nvars),
-                          validate=False)
+    return _resupport([(g.factors, g.numerator)], {cone: pieces},
+                      Polynomial.zero(g.nvars))
 
 
 def delta_op(space: AmbientSpace, lstar: Vec,
@@ -290,6 +289,18 @@ def _subdivide_term(factors: Factors, num: Polynomial,
     return out
 
 
+def _resupport(terms: Iterable[tuple[Factors, Polynomial]],
+               assignment: dict[SimplicialCone, Sequence[SimplicialCone]],
+               polynomial_part: Polynomial) -> FormalExpansion:
+    """Every term onto the pieces assigned to its cone, merged into one
+    expansion with the given polynomial part."""
+    items: list[tuple[Factors, Polynomial]] = []
+    for factors, num in terms:
+        items.extend(_subdivide_term(factors, num,
+                                     assignment[DecoratedCone(factors).cone]))
+    return make_expansion(None, items, polynomial_part, validate=False)
+
+
 def _pieces_by_cone(cones: Sequence[SimplicialCone],
                     family: Sequence[SimplicialCone],
                     validate: bool) -> dict[SimplicialCone, list[SimplicialCone]]:
@@ -322,10 +333,8 @@ def subdivision_operator(space: AmbientSpace, x: FormalExpansion,
     if validate and not is_properly_positioned(family):
         raise NotAPanSubdivision("target family is not properly positioned")
     assignment = _pieces_by_cone(support, family, validate)
-    items: list[tuple[Factors, Polynomial]] = []
-    for dc, num in x.terms:
-        items.extend(_subdivide_term(dc.factors, num, assignment[dc.cone]))
-    return make_expansion(space, items, x.polynomial_part, validate=False)
+    return _resupport([(dc.factors, num) for dc, num in x.terms], assignment,
+                      x.polynomial_part)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +357,8 @@ def laurent_expand(space: AmbientSpace, f,
     admits no expansion there (NotInLaurentSubspace).
     """
     s: GermSum = decompose(space, f)
-    cones = []
-    seen = set()
-    for t in s.terms:
-        c = SimplicialCone(tuple(v for v, _ in t.factors))
-        if c not in seen:
-            seen.add(c)
-            cones.append(c)
+    cones = list(dict.fromkeys(DecoratedCone(t.factors).cone
+                               for t in s.terms))
     if support is None:
         pieces, index_sets = common_refinement(cones)
         assignment = {c: [pieces[i] for i in idx]
@@ -370,12 +374,8 @@ def laurent_expand(space: AmbientSpace, f,
             raise NotInLaurentSubspace(
                 "germ admits no expansion on the requested support"
             ) from exc
-    items: list[tuple[Factors, Polynomial]] = []
-    for t in s.terms:
-        cone = SimplicialCone(tuple(v for v, _ in t.factors))
-        items.extend(_subdivide_term(t.factors, t.numerator,
-                                     assignment[cone]))
-    return make_expansion(space, items, s.poly, validate=False)
+    return _resupport([(t.factors, t.numerator) for t in s.terms],
+                      assignment, s.poly)
 
 
 # ---------------------------------------------------------------------------

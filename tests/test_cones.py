@@ -3,10 +3,17 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
+from typing import Sequence
 
 import pytest
 
 from laurentgerms.cones import (
+    _meet,
+    _neg,
+    _pair_contains_line,
+    _poly_piece,
+    _simplicial_piece,
     ConeFamily,
     I_cone,
     I_simplicial,
@@ -28,7 +35,17 @@ from laurentgerms.errors import (
     NotSimplicial,
     NotStrictlyConvexUnion,
 )
-from laurentgerms.exact import AmbientSpace, Polynomial, vec
+from laurentgerms.exact import (
+    AmbientSpace,
+    Polynomial,
+    Vec,
+    mat_rank,
+    nullspace,
+    primitive_vector,
+    vec,
+    vec_dot,
+    vec_is_zero,
+)
 from laurentgerms.expand import laurent_expand, phi
 from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import (
@@ -384,6 +401,121 @@ def test_family_functions_reject_mixed_ambient_dimensions():
                       positioning_witness, is_properly_positioned):
             with pytest.raises(ValueError, match=f"dimensions {dims}$"):
                 check(family)
+
+
+def test_simplicial_cone_rejects_generators_of_mixed_length():
+    with pytest.raises(ValueError, match="lengths 2 and 3$"):
+        make_simplicial_cone([(1, 0), (0, 1, 0)])
+
+
+def test_poly_cone_rejects_rays_of_mixed_length():
+    with pytest.raises(ValueError, match="lengths 2 and 3$"):
+        make_poly_cone([(1, 0), (0, 1, 0)])
+
+
+def test_face_test_rejects_cones_of_mixed_ambient_dimension():
+    with pytest.raises(ValueError, match="dimensions 3 and 2$"):
+        cones_meet_along_face(cone((1, 0, 0), (0, 1, 0)), cone((1, 0)))
+
+
+def test_is_subdivision_rejects_pieces_of_another_ambient_dimension():
+    quadrant = cone((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="dimensions 2 and 3$"):
+        is_subdivision([cone((1, 0, 0), (0, 1, 0))], quadrant)
+    with pytest.raises(ValueError, match="dimensions 2 and 3$"):
+        is_subdivision([quadrant, cone((1, 0, 0), (0, 1, 0))],
+                       make_poly_cone([(1, 0), (0, 1)]))
+
+
+# ---------------------------------------------------------------------------
+# the double-description ray engine against subset enumeration
+
+def _extreme_rays(k: int, eqs: Sequence, ineqs: Sequence) -> list[Vec]:
+    """Extreme rays of { x : eqs x = 0, ineqs x >= 0 }, primitive and sorted.
+
+    Works for pointed cones; if the set contains a line, representatives of
+    both directions are returned (useful for emptiness tests).  Every extreme
+    ray is the kernel of a rank-(k-1) subsystem of active constraints, so
+    enumerating constraint subsets finds them all.
+    """
+    eqs = tuple(dict.fromkeys(primitive_vector(e) for e in eqs if not vec_is_zero(e)))
+    ineqs = tuple(dict.fromkeys(primitive_vector(c) for c in ineqs if not vec_is_zero(c)))
+    need = k - 1 - mat_rank(eqs)
+    if need < 0:
+        return []
+    found: set[Vec] = set()
+    for subset in combinations(ineqs, need):
+        stack = eqs + subset
+        if mat_rank(stack) != k - 1:
+            continue
+        # the kernel of a rank-(k-1) system is one primitive line
+        v = nullspace(stack)[0] if stack else (1,)
+        for w in (v, _neg(v)):
+            if all(vec_dot(c, w) >= 0 for c in ineqs):
+                found.add(w)
+    return sorted(found)
+
+
+def _assert_pair_matches_enumeration(k, a, b) -> bool:
+    """Line test and intersection rays of a pair against the reference;
+    returns whether the pair's union holds a line."""
+    pa, pb = _simplicial_piece(a.generators), _simplicial_piece(b.generators)
+    line = bool(_extreme_rays(k, pa.eqs + pb.eqs,
+                              pa.ineqs + tuple(map(_neg, pb.ineqs))))
+    assert _pair_contains_line(pa, pb) is line
+    assert _meet(pa, pb.eqs, pb.ineqs) == _extreme_rays(
+        k, pa.eqs + pb.eqs, pa.ineqs + pb.ineqs)
+    return line
+
+
+def _random_simplicial_cone(rng, k):
+    while True:
+        gens = [[rng.randint(-3, 3) for _ in range(k)]
+                for _ in range(rng.randint(1, k))]
+        try:
+            return make_simplicial_cone(gens)
+        except NotSimplicial:
+            pass
+
+
+def test_ray_engine_matches_subset_enumeration_on_simplicial_pairs():
+    rng = random.Random(1401)
+    lines = 0
+    for _ in range(2000):
+        k = rng.randint(1, 5)
+        lines += _assert_pair_matches_enumeration(
+            k, _random_simplicial_cone(rng, k), _random_simplicial_cone(rng, k))
+    assert lines == 430  # both answers of the line test are covered
+
+
+def test_ray_engine_matches_subset_enumeration_on_ray_sets():
+    rng = random.Random(1402)
+    checked = pointed = 0
+    while checked < 2000:
+        k = rng.randint(1, 4)
+        rays = [tuple(rng.randint(-3, 3) for _ in range(k))
+                for _ in range(rng.randint(1, 7))]
+        raw = [primitive_vector(vec(r)) for r in rays if any(r)]
+        if not raw:
+            continue
+        checked += 1
+        eqs = tuple(nullspace(tuple(raw)))
+        normals = _extreme_rays(k, eqs, raw)
+        assert list(_poly_piece(raw).ineqs) == normals
+        if mat_rank(eqs + tuple(normals)) < k:
+            with pytest.raises(NotStrictlyConvexUnion):
+                make_poly_cone(rays)
+        else:
+            assert list(make_poly_cone(rays).rays) == _extreme_rays(
+                k, eqs, normals)
+            pointed += 1
+    assert pointed == 1261  # pointed and non-pointed sets are covered
+
+
+def test_ray_engine_matches_subset_enumeration_on_growth_families():
+    for k in (3, 4, 5):
+        for a, b in combinations(_growth_cones(k), 2):
+            assert not _assert_pair_matches_enumeration(k, a, b)
 
 
 # ---------------------------------------------------------------------------
