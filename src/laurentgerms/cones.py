@@ -48,9 +48,9 @@ from .exact import (
     ONE,
     Polynomial,
     Vec,
+    int_inverse,
     is_pseudo_positive,
     mat_from_columns,
-    mat_inverse,
     mat_rank,
     max_minor_abs_sum,
     nullspace,
@@ -205,7 +205,7 @@ def _simplicial_piece(gens: Sequence[Vec]) -> _Piece:
     n = len(gens)
     comp = nullspace(tuple(gens))  # annihilator of the span
     rows = [primitive_vector(r)
-            for r in mat_inverse(mat_from_columns(list(gens) + comp))]
+            for r, _ in int_inverse(mat_from_columns(list(gens) + comp))]
     return _Piece(tuple(rows[n:]), tuple(rows[:n]), tuple(gens), n)
 
 

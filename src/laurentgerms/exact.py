@@ -10,10 +10,11 @@ print the same, and every routine here accepts either.  There is one dot
 product, :func:`vec_dot`, and it is an int on int rows, so pairings of
 integral vectors (and ``mat_vec``, ``mat_mul`` and
 ``AmbientSpace.pairing`` built on it) never touch Fraction arithmetic.
-Elimination (``rref``, ``mat_rank``, ``det``) runs on Python ints: rows are
-scaled to integers and reduced fraction-free (Bareiss 1968); only results
-become Fractions.  There is one coordinate solve, :func:`solve`, and it
-returns None exactly when the right-hand side is outside the column span.
+Elimination (``rref``, ``mat_rank``, ``det``, ``int_inverse``) runs on
+Python ints: rows are scaled to integers and reduced fraction-free (Bareiss
+1968); only results become Fractions, inverses not even then.  There is one
+coordinate solve, :func:`solve`, and it returns None exactly when the
+right-hand side is outside the column span.
 
 A :class:`Polynomial` is stored the same way: int numerators keyed by
 exponent tuples over one positive int denominator, reduced so that the form
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
 from math import comb, gcd, isqrt, lcm, prod
-from operator import add, mul
+from operator import add, attrgetter, mul
 from types import MappingProxyType
 from typing import Iterable, Sequence
 
@@ -41,6 +42,8 @@ Mat = tuple[Vec, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def frac(x) -> Fraction:
@@ -53,7 +56,7 @@ def vec(coords: Iterable) -> Vec:
 
 
 def unit_vec(k: int, i: int) -> tuple[int, ...]:
-    return tuple(int(j == i) for j in range(k))
+    return (0,) * i + (1,) + (0,) * (k - i - 1)
 
 
 def vec_dot(u: Vec, v: Vec) -> int | Fraction:
@@ -87,9 +90,9 @@ def _scaled_row(row) -> tuple[list[int], int]:
     A positive row scaling: it changes neither the row space nor the sign of
     any entry, so the RREF, the rank and the solution sets stay the same.
     """
-    d = lcm(*(a.denominator for a in row))
+    d = lcm(*map(_denominator, row))
     if d == 1:
-        return [a.numerator for a in row], 1
+        return list(map(_numerator, row)), 1
     return [a.numerator * (d // a.denominator) for a in row], d
 
 
@@ -126,10 +129,6 @@ def primitive_pseudo_positive(v: Vec) -> tuple[Fraction, Vec]:
 
 def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(r) for r in rows)
-
-
-def mat_identity(n: int) -> Mat:
-    return tuple(unit_vec(n, i) for i in range(n))
 
 
 def mat_transpose(m: Mat) -> Mat:
@@ -308,13 +307,26 @@ def det(m: Mat) -> Fraction:
     return Fraction(sign * rows[-1][-1], prod(d for _, d in scaled))
 
 
-def mat_inverse(m: Mat) -> Mat:
-    n = len(m)
-    aug = tuple(row + unit_vec(n, i) for i, row in enumerate(m))
-    red, pivots = rref(aug)
-    if pivots != tuple(range(n)):
+def int_inverse(m: Mat) -> list[tuple[list[int], int]]:
+    """A left inverse of ``m`` (the inverse when square) as pairs
+    ``(r_i, d_i)``: row i is the int row r_i over the int d_i > 0, in lowest
+    terms.  One :func:`_reduced_rows` pass over ``[m | I]``, whose first n
+    rows are ``[d_i e_i | r_i]`` when the n columns of ``m`` are
+    independent; DependentInput when they are not (``m`` singular)."""
+    n = len(m[0]) if m else 0
+    aug = tuple(tuple(row) + unit_vec(len(m), i) for i, row in enumerate(m))
+    rows, pivots = _reduced_rows(aug)
+    if pivots[:n] != list(range(n)):
         raise DependentInput("matrix is singular")
-    return tuple(row[n:] for row in red)
+    return [(r[n:], r[i]) if r[i] > 0 else ([-a for a in r[n:]], -r[i])
+            for i, r in enumerate(rows[:n])]
+
+
+def mat_inverse(m: Mat) -> Mat:
+    """The inverse as Fractions; ValueError when ``m`` is not square."""
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("mat_inverse needs a square matrix")
+    return tuple(tuple(Fraction(a, d) for a in row) for row, d in int_inverse(m))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +340,7 @@ class AmbientSpace:
     inner product used for orthogonality of numerator directions against pole
     forms.  Positive-definiteness is checked eagerly via leading principal
     minors so misuse fails at construction, not deep inside an expansion.
+    An integral ``gram`` is stored as ints, so pairings stay on ints.
     """
 
     dimension: int
@@ -344,10 +357,13 @@ class AmbientSpace:
             minor = tuple(row[:j] for row in g[:j])
             if det(minor) <= 0:
                 raise ValueError("gram matrix must be positive definite")
+        if all(a.denominator == 1 for row in g for a in row):
+            object.__setattr__(self, "gram",
+                               tuple(tuple(int(a) for a in row) for row in g))
 
     @classmethod
     def standard(cls, k: int) -> "AmbientSpace":
-        return cls(k, mat_identity(k))
+        return cls(k, tuple(unit_vec(k, i) for i in range(k)))
 
     def pairing(self, u: Vec, v: Vec) -> int | Fraction:
         return vec_dot(u, mat_vec(self.gram, v))
@@ -357,8 +373,7 @@ def q_orthogonal_complement(space: AmbientSpace, vs: Sequence[Vec]) -> list[Vec]
     """Basis of { w : Q(w, v) = 0 for all given v }, primitive and canonical."""
     if not vs:
         return [unit_vec(space.dimension, i) for i in range(space.dimension)]
-    rows = tuple(mat_vec(space.gram, v) for v in vs)
-    return nullspace(rows)
+    return nullspace(tuple(mat_vec(space.gram, v) for v in vs))
 
 
 def q_dual_family(space: AmbientSpace, forms: Sequence[Vec]) -> list[Vec]:
@@ -483,16 +498,12 @@ class Polynomial:
         return cls.from_ints(nvars, {tuple(e): 1})
 
     @classmethod
-    def linear_form(cls, v: Vec) -> "Polynomial":
-        """The linear function eps -> <v, eps> as a polynomial."""
+    def linear_form(cls, v: Vec, den: int = 1) -> "Polynomial":
+        """The linear function eps -> <v, eps> / den as a polynomial."""
+        ints, d = _scaled_row(v)
         k = len(v)
-        terms = {}
-        for i, c in enumerate(v):
-            if c != 0:
-                e = [0] * k
-                e[i] = 1
-                terms[tuple(e)] = c
-        return cls(k, terms)
+        return cls.from_ints(k, {unit_vec(k, i): c
+                                 for i, c in enumerate(ints) if c}, d * den)
 
     # -- structure ---------------------------------------------------------
     @property
@@ -536,20 +547,19 @@ class Polynomial:
         return Polynomial.from_ints(self.nvars, {
             e: c for e, c in self.coeffs.items() if sum(e) <= n}, self.den)
 
-    def peel(self, m: int) -> tuple["Polynomial", list["Polynomial"]]:
-        """``(h, [q_0, ..., q_(m-1)])`` with self = h + sum_i x_i q_i, where
-        h is free of x_0..x_(m-1) and q_i is free of x_0..x_(i-1): each term
-        goes to its first variable among the first ``m``."""
-        h: IntTerms = {}
-        parts: list[IntTerms] = [{} for _ in range(m)]
+    def split_over(self, exps: Sequence[int]
+                   ) -> dict[tuple[int, ...], "Polynomial"]:
+        """``self / prod_i x_i^exps[i]`` as fractions in lowest terms: each
+        monomial cancels what it can, and the result maps the exponents left
+        in the denominator to the numerator over them."""
+        m = len(exps)
+        groups: dict[tuple[int, ...], IntTerms] = {}
         for e, c in self.coeffs.items():
-            i = next((j for j in range(m) if e[j]), None)
-            if i is None:
-                h[e] = c
-            else:
-                parts[i][e[:i] + (e[i] - 1,) + e[i + 1:]] = c
-        return (Polynomial.from_ints(self.nvars, h, self.den),
-                [Polynomial.from_ints(self.nvars, q, self.den) for q in parts])
+            left = tuple(s - a if a < s else 0 for a, s in zip(e, exps))
+            top = tuple(a - s if a > s else 0 for a, s in zip(e, exps))
+            groups.setdefault(left, {})[top + e[m:]] = c
+        return {left: Polynomial.from_ints(self.nvars, g, self.den)
+                for left, g in groups.items()}
 
     # -- arithmetic --------------------------------------------------------
     def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
@@ -653,7 +663,7 @@ class Polynomial:
         nvars_out = images[0].nvars if images else self.nvars
         if not self.coeffs:
             return Polynomial.zero(nvars_out)
-        tops = [self.degree_in(i) for i in range(self.nvars)]
+        tops = list(map(max, zip(*self.coeffs)))
         dens = [im.den for im in images]
         # powers[i][p] holds the numerators of images[i] ** p, p >= 1
         powers = [[{}, im.coeffs] for im in images]

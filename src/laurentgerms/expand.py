@@ -31,9 +31,9 @@ from .exact import (
     Polynomial,
     Vec,
     det,
-    mat_inverse,
+    int_inverse,
+    mat_from_columns,
     mat_vec,
-    rref,
 )
 from .cones import (
     SimplicialCone,
@@ -254,14 +254,12 @@ def _subdivide_term(factors: Factors, num: Polynomial,
         # d^(sum(s_j - 1)) * prod((s_j - 1)!) cancel the scale exactly
         return [(factors, num)]
     exps = [s for _, s in factors]
-    # the pivot columns of the forms hold an invertible block; its inverse
-    # times the lcm d of its denominators sends a vector of the span to d * c
-    _, cols = rref(forms)
-    inverse = mat_inverse(tuple(tuple(f[p] for f in forms) for p in cols))
-    d = lcm(*(a.denominator for row in inverse for a in row))
-    to_basis = tuple(tuple(a.numerator * (d // a.denominator) for a in row)
-                     for row in inverse)
-    coords = {v: mat_vec(to_basis, [v[p] for p in cols])
+    # a left inverse of the forms as columns, times the lcm d of its
+    # denominators, sends a vector of their span to d * c
+    inverse = int_inverse(mat_from_columns(forms))
+    d = lcm(*(den for _, den in inverse))
+    to_basis = tuple(tuple(a * (d // den) for a in row) for row, den in inverse)
+    coords = {v: mat_vec(to_basis, v)
               for piece in pieces for v in piece.generators}
     # d^n from the det and one more d for each of the sum(s_j - 1) raises
     scale = ONE / d ** sum(exps)

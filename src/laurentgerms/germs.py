@@ -13,10 +13,13 @@ the numerator is a polynomial in linear functions <w, eps> with Q(w, v_i) = 0
 for every pole form v_i.  ``decompose`` splits any germ into a sum of polar
 germs plus a polynomial, the exact analogue of the Laurent split of a
 one-variable meromorphic function into principal part plus holomorphic part.
+It merges the numerators that reach a denominator before it splits them,
+which is exact as the split on the faces of one simplicial cone is unique.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -25,15 +28,12 @@ from typing import Iterable, Sequence, TypeVar
 from .errors import NotPolar, PoleHit
 from .exact import (
     ONE,
-    ZERO,
     AmbientSpace,
     Polynomial,
     Vec,
+    int_inverse,
     mat_from_columns,
-    mat_inverse,
-    mat_mul,
     mat_rank,
-    mat_transpose,
     nullspace,
     primitive_pseudo_positive,
     q_orthogonal_complement,
@@ -435,25 +435,15 @@ def evaluate(x, point: Sequence) -> Fraction:
 # orthogonality (the Q-structure on numerators)
 
 def orthogonal_projection_images(space: AmbientSpace, forms: Sequence[Vec]) -> list[Polynomial]:
-    """Substitution images realizing p -> p  restricted to the Q-orthogonal
-    complement of span(forms): each variable eps_i is replaced by the i-th
-    coordinate of the projected dual point.  A polynomial is a function of
-    Q-orthogonal linear forms alone iff it is fixed by this substitution.
+    """Substitution images realizing p -> p restricted to the Q-orthogonal
+    complement of span(forms): those of ``_pole_coordinates`` with the pole
+    coordinates set to zero (eps = P u + R w goes to R w).  A polynomial is
+    a function of Q-orthogonal linear forms alone iff it is fixed by them.
     """
-    k = space.dimension
-    if not forms:
-        return [Polynomial.variable(k, i) for i in range(k)]
-    b = mat_from_columns(list(forms))
-    bt = mat_transpose(b)
-    gram_b = mat_mul(mat_mul(bt, space.gram), b)
-    inv = mat_inverse(gram_b)
-    # P_U = B (B^T Q B)^{-1} B^T Q;  P = I - P_U  projects onto span(forms)^perp
-    p_u = mat_mul(mat_mul(b, inv), mat_mul(bt, space.gram))
-    proj = tuple(tuple((ONE if i == j else ZERO) - p_u[i][j] for j in range(k))
-                 for i in range(k))
-    # variable i maps to sum_j P[j][i] eps_j (the substitution eps -> P^T eps)
-    return [Polynomial.linear_form(tuple(proj[j][i] for j in range(k)))
-            for i in range(k)]
+    m = len(forms)
+    to_u, to_eps = _pole_coordinates(space, tuple(forms))
+    zeros = [Polynomial.zero(space.dimension)] * m
+    return [image.substitute(zeros + to_eps[m:]) for image in to_u]
 
 
 def numerator_is_orthogonal(space: AmbientSpace, numerator: Polynomial,
@@ -536,58 +526,56 @@ def reduce_to_independent(
 def decompose(space: AmbientSpace, f) -> GermSum:
     """Split a germ into polar germs plus a polynomial (exact, canonical).
 
-    For each independent-denominator fraction the pole forms are completed by
-    a Q-orthogonal basis; in those coordinates the numerator splits into a
-    part free of the pole directions (a polar germ) and parts divisible by a
-    pole form, which cancel one pole power each and recurse.  Terms are
-    grouped by decorated denominator, so exact cancellations disappear.
+    A worklist takes the independent denominators of
+    ``reduce_to_independent`` most pole forms first, each with the sum of
+    the numerators that reached it.  In the coordinates u = the pole forms,
+    w = a Q-orthogonal basis, each monomial cancels what it can: one that
+    keeps every form is free of u, a polar term summed in (u, w) until the
+    end; any other has lost a form and moves to a denominator with fewer
+    forms, taken later.  Merging first is exact, as the polar split on the
+    faces of one simplicial cone is unique.  Raises ValueError when the germ
+    and the space differ in their numbers of variables.
     """
     f = as_mero(f)
     k = space.dimension
-    polar: list[PolarGerm] = []
-    poly = Polynomial.zero(k)
-    caches: dict[tuple[Vec, ...], tuple[list[Polynomial], list[Polynomial]]] = {}
-
-    def coordinate_maps(forms: tuple[Vec, ...]):
-        """Substitution images for eps->u and u->eps, basis (forms | ortho)."""
-        if forms not in caches:
-            ortho = q_orthogonal_complement(space, list(forms))
-            b = mat_from_columns(list(forms) + ortho)
-            bt = mat_transpose(b)
-            bt_inv = mat_inverse(bt)
-            to_u = [Polynomial.linear_form(bt_inv[i]) for i in range(k)]
-            to_eps = [Polynomial.linear_form(bt[i]) for i in range(k)]
-            caches[forms] = (to_u, to_eps)
-        return caches[forms]
-
-    def rec(num: Polynomial, den: Factors):
-        nonlocal poly
-        if num.is_zero():
-            return
-        if not den:
-            poly = poly + num
-            return
-        if num.is_constant():
-            # a constant has no part along a pole direction
-            polar.append(PolarGerm(num, den))
-            return
-        forms = tuple(v for v, _ in den)
-        m = len(forms)
-        to_u, to_eps = coordinate_maps(forms)
-        # the terms free of the pole directions form the polar numerator;
-        # every other term is routed through its first pole-direction
-        # variable, which it loses
-        h0, parts = num.substitute(to_u).peel(m)
-        if not h0.is_zero():
-            polar.append(PolarGerm(h0.substitute(to_eps), den))
-        for i, part in enumerate(parts):
-            if part.is_zero():
-                continue
-            g = part.substitute(to_eps)
-            child = tuple((v, e - 1 if j == i else e)
-                          for j, (v, e) in enumerate(den) if e - (j == i) > 0)
-            rec(g, child)
-
+    if f.nvars != k:
+        raise ValueError(f"germ in {f.nvars} variables, space of dimension {k}")
+    zero = Polynomial.zero(k)
+    pending = [defaultdict(lambda: zero) for _ in range(k + 1)]
     for coef, num, den in reduce_to_independent(f):
-        rec(num.scale(coef), den)
-    return make_germ_sum(polar, poly)
+        pending[len(den)][den] += num.scale(coef)
+    polar: dict[Factors, Polynomial] = defaultdict(lambda: zero)
+    maps: dict[tuple[Vec, ...], tuple[list[Polynomial], list[Polynomial]]] = {}
+    for m in range(k, 0, -1):
+        for den, num in pending[m].items():
+            if num.is_constant():
+                # a constant has no part along a pole direction
+                polar[den] += num
+                continue
+            forms = tuple(v for v, _ in den)
+            if forms not in maps:
+                maps[forms] = _pole_coordinates(space, forms)
+            to_u, to_eps = maps[forms]
+            parts = num.substitute(to_u).split_over([e for _, e in den])
+            for left, part in parts.items():
+                child = tuple((v, e) for (v, _), e in zip(den, left) if e)
+                if len(child) == m:
+                    polar[child] += part
+                else:
+                    pending[len(child)][child] += part.substitute(to_eps)
+    terms = []
+    for den, num in sorted(polar.items()):
+        if not num.is_constant():
+            num = num.substitute(maps[tuple(v for v, _ in den)][1])
+        if not num.is_zero():
+            terms.append(PolarGerm(num, den))
+    return GermSum(tuple(terms), pending[0][()])
+
+
+def _pole_coordinates(space: AmbientSpace, forms: tuple[Vec, ...]
+                      ) -> tuple[list[Polynomial], list[Polynomial]]:
+    """Images for eps -> (u, w) and back, u = the forms and w = a
+    Q-orthogonal basis of them: eps is the int inverse of the basis."""
+    basis = tuple(forms) + tuple(q_orthogonal_complement(space, forms))
+    to_u = [Polynomial.linear_form(row, d) for row, d in int_inverse(basis)]
+    return to_u, [Polynomial.linear_form(b) for b in basis]

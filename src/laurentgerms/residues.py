@@ -115,6 +115,9 @@ class CoproductTerm:
 def _as_expansion(space: AmbientSpace, f,
                   support=None) -> FormalExpansion:
     if isinstance(f, FormalExpansion):
+        if f.nvars != space.dimension:
+            raise ValueError(f"expansion in {f.nvars} variables, space of "
+                             f"dimension {space.dimension}")
         return f
     return laurent_expand(space, as_mero(f), support)
 

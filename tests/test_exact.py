@@ -12,6 +12,7 @@ from laurentgerms.exact import (
     _rational_roots,
     det,
     frac,
+    int_inverse,
     linear_factorization,
     mat,
     mat_inverse,
@@ -176,6 +177,70 @@ def test_inverse_of_random_invertible_matrices():
 def test_inverse_of_singular_matrix_raises():
     with pytest.raises(DependentInput):
         mat_inverse(mat([[1, 2], [2, 4]]))
+
+
+def test_inverse_of_a_matrix_that_is_not_square_raises():
+    for m in (((1, 2, 3), (4, 5, 6)), ((1, 0), (0, 1), (1, 1)), ((1,), ())):
+        with pytest.raises(ValueError, match="square"):
+            mat_inverse(m)
+
+
+def _gauss_jordan_inverse(m):
+    """Reference: the rows of the Fraction RREF of [m | I] at the columns of
+    m, right half; None when m has dependent columns."""
+    n = len(m[0])
+    aug = tuple(tuple(F(a) for a in row) + tuple(F(int(i == j)) for j in range(len(m)))
+                for i, row in enumerate(m))
+    red, pivots = _fraction_rref(aug)
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in red[:n])
+
+
+def test_int_inverse_matches_fraction_gauss_jordan():
+    rng = random.Random(15)
+    singular = 0
+    for trial in range(800):
+        n = rng.randint(1, 5)
+        rows = n if trial % 4 else n + rng.randint(1, 2)  # every 4th is tall
+        if rng.random() < 0.5:
+            m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(rows)]
+        else:
+            m = [[F(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+                 for _ in range(rows)]
+        if n > 1 and rng.random() < 0.2:
+            i, j = rng.sample(range(n), 2)
+            for row in m:
+                row[i] = 2 * row[j]
+        m = tuple(tuple(row) for row in m)
+        expected = _gauss_jordan_inverse(m)
+        if expected is None:
+            singular += 1
+            with pytest.raises(DependentInput):
+                int_inverse(m)
+            continue
+        inverse = int_inverse(m)
+        for r, d in inverse:
+            assert all(type(a) is int for a in r) and type(d) is int
+            assert d > 0 and math.gcd(d, *r) == 1
+        assert tuple(tuple(F(a, d) for a in r) for r, d in inverse) == expected
+        if rows == n:
+            assert mat_inverse(m) == expected
+    assert singular > 50
+
+
+def test_linear_form_of_ints_and_fractions_is_the_fraction_built_form():
+    rng = random.Random(16)
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        ints = tuple(rng.randint(-9, 9) for _ in range(k))
+        fracs = tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(k))
+        for v in (ints, fracs, vec(ints)):
+            den = rng.randint(1, 5)
+            old = Polynomial(k, {unit_vec(k, i): F(c) / den
+                                 for i, c in enumerate(v) if c})
+            assert Polynomial.linear_form(v, den) == old
+            assert Polynomial.linear_form(v) == old.scale(den)
 
 
 def test_max_minor_abs_sum_known_values():

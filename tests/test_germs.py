@@ -11,9 +11,14 @@ from laurentgerms.exact import (
     AmbientSpace,
     Polynomial,
     is_pseudo_positive,
+    mat,
+    mat_from_columns,
+    mat_inverse,
     mat_rank,
+    mat_transpose,
     primitive_pseudo_positive,
     primitive_vector,
+    q_orthogonal_complement,
     vec,
     vec_dot,
 )
@@ -40,6 +45,15 @@ from laurentgerms.germs import (
     numerator_is_orthogonal,
     reduce_to_independent,
 )
+from laurentgerms.residues import (
+    coproduct,
+    graded_split,
+    jk_residue,
+    p_order,
+    p_res,
+    pi_minus,
+    pi_plus,
+)
 
 from conftest import (
     random_fraction,
@@ -48,6 +62,7 @@ from conftest import (
     random_polynomial,
     random_space,
     random_vector,
+    skew_space,
 )
 
 F = Fraction
@@ -430,6 +445,105 @@ def test_decompose_faithful_under_random_inner_products():
         assert germ_equal(s, g)
         for t in s.terms:
             assert numerator_is_orthogonal(sp, t.numerator, [v for v, _ in t.factors])
+
+
+def _reference_decompose(space, f):
+    """The recursive decomposition: each fraction goes into the coordinates
+    (pole forms | Q-orthogonal basis), every term free of the pole
+    directions is polar, and every other term is routed through its first
+    pole-direction variable, which it loses, and recursed on."""
+    f = as_mero(f)
+    k = space.dimension
+    polar = []
+    poly = Polynomial.zero(k)
+    caches = {}
+
+    def coordinate_maps(forms):
+        if forms not in caches:
+            ortho = q_orthogonal_complement(space, list(forms))
+            bt = mat_transpose(mat_from_columns(list(forms) + ortho))
+            bt_inv = mat_inverse(bt)
+            caches[forms] = ([Polynomial.linear_form(bt_inv[i]) for i in range(k)],
+                             [Polynomial.linear_form(bt[i]) for i in range(k)])
+        return caches[forms]
+
+    def peel(p, m):
+        h, parts = {}, [{} for _ in range(m)]
+        for e, c in p.coeffs.items():
+            i = next((j for j in range(m) if e[j]), None)
+            if i is None:
+                h[e] = c
+            else:
+                parts[i][e[:i] + (e[i] - 1,) + e[i + 1:]] = c
+        return (Polynomial.from_ints(p.nvars, h, p.den),
+                [Polynomial.from_ints(p.nvars, q, p.den) for q in parts])
+
+    def rec(num, den):
+        nonlocal poly
+        if num.is_zero():
+            return
+        if not den:
+            poly = poly + num
+            return
+        if num.is_constant():
+            polar.append(PolarGerm(num, den))
+            return
+        forms = tuple(v for v, _ in den)
+        to_u, to_eps = coordinate_maps(forms)
+        h0, parts = peel(num.substitute(to_u), len(forms))
+        if not h0.is_zero():
+            polar.append(PolarGerm(h0.substitute(to_eps), den))
+        for i, part in enumerate(parts):
+            if part.is_zero():
+                continue
+            child = tuple((v, e - 1 if j == i else e)
+                          for j, (v, e) in enumerate(den) if e - (j == i) > 0)
+            rec(part.substitute(to_eps), child)
+
+    for coef, num, den in reduce_to_independent(f):
+        rec(num.scale(coef), den)
+    return make_germ_sum(polar, poly)
+
+
+def _digest_space(k):
+    """The Gram matrix of ``test_digest.py``, padded by the identity."""
+    gram = ((3, 1, 0), (1, 2, -1), (0, -1, 4))
+    return AmbientSpace(k, mat([[gram[i][j] if i < 3 and j < 3 else int(i == j)
+                                 for j in range(k)] for i in range(k)]))
+
+
+def _pooled_germ(rng, k):
+    """A germ over factors drawn with repetition from a few forms, so that
+    repeated and dependent forms are common; numerator degree <= 3."""
+    pool = [random_vector(rng, k, -2, 2) for _ in range(rng.randint(1, 4))]
+    factors = [(rng.choice(pool), 1) for _ in range(rng.randint(0, 4))]
+    return make_mero(random_polynomial(rng, k, degree=3), factors)
+
+
+def test_decompose_is_structurally_the_recursive_split():
+    rng = random.Random(15)
+    germs = list(round_trip_corpus())
+    germs += [(k, _pooled_germ(rng, k))
+              for k in (rng.randint(1, 4) for _ in range(300))]
+    for k, f in germs:
+        for space in (AmbientSpace.standard(k), skew_space(k), _digest_space(k)):
+            assert decompose(space, f) == _reference_decompose(space, f)
+
+
+def test_decompose_and_residues_refuse_a_germ_in_other_variables():
+    cases = [(2, "1/(x1*(x1+x2+x3))", 3), (3, "x2/(x1*(x1+x2))", 2),
+             (2, "(x1+x3)/(x1*(x1+x2+x3))", 3), (4, "1/(x1*(x1+x2+x3))", 3)]
+    for k, text, nvars in cases:
+        space = AmbientSpace.standard(k)
+        f = parse_germ(text, nvars)
+        for run in (decompose, laurent_expand, graded_split, pi_plus, pi_minus,
+                    jk_residue, p_order, p_res, coproduct):
+            with pytest.raises(ValueError, match=f"{nvars} variables.*{k}"):
+                run(space, f)
+        x = laurent_expand(AmbientSpace.standard(nvars), f)
+        for run in (graded_split, pi_plus, pi_minus, p_order, p_res, coproduct):
+            with pytest.raises(ValueError, match=f"{nvars} variables.*{k}"):
+                run(space, x)
 
 
 def test_germ_sum_merges_and_drops_zeros():
