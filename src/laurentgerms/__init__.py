@@ -10,7 +10,6 @@ from .exact import (  # noqa: F401
     Polynomial,
     frac,
     linear_factorization,
-    q_dual_family,
     q_orthogonal_complement,
     span_key,
 )

@@ -497,12 +497,11 @@ def common_refinement(
     _common_ambient(cones)
     if len(cones) == 1:
         return cones, [[0]]
-    firsts = [_simplicial_piece(c.generators) for c in cones]
     if (not all(is_pseudo_positive(g) for c in cones for g in c.generators)
-            and any(_pair_contains_line(a, b)
-                    for a, b in combinations(firsts, 2))):
+            and union_contains_line(cones)):
         raise NotStrictlyConvexUnion(
             "the union of the cones contains a linear subspace")
+    firsts = [_simplicial_piece(c.generators) for c in cones]
     hyperplanes = sorted({_sign_canonical(w)
                           for p in firsts for w in p.eqs + p.ineqs})
     piece_index: dict[tuple, int] = {}

@@ -8,13 +8,13 @@ normal, a kernel or lattice basis vector) is a tuple of Python ints, made by
 :class:`fractions.Fraction`.  Ints and equal Fractions compare, hash and
 print the same, and every routine here accepts either.  There is one dot
 product, :func:`vec_dot`, and it is an int on int rows, so pairings of
-integral vectors (and ``mat_vec``, ``mat_mul`` and
-``AmbientSpace.pairing`` built on it) never touch Fraction arithmetic.
+integral vectors (and ``mat_vec`` and ``AmbientSpace.pairing`` built on
+it) never touch Fraction arithmetic.
 Elimination (``rref``, ``mat_rank``, ``det``, ``int_inverse``) runs on
 Python ints: rows are scaled to integers and reduced fraction-free (Bareiss
-1968); only results become Fractions, inverses not even then.  There is one
-coordinate solve, :func:`solve`, and it returns None exactly when the
-right-hand side is outside the column span.
+1968); only results become Fractions, not even determinants of int rows
+or inverses.  There is one coordinate solve, :func:`solve`, and it returns
+None exactly when the right-hand side is outside the column span.
 
 A :class:`Polynomial` is stored the same way: int numerators keyed by
 exponent tuples over one positive int denominator, reduced so that the form
@@ -143,11 +143,6 @@ def mat_vec(m: Mat, v: Vec) -> Vec:
     return tuple(vec_dot(row, v) for row in m)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = mat_transpose(b)
-    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
-
-
 def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
     """Fraction-free forward elimination of integer rows, in place.
 
@@ -231,12 +226,8 @@ def mat_rank(m: Mat) -> int:
 
 def span_key(vectors: Sequence[Sequence]) -> tuple[Vec, ...]:
     """Canonical key for a rational subspace: its reduced echelon basis."""
-    rows = tuple(vec(v) for v in vectors)
-    rows = tuple(r for r in rows if not vec_is_zero(r))
-    if not rows:
-        return ()
-    red, pivots = rref(rows)
-    return tuple(red[i] for i in range(len(pivots)))
+    red, pivots = rref(tuple(vec(v) for v in vectors))
+    return red[:len(pivots)]
 
 
 def nullspace(m: Mat) -> list[tuple[int, ...]]:
@@ -287,24 +278,27 @@ def solve(m: Mat, b: Vec) -> Vec | None:
     return tuple(x)
 
 
-def det(m: Mat) -> Fraction:
+def det(m: Mat) -> int | Fraction:
     """Determinant by Bareiss elimination over the integers.
 
     The rows are scaled to integers first; the determinant of the scaled
     matrix is the last Bareiss pivot, divided here by the product of the
-    row scales.  Raises ValueError when the matrix is not square.
+    row scales.  An int on int rows (1 for the empty matrix) and a Fraction
+    once an entry is one, as :func:`vec_dot`.  Raises ValueError when the
+    matrix is not square.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("det needs a square matrix")
     if n == 0:
-        return ONE
+        return 1
     scaled = [_scaled_row(r) for r in m]
     rows = [r for r, _ in scaled]
     pivots, sign = _echelon(rows)
-    if len(pivots) < n:
-        return ZERO
-    return Fraction(sign * rows[-1][-1], prod(d for _, d in scaled))
+    value = sign * rows[-1][-1] if len(pivots) == n else 0
+    if all(isinstance(a, int) for row in m for a in row):
+        return value
+    return Fraction(value, prod(d for _, d in scaled))
 
 
 def int_inverse(m: Mat) -> list[tuple[list[int], int]]:
@@ -320,13 +314,6 @@ def int_inverse(m: Mat) -> list[tuple[list[int], int]]:
         raise DependentInput("matrix is singular")
     return [(r[n:], r[i]) if r[i] > 0 else ([-a for a in r[n:]], -r[i])
             for i, r in enumerate(rows[:n])]
-
-
-def mat_inverse(m: Mat) -> Mat:
-    """The inverse as Fractions; ValueError when ``m`` is not square."""
-    if any(len(row) != len(m) for row in m):
-        raise ValueError("mat_inverse needs a square matrix")
-    return tuple(tuple(Fraction(a, d) for a in row) for row, d in int_inverse(m))
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +361,6 @@ def q_orthogonal_complement(space: AmbientSpace, vs: Sequence[Vec]) -> list[Vec]
     if not vs:
         return [unit_vec(space.dimension, i) for i in range(space.dimension)]
     return nullspace(tuple(mat_vec(space.gram, v) for v in vs))
-
-
-def q_dual_family(space: AmbientSpace, forms: Sequence[Vec]) -> list[Vec]:
-    """Vectors L*_j in span(forms) with Q(L_i, L*_j) = delta_ij.
-
-    Raises DependentInput when the forms are linearly dependent (no dual
-    family exists inside the span then).
-    """
-    if mat_rank(tuple(forms)) != len(forms):
-        raise DependentInput("dual family requires independent forms")
-    # G = F Q F^T holds Q(L_i, L_j), and L*_j = sum_l (G^-1)_lj L_l is row
-    # j of (G^-1)^T F, for F the forms as rows
-    g = mat_mul(mat_mul(forms, space.gram), mat_transpose(forms))
-    return list(mat_mul(mat_transpose(mat_inverse(g)), forms))
 
 
 def max_minor_abs_sum(columns: Sequence[Vec], n: int) -> Fraction:
@@ -535,9 +508,6 @@ class Polynomial:
         """The common total degree of all terms, or None if mixed/zero."""
         degrees = {sum(e) for e in self.coeffs}
         return degrees.pop() if len(degrees) == 1 else None
-
-    def degree_in(self, i: int) -> int:
-        return max((e[i] for e in self.coeffs), default=0)
 
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
@@ -791,14 +761,6 @@ def _init(p: Polynomial, nvars: int, coeffs: IntTerms, den: int) -> None:
     setattr_(p, "coeffs", coeffs)
     setattr_(p, "den", den)
     setattr_(p, "_terms", None)
-
-
-def poly_linear_substitute(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
-    """Substitute an affine-linear form for each variable (exact)."""
-    for im in images:
-        if im.total_degree() > 1:
-            raise ValueError("substitution images must be affine-linear")
-    return p.substitute(images)
 
 
 # ---------------------------------------------------------------------------

@@ -185,26 +185,21 @@ def phi(x: FormalExpansion) -> MeromorphicGerm:
 # ---------------------------------------------------------------------------
 # subdivision operators
 
-def _expansion_of_polar(g: PolarGerm) -> FormalExpansion:
-    return FormalExpansion(((DecoratedCone(g.factors), g.numerator),),
-                           Polynomial.zero(g.nvars))
-
-
 def subdivide_simple(space: AmbientSpace, g: PolarGerm,
-                     pieces: Sequence[SimplicialCone],
-                     validate: bool = True) -> FormalExpansion:
+                     pieces: Sequence[SimplicialCone]) -> FormalExpansion:
     """Re-support a simple polar germ (all exponents 1) on a subdivision.
 
     The coefficient of each piece is |det| of its generators' coordinates in
     the basis of the pole forms (the ratio of the minor-sum weights of piece
     and cone), which is what makes the cone valuation additive: summing the
     output with ``phi`` returns the input germ.  It does not depend on Q.
-    This is ``_subdivide_term`` with no pole orders to raise.
+    This is ``_subdivide_term`` with no pole orders to raise.  Raises
+    NotASubdivision unless the pieces tile the cone of the pole forms.
     """
     if any(s != 1 for _, s in g.factors):
         raise ValueError("subdivide_simple needs all exponents equal to 1")
     cone = SimplicialCone(tuple(v for v, _ in g.factors))
-    if validate and not is_subdivision(pieces, cone):
+    if not is_subdivision(pieces, cone):
         raise NotASubdivision("pieces do not tile the supporting cone")
     return _resupport([(g.factors, g.numerator)], {cone: pieces},
                       Polynomial.zero(g.nvars))
@@ -218,8 +213,13 @@ def delta_op(space: AmbientSpace, lstar: Vec,
     Numerators ride along unchanged; that is only consistent when the
     direction associated with ``lstar`` does not vary any numerator, which is
     checked exactly (OrthogonalityViolated otherwise).  The polynomial part
-    has no denominator slots, so it maps to zero.
+    has no denominator slots, so it maps to zero.  ``lstar``, the space and
+    the expansion must have one dimension (ValueError otherwise).
     """
+    k = space.dimension
+    if len(lstar) != k or x.nvars != k:
+        raise ValueError(f"lstar of length {len(lstar)}, expansion in "
+                         f"{x.nvars} variables, space of dimension {k}")
     lstar = tuple(Fraction(c) for c in lstar)
     w = mat_vec(space.gram, lstar)
     items = []
@@ -300,15 +300,15 @@ def _resupport(terms: Iterable[tuple[Factors, Polynomial]],
 
 
 def _pieces_by_cone(cones: Sequence[SimplicialCone],
-                    family: Sequence[SimplicialCone],
-                    validate: bool) -> dict[SimplicialCone, list[SimplicialCone]]:
+                    family: Sequence[SimplicialCone]
+                    ) -> dict[SimplicialCone, list[SimplicialCone]]:
     """For each cone, the members of the family that tile it."""
     assignment: dict[SimplicialCone, list[SimplicialCone]] = {}
     for cone in cones:
         mine = [d for d in family
                 if d.dim == cone.dim
                 and all(cone_contains(cone, g) for g in d.generators)]
-        if validate and not is_subdivision(mine, cone):
+        if not is_subdivision(mine, cone):
             raise NotAPanSubdivision(
                 f"family does not tile the supporting cone {cone!r}")
         assignment[cone] = mine
@@ -316,8 +316,7 @@ def _pieces_by_cone(cones: Sequence[SimplicialCone],
 
 
 def subdivision_operator(space: AmbientSpace, x: FormalExpansion,
-                         family: Sequence[SimplicialCone],
-                         validate: bool = True) -> FormalExpansion:
+                         family: Sequence[SimplicialCone]) -> FormalExpansion:
     """Rewrite an expansion onto a finer properly positioned family.
 
     The family must tile every supporting cone of ``x`` by its members
@@ -328,9 +327,9 @@ def subdivision_operator(space: AmbientSpace, x: FormalExpansion,
     """
     family = list(family)
     support = x.support()
-    if validate and not is_properly_positioned(family):
+    if not is_properly_positioned(family):
         raise NotAPanSubdivision("target family is not properly positioned")
-    assignment = _pieces_by_cone(support, family, validate)
+    assignment = _pieces_by_cone(support, family)
     return _resupport([(dc.factors, num) for dc, num in x.terms], assignment,
                       x.polynomial_part)
 
@@ -367,7 +366,7 @@ def laurent_expand(space: AmbientSpace, f,
             raise NotProperlyPositioned(
                 "requested support is not properly positioned")
         try:
-            assignment = _pieces_by_cone(cones, support, validate=True)
+            assignment = _pieces_by_cone(cones, support)
         except NotAPanSubdivision as exc:
             raise NotInLaurentSubspace(
                 "germ admits no expansion on the requested support"
@@ -396,17 +395,10 @@ def kernel_generators(space: AmbientSpace, sample: PolarGerm,
       a nontrivial subdivision gives a structurally nonzero expansion with
       vanishing ``phi``-image.
     """
-    x = _expansion_of_polar(sample)
-    (v1, s1) = sample.factors[0]
-    flipped_num = Polynomial.constant(sample.nvars, (-ONE) ** s1)
-    flipped_num = flipped_num * sample.numerator
-    flipped = make_expansion(
-        space, [(sample.factors, flipped_num)],
-        Polynomial.zero(sample.nvars), validate=False)
-    sign = (-ONE) ** (s1 + 1)
-    type_one = expansion_add(x, expansion_scale(sign, flipped))
+    x = FormalExpansion(((DecoratedCone(sample.factors), sample.numerator),),
+                        Polynomial.zero(sample.nvars))
     if subdivision is None:
         subdivision = [SimplicialCone(tuple(v for v, _ in sample.factors))]
     resupported = subdivision_operator(space, x, list(subdivision))
-    type_two = expansion_add(x, expansion_neg(resupported))
-    return [type_one, type_two]
+    return [FormalExpansion((), Polynomial.zero(sample.nvars)),
+            expansion_add(x, expansion_neg(resupported))]

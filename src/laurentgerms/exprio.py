@@ -575,15 +575,20 @@ def from_json(text: str):
 # ---------------------------------------------------------------------------
 # simple input files (rows of rationals)
 
-def load_rows(path: str) -> list[Vec]:
-    """A JSON file holding a list of equal-length rational rows."""
+def _load_json(path: str):
+    """The JSON document in a file; FormatError when it cannot be read."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+
+
+def load_rows(path: str) -> list[Vec]:
+    """A JSON file holding a list of equal-length rational rows."""
+    data = _load_json(path)
     if not isinstance(data, list) or not data:
         raise FormatError(f"{path}: expected a nonempty list of rows")
     rows = [_vec_in(r, f"{path}: row {i}") for i, r in enumerate(data)]
@@ -598,13 +603,7 @@ def load_cone_family(path: str) -> list[SimplicialCone]:
     The wrapped {"kind": "cone-family", ...} form is accepted too.  All
     cones must have the same ambient dimension.
     """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    data = _load_json(path)
     if isinstance(data, dict):
         family = deserialize(data)
         if isinstance(family, ConeFamily):

@@ -446,8 +446,19 @@ def orthogonal_projection_images(space: AmbientSpace, forms: Sequence[Vec]) -> l
     return [image.substitute(zeros + to_eps[m:]) for image in to_u]
 
 
-def numerator_is_orthogonal(space: AmbientSpace, numerator: Polynomial,
+def numerator_is_orthogonal(space: AmbientSpace | None, numerator: Polynomial,
                             forms: Sequence[Vec]) -> bool:
+    """ValueError naming both numbers when the space or a pole form has
+    another dimension than the numerator; ``space`` may be None when the
+    numerator is constant."""
+    k = numerator.nvars
+    if space is not None and space.dimension != k:
+        raise ValueError(f"numerator in {k} variables, space of dimension "
+                         f"{space.dimension}")
+    for v in forms:
+        if len(v) != k:
+            raise ValueError(f"numerator in {k} variables, pole form of "
+                             f"length {len(v)}")
     if numerator.is_constant():
         return True
     images = orthogonal_projection_images(space, forms)
@@ -459,8 +470,9 @@ def canonicalize_polar(space: AmbientSpace | None, numerator: Polynomial,
     """Validate and canonicalize a polar germ.
 
     Raises NotPolar for a zero numerator, dependent pole forms, or a
-    numerator not orthogonal to the poles.  ``space`` may be None only when
-    the numerator is constant (orthogonality is then vacuous).
+    numerator not orthogonal to the poles, and ValueError when the space or
+    a pole form has another dimension than the numerator.  ``space`` may be
+    None only when the numerator is constant (orthogonality is then vacuous).
     """
     num, fac = canonical_fraction(numerator, factors)
     if num.is_zero():
@@ -468,11 +480,10 @@ def canonicalize_polar(space: AmbientSpace | None, numerator: Polynomial,
     forms = [v for v, _ in fac]
     if mat_rank(tuple(forms)) != len(forms):
         raise NotPolar("pole forms of a polar germ must be independent")
-    if not num.is_constant():
-        if space is None:
-            raise NotPolar("ambient space required to check orthogonality")
-        if not numerator_is_orthogonal(space, num, forms):
-            raise NotPolar("numerator is not orthogonal to the pole forms")
+    if space is None and not num.is_constant():
+        raise NotPolar("ambient space required to check orthogonality")
+    if not numerator_is_orthogonal(space, num, forms):
+        raise NotPolar("numerator is not orthogonal to the pole forms")
     return PolarGerm(num, fac)
 
 

@@ -7,6 +7,9 @@ highest-order part) from the grouping.  Because the forgetful sum of an
 expansion determines its components — expansions on a properly positioned
 support are unique — all of these maps are well-defined on germs, not just
 on expansions, and none of them depends on the support used to compute them.
+Each map takes a germ, expanded on the common refinement of its pole cones,
+or a ready expansion: to use a chosen support, pass
+``laurent_expand(space, f, support=...)``.
 """
 
 from __future__ import annotations
@@ -76,10 +79,6 @@ class Arrangement:
     delta: tuple[Vec, ...]
 
     @property
-    def span(self) -> tuple[Vec, ...]:
-        return span_key(self.delta)
-
-    @property
     def r(self) -> int:
         return mat_rank(self.delta)
 
@@ -112,25 +111,23 @@ class CoproductTerm:
 
 # ---------------------------------------------------------------------------
 
-def _as_expansion(space: AmbientSpace, f,
-                  support=None) -> FormalExpansion:
+def _as_expansion(space: AmbientSpace, f) -> FormalExpansion:
     if isinstance(f, FormalExpansion):
         if f.nvars != space.dimension:
             raise ValueError(f"expansion in {f.nvars} variables, space of "
                              f"dimension {space.dimension}")
         return f
-    return laurent_expand(space, as_mero(f), support)
+    return laurent_expand(space, as_mero(f))
 
 
-def graded_split(space: AmbientSpace, f,
-                 support=None) -> dict[GradedComponentKey, GermSum]:
+def graded_split(space: AmbientSpace, f) -> dict[GradedComponentKey, GermSum]:
     """Group the Laurent terms of ``f`` by (pole span, total pole order).
 
     The polynomial part, when nonzero, sits at the key (zero subspace, 0).
     Summing every component recovers ``f``; the components themselves do not
     depend on the Laurent support used.
     """
-    x = _as_expansion(space, f, support)
+    x = _as_expansion(space, f)
     k = x.nvars
     buckets: dict[GradedComponentKey, list[PolarGerm]] = {}
     for dc, num in x.terms:
@@ -146,14 +143,14 @@ def graded_split(space: AmbientSpace, f,
     return out
 
 
-def pi_plus(space: AmbientSpace, f, support=None) -> Polynomial:
+def pi_plus(space: AmbientSpace, f) -> Polynomial:
     """Projection onto the holomorphic part along the polar part."""
-    return _as_expansion(space, f, support).polynomial_part
+    return _as_expansion(space, f).polynomial_part
 
 
-def pi_minus(space: AmbientSpace, f, support=None) -> GermSum:
+def pi_minus(space: AmbientSpace, f) -> GermSum:
     """Projection onto the polar part along the holomorphic part."""
-    x = _as_expansion(space, f, support)
+    x = _as_expansion(space, f)
     return make_germ_sum([PolarGerm(num, dc.factors) for dc, num in x.terms],
                          Polynomial.zero(x.nvars))
 

@@ -17,7 +17,13 @@ from laurentgerms import (
     mero_mul,
 )
 from laurentgerms.errors import NotSimplicial
-from laurentgerms.exact import mat, primitive_pseudo_positive
+from laurentgerms.exact import (
+    int_inverse,
+    mat,
+    mat_transpose,
+    primitive_pseudo_positive,
+    vec_dot,
+)
 
 
 def random_fraction(rng: random.Random, lo: int = -3, hi: int = 3,
@@ -105,3 +111,23 @@ def skew_space(k: int) -> AmbientSpace:
     if k == 1:
         padded = [[2]]
     return AmbientSpace(k, mat(padded))
+
+
+def mat_mul(a, b):
+    bt = mat_transpose(b)
+    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
+
+
+def mat_inverse(m):
+    """The inverse of a nonsingular square matrix, as Fractions."""
+    return tuple(tuple(Fraction(a, d) for a in row) for row, d in int_inverse(m))
+
+
+def q_dual_family(space: AmbientSpace, forms):
+    """Vectors L*_j in span(forms) with Q(L_i, L*_j) = delta_ij, for
+    independent forms: the reference the subdivision coefficients are
+    checked against."""
+    # G = F Q F^T holds Q(L_i, L_j), and L*_j = sum_l (G^-1)_lj L_l is row
+    # j of (G^-1)^T F, for F the forms as rows
+    g = mat_mul(mat_mul(forms, space.gram), mat_transpose(forms))
+    return list(mat_mul(mat_transpose(mat_inverse(g)), forms))

@@ -19,7 +19,6 @@ from laurentgerms.exact import (
     Polynomial,
     mat_vec,
     max_minor_abs_sum,
-    q_dual_family,
     vec,
     vec_dot,
 )
@@ -48,9 +47,11 @@ from laurentgerms.germs import (
     mero_add,
     mero_scale,
     mero_sum,
+    numerator_is_orthogonal,
 )
 
 from conftest import (
+    q_dual_family,
     random_germ,
     random_polynomial,
     random_pseudo_positive_cone,
@@ -95,6 +96,34 @@ def test_make_expansion_validates_orthogonality():
     with pytest.raises(NotPolar):
         make_expansion(SP, [(((vec([1, 0]), 2),), bad_num)],
                        Polynomial.zero(2))
+
+
+def three_variable_expansion():
+    """The expansion of x2/(x1*(x1+x2+x3)): three terms, one numerator
+    nonconstant."""
+    f = make_mero(Polynomial.variable(3, 1), (((1, 0, 0), 1), ((1, 1, 1), 1)))
+    return laurent_expand(AmbientSpace.standard(3), f)
+
+
+def test_polar_checks_reject_mismatched_dimensions():
+    x = three_variable_expansion()
+    items = [(dc.factors, num) for dc, num in x.terms]
+    for k in (2, 4):
+        space = AmbientSpace.standard(k)
+        message = f"numerator in 3 variables, space of dimension {k}"
+        with pytest.raises(ValueError, match=message):
+            make_expansion(space, items, Polynomial.zero(3))
+        for dc, num in x.terms:
+            forms = [v for v, _ in dc.factors]
+            with pytest.raises(ValueError, match=message):
+                canonicalize_polar(space, num, dc.factors)
+            with pytest.raises(ValueError, match=message):
+                numerator_is_orthogonal(space, num, forms)
+    message = "numerator in 3 variables, pole form of length 2"
+    with pytest.raises(ValueError, match=message):
+        canonicalize_polar(None, Polynomial.constant(3, 1), (((1, 0), 1),))
+    with pytest.raises(ValueError, match=message):
+        numerator_is_orthogonal(None, Polynomial.constant(3, 1), [(1, 0)])
 
 
 def test_phi_sums_terms_and_polynomial_part():
@@ -171,9 +200,8 @@ def test_subdivide_simple_rejects_non_subdivision():
                            ((vec([1, 0]), 1), (vec([0, 1]), 1)))
     with pytest.raises(NotASubdivision):
         subdivide_simple(SP, g, [cone((1, 0), (1, 1))])
-    # unvalidated, a piece of the wrong dimension still fails loudly
-    with pytest.raises(ValueError):
-        subdivide_simple(SP, g, [cone((1, 1))], validate=False)
+    with pytest.raises(NotASubdivision):
+        subdivide_simple(SP, g, [cone((1, 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +230,17 @@ def test_delta_requires_orthogonal_direction():
     x = make_expansion(SP, [(((vec([1, 0]), 1),), num)], Polynomial.zero(2))
     with pytest.raises(OrthogonalityViolated):
         delta_op(SP, vec([0, 1]), x)
+
+
+def test_delta_rejects_mismatched_dimensions():
+    x = three_variable_expansion()
+    with pytest.raises(ValueError, match="in 3 variables, space of dimension 2"):
+        delta_op(SP, vec([1, 0]), x)
+    with pytest.raises(ValueError, match="lstar of length 2"):
+        delta_op(AmbientSpace.standard(3), vec([1, 0]), x)
+    y = simple_exp(SP, [((((1, 0), 1),), 1)])
+    with pytest.raises(ValueError, match="in 2 variables, space of dimension 3"):
+        delta_op(AmbientSpace.standard(3), vec([1, 0, 0]), y)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from laurentgerms.exact import (
     is_pseudo_positive,
     mat,
     mat_from_columns,
-    mat_inverse,
     mat_rank,
     mat_transpose,
     primitive_pseudo_positive,
@@ -56,6 +55,7 @@ from laurentgerms.residues import (
 )
 
 from conftest import (
+    mat_inverse,
     random_fraction,
     round_trip_corpus,
     random_germ,

@@ -87,15 +87,19 @@ def test_graded_split_components_sum_to_input():
 
 
 def test_graded_split_is_support_independent():
-    # expanding over a strictly finer support yields the same components
-    f = mero(1, ([1, 0], 1), ([0, 1], 1))
+    # an expansion over a strictly finer support yields the same components
+    f = mero_add(mero(1, ([1, 0], 1), ([0, 1], 1)), mero(3))
     fine = [make_simplicial_cone([(1, 0), (1, 1)]),
             make_simplicial_cone([(0, 1), (1, 1)])]
+    x = laurent_expand(SP, f, support=fine)
+    assert x != laurent_expand(SP, f)
     default = graded_split(SP, f)
-    refined = graded_split(SP, f, support=fine)
+    refined = graded_split(SP, x)
     assert set(default) == set(refined)
     for key in default:
         assert germ_equal(default[key], refined[key])
+    assert pi_plus(SP, x) == pi_plus(SP, f)
+    assert germ_equal(pi_minus(SP, x), pi_minus(SP, f))
 
 
 # ---------------------------------------------------------------------------
