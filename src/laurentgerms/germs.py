@@ -448,9 +448,9 @@ def orthogonal_projection_images(space: AmbientSpace, forms: Sequence[Vec]) -> l
 
 def numerator_is_orthogonal(space: AmbientSpace | None, numerator: Polynomial,
                             forms: Sequence[Vec]) -> bool:
-    """ValueError naming both numbers when the space or a pole form has
-    another dimension than the numerator; ``space`` may be None when the
-    numerator is constant."""
+    """Whether the numerator is fixed by the projection along the forms;
+    ValueError naming both numbers when the space or a form has another
+    dimension than the numerator.  ``space`` may be None for a constant."""
     k = numerator.nvars
     if space is not None and space.dimension != k:
         raise ValueError(f"numerator in {k} variables, space of dimension "
