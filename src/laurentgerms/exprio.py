@@ -336,8 +336,48 @@ def _mero_invert(g: MeromorphicGerm) -> MeromorphicGerm:
     return make_mero(den_poly(g.nvars, g.den).scale(ONE / const), factors)
 
 
-_BINOPS = {"+": mero_add, "-": mero_sub, "*": mero_mul,
-           "/": lambda a, b: mero_mul(a, _mero_invert(b))}
+def _mero_pow(g: MeromorphicGerm, e: int) -> MeromorphicGerm:
+    # no pole form divides the reduced numerator, so none divides its
+    # power: this equals the product of e copies of g
+    return make_mero(g.numerator ** e, [(v, s * e) for v, s in g.den])
+
+
+def _inverse(node: Node, k: int) -> MeromorphicGerm:
+    """1 / node, as ``_mero_invert`` of the whole divisor gives it.
+
+    A product is inverted one factor at a time, a positive power by
+    inverting its base and a negation by inverting its operand, so a power
+    of a linear form is never expanded and factored again; when some factor
+    has no inverse the whole divisor is inverted, which keeps the result and
+    the error of the whole.
+    """
+    if (isinstance(node, Neg) or isinstance(node, Pow) and node.exponent > 0
+            or isinstance(node, BinOp) and node.op == "*"):
+        try:
+            return _inverse_by_factors(node, k)
+        except (NonLinearPole, ZeroDivisionError):
+            pass
+    return _mero_invert(to_germ(node, k))
+
+
+def _inverse_by_factors(node: Node, k: int) -> MeromorphicGerm:
+    if isinstance(node, Pow) and node.exponent > 0:
+        return _mero_pow(_inverse_by_factors(node.base, k), node.exponent)
+    if isinstance(node, Neg):
+        return mero_neg(_inverse_by_factors(node.operand, k))
+    chain = []
+    while isinstance(node, BinOp) and node.op == "*":
+        chain.append(node.right)
+        node = node.left
+    if not chain:
+        return _mero_invert(to_germ(node, k))
+    out = _inverse_by_factors(node, k)
+    for right in reversed(chain):
+        out = mero_mul(out, _inverse_by_factors(right, k))
+    return out
+
+
+_BINOPS = {"+": mero_add, "-": mero_sub, "*": mero_mul, "/": mero_mul}
 
 
 def to_germ(node: Node, k: int) -> MeromorphicGerm:
@@ -353,15 +393,9 @@ def to_germ(node: Node, k: int) -> MeromorphicGerm:
     if isinstance(node, Neg):
         return mero_neg(to_germ(node.operand, k))
     if isinstance(node, Pow):
-        base = to_germ(node.base, k)
-        e = node.exponent
-        if e < 0:
-            base = _mero_invert(base)
-            e = -e
-        # no pole form divides the reduced numerator, so none divides its
-        # power: this equals the product of e copies of the base
-        return make_mero(base.numerator ** e,
-                         [(v, s * e) for v, s in base.den])
+        if node.exponent < 0:
+            return _mero_pow(_inverse(node.base, k), -node.exponent)
+        return _mero_pow(to_germ(node.base, k), node.exponent)
     # a flat sum or product of n operands is n levels deep on the left:
     # walk that spine in a loop and recurse only into the right operands
     chain = []
@@ -370,7 +404,9 @@ def to_germ(node: Node, k: int) -> MeromorphicGerm:
         node = node.left
     a = to_germ(node, k)
     for link in reversed(chain):
-        a = _BINOPS[link.op](a, to_germ(link.right, k))
+        right = (_inverse(link.right, k) if link.op == "/"
+                 else to_germ(link.right, k))
+        a = _BINOPS[link.op](a, right)
     return a
 
 

@@ -9,7 +9,10 @@ support are unique — all of these maps are well-defined on germs, not just
 on expansions, and none of them depends on the support used to compute them.
 Each map takes a germ, expanded on the common refinement of its pole cones,
 or a ready expansion: to use a chosen support, pass
-``laurent_expand(space, f, support=...)``.
+``laurent_expand(space, f, support=...)``.  Maps on the same (space, germ)
+share one canonical expansion: ``laurent_expand`` keeps the 8 most recent
+ones and returns them as shared immutable objects; expansions on a chosen
+support are not cached.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from laurentgerms import expand
 from laurentgerms.cones import common_refinement, make_simplicial_cone
 from laurentgerms.errors import (
     NotAPanSubdivision,
@@ -427,6 +428,95 @@ def test_laurent_expand_rejects_bad_supports():
                    ((vec([1, 0]), 1), (vec([1, 1]), 1)))
     with pytest.raises(NotInLaurentSubspace):
         laurent_expand(SP, g2, support=coarse)
+
+
+# ---------------------------------------------------------------------------
+# the cache of canonical expansions
+
+@pytest.fixture
+def decompose_calls(monkeypatch):
+    """An empty expansion cache and a list that grows by one per
+    ``decompose`` call made by ``laurent_expand``."""
+    calls = []
+
+    def counting(space, f):
+        calls.append(f)
+        return decompose(space, f)
+
+    expand._canonical_expansion.cache_clear()
+    monkeypatch.setattr(expand, "decompose", counting)
+    yield calls
+    expand._canonical_expansion.cache_clear()
+
+
+def test_repeat_expansions_of_one_germ_share_one_entry(decompose_calls):
+    f = make_mero(Polynomial(2, {(1, 0): 1, (0, 1): F(1, 2)}),
+                  ((vec([1, 0]), 2), (vec([1, 1]), 1), (vec([1, -1]), 1)))
+    s = decompose(SP, f)
+    assert len(s.terms) > 1
+    p = Polynomial(2, {(2, 0): 3, (0, 0): F(-1, 2)})
+    for one_germ in ((f, s), (p, make_mero(p))):
+        before = len(decompose_calls)
+        first = laurent_expand(SP, one_germ[0])
+        for g in one_germ + one_germ:
+            assert laurent_expand(SP, g) == first
+        assert len(decompose_calls) == before + 1
+    assert germ_equal(phi(laurent_expand(SP, s)), f)
+
+
+def test_equal_spaces_share_an_entry_and_other_products_do_not(
+        decompose_calls):
+    # x2^2 / (x1^2 (x1 + x2)): the numerator on the double pole depends on Q
+    f = make_mero(Polynomial(2, {(0, 2): 1}),
+                  ((vec([1, 0]), 2), (vec([1, 1]), 1)))
+    x = laurent_expand(AmbientSpace.standard(2), f)
+    assert laurent_expand(AmbientSpace.standard(2), f) is x
+    assert len(decompose_calls) == 1
+    y = laurent_expand(skew_space(2), f)
+    assert len(decompose_calls) == 2
+    assert laurent_expand(skew_space(2), f) is y
+    assert laurent_expand(AmbientSpace.standard(2), f) is x
+    assert len(decompose_calls) == 2
+    assert x != y
+
+
+def test_mismatched_variable_count_raises_on_every_call(decompose_calls):
+    f = make_mero(Polynomial.constant(3, 1), ((vec([1, 1, 1]), 1),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="3 variables"):
+            laurent_expand(SP, f)
+    assert len(decompose_calls) == 2
+
+
+def test_expansions_on_a_chosen_support_bypass_the_cache(decompose_calls):
+    g = make_mero(Polynomial.constant(2, 1),
+                  ((vec([1, 0]), 1), (vec([0, 1]), 1)))
+    support = [cone((1, 0), (1, 1)), cone((0, 1), (1, 1))]
+    canonical = laurent_expand(SP, g)
+    finer = laurent_expand(SP, g, support=support)
+    assert laurent_expand(SP, g, support=support) == finer != canonical
+    assert len(decompose_calls) == 3
+    assert laurent_expand(SP, g) is canonical
+    assert len(decompose_calls) == 3
+    expand._canonical_expansion.cache_clear()
+    laurent_expand(SP, g, support=support)
+    laurent_expand(SP, g)
+    assert len(decompose_calls) == 5
+
+
+def test_the_cache_keeps_only_the_most_recent_expansions(decompose_calls):
+    bound = expand._EXPANSION_CACHE_SIZE
+    assert 2 <= bound <= 8
+    germs = [make_mero(Polynomial.constant(2, 1), ((vec([1, j]), 1),))
+             for j in range(1, bound + 2)]
+    first = [laurent_expand(SP, g) for g in germs[:bound]]
+    assert [laurent_expand(SP, g) for g in germs[:bound]] == first
+    assert len(decompose_calls) == bound
+    laurent_expand(SP, germs[bound])
+    assert len(decompose_calls) == bound + 1
+    assert laurent_expand(SP, germs[0]) == first[0]
+    assert decompose_calls[-1] == germs[0]
+    assert len(decompose_calls) == bound + 2
 
 
 # ---------------------------------------------------------------------------

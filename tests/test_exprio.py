@@ -2,10 +2,12 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from laurentgerms import exprio
 from laurentgerms.cones import ConeFamily, make_simplicial_cone
 from laurentgerms.errors import (
     ExprSyntaxError,
@@ -16,6 +18,7 @@ from laurentgerms.errors import (
 from laurentgerms.exact import AmbientSpace, Polynomial, vec
 from laurentgerms.expand import laurent_expand, phi
 from laurentgerms.germs import (
+    MeromorphicGerm,
     as_mero,
     decompose,
     evaluate,
@@ -23,6 +26,7 @@ from laurentgerms.germs import (
     make_mero,
     mero_add,
     mero_mul,
+    mero_neg,
 )
 from laurentgerms.exprio import (
     BinOp,
@@ -42,6 +46,7 @@ from laurentgerms.exprio import (
     parse_frac,
     parse_germ,
     serialize,
+    to_germ,
     to_json,
 )
 
@@ -190,6 +195,52 @@ def test_powers_are_the_repeated_products():
             power = mero_mul(power, base)
     big = make_mero(Polynomial.constant(1, 1), ((vec([1]), 20000),))
     assert parse_germ("1/x1^20000", 1) == parse_germ("x1^-20000", 1) == big
+
+
+def test_a_high_power_of_a_linear_divisor_is_not_expanded():
+    start = time.perf_counter()
+    g = parse_germ("1/(x1+x2)^2000", 2)
+    minus = parse_germ("1/-(x1+x2)^2000", 2)
+    assert time.perf_counter() - start < 1.0
+    assert g == make_mero(Polynomial.constant(2, 1), ((vec([1, 1]), 2000),))
+    assert minus == mero_neg(g)
+
+
+def _whole_inverse(node, k):
+    """Reference: expand the divisor and factor it as one polynomial."""
+    return exprio._mero_invert(to_germ(node, k))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (NonLinearPole, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def test_divisors_inverted_by_factors_match_the_whole_inverse():
+    rng = random.Random(17)
+    seen = set()
+    factors = ["x1", "x2", "x1+x2", "2*x1-3*x2", "x1-x2+x3", "3", "-1",
+               "x1^2+x2^2", "x1*x2+1", "x1-x1", "x1^2-x2^2",
+               "(x1^2+x2^2)^-1", "x3^-2"]
+    for _ in range(200):
+        den = "*".join(f"({rng.choice(factors)})^{rng.randint(1, 3)}"
+                       for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.3:
+            den = f"({den})^{rng.randint(1, 2)}"
+        if rng.random() < 0.3:
+            den = f"-{den}"
+        num = rng.choice(["1", "x1", "x2^2-x3", "(x1^2+x2^2)*x3"])
+        node = parse_expr(den, 3)
+        numerator = to_germ(parse_expr(num, 3), 3)
+        quotient = _outcome(lambda: parse_germ(f"({num})/({den})", 3))
+        assert quotient == _outcome(
+            lambda: mero_mul(numerator, _whole_inverse(node, 3)))
+        seen.add(quotient[0] if isinstance(quotient, tuple) else type(quotient))
+        assert _outcome(lambda: parse_germ(f"({den})^-2", 3)) == _outcome(
+            lambda: mero_mul(*[_whole_inverse(node, 3)] * 2))
+    assert seen == {MeromorphicGerm, NonLinearPole, ZeroDivisionError}
 
 
 def test_division_by_the_zero_germ_is_an_error():
