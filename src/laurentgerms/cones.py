@@ -35,7 +35,6 @@ rays, which are the rays of its dual cone cut out one generator at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -47,6 +46,7 @@ from .errors import (
 from .exact import (
     ONE,
     Polynomial,
+    Record,
     Vec,
     int_inverse,
     is_pseudo_positive,
@@ -83,8 +83,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SimplicialCone:
+class SimplicialCone(Record):
     """Cone spanned by linearly independent primitive generators."""
 
     generators: tuple[Vec, ...]
@@ -102,8 +101,7 @@ class SimplicialCone:
         return f"SimplicialCone<{gens}>"
 
 
-@dataclass(frozen=True)
-class PolyCone:
+class PolyCone(Record):
     """Pointed cone given by its extreme rays (primitive, sorted)."""
 
     rays: tuple[Vec, ...]
@@ -113,8 +111,7 @@ class PolyCone:
         return len(self.rays[0])
 
 
-@dataclass(frozen=True)
-class ConeFamily:
+class ConeFamily(Record):
     """A finite family of simplicial cones (an expansion support)."""
 
     cones: tuple[SimplicialCone, ...]
@@ -180,8 +177,7 @@ def _satisfies(x: Vec, eqs: Iterable[Vec], ineqs: Iterable[Vec]) -> bool:
 # ---------------------------------------------------------------------------
 # double description: half-space representations and extreme rays
 
-@dataclass
-class _Piece:
+class _Piece(Record):
     """A pointed cone tracked in both representations.
 
     Normals are primitive int vectors.  Rays are int vectors too, except the

@@ -27,7 +27,6 @@ the canonical term order for printing is graded lexicographic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
 from math import comb, gcd, isqrt, lcm, prod
@@ -317,10 +316,61 @@ def int_inverse(m: Mat) -> list[tuple[list[int], int]]:
 
 
 # ---------------------------------------------------------------------------
+# immutable value records
+
+class Record:
+    """Base of the immutable value types, in place of frozen data classes.
+
+    The fields are the subclass's own annotations, in order (names only);
+    a class-level value is a default.  One ``exec`` per subclass compiles
+    ``__init__`` (fields by position or keyword, then ``__post_init__`` if
+    defined), ``__eq__`` on the field tuples of same-class objects,
+    ``__hash__`` of the field tuple and ``Name(field=value, ...)`` as
+    ``__repr__``; a method of the class body wins.  Fields cannot be
+    assigned or deleted.  Hashes, and so set and dict order, are the data
+    class's.  Importing the standard data class module (it brings
+    ``inspect`` and ``ast``) and building the 21 classes cost each cold
+    start about 23 ms.
+    """
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        params = ", ".join(f"{n}=_cls.{n}" if n in cls.__dict__ else n
+                           for n in names)
+        # object.__setattr__ keeps the values inline; a write through
+        # self.__dict__ is faster but makes every later attribute read slower
+        stores = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
+        post = ("    self.__post_init__()\n"
+                if hasattr(cls, "__post_init__") else "")
+        mine = "".join(f"self.{n}," for n in names)
+        theirs = "".join(f"other.{n}," for n in names)
+        shown = ", ".join(f"{n}={{self.{n}!r}}" for n in names)
+        src = (f"def __init__(self, {params}):\n{stores}{post}"
+               "def __eq__(self, other):\n"
+               "    if other.__class__ is self.__class__:\n"
+               f"        return ({mine}) == ({theirs})\n"
+               "    return NotImplemented\n"
+               "def __hash__(self):\n"
+               f"    return hash(({mine}))\n"
+               "def __repr__(self):\n"
+               f"    return f'{{self.__class__.__qualname__}}({shown})'\n")
+        ns = {"_cls": cls, "_set": object.__setattr__}
+        exec(src, ns)
+        for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+            if name not in cls.__dict__:
+                setattr(cls, name, ns[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # ambient space
 
-@dataclass(frozen=True)
-class AmbientSpace:
+class AmbientSpace(Record):
     """Fixed ambient dimension with a symmetric positive-definite pairing.
 
     ``gram`` holds Q in the standard basis; ``pairing(u, v) = u^T Q v`` is the

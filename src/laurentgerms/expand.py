@@ -13,7 +13,6 @@ polar parts, then re-support everything on one common refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -30,6 +29,7 @@ from .exact import (
     ONE,
     AmbientSpace,
     Polynomial,
+    Record,
     Vec,
     det,
     int_inverse,
@@ -70,8 +70,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecoratedCone:
+class DecoratedCone(Record):
     """A simplicial cone whose generators carry pole multiplicities.
 
     ``factors`` is the canonically sorted tuple of (primitive pseudo-positive
@@ -97,8 +96,7 @@ class DecoratedCone:
         return "<" + " ".join(bits) + ">"
 
 
-@dataclass(frozen=True)
-class FormalExpansion:
+class FormalExpansion(Record):
     """Direct sum of decorated polar terms plus a polynomial part."""
 
     terms: tuple[tuple[DecoratedCone, Polynomial], ...]

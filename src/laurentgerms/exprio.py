@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,6 +29,7 @@ from .exact import (
     AmbientSpace,
     Mat,
     Polynomial,
+    Record,
     Vec,
     frac,
     linear_factorization,
@@ -80,30 +80,25 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # abstract syntax
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     index: int  # zero-based
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     operand: "Node"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
     op: str  # one of + - * /
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(Record):
     base: "Node"
     exponent: int
 
@@ -111,8 +106,7 @@ class Pow:
 Node = Num | Var | Neg | BinOp | Pow
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(Record):
     """Everything a command needs to be reproducible."""
 
     dimension: int
@@ -346,13 +340,13 @@ def _inverse(node: Node, k: int) -> MeromorphicGerm:
     """1 / node, as ``_mero_invert`` of the whole divisor gives it.
 
     A product is inverted one factor at a time, a positive power by
-    inverting its base and a negation by inverting its operand, so a power
-    of a linear form is never expanded and factored again; when some factor
-    has no inverse the whole divisor is inverted, which keeps the result and
-    the error of the whole.
+    inverting its base, a negation by inverting its operand and a quotient
+    a/b as b times 1/a, so a power of a linear form is never expanded and
+    factored again; when some factor has no inverse the whole divisor is
+    inverted, which keeps the result and the error of the whole.
     """
     if (isinstance(node, Neg) or isinstance(node, Pow) and node.exponent > 0
-            or isinstance(node, BinOp) and node.op == "*"):
+            or isinstance(node, BinOp) and node.op in ("*", "/")):
         try:
             return _inverse_by_factors(node, k)
         except (NonLinearPole, ZeroDivisionError):
@@ -365,6 +359,12 @@ def _inverse_by_factors(node: Node, k: int) -> MeromorphicGerm:
         return _mero_pow(_inverse_by_factors(node.base, k), node.exponent)
     if isinstance(node, Neg):
         return mero_neg(_inverse_by_factors(node.operand, k))
+    if isinstance(node, BinOp) and node.op == "/":
+        # the whole divisor a/b fails when b is zero or does not factor,
+        # even where b times 1/a would not
+        _inverse(node.right, k)
+        return mero_mul(to_germ(node.right, k),
+                        _inverse_by_factors(node.left, k))
     chain = []
     while isinstance(node, BinOp) and node.op == "*":
         chain.append(node.right)
@@ -641,7 +641,10 @@ def load_cone_family(path: str) -> list[SimplicialCone]:
     """
     data = _load_json(path)
     if isinstance(data, dict):
-        family = deserialize(data)
+        try:
+            family = deserialize(data)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
         if isinstance(family, ConeFamily):
             cones = list(family.cones)
         elif isinstance(family, SimplicialCone):

@@ -20,7 +20,6 @@ which is exact as the split on the faces of one simplicial cone is unique.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence, TypeVar
@@ -30,6 +29,7 @@ from .exact import (
     ONE,
     AmbientSpace,
     Polynomial,
+    Record,
     Vec,
     int_inverse,
     mat_from_columns,
@@ -69,8 +69,7 @@ def canonical_fraction(numerator: Polynomial,
     return numerator.scale(ONE / scale), tuple(sorted(merged.items()))
 
 
-@dataclass(frozen=True)
-class MeromorphicGerm:
+class MeromorphicGerm(Record):
     """Reduced quotient numerator / prod <form, eps>^power."""
 
     numerator: Polynomial
@@ -316,8 +315,7 @@ def mero_scale(c, f: MeromorphicGerm) -> MeromorphicGerm:
     return make_mero(f.numerator.scale(c), f.den)
 
 
-@dataclass(frozen=True)
-class PolarGerm:
+class PolarGerm(Record):
     """Canonical polar germ: orthogonal numerator over independent poles.
 
     ``factors`` doubles as the decorated cone of the germ: the geometric
@@ -343,8 +341,7 @@ class PolarGerm:
         return f"PolarGerm({self.as_mero()!r})"
 
 
-@dataclass(frozen=True)
-class GermSum:
+class GermSum(Record):
     """A finite formal sum of polar germs plus a polynomial part.
 
     Terms with the same decorated denominator are merged at construction and

@@ -15,7 +15,6 @@ oracle used to sanity-check truncated germs numerically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import exp, factorial
 from itertools import product as iter_product
@@ -33,6 +32,7 @@ from .exact import (
     ZERO,
     AmbientSpace,
     Polynomial,
+    Record,
     Vec,
     det,
     frac,
@@ -88,8 +88,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LatticeCone:
+class LatticeCone(Record):
     """A cone together with a lattice basis of its linear span.
 
     Generators are normalized at construction to the primitive lattice
@@ -249,8 +248,7 @@ def bernoulli_tail_coeffs(n: int) -> list[Fraction]:
     return [-b[j + 1] for j in range(n + 1)]
 
 
-@dataclass(frozen=True)
-class TruncatedGerm:
+class TruncatedGerm(Record):
     """Exact polar data plus a Taylor tail known up to a stated degree."""
 
     polar_part: GermSum

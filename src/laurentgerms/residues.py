@@ -17,7 +17,6 @@ support are not cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -25,6 +24,7 @@ from .errors import NotInRDelta
 from .exact import (
     AmbientSpace,
     Polynomial,
+    Record,
     Vec,
     mat_rank,
     primitive_pseudo_positive,
@@ -59,8 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GradedComponentKey:
+class GradedComponentKey(Record):
     """Supporting subspace (echelon basis) and total pole order."""
 
     support_span: tuple[Vec, ...]
@@ -75,8 +74,7 @@ class GradedComponentKey:
         return f"GradedComponentKey([{rows}], p={self.p_order})"
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(Record):
     """A finite set of pole directions and the subspace they span."""
 
     delta: tuple[Vec, ...]
@@ -98,8 +96,7 @@ def make_arrangement(forms: Sequence[Sequence]) -> Arrangement:
     return Arrangement(tuple(sorted(dict.fromkeys(normalized))))
 
 
-@dataclass(frozen=True)
-class CoproductTerm:
+class CoproductTerm(Record):
     """Numerator tensor pure pole fraction; ``right=None`` is the unit 1."""
 
     left: Polynomial

@@ -387,6 +387,19 @@ def test_cone_family_of_mixed_dimension_is_a_format_error(capsys, tmp_path,
                             "cone 0 has dimension 2\n")
 
 
+@pytest.mark.parametrize("family, message", [
+    ({"a": 1}, "top level: expected an object with a 'kind' field"),
+    ({"kind": "cone-family", "dim": 2, "cones": 1}, "cones: expected a list"),
+    ({"kind": "germ", "dim": 2, "numerator": "1"}, "not a cone family"),
+])
+def test_a_malformed_support_file_is_named_in_the_error(capsys, tmp_path,
+                                                        family, message):
+    path = write_json(tmp_path, "obj.json", family)
+    code, captured = run(capsys, "laurent", "1/x1", "--support", path)
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
 def test_pole_outside_the_arrangement_is_named_in_coordinates(capsys,
                                                               tmp_path):
     arr = write_json(tmp_path, "arr.json", [[1, 0], [0, 1]])

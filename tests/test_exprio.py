@@ -206,6 +206,19 @@ def test_a_high_power_of_a_linear_divisor_is_not_expanded():
     assert minus == mero_neg(g)
 
 
+def test_a_quotient_divisor_is_not_expanded():
+    start = time.perf_counter()
+    g = parse_germ("1/((x1+x2)^200/x1)", 2)
+    assert time.perf_counter() - start < 0.5
+    assert g == make_mero(Polynomial.variable(2, 0), ((vec([1, 1]), 200),))
+    # b is checked as a divisor even where b times 1/a needs no inverse of b
+    with pytest.raises(NonLinearPole, match=r"^denominator eps2\^2 \+ eps1\^2 "
+                       "does not factor into linear forms over the rationals$"):
+        parse_germ("1/(x1/(x1^2+x2^2))", 2)
+    with pytest.raises(ZeroDivisionError, match="^division by the zero germ$"):
+        parse_germ("1/(x1/0)", 2)
+
+
 def _whole_inverse(node, k):
     """Reference: expand the divisor and factor it as one polynomial."""
     return exprio._mero_invert(to_germ(node, k))
@@ -224,9 +237,15 @@ def test_divisors_inverted_by_factors_match_the_whole_inverse():
     factors = ["x1", "x2", "x1+x2", "2*x1-3*x2", "x1-x2+x3", "3", "-1",
                "x1^2+x2^2", "x1*x2+1", "x1-x1", "x1^2-x2^2",
                "(x1^2+x2^2)^-1", "x3^-2"]
-    for _ in range(200):
-        den = "*".join(f"({rng.choice(factors)})^{rng.randint(1, 3)}"
-                       for _ in range(rng.randint(1, 3)))
+
+    def product():
+        return "*".join(f"({rng.choice(factors)})^{rng.randint(1, 3)}"
+                        for _ in range(rng.randint(1, 3)))
+
+    for _ in range(300):
+        den = product()
+        if rng.random() < 0.3:
+            den = f"({den})/({product()})"
         if rng.random() < 0.3:
             den = f"({den})^{rng.randint(1, 2)}"
         if rng.random() < 0.3:

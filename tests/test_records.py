@@ -1,0 +1,90 @@
+"""The value types compare, hash, print and freeze by their fields.
+
+Hashes are pinned to the hash of the field tuple, as they always were, so
+set and dict order stay the same.  A fresh import of the CLI stays free of
+the modules that only dataclass generation needs.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import laurentgerms
+from laurentgerms.cones import PolyCone, SimplicialCone
+from laurentgerms.exact import AmbientSpace, Polynomial
+from laurentgerms.exprio import DEFAULT_DIMENSION_CAP, SessionConfig
+from laurentgerms.germs import (
+    GermSum,
+    MeromorphicGerm,
+    PolarGerm,
+    make_germ_sum,
+)
+from laurentgerms.latticeexp import DEFAULT_TRUNCATION
+
+NUM = Polynomial.variable(2, 0)
+FACTORS = (((0, 1), 2), ((1, 1), 1))
+GRAM = ((2, 1), (1, 1))
+
+
+@pytest.mark.parametrize("value, fields", [
+    (MeromorphicGerm(NUM, FACTORS), (NUM, FACTORS)),
+    (PolarGerm(NUM, FACTORS), (NUM, FACTORS)),
+    (SimplicialCone(((1, 0), (1, 1))), (((1, 0), (1, 1)),)),
+    (AmbientSpace(2, GRAM), (2, GRAM)),
+])
+def test_hash_is_the_hash_of_the_field_tuple(value, fields):
+    assert hash(value) == hash(fields)
+    assert value == type(value)(*fields)
+
+
+def test_equal_fields_of_different_classes_are_unequal():
+    polar, mero = PolarGerm(NUM, FACTORS), MeromorphicGerm(NUM, FACTORS)
+    assert polar != mero and mero != polar
+    assert len({polar, mero}) == 2
+
+
+def test_fields_cannot_be_assigned_or_deleted():
+    g = PolarGerm(NUM, FACTORS)
+    with pytest.raises(AttributeError):
+        g.numerator = Polynomial.constant(2, 1)
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    with pytest.raises(AttributeError):
+        del g.factors
+    assert g == PolarGerm(NUM, FACTORS)
+
+
+def test_fields_with_a_class_default_may_be_left_out():
+    config = SessionConfig(2, GRAM)
+    assert (config.truncation, config.dim_cap) == (DEFAULT_TRUNCATION,
+                                                   DEFAULT_DIMENSION_CAP)
+    assert SessionConfig(2, GRAM, truncation=4) == SessionConfig(
+        dimension=2, gram=GRAM, truncation=4, dim_cap=DEFAULT_DIMENSION_CAP)
+    with pytest.raises(TypeError):
+        SessionConfig(2)
+
+
+def test_repr_lists_the_fields_unless_the_class_defines_one():
+    assert repr(PolyCone(((1, 0), (0, 1)))) == "PolyCone(rays=((1, 0), (0, 1)))"
+    assert repr(SessionConfig(1, ((1,),))) == (
+        f"SessionConfig(dimension=1, gram=((1,),), "
+        f"truncation={DEFAULT_TRUNCATION}, dim_cap={DEFAULT_DIMENSION_CAP})")
+    total = make_germ_sum([PolarGerm(NUM, FACTORS)], Polynomial.constant(2, 3))
+    assert isinstance(total, GermSum)
+    assert repr(total) == "GermSum(1 polar terms, poly=3)"
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "import laurentgerms.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(laurentgerms.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "laurentgerms.cli" in out
+    assert "dataclasses" not in out and "inspect" not in out
