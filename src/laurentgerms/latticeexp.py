@@ -7,7 +7,9 @@ splits into an exact polar piece -1/x and a holomorphic tail whose Taylor
 coefficients are Bernoulli-number data.  We keep the pole structure exact
 and truncate only the transcendental tails, so the highest-order residue of
 the sum — which only sees the exact polar top — reproduces the lattice
-normalized cone integral with no approximation at all.
+normalized cone integral with no approximation at all.  The polar terms of a
+smooth piece already form a Laurent expansion, on the faces of one simplicial
+cone, so that residue is read off them directly.
 
 Floating point appears in exactly one place: the direct lattice-summation
 oracle used to sanity-check truncated germs numerically.
@@ -65,6 +67,7 @@ from .germs import (
     mero_add,
     mero_mul,
 )
+from .expand import make_expansion
 from .residues import p_res
 
 DEFAULT_TRUNCATION = 8
@@ -210,7 +213,8 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
         for r in raw_rows:
             coords = _lattice_coords(basis, r)
             if any(c.denominator != 1 for c in coords):
-                raise ValueError(f"generator {r} is not a lattice vector")
+                raise ValueError(f"generator ({', '.join(map(str, r))}) "
+                                 "is not a lattice vector")
     normalized = []
     for g in rays:
         prim = primitive_vector(_lattice_coords(basis, g))
@@ -445,6 +449,14 @@ def p_res_exp_sum(lc: LatticeCone,
     Computed piecewise over a smooth subdivision (found automatically in
     rank <= 2, otherwise caller-supplied and validated); the result equals
     the lattice cone integral exactly, with no truncation involved anywhere.
+
+    Each piece's residue is read off its own expansion: the polar terms of
+    ``exp_sum_smooth`` come from ``decompose`` and sit on faces of one
+    simplicial cone, a properly positioned family, so by uniqueness they
+    are a Laurent expansion as they stand and nothing is summed or expanded
+    again.  Every piece gives one term, (-1)^d over its generators.  That
+    top term does not depend on the truncation, so the sums are taken at
+    order 0.
     """
     k = lc.ambient
     if space is None:
@@ -471,12 +483,13 @@ def p_res_exp_sum(lc: LatticeCone,
         if not is_subdivision([p.cone for p in smooth_pieces], lc.cone):
             raise NotASubdivision("pieces do not tile the lattice cone")
     terms: list[PolarGerm] = []
-    poly = Polynomial.zero(k)
     for piece in smooth_pieces:
-        part = p_res(space, exp_sum_smooth(piece, trunc=2, space=space))
-        terms.extend(part.terms)
-        poly = poly + part.poly
-    return make_germ_sum(terms, poly)
+        ts = exp_sum_smooth(piece, trunc=0, space=space)
+        own = make_expansion(None, [(t.factors, t.numerator)
+                                    for t in ts.polar_part.terms],
+                             ts.taylor_tail, validate=False)
+        terms.extend(p_res(space, own).terms)
+    return make_germ_sum(terms, Polynomial.zero(k))
 
 
 def lattice_sum_numeric(lc: LatticeCone, point: Sequence,

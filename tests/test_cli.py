@@ -410,6 +410,17 @@ def test_pole_outside_the_arrangement_is_named_in_coordinates(capsys,
                             "arrangement\n")
 
 
+def test_generator_off_the_lattice_is_named_in_coordinates(capsys,
+                                                          tmp_path):
+    cone = write_json(tmp_path, "cone.json", [[1, 0], [-3, 5]])
+    lattice = write_json(tmp_path, "lattice.json", [[1, 0], [0, 3]])
+    code, captured = run(capsys, "exp-sum", "--cone", cone,
+                         "--lattice", lattice)
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: generator (-3, 5) is not a lattice "
+                            "vector\n")
+
+
 def test_decompose_of_many_dependent_forms_finishes(capsys):
     expr = " + ".join(f"{i}/(x1+{i}*x2)" for i in range(1, 13))
     got = run_json(capsys, "decompose", expr)

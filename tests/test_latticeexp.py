@@ -3,10 +3,14 @@
 import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import laurentgerms.expand as expand_module
+import laurentgerms.latticeexp as latticeexp_module
+import laurentgerms.residues as residues_module
 from laurentgerms.cones import (
     SimplicialCone,
     is_subdivision,
@@ -20,10 +24,13 @@ from laurentgerms.errors import (
     NotSmooth,
 )
 from laurentgerms.exact import AmbientSpace, Polynomial, primitive_vector, vec
+from laurentgerms.expand import make_expansion
 from laurentgerms.germs import (
     as_mero,
+    canonicalize_polar,
     evaluate,
     germ_equal,
+    make_germ_sum,
     make_mero,
     mero_add,
     mero_mul,
@@ -44,8 +51,9 @@ from laurentgerms.latticeexp import (
     truncated_add,
     truncated_mul,
 )
+from laurentgerms.residues import p_res
 
-from conftest import random_germ
+from conftest import random_germ, skew_space
 
 F = Fraction
 SP = AmbientSpace.standard(2)
@@ -209,7 +217,6 @@ def test_exp_sum_on_the_half_line():
 
 def test_exp_sum_top_polar_term_is_truncation_free():
     lc = make_lattice_cone([(1, 0), (1, 1)])
-    from laurentgerms.residues import p_res
     for trunc in (2, 5):
         tg = exp_sum_smooth(lc, trunc=trunc)
         assert germ_equal(p_res(SP, tg), mero(1, ([1, 0], 1), ([1, 1], 1)))
@@ -467,3 +474,135 @@ def test_p_res_exp_sum_needs_a_subdivision_in_higher_rank():
     lc = make_lattice_cone([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
     with pytest.raises(NoSmoothSubdivisionAvailable):
         p_res_exp_sum(lc)
+
+
+# ---------------------------------------------------------------------------
+# residues read off each smooth piece's own expansion
+
+def own_expansion(ts):
+    """The expansion that ``exp_sum_smooth`` already gives: its polar terms
+    and its tail, with nothing summed or expanded again."""
+    return make_expansion(None, [(t.factors, t.numerator)
+                                 for t in ts.polar_part.terms],
+                          ts.taylor_tail, validate=False)
+
+
+def re_expanded_residue(space, pieces):
+    """The residue of each piece's truncated sum, summed to one fraction and
+    expanded again: the reference the direct reading is checked against."""
+    terms = []
+    for piece in pieces:
+        ts = exp_sum_smooth(piece, trunc=2, space=space)
+        terms.extend(p_res(space, as_mero(ts)).terms)
+    return make_germ_sum(terms, Polynomial.zero(pieces[0].ambient))
+
+
+def top_terms(pieces):
+    """(-1)^d over the generators of every piece."""
+    k = pieces[0].ambient
+    return make_germ_sum([canonicalize_polar(
+        None, Polynomial.constant(k, (-1) ** piece.dim),
+        tuple((g, 1) for g in piece.cone.generators)) for piece in pieces],
+        Polynomial.zero(k))
+
+
+def unimodular_rows(rng, k):
+    m = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3):
+        i, j = rng.sample(range(k), 2)
+        c = rng.choice((-1, 1))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+def residue_cases(rng, count_2d=10, count_3d=3):
+    """``(lattice cone, smooth pieces, pieces to pass or None)``.
+
+    Random 2D cones of determinant up to 300, subdivided automatically, and
+    smooth 3D cones split by the stellar ray g1 + g2 into two smooth pieces
+    passed explicitly.
+    """
+    cases = []
+    while len(cases) < count_2d:
+        a = (rng.randint(-20, 20), rng.randint(-20, 20))
+        b = (rng.randint(-20, 20), rng.randint(-20, 20))
+        if not 0 < abs(a[0] * b[1] - a[1] * b[0]) <= 300:
+            continue
+        lc = make_lattice_cone([a, b])
+        cases.append((lc, smooth_subdivide_2d(lc), None))
+    for _ in range(count_3d):
+        g1, g2, g3 = unimodular_rows(rng, 3)
+        mid = [x + y for x, y in zip(g1, g2)]
+        rows = [[g1, mid, g3], [mid, g2, g3]]
+        lc = make_lattice_cone([g1, g2, g3])
+        cases.append((lc, [make_lattice_cone(r) for r in rows], rows))
+    return cases
+
+
+SPACES = pytest.mark.parametrize(
+    "space_of", [AmbientSpace.standard, skew_space], ids=["identity", "skew"])
+
+
+@SPACES
+def test_p_res_exp_sum_is_one_top_term_per_smooth_piece(space_of):
+    rng = random.Random(63)
+    split = 0
+    for lc, pieces, explicit in residue_cases(rng):
+        space = space_of(lc.ambient)
+        got = p_res_exp_sum(lc, explicit, space=space)
+        assert got == top_terms(pieces)
+        assert len(got.terms) == len(pieces)
+        reference = re_expanded_residue(space, pieces)
+        assert germ_equal(got, reference)
+        assert germ_equal(got, exp_integral(lc))
+        split += len(reference.terms) > len(pieces)
+    # some pieces are obtuse, so the re-expanded residue had split them
+    assert split > 0
+
+
+def test_p_res_exp_sum_of_an_obtuse_smooth_cone():
+    lc = make_lattice_cone([(1, 0), (3, -1)])
+    got = p_res_exp_sum(lc)
+    assert got == make_germ_sum([canonicalize_polar(
+        None, Polynomial.constant(2, -1), ((vec([-3, 1]), 1),
+                                           (vec([1, 0]), 1)))],
+        Polynomial.zero(2))
+    assert len(re_expanded_residue(SP, [lc]).terms) == 3
+    assert germ_equal(got, exp_integral(lc))
+
+
+def test_p_res_exp_sum_expands_nothing_again(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(residues_module, "laurent_expand",
+                        counted("laurent_expand",
+                                residues_module.laurent_expand))
+    decompose = counted("decompose", latticeexp_module.decompose)
+    monkeypatch.setattr(latticeexp_module, "decompose", decompose)
+    monkeypatch.setattr(expand_module, "decompose", decompose)
+    for lc, pieces, explicit in residue_cases(random.Random(64), 4, 2):
+        calls.clear()
+        p_res_exp_sum(lc, explicit)
+        assert calls["laurent_expand"] == 0
+        assert calls["decompose"] == len(pieces) * 2 ** lc.dim
+
+
+@SPACES
+def test_p_res_of_a_pieces_own_expansion_ignores_the_truncation(space_of):
+    rng = random.Random(65)
+    cones = [unimodular_rows(rng, 2) for _ in range(3)]
+    cones += [unimodular_rows(rng, 3) for _ in range(2)]
+    cones.append([(1, 0), (3, -1)])
+    for rows in cones:
+        lc = make_lattice_cone(rows)
+        space = space_of(lc.ambient)
+        got = [p_res(space, own_expansion(exp_sum_smooth(lc, trunc, space)))
+               for trunc in range(4)]
+        assert all(g == got[0] for g in got)
+        assert got[0] == top_terms([lc])
