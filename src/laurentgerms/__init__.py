@@ -97,8 +97,6 @@ from .latticeexp import (  # noqa: F401
     truncated_mul,
 )
 from .exprio import (  # noqa: F401
-    DEFAULT_DIMENSION_CAP,
-    SessionConfig,
     ast_evaluate,
     ast_to_string,
     deserialize,

@@ -8,6 +8,8 @@ file; 3 mathematical precondition violated (nonlinear pole, improper
 support, non-smooth cone, ...); 4 ambient dimension above ``--dim-cap``,
 checked before any cone geometry runs (``decompose`` and ``verify`` build
 no cones and are not capped; the library itself has no cap).
+The cap (``DEFAULT_DIMENSION_CAP``) is this tool's policy alone: commands
+read their settings from the parsed arguments and build their own space.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ from .latticeexp import (
     p_res_exp_sum,
 )
 from .exprio import (
-    DEFAULT_DIMENSION_CAP,
-    SessionConfig,
     frac_str,
     load_cone_family,
     load_rows,
@@ -63,6 +63,8 @@ from .exprio import (
 )
 
 __all__ = ["main"]
+
+DEFAULT_DIMENSION_CAP = 6
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,27 +125,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _config(args) -> SessionConfig:
+def _space(args) -> AmbientSpace:
+    """The space of ``--dim`` and ``--gram``; checks the global flags."""
     k = args.dim
     if k < 1:
         raise FormatError("--dim must be a positive integer")
     if args.trunc < 0:
         raise FormatError("--trunc must be a non-negative integer")
-    if args.gram:
-        rows = load_rows(args.gram)
-        if len(rows) != k or len(rows[0]) != k:
-            raise FormatError(f"{args.gram}: gram matrix must be {k}x{k}")
-        gram = mat(rows)
-    else:
-        gram = AmbientSpace.standard(k).gram
-    return SessionConfig(k, gram, truncation=args.trunc,
-                         dim_cap=args.dim_cap)
+    if not args.gram:
+        return AmbientSpace.standard(k)
+    rows = load_rows(args.gram)
+    if len(rows) != k or len(rows[0]) != k:
+        raise FormatError(f"{args.gram}: gram matrix must be {k}x{k}")
+    return AmbientSpace(k, mat(rows))
 
 
-def _check_dim_cap(k: int, cfg: SessionConfig):
-    if k > cfg.dim_cap:
+def _check_dim_cap(k: int, args):
+    if k > args.dim_cap:
         raise DimensionCapExceeded(
-            f"ambient dimension {k} exceeds the cap {cfg.dim_cap}")
+            f"ambient dimension {k} exceeds the cap {args.dim_cap}")
 
 
 def _check_file_dim(path: str, found: int, k: int):
@@ -162,11 +162,10 @@ def _span_rows(span) -> list[list[str]]:
 
 
 def _run(args) -> int:
-    cfg = _config(args)
-    space = cfg.space()
-    k = cfg.dimension
+    space = _space(args)
+    k = space.dimension
     if args.command not in ("decompose", "verify", "cone"):
-        _check_dim_cap(k, cfg)  # cone checks its family's dimension
+        _check_dim_cap(k, args)  # cone checks its family's dimension
 
     if args.command == "decompose":
         _emit(serialize(decompose(space, parse_germ(args.expr, k))))
@@ -217,9 +216,9 @@ def _run(args) -> int:
             terms.append({"left": t.left.to_string(), "right": right})
         _emit({"kind": "coproduct", "dim": k, "terms": terms})
     elif args.command == "cone":
-        return _run_cone(args, cfg)
+        return _run_cone(args)
     elif args.command == "exp-sum":
-        return _run_exp_sum(args, cfg)
+        return _run_exp_sum(args, space)
     elif args.command == "verify":
         g1 = parse_germ(args.expr1, k)
         g2 = parse_germ(args.expr2, k)
@@ -227,9 +226,9 @@ def _run(args) -> int:
     return 0
 
 
-def _run_cone(args, cfg: SessionConfig) -> int:
+def _run_cone(args) -> int:
     cones = load_cone_family(args.family)
-    _check_dim_cap(cones[0].ambient if cones else 0, cfg)
+    _check_dim_cap(cones[0].ambient if cones else 0, args)
     if args.cone_command == "refine":
         pieces, index_sets = common_refinement(cones)
         _emit({"kind": "refinement",
@@ -246,13 +245,12 @@ def _run_cone(args, cfg: SessionConfig) -> int:
     return 0
 
 
-def _run_exp_sum(args, cfg: SessionConfig) -> int:
-    space = cfg.space()
+def _run_exp_sum(args, space: AmbientSpace) -> int:
     gens = load_rows(args.cone)
     basis = load_rows(args.lattice) if args.lattice else None
     for path, rows in ((args.cone, gens), (args.lattice, basis)):
         if rows:
-            _check_file_dim(path, len(rows[0]), cfg.dimension)
+            _check_file_dim(path, len(rows[0]), space.dimension)
     lc = make_lattice_cone(gens, basis)
 
     pres = p_res_exp_sum(lc, space=space)
@@ -266,7 +264,7 @@ def _run_exp_sum(args, cfg: SessionConfig) -> int:
               "exp_integral": serialize(integral)}
 
     if report["smooth"]:
-        ts = exp_sum_smooth(lc, trunc=cfg.truncation, space=space)
+        ts = exp_sum_smooth(lc, trunc=args.trunc, space=space)
         report["truncation"] = ts.truncation_order
         report["polar"] = serialize(ts.polar_part)
         report["tail"] = ts.taylor_tail.to_string()

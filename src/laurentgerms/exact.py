@@ -321,22 +321,21 @@ def int_inverse(m: Mat) -> list[tuple[list[int], int]]:
 class Record:
     """Base of the immutable value types, in place of frozen data classes.
 
-    The fields are the subclass's own annotations, in order (names only);
-    a class-level value is a default.  One ``exec`` per subclass compiles
-    ``__init__`` (fields by position or keyword, then ``__post_init__`` if
-    defined), ``__eq__`` on the field tuples of same-class objects,
-    ``__hash__`` of the field tuple and ``Name(field=value, ...)`` as
-    ``__repr__``; a method of the class body wins.  Fields cannot be
-    assigned or deleted.  Hashes, and so set and dict order, are the data
-    class's.  Importing the standard data class module (it brings
-    ``inspect`` and ``ast``) and building the 21 classes cost each cold
-    start about 23 ms.
+    The fields are the subclass's own annotations, in order (names only),
+    and every one is required: there are no defaults.  One ``exec`` per
+    subclass compiles ``__init__`` (fields by position or keyword, then
+    ``__post_init__`` if defined), ``__eq__`` on the field tuples of
+    same-class objects, ``__hash__`` of the field tuple and
+    ``Name(field=value, ...)`` as ``__repr__``; a method of the class body
+    wins.  Fields cannot be assigned or deleted.  Hashes, and so set and
+    dict order, are the data class's.  Importing the standard data class
+    module (it brings ``inspect`` and ``ast``) and building the 20 classes
+    cost each cold start about 23 ms.
     """
 
     def __init_subclass__(cls):
         names = tuple(cls.__dict__.get("__annotations__", ()))
-        params = ", ".join(f"{n}=_cls.{n}" if n in cls.__dict__ else n
-                           for n in names)
+        params = ", ".join(names)
         # object.__setattr__ keeps the values inline; a write through
         # self.__dict__ is faster but makes every later attribute read slower
         stores = "".join(f"    _set(self, {n!r}, {n})\n" for n in names)
@@ -354,7 +353,7 @@ class Record:
                f"    return hash(({mine}))\n"
                "def __repr__(self):\n"
                f"    return f'{{self.__class__.__qualname__}}({shown})'\n")
-        ns = {"_cls": cls, "_set": object.__setattr__}
+        ns = {"_set": object.__setattr__}
         exec(src, ns)
         for name in ("__init__", "__eq__", "__hash__", "__repr__"):
             if name not in cls.__dict__:
@@ -780,6 +779,12 @@ class Polynomial:
         q, r = self.divmod_linear(form)
         return q if r.is_zero() else None
 
+    def divided_by_variable(self, i: int, m: int) -> "Polynomial":
+        """``self / x_i^m`` when every term holds x_i^m: one exponent shift."""
+        return Polynomial.from_ints(self.nvars, {
+            e[:i] + (e[i] - m,) + e[i + 1:]: c
+            for e, c in self.coeffs.items()}, self.den)
+
     # -- printing ----------------------------------------------------------
     def to_string(self, names: Sequence[str] | None = None) -> str:
         if self.is_zero():
@@ -964,9 +969,7 @@ def linear_factorization(
     for i in range(k):
         m = min(e[i] for e in work.coeffs)
         if m:
-            work = Polynomial.from_ints(
-                k, {e[:i] + (e[i] - m,) + e[i + 1:]: c
-                    for e, c in work.coeffs.items()}, work.den)
+            work = work.divided_by_variable(i, m)
             factors[unit_vec(k, i)] = m
 
     d = work.total_degree()

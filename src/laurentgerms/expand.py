@@ -52,6 +52,8 @@ from .germs import (
     canonicalize_polar,
     decompose,
     fraction_sum,
+    numerator_is_orthogonal,
+    sum_by_factors,
 )
 
 __all__ = [
@@ -135,15 +137,11 @@ def make_expansion(space: AmbientSpace | None,
     With ``validate`` (and a space) every stored numerator is checked against
     the orthogonality invariant of its cone via ``canonicalize_polar``.
     """
-    merged: dict[Factors, Polynomial] = {}
-    for factors, num in items:
-        factors = tuple(sorted((tuple(v), int(s)) for v, s in factors))
-        merged[factors] = merged.get(factors, Polynomial.zero(num.nvars)) + num
+    merged = sum_by_factors(
+        (num, tuple(sorted((tuple(v), int(s)) for v, s in factors)))
+        for factors, num in items)
     out = []
-    for factors in sorted(merged):
-        num = merged[factors]
-        if num.is_zero():
-            continue
+    for factors, num in sorted(merged.items()):
         if validate:
             pg = canonicalize_polar(space, num, factors)
             factors, num = pg.factors, pg.numerator
@@ -221,10 +219,9 @@ def delta_op(space: AmbientSpace, lstar: Vec,
         raise ValueError(f"lstar of length {len(lstar)}, expansion in "
                          f"{x.nvars} variables, space of dimension {k}")
     lstar = tuple(Fraction(c) for c in lstar)
-    w = mat_vec(space.gram, lstar)
     items = []
     for dc, num in x.terms:
-        if not num.directional_derivative(w).is_zero():
+        if not numerator_is_orthogonal(space, num, [lstar]):
             raise OrthogonalityViolated(
                 "delta direction varies a numerator polynomial")
         for j, (v, s) in enumerate(dc.factors):

@@ -7,7 +7,8 @@ serialized as exact "p/q" strings — floats never appear in any format.
 
 Conversion to a meromorphic germ is where denominators are validated: the
 parser happily builds ``1/(x1^2+1)``, but germ conversion must factor every
-denominator into rational linear forms and rejects it otherwise.
+denominator into rational linear forms and rejects it otherwise.  Session
+settings (dimension, inner product, truncation, cap) belong to ``cli``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .errors import (
 )
 from .exact import (
     ONE,
-    AmbientSpace,
-    Mat,
     Polynomial,
     Record,
     Vec,
@@ -49,18 +48,13 @@ from .germs import (
 )
 from .cones import ConeFamily, SimplicialCone, make_simplicial_cone
 from .expand import FormalExpansion, make_expansion
-from .latticeexp import DEFAULT_TRUNCATION
-
-DEFAULT_DIMENSION_CAP = 6
 
 __all__ = [
-    "DEFAULT_DIMENSION_CAP",
     "Num",
     "Var",
     "Neg",
     "BinOp",
     "Pow",
-    "SessionConfig",
     "parse_expr",
     "ast_to_string",
     "ast_evaluate",
@@ -104,22 +98,6 @@ class Pow(Record):
 
 
 Node = Num | Var | Neg | BinOp | Pow
-
-
-class SessionConfig(Record):
-    """Everything a command needs to be reproducible."""
-
-    dimension: int
-    gram: Mat
-    truncation: int = DEFAULT_TRUNCATION
-    dim_cap: int = DEFAULT_DIMENSION_CAP
-
-    def space(self) -> AmbientSpace:
-        return AmbientSpace(self.dimension, self.gram)
-
-    @classmethod
-    def standard(cls, k: int, **kw) -> "SessionConfig":
-        return cls(k, AmbientSpace.standard(k).gram, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -543,34 +521,13 @@ def deserialize(data: dict):
         den = _factors_in(data.get("denominator", []), k, "denominator")
         return make_mero(num, den)
     if kind == "polar-germ":
-        num = _poly_in(data.get("numerator"), k, "numerator")
-        fac = _factors_in(data.get("factors", []), k, "factors")
-        return PolarGerm(*canonical_fraction(num, fac))
+        return PolarGerm(*_fraction_in(data, k, ""))
     if kind == "germ-sum":
-        items = data.get("polar", [])
-        if not isinstance(items, list):
-            raise FormatError("polar: expected a list")
-        terms = []
-        for i, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise FormatError(f"polar[{i}]: expected an object")
-            num = _poly_in(item.get("numerator"), k, f"polar[{i}].numerator")
-            fac = _factors_in(item.get("factors", []), k, f"polar[{i}].factors")
-            terms.append(PolarGerm(*canonical_fraction(num, fac)))
+        terms = [PolarGerm(*f) for f in _fractions_in(data, "polar", k)]
         poly = _poly_in(data.get("poly", "0"), k, "poly")
         return make_germ_sum(terms, poly)
     if kind == "expansion":
-        items = data.get("terms", [])
-        if not isinstance(items, list):
-            raise FormatError("terms: expected a list")
-        terms = []
-        for i, item in enumerate(items):
-            if not isinstance(item, dict):
-                raise FormatError(f"terms[{i}]: expected an object")
-            fac = _factors_in(item.get("factors", []), k, f"terms[{i}].factors")
-            num = _poly_in(item.get("numerator"), k, f"terms[{i}].numerator")
-            num, fac = canonical_fraction(num, fac)
-            terms.append((fac, num))
+        terms = [(fac, num) for num, fac in _fractions_in(data, "terms", k)]
         poly = _poly_in(data.get("poly", "0"), k, "poly")
         return make_expansion(None, terms, poly, validate=False)
     if kind == "cone":
@@ -582,6 +539,25 @@ def deserialize(data: dict):
         return ConeFamily(tuple(_cone_in(c, f"cones[{i}]")
                                 for i, c in enumerate(rows)))
     raise FormatError(f"kind: unknown kind {kind!r}")
+
+
+def _fraction_in(item, k: int, where: str) -> tuple[Polynomial, tuple]:
+    num = _poly_in(item.get("numerator"), k, f"{where}numerator")
+    fac = _factors_in(item.get("factors", []), k, f"{where}factors")
+    return canonical_fraction(num, fac)
+
+
+def _fractions_in(data: dict, key: str,
+                  k: int) -> list[tuple[Polynomial, tuple]]:
+    items = data.get(key, [])
+    if not isinstance(items, list):
+        raise FormatError(f"{key}: expected a list")
+    out = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise FormatError(f"{key}[{i}]: expected an object")
+        out.append(_fraction_in(item, k, f"{key}[{i}]."))
+    return out
 
 
 def _cone_in(rows, where: str) -> SimplicialCone:

@@ -34,6 +34,7 @@ from .exact import (
     int_inverse,
     mat_from_columns,
     mat_rank,
+    mat_vec,
     nullspace,
     primitive_pseudo_positive,
     q_orthogonal_complement,
@@ -103,15 +104,23 @@ def make_mero(numerator: Polynomial, factors: Sequence[tuple[Vec, int]] = ()) ->
     # cancel pole forms that divide the numerator
     den_d = dict(den)
     for v in list(den_d):
-        while den_d.get(v, 0) > 0:
-            if _nonzero_on_hyperplane(num, v):
-                break
-            q = num.divided_by_form(v)
-            if q is None:
-                break
-            num = q
-            den_d[v] -= 1
-        if den_d.get(v) == 0:
+        if v.count(0) == len(v) - 1:
+            # x_i: strip its whole power at once, not one division each
+            i = v.index(1)
+            m = min(den_d[v], min(e[i] for e in num.coeffs))
+            if m:
+                num = num.divided_by_variable(i, m)
+                den_d[v] -= m
+        else:
+            while den_d[v] > 0:
+                if _nonzero_on_hyperplane(num, v):
+                    break
+                q = num.divided_by_form(v)
+                if q is None:
+                    break
+                num = q
+                den_d[v] -= 1
+        if den_d[v] == 0:
             del den_d[v]
     return MeromorphicGerm(num, tuple(sorted(den_d.items())))
 
@@ -154,6 +163,16 @@ def mero_add(*germs: MeromorphicGerm) -> MeromorphicGerm:
     return make_mero(num, tuple(lcm.items()))
 
 
+def sum_by_factors(fractions: Iterable[tuple[Polynomial, Factors]]
+                   ) -> dict[Factors, Polynomial]:
+    """The numerators of equal factors added up and the zero sums dropped,
+    keyed by the factors in the order they first appear."""
+    merged: dict[Factors, Polynomial] = {}
+    for num, den in fractions:
+        merged[den] = merged[den] + num if den in merged else num
+    return {den: num for den, num in merged.items() if not num.is_zero()}
+
+
 def mero_sum(germs: Iterable[MeromorphicGerm], nvars: int) -> MeromorphicGerm:
     """Exact sum of germs in ``nvars`` variables (see ``fraction_sum``)."""
     return fraction_sum([(g.numerator, g.den) for g in germs], nvars)
@@ -180,10 +199,7 @@ def fraction_sum(fractions: Iterable[tuple[Polynomial, Factors]],
     canonicalizes the factors it reads.  A reduced germ is unique, so the
     result does not depend on the order of the summands.
     """
-    merged: dict[Factors, Polynomial] = {}
-    for num, den in fractions:
-        merged[den] = merged[den] + num if den in merged else num
-    merged = {den: num for den, num in merged.items() if not num.is_zero()}
+    merged = sum_by_factors(fractions)
     arrangement = sorted({v for den in merged for v, _ in den})
     if len(merged) > 1 and mat_rank(tuple(arrangement)) < len(arrangement):
         rewritten = _nbc_rewrite(merged, arrangement, len(merged))
@@ -364,15 +380,9 @@ class GermSum(Record):
 
 
 def make_germ_sum(terms: Sequence[PolarGerm], poly: Polynomial) -> GermSum:
-    merged: dict[Factors, Polynomial] = {}
-    for t in terms:
-        if t.factors in merged:
-            merged[t.factors] = merged[t.factors] + t.numerator
-        else:
-            merged[t.factors] = t.numerator
-    out = [PolarGerm(num, fac) for fac, num in sorted(merged.items())
-           if not num.is_zero()]
-    return GermSum(tuple(out), poly)
+    merged = sum_by_factors((t.numerator, t.factors) for t in terms)
+    return GermSum(tuple(PolarGerm(num, fac)
+                         for fac, num in sorted(merged.items())), poly)
 
 
 def _fractions(x) -> list[tuple[Polynomial, Factors]]:
@@ -431,23 +441,12 @@ def evaluate(x, point: Sequence) -> Fraction:
 # ---------------------------------------------------------------------------
 # orthogonality (the Q-structure on numerators)
 
-def orthogonal_projection_images(space: AmbientSpace, forms: Sequence[Vec]) -> list[Polynomial]:
-    """Substitution images realizing p -> p restricted to the Q-orthogonal
-    complement of span(forms): those of ``_pole_coordinates`` with the pole
-    coordinates set to zero (eps = P u + R w goes to R w).  A polynomial is
-    a function of Q-orthogonal linear forms alone iff it is fixed by them.
-    """
-    m = len(forms)
-    to_u, to_eps = _pole_coordinates(space, tuple(forms))
-    zeros = [Polynomial.zero(space.dimension)] * m
-    return [image.substitute(zeros + to_eps[m:]) for image in to_u]
-
-
 def numerator_is_orthogonal(space: AmbientSpace | None, numerator: Polynomial,
                             forms: Sequence[Vec]) -> bool:
-    """Whether the numerator is fixed by the projection along the forms;
+    """Whether every derivative of the numerator along Q v, v a form, is
+    zero: a polynomial in linear forms Q-orthogonal to the poles alone.
     ValueError naming both numbers when the space or a form has another
-    dimension than the numerator.  ``space`` may be None for a constant."""
+    dimension than the numerator, or with no space for a nonconstant one."""
     k = numerator.nvars
     if space is not None and space.dimension != k:
         raise ValueError(f"numerator in {k} variables, space of dimension "
@@ -458,8 +457,11 @@ def numerator_is_orthogonal(space: AmbientSpace | None, numerator: Polynomial,
                              f"length {len(v)}")
     if numerator.is_constant():
         return True
-    images = orthogonal_projection_images(space, forms)
-    return numerator.substitute(images) == numerator
+    if space is None:
+        raise ValueError("ambient space required to check orthogonality")
+    return all(
+        numerator.directional_derivative(mat_vec(space.gram, v)).is_zero()
+        for v in forms)
 
 
 def canonicalize_polar(space: AmbientSpace | None, numerator: Polynomial,

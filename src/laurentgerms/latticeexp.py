@@ -64,7 +64,6 @@ from .germs import (
     evaluate,
     make_germ_sum,
     make_mero,
-    mero_add,
     mero_mul,
 )
 from .expand import make_expansion
@@ -294,12 +293,8 @@ def truncated_mul(space: AmbientSpace, a: TruncatedGerm,
                   b: TruncatedGerm) -> TruncatedGerm:
     """Product, re-decomposed exactly, with tails truncated at the shared
     order."""
-    n = min(a.truncation_order, b.truncation_order)
-    fa = mero_add(as_mero(a.polar_part), make_mero(a.taylor_tail))
-    fb = mero_add(as_mero(b.polar_part), make_mero(b.taylor_tail))
-    s = decompose(space, mero_mul(fa, fb))
-    polar = make_germ_sum(list(s.terms), Polynomial.zero(s.nvars))
-    return TruncatedGerm(polar, s.poly.truncated(n), n)
+    return make_truncated(space, mero_mul(as_mero(a), as_mero(b)),
+                          min(a.truncation_order, b.truncation_order))
 
 
 def evaluate_truncated(tg: TruncatedGerm, point: Sequence) -> Fraction:

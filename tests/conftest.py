@@ -22,6 +22,7 @@ from laurentgerms.exact import (
     mat,
     mat_transpose,
     primitive_pseudo_positive,
+    q_orthogonal_complement,
     vec_dot,
 )
 
@@ -131,3 +132,21 @@ def q_dual_family(space: AmbientSpace, forms):
     # j of (G^-1)^T F, for F the forms as rows
     g = mat_mul(mat_mul(forms, space.gram), mat_transpose(forms))
     return list(mat_mul(mat_transpose(mat_inverse(g)), forms))
+
+
+def orthogonal_projection_images(space: AmbientSpace,
+                                 forms) -> list[Polynomial]:
+    """Substitution images realizing p -> p restricted to the Q-orthogonal
+    complement of span(forms), the reference for the derivative criterion
+    of ``numerator_is_orthogonal``.
+
+    In the coordinates u = the forms, w = a Q-orthogonal basis of them,
+    eps = P u + R w goes to R w.  A polynomial is a function of Q-orthogonal
+    linear forms alone iff it is fixed by these images.
+    """
+    m = len(forms)
+    basis = tuple(forms) + tuple(q_orthogonal_complement(space, forms))
+    to_u = [Polynomial.linear_form(row, d) for row, d in int_inverse(basis)]
+    w_only = ([Polynomial.zero(space.dimension)] * m
+              + [Polynomial.linear_form(b) for b in basis[m:]])
+    return [image.substitute(w_only) for image in to_u]

@@ -6,7 +6,6 @@ in the pytest report.
 """
 
 import json
-import math
 import random
 import time
 from fractions import Fraction

@@ -17,7 +17,6 @@ from laurentgerms.cones import (
     ConeFamily,
     I_cone,
     I_simplicial,
-    PolyCone,
     SimplicialCone,
     common_refinement,
     cone_contains,
@@ -49,7 +48,6 @@ from laurentgerms.exact import (
 from laurentgerms.expand import laurent_expand, phi
 from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import (
-    as_mero,
     decompose,
     germ_equal,
     make_mero,

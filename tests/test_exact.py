@@ -646,6 +646,22 @@ def test_int_kernel_matches_fraction_arithmetic():
         assert multiple.divmod_linear(form)[1].is_zero()
 
 
+def test_division_by_a_variable_power_is_the_cofactor():
+    rng = random.Random(53)
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        p = random_polynomial(rng, k)
+        i = rng.randrange(k)
+        m = rng.randint(0, 4)
+        multiple = p * Polynomial.variable(k, i) ** m
+        assert multiple.divided_by_variable(i, m) == p
+        assert multiple.divided_by_variable(i, 0) == multiple
+        # the same quotient as m divisions by the form x_i
+        for _ in range(m):
+            multiple = multiple.divided_by_form(unit_vec(k, i))
+        assert multiple == p
+
+
 def test_int_kernel_products_agree_with_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(52)

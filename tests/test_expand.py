@@ -39,7 +39,6 @@ from laurentgerms.expand import (
     subdivision_operator,
 )
 from laurentgerms.germs import (
-    PolarGerm,
     as_mero,
     canonicalize_polar,
     decompose,

@@ -33,7 +33,6 @@ from laurentgerms.exprio import (
     Neg,
     Num,
     Pow,
-    SessionConfig,
     Var,
     ast_evaluate,
     ast_to_string,
@@ -478,15 +477,3 @@ def test_load_cone_family_accepts_both_shapes(tmp_path):
     bad.write_text(json.dumps([[[1, 0], [2, 0]]]))
     with pytest.raises(FormatError):
         load_cone_family(str(bad))
-
-
-# ---------------------------------------------------------------------------
-# session configuration
-
-def test_session_config_builds_spaces():
-    cfg = SessionConfig.standard(3)
-    assert cfg.dimension == 3
-    assert cfg.space() == AmbientSpace.standard(3)
-    assert cfg.truncation == 8 and cfg.dim_cap == 6
-    custom = SessionConfig(2, ((F(2), F(1)), (F(1), F(1))), truncation=4)
-    assert custom.space().pairing(vec([1, 0]), vec([0, 1])) == F(1)

@@ -26,6 +26,7 @@ from laurentgerms.expand import laurent_expand, phi
 from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import (
     GermSum,
+    MeromorphicGerm,
     PolarGerm,
     _nbc_rewrite,
     as_mero,
@@ -56,6 +57,7 @@ from laurentgerms.residues import (
 
 from conftest import (
     mat_inverse,
+    orthogonal_projection_images,
     random_fraction,
     round_trip_corpus,
     random_germ,
@@ -235,9 +237,6 @@ def test_germ_equal_of_meromorphic_germs_is_structural_equality():
 # polar canonicalization and orthogonality
 
 def test_canonicalize_polar_accepts_orthogonal_numerators():
-    from laurentgerms.exact import mat, mat_rank
-    from laurentgerms.germs import orthogonal_projection_images
-
     rng = random.Random(23)
     for _ in range(30):
         k = rng.randint(2, 3)
@@ -279,7 +278,6 @@ def test_projection_substitution_is_idempotent():
     # lands in the subalgebra generated by orthogonal directions
     rng = random.Random(24)
     sp = AmbientSpace.standard(3)
-    from laurentgerms.germs import orthogonal_projection_images
     for _ in range(10):
         forms = [random_vector(rng, 3, -2, 2)]
         images = orthogonal_projection_images(sp, forms)
@@ -287,6 +285,72 @@ def test_projection_substitution_is_idempotent():
         once = p.substitute(images)
         assert once.substitute(images) == once
         assert numerator_is_orthogonal(sp, once, forms)
+
+
+def test_derivative_criterion_agrees_with_the_projection_reference():
+    # numerator_is_orthogonal differentiates along Q v for each form v; the
+    # reference projects onto the Q-orthogonal complement and compares
+    rng = random.Random(25)
+    raw_orthogonal = projected_constant = 0
+    for trial in range(90):
+        k = rng.randint(2, 4)
+        sp = (AmbientSpace.standard(k), skew_space(k),
+              random_space(rng, k))[trial % 3]
+        n = rng.randint(1, k - 1)
+        forms = []
+        while len(forms) < n:
+            v = random_vector(rng, k, -2, 2)
+            if mat_rank(mat(forms + [v])) == len(forms) + 1:
+                forms.append(v)
+        images = orthogonal_projection_images(sp, forms)
+        raw = random_polynomial(rng, k, degree=2)
+        projected = raw.substitute(images)
+        assert numerator_is_orthogonal(sp, projected, forms), trial
+        projected_constant += projected.is_constant()
+        fixed = raw.substitute(images) == raw
+        assert numerator_is_orthogonal(sp, raw, forms) == fixed, trial
+        raw_orthogonal += fixed
+    # most projections keep a variable; few raw numerators are orthogonal
+    assert projected_constant < 30 and raw_orthogonal < 30
+
+
+def test_orthogonality_of_a_nonconstant_numerator_needs_a_space():
+    with pytest.raises(ValueError, match="ambient space required"):
+        numerator_is_orthogonal(None, lin(1, 0), [(0, 1)])
+    assert numerator_is_orthogonal(None, const(2, 3), [(0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# cancelling pole forms
+
+def test_a_coordinate_pole_cancels_its_whole_power_at_once():
+    # the whole power of x1 leaves in one exponent shift, so the time does
+    # not grow with the square of the exponent
+    x1 = make_mero(Polynomial.variable(2, 0))
+    for text in ("x1^2000/x1^1999", "x1^20000/x1^19999",
+                 "x1^20000*x2/(x1^19999*x2)"):
+        start = time.perf_counter()
+        g = parse_germ(text, 2)
+        assert time.perf_counter() - start < 1.0, text
+        assert g == x1, text
+
+
+def test_mixed_poles_cancel_as_computed_by_hand():
+    # (x1+x2)^3 x1^2 / x2
+    num = Polynomial(2, {(5, 0): 1, (4, 1): 3, (3, 2): 3, (2, 3): 1})
+    assert parse_germ("(x1+x2)^3*x1^7/(x1^5*x2)", 2) == MeromorphicGerm(
+        num, (((0, 1), 1),))
+    # (x1+x2) / x1^2
+    assert parse_germ("x1^3*(x1+x2)^2/(x1^5*(x1+x2))", 2) == MeromorphicGerm(
+        lin(1, 1), (((1, 0), 2),))
+    # -x2^2 / (x1 (x3 - x1)), the form x3 - x1 stored pseudo-positive
+    assert parse_germ("x1^2*x2^4*(x1-x3)/(x1^3*x2^2*(x3-x1)^2)",
+                      3) == MeromorphicGerm(Polynomial(3, {(0, 2, 0): -1}),
+                                            (((-1, 0, 1), 1), ((1, 0, 0), 1)))
+    # x1 / 4: the scalar of the form 2 x1 moves into the numerator
+    assert make_mero(Polynomial(2, {(3, 0): 1}),
+                     [((2, 0), 2)]) == MeromorphicGerm(
+        Polynomial(2, {(1, 0): F(1, 4)}), ())
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from laurentgerms.cones import (
     SimplicialCone,
     is_subdivision,
     make_poly_cone,
-    make_simplicial_cone,
 )
 from laurentgerms.errors import (
     NoSmoothSubdivisionAvailable,

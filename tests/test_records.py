@@ -14,15 +14,13 @@ import pytest
 
 import laurentgerms
 from laurentgerms.cones import PolyCone, SimplicialCone
-from laurentgerms.exact import AmbientSpace, Polynomial
-from laurentgerms.exprio import DEFAULT_DIMENSION_CAP, SessionConfig
+from laurentgerms.exact import AmbientSpace, Polynomial, Record
 from laurentgerms.germs import (
     GermSum,
     MeromorphicGerm,
     PolarGerm,
     make_germ_sum,
 )
-from laurentgerms.latticeexp import DEFAULT_TRUNCATION
 
 NUM = Polynomial.variable(2, 0)
 FACTORS = (((0, 1), 2), ((1, 1), 1))
@@ -57,21 +55,18 @@ def test_fields_cannot_be_assigned_or_deleted():
     assert g == PolarGerm(NUM, FACTORS)
 
 
-def test_fields_with_a_class_default_may_be_left_out():
-    config = SessionConfig(2, GRAM)
-    assert (config.truncation, config.dim_cap) == (DEFAULT_TRUNCATION,
-                                                   DEFAULT_DIMENSION_CAP)
-    assert SessionConfig(2, GRAM, truncation=4) == SessionConfig(
-        dimension=2, gram=GRAM, truncation=4, dim_cap=DEFAULT_DIMENSION_CAP)
+def test_every_field_is_required():
+    class Pair(Record):
+        first: int
+        second: int = 2
+
+    assert Pair(1, 3) == Pair(first=1, second=3)
     with pytest.raises(TypeError):
-        SessionConfig(2)
+        Pair(1)
 
 
 def test_repr_lists_the_fields_unless_the_class_defines_one():
     assert repr(PolyCone(((1, 0), (0, 1)))) == "PolyCone(rays=((1, 0), (0, 1)))"
-    assert repr(SessionConfig(1, ((1,),))) == (
-        f"SessionConfig(dimension=1, gram=((1,),), "
-        f"truncation={DEFAULT_TRUNCATION}, dim_cap={DEFAULT_DIMENSION_CAP})")
     total = make_germ_sum([PolarGerm(NUM, FACTORS)], Polynomial.constant(2, 3))
     assert isinstance(total, GermSum)
     assert repr(total) == "GermSum(1 polar terms, poly=3)"

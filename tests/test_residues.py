@@ -12,7 +12,6 @@ from laurentgerms.exact import AmbientSpace, Polynomial, mat, span_key, vec
 from laurentgerms.expand import laurent_expand
 from laurentgerms.germs import (
     as_mero,
-    decompose,
     germ_equal,
     make_germ_sum,
     make_mero,
