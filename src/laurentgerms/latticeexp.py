@@ -7,9 +7,9 @@ splits into an exact polar piece -1/x and a holomorphic tail whose Taylor
 coefficients are Bernoulli-number data.  We keep the pole structure exact
 and truncate only the transcendental tails, so the highest-order residue of
 the sum — which only sees the exact polar top — reproduces the lattice
-normalized cone integral with no approximation at all.  The polar terms of a
-smooth piece already form a Laurent expansion, on the faces of one simplicial
-cone, so that residue is read off them directly.
+normalized cone integral with no approximation at all.  Only the product of
+the polar pieces of a smooth cone reaches the top order, so that residue is
+built from that one term and the rest of the sum is never formed.
 
 Floating point appears in exactly one place: the direct lattice-summation
 oracle used to sanity-check truncated germs numerically.
@@ -59,15 +59,13 @@ from .germs import (
     GermSum,
     PolarGerm,
     as_mero,
-    canonicalize_polar,
+    canonical_fraction,
     decompose,
     evaluate,
     make_germ_sum,
     make_mero,
     mero_mul,
 )
-from .expand import make_expansion
-from .residues import p_res
 
 DEFAULT_TRUNCATION = 8
 
@@ -359,6 +357,7 @@ def exp_integral(lc: LatticeCone) -> GermSum:
     with the determinant of the generators taken in lattice coordinates.
     Per-generator scaling invariance makes the choice of ray representatives
     irrelevant, and the weight makes the result subdivision-invariant.
+    A piece with dependent generators has weight 0 and raises NotSimplicial.
     """
     k = lc.ambient
     pieces = triangulate_cone(lc.cone)
@@ -368,10 +367,12 @@ def exp_integral(lc: LatticeCone) -> GermSum:
         coords = tuple(_lattice_coords(lc.lattice_basis, g)
                        for g in piece.generators)
         weight = abs(det(coords))
+        if weight == 0:
+            raise NotSimplicial("a triangulation piece has dependent rays")
         sign = -ONE if d % 2 else ONE
         num = Polynomial.constant(k, sign * weight)
-        terms.append(canonicalize_polar(
-            None, num, tuple((v, 1) for v in piece.generators)))
+        terms.append(PolarGerm(*canonical_fraction(
+            num, [(v, 1) for v in piece.generators])))
     return make_germ_sum(terms, Polynomial.zero(k))
 
 
@@ -445,13 +446,13 @@ def p_res_exp_sum(lc: LatticeCone,
     rank <= 2, otherwise caller-supplied and validated); the result equals
     the lattice cone integral exactly, with no truncation involved anywhere.
 
-    Each piece's residue is read off its own expansion: the polar terms of
-    ``exp_sum_smooth`` come from ``decompose`` and sit on faces of one
-    simplicial cone, a properly positioned family, so by uniqueness they
-    are a Laurent expansion as they stand and nothing is summed or expanded
-    again.  Every piece gives one term, (-1)^d over its generators.  That
-    top term does not depend on the truncation, so the sums are taken at
-    order 0.
+    On a smooth piece with generators g_1..g_d the sum is the product of
+    (-1/<g_i, eps> + tail_i).  Every product that keeps a tail has fewer
+    than d poles, and ``decompose`` adds no pole form, so only the product
+    of the d polar parts reaches order d: (-1)^d / prod <g_i, eps>, a
+    constant over independent forms, polar under every inner product.  So
+    each piece costs one ``decompose`` of that term and nothing else of its
+    sum is built.
     """
     k = lc.ambient
     if space is None:
@@ -463,8 +464,7 @@ def p_res_exp_sum(lc: LatticeCone,
             smooth_pieces = smooth_subdivide_2d(lc)
         else:
             raise NoSmoothSubdivisionAvailable(
-                "no automatic smooth subdivision above rank two; "
-                "pass smooth_pieces explicitly")
+                "no automatic smooth subdivision above rank two")
     else:
         smooth_pieces = [
             piece if isinstance(piece, LatticeCone)
@@ -479,11 +479,10 @@ def p_res_exp_sum(lc: LatticeCone,
             raise NotASubdivision("pieces do not tile the lattice cone")
     terms: list[PolarGerm] = []
     for piece in smooth_pieces:
-        ts = exp_sum_smooth(piece, trunc=0, space=space)
-        own = make_expansion(None, [(t.factors, t.numerator)
-                                    for t in ts.polar_part.terms],
-                             ts.taylor_tail, validate=False)
-        terms.extend(p_res(space, own).terms)
+        gens = piece.cone.generators
+        top = make_mero(Polynomial.constant(k, (-1) ** len(gens)),
+                        [(g, 1) for g in gens])
+        terms.extend(decompose(space, top).terms)
     return make_germ_sum(terms, Polynomial.zero(k))
 
 

@@ -200,6 +200,15 @@ def test_exp_sum_non_smooth_report(capsys, tmp_path):
     assert germ_equal(pres, integral)
 
 
+def test_exp_sum_of_a_non_smooth_cone_above_rank_two(capsys, tmp_path):
+    # the command line takes no smooth pieces, so the message names none
+    cone = write_json(tmp_path, "cone.json", [[1, 0, 0], [0, 1, 0], [1, 1, 2]])
+    code, captured = run(capsys, "--dim", "3", "exp-sum", "--cone", cone)
+    assert code == 3
+    assert captured.err == (
+        "error: no automatic smooth subdivision above rank two\n")
+
+
 def test_exp_sum_with_explicit_lattice(capsys, tmp_path):
     cone = write_json(tmp_path, "cone.json", [[2, 0], [0, 1]])
     lattice = write_json(tmp_path, "lattice.json", [[2, 0], [0, 1]])

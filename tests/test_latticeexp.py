@@ -15,14 +15,23 @@ from laurentgerms.cones import (
     SimplicialCone,
     is_subdivision,
     make_poly_cone,
+    triangulate_cone,
 )
 from laurentgerms.errors import (
     NoSmoothSubdivisionAvailable,
     NotASubdivision,
     NotDimensionTwo,
+    NotSimplicial,
     NotSmooth,
 )
-from laurentgerms.exact import AmbientSpace, Polynomial, primitive_vector, vec
+from laurentgerms.exact import (
+    AmbientSpace,
+    Polynomial,
+    det,
+    primitive_vector,
+    vec,
+    vec_dot,
+)
 from laurentgerms.expand import make_expansion
 from laurentgerms.germs import (
     as_mero,
@@ -56,6 +65,8 @@ from conftest import random_germ, skew_space
 
 F = Fraction
 SP = AmbientSpace.standard(2)
+SPACES = pytest.mark.parametrize(
+    "space_of", [AmbientSpace.standard, skew_space], ids=["identity", "skew"])
 
 
 def mero(num, *factors, k=2):
@@ -249,6 +260,66 @@ def test_exp_sum_matches_direct_summation_numerically():
     assert abs(approx - direct) < 1e-6
 
 
+def laurent_on_a_line(tg, p):
+    """The truncated sum on eps = t p, as {power of t: coefficient}."""
+    got = Counter()
+    for num, factors in [(tg.taylor_tail, ())] + [
+            (term.numerator, term.factors) for term in tg.polar_part.terms]:
+        scale = math.prod(vec_dot(v, p) ** e for v, e in factors)
+        shift = sum(e for _, e in factors)
+        for e, c in num.terms.items():
+            got[sum(e) - shift] += (
+                c * math.prod(x ** a for x, a in zip(p, e)) / scale)
+    return got
+
+
+@SPACES
+def test_exp_sum_agrees_with_the_sympy_series(space_of):
+    """On eps = t p, the truncated sum matches sympy's power series of
+    prod 1/(1 - e^(t <g_i, p>)) in every power of t the truncation keeps.
+
+    The sum is one product per set S of generators kept as poles, with the
+    tails of the others cut at total degree ``trunc``.  A set with a tail
+    has |S| <= d - 1 poles, so the monomials it drops, of degree > trunc
+    over |S| forms, give t^(trunc + 2 - d) and up.  The set of all d poles
+    has no tail, and the polynomial part is cut above t^trunc.  So the
+    powers t^-d .. t^(trunc + 1 - d) are exact.
+    """
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ
+    from sympy.polys.ring_series import rs_exp, rs_mul, rs_series_inversion
+    from sympy.polys.rings import ring
+
+    series_ring, t = ring("t", QQ)
+    rng = random.Random(67)
+    cones = [unimodular_rows(rng, 2) for _ in range(3)]
+    cones += [unimodular_rows(rng, 3) for _ in range(2)]
+    for rows in cones:
+        lc = make_lattice_cone(rows)
+        d = lc.dim
+        gens = lc.cone.generators
+        p = (F(0),) * d
+        while not all(vec_dot(g, p) for g in gens):
+            p = tuple(F(rng.randint(-9, 9), rng.randint(1, 4))
+                      for _ in range(d))
+        for trunc in (d, d + 2):
+            n = trunc + 2
+            # t / (1 - e^(c t)) = -1 / q with q = (e^(c t) - 1) / t
+            want = series_ring((-1) ** d)
+            for g in gens:
+                c = vec_dot(g, p)
+                q = (rs_exp(QQ(c.numerator, c.denominator) * t, t, n + 1)
+                     - 1).exquo(t)
+                want = rs_mul(want, rs_series_inversion(q, t, n), t, n)
+            got = laurent_on_a_line(exp_sum_smooth(lc, trunc, space_of(d)),
+                                    p)
+            assert all(m >= -d for m, v in got.items() if v)
+            for j in range(n):
+                c = want.coeff(t ** j)
+                assert got[j - d] == F(int(c.numerator), int(c.denominator)), (
+                    rows, trunc, j)
+
+
 def test_lattice_sum_numeric_enumerates_the_monoid():
     line = make_lattice_cone([(1,)])
     got = lattice_sum_numeric(line, (-1,), 40)
@@ -300,6 +371,33 @@ def test_exp_integral_triangulates_non_simplicial_cones():
     parts = mero_add(as_mero(exp_integral(halves[0])),
                      as_mero(exp_integral(halves[1])))
     assert germ_equal(whole, parts)
+
+
+def test_exp_integral_refuses_a_piece_with_dependent_generators(monkeypatch):
+    lc = make_lattice_cone(make_poly_cone(
+        [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]))
+    flat = SimplicialCone((vec([0, 1, 1]), vec([1, 0, 1]), vec([1, 1, 2])))
+    monkeypatch.setattr(latticeexp_module, "triangulate_cone",
+                        lambda cone: [flat])
+    with pytest.raises(NotSimplicial):
+        exp_integral(lc)
+
+
+def test_exp_integral_matches_validated_polar_terms():
+    rng = random.Random(68)
+    checked = 0
+    while checked < 12:
+        rays = [(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(4, 6))]
+        lc = make_lattice_cone(make_poly_cone(rays))
+        if lc.dim != 3:
+            continue
+        reference = make_germ_sum([canonicalize_polar(
+            None, Polynomial.constant(3, -abs(det(piece.generators))),
+            tuple((g, 1) for g in piece.generators))
+            for piece in triangulate_cone(lc.cone)], Polynomial.zero(3))
+        assert exp_integral(lc) == reference
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +574,7 @@ def test_p_res_exp_sum_needs_a_subdivision_in_higher_rank():
 
 
 # ---------------------------------------------------------------------------
-# residues read off each smooth piece's own expansion
+# residues built from each smooth piece's top term
 
 def own_expansion(ts):
     """The expansion that ``exp_sum_smooth`` already gives: its polar terms
@@ -538,10 +636,6 @@ def residue_cases(rng, count_2d=10, count_3d=3):
     return cases
 
 
-SPACES = pytest.mark.parametrize(
-    "space_of", [AmbientSpace.standard, skew_space], ids=["identity", "skew"])
-
-
 @SPACES
 def test_p_res_exp_sum_is_one_top_term_per_smooth_piece(space_of):
     rng = random.Random(63)
@@ -582,14 +676,19 @@ def test_p_res_exp_sum_expands_nothing_again(monkeypatch):
     monkeypatch.setattr(residues_module, "laurent_expand",
                         counted("laurent_expand",
                                 residues_module.laurent_expand))
+    monkeypatch.setattr(latticeexp_module, "exp_sum_smooth",
+                        counted("exp_sum_smooth",
+                                latticeexp_module.exp_sum_smooth))
     decompose = counted("decompose", latticeexp_module.decompose)
     monkeypatch.setattr(latticeexp_module, "decompose", decompose)
     monkeypatch.setattr(expand_module, "decompose", decompose)
     for lc, pieces, explicit in residue_cases(random.Random(64), 4, 2):
         calls.clear()
         p_res_exp_sum(lc, explicit)
+        # only the top term of each piece's sum is built
         assert calls["laurent_expand"] == 0
-        assert calls["decompose"] == len(pieces) * 2 ** lc.dim
+        assert calls["exp_sum_smooth"] == 0
+        assert calls["decompose"] == len(pieces)
 
 
 @SPACES
