@@ -90,11 +90,8 @@ from .latticeexp import (  # noqa: F401
     is_smooth,
     lattice_sum_numeric,
     make_lattice_cone,
-    make_truncated,
     p_res_exp_sum,
     smooth_subdivide_2d,
-    truncated_add,
-    truncated_mul,
 )
 from .exprio import (  # noqa: F401
     ast_evaluate,

@@ -253,7 +253,7 @@ def _run_exp_sum(args, space: AmbientSpace) -> int:
             _check_file_dim(path, len(rows[0]), space.dimension)
     lc = make_lattice_cone(gens, basis)
 
-    pres = p_res_exp_sum(lc, space=space)
+    pres = p_res_exp_sum(lc)
     integral = exp_integral(lc)
     order = max((t.p_order for t in pres.terms), default=0)
     report = {"kind": "exp-sum", "dim": lc.ambient,

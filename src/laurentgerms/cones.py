@@ -44,7 +44,6 @@ from .errors import (
     NotStrictlyConvexUnion,
 )
 from .exact import (
-    ONE,
     Polynomial,
     Record,
     Vec,
@@ -61,7 +60,7 @@ from .exact import (
     vec_dot,
     vec_is_zero,
 )
-from .germs import GermSum, PolarGerm, canonicalize_polar, make_germ_sum
+from .germs import GermSum, PolarGerm, canonical_fraction, make_germ_sum
 
 __all__ = [
     "SimplicialCone",
@@ -78,6 +77,7 @@ __all__ = [
     "common_refinement",
     "triangulate_cone",
     "is_subdivision",
+    "signed_cone_term",
     "I_simplicial",
     "I_cone",
 ]
@@ -567,6 +567,19 @@ def is_subdivision(pieces: Sequence[SimplicialCone],
 # ---------------------------------------------------------------------------
 # the cone-to-germ valuation
 
+def signed_cone_term(generators: Sequence[Vec], weight) -> PolarGerm:
+    """The polar germ (-1)^d w / (<g_1, eps> ... <g_d, eps>) of d
+    independent generators and a nonzero weight w.
+
+    A constant over independent forms is polar under every inner product,
+    so nothing is left to check; sign normalization of the forms absorbs
+    (-1)s into the numerator.
+    """
+    num = Polynomial.constant(len(generators[0]),
+                              -weight if len(generators) % 2 else weight)
+    return PolarGerm(*canonical_fraction(num, [(g, 1) for g in generators]))
+
+
 def I_simplicial(cone: SimplicialCone) -> PolarGerm:
     """The germ (-1)^n w(C) / (L_1 ... L_n) attached to a simplicial cone.
 
@@ -574,13 +587,8 @@ def I_simplicial(cone: SimplicialCone) -> PolarGerm:
     whose columns are the generators; it makes the assignment additive under
     subdivision of cones.
     """
-    n = cone.dim
-    weight = max_minor_abs_sum(list(cone.generators), n)
-    sign = -ONE if n % 2 else ONE
-    num = Polynomial.constant(cone.ambient, sign * weight)
-    factors = tuple((g, 1) for g in cone.generators)
-    # sign normalization of the forms absorbs (-1)s into the numerator
-    return canonicalize_polar(None, num, factors)
+    return signed_cone_term(cone.generators,
+                            max_minor_abs_sum(list(cone.generators), cone.dim))
 
 
 def I_cone(cone: SimplicialCone | PolyCone,

@@ -774,16 +774,44 @@ class Polynomial:
                                  self.den * a ** (top - 1) * fj.numerator)
         return q, Polynomial.from_ints(self.nvars, t, self.den * apow)
 
-    def divided_by_form(self, form: Vec) -> "Polynomial | None":
-        """Exact quotient by the linear form, or None when not divisible."""
-        q, r = self.divmod_linear(form)
-        return q if r.is_zero() else None
+    def strip_form(self, form: Vec, limit: int | None = None
+                   ) -> tuple["Polynomial", int]:
+        """``(self / <form, eps>^m, m)`` for the greatest m, at most
+        ``limit``, whose quotient is exact; the zero polynomial gives m = 0.
 
-    def divided_by_variable(self, i: int, m: int) -> "Polynomial":
-        """``self / x_i^m`` when every term holds x_i^m: one exponent shift."""
-        return Polynomial.from_ints(self.nvars, {
-            e[:i] + (e[i] - m,) + e[i + 1:]: c
-            for e, c in self.coeffs.items()}, self.den)
+        A coordinate form c*x_i is one exponent shift by the least power of
+        x_i in any term.  Any other form is divided out one power at a time
+        with ``divmod_linear``, each division preceded by the value at one
+        integer point of the hyperplane <form, eps> = 0: a nonzero value
+        proves that the form does not divide.  With a = ell_j the leading
+        entry of the primitive form ell, that point has x_i = a (i + 2) for
+        i != j and x_j = -sum_(i != j) ell_i (i + 2).
+        """
+        if vec_is_zero(form):
+            raise ZeroDivisionError("division by the zero form")
+        if not self.coeffs:
+            return self, 0
+        support = [i for i, c in enumerate(form) if c]
+        j = support[-1]
+        cap = float("inf") if limit is None else limit
+        if len(support) == 1:
+            m = min(min(e[j] for e in self.coeffs), cap)
+            if m <= 0:
+                return self, 0
+            q = Polynomial.from_ints(self.nvars, {
+                e[:j] + (e[j] - m,) + e[j + 1:]: c
+                for e, c in self.coeffs.items()}, self.den)
+            return (q if form[j] == 1 else q.scale(ONE / frac(form[j]) ** m)), m
+        ell = primitive_vector(form)
+        point = [ell[j] * (i + 2) for i in range(len(ell))]
+        point[j] = -sum(c * (i + 2) for i, c in enumerate(ell) if i != j)
+        p, m = self, 0
+        while m < cap and not p.numerator_at(point):
+            q, r = p.divmod_linear(form)
+            if not r.is_zero():
+                break
+            p, m = q, m + 1
+        return p, m
 
     # -- printing ----------------------------------------------------------
     def to_string(self, names: Sequence[str] | None = None) -> str:
@@ -953,24 +981,19 @@ def linear_factorization(
     factors: dict[Vec, int] = {}
     work = p
 
-    def extract(form: Vec):
+    def extract(form: Vec) -> int:
         # divide by the primitive pseudo-positive representative so the
         # recorded factor is exactly what was divided out
         nonlocal work
         key = primitive_pseudo_positive(form)[1]
-        while True:
-            q = work.divided_by_form(key)
-            if q is None:
-                return
-            work = q
-            factors[key] = factors.get(key, 0) + 1
+        work, m = work.strip_form(key)
+        if m:
+            factors[key] = factors.get(key, 0) + m
+        return m
 
     # single-variable (monomial) factors first, each power in one step
     for i in range(k):
-        m = min(e[i] for e in work.coeffs)
-        if m:
-            work = work.divided_by_variable(i, m)
-            factors[unit_vec(k, i)] = m
+        extract(unit_vec(k, i))
 
     d = work.total_degree()
     curve = (tuple(j ** i for i in range(k)) for j in count(1))
@@ -996,10 +1019,8 @@ def linear_factorization(
             for _ in range(e - 1):
                 g = g.directional_derivative(u)
             grad = tuple(g.derivative(i).numerator_at(q) for i in range(k))
-            before = work
-            if any(grad):
-                extract(grad)
-            if work is before and e == 1:
+            m = extract(grad) if any(grad) else 0
+            if not m and e == 1:
                 return None
         if len(f) > 1:
             return None  # f does not split over Q

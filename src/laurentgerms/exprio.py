@@ -32,6 +32,7 @@ from .exact import (
     Vec,
     frac,
     linear_factorization,
+    mat_rank,
 )
 from .germs import (
     GermSum,
@@ -542,9 +543,19 @@ def deserialize(data: dict):
 
 
 def _fraction_in(item, k: int, where: str) -> tuple[Polynomial, tuple]:
+    """One polar term, canonical; FormatError naming the term when its
+    numerator is zero or its pole forms are dependent (the orthogonality of
+    the numerator needs an inner product, which the format does not carry).
+    """
     num = _poly_in(item.get("numerator"), k, f"{where}numerator")
     fac = _factors_in(item.get("factors", []), k, f"{where}factors")
-    return canonical_fraction(num, fac)
+    num, fac = canonical_fraction(num, fac)
+    term = where.rstrip(".") or "polar germ"
+    if num.is_zero():
+        raise FormatError(f"{term}: a polar term needs a nonzero numerator")
+    if mat_rank(tuple(v for v, _ in fac)) < len(fac):
+        raise FormatError(f"{term}: the pole forms are dependent")
+    return num, fac
 
 
 def _fractions_in(data: dict, key: str,

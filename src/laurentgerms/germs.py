@@ -102,41 +102,12 @@ def make_mero(numerator: Polynomial, factors: Sequence[tuple[Vec, int]] = ()) ->
     if num.is_zero():
         return MeromorphicGerm(num, ())
     # cancel pole forms that divide the numerator
-    den_d = dict(den)
-    for v in list(den_d):
-        if v.count(0) == len(v) - 1:
-            # x_i: strip its whole power at once, not one division each
-            i = v.index(1)
-            m = min(den_d[v], min(e[i] for e in num.coeffs))
-            if m:
-                num = num.divided_by_variable(i, m)
-                den_d[v] -= m
-        else:
-            while den_d[v] > 0:
-                if _nonzero_on_hyperplane(num, v):
-                    break
-                q = num.divided_by_form(v)
-                if q is None:
-                    break
-                num = q
-                den_d[v] -= 1
-        if den_d[v] == 0:
-            del den_d[v]
-    return MeromorphicGerm(num, tuple(sorted(den_d.items())))
-
-
-def _nonzero_on_hyperplane(num: Polynomial, v: Vec) -> bool:
-    """True when ``num`` is nonzero at one integer point of {<v, eps> = 0},
-    which proves that the form does not divide it.
-
-    ``v`` is a canonical form with leading entry a = v_j; the point has
-    x_i = a (i + 2) for i != j and x_j = -sum_(i != j) v_i (i + 2).
-    """
-    j = max(i for i, c in enumerate(v) if c)
-    a = v[j]
-    point = [a * (i + 2) for i in range(len(v))]
-    point[j] = -sum(c * (i + 2) for i, c in enumerate(v) if i != j)
-    return num.numerator_at(point) != 0
+    left = []
+    for v, e in den:
+        num, m = num.strip_form(v, e)
+        if m < e:
+            left.append((v, e - m))
+    return MeromorphicGerm(num, tuple(left))
 
 
 def den_poly(nvars: int, den: Factors) -> Polynomial:

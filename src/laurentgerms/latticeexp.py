@@ -9,7 +9,9 @@ and truncate only the transcendental tails, so the highest-order residue of
 the sum — which only sees the exact polar top — reproduces the lattice
 normalized cone integral with no approximation at all.  Only the product of
 the polar pieces of a smooth cone reaches the top order, so that residue is
-built from that one term and the rest of the sum is never formed.
+built from that one term, with no ``decompose``; it is polar under every
+inner product, so the residue does not depend on the inner product, and the
+rest of the sum is never formed.
 
 Floating point appears in exactly one place: the direct lattice-summation
 oracle used to sanity-check truncated germs numerically.
@@ -53,18 +55,16 @@ from .cones import (
     SimplicialCone,
     is_subdivision,
     make_simplicial_cone,
+    signed_cone_term,
     triangulate_cone,
 )
 from .germs import (
     GermSum,
     PolarGerm,
-    as_mero,
-    canonical_fraction,
     decompose,
     evaluate,
     make_germ_sum,
     make_mero,
-    mero_mul,
 )
 
 DEFAULT_TRUNCATION = 8
@@ -74,15 +74,12 @@ __all__ = [
     "LatticeCone",
     "TruncatedGerm",
     "make_lattice_cone",
-    "make_truncated",
     "is_smooth",
     "bernoulli_tail_coeffs",
     "exp_sum_smooth",
     "exp_integral",
     "smooth_subdivide_2d",
     "p_res_exp_sum",
-    "truncated_add",
-    "truncated_mul",
     "evaluate_truncated",
     "lattice_sum_numeric",
 ]
@@ -270,31 +267,6 @@ class TruncatedGerm(Record):
                 f"tail to degree {self.truncation_order})")
 
 
-def make_truncated(space: AmbientSpace, f, n: int) -> TruncatedGerm:
-    """Split a germ into exact polar part and degree-n tail (n >= 0)."""
-    if n < 0:
-        raise ValueError(f"truncation order must be >= 0, got {n}")
-    s = decompose(space, as_mero(f))
-    polar = make_germ_sum(list(s.terms), Polynomial.zero(s.nvars))
-    return TruncatedGerm(polar, s.poly.truncated(n), n)
-
-
-def truncated_add(a: TruncatedGerm, b: TruncatedGerm) -> TruncatedGerm:
-    n = min(a.truncation_order, b.truncation_order)
-    polar = make_germ_sum(list(a.polar_part.terms) + list(b.polar_part.terms),
-                          a.polar_part.poly + b.polar_part.poly)
-    return TruncatedGerm(polar,
-                         (a.taylor_tail + b.taylor_tail).truncated(n), n)
-
-
-def truncated_mul(space: AmbientSpace, a: TruncatedGerm,
-                  b: TruncatedGerm) -> TruncatedGerm:
-    """Product, re-decomposed exactly, with tails truncated at the shared
-    order."""
-    return make_truncated(space, mero_mul(as_mero(a), as_mero(b)),
-                          min(a.truncation_order, b.truncation_order))
-
-
 def evaluate_truncated(tg: TruncatedGerm, point: Sequence) -> Fraction:
     return evaluate(tg.as_germ_sum(), point)
 
@@ -359,21 +331,15 @@ def exp_integral(lc: LatticeCone) -> GermSum:
     irrelevant, and the weight makes the result subdivision-invariant.
     A piece with dependent generators has weight 0 and raises NotSimplicial.
     """
-    k = lc.ambient
-    pieces = triangulate_cone(lc.cone)
-    d = lc.dim
     terms = []
-    for piece in pieces:
+    for piece in triangulate_cone(lc.cone):
         coords = tuple(_lattice_coords(lc.lattice_basis, g)
                        for g in piece.generators)
         weight = abs(det(coords))
         if weight == 0:
             raise NotSimplicial("a triangulation piece has dependent rays")
-        sign = -ONE if d % 2 else ONE
-        num = Polynomial.constant(k, sign * weight)
-        terms.append(PolarGerm(*canonical_fraction(
-            num, [(v, 1) for v in piece.generators])))
-    return make_germ_sum(terms, Polynomial.zero(k))
+        terms.append(signed_cone_term(piece.generators, weight))
+    return make_germ_sum(terms, Polynomial.zero(lc.ambient))
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +404,8 @@ def smooth_subdivide_2d(lc: LatticeCone) -> list[LatticeCone]:
 
 
 def p_res_exp_sum(lc: LatticeCone,
-                  smooth_pieces: Sequence[LatticeCone] | None = None,
-                  space: AmbientSpace | None = None) -> GermSum:
+                  smooth_pieces: Sequence[LatticeCone] | None = None
+                  ) -> GermSum:
     """Highest-order residue of the lattice-point generating function.
 
     Computed piecewise over a smooth subdivision (found automatically in
@@ -448,15 +414,12 @@ def p_res_exp_sum(lc: LatticeCone,
 
     On a smooth piece with generators g_1..g_d the sum is the product of
     (-1/<g_i, eps> + tail_i).  Every product that keeps a tail has fewer
-    than d poles, and ``decompose`` adds no pole form, so only the product
-    of the d polar parts reaches order d: (-1)^d / prod <g_i, eps>, a
-    constant over independent forms, polar under every inner product.  So
-    each piece costs one ``decompose`` of that term and nothing else of its
-    sum is built.
+    than d poles, so only the product of the d polar parts reaches order d:
+    (-1)^d / prod <g_i, eps>, a constant over independent forms.  That term
+    is polar under every inner product, so the residue is built from it
+    directly, with no ``decompose``, and does not depend on the inner
+    product; nothing else of the piece's sum is built.
     """
-    k = lc.ambient
-    if space is None:
-        space = AmbientSpace.standard(k)
     if smooth_pieces is None:
         if isinstance(lc.cone, SimplicialCone) and is_smooth(lc):
             smooth_pieces = [lc]
@@ -477,13 +440,9 @@ def p_res_exp_sum(lc: LatticeCone,
                 raise NotSmooth(f"piece {piece.cone!r} is not smooth")
         if not is_subdivision([p.cone for p in smooth_pieces], lc.cone):
             raise NotASubdivision("pieces do not tile the lattice cone")
-    terms: list[PolarGerm] = []
-    for piece in smooth_pieces:
-        gens = piece.cone.generators
-        top = make_mero(Polynomial.constant(k, (-1) ** len(gens)),
-                        [(g, 1) for g in gens])
-        terms.extend(decompose(space, top).terms)
-    return make_germ_sum(terms, Polynomial.zero(k))
+    return make_germ_sum(
+        [signed_cone_term(piece.cone.generators, 1) for piece in smooth_pieces],
+        Polynomial.zero(lc.ambient))
 
 
 def lattice_sum_numeric(lc: LatticeCone, point: Sequence,

@@ -39,6 +39,7 @@ from laurentgerms.exact import (
     Polynomial,
     Vec,
     mat_rank,
+    max_minor_abs_sum,
     nullspace,
     primitive_vector,
     vec,
@@ -48,13 +49,14 @@ from laurentgerms.exact import (
 from laurentgerms.expand import laurent_expand, phi
 from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import (
+    canonicalize_polar,
     decompose,
     germ_equal,
     make_mero,
     mero_add,
 )
 
-from conftest import random_pseudo_positive_cone
+from conftest import random_pseudo_positive_cone, random_vector
 
 F = Fraction
 
@@ -530,6 +532,23 @@ def test_I_of_rays_and_quadrant():
     assert germ_equal(I_simplicial(quadrant).as_mero(),
                       make_mero(Polynomial.constant(2, 1),
                                 ((vec([1, 0]), 1), (vec([0, 1]), 1))))
+
+
+def test_I_matches_the_validated_polar_term():
+    # I_simplicial skips the checks of canonicalize_polar, which every
+    # simplicial cone passes
+    rng = random.Random(57)
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        n = rng.randint(1, k)
+        rows = [random_vector(rng, k) for _ in range(n)]
+        if mat_rank(tuple(rows)) < n:
+            continue
+        c = make_simplicial_cone(rows)
+        weight = max_minor_abs_sum(list(c.generators), n)
+        assert I_simplicial(c) == canonicalize_polar(
+            None, Polynomial.constant(k, (-1) ** n * weight),
+            [(g, 1) for g in c.generators])
 
 
 def test_I_is_invariant_under_generator_scaling():

@@ -642,7 +642,7 @@ def test_int_kernel_matches_fraction_arithmetic():
             continue
         # an exact multiple divides back to its cofactor
         multiple = p * Polynomial.linear_form(form)
-        assert multiple.divided_by_form(form) == p
+        assert multiple.strip_form(form, 1) == (p, int(not p.is_zero()))
         assert multiple.divmod_linear(form)[1].is_zero()
 
 
@@ -653,13 +653,88 @@ def test_division_by_a_variable_power_is_the_cofactor():
         p = random_polynomial(rng, k)
         i = rng.randrange(k)
         m = rng.randint(0, 4)
+        x_i = unit_vec(k, i)
         multiple = p * Polynomial.variable(k, i) ** m
-        assert multiple.divided_by_variable(i, m) == p
-        assert multiple.divided_by_variable(i, 0) == multiple
+        assert multiple.strip_form(x_i, m) == (p, 0 if p.is_zero() else m)
+        assert multiple.strip_form(x_i, 0) == (multiple, 0)
         # the same quotient as m divisions by the form x_i
+        terms = dict(multiple.terms)
         for _ in range(m):
-            multiple = multiple.divided_by_form(unit_vec(k, i))
-        assert multiple == p
+            terms, rem = _ref_divmod_linear(terms, x_i)
+            assert not rem
+        assert Polynomial(k, terms) == p
+
+
+def _ref_strip_form(p, form, limit=None):
+    """Reference: the Fraction-dict division repeated while it is exact."""
+    terms, m = dict(p.terms), 0
+    while terms and m != limit:
+        quotient, rem = _ref_divmod_linear(terms, form)
+        if rem:
+            break
+        terms, m = quotient, m + 1
+    return Polynomial(p.nvars, terms), m
+
+
+def _strip_form_cases(seed, n):
+    """n random (form, nonzero multiple of a power of it, limit): general
+    forms with rational or negative leading entries, and scaled coordinate
+    forms; the limit is None, the power, or below the power."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        k = rng.randint(1, 4)
+        if rng.random() < 0.3:
+            form = [F(0)] * k
+            form[rng.randrange(k)] = F(rng.choice((-3, -1, 1, 2)),
+                                       rng.choice((1, 2)))
+            form = tuple(form)
+        else:
+            form = _random_form(rng, k)
+        e = rng.randint(0, 4)
+        p = Polynomial.zero(k)
+        while p.is_zero():
+            p = random_polynomial(rng, k, degree=3, terms=4)
+        multiple = p * Polynomial.linear_form(form) ** e
+        limit = rng.choice((None, e, rng.randint(0, max(e - 1, 0))))
+        cases.append((form, multiple, limit))
+    return cases
+
+
+def test_strip_form_matches_repeated_fraction_division():
+    below = 0
+    for form, multiple, limit in _strip_form_cases(54, 300):
+        got = multiple.strip_form(form, limit)
+        assert got == _ref_strip_form(multiple, form, limit)
+        quotient, m = got
+        assert quotient * Polynomial.linear_form(form) ** m == multiple
+        below += limit is not None and m == limit and m > 0
+    assert below > 20
+    zero = Polynomial.zero(2)
+    assert zero.strip_form((1, 1)) == (zero, 0)
+    with pytest.raises(ZeroDivisionError):
+        Polynomial.constant(2, 1).strip_form((0, 0))
+
+
+def test_strip_form_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(p, xs):
+        return sum((sympy.Rational(c.numerator, c.denominator)
+                    * sympy.prod([x ** a for x, a in zip(xs, e)])
+                    for e, c in p.terms.items()), sympy.Integer(0))
+
+    for form, multiple, limit in _strip_form_cases(55, 80):
+        xs = sympy.symbols(f"x1:{len(form) + 1}")
+        ell = sum(sympy.Rational(c.numerator, c.denominator) * x
+                  for c, x in zip(map(F, form), xs))
+        quotient, m = multiple.strip_form(form, limit)
+        q = to_sympy(quotient, xs)
+        assert sympy.expand(q * ell ** m - to_sympy(multiple, xs)) == 0
+        if limit is None or m < limit:
+            # one polynomial is a Groebner basis of the ideal it spans, so
+            # the remainder is zero exactly when the form divides
+            assert sympy.div(q, ell, *xs)[1] != 0
 
 
 def test_int_kernel_products_agree_with_sympy():
@@ -881,10 +956,10 @@ def _reference_linear_factorization(p):
         nonlocal work
         key = primitive_pseudo_positive(form)[1]
         while True:
-            q = work.divided_by_form(key)
-            if q is None:
+            q, rem = _ref_divmod_linear(dict(work.terms), key)
+            if rem:
                 return
-            work = q
+            work = Polynomial(k, q)
             factors[key] = factors.get(key, 0) + 1
 
     for i in range(k):

@@ -15,7 +15,7 @@ from laurentgerms.errors import (
     NonLinearPole,
     UnknownVariable,
 )
-from laurentgerms.exact import AmbientSpace, Polynomial, vec
+from laurentgerms.exact import AmbientSpace, Polynomial, mat_rank, vec
 from laurentgerms.expand import laurent_expand, phi
 from laurentgerms.germs import (
     MeromorphicGerm,
@@ -375,13 +375,17 @@ def test_deserialize_rejects_malformed_input():
 
 def _raw_factors(rng, k):
     """Pole factors as a file may give them: unsorted, repeated, scaled,
-    and of either sign."""
+    and of either sign, over independent directions."""
     basis = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (0, 0, 1)]
-    out = []
+    out, directions = [], []
     for _ in range(rng.randint(1, 3)):
         v = rng.choice(basis)[:k]
         if not any(v):
             continue
+        if v not in directions:
+            if mat_rank(tuple(directions + [v])) == len(directions):
+                continue
+            directions.append(v)
         c = rng.choice([1, 2, -1, -3, F(1, 2)])
         out.append(([str(c * a) for a in v], rng.randint(1, 2)))
     return out
@@ -429,6 +433,29 @@ def test_deserialized_factors_are_canonical():
                                          [(vec(v), e) for v, e in terms[0][1]])
         for obj in (gs, ex, pg):
             assert from_json(to_json(obj)) == obj
+
+
+DEPENDENT = [{"form": ["1", "0"]}, {"form": ["0", "1"]}, {"form": ["1", "1"]}]
+
+
+@pytest.mark.parametrize("data, term", [
+    ({"kind": "polar-germ", "dim": 2, "numerator": "0",
+      "factors": [{"form": [1, 0]}]}, "polar germ: a polar term needs a "
+     "nonzero numerator"),
+    ({"kind": "polar-germ", "dim": 2, "numerator": "1",
+      "factors": DEPENDENT}, "polar germ: the pole forms are dependent"),
+    ({"kind": "germ-sum", "dim": 2, "poly": "0", "polar": [
+        {"numerator": "1", "factors": [{"form": ["1", "0"]}]},
+        {"numerator": "1", "factors": DEPENDENT}]},
+     r"polar\[1\]: the pole forms are dependent"),
+    ({"kind": "expansion", "dim": 2, "poly": "0", "terms": [
+        {"numerator": "1", "factors": DEPENDENT}]},
+     r"terms\[0\]: the pole forms are dependent"),
+], ids=["polar-germ-zero", "polar-germ-dependent", "germ-sum-dependent",
+        "expansion-dependent"])
+def test_a_term_that_breaks_the_polar_invariant_is_a_format_error(data, term):
+    with pytest.raises(FormatError, match=term):
+        deserialize(data)
 
 
 def test_zero_or_misdimensioned_pole_form_is_a_format_error():

@@ -1,4 +1,4 @@
-"""Lattice cones, exponential sums/integrals, and truncated arithmetic."""
+"""Lattice cones, exponential sums/integrals, and truncated germs."""
 
 import functools
 import math
@@ -34,17 +34,17 @@ from laurentgerms.exact import (
 )
 from laurentgerms.expand import make_expansion
 from laurentgerms.germs import (
+    PolarGerm,
     as_mero,
     canonicalize_polar,
-    evaluate,
     germ_equal,
     make_germ_sum,
     make_mero,
     mero_add,
-    mero_mul,
 )
 from laurentgerms.latticeexp import (
     LatticeCone,
+    TruncatedGerm,
     _lattice_coords,
     bernoulli_tail_coeffs,
     evaluate_truncated,
@@ -53,15 +53,12 @@ from laurentgerms.latticeexp import (
     is_smooth,
     lattice_sum_numeric,
     make_lattice_cone,
-    make_truncated,
     p_res_exp_sum,
     smooth_subdivide_2d,
-    truncated_add,
-    truncated_mul,
 )
 from laurentgerms.residues import p_res
 
-from conftest import random_germ, skew_space
+from conftest import skew_space
 
 F = Fraction
 SP = AmbientSpace.standard(2)
@@ -165,53 +162,15 @@ def test_tail_coefficients_invert_the_exponential_series():
 # ---------------------------------------------------------------------------
 # truncated germs
 
-def test_make_truncated_splits_polar_and_tail():
-    f = mero(Polynomial.linear_form(vec([1, 0])) + Polynomial.constant(2, 1),
-             ([1, 0], 1))  # (x1+1)/x1
-    tg = make_truncated(SP, f, 3)
-    assert germ_equal(tg.polar_part, mero(1, ([1, 0], 1)))
-    assert tg.taylor_tail == Polynomial.constant(2, 1)
-    assert tg.truncation_order == 3
-    assert germ_equal(tg.as_germ_sum(), f)
-
-
-def test_truncated_add_matches_exact_addition():
-    rng = random.Random(60)
-    for _ in range(10):
-        f = random_germ(rng, 2, max_forms=2, degree=2)
-        g = random_germ(rng, 2, max_forms=2, degree=2)
-        lhs = truncated_add(make_truncated(SP, f, 8), make_truncated(SP, g, 8))
-        rhs = make_truncated(SP, mero_add(f, g), 8)
-        assert germ_equal(lhs.polar_part, rhs.polar_part)
-        assert lhs.taylor_tail == rhs.taylor_tail
-
-
-def test_truncated_mul_matches_exact_product_below_the_order():
-    # with tails of degree <= 2 nothing is cut at order 8, so the product
-    # must agree with the exactly decomposed product
-    rng = random.Random(61)
-    for _ in range(10):
-        f = random_germ(rng, 2, max_forms=2, degree=2)
-        g = random_germ(rng, 2, max_forms=2, degree=2)
-        lhs = truncated_mul(SP, make_truncated(SP, f, 8),
-                            make_truncated(SP, g, 8))
-        rhs = make_truncated(SP, mero_mul(f, g), 8)
-        assert germ_equal(lhs.polar_part, rhs.polar_part)
-        assert lhs.taylor_tail == rhs.taylor_tail
-
-
-def test_truncated_add_uses_the_coarser_order():
-    f = make_truncated(SP, mero(1, ([1, 0], 1)), 8)
-    g = make_truncated(SP, mero(1, ([0, 1], 1)), 3)
-    assert truncated_add(f, g).truncation_order == 3
-
-
 def test_evaluate_truncated_reads_the_tail_literally():
-    f = mero(Polynomial.linear_form(vec([1, 0])) + Polynomial.constant(2, 1),
-             ([1, 0], 1))
-    tg = make_truncated(SP, f, 4)
+    # 1/x1 + 1 + x1^5 at x1 = 1/3: the tail term above the order counts too
+    x1 = Polynomial.linear_form(vec([1, 0]))
+    tg = TruncatedGerm(make_germ_sum([PolarGerm(Polynomial.constant(2, 1),
+                                                ((vec([1, 0]), 1),))],
+                                     Polynomial.zero(2)),
+                       Polynomial.constant(2, 1) + x1 ** 5, 4)
     pt = (F(1, 3), F(2))
-    assert evaluate_truncated(tg, pt) == evaluate(as_mero(f), pt)
+    assert evaluate_truncated(tg, pt) == 3 + 1 + F(1, 3 ** 5)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +195,6 @@ def test_truncation_order_must_be_non_negative():
     orthant = make_lattice_cone([(1, 0), (0, 1)])
     with pytest.raises(ValueError):
         exp_sum_smooth(orthant, trunc=-1)
-    with pytest.raises(ValueError):
-        make_truncated(SP, mero(1, ([1, 0], 1)), -1)
     # order 0 is the least one, and it keeps the -1/2 * 1/x_i terms
     tg = exp_sum_smooth(orthant, trunc=0)
     assert germ_equal(tg.polar_part, mero_add(
@@ -642,7 +599,7 @@ def test_p_res_exp_sum_is_one_top_term_per_smooth_piece(space_of):
     split = 0
     for lc, pieces, explicit in residue_cases(rng):
         space = space_of(lc.ambient)
-        got = p_res_exp_sum(lc, explicit, space=space)
+        got = p_res_exp_sum(lc, explicit)
         assert got == top_terms(pieces)
         assert len(got.terms) == len(pieces)
         reference = re_expanded_residue(space, pieces)
@@ -685,10 +642,10 @@ def test_p_res_exp_sum_expands_nothing_again(monkeypatch):
     for lc, pieces, explicit in residue_cases(random.Random(64), 4, 2):
         calls.clear()
         p_res_exp_sum(lc, explicit)
-        # only the top term of each piece's sum is built
+        # only the top term of each piece's sum is built, already polar
         assert calls["laurent_expand"] == 0
         assert calls["exp_sum_smooth"] == 0
-        assert calls["decompose"] == len(pieces)
+        assert calls["decompose"] == 0
 
 
 @SPACES
