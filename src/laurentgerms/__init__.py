@@ -61,7 +61,6 @@ from .expand import (  # noqa: F401
     laurent_expand,
     make_expansion,
     phi,
-    subdivide_simple,
     subdivision_operator,
 )
 from .residues import (  # noqa: F401

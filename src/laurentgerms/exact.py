@@ -594,6 +594,8 @@ class Polynomial:
         return Polynomial.from_ints(self.nvars, _nonzero(out), den)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if other.nvars != self.nvars:
+            raise _mixed_nvars(self, other)
         if not other.coeffs:
             return self
         if not self.coeffs:
@@ -606,11 +608,15 @@ class Polynomial:
         return p
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if other.nvars != self.nvars:
+            raise _mixed_nvars(self, other)
         if not other.coeffs:
             return self
         return self._combine(other, -1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if other.nvars != self.nvars:
+            raise _mixed_nvars(self, other)
         out = _mul_terms(self.coeffs, other.coeffs)
         return Polynomial.from_ints(self.nvars, _nonzero(out),
                                     self.den * other.den)
@@ -814,14 +820,12 @@ class Polynomial:
         return p, m
 
     # -- printing ----------------------------------------------------------
-    def to_string(self, names: Sequence[str] | None = None) -> str:
+    def to_string(self) -> str:
         if self.is_zero():
             return "0"
-        if names is None:
-            names = [f"eps{i + 1}" for i in range(self.nvars)]
         parts = []
         for e, c in self.sorted_terms():
-            factors = [f"{names[i]}^{p}" if p > 1 else names[i]
+            factors = [f"eps{i + 1}^{p}" if p > 1 else f"eps{i + 1}"
                        for i, p in enumerate(e) if p > 0]
             mag = abs(c)
             if not factors:
@@ -836,6 +840,10 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.to_string()})"
+
+
+def _mixed_nvars(a: Polynomial, b: Polynomial) -> ValueError:
+    return ValueError(f"polynomials in {a.nvars} and {b.nvars} variables")
 
 
 def _init(p: Polynomial, nvars: int, coeffs: IntTerms, den: int) -> None:

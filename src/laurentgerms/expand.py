@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     NotAPanSubdivision,
-    NotASubdivision,
     NotInLaurentSubspace,
     NotProperlyPositioned,
     OrthogonalityViolated,
@@ -45,11 +44,9 @@ from .cones import (
 )
 from .germs import (
     Factors,
-    GermSum,
     MeromorphicGerm,
     PolarGerm,
     as_mero,
-    canonicalize_polar,
     decompose,
     fraction_sum,
     numerator_is_orthogonal,
@@ -64,7 +61,6 @@ __all__ = [
     "expansion_neg",
     "expansion_scale",
     "phi",
-    "subdivide_simple",
     "delta_op",
     "subdivision_operator",
     "laurent_expand",
@@ -128,33 +124,23 @@ class FormalExpansion(Record):
         return "FormalExpansion(" + " (+) ".join(bits) + ")"
 
 
-def make_expansion(space: AmbientSpace | None,
-                   items: Iterable[tuple[Factors, Polynomial]],
-                   polynomial_part: Polynomial,
-                   validate: bool = True) -> FormalExpansion:
+def make_expansion(items: Iterable[tuple[Factors, Polynomial]],
+                   polynomial_part: Polynomial) -> FormalExpansion:
     """Merge terms by decorated cone, drop zeros, sort canonically.
 
-    With ``validate`` (and a space) every stored numerator is checked against
-    the orthogonality invariant of its cone via ``canonicalize_polar``.
+    The factors must be canonical, as ``canonicalize_polar`` leaves them:
+    terms are merged by their factors as given.
     """
-    merged = sum_by_factors(
-        (num, tuple(sorted((tuple(v), int(s)) for v, s in factors)))
-        for factors, num in items)
-    out = []
-    for factors, num in sorted(merged.items()):
-        if validate:
-            pg = canonicalize_polar(space, num, factors)
-            factors, num = pg.factors, pg.numerator
-        out.append((DecoratedCone(factors), num))
-    return FormalExpansion(tuple(out), polynomial_part)
+    merged = sum_by_factors((num, factors) for factors, num in items)
+    return FormalExpansion(tuple((DecoratedCone(factors), num)
+                                 for factors, num in sorted(merged.items())),
+                           polynomial_part)
 
 
 def expansion_add(x: FormalExpansion, y: FormalExpansion) -> FormalExpansion:
     items = [(dc.factors, num) for dc, num in x.terms]
     items += [(dc.factors, num) for dc, num in y.terms]
-    return make_expansion(None, items,
-                          x.polynomial_part + y.polynomial_part,
-                          validate=False)
+    return make_expansion(items, x.polynomial_part + y.polynomial_part)
 
 
 def expansion_scale(c, x: FormalExpansion) -> FormalExpansion:
@@ -182,26 +168,6 @@ def phi(x: FormalExpansion) -> MeromorphicGerm:
 
 # ---------------------------------------------------------------------------
 # subdivision operators
-
-def subdivide_simple(space: AmbientSpace, g: PolarGerm,
-                     pieces: Sequence[SimplicialCone]) -> FormalExpansion:
-    """Re-support a simple polar germ (all exponents 1) on a subdivision.
-
-    The coefficient of each piece is |det| of its generators' coordinates in
-    the basis of the pole forms (the ratio of the minor-sum weights of piece
-    and cone), which is what makes the cone valuation additive: summing the
-    output with ``phi`` returns the input germ.  It does not depend on Q.
-    This is ``_subdivide_term`` with no pole orders to raise.  Raises
-    NotASubdivision unless the pieces tile the cone of the pole forms.
-    """
-    if any(s != 1 for _, s in g.factors):
-        raise ValueError("subdivide_simple needs all exponents equal to 1")
-    cone = SimplicialCone(tuple(v for v, _ in g.factors))
-    if not is_subdivision(pieces, cone):
-        raise NotASubdivision("pieces do not tile the supporting cone")
-    return _resupport([(g.factors, g.numerator)], {cone: pieces},
-                      Polynomial.zero(g.nvars))
-
 
 def delta_op(space: AmbientSpace, lstar: Vec,
              x: FormalExpansion) -> FormalExpansion:
@@ -231,8 +197,7 @@ def delta_op(space: AmbientSpace, lstar: Vec,
             bumped = tuple((u, r + 1 if i == j else r)
                            for i, (u, r) in enumerate(dc.factors))
             items.append((bumped, num.scale(s * q)))
-    return make_expansion(space, items, Polynomial.zero(x.nvars),
-                          validate=False)
+    return make_expansion(items, Polynomial.zero(x.nvars))
 
 
 def _subdivide_term(factors: Factors, num: Polynomial,
@@ -293,7 +258,7 @@ def _resupport(terms: Iterable[tuple[Factors, Polynomial]],
     for factors, num in terms:
         items.extend(_subdivide_term(factors, num,
                                      assignment[DecoratedCone(factors).cone]))
-    return make_expansion(None, items, polynomial_part, validate=False)
+    return make_expansion(items, polynomial_part)
 
 
 def _pieces_by_cone(cones: Sequence[SimplicialCone],
@@ -312,20 +277,22 @@ def _pieces_by_cone(cones: Sequence[SimplicialCone],
     return assignment
 
 
-def subdivision_operator(space: AmbientSpace, x: FormalExpansion,
+def subdivision_operator(x: FormalExpansion,
                          family: Sequence[SimplicialCone]) -> FormalExpansion:
     """Rewrite an expansion onto a finer properly positioned family.
 
-    The family must tile every supporting cone of ``x`` by its members
+    The family must be properly positioned (NotProperlyPositioned
+    otherwise) and tile every supporting cone of ``x`` by its members
     contained in that cone (NotAPanSubdivision otherwise); members lying in
     no supporting cone are allowed and simply unused.  ``phi`` of the result
     equals ``phi`` of the input; the polynomial part passes through
-    unchanged.
+    unchanged.  The coefficients are coordinates in each cone's basis, so
+    no inner product enters.
     """
     family = list(family)
     support = x.support()
     if not is_properly_positioned(family):
-        raise NotAPanSubdivision("target family is not properly positioned")
+        raise NotProperlyPositioned("target family is not properly positioned")
     assignment = _pieces_by_cone(support, family)
     return _resupport([(dc.factors, num) for dc, num in x.terms], assignment,
                       x.polynomial_part)
@@ -352,24 +319,20 @@ def laurent_expand(space: AmbientSpace, f,
     ``as_mero(f)``, and a repeat call returns the same shared immutable
     object.
 
-    With an explicit ``support`` (never cached) the expansion is re-supported
-    on its members; if they cannot tile the canonical supporting cones the
-    germ admits no expansion there (NotInLaurentSubspace).
+    With an explicit ``support`` (never cached) the terms of ``decompose``
+    go through ``subdivision_operator`` onto its members: NotProperlyPositioned
+    when the support is not properly positioned, and NotInLaurentSubspace
+    when its members cannot tile the supporting cones of those terms.
     """
     if support is None:
         return _canonical_expansion(space, as_mero(f))
-    s, cones = _polar_cones(space, f)
-    support = list(support)
-    if not is_properly_positioned(support):
-        raise NotProperlyPositioned(
-            "requested support is not properly positioned")
+    s = decompose(space, f)
+    x = make_expansion([(t.factors, t.numerator) for t in s.terms], s.poly)
     try:
-        assignment = _pieces_by_cone(cones, support)
+        return subdivision_operator(x, support)
     except NotAPanSubdivision as exc:
         raise NotInLaurentSubspace(
             "germ admits no expansion on the requested support") from exc
-    return _resupport([(t.factors, t.numerator) for t in s.terms],
-                      assignment, s.poly)
 
 
 _EXPANSION_CACHE_SIZE = 8
@@ -387,7 +350,8 @@ def _canonical_expansion(space: AmbientSpace, f: MeromorphicGerm
     misses exactly as the first did and its call counts repeat.  Exceptions
     are not cached.
     """
-    s, cones = _polar_cones(space, f)
+    s = decompose(space, f)
+    cones = list(dict.fromkeys(DecoratedCone(t.factors).cone for t in s.terms))
     pieces, index_sets = common_refinement(cones)
     assignment = {c: [pieces[i] for i in idx]
                   for c, idx in zip(cones, index_sets)}
@@ -395,18 +359,10 @@ def _canonical_expansion(space: AmbientSpace, f: MeromorphicGerm
                       assignment, s.poly)
 
 
-def _polar_cones(space: AmbientSpace, f
-                 ) -> tuple[GermSum, list[SimplicialCone]]:
-    """The decomposition of ``f`` and its supporting cones, deduplicated."""
-    s = decompose(space, f)
-    return s, list(dict.fromkeys(DecoratedCone(t.factors).cone
-                                 for t in s.terms))
-
-
 # ---------------------------------------------------------------------------
 # kernel elements of phi
 
-def kernel_generators(space: AmbientSpace, sample: PolarGerm,
+def kernel_generators(sample: PolarGerm,
                       subdivision: Sequence[SimplicialCone] | None = None
                       ) -> list[FormalExpansion]:
     """Formal expansions that ``phi`` sends to zero, built from a sample.
@@ -427,6 +383,6 @@ def kernel_generators(space: AmbientSpace, sample: PolarGerm,
                         Polynomial.zero(sample.nvars))
     if subdivision is None:
         subdivision = [SimplicialCone(tuple(v for v, _ in sample.factors))]
-    resupported = subdivision_operator(space, x, list(subdivision))
+    resupported = subdivision_operator(x, list(subdivision))
     return [FormalExpansion((), Polynomial.zero(sample.nvars)),
             expansion_add(x, expansion_neg(resupported))]

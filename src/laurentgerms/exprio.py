@@ -457,7 +457,7 @@ def _factors_in(items, k: int, where: str) -> tuple:
         if not isinstance(item, dict) or "form" not in item:
             raise FormatError(f"{spot}: expected {{form, power}}")
         power = item.get("power", 1)
-        if not isinstance(power, int) or power < 1:
+        if isinstance(power, bool) or not isinstance(power, int) or power < 1:
             raise FormatError(f"{spot}.power: expected a positive integer")
         form = _vec_in(item["form"], f"{spot}.form")
         if len(form) != k:
@@ -513,7 +513,9 @@ def deserialize(data: dict):
         raise FormatError("top level: expected an object with a 'kind' field")
     kind = data["kind"]
     k = data.get("dim")
-    if not isinstance(k, int) or k < 1:
+    # an empty cone family has no dimension: it is written with dim 0
+    least = 0 if kind == "cone-family" else 1
+    if isinstance(k, bool) or not isinstance(k, int) or k < least:
         raise FormatError("dim: expected a positive integer")
     if kind == "polynomial":
         return _poly_in(data.get("poly"), k, "poly")
@@ -530,15 +532,14 @@ def deserialize(data: dict):
     if kind == "expansion":
         terms = [(fac, num) for num, fac in _fractions_in(data, "terms", k)]
         poly = _poly_in(data.get("poly", "0"), k, "poly")
-        return make_expansion(None, terms, poly, validate=False)
+        return make_expansion(terms, poly)
     if kind == "cone":
-        return _cone_in(data.get("generators"), "generators")
+        return _cones_in([data.get("generators")], "generators", k)[0]
     if kind == "cone-family":
         rows = data.get("cones")
         if not isinstance(rows, list):
             raise FormatError("cones: expected a list")
-        return ConeFamily(tuple(_cone_in(c, f"cones[{i}]")
-                                for i, c in enumerate(rows)))
+        return ConeFamily(tuple(_cones_in(rows, "cones[{}]", k)))
     raise FormatError(f"kind: unknown kind {kind!r}")
 
 
@@ -575,12 +576,25 @@ def _cone_in(rows, where: str) -> SimplicialCone:
     if not isinstance(rows, list) or not rows:
         raise FormatError(f"{where}: expected a nonempty list of generators")
     gens = [_vec_in(r, f"{where}[{i}]") for i, r in enumerate(rows)]
-    if len({len(g) for g in gens}) != 1:
-        raise FormatError(f"{where}: generators of mixed dimension")
     try:
         return make_simplicial_cone(gens)
-    except NotSimplicial as exc:
+    except (NotSimplicial, ValueError) as exc:
         raise FormatError(f"{where}: {exc}") from exc
+
+
+def _cones_in(rows: list, where: str,
+              k: int | None = None) -> list[SimplicialCone]:
+    """Cones of one ambient dimension, which is ``k`` when given;
+    ``where.format(i)`` names cone i."""
+    cones = [_cone_in(c, where.format(i)) for i, c in enumerate(rows)]
+    for i, cone in enumerate(cones):
+        if cone.ambient != cones[0].ambient:
+            raise FormatError(f"cone {i} has dimension {cone.ambient}, "
+                              f"cone 0 has dimension {cones[0].ambient}")
+    if k is not None and cones and cones[0].ambient != k:
+        raise FormatError(f"dim: {k}, but the generators have "
+                          f"{cones[0].ambient} coordinates")
+    return cones
 
 
 def to_json(obj) -> str:
@@ -627,23 +641,16 @@ def load_cone_family(path: str) -> list[SimplicialCone]:
     cones must have the same ambient dimension.
     """
     data = _load_json(path)
-    if isinstance(data, dict):
-        try:
-            family = deserialize(data)
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-        if isinstance(family, ConeFamily):
-            cones = list(family.cones)
-        elif isinstance(family, SimplicialCone):
-            cones = [family]
-        else:
-            raise FormatError(f"{path}: not a cone family")
-    elif isinstance(data, list):
-        cones = [_cone_in(c, f"{path}: cone {i}") for i, c in enumerate(data)]
-    else:
-        raise FormatError(f"{path}: expected a list of cones")
-    for i, cone in enumerate(cones):
-        if cone.ambient != cones[0].ambient:
-            raise FormatError(f"{path}: cone {i} has dimension {cone.ambient}, "
-                              f"cone 0 has dimension {cones[0].ambient}")
-    return cones
+    try:
+        if isinstance(data, list):
+            return _cones_in(data, "cone {}")
+        if not isinstance(data, dict):
+            raise FormatError("expected a list of cones")
+        family = deserialize(data)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if isinstance(family, ConeFamily):
+        return list(family.cones)
+    if isinstance(family, SimplicialCone):
+        return [family]
+    raise FormatError(f"{path}: not a cone family")

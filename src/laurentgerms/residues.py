@@ -85,14 +85,15 @@ class Arrangement(Record):
 
 
 def make_arrangement(forms: Sequence[Sequence]) -> Arrangement:
-    normalized = []
-    for f in forms:
-        v = vec(f)
+    rows = [vec(f) for f in forms]
+    if not rows:
+        raise ValueError("an arrangement needs at least one form")
+    for v in rows:
+        if len(v) != len(rows[0]):
+            raise ValueError(f"forms of length {len(rows[0])} and {len(v)}")
         if vec_is_zero(v):
             raise ValueError("the zero form cannot be a pole direction")
-        normalized.append(primitive_pseudo_positive(v)[1])
-    if not normalized:
-        raise ValueError("an arrangement needs at least one form")
+    normalized = [primitive_pseudo_positive(v)[1] for v in rows]
     return Arrangement(tuple(sorted(dict.fromkeys(normalized))))
 
 
@@ -157,10 +158,19 @@ def pi_minus(space: AmbientSpace, f) -> GermSum:
 
 def project_U_p(space: AmbientSpace, f, subspace: Sequence[Sequence],
                 p: int) -> GermSum:
-    """The graded component supported on span(subspace) with pole order p."""
+    """The graded component supported on span(subspace) with pole order p.
+
+    Every row of ``subspace`` must have one coordinate per dimension of the
+    space (ValueError otherwise).
+    """
+    components = graded_split(space, f)
+    k = space.dimension
+    for row in subspace:
+        if len(row) != k:
+            raise ValueError(f"subspace row of length {len(row)}, space of "
+                             f"dimension {k}")
     key = GradedComponentKey(span_key(subspace), int(p))
-    return graded_split(space, f).get(
-        key, make_germ_sum([], Polynomial.zero(space.dimension)))
+    return components.get(key, make_germ_sum([], Polynomial.zero(k)))
 
 
 def jk_residue(space: AmbientSpace, f,

@@ -12,6 +12,8 @@ from laurentgerms import (
     AmbientSpace,
     MeromorphicGerm,
     Polynomial,
+    canonicalize_polar,
+    make_expansion,
     make_mero,
     make_simplicial_cone,
     mero_mul,
@@ -90,6 +92,18 @@ def round_trip_corpus():
         k = rng.randint(1, 3)
         out.append((k, random_germ(rng, k, max_forms=4, degree=3)))
     return out
+
+
+def expansion_from_raw(space, items, polynomial_part):
+    """``make_expansion`` of raw (factors, numerator) terms: each nonzero
+    term is canonicalized first, then equal decorated cones are merged, so
+    scaled and negated pole forms land on one term."""
+    terms = []
+    for factors, num in items:
+        if not num.is_zero():
+            g = canonicalize_polar(space, num, factors)
+            terms.append((g.factors, g.numerator))
+    return make_expansion(terms, polynomial_part)
 
 
 def random_space(rng: random.Random, k: int) -> AmbientSpace:

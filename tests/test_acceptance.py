@@ -21,7 +21,6 @@ from laurentgerms.exact import AmbientSpace, Polynomial, primitive_vector, vec
 from laurentgerms.expand import (
     kernel_generators,
     laurent_expand,
-    make_expansion,
     phi,
 )
 from laurentgerms.germs import (
@@ -51,7 +50,12 @@ from laurentgerms.residues import (
     pi_plus,
 )
 
-from conftest import random_fraction, round_trip_corpus, skew_space
+from conftest import (
+    expansion_from_raw,
+    random_fraction,
+    round_trip_corpus,
+    skew_space,
+)
 
 F = Fraction
 SP = AmbientSpace.standard(2)
@@ -128,7 +132,7 @@ def test_criterion_05_kernel_elements_vanish():
         mid = primitive_vector(tuple(a + b for a, b in zip(g1, g2)))
         subdivision = [make_simplicial_cone([g1, mid]),
                        make_simplicial_cone([mid, g2])]
-        type_one, type_two = kernel_generators(SP, sample, subdivision)
+        type_one, type_two = kernel_generators(sample, subdivision)
         assert phi(type_one).is_zero()
         assert phi(type_two).is_zero()
     print("ACCEPTANCE 5: PASS — 50 sign-flip and 50 re-supporting kernel "
@@ -155,7 +159,7 @@ def test_criterion_06_conical_sums_are_never_polynomial():
             while c == 0:
                 c = random_fraction(rng)
             terms.append((factors, Polynomial.constant(2, c)))
-        x = make_expansion(SP, terms, Polynomial.zero(2))
+        x = expansion_from_raw(SP, terms, Polynomial.zero(2))
         assert not phi(x).is_polynomial()
     print("ACCEPTANCE 6: PASS — 50 properly positioned conical sums with "
           "nonzero coefficients are never polynomial")

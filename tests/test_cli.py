@@ -233,6 +233,9 @@ def test_dim_flag_controls_the_variable_range(capsys):
     assert got == {"kind": "p-order", "dim": 3, "p_order": 3}
     code, _ = run(capsys, "--dim", "2", "p-order", "1/(x1*x2*x3)")
     assert code == 2
+    code, captured = run(capsys, "--dim", "0", "p-order", "1")
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --dim must be a positive integer\n"
 
 
 def test_output_is_deterministic(capsys, tmp_path):

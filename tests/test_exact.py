@@ -825,6 +825,9 @@ def test_linear_factorization_rejects_irreducible():
     y = Polynomial.variable(2, 1)
     assert linear_factorization(x * x + y * y) is None
     assert linear_factorization(x * y + Polynomial.constant(2, 1)) is None
+    # x1*x3 - x2^2 vanishes at every point (1, j, j^2) of the moment curve
+    x1, x2, x3 = (Polynomial.variable(3, i) for i in range(3))
+    assert linear_factorization(x1 * x3 - x2 * x2) is None
 
 
 # ---------------------------------------------------------------------------
@@ -1144,6 +1147,18 @@ def test_to_string_known_forms():
     assert (x * x - y).to_string() in ("eps1^2 - eps2", "-eps2 + eps1^2")
     p = x.scale(F(3, 2))
     assert p.to_string() == "3/2*eps1"
+
+
+def test_arithmetic_refuses_polynomials_in_other_variables():
+    two = Polynomial.variable(2, 0)
+    three = Polynomial.variable(3, 0)
+    for a, b in ((two, three), (two, Polynomial.zero(3)),
+                 (Polynomial.zero(2), three),
+                 (Polynomial.zero(2), Polynomial.zero(3))):
+        for op in (a.__add__, a.__sub__, a.__mul__):
+            with pytest.raises(ValueError,
+                               match=f"in {a.nvars} and {b.nvars} variables"):
+                op(b)
 
 
 def test_vec_is_zero():

@@ -24,9 +24,7 @@ from laurentgerms.exact import (
     vec_dot,
 )
 from laurentgerms.expand import (
-    DecoratedCone,
     _subdivide_term,
-    FormalExpansion,
     delta_op,
     expansion_add,
     expansion_neg,
@@ -35,7 +33,6 @@ from laurentgerms.expand import (
     laurent_expand,
     make_expansion,
     phi,
-    subdivide_simple,
     subdivision_operator,
 )
 from laurentgerms.germs import (
@@ -51,6 +48,7 @@ from laurentgerms.germs import (
 )
 
 from conftest import (
+    expansion_from_raw,
     q_dual_family,
     random_germ,
     random_polynomial,
@@ -73,11 +71,11 @@ def mero(num_const, *factors, k=2):
 
 
 def simple_exp(space, items, k=2):
-    return make_expansion(space,
-                          [(tuple((vec(v), e) for v, e in fac),
-                            Polynomial.constant(k, c))
-                           for fac, c in items],
-                          Polynomial.zero(k))
+    return expansion_from_raw(space,
+                              [(tuple((vec(v), e) for v, e in fac),
+                                Polynomial.constant(k, c))
+                               for fac, c in items],
+                              Polynomial.zero(k))
 
 
 # ---------------------------------------------------------------------------
@@ -89,13 +87,25 @@ def test_make_expansion_merges_and_drops_zero_terms():
     assert x.is_zero()
 
 
+def test_raw_terms_are_canonicalized_before_they_merge():
+    # 1/(2 x1) + 1/x1 is one term 3/2 on <(1,0)>; 1/x1 + 1/(-x1) is zero
+    x = simple_exp(SP, [((((2, 0), 1),), 1), ((((1, 0), 1),), 1)])
+    assert x == make_expansion([(((vec([1, 0]), 1),),
+                                 Polynomial.constant(2, F(3, 2)))],
+                               Polynomial.zero(2))
+    assert len(x.terms) == 1
+    assert simple_exp(SP, [((((1, 0), 1),), 1),
+                           ((((-1, 0), 1),), 1)]) == make_expansion(
+        [], Polynomial.zero(2))
+
+
 def test_make_expansion_validates_orthogonality():
     from laurentgerms.errors import NotPolar
 
     bad_num = Polynomial.linear_form(vec([1, 0]))
     with pytest.raises(NotPolar):
-        make_expansion(SP, [(((vec([1, 0]), 2),), bad_num)],
-                       Polynomial.zero(2))
+        expansion_from_raw(SP, [(((vec([1, 0]), 2),), bad_num)],
+                           Polynomial.zero(2))
 
 
 def three_variable_expansion():
@@ -112,7 +122,7 @@ def test_polar_checks_reject_mismatched_dimensions():
         space = AmbientSpace.standard(k)
         message = f"numerator in 3 variables, space of dimension {k}"
         with pytest.raises(ValueError, match=message):
-            make_expansion(space, items, Polynomial.zero(3))
+            expansion_from_raw(space, items, Polynomial.zero(3))
         for dc, num in x.terms:
             forms = [v for v, _ in dc.factors]
             with pytest.raises(ValueError, match=message):
@@ -127,10 +137,8 @@ def test_polar_checks_reject_mismatched_dimensions():
 
 
 def test_phi_sums_terms_and_polynomial_part():
-    x = make_expansion(SP, [(((vec([1, 0]), 1),), Polynomial.constant(2, 1))],
+    x = make_expansion([(((vec([1, 0]), 1),), Polynomial.constant(2, 1))],
                        Polynomial.constant(2, 5))
-    assert phi(x) == mero_scale(F(1), make_mero(
-        Polynomial.constant(2, 5) + Polynomial.zero(2))) if False else True
     expected = make_mero(
         Polynomial.constant(2, 5) * Polynomial.linear_form(vec([1, 0]))
         + Polynomial.constant(2, 1),
@@ -146,16 +154,23 @@ def test_expansion_linear_operations():
     assert expansion_add(s, expansion_neg(s)).is_zero()
     doubled = expansion_scale(F(2), a)
     assert phi(doubled) == mero_scale(F(2), phi(a))
+    zero = expansion_scale(0, s)
+    assert zero.is_zero() and zero.nvars == 2
 
 
 # ---------------------------------------------------------------------------
 # subdividing a simple fraction
 
+def polar_expansion(g):
+    """The one-term expansion of a polar germ on its own cone."""
+    return make_expansion([(g.factors, g.numerator)], Polynomial.zero(g.nvars))
+
+
 def test_subdivide_simple_reproduces_basic_identity():
     g = canonicalize_polar(None, Polynomial.constant(2, 1),
                            ((vec([1, 0]), 1), (vec([0, 1]), 1)))
     pieces = [cone((1, 0), (1, 1)), cone((0, 1), (1, 1))]
-    x = subdivide_simple(SP, g, pieces)
+    x = subdivision_operator(polar_expansion(g), pieces)
     assert germ_equal(phi(x), g.as_mero())
     facs = sorted(dc.factors for dc, _ in x.terms)
     assert facs == [
@@ -170,7 +185,7 @@ def test_subdivide_simple_weights_scale_with_subcone_volume():
     g = canonicalize_polar(None, Polynomial.constant(2, 1),
                            ((vec([1, 0]), 1), (vec([0, 1]), 1)))
     pieces = [cone((1, 0), (1, 2)), cone((0, 1), (1, 2))]
-    x = subdivide_simple(SP, g, pieces)
+    x = subdivision_operator(polar_expansion(g), pieces)
     assert germ_equal(phi(x), g.as_mero())
 
 
@@ -178,30 +193,20 @@ def test_subdivide_simple_scales_each_piece_by_its_minor_ratio():
     g = canonicalize_polar(None, Polynomial.constant(2, 3),
                            ((vec([1, 0]), 1), (vec([0, 1]), 1)))
     pieces = [cone((1, 0), (1, 2)), cone((0, 1), (1, 2))]
-    x = subdivide_simple(SP, g, pieces)
+    x = subdivision_operator(polar_expansion(g), pieces)
     assert x == make_expansion(
-        SP, [(((vec([1, 0]), 1), (vec([1, 2]), 1)), Polynomial.constant(2, 6)),
-             (((vec([0, 1]), 1), (vec([1, 2]), 1)), Polynomial.constant(2, 3))],
-        Polynomial.zero(2), validate=False)
-    whole = FormalExpansion(((DecoratedCone(g.factors), g.numerator),),
-                            Polynomial.zero(2))
-    assert x == subdivision_operator(SP, whole, pieces)
-
-
-def test_subdivide_simple_rejects_higher_exponents():
-    g = canonicalize_polar(None, Polynomial.constant(2, 1),
-                           ((vec([1, 0]), 2),))
-    with pytest.raises(ValueError):
-        subdivide_simple(SP, g, [cone((1, 0))])
+        [(((vec([0, 1]), 1), (vec([1, 2]), 1)), Polynomial.constant(2, 3)),
+         (((vec([1, 0]), 1), (vec([1, 2]), 1)), Polynomial.constant(2, 6))],
+        Polynomial.zero(2))
 
 
 def test_subdivide_simple_rejects_non_subdivision():
     g = canonicalize_polar(None, Polynomial.constant(2, 1),
                            ((vec([1, 0]), 1), (vec([0, 1]), 1)))
-    with pytest.raises(NotASubdivision):
-        subdivide_simple(SP, g, [cone((1, 0), (1, 1))])
-    with pytest.raises(NotASubdivision):
-        subdivide_simple(SP, g, [cone((1, 1))])
+    with pytest.raises(NotAPanSubdivision):
+        subdivision_operator(polar_expansion(g), [cone((1, 0), (1, 1))])
+    with pytest.raises(NotAPanSubdivision):
+        subdivision_operator(polar_expansion(g), [cone((1, 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +224,7 @@ def test_delta_increments_exponents_with_pairing_weights():
 
 
 def test_delta_annihilates_polynomial_part():
-    x = make_expansion(SP, [], Polynomial.constant(2, 7))
+    x = make_expansion([], Polynomial.constant(2, 7))
     d = delta_op(SP, vec([1, 0]), x)
     assert d.is_zero()
 
@@ -227,7 +232,7 @@ def test_delta_annihilates_polynomial_part():
 def test_delta_requires_orthogonal_direction():
     # numerator depends on eps2; deriving along eps2 must be refused
     num = Polynomial.linear_form(vec([0, 1]))
-    x = make_expansion(SP, [(((vec([1, 0]), 1),), num)], Polynomial.zero(2))
+    x = make_expansion([(((vec([1, 0]), 1),), num)], Polynomial.zero(2))
     with pytest.raises(OrthogonalityViolated):
         delta_op(SP, vec([0, 1]), x)
 
@@ -252,10 +257,11 @@ def fan_E():
 
 def test_subdivision_operator_on_higher_order_pole():
     # 1/(x1^2 x2) over the fan {<e1,e1+e2>, <e2,e1+e2>}
-    x = make_expansion(SP, [(((vec([1, 0]), 2), (vec([0, 1]), 1)),
-                             Polynomial.constant(2, 1))], Polynomial.zero(2))
+    x = expansion_from_raw(SP, [(((vec([1, 0]), 2), (vec([0, 1]), 1)),
+                                 Polynomial.constant(2, 1))],
+                           Polynomial.zero(2))
     fam = [cone((1, 0), (1, 1)), cone((0, 1), (1, 1))]
-    y = subdivision_operator(SP, x, fam)
+    y = subdivision_operator(x, fam)
     assert germ_equal(phi(y), phi(x))
     got = {dc.factors: num for dc, num in y.terms}
     one = Polynomial.constant(2, 1)
@@ -276,8 +282,8 @@ def test_subdivision_operator_preserves_phi_on_random_expansions():
                 factors = tuple((g, rng.randint(1, 2)) for g in c.generators)
                 terms.append((factors,
                               Polynomial.constant(2, F(rng.randint(-3, 3)))))
-        x = make_expansion(SP, terms, Polynomial.zero(2))
-        y = subdivision_operator(SP, x, fam)
+        x = expansion_from_raw(SP, terms, Polynomial.zero(2))
+        y = subdivision_operator(x, fam)
         assert germ_equal(phi(y), phi(x))
         for dc, _ in y.terms:
             forms = [v for v, _ in dc.factors]
@@ -288,20 +294,31 @@ def test_subdivision_operator_preserves_phi_on_random_expansions():
 def test_subdivision_operator_is_transitive():
     # refining in one step or through an intermediate fan gives the same
     # expansion
-    x = make_expansion(SP, [(((vec([1, 0]), 1), (vec([0, 1]), 1)),
-                             Polynomial.constant(2, 1))], Polynomial.zero(2))
+    x = expansion_from_raw(SP, [(((vec([1, 0]), 1), (vec([0, 1]), 1)),
+                                 Polynomial.constant(2, 1))],
+                           Polynomial.zero(2))
     middle = [cone((1, 0), (1, 1)), cone((1, 1), (0, 1))]
     fine = fan_E()
-    direct = subdivision_operator(SP, x, fine)
-    via = subdivision_operator(SP, subdivision_operator(SP, x, middle), fine)
+    direct = subdivision_operator(x, fine)
+    via = subdivision_operator(subdivision_operator(x, middle), fine)
     assert direct == via
 
 
 def test_subdivision_operator_rejects_non_pan_subdivision():
-    x = make_expansion(SP, [(((vec([1, 0]), 1), (vec([0, 1]), 1)),
-                             Polynomial.constant(2, 1))], Polynomial.zero(2))
+    x = expansion_from_raw(SP, [(((vec([1, 0]), 1), (vec([0, 1]), 1)),
+                                 Polynomial.constant(2, 1))],
+                           Polynomial.zero(2))
     with pytest.raises((NotAPanSubdivision, NotASubdivision)):
-        subdivision_operator(SP, x, [cone((1, 0), (1, 1))])
+        subdivision_operator(x, [cone((1, 0), (1, 1))])
+
+
+def test_subdivision_operator_rejects_an_improper_family():
+    x = expansion_from_raw(SP, [(((vec([1, 0]), 1), (vec([0, 1]), 1)),
+                                 Polynomial.constant(2, 1))],
+                           Polynomial.zero(2))
+    overlapping = [cone((1, 0), (0, 1)), cone((1, 1), (1, -1))]
+    with pytest.raises(NotProperlyPositioned):
+        subdivision_operator(x, overlapping)
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +542,9 @@ def test_kernel_generators_vanish_under_phi():
     sample = canonicalize_polar(None, Polynomial.constant(2, 1),
                                 ((vec([1, 0]), 1), (vec([0, 1]), 1)))
     subdivision = [cone((1, 0), (1, 1)), cone((0, 1), (1, 1))]
-    for x in kernel_generators(SP, sample):
+    for x in kernel_generators(sample):
         assert phi(x).is_zero()
-    for x in kernel_generators(SP, sample, subdivision):
+    for x in kernel_generators(sample, subdivision):
         assert phi(x).is_zero()
 
 
@@ -535,7 +552,7 @@ def test_type_two_kernel_element_is_structurally_nonzero():
     sample = canonicalize_polar(None, Polynomial.constant(2, 1),
                                 ((vec([1, 0]), 1), (vec([0, 1]), 1)))
     subdivision = [cone((1, 0), (1, 1)), cone((0, 1), (1, 1))]
-    elements = kernel_generators(SP, sample, subdivision)
+    elements = kernel_generators(sample, subdivision)
     assert any(not x.is_zero() for x in elements)
     # the re-supported copy lives on three decorated cones
     type_two = elements[1]

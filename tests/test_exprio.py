@@ -179,6 +179,9 @@ def test_germ_conversion_rejects_non_linear_poles():
         parse_germ("1/(x1*x2+1)", 2)
     with pytest.raises(NonLinearPole):
         parse_germ("1/(x1^2+x2^2)", 2)
+    # vanishes on the whole moment curve (t, t^2, t^3)
+    with pytest.raises(NonLinearPole):
+        parse_germ("1/(x1*x3-x2^2)", 3)
 
 
 def test_powers_are_the_repeated_products():
@@ -345,6 +348,45 @@ def test_empty_germ_sum_round_trips():
     assert serialize(gs) == data
 
 
+def test_empty_cone_family_round_trips():
+    data = serialize(ConeFamily(()))
+    assert data == {"kind": "cone-family", "dim": 0, "cones": []}
+    assert deserialize(data) == ConeFamily(())
+    assert deserialize(json.loads(json.dumps(data))) == ConeFamily(())
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"kind": "cone-family", "dim": 2, "cones": [[[1, 0, 0], [0, 1, 0]]]},
+     "dim: 2, but the generators have 3 coordinates"),
+    ({"kind": "cone-family", "dim": 0, "cones": [[[1, 0]]]},
+     "dim: 0, but the generators have 2 coordinates"),
+    ({"kind": "cone", "dim": 5, "generators": [[1, 0], [0, 1]]},
+     "dim: 5, but the generators have 2 coordinates"),
+    ({"kind": "cone-family", "dim": 2,
+      "cones": [[[1, 0], [0, 1]], [[1, 0, 0]]]},
+     "cone 1 has dimension 3, cone 0 has dimension 2"),
+    ({"kind": "cone", "dim": 0, "generators": [[1]]},
+     "dim: expected a positive integer"),
+    ({"kind": "polynomial", "dim": True, "poly": "1"},
+     "dim: expected a positive integer"),
+    ({"kind": "cone-family", "dim": False, "cones": []},
+     "dim: expected a positive integer"),
+    ({"kind": "germ", "dim": 2, "numerator": "1",
+      "denominator": [{"form": ["1", "0"], "power": True}]},
+     r"denominator\[0\]\.power: expected a positive integer"),
+    ({"kind": "polynomial", "dim": 2, "poly": 1},
+     "poly: expected a polynomial string"),
+    ({"kind": "germ", "dim": 2, "numerator": "1", "denominator": {}},
+     "denominator: expected a list of factors"),
+    ({"kind": "germ-sum", "dim": 2, "polar": {}}, "polar: expected a list"),
+    ({"kind": "expansion", "dim": 2, "terms": ["x1"]},
+     r"terms\[0\]: expected an object"),
+])
+def test_deserialize_names_what_is_wrong(data, message):
+    with pytest.raises(FormatError, match=message):
+        deserialize(data)
+
+
 def test_deserialize_rejects_malformed_input():
     bad_cases = [
         [],                                              # not an object
@@ -480,6 +522,21 @@ def test_load_rows(tmp_path):
         load_rows(str(path))
     with pytest.raises(FormatError):
         load_rows(str(tmp_path / "absent.json"))
+
+
+def test_input_files_of_the_wrong_shape_are_named(tmp_path):
+    path = tmp_path / "obj.json"
+    path.write_text(json.dumps({"rows": [[1, 0]]}))
+    with pytest.raises(FormatError,
+                       match="obj.json: expected a nonempty list of rows"):
+        load_rows(str(path))
+    path.write_text(json.dumps("cones"))
+    with pytest.raises(FormatError, match="json: expected a list of cones"):
+        load_cone_family(str(path))
+    path.write_text("[[1, 0],")
+    for load in (load_rows, load_cone_family):
+        with pytest.raises(FormatError, match="obj.json: invalid JSON"):
+            load(str(path))
 
 
 def test_load_cone_family_accepts_both_shapes(tmp_path):

@@ -273,6 +273,22 @@ def test_canonicalize_polar_rejects_dependent_factors():
                             (vec([1, 1]), 1)))
 
 
+def test_canonicalize_polar_rejects_a_zero_or_unchecked_numerator():
+    sp = AmbientSpace.standard(2)
+    with pytest.raises(NotPolar, match="nonzero numerator"):
+        canonicalize_polar(sp, const(2, 0), ((vec([1, 0]), 1),))
+    # a nonconstant numerator needs the space to check its orthogonality
+    with pytest.raises(NotPolar, match="ambient space required"):
+        canonicalize_polar(None, lin(0, 1), ((vec([1, 0]), 1),))
+
+
+def test_sums_of_germs_in_other_variables_are_refused():
+    with pytest.raises(ValueError, match="in 2 and 3 variables"):
+        mero_add(parse_germ("1/x1", 2), parse_germ("1/x1", 3))
+    with pytest.raises(ValueError, match="in 3 and 2 variables"):
+        mero_add(parse_germ("x2", 3), parse_germ("0", 2))
+
+
 def test_projection_substitution_is_idempotent():
     # substituting the projection twice changes nothing: the image really
     # lands in the subalgebra generated by orthogonal directions

@@ -536,9 +536,8 @@ def test_p_res_exp_sum_needs_a_subdivision_in_higher_rank():
 def own_expansion(ts):
     """The expansion that ``exp_sum_smooth`` already gives: its polar terms
     and its tail, with nothing summed or expanded again."""
-    return make_expansion(None, [(t.factors, t.numerator)
-                                 for t in ts.polar_part.terms],
-                          ts.taylor_tail, validate=False)
+    return make_expansion([(t.factors, t.numerator)
+                           for t in ts.polar_part.terms], ts.taylor_tail)
 
 
 def re_expanded_residue(space, pieces):

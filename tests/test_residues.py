@@ -144,6 +144,17 @@ def test_project_U_p_extracts_named_component():
     assert project_U_p(SP, f, axis, 1).is_zero()
 
 
+def test_project_U_p_and_jk_residue_refuse_rows_of_another_length():
+    f = mero(1, ([1, 0], 1), ([0, 1], 1))
+    message = "subspace row of length 3, space of dimension 2"
+    with pytest.raises(ValueError, match=message):
+        project_U_p(SP, f, [vec([1, 0, 0])], 1)
+    with pytest.raises(ValueError, match=message):
+        jk_residue(SP, f, [vec([1, 0, 0]), vec([0, 1, 0])])
+    with pytest.raises(ValueError, match="length 1, space of dimension 2"):
+        jk_residue(SP, f, [vec([1])])
+
+
 def test_project_U_p_and_jk_residue_expand_once(monkeypatch):
     calls = []
 
@@ -229,6 +240,15 @@ def test_brion_vergne_rejects_poles_outside_the_arrangement():
 def test_make_arrangement_normalizes_and_deduplicates():
     arr = make_arrangement([vec([2, 0]), vec([-1, 0]), vec([0, 1])])
     assert arr.delta == ((F(0), F(1)), (F(1), F(0)))
+
+
+def test_make_arrangement_refuses_zero_missing_or_mixed_forms():
+    with pytest.raises(ValueError, match="zero form"):
+        make_arrangement([vec([1, 0]), vec([0, 0])])
+    with pytest.raises(ValueError, match="at least one form"):
+        make_arrangement([])
+    with pytest.raises(ValueError, match="forms of length 2 and 3"):
+        make_arrangement([vec([1, 0]), vec([1, 1, 1])])
 
 
 # ---------------------------------------------------------------------------
