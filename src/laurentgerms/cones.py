@@ -88,6 +88,8 @@ class SimplicialCone(Record):
 
     generators: tuple[Vec, ...]
 
+    rays = property(lambda self: self.generators)  # as PolyCone.rays
+
     @property
     def dim(self) -> int:
         return len(self.generators)

@@ -46,11 +46,8 @@ class NotProperlyPositioned(LaurentGermsError):
 
 
 class NotASubdivision(LaurentGermsError):
-    """A purported subdivision does not exactly tile the target cone."""
-
-
-class NotAPanSubdivision(LaurentGermsError):
-    """A family does not subdivide every supporting cone of an expansion."""
+    """Cones do not exactly tile a target: the pieces of one cone (``I_cone``,
+    ``p_res_exp_sum``) or of every supporting cone of an expansion."""
 
 
 class NotInLaurentSubspace(LaurentGermsError):

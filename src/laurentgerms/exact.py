@@ -21,8 +21,8 @@ exponent tuples over one positive int denominator, reduced so that the form
 is unique.  Sums, products, substitution and derivatives run on ints
 (sparse term-by-term products, Johnson 1974), and division by a linear form
 is a pseudo-division by its primitive integer form.  The Fraction
-coefficients are a read-only view (``Polynomial.terms``) built on demand;
-the canonical term order for printing is graded lexicographic.
+coefficients are a read-only view (``Polynomial.terms``) built on each
+read; the canonical term order for printing is graded lexicographic.
 """
 
 from __future__ import annotations
@@ -461,11 +461,11 @@ class Polynomial:
     int with gcd(den, coeffs) = 1 (the zero polynomial has ``den`` 1).  That
     form is unique, so equality compares ints, and every arithmetic method
     works on ints and reduces its result once.  ``terms`` is a read-only
-    view of the same coefficients as Fractions, built on first use.  The
-    canonical term order is graded lexicographic.
+    view of the same coefficients as Fractions, built anew on each read and
+    not stored.  The canonical term order is graded lexicographic.
     """
 
-    __slots__ = ("nvars", "coeffs", "den", "_terms")
+    __slots__ = ("nvars", "coeffs", "den")
 
     def __init__(self, nvars: int, terms: dict[Exponent, Fraction] | None = None):
         clean: dict[Exponent, Fraction] = {}
@@ -479,7 +479,6 @@ class Polynomial:
         coeffs = {e: c.numerator * (den // c.denominator)
                   for e, c in clean.items()}
         _init(self, nvars, coeffs, den)
-        object.__setattr__(self, "_terms", MappingProxyType(clean))
 
     def __setattr__(self, *_):  # pragma: no cover - defensive
         raise AttributeError("Polynomial is immutable")
@@ -531,13 +530,9 @@ class Polynomial:
     @property
     def terms(self) -> MappingProxyType:
         """Read-only map of exponent tuples to nonzero Fraction coefficients."""
-        view = self._terms
-        if view is None:
-            den = self.den
-            view = MappingProxyType(
-                {e: Fraction(c, den) for e, c in self.coeffs.items()})
-            object.__setattr__(self, "_terms", view)
-        return view
+        den = self.den
+        return MappingProxyType(
+            {e: Fraction(c, den) for e, c in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -656,17 +651,11 @@ class Polynomial:
         if len(point) != self.nvars:
             raise ValueError(f"expected a point with {self.nvars} "
                              f"coordinates, got {len(point)}")
-        pt = vec(point)
-        total = ZERO
-        for e, c in self.coeffs.items():
-            for x, p in zip(pt, e):
-                if p:
-                    c *= x ** p
-            total += c
-        return total / self.den
+        # Fraction(), not /: numerator_at of a constant is an int
+        return Fraction(self.numerator_at(vec(point)), self.den)
 
-    def numerator_at(self, point: Sequence[int]) -> int:
-        """The value at an integer point times ``den``, on ints alone."""
+    def numerator_at(self, point: Sequence) -> int | Fraction:
+        """The value at a point times ``den``, on ints alone at an int point."""
         total = 0
         for e, c in self.coeffs.items():
             for x, p in zip(point, e):
@@ -851,7 +840,6 @@ def _init(p: Polynomial, nvars: int, coeffs: IntTerms, den: int) -> None:
     setattr_(p, "nvars", nvars)
     setattr_(p, "coeffs", coeffs)
     setattr_(p, "den", den)
-    setattr_(p, "_terms", None)
 
 
 # ---------------------------------------------------------------------------

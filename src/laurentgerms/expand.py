@@ -19,7 +19,7 @@ from math import factorial, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
-    NotAPanSubdivision,
+    NotASubdivision,
     NotInLaurentSubspace,
     NotProperlyPositioned,
     OrthogonalityViolated,
@@ -271,7 +271,7 @@ def _pieces_by_cone(cones: Sequence[SimplicialCone],
                 if d.dim == cone.dim
                 and all(cone_contains(cone, g) for g in d.generators)]
         if not is_subdivision(mine, cone):
-            raise NotAPanSubdivision(
+            raise NotASubdivision(
                 f"family does not tile the supporting cone {cone!r}")
         assignment[cone] = mine
     return assignment
@@ -283,7 +283,7 @@ def subdivision_operator(x: FormalExpansion,
 
     The family must be properly positioned (NotProperlyPositioned
     otherwise) and tile every supporting cone of ``x`` by its members
-    contained in that cone (NotAPanSubdivision otherwise); members lying in
+    contained in that cone (NotASubdivision otherwise); members lying in
     no supporting cone are allowed and simply unused.  ``phi`` of the result
     equals ``phi`` of the input; the polynomial part passes through
     unchanged.  The coefficients are coordinates in each cone's basis, so
@@ -322,7 +322,10 @@ def laurent_expand(space: AmbientSpace, f,
     With an explicit ``support`` (never cached) the terms of ``decompose``
     go through ``subdivision_operator`` onto its members: NotProperlyPositioned
     when the support is not properly positioned, and NotInLaurentSubspace
-    when its members cannot tile the supporting cones of those terms.
+    when its members cannot tile the supporting cones of those terms.  The
+    check is on the cones of ``decompose``, not on ``f``: a family can be
+    refused when it leaves out cones whose terms cancel, such as the
+    ``support()`` of a canonical expansion.
     """
     if support is None:
         return _canonical_expansion(space, as_mero(f))
@@ -330,9 +333,9 @@ def laurent_expand(space: AmbientSpace, f,
     x = make_expansion([(t.factors, t.numerator) for t in s.terms], s.poly)
     try:
         return subdivision_operator(x, support)
-    except NotAPanSubdivision as exc:
-        raise NotInLaurentSubspace(
-            "germ admits no expansion on the requested support") from exc
+    except NotASubdivision as exc:
+        raise NotInLaurentSubspace("the support does not tile the pole "
+                                   "cones of decompose(f)") from exc
 
 
 _EXPANSION_CACHE_SIZE = 8

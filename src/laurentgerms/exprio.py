@@ -428,10 +428,6 @@ def _vec_in(row, where: str) -> Vec:
     return tuple(parse_frac(c, f"{where}[{i}]") for i, c in enumerate(row))
 
 
-def _poly_out(p: Polynomial) -> str:
-    return p.to_string()
-
-
 def _poly_in(text, k: int, where: str) -> Polynomial:
     if not isinstance(text, str):
         raise FormatError(f"{where}: expected a polynomial string")
@@ -475,27 +471,27 @@ def serialize(obj) -> dict:
     """Canonical JSON-compatible form of any public value."""
     if isinstance(obj, Polynomial):
         return {"kind": "polynomial", "dim": obj.nvars,
-                "poly": _poly_out(obj)}
+                "poly": obj.to_string()}
     if isinstance(obj, MeromorphicGerm):
         return {"kind": "germ", "dim": obj.nvars,
-                "numerator": _poly_out(obj.numerator),
+                "numerator": obj.numerator.to_string(),
                 "denominator": _factors_out(obj.den)}
     if isinstance(obj, PolarGerm):
         return {"kind": "polar-germ", "dim": obj.nvars,
-                "numerator": _poly_out(obj.numerator),
+                "numerator": obj.numerator.to_string(),
                 "factors": _factors_out(obj.factors)}
     if isinstance(obj, GermSum):
         return {"kind": "germ-sum", "dim": obj.nvars,
-                "polar": [{"numerator": _poly_out(t.numerator),
+                "polar": [{"numerator": t.numerator.to_string(),
                            "factors": _factors_out(t.factors)}
                           for t in obj.terms],
-                "poly": _poly_out(obj.poly)}
+                "poly": obj.poly.to_string()}
     if isinstance(obj, FormalExpansion):
         return {"kind": "expansion", "dim": obj.nvars,
                 "terms": [{"factors": _factors_out(dc.factors),
-                           "numerator": _poly_out(num)}
+                           "numerator": num.to_string()}
                           for dc, num in obj.terms],
-                "poly": _poly_out(obj.polynomial_part)}
+                "poly": obj.polynomial_part.to_string()}
     if isinstance(obj, SimplicialCone):
         return {"kind": "cone", "dim": obj.ambient,
                 "generators": [_vec_out(g) for g in obj.generators]}

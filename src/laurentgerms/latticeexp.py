@@ -102,8 +102,6 @@ class LatticeCone(Record):
 
     @property
     def rays(self) -> tuple[Vec, ...]:
-        if isinstance(self.cone, SimplicialCone):
-            return self.cone.generators
         return self.cone.rays
 
     @property
@@ -184,7 +182,7 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
     else:
         raw_rows = [vec(r) for r in generators]
         cone = make_simplicial_cone(raw_rows)
-    rays = cone.generators if isinstance(cone, SimplicialCone) else cone.rays
+    rays = cone.rays
     k = cone.ambient
     d = mat_rank(rays)
     if lattice_basis is None:
@@ -213,12 +211,7 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
     for g in rays:
         prim = primitive_vector(_lattice_coords(basis, g))
         normalized.append(_from_coords(basis, prim))
-    if isinstance(cone, SimplicialCone):
-        new_cone: SimplicialCone | PolyCone = SimplicialCone(
-            tuple(sorted(normalized)))
-    else:
-        new_cone = PolyCone(tuple(sorted(normalized)))
-    return LatticeCone(new_cone, tuple(basis))
+    return LatticeCone(type(cone)(tuple(sorted(normalized))), tuple(basis))
 
 
 def is_smooth(lc: LatticeCone) -> bool:
@@ -288,7 +281,6 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
         raise ValueError(f"truncation order must be >= 0, got {trunc}")
     if not is_smooth(lc):
         raise NotSmooth("the generators are not a lattice basis of the span")
-    assert isinstance(lc.cone, SimplicialCone)
     gens = lc.cone.generators
     k = lc.ambient
     if space is None:
@@ -451,7 +443,6 @@ def lattice_sum_numeric(lc: LatticeCone, point: Sequence,
     generator coefficients at most ``height`` (smooth cones only)."""
     if not is_smooth(lc):
         raise NotSmooth("direct summation enumerates a free monoid")
-    assert isinstance(lc.cone, SimplicialCone)
     gens = lc.cone.generators
     pt = tuple(frac(c) for c in point)
     pairings = [float(vec_dot(g, pt)) for g in gens]

@@ -118,6 +118,9 @@ def test_containment_in_lower_dimensional_cone():
 def test_poly_cone_extreme_rays_drop_interior_generators():
     pc = make_poly_cone([(1, 0), (1, 1), (0, 1)])
     assert pc.rays == ((F(0), F(1)), (F(1), F(0)))
+    # zero rays are dropped, so zero rays alone leave no cone
+    with pytest.raises(ValueError, match="at least one nonzero ray"):
+        make_poly_cone([(0, 0), (0, 0)])
 
 
 def test_poly_cone_rejects_halfplane():
@@ -147,6 +150,7 @@ def test_cone_meets_its_own_face():
 
 
 def test_union_contains_line_detection():
+    assert union_contains_line([]) is False
     assert union_contains_line([cone((1, 0)), cone((-1, 0))])
     assert union_contains_line([cone((1, 0), (0, 1)), cone((-1, -1))])
     assert not union_contains_line([cone((1, 0), (0, 1)),
@@ -171,6 +175,7 @@ def test_proper_positioning():
 def test_positioning_witness_names_the_first_offending_pair():
     good = [cone((1, 0), (1, 1)), cone((0, 1), (1, 1))]
     assert positioning_witness(good) is None
+    assert positioning_witness([]) is None
     overlap = [cone((1, 0), (0, 1)), cone((1, 0), (1, 1)),
                cone((0, 1), (-1, 1))]
     assert positioning_witness(overlap) == (
@@ -382,6 +387,7 @@ def test_is_subdivision_rejects_gaps_and_overlaps():
     assert not is_subdivision([a], quadrant)              # gap
     assert not is_subdivision([a, quadrant], quadrant)    # overlap
     assert not is_subdivision([a, b, cone((1, -1), (1, 0))], quadrant)
+    assert not is_subdivision([cone((1, 1))], quadrant)   # lower dimension
 
 
 def test_refinement_and_expansion_have_no_dimension_cap():

@@ -5,16 +5,19 @@ that expansion, ``p_res`` and ``p_order`` for every corpus germ, under the
 standard inner product and under a fixed non-identity Gram matrix.  A
 change to the exact kernel or the cone geometry that keeps every germ
 equal in value but changes its structure (term order, factor scaling,
-which cone a piece lands in) changes the digest.
+which cone a piece lands in) changes the digest.  Every 5th germ is also
+checked against sums computed by sympy alone.
 """
 
 import hashlib
+
+import pytest
 
 from laurentgerms.exact import AmbientSpace, mat
 from laurentgerms.expand import laurent_expand, phi
 from laurentgerms.exprio import to_json
 from laurentgerms.germs import decompose
-from laurentgerms.residues import p_order, p_res
+from laurentgerms.residues import graded_split, p_order, p_res
 
 from conftest import round_trip_corpus
 
@@ -39,3 +42,49 @@ def test_pipeline_outputs_are_pinned_on_the_corpus():
                 digest.update(text.encode())
     assert digest.hexdigest() == (
         "377f5a9dd6096a676cd4699bbc391d3ea3a66a81ca8f0407caf292e0f15db768")
+
+
+def test_pipeline_sums_agree_with_sympy():
+    # every 5th corpus germ equals, in sympy's own sparse polynomial ring,
+    # the sum of its decompose terms, of its Laurent expansion terms (not
+    # summed by phi) and of its graded components
+    sympy = pytest.importorskip("sympy")
+
+    def fraction_sum(pairs, ring):
+        """Numerator and denominator of a sum of (numerator, factors)."""
+        fracs = []
+        for num, factors in pairs:
+            top = ring.from_dict({e: sympy.Rational(c.numerator, c.denominator)
+                                  for e, c in num.terms.items()})
+            bottom = ring.one
+            for v, p in factors:
+                bottom *= sum((a * x for a, x in zip(v, ring.gens)),
+                              ring.zero) ** p
+            fracs.append((top, bottom))
+        common = ring.one
+        for bottom in {bottom for _, bottom in fracs}:
+            common = common.lcm(bottom)
+        total = sum((top * common.exquo(bottom) for top, bottom in fracs),
+                    ring.zero)
+        return total, common
+
+    checked = 0
+    for k, f in round_trip_corpus()[::5]:
+        ring = sympy.ring(f"x1:{k + 1}", sympy.QQ)[0]
+        f_top, f_bottom = fraction_sum([(f.numerator, f.den)], ring)
+        for space in _spaces(k):
+            s = decompose(space, f)
+            x = laurent_expand(space, f)
+            components = graded_split(space, f).values()
+            for pairs in (
+                    [(s.poly, ())] + [(t.numerator, t.factors)
+                                      for t in s.terms],
+                    [(x.polynomial_part, ())] + [(num, dc.factors)
+                                                 for dc, num in x.terms],
+                    [(c.poly, ()) for c in components]
+                    + [(t.numerator, t.factors)
+                       for c in components for t in c.terms]):
+                top, bottom = fraction_sum(pairs, ring)
+                assert top * f_bottom == f_top * bottom
+            checked += 1
+    assert checked == 80

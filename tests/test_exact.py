@@ -28,7 +28,7 @@ from laurentgerms.exact import (
     vec_dot,
     vec_is_zero,
 )
-from laurentgerms.errors import DependentInput
+from laurentgerms.errors import DependentInput, RankDeficient
 
 from conftest import (
     mat_mul,
@@ -63,6 +63,9 @@ def test_primitive_vector_clears_denominators_and_content():
         w = primitive_vector(v)
         assert w == expected
         assert all(type(c) is int for c in w)
+    # the zero vector has a primitive vector but no pseudo-positive one
+    with pytest.raises(ValueError, match="zero vector"):
+        primitive_pseudo_positive(vec([0, 0]))
 
 
 def test_vec_dot_matches_sum():
@@ -253,6 +256,10 @@ def test_max_minor_abs_sum_known_values():
     assert max_minor_abs_sum([vec([1, 1])], 1) == 2
     assert max_minor_abs_sum([vec([1, 0]), vec([1, 1])], 2) == 1
     assert max_minor_abs_sum([vec([1, 0, 1]), vec([0, 1, 1])], 2) == 3
+    with pytest.raises(ValueError, match="exactly n columns"):
+        max_minor_abs_sum([vec([1, 0])], 2)
+    with pytest.raises(RankDeficient):
+        max_minor_abs_sum([vec([1, 2]), vec([2, 4])], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +450,9 @@ def test_orthogonal_complement_dimensions_and_pairings():
         for c in comp:
             assert all(sp.pairing(c, v) == 0 for v in fam)
         assert mat_rank(mat(list(fam) + list(comp))) == k
+    # no vectors to be orthogonal to: the whole space
+    assert q_orthogonal_complement(AmbientSpace.standard(3), []) == [
+        unit_vec(3, i) for i in range(3)]
 
 
 def test_dual_family_pairs_like_kronecker_delta():
@@ -479,6 +489,8 @@ def test_polynomial_ring_laws():
         assert p * (q + r) == p * q + p * r
         assert p + Polynomial.zero(k) == p
         assert p * Polynomial.constant(k, 1) == p
+    with pytest.raises(ValueError, match="negative power"):
+        Polynomial.variable(2, 0) ** -1
 
 
 def test_polynomial_evaluation_is_a_homomorphism():
@@ -501,6 +513,18 @@ def test_polynomial_evaluation_needs_one_coordinate_per_variable():
             p.evaluate(point)
 
 
+def test_polynomial_evaluation_is_a_fraction_for_constants_too():
+    for p in (Polynomial.zero(2), Polynomial.constant(2, 3),
+              Polynomial.constant(2, F(-1, 3))):
+        for point in ((0, 0), (F(1, 2), 5)):
+            value = p.evaluate(point)
+            assert type(value) is Fraction and value == p.constant_term()
+    # x1/2 + x2 at a rational point: numerator_at runs on Fractions
+    p = Polynomial(2, {(1, 0): F(1, 2), (0, 1): 1})
+    assert p.numerator_at((F(1, 3), 1)) == F(7, 3)
+    assert p.evaluate((F(1, 3), 1)) == F(7, 6)
+
+
 def test_substitute_agrees_with_evaluation():
     rng = random.Random(14)
     for _ in range(30):
@@ -512,6 +536,8 @@ def test_substitute_agrees_with_evaluation():
         direct = p.substitute(images).evaluate(pt)
         via_values = p.evaluate([im.evaluate(pt) for im in images])
         assert direct == via_values
+    with pytest.raises(ValueError, match="one image per variable"):
+        Polynomial.variable(2, 0).substitute([Polynomial.variable(2, 0)])
 
 
 def test_derivative_satisfies_leibniz():
@@ -547,6 +573,8 @@ def test_divmod_linear_reconstructs():
         ell = Polynomial.linear_form(form)
         q, r = p.divmod_linear(form)
         assert q * ell + r == p
+    with pytest.raises(ZeroDivisionError, match="zero form"):
+        Polynomial.variable(2, 0).divmod_linear(vec([0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +856,7 @@ def test_linear_factorization_rejects_irreducible():
     # x1*x3 - x2^2 vanishes at every point (1, j, j^2) of the moment curve
     x1, x2, x3 = (Polynomial.variable(3, i) for i in range(3))
     assert linear_factorization(x1 * x3 - x2 * x2) is None
+    assert linear_factorization(Polynomial.zero(2)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from laurentgerms.germs import (
     PolarGerm,
     _nbc_rewrite,
     as_mero,
+    canonical_fraction,
     canonicalize_polar,
     decompose,
     evaluate,
@@ -862,3 +863,16 @@ def test_sums_agree_with_sympy_cancel():
                 assert germ_equal(f, g) is oracle is (g is s)
             checked += 1
     assert checked == 42
+
+
+def test_canonical_fraction_drops_zero_and_refuses_negative_multiplicities():
+    one = Polynomial.constant(2, 1)
+    assert canonical_fraction(one, ((vec([2, 0]), 1), (vec([0, 1]), 0))) == (
+        Polynomial.constant(2, F(1, 2)), ((vec([1, 0]), 1),))
+    with pytest.raises(ValueError, match="negative pole multiplicity"):
+        canonical_fraction(one, ((vec([1, 0]), -1),))
+
+
+def test_as_mero_refuses_what_is_not_a_germ():
+    with pytest.raises(TypeError, match="cannot interpret object as a germ"):
+        as_mero(object())

@@ -208,6 +208,17 @@ def test_exp_sum_requires_smoothness():
         exp_sum_smooth(make_lattice_cone([(1, 0), (1, 2)]))
 
 
+def test_smooth_cone_maps_refuse_a_non_simplicial_cone():
+    lc = make_lattice_cone(make_poly_cone(
+        [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]))
+    assert not isinstance(lc.cone, SimplicialCone)
+    assert lc.rays == lc.cone.rays
+    for call in (lambda: is_smooth(lc), lambda: exp_sum_smooth(lc),
+                 lambda: lattice_sum_numeric(lc, (-1, -1, -1), 1)):
+        with pytest.raises(NotSimplicial):
+            call()
+
+
 def test_exp_sum_matches_direct_summation_numerically():
     lc = make_lattice_cone([(1, 0), (0, 1)])
     tg = exp_sum_smooth(lc, trunc=8)
