@@ -13,8 +13,9 @@ the numerator is a polynomial in linear functions <w, eps> with Q(w, v_i) = 0
 for every pole form v_i.  ``decompose`` splits any germ into a sum of polar
 germs plus a polynomial, the exact analogue of the Laurent split of a
 one-variable meromorphic function into principal part plus holomorphic part.
-It merges the numerators that reach a denominator before it splits them,
-which is exact as the split on the faces of one simplicial cone is unique.
+Its worklist ``polar_split`` merges the numerators that reach a denominator
+before it splits them, which is exact as the split on the faces of one
+simplicial cone is unique.
 """
 
 from __future__ import annotations
@@ -505,26 +506,39 @@ def reduce_to_independent(
 # holomorphic/polar decomposition
 
 def decompose(space: AmbientSpace, f) -> GermSum:
-    """Split a germ into polar germs plus a polynomial (exact, canonical).
-
-    A worklist takes the independent denominators of
-    ``reduce_to_independent`` most pole forms first, each with the sum of
-    the numerators that reached it.  In the coordinates u = the pole forms,
-    w = a Q-orthogonal basis, each monomial cancels what it can: one that
-    keeps every form is free of u, a polar term summed in (u, w) until the
-    end; any other has lost a form and moves to a denominator with fewer
-    forms, taken later.  Merging first is exact, as the polar split on the
-    faces of one simplicial cone is unique.  Raises ValueError when the germ
-    and the space differ in their numbers of variables.
+    """Split a germ into polar germs plus a polynomial (exact, canonical):
+    ``reduce_to_independent`` rewrites it over independent denominators, and
+    the shared worklist ``polar_split`` splits all of those at once.  Raises
+    ValueError when the germ and the space differ in their numbers of
+    variables.
     """
     f = as_mero(f)
     k = space.dimension
     if f.nvars != k:
         raise ValueError(f"germ in {f.nvars} variables, space of dimension {k}")
+    return polar_split(space, [(num.scale(coef), den)
+                               for coef, num, den in reduce_to_independent(f)])
+
+
+def polar_split(space: AmbientSpace,
+                fractions: Iterable[tuple[Polynomial, Factors]]) -> GermSum:
+    """Split a sum of ``(numerator, canonical factors)`` fractions, the
+    forms of each independent, into polar germs plus a polynomial.
+
+    One worklist takes the denominators most pole forms first, each with
+    the sum of the numerators that reached it.  In the coordinates u = the
+    pole forms, w = a Q-orthogonal basis, each monomial cancels what it can:
+    one that keeps every form is free of u, a polar term summed in (u, w)
+    until the end; any other has lost a form and moves to a denominator with
+    fewer forms, taken later.  So a face is substituted once, however many
+    fractions reach it.  Merging first is exact, as the polar split on the
+    faces of one simplicial cone is unique.
+    """
+    k = space.dimension
     zero = Polynomial.zero(k)
     pending = [defaultdict(lambda: zero) for _ in range(k + 1)]
-    for coef, num, den in reduce_to_independent(f):
-        pending[len(den)][den] += num.scale(coef)
+    for num, den in fractions:
+        pending[len(den)][den] += num
     polar: dict[Factors, Polynomial] = defaultdict(lambda: zero)
     maps: dict[tuple[Vec, ...], tuple[list[Polynomial], list[Polynomial]]] = {}
     for m in range(k, 0, -1):

@@ -60,11 +60,10 @@ from .cones import (
 )
 from .germs import (
     GermSum,
-    PolarGerm,
-    decompose,
     evaluate,
     make_germ_sum,
     make_mero,
+    polar_split,
 )
 
 DEFAULT_TRUNCATION = 8
@@ -171,10 +170,11 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
     """Build a lattice cone; defaults to the integer points of the span.
 
     ``generators`` may be a SimplicialCone, a PolyCone, or raw generator
-    rows.  Basis vectors must be independent integer vectors spanning the
-    cone's linear span, and every generator must be an integer combination
-    of them; each generator is then rescaled to the primitive lattice vector
-    of its ray.
+    rows.  Only a supplied basis is checked to be independent integer
+    vectors spanning the cone's linear span; the default one (unit vectors,
+    or the integer kernel of the span's normals) is so by construction.
+    Raw generator rows must be integer combinations of the basis; each
+    generator is then rescaled to the primitive lattice vector of its ray.
     """
     if isinstance(generators, (SimplicialCone, PolyCone)):
         cone = generators
@@ -195,10 +195,10 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
             if any(c.denominator != 1 for c in b):
                 raise ValueError("lattice basis vectors must be integer")
             basis.append(tuple(c.numerator for c in b))
-    if mat_rank(tuple(basis)) != len(basis) or len(basis) != d:
-        raise ValueError("lattice basis must be independent and span lin(C)")
-    if mat_rank(tuple(rays) + tuple(basis)) != d:
-        raise ValueError("lattice basis must span the same space as the cone")
+        if mat_rank(tuple(basis)) != len(basis) or len(basis) != d:
+            raise ValueError("lattice basis must be independent and span lin(C)")
+        if mat_rank(tuple(rays) + tuple(basis)) != d:
+            raise ValueError("lattice basis must span the same space as the cone")
     if raw_rows is not None:
         # membership is a condition on the vectors the caller supplied;
         # cone objects carry only ray directions, which always rescale
@@ -275,7 +275,8 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
     expansion of the product keeps every pole exact and truncates only the
     holomorphic content at total degree ``trunc``.  The highest-order polar
     term is exactly (-1)^d / (L_1 ... L_d) independent of the truncation.
-    Raises ValueError when ``trunc`` is negative.
+    Raises ValueError when ``trunc`` is negative or ``space`` has another
+    dimension than the cone's ambient space.
     """
     if trunc < 0:
         raise ValueError(f"truncation order must be >= 0, got {trunc}")
@@ -285,6 +286,9 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
     k = lc.ambient
     if space is None:
         space = AmbientSpace.standard(k)
+    elif space.dimension != k:
+        raise ValueError(f"germ in {k} variables, space of dimension "
+                         f"{space.dimension}")
     coeffs = bernoulli_tail_coeffs(trunc)
     tails = []
     for g in gens:
@@ -296,22 +300,18 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
                 power = (power * form).truncated(trunc)
             tail = tail + power.scale(c)
         tails.append(tail)
-    # decompose is linear and the poles of every piece are independent
-    # members of one basis, so each piece splits on its own
-    polar: list[PolarGerm] = []
-    poly = Polynomial.zero(k)
-    d = len(gens)
-    for mask in range(1 << d):
-        polar_idx = [i for i in range(d) if mask & (1 << i)]
-        num = Polynomial.constant(k, (-ONE) ** len(polar_idx))
-        for i in range(d):
-            if i not in polar_idx:
-                num = (num * tails[i]).truncated(trunc)
-        s = decompose(space, make_mero(num, [(gens[i], 1) for i in polar_idx]))
-        polar.extend(s.terms)
-        poly = poly + s.poly
-    return TruncatedGerm(make_germ_sum(polar, Polynomial.zero(k)),
-                         poly.truncated(trunc), trunc)
+    # one product per set of generators kept as poles, times the tails of
+    # the others; the poles are members of one basis, so one polar split
+    # takes all the products and splits each face of the cone once
+    products = [(Polynomial.constant(k, ONE), ())]
+    for g, tail in zip(gens, tails):
+        products = [p for num, poles in products
+                    for p in (((num * tail).truncated(trunc), poles),
+                              (-num, poles + ((g, 1),)))]
+    reduced = [make_mero(num, poles) for num, poles in products]
+    s = polar_split(space, [(g.numerator, g.den) for g in reduced])
+    return TruncatedGerm(GermSum(s.terms, Polynomial.zero(k)),
+                         s.poly.truncated(trunc), trunc)
 
 
 def exp_integral(lc: LatticeCone) -> GermSum:

@@ -12,8 +12,12 @@ from laurentgerms import (
     AmbientSpace,
     MeromorphicGerm,
     Polynomial,
+    TruncatedGerm,
+    bernoulli_tail_coeffs,
     canonicalize_polar,
+    decompose,
     make_expansion,
+    make_germ_sum,
     make_mero,
     make_simplicial_cone,
     mero_mul,
@@ -164,3 +168,37 @@ def orthogonal_projection_images(space: AmbientSpace,
     w_only = ([Polynomial.zero(space.dimension)] * m
               + [Polynomial.linear_form(b) for b in basis[m:]])
     return [image.substitute(w_only) for image in to_u]
+
+
+def exp_sum_smooth_reference(lc, trunc: int,
+                             space: AmbientSpace) -> TruncatedGerm:
+    """``exp_sum_smooth`` with one ``decompose`` per product: each set of
+    generators kept as poles, times the tails of the others cut at total
+    degree ``trunc``, is split on its own and the pieces are summed.  The
+    reference the shared polar split is checked against."""
+    gens = lc.cone.generators
+    k = lc.ambient
+    tails = []
+    for g in gens:
+        form = Polynomial.linear_form(g)
+        tail = Polynomial.zero(k)
+        power = Polynomial.constant(k, 1)
+        for j, c in enumerate(bernoulli_tail_coeffs(trunc)):
+            if j > 0:
+                power = (power * form).truncated(trunc)
+            tail = tail + power.scale(c)
+        tails.append(tail)
+    polar = []
+    poly = Polynomial.zero(k)
+    d = len(gens)
+    for mask in range(1 << d):
+        polar_idx = [i for i in range(d) if mask & (1 << i)]
+        num = Polynomial.constant(k, (-1) ** len(polar_idx))
+        for i in range(d):
+            if i not in polar_idx:
+                num = (num * tails[i]).truncated(trunc)
+        s = decompose(space, make_mero(num, [(gens[i], 1) for i in polar_idx]))
+        polar.extend(s.terms)
+        poly = poly + s.poly
+    return TruncatedGerm(make_germ_sum(polar, Polynomial.zero(k)),
+                         poly.truncated(trunc), trunc)

@@ -28,6 +28,7 @@ from laurentgerms.exact import (
     AmbientSpace,
     Polynomial,
     det,
+    mat_rank,
     primitive_vector,
     vec,
     vec_dot,
@@ -37,6 +38,7 @@ from laurentgerms.germs import (
     PolarGerm,
     as_mero,
     canonicalize_polar,
+    decompose,
     germ_equal,
     make_germ_sum,
     make_mero,
@@ -58,7 +60,11 @@ from laurentgerms.latticeexp import (
 )
 from laurentgerms.residues import p_res
 
-from conftest import skew_space
+from conftest import (
+    exp_sum_smooth_reference,
+    random_pseudo_positive_cone,
+    skew_space,
+)
 
 F = Fraction
 SP = AmbientSpace.standard(2)
@@ -107,6 +113,48 @@ def test_make_lattice_cone_validates_basis():
     with pytest.raises(ValueError):
         make_lattice_cone([(1, 0), (0, 1)],
                           lattice_basis=[(2, 0), (0, 1)])
+
+
+def random_pointed_rays(rng, k, rank):
+    """Rays of a pointed cone of the given rank in Z^k: integer
+    combinations of ``rank`` independent vectors whose first coefficient
+    is positive, so all of them lie in one open half-space of the span."""
+    while True:
+        base = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rank)]
+        if mat_rank(tuple(map(vec, base))) == rank:
+            break
+    while True:
+        rays = []
+        for _ in range(rank + rng.randint(0, 2)):
+            coefs = [rng.randint(1, 2)] + [rng.randint(-2, 2)
+                                           for _ in range(rank - 1)]
+            rays.append([sum(c * b[j] for c, b in zip(coefs, base))
+                         for j in range(k)])
+        if mat_rank(tuple(map(vec, rays))) == rank:
+            return rays
+
+
+def test_make_lattice_cone_default_basis_is_a_lattice_basis_of_the_span():
+    """The basis ``make_lattice_cone`` builds by default passes the checks
+    it runs on a supplied one, and holds every ray."""
+    rng = random.Random(71)
+    cones = []
+    for rank in (1, 2, 3):
+        for _ in range(6):
+            cones.append(random_pseudo_positive_cone(rng, 3, rank))
+            cones.append(make_poly_cone(random_pointed_rays(rng, 3, rank)))
+    assert any(len(c.rays) > mat_rank(c.rays) for c in cones)
+    for cone in cones:
+        lc = make_lattice_cone(cone)
+        basis = lc.lattice_basis
+        d = mat_rank(cone.rays)
+        assert all(isinstance(c, int) for b in basis for c in b)
+        assert len(basis) == d == mat_rank(basis)
+        assert mat_rank(tuple(cone.rays) + basis) == d
+        for ray in cone.rays + lc.rays:
+            assert all(c.denominator == 1
+                       for c in _lattice_coords(basis, ray))
+        assert make_lattice_cone(cone, basis) == lc
 
 
 def test_lattice_coords_on_the_standard_lattice_are_the_vector():
@@ -201,6 +249,48 @@ def test_truncation_order_must_be_non_negative():
         mero(1, ([1, 0], 1), ([0, 1], 1)),
         mero(F(-1, 2), ([1, 0], 1)), mero(F(-1, 2), ([0, 1], 1))))
     assert tg.taylor_tail == Polynomial.constant(2, F(1, 4))
+
+
+def smooth_sum_cases(rng):
+    """Smooth lattice cones: ``rank`` rows of a random unimodular matrix
+    generate a smooth cone in the integer points of their span, for every
+    rank up to the ambient dimension; and a rank-two cone in Z^3, on its
+    default lattice and on a basis of its own generators."""
+    cases = []
+    for k in (1, 2, 3):
+        for rank in range(1, k + 1):
+            for _ in range(2):
+                rows = (unimodular_rows(rng, k) if k > 1
+                        else [[rng.choice((-1, 1))]])
+                cases.append(make_lattice_cone(rng.sample(rows, rank)))
+    cases.append(make_lattice_cone([(1, 0, 1), (0, 1, 2)]))
+    skew = [(1, 1, 0), (1, -1, 0)]
+    # smooth on the basis of its own generators only
+    assert not is_smooth(make_lattice_cone(skew))
+    cases.append(make_lattice_cone(skew, lattice_basis=skew))
+    return cases
+
+
+@SPACES
+@pytest.mark.parametrize("trunc", [0, 1, 3, 8])
+def test_exp_sum_matches_one_decompose_per_product(space_of, trunc):
+    """One polar split of all the products gives exactly what splitting
+    each product on its own and summing the pieces gives."""
+    for lc in smooth_sum_cases(random.Random(72 + trunc)):
+        space = space_of(lc.ambient)
+        assert is_smooth(lc)
+        got = exp_sum_smooth(lc, trunc, space)
+        assert got == exp_sum_smooth_reference(lc, trunc, space), lc
+
+
+def test_exp_sum_refuses_a_space_of_another_dimension():
+    lc = make_lattice_cone([(1, 0), (1, 1)])
+    for k in (1, 3):
+        message = f"germ in 2 variables, space of dimension {k}"
+        with pytest.raises(ValueError, match=message):
+            exp_sum_smooth(lc, 4, AmbientSpace.standard(k))
+        with pytest.raises(ValueError, match=message):
+            decompose(AmbientSpace.standard(k), mero(1, ([1, 0], 1)))
 
 
 def test_exp_sum_requires_smoothness():
@@ -646,15 +736,18 @@ def test_p_res_exp_sum_expands_nothing_again(monkeypatch):
     monkeypatch.setattr(latticeexp_module, "exp_sum_smooth",
                         counted("exp_sum_smooth",
                                 latticeexp_module.exp_sum_smooth))
-    decompose = counted("decompose", latticeexp_module.decompose)
-    monkeypatch.setattr(latticeexp_module, "decompose", decompose)
-    monkeypatch.setattr(expand_module, "decompose", decompose)
+    monkeypatch.setattr(latticeexp_module, "polar_split",
+                        counted("polar_split",
+                                latticeexp_module.polar_split))
+    monkeypatch.setattr(expand_module, "decompose",
+                        counted("decompose", expand_module.decompose))
     for lc, pieces, explicit in residue_cases(random.Random(64), 4, 2):
         calls.clear()
         p_res_exp_sum(lc, explicit)
         # only the top term of each piece's sum is built, already polar
         assert calls["laurent_expand"] == 0
         assert calls["exp_sum_smooth"] == 0
+        assert calls["polar_split"] == 0
         assert calls["decompose"] == 0
 
 
