@@ -29,7 +29,6 @@ from .germs import (  # noqa: F401
     mero_neg,
     mero_scale,
     mero_sub,
-    mero_sum,
     numerator_is_orthogonal,
     reduce_to_independent,
 )
@@ -93,8 +92,6 @@ from .latticeexp import (  # noqa: F401
     smooth_subdivide_2d,
 )
 from .exprio import (  # noqa: F401
-    ast_evaluate,
-    ast_to_string,
     deserialize,
     from_json,
     load_cone_family,

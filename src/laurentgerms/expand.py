@@ -321,11 +321,11 @@ def laurent_expand(space: AmbientSpace, f,
 
     With an explicit ``support`` (never cached) the terms of ``decompose``
     go through ``subdivision_operator`` onto its members: NotProperlyPositioned
-    when the support is not properly positioned, and NotInLaurentSubspace
-    when its members cannot tile the supporting cones of those terms.  The
-    check is on the cones of ``decompose``, not on ``f``: a family can be
-    refused when it leaves out cones whose terms cancel, such as the
-    ``support()`` of a canonical expansion.
+    when the support is not properly positioned.  When its members cannot
+    tile the supporting cones of those terms, the canonical expansion is
+    the answer if every cone of its ``support()`` is a member (the
+    expansion on a properly positioned family is unique), as for a family
+    that leaves out cones whose terms cancel; otherwise NotInLaurentSubspace.
     """
     if support is None:
         return _canonical_expansion(space, as_mero(f))
@@ -334,6 +334,9 @@ def laurent_expand(space: AmbientSpace, f,
     try:
         return subdivision_operator(x, support)
     except NotASubdivision as exc:
+        canonical = _canonical_expansion(space, as_mero(f))
+        if set(canonical.support()) <= set(support):
+            return canonical
         raise NotInLaurentSubspace("the support does not tile the pole "
                                    "cones of decompose(f)") from exc
 

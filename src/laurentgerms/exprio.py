@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import (
     ExprSyntaxError,
@@ -57,8 +56,6 @@ __all__ = [
     "BinOp",
     "Pow",
     "parse_expr",
-    "ast_to_string",
-    "ast_evaluate",
     "to_germ",
     "parse_germ",
     "frac_str",
@@ -223,75 +220,6 @@ def parse_expr(text: str, k: int) -> Node:
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {val!r}", pos)
     return node
-
-
-# ---------------------------------------------------------------------------
-# printing and direct evaluation
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def ast_to_string(node: Node) -> str:
-    """Canonical text form; parse_expr of the result gives the node back."""
-
-    def wrap(child: Node, minimum: int) -> str:
-        if _prec(child) < minimum:
-            return "(" + ast_to_string(child) + ")"
-        return ast_to_string(child)
-
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Var):
-        return f"eps{node.index + 1}"
-    if isinstance(node, Neg):
-        return "-" + wrap(node.operand, 3)
-    if isinstance(node, Pow):
-        exp = str(node.exponent)
-        if node.exponent < 0:
-            exp = "-" + str(-node.exponent)
-        return wrap(node.base, 5) + "^" + exp
-    p = _PREC[node.op]
-    left = wrap(node.left, p)
-    right = wrap(node.right, p + 1)
-    return f"{left}{node.op}{right}"
-
-
-def _prec(node: Node) -> int:
-    if isinstance(node, (Num, Var)):
-        return 5
-    if isinstance(node, Pow):
-        return 4
-    if isinstance(node, Neg):
-        return 3
-    return _PREC[node.op]
-
-
-def ast_evaluate(node: Node, point: Sequence) -> Fraction:
-    """Evaluate the expression tree directly at a rational point."""
-    pt = [frac(c) for c in point]
-
-    def rec(n: Node) -> Fraction:
-        if isinstance(n, Num):
-            return n.value
-        if isinstance(n, Var):
-            return pt[n.index]
-        if isinstance(n, Neg):
-            return -rec(n.operand)
-        if isinstance(n, Pow):
-            base = rec(n.base)
-            if n.exponent < 0:
-                return ONE / base ** (-n.exponent)
-            return base ** n.exponent
-        a, b = rec(n.left), rec(n.right)
-        if n.op == "+":
-            return a + b
-        if n.op == "-":
-            return a - b
-        if n.op == "*":
-            return a * b
-        return a / b
-
-    return rec(node)
 
 
 # ---------------------------------------------------------------------------

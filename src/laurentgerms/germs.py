@@ -20,7 +20,7 @@ simplicial cone is unique.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence, TypeVar
@@ -32,15 +32,14 @@ from .exact import (
     Polynomial,
     Record,
     Vec,
+    _reduced_rows,
     int_inverse,
     mat_from_columns,
     mat_rank,
     mat_vec,
-    nullspace,
     primitive_pseudo_positive,
     q_orthogonal_complement,
     rref,
-    solve,
     vec_dot,
 )
 
@@ -121,17 +120,25 @@ def den_poly(nvars: int, den: Factors) -> Polynomial:
 
 def mero_add(*germs: MeromorphicGerm) -> MeromorphicGerm:
     """The sum of one or more germs: their numerators are brought over the
-    least common denominator, added, and the sum is reduced once."""
+    least common denominator, added, and the sum is reduced once.  Each
+    power L_v^d a cofactor needs is built once per call and shared by every
+    summand that needs it."""
     lcm: dict[Vec, int] = {}
     for g in germs:
         for v, e in g.den:
             lcm[v] = max(lcm.get(v, 0), e)
+    powers: dict[tuple[Vec, int], Polynomial] = {}
     num = Polynomial.zero(germs[0].nvars)
     for g in germs:
         own = dict(g.den)
-        cofactor = tuple((v, e - own.get(v, 0)) for v, e in lcm.items()
-                         if e > own.get(v, 0))
-        num = num + g.numerator * den_poly(g.nvars, cofactor)
+        term = g.numerator
+        for v, e in lcm.items():
+            d = e - own.get(v, 0)
+            if d:
+                if (v, d) not in powers:
+                    powers[v, d] = Polynomial.linear_form(v) ** d
+                term = term * powers[v, d]
+        num = num + term
     return make_mero(num, tuple(lcm.items()))
 
 
@@ -145,11 +152,6 @@ def sum_by_factors(fractions: Iterable[tuple[Polynomial, Factors]]
     return {den: num for den, num in merged.items() if not num.is_zero()}
 
 
-def mero_sum(germs: Iterable[MeromorphicGerm], nvars: int) -> MeromorphicGerm:
-    """Exact sum of germs in ``nvars`` variables (see ``fraction_sum``)."""
-    return fraction_sum([(g.numerator, g.den) for g in germs], nvars)
-
-
 def fraction_sum(fractions: Iterable[tuple[Polynomial, Factors]],
                  nvars: int) -> MeromorphicGerm:
     """Exact sum of ``numerator / prod form^power`` pairs, as a reduced germ.
@@ -159,20 +161,26 @@ def fraction_sum(fractions: Iterable[tuple[Polynomial, Factors]],
     present.  Those span every fraction over the arrangement (Brion &
     Vergne, Ann. Sci. ENS 32, 1999; Terao, J. Algebra 250, 2002), so the
     many pieces of a subdivision collapse onto a few shared denominators,
-    where they cancel as plain polynomial sums.  The survivors are then
-    added by one ``mero_add`` over their least common denominator, which
-    reduces the sum once.  When the forms present are independent every
-    pole set is already nbc and the rewrite is skipped.  When it would not
-    leave fewer fractions than it was given (a few unrelated fractions over
-    many dependent forms), it stops as soon as that is certain and the
-    fractions are summed as given.  The factors must be canonical
+    where they cancel as plain polynomial sums.  The arrangement is ordered
+    by use, the forms held by most fractions first (ties by the form): each
+    exchange moves a power onto an earlier form, so the survivors gather on
+    the forms most terms share, which in an expansion are the germ's own
+    poles rather than the rays the refinement added, and their least common
+    denominator stays small.  The survivors are then added by one
+    ``mero_add`` over their least common denominator, which reduces the sum
+    once.  When the forms present are independent every pole set is
+    already nbc and the rewrite is skipped.  When it would not leave fewer
+    fractions than it was given (a few unrelated fractions over many
+    dependent forms), it stops as soon as that is certain and the fractions
+    are summed as given.  The factors must be canonical
     (primitive pseudo-positive forms, each once, sorted, positive
     exponents), as every germ type stores them; ``exprio.deserialize``
     canonicalizes the factors it reads.  A reduced germ is unique, so the
     result does not depend on the order of the summands.
     """
     merged = sum_by_factors(fractions)
-    arrangement = sorted({v for den in merged for v, _ in den})
+    uses = Counter(v for den in merged for v, _ in den)
+    arrangement = sorted(uses, key=lambda v: (-uses[v], v))
     if len(merged) > 1 and mat_rank(tuple(arrangement)) < len(arrangement):
         rewritten = _nbc_rewrite(merged, arrangement, len(merged))
         if rewritten is not None:
@@ -185,23 +193,29 @@ def fraction_sum(fractions: Iterable[tuple[Polynomial, Factors]],
 def _nbc_rewrite(fractions: dict[Factors, Polynomial], arrangement: list[Vec],
                  limit: int | None = None) -> dict[Factors, Polynomial] | None:
     """The same sum with every pole set nbc under the arrangement's order,
-    or None as soon as it is certain to have ``limit`` fractions or more.
+    which may be any order of its forms, or None as soon as it is certain
+    to have ``limit`` fractions or more.  The factors come back canonical.
 
     A pole set S holds a broken circuit iff some form L0 of the arrangement
-    lies in the span of the members of S greater than L0.  For the least
+    lies in the span of the members of S later than L0.  For the earliest
     such L0, write L0 = sum_i c_i L_i over a basis of those members; then
     1/prod = sum_i c_i/(L0 * prod/L_i) moves one power from each L_i to the
-    smaller L0, so the sum of exponent times reversed sort position grows
+    earlier L0, so the sum of exponent times reversed position grows
     strictly and the exchange worklist terminates.  Denominators are keyed
-    by the sort positions of their forms while they are rewritten.
+    by the positions of their forms, sorted, while they are rewritten.
     """
     n = len(arrangement)
     index = {v: i for i, v in enumerate(arrangement)}
     steps: dict[tuple[int, ...], tuple[int, list[tuple[int, Fraction]]] | None] = {}
 
     def nbc_step(forms: tuple[int, ...]):
-        # the forms below position i and from the previous member on have
-        # forms[j:] as their greater members; search them in order
+        # the forms before position i and from the previous member on have
+        # forms[j:] as their later members; search them in order.  One
+        # reduction of [members | candidates] as columns: a candidate lies
+        # in the members' span iff it has no entry in a row whose pivot is
+        # a candidate, and the rows whose pivots are members then hold its
+        # coordinates.  Members may be dependent (a germ's den can hold more
+        # forms than its rank), so only the pivot members form the basis.
         lo = 0
         for j, i in enumerate(forms):
             members = forms[j:]
@@ -209,13 +223,15 @@ def _nbc_rewrite(fractions: dict[Factors, Polynomial], arrangement: list[Vec],
             lo = i
             if not candidates:
                 continue
-            vectors = [arrangement[m] for m in members]
-            normals = nullspace(tuple(vectors))
-            for l0 in candidates:
-                x = arrangement[l0]
-                if all(vec_dot(x, w) == 0 for w in normals):
-                    coords = solve(mat_from_columns(vectors), x)
-                    return l0, [(m, c) for m, c in zip(members, coords) if c]
+            rows, pivots = _reduced_rows(mat_from_columns(
+                [arrangement[m] for m in members + tuple(candidates)]))
+            m = len(members)
+            for col, l0 in enumerate(candidates, m):
+                if any(row[col] for row, p in zip(rows, pivots) if p >= m):
+                    continue
+                return l0, [(members[p], Fraction(row[col], row[p]))
+                            for row, p in zip(rows, pivots)
+                            if p < m and row[col]]
         return None
 
     def expand(key, num: Polynomial):
@@ -230,13 +246,13 @@ def _nbc_rewrite(fractions: dict[Factors, Polynomial], arrangement: list[Vec],
         l0, coords = step
         return [(_exchanged(key, i, l0), num.scale(c)) for i, c in coords]
 
-    start = {tuple((index[v], e) for v, e in den): num
+    start = {tuple(sorted((index[v], e) for v, e in den)): num
              for den, num in fractions.items()}
     out = _exchange_worklist(
         start, lambda key: sum((n - i) * e for i, e in key), expand, limit)
     if out is None:
         return None
-    return {tuple((arrangement[i], e) for i, e in key): num
+    return {tuple(sorted((arrangement[i], e) for i, e in key)): num
             for key, num in out.items()}
 
 

@@ -26,10 +26,21 @@ from laurentgerms.errors import NotSimplicial
 from laurentgerms.exact import (
     int_inverse,
     mat,
+    mat_from_columns,
+    mat_rank,
     mat_transpose,
+    nullspace,
     primitive_pseudo_positive,
     q_orthogonal_complement,
+    solve,
     vec_dot,
+)
+from laurentgerms.germs import (
+    _exchange_worklist,
+    _exchanged,
+    den_poly,
+    fraction_sum,
+    sum_by_factors,
 )
 
 
@@ -202,3 +213,79 @@ def exp_sum_smooth_reference(lc, trunc: int,
         poly = poly + s.poly
     return TruncatedGerm(make_germ_sum(polar, Polynomial.zero(k)),
                          poly.truncated(trunc), trunc)
+
+
+def mero_sum(germs, nvars: int) -> MeromorphicGerm:
+    """Exact sum of germs in ``nvars`` variables, by ``fraction_sum``."""
+    return fraction_sum([(g.numerator, g.den) for g in germs], nvars)
+
+
+def fraction_sum_reference(fractions, nvars: int) -> MeromorphicGerm:
+    """``fraction_sum`` as it was before its arrangement was ordered by use:
+    the forms in lexicographic order, each nbc step one ``nullspace`` of the
+    later members and one ``solve``, and the survivors added over their
+    least common denominator with every cofactor built by ``den_poly``.  The
+    reference the ordered sum is checked against, structurally."""
+    merged = sum_by_factors(fractions)
+    arrangement = sorted({v for den in merged for v, _ in den})
+    if len(merged) > 1 and mat_rank(tuple(arrangement)) < len(arrangement):
+        rewritten = _lexicographic_nbc_rewrite(merged, arrangement, len(merged))
+        if rewritten is not None:
+            merged = rewritten
+    if not merged:
+        return make_mero(Polynomial.zero(nvars))
+    lcm = {}
+    for den in merged:
+        for v, e in den:
+            lcm[v] = max(lcm.get(v, 0), e)
+    num = Polynomial.zero(nvars)
+    for den, part in merged.items():
+        own = dict(den)
+        cofactor = tuple((v, e - own.get(v, 0)) for v, e in lcm.items()
+                         if e > own.get(v, 0))
+        num = num + part * den_poly(nvars, cofactor)
+    return make_mero(num, tuple(lcm.items()))
+
+
+def _lexicographic_nbc_rewrite(fractions, arrangement, limit=None):
+    """The nbc rewrite over a sorted arrangement, keyed by sort position."""
+    n = len(arrangement)
+    index = {v: i for i, v in enumerate(arrangement)}
+    steps = {}
+
+    def nbc_step(forms):
+        lo = 0
+        for j, i in enumerate(forms):
+            members = forms[j:]
+            candidates = range(lo, i)
+            lo = i
+            if not candidates:
+                continue
+            vectors = [arrangement[m] for m in members]
+            normals = nullspace(tuple(vectors))
+            for l0 in candidates:
+                x = arrangement[l0]
+                if all(vec_dot(x, w) == 0 for w in normals):
+                    coords = solve(mat_from_columns(vectors), x)
+                    return l0, [(m, c) for m, c in zip(members, coords) if c]
+        return None
+
+    def expand(key, num):
+        if num.is_zero():
+            return []
+        forms = tuple(i for i, _ in key)
+        if forms not in steps:
+            steps[forms] = nbc_step(forms)
+        if steps[forms] is None:
+            return None
+        l0, coords = steps[forms]
+        return [(_exchanged(key, i, l0), num.scale(c)) for i, c in coords]
+
+    start = {tuple((index[v], e) for v, e in den): num
+             for den, num in fractions.items()}
+    out = _exchange_worklist(
+        start, lambda key: sum((n - i) * e for i, e in key), expand, limit)
+    if out is None:
+        return None
+    return {tuple((arrangement[i], e) for i, e in key): num
+            for key, num in out.items()}

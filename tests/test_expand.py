@@ -23,6 +23,7 @@ from laurentgerms.exact import (
     vec_dot,
 )
 from laurentgerms.expand import (
+    DecoratedCone,
     _subdivide_term,
     delta_op,
     expansion_add,
@@ -42,12 +43,12 @@ from laurentgerms.germs import (
     make_mero,
     mero_add,
     mero_scale,
-    mero_sum,
     numerator_is_orthogonal,
 )
 
 from conftest import (
     expansion_from_raw,
+    mero_sum,
     q_dual_family,
     random_germ,
     random_polynomial,
@@ -445,6 +446,26 @@ def test_laurent_expand_rejects_bad_supports():
                        match=r"^the support does not tile the pole cones "
                              r"of decompose\(f\)$"):
         laurent_expand(SP, g2, support=coarse)
+
+
+def test_laurent_expand_on_a_support_without_the_cancelling_pieces():
+    # corpus germ 147: 3 of the 32 refinement pieces carry only terms that
+    # cancel, so the canonical support does not tile the cones of
+    # decompose; the canonical expansion lies on it all the same
+    k, f = round_trip_corpus()[147]
+    for sp in (AmbientSpace.standard(k), skew_space(k)):
+        x = laurent_expand(sp, f)
+        s = decompose(sp, f)
+        cones = list(dict.fromkeys(DecoratedCone(t.factors).cone
+                                   for t in s.terms))
+        pieces = common_refinement(cones)[0]
+        assert len(pieces) == 32 and len(x.support()) == 29
+        polar = make_expansion([(t.factors, t.numerator) for t in s.terms],
+                               s.poly)
+        with pytest.raises(NotASubdivision):
+            subdivision_operator(polar, x.support())
+        assert laurent_expand(sp, f, support=x.support()) == x
+        assert laurent_expand(sp, f, support=pieces) == x
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,6 @@ from laurentgerms.exprio import (
     Num,
     Pow,
     Var,
-    ast_evaluate,
-    ast_to_string,
     deserialize,
     frac_str,
     from_json,
@@ -54,6 +52,75 @@ F = Fraction
 
 # ---------------------------------------------------------------------------
 # parsing and printing
+
+# references for parse_expr (a print/parse round trip) and to_germ (direct
+# evaluation of the tree)
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def ast_to_string(node) -> str:
+    """Canonical text form; parse_expr of the result gives the node back."""
+
+    def wrap(child, minimum: int) -> str:
+        if _prec(child) < minimum:
+            return "(" + ast_to_string(child) + ")"
+        return ast_to_string(child)
+
+    if isinstance(node, Num):
+        return str(node.value)
+    if isinstance(node, Var):
+        return f"eps{node.index + 1}"
+    if isinstance(node, Neg):
+        return "-" + wrap(node.operand, 3)
+    if isinstance(node, Pow):
+        exp = str(node.exponent)
+        if node.exponent < 0:
+            exp = "-" + str(-node.exponent)
+        return wrap(node.base, 5) + "^" + exp
+    p = _PREC[node.op]
+    left = wrap(node.left, p)
+    right = wrap(node.right, p + 1)
+    return f"{left}{node.op}{right}"
+
+
+def _prec(node) -> int:
+    if isinstance(node, (Num, Var)):
+        return 5
+    if isinstance(node, Pow):
+        return 4
+    if isinstance(node, Neg):
+        return 3
+    return _PREC[node.op]
+
+
+def ast_evaluate(node, point) -> Fraction:
+    """Evaluate the expression tree directly at a rational point."""
+    pt = [F(c) for c in point]
+
+    def rec(n) -> Fraction:
+        if isinstance(n, Num):
+            return n.value
+        if isinstance(n, Var):
+            return pt[n.index]
+        if isinstance(n, Neg):
+            return -rec(n.operand)
+        if isinstance(n, Pow):
+            base = rec(n.base)
+            if n.exponent < 0:
+                return 1 / base ** (-n.exponent)
+            return base ** n.exponent
+        a, b = rec(n.left), rec(n.right)
+        if n.op == "+":
+            return a + b
+        if n.op == "-":
+            return a - b
+        if n.op == "*":
+            return a * b
+        return a / b
+
+    return rec(node)
+
 
 def test_parse_builds_the_expected_tree():
     assert parse_expr("x1+x2*x2", 2) == BinOp(

@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from laurentgerms.cones import make_poly_cone, triangulate_cone
 from laurentgerms.exact import (
     AmbientSpace,
     Polynomial,
+    det,
     is_pseudo_positive,
     mat,
     mat_from_columns,
@@ -34,6 +36,7 @@ from laurentgerms.germs import (
     canonicalize_polar,
     decompose,
     evaluate,
+    fraction_sum,
     germ_equal,
     make_germ_sum,
     make_mero,
@@ -42,10 +45,10 @@ from laurentgerms.germs import (
     mero_neg,
     mero_scale,
     mero_sub,
-    mero_sum,
     numerator_is_orthogonal,
     reduce_to_independent,
 )
+from laurentgerms.latticeexp import exp_integral, make_lattice_cone
 from laurentgerms.residues import (
     coproduct,
     graded_split,
@@ -57,7 +60,9 @@ from laurentgerms.residues import (
 )
 
 from conftest import (
+    fraction_sum_reference,
     mat_inverse,
+    mero_sum,
     orthogonal_projection_images,
     random_fraction,
     round_trip_corpus,
@@ -749,7 +754,10 @@ def is_nbc(forms, arrangement) -> bool:
 
 def test_nbc_rewrite_keeps_the_sum_and_leaves_only_nbc_pole_sets():
     rng = random.Random(50)
-    rewrites = 0
+    # any order of the arrangement will do, drawn from a second generator
+    # so the sums stay those of the sorted order
+    orders = random.Random(54)
+    rewrites = [0, 0]
     for _ in range(80):
         k = rng.randint(2, 3)
         summands = pooled_fractions(rng, k)
@@ -757,19 +765,24 @@ def test_nbc_rewrite_keeps_the_sum_and_leaves_only_nbc_pole_sets():
         for g in summands:
             merged[g.den] = merged.get(g.den, Polynomial.zero(k)) + g.numerator
         arrangement = sorted({v for den in merged for v, _ in den})
-        out = _nbc_rewrite(merged, arrangement)
-        for den in out:
-            assert is_nbc([v for v, _ in den], arrangement)
-        # the same rational function: exact values at points off the poles
-        for _ in range(3):
-            point = [random_fraction(rng, -9, 9, 7) for _ in range(k)]
-            if any(vec_dot(v, point) == 0 for v in arrangement):
-                continue
-            assert (sum(evaluate(make_mero(num, den), point)
-                        for den, num in out.items())
-                    == sum(evaluate(g, point) for g in summands))
-        rewrites += out != merged
-    assert rewrites > 60
+        shuffled = orders.sample(arrangement, len(arrangement))
+        for i, (order, draw) in enumerate(((arrangement, rng),
+                                           (shuffled, orders))):
+            out = _nbc_rewrite(merged, order)
+            for den in out:
+                forms = [v for v, _ in den]
+                assert forms == sorted(set(forms))
+                assert is_nbc(forms, order)
+            # the same rational function: exact values at points off the poles
+            for _ in range(3):
+                point = [random_fraction(draw, -9, 9, 7) for _ in range(k)]
+                if any(vec_dot(v, point) == 0 for v in arrangement):
+                    continue
+                assert (sum(evaluate(make_mero(num, den), point)
+                            for den, num in out.items())
+                        == sum(evaluate(g, point) for g in summands))
+            rewrites[i] += out != merged
+    assert rewrites[0] > 60 and rewrites[1] > 50
 
 
 def test_nbc_rewrite_stops_once_it_cannot_shrink_the_sum():
@@ -804,6 +817,39 @@ def test_nbc_rewrite_stops_once_it_cannot_shrink_the_sum():
     assert stopped > 15 and shrunk > 15
 
 
+def test_fraction_sum_is_structurally_the_reference_on_corpus_expansions():
+    for k, f in round_trip_corpus():
+        for sp in (AmbientSpace.standard(k), skew_space(k)):
+            pairs = laurent_expand(sp, f).fractions()
+            assert fraction_sum(pairs, k) == fraction_sum_reference(pairs, k) == f
+
+
+def test_fraction_sum_is_structurally_the_reference_on_dependent_pole_sets():
+    # a cone's integral against its other pulling triangulation, summed into
+    # one germ whose den holds more forms than its rank, as the lattice
+    # workload checks it: member sets of the nbc steps are dependent
+    rng = random.Random(56)
+    dependent = 0
+    for _ in range(12):
+        ts = sorted(rng.sample(range(-4, 5), rng.randint(4, 6)))
+        shear = rng.randint(-2, 2)
+        lc = make_lattice_cone(make_poly_cone(
+            [(t + shear * t * t, t * t, 1) for t in ts]))
+        total = make_mero(Polynomial.zero(3))
+        for piece in triangulate_cone(lc.cone, reverse_order=True):
+            total = mero_add(total, make_mero(
+                Polynomial.constant(3, -abs(det(piece.generators))),
+                [(g, 1) for g in piece.generators]))
+        dependent += len(total.den) > 3
+        integral = exp_integral(lc)
+        pairs = [(t.numerator, t.factors) for t in integral.terms]
+        pairs += [(-total.numerator, total.den)]
+        assert (fraction_sum(pairs, 3) == fraction_sum_reference(pairs, 3)
+                == make_mero(Polynomial.zero(3)))
+        assert germ_equal(integral, total)
+    assert dependent > 6
+
+
 def test_mero_sum_is_structurally_the_left_fold_on_random_dependent_sums():
     rng = random.Random(52)
     for _ in range(50):
@@ -819,6 +865,9 @@ def test_mero_sum_is_structurally_the_left_fold_on_random_dependent_sums():
             expected = mero_add(expected, g)
         rng.shuffle(summands)
         assert mero_sum(summands, k) == expected
+        for terms in (cancel, summands):
+            pairs = [(g.numerator, g.den) for g in terms]
+            assert fraction_sum(pairs, k) == fraction_sum_reference(pairs, k)
 
 
 def test_sums_agree_with_sympy_cancel():
