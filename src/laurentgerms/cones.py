@@ -16,13 +16,14 @@ them as Fractions; the same tests then run on Fractions.
 
 The refinement algorithm makes a family of cones "properly positioned"
 (pairwise intersections are common faces and the union contains no line):
-the defining hyperplanes of all members are collected, each member is
-sliced by those that cut it into pieces lying on one closed side of every
-hyperplane, and the pieces are triangulated by the canonical pulling
-triangulation keyed to a single global lexicographic order on primitive
-rays.  Sign-pure pieces over one hyperplane set always intersect in common
-faces, and pulling triangulations restrict consistently to faces, so the
-output is properly positioned by construction.
+the defining hyperplanes of the maximal members (those that are no face
+of another member) are collected, each member is sliced by those that cut
+it into pieces lying on one closed side of every hyperplane, and the
+pieces are triangulated by the canonical pulling triangulation keyed to a
+single global lexicographic order on primitive rays.  Sign-pure pieces
+over one hyperplane set always intersect in common faces, and pulling
+triangulations restrict consistently to faces, so the output is properly
+positioned by construction.
 
 A piece keeps both representations: its extreme rays and one inequality
 per facet.  Slicing and facet finding then need incidences only, which
@@ -482,12 +483,19 @@ def common_refinement(
     positive combination and meet their negatives only in 0, so no v and -v
     can both lie in the union.
 
-    A family of one member is returned as it is.  Otherwise each member is
-    sliced, in the global sorted order, by the hyperplanes whose normal
-    takes both signs on its generators; any other hyperplane leaves the
-    member, and so each of its pieces, on one closed side.  A member's
-    first piece is its simplicial H-representation, whose n inequalities
-    are exactly its n facets.
+    A family of one member is returned as it is.  Otherwise the span and
+    facet hyperplanes of the maximal members, those whose generators are
+    no proper subset of another member's, slice every member, in the
+    global sorted order, wherever their normal takes both signs on its
+    generators; any other hyperplane leaves the member, and so each of its
+    pieces, on one closed side.  A member's first piece is its simplicial
+    H-representation, whose n inequalities are exactly its n facets.
+
+    A face F of a member C needs no hyperplanes of its own: F is C cut by
+    facet hyperplanes of C, so it is a union of faces of C's cells, on
+    which the pulled simplices agree.  F's hyperplanes would only cut what
+    proper positioning does not need, as the normal line of an edge halves
+    an obtuse 2D cone.
     """
     cones = list(cones)
     if not cones:
@@ -500,8 +508,11 @@ def common_refinement(
         raise NotStrictlyConvexUnion(
             "the union of the cones contains a linear subspace")
     firsts = [_simplicial_piece(c.generators) for c in cones]
+    gens = [set(c.generators) for c in cones]
     hyperplanes = sorted({_sign_canonical(w)
-                          for p in firsts for w in p.eqs + p.ineqs})
+                          for g, p in zip(gens, firsts)
+                          if not any(g < h for h in gens)
+                          for w in p.eqs + p.ineqs})
     piece_index: dict[tuple, int] = {}
     collected: list[SimplicialCone] = []
     index_sets: list[list[int]] = []

@@ -8,7 +8,8 @@ orthogonality invariant.  The forgetful map ``phi`` adds everything back up;
 the subdivision operator rewrites an expansion onto a finer properly
 positioned family without changing its ``phi``-image, which is what makes a
 canonical Laurent expansion of an arbitrary germ possible: decompose into
-polar parts, then re-support everything on one common refinement.
+polar parts, then re-support everything on one common refinement, sliced
+only by the hyperplanes of the supporting cones that are no face of another.
 """
 
 from __future__ import annotations
@@ -308,7 +309,8 @@ def laurent_expand(space: AmbientSpace, f,
     Pipeline: decompose into polar germs with independent pole forms and
     orthogonal numerators; the sign normalization of the stored forms makes
     every supporting cone strictly convex; the common refinement of the
-    supporting cones is properly positioned, and the subdivision operator
+    supporting cones, sliced only by the hyperplanes of those that are no
+    face of another, is properly positioned, and the subdivision operator
     moves every term onto it.  Summing the result with ``phi`` gives back
     ``f`` exactly.  Only ``decompose`` uses Q: the subdivision coefficients
     are coordinates in each cone's basis.

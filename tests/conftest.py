@@ -22,6 +22,14 @@ from laurentgerms import (
     make_simplicial_cone,
     mero_mul,
 )
+from laurentgerms.cones import (
+    SimplicialCone,
+    _pull_triangulate,
+    _sign_canonical,
+    _simplicial_piece,
+    _split_piece,
+    common_refinement,
+)
 from laurentgerms.errors import NotSimplicial
 from laurentgerms.exact import (
     int_inverse,
@@ -213,6 +221,38 @@ def exp_sum_smooth_reference(lc, trunc: int,
         poly = poly + s.poly
     return TruncatedGerm(make_germ_sum(polar, Polynomial.zero(k)),
                          poly.truncated(trunc), trunc)
+
+
+def common_refinement_reference(cones):
+    """``common_refinement`` as it was before only maximal members gave
+    hyperplanes: every member, faces of other members included, adds its
+    span and facet hyperplanes to the set that slices all of them.  The
+    reference the coarser refinement is compared with, on families that
+    ``common_refinement`` accepts."""
+    cones = list(cones)
+    if len(cones) < 2:
+        return common_refinement(cones)
+    firsts = [_simplicial_piece(c.generators) for c in cones]
+    hyperplanes = sorted({_sign_canonical(w)
+                          for p in firsts for w in p.eqs + p.ineqs})
+    piece_index = {}
+    collected = []
+    index_sets = []
+    for cone, first in zip(cones, firsts):
+        pieces = [first]
+        for w in hyperplanes:
+            vals = [vec_dot(w, g) for g in cone.generators]
+            if min(vals) < 0 < max(vals):
+                pieces = [half for p in pieces for half in _split_piece(p, w)]
+        mine = set()
+        for p in pieces:
+            for simplex in _pull_triangulate(p):
+                if simplex not in piece_index:
+                    piece_index[simplex] = len(collected)
+                    collected.append(SimplicialCone(simplex))
+                mine.add(piece_index[simplex])
+        index_sets.append(sorted(mine))
+    return collected, index_sets
 
 
 def mero_sum(germs, nvars: int) -> MeromorphicGerm:

@@ -790,8 +790,9 @@ def test_nbc_rewrite_stops_once_it_cannot_shrink_the_sum():
     # are out the rewrite cannot end with fewer fractions; expansions
     # shrink, sums of unrelated germs do not
     rng = random.Random(53)
-    sums = [laurent_expand(AmbientSpace.standard(k), g).fractions()[1:]
-            for k, g in round_trip_corpus()]
+    sums = [laurent_expand(sp, g).fractions()[1:]
+            for k, g in round_trip_corpus()
+            for sp in (AmbientSpace.standard(k), skew_space(k))]
     for _ in range(60):
         k = rng.randint(2, 3)
         sums.append([(g.numerator, g.den) for g in (
