@@ -36,6 +36,7 @@ rays, which are the rays of its dual cone cut out one generator at a time.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -545,15 +546,17 @@ def is_subdivision(pieces: Sequence[SimplicialCone],
                    target: SimplicialCone | PolyCone) -> bool:
     """Exact check that the pieces tile the target cone.
 
-    Same dimension, contained in the target, pairwise intersections along
-    common faces, and an exact cover: the target is sliced by every facet
-    hyperplane of every piece, and each resulting cell's interior point must
-    lie in some piece.  No sampling, no tolerance.
+    Distinct pieces of the target's dimension, contained in it and meeting
+    pairwise along common faces, tile it exactly when each facet of a piece
+    (its generators but one) lies on the target's boundary, where some
+    inequality of the target vanishes on it, and in no other piece, or off
+    the boundary and in exactly one other piece (De Loera, Rambau & Santos,
+    *Triangulations*, ch. 4).  No sampling, no tolerance.
     """
     pieces = list(pieces)
     if not pieces:
         return False
-    k = _common_ambient([target] + pieces)
+    _common_ambient([target] + pieces)
     if isinstance(target, SimplicialCone):
         cell = _simplicial_piece(target.generators)
     else:
@@ -563,18 +566,15 @@ def is_subdivision(pieces: Sequence[SimplicialCone],
     if not all(_satisfies(g, cell.eqs, cell.ineqs)
                for p in pieces for g in p.generators):
         return False
+    rays = [tuple(sorted(map(primitive_vector, p.generators))) for p in pieces]
     parts = [_simplicial_piece(p.generators) for p in pieces]
-    if not all(_pieces_meet_along_face(a, b)
-               for a, b in combinations(parts, 2)):
+    if len(set(rays)) < len(rays) or not all(
+            _pieces_meet_along_face(a, b) for a, b in combinations(parts, 2)):
         return False
-    cells = [cell]
-    for w in sorted({_sign_canonical(w) for p in parts for w in p.ineqs}):
-        cells = [half for c in cells for half in _split_piece(c, w)]
-    for c in cells:
-        interior = tuple(sum(r[i] for r in c.rays) for i in range(k))
-        if not any(_satisfies(interior, p.eqs, p.ineqs) for p in parts):
-            return False
-    return True
+    facets = Counter(f for r in rays for f in combinations(r, len(r) - 1))
+    return all(n == 2 - any(all(vec_dot(c, g) == 0 for g in f)
+                            for c in cell.ineqs)
+               for f, n in facets.items())
 
 
 # ---------------------------------------------------------------------------

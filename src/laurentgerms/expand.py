@@ -282,15 +282,15 @@ def subdivision_operator(x: FormalExpansion,
                          family: Sequence[SimplicialCone]) -> FormalExpansion:
     """Rewrite an expansion onto a finer properly positioned family.
 
-    The family must be properly positioned (NotProperlyPositioned
-    otherwise) and tile every supporting cone of ``x`` by its members
-    contained in that cone (NotASubdivision otherwise); members lying in
-    no supporting cone are allowed and simply unused.  ``phi`` of the result
-    equals ``phi`` of the input; the polynomial part passes through
-    unchanged.  The coefficients are coordinates in each cone's basis, so
-    no inner product enters.
+    The family is read as a set, so a repeated member counts once.  It
+    must be properly positioned (NotProperlyPositioned otherwise) and tile
+    every supporting cone of ``x`` by its members contained in that cone
+    (NotASubdivision otherwise); members lying in no supporting cone are
+    unused.  ``phi`` of the result equals ``phi`` of the input; the
+    polynomial part passes through unchanged.  The coefficients are
+    coordinates in each cone's basis, so no inner product enters.
     """
-    family = list(family)
+    family = list(dict.fromkeys(family))
     support = x.support()
     if not is_properly_positioned(family):
         raise NotProperlyPositioned("target family is not properly positioned")
@@ -321,13 +321,13 @@ def laurent_expand(space: AmbientSpace, f,
     ``as_mero(f)``, and a repeat call returns the same shared immutable
     object.
 
-    With an explicit ``support`` (never cached) the terms of ``decompose``
-    go through ``subdivision_operator`` onto its members: NotProperlyPositioned
-    when the support is not properly positioned.  When its members cannot
-    tile the supporting cones of those terms, the canonical expansion is
-    the answer if every cone of its ``support()`` is a member (the
-    expansion on a properly positioned family is unique), as for a family
-    that leaves out cones whose terms cancel; otherwise NotInLaurentSubspace.
+    With an explicit ``support`` (read as a set, never cached) the terms of
+    ``decompose`` go through ``subdivision_operator`` onto its members:
+    NotProperlyPositioned when it is not properly positioned.  When its
+    members cannot tile the supporting cones of those terms, the canonical
+    expansion is the answer if every cone of its ``support()`` is a member
+    (the expansion on a properly positioned family is unique), as for a
+    family that leaves out cones whose terms cancel; else NotInLaurentSubspace.
     """
     if support is None:
         return _canonical_expansion(space, as_mero(f))

@@ -7,6 +7,7 @@ failures reproduce bit-for-bit.
 import functools
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from laurentgerms import (
     AmbientSpace,
@@ -24,7 +25,11 @@ from laurentgerms import (
 )
 from laurentgerms.cones import (
     SimplicialCone,
+    _common_ambient,
+    _pieces_meet_along_face,
+    _poly_piece,
     _pull_triangulate,
+    _satisfies,
     _sign_canonical,
     _simplicial_piece,
     _split_piece,
@@ -253,6 +258,40 @@ def common_refinement_reference(cones):
                 mine.add(piece_index[simplex])
         index_sets.append(sorted(mine))
     return collected, index_sets
+
+
+def is_subdivision_reference(pieces, target):
+    """``is_subdivision`` as it was before it counted facets: after the
+    same dimension, containment and pairwise face checks, the target is
+    sliced by every facet hyperplane of every piece, and the interior point
+    of each cell must lie in some piece.  Repeated pieces pass it.  Its
+    cost grows far faster than the number of pieces, so the facet count is
+    compared with it on small inputs only."""
+    pieces = list(pieces)
+    if not pieces:
+        return False
+    k = _common_ambient([target] + pieces)
+    if isinstance(target, SimplicialCone):
+        cell = _simplicial_piece(target.generators)
+    else:
+        cell = _poly_piece(target.rays)
+    if any(p.dim != cell.dim for p in pieces):
+        return False
+    if not all(_satisfies(g, cell.eqs, cell.ineqs)
+               for p in pieces for g in p.generators):
+        return False
+    parts = [_simplicial_piece(p.generators) for p in pieces]
+    if not all(_pieces_meet_along_face(a, b)
+               for a, b in combinations(parts, 2)):
+        return False
+    cells = [cell]
+    for w in sorted({_sign_canonical(w) for p in parts for w in p.ineqs}):
+        cells = [half for c in cells for half in _split_piece(c, w)]
+    for c in cells:
+        interior = tuple(sum(r[i] for r in c.rays) for i in range(k))
+        if not any(_satisfies(interior, p.eqs, p.ineqs) for p in parts):
+            return False
+    return True
 
 
 def mero_sum(germs, nvars: int) -> MeromorphicGerm:

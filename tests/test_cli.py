@@ -72,6 +72,17 @@ def test_laurent_expansion_known_coefficients(capsys, tmp_path):
     assert same == got
 
 
+def test_laurent_reads_a_support_file_as_a_set(capsys, tmp_path):
+    # a member listed twice counts once; summed, its numerator would be 2
+    a, b = [[1, 0], [1, 1]], [[0, 1], [1, 1]]
+    once = run_json(capsys, "laurent", "1/(x1*x2)", "--support",
+                    write_json(tmp_path, "once.json", [a, b]))
+    twice = run_json(capsys, "laurent", "1/(x1*x2)", "--support",
+                     write_json(tmp_path, "twice.json", [a, a, b]))
+    assert twice == once
+    assert {t["numerator"] for t in once["terms"]} == {"1"}
+
+
 def test_projections(capsys):
     plus = run_json(capsys, "project-plus", "(1+x1)/x1")
     assert plus == {"kind": "polynomial", "dim": 2, "poly": "1"}

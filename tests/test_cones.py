@@ -58,6 +58,7 @@ from laurentgerms.germs import (
 
 from conftest import (
     common_refinement_reference,
+    is_subdivision_reference,
     random_pseudo_positive_cone,
     random_vector,
 )
@@ -452,6 +453,90 @@ def test_is_subdivision_rejects_gaps_and_overlaps():
     assert not is_subdivision([a, quadrant], quadrant)    # overlap
     assert not is_subdivision([a, b, cone((1, -1), (1, 0))], quadrant)
     assert not is_subdivision([cone((1, 1))], quadrant)   # lower dimension
+    # every facet is counted as in a tiling, yet the first two pieces
+    # overlap: only the pairwise face test rejects it
+    c = cone((2, 1), (1, 1))
+    assert not is_subdivision([a, c, cone((2, 1), (0, 1))], quadrant)
+
+
+def test_is_subdivision_rejects_repeated_pieces():
+    quadrant = cone((1, 0), (0, 1))
+    a = cone((1, 0), (1, 1))
+    b = cone((0, 1), (1, 1))
+    assert not is_subdivision([quadrant, quadrant], quadrant)
+    assert not is_subdivision([a, a, b], quadrant)
+    with pytest.raises(NotASubdivision):
+        I_cone(quadrant, [a, a, b])
+    assert germ_equal(I_cone(quadrant, [a, b]), I_cone(quadrant))
+
+
+def test_is_subdivision_counts_facets_without_slicing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_split_piece called")
+
+    pc = make_poly_cone([(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, -1, 1),
+                         (1, -1, 1)])
+    pieces = triangulate_cone(pc)
+    monkeypatch.setattr("laurentgerms.cones._split_piece", refuse)
+    assert is_subdivision(pieces, pc)
+    assert is_subdivision([cone((1, 0), (1, 1)), cone((0, 1), (1, 1))],
+                          cone((1, 0), (0, 1)))
+
+
+def _verdict(pieces, target) -> bool:
+    """The facet count's verdict; the slicing reference must give the same
+    one when no piece repeats and there are at most 40 pieces.  Repeated
+    pieces never tile."""
+    verdict = is_subdivision(pieces, target)
+    if len(set(pieces)) < len(pieces):
+        assert not verdict
+    elif len(pieces) <= 40:
+        assert verdict == is_subdivision_reference(pieces, target)
+    return verdict
+
+
+def test_is_subdivision_agrees_with_slicing_on_random_families():
+    # each member against its refinement pieces, with one dropped, with the
+    # member itself added and with a piece of another member added
+    rng = random.Random(46)
+    tilings = rejected = 0
+    for _ in range(60):
+        family = _random_family_with_faces(rng)
+        try:
+            pieces, index_sets = common_refinement(family)
+        except NotStrictlyConvexUnion:
+            continue
+        for member, idx in zip(family, index_sets):
+            mine = [pieces[j] for j in idx]
+            assert _verdict(mine, member)
+            tilings += 1
+            others = [p for p in pieces
+                      if p not in mine and p.dim == member.dim]
+            j = rng.randrange(len(mine))
+            variants = [mine[:j] + mine[j + 1:], mine + [member]]
+            if others:
+                variants.append(mine + [rng.choice(others)])
+            for variant in variants:
+                rejected += not _verdict(variant, member)
+    assert tilings > 60 and rejected > 60
+
+
+def test_is_subdivision_agrees_with_slicing_on_triangulations():
+    # both pulling orders tile; one simplex dropped never does; the two
+    # orders mixed may or may not
+    rng = random.Random(47)
+    for _ in range(30):
+        k = rng.randint(2, 4)
+        pc = make_poly_cone([[rng.randint(0, 3) for _ in range(k)]
+                             for _ in range(rng.randint(k, k + 3))])
+        first, second = triangulate_cone(pc), triangulate_cone(pc, True)
+        assert _verdict(first, pc)
+        assert _verdict(second, pc)
+        if len(first) > 1:
+            j = rng.randrange(len(first))
+            assert not _verdict(first[:j] + first[j + 1:], pc)
+        half = len(first) // 2
+        _verdict(first[:half] + second[half:], pc)
 
 
 def test_refinement_and_expansion_have_no_dimension_cap():

@@ -19,6 +19,7 @@ from laurentgerms.exact import (
     Polynomial,
     mat_vec,
     max_minor_abs_sum,
+    primitive_vector,
     vec,
     vec_dot,
 )
@@ -450,6 +451,18 @@ def test_laurent_expand_rejects_bad_supports():
         laurent_expand(SP, g2, support=coarse)
 
 
+def test_a_supplied_support_is_read_as_a_set():
+    # a repeated member counts once; summed twice, phi would be 2f
+    g = make_mero(Polynomial.constant(2, 1),
+                  ((vec([1, 0]), 1), (vec([0, 1]), 1)))
+    a, b = cone((1, 0), (1, 1)), cone((0, 1), (1, 1))
+    x = laurent_expand(SP, g, support=[a, b])
+    assert laurent_expand(SP, g, support=[a, a, b]) == x
+    assert phi(laurent_expand(SP, g, support=[b, a, b, a])) == g
+    polar = simple_exp(SP, [(([(1, 0), 1], [(0, 1), 1]), 1)])
+    assert subdivision_operator(polar, [a, a, b]) == x
+
+
 def test_laurent_expand_on_a_support_without_the_cancelling_pieces():
     # corpus germ 147: 1 of the 14 refinement pieces carries only terms
     # that cancel, so the canonical support does not tile the cones of
@@ -478,6 +491,18 @@ def reference_support(space, f):
     return common_refinement_reference(cones)[0]
 
 
+def assert_maps_agree(sp, f, x, y):
+    """Two expansions of ``f`` on different supports: ``phi`` of each is
+    ``f``, and residues and gradings read the same."""
+    assert phi(x) == f and phi(y) == f
+    assert p_order(sp, x) == p_order(sp, y)
+    assert pi_plus(sp, x) == pi_plus(sp, y)
+    assert germ_equal(p_res(sp, x), p_res(sp, y))
+    gx, gy = graded_split(sp, x), graded_split(sp, y)
+    assert gx.keys() == gy.keys()
+    assert all(germ_equal(gx[key], gy[key]) for key in gx)
+
+
 def test_expansions_on_the_coarser_and_the_finer_refinement_agree():
     # the canonical support slices by the hyperplanes of maximal cones
     # only; the reference slices by those of every cone.  The expansion
@@ -487,15 +512,47 @@ def test_expansions_on_the_coarser_and_the_finer_refinement_agree():
         for sp in (AmbientSpace.standard(k), skew_space(k)):
             x = laurent_expand(sp, f)
             y = laurent_expand(sp, f, support=reference_support(sp, f))
-            assert phi(x) == f and phi(y) == f
-            assert p_order(sp, x) == p_order(sp, y)
-            assert pi_plus(sp, x) == pi_plus(sp, y)
-            assert germ_equal(p_res(sp, x), p_res(sp, y))
-            gx, gy = graded_split(sp, x), graded_split(sp, y)
-            assert gx.keys() == gy.keys()
-            assert all(germ_equal(gx[key], gy[key]) for key in gx)
+            assert_maps_agree(sp, f, x, y)
             differ += x != y
     assert differ > 30
+
+
+def stellar_support(space, f, x, rng):
+    """The refinement pieces of the pole cones of ``decompose(space, f)``
+    with one piece of ``x.support()`` of dimension >= 2, a face of no other
+    piece, replaced by its stellar subdivision at the primitive sum of its
+    generators; None when ``x.support()`` has no such piece."""
+    cones = dict.fromkeys(DecoratedCone(t.factors).cone
+                          for t in decompose(space, f).terms)
+    pieces = common_refinement(list(cones))[0]
+    maximal = [p for p in x.support() if p.dim >= 2 and not any(
+        set(p.generators) < set(q.generators) for q in pieces)]
+    if not maximal:
+        return None
+    sigma = rng.choice(maximal)
+    w = primitive_vector([sum(c) for c in zip(*sigma.generators)])
+    stellar = [cone(*(w if h == g else h for h in sigma.generators))
+               for g in sigma.generators]
+    return [p for p in pieces if p != sigma] + stellar
+
+
+def test_expansions_on_a_stellar_subdivision_agree():
+    # support independence on a second family: one piece that carries
+    # terms is coned from an interior ray; residues and gradings keep
+    # their values
+    rng = random.Random(48)
+    checked = 0
+    for k, f in round_trip_corpus()[::3]:
+        for sp in (AmbientSpace.standard(k), skew_space(k)):
+            x = laurent_expand(sp, f)
+            family = stellar_support(sp, f, x, rng)
+            if family is None:
+                continue
+            y = laurent_expand(sp, f, support=family)
+            assert y != x
+            assert_maps_agree(sp, f, x, y)
+            checked += 1
+    assert checked > 30
 
 
 # ---------------------------------------------------------------------------

@@ -625,6 +625,14 @@ def test_p_res_exp_sum_validates_supplied_pieces():
                       smooth_pieces=[other])
 
 
+def test_p_res_exp_sum_rejects_a_repeated_piece():
+    # [lc, lc] covers lc twice; summed, the residue would double
+    lc = make_lattice_cone([(1, 0), (0, 1)])
+    with pytest.raises(NotASubdivision):
+        p_res_exp_sum(lc, smooth_pieces=[lc, lc])
+    assert germ_equal(p_res_exp_sum(lc, smooth_pieces=[lc]), exp_integral(lc))
+
+
 def test_p_res_exp_sum_needs_a_subdivision_in_higher_rank():
     lc = make_lattice_cone([(1, 0, 0), (0, 1, 0), (1, 1, 2)])
     with pytest.raises(NoSmoothSubdivisionAvailable):
