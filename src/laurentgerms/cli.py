@@ -6,8 +6,9 @@ object to stdout, and is deterministic for a fixed configuration.
 Exit codes: 0 success; 2 parse or format error in an expression or input
 file; 3 mathematical precondition violated (nonlinear pole, improper
 support, non-smooth cone, ...); 4 ambient dimension above ``--dim-cap``,
-checked before any cone geometry runs (``decompose`` and ``verify`` build
-no cones and are not capped; the library itself has no cap).
+checked before any cone geometry runs.  Only ``laurent``, ``p-order``,
+``p-res``, ``exp-sum`` and ``cone`` build cones and are capped; the others
+read ``decompose`` or nothing, and the library itself has no cap.
 The cap (``DEFAULT_DIMENSION_CAP``) is this tool's policy alone: commands
 read their settings from the parsed arguments and build their own space.
 """
@@ -164,7 +165,7 @@ def _span_rows(span) -> list[list[str]]:
 def _run(args) -> int:
     space = _space(args)
     k = space.dimension
-    if args.command not in ("decompose", "verify", "cone"):
+    if args.command in ("laurent", "p-order", "p-res", "exp-sum"):
         _check_dim_cap(k, args)  # cone checks its family's dimension
 
     if args.command == "decompose":

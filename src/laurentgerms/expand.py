@@ -315,9 +315,10 @@ def laurent_expand(space: AmbientSpace, f,
     ``f`` exactly.  Only ``decompose`` uses Q: the subdivision coefficients
     are coordinates in each cone's basis.
 
-    The canonical expansion depends only on the space and the germ, so the
-    maps of ``residues`` on one (space, germ) share it: at most the 8 most
-    recent canonical expansions are kept, keyed by the space and
+    The canonical expansion depends only on the space and the germ, so
+    ``p_order`` and ``p_res`` on one (space, germ) share it (the other maps
+    of ``residues`` read ``decompose`` and expand nothing): at most the 8
+    most recent canonical expansions are kept, keyed by the space and
     ``as_mero(f)``, and a repeat call returns the same shared immutable
     object.
 
@@ -351,8 +352,9 @@ def _canonical_expansion(space: AmbientSpace, f: MeromorphicGerm
                          ) -> FormalExpansion:
     """The expansion of ``f`` on the common refinement of its pole cones.
 
-    The bound is small on purpose.  It holds two keys, so one germ can be
-    mapped under two inner products in turn without expanding it again.  It
+    Only ``p_order`` and ``p_res`` share it.  The bound is small on
+    purpose.  It holds two keys, so both can read one germ under two inner
+    products in turn without expanding it again.  It
     stays far below the 80 distinct keys that one pass of the repeat-count
     test in ``perfbench/tests`` cycles through, so a second identical pass
     misses exactly as the first did and its call counts repeat.  Exceptions

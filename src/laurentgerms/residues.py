@@ -1,18 +1,15 @@
 """Gradings, projections and residues of meromorphic germs.
 
-Everything here is a deterministic fold over a Laurent expansion: group the
-decorated terms by the span of their pole forms and by total pole order, and
-read off projections (polynomial part, a single graded component, the
-highest-order part) from the grouping.  Because the forgetful sum of an
-expansion determines its components — expansions on a properly positioned
-support are unique — all of these maps are well-defined on germs, not just
-on expansions, and none of them depends on the support used to compute them.
-Each map takes a germ, expanded on the common refinement of its pole cones,
-or a ready expansion: to use a chosen support, pass
-``laurent_expand(space, f, support=...)``.  Maps on the same (space, germ)
-share one canonical expansion: ``laurent_expand`` keeps the 8 most recent
-ones and returns them as shared immutable objects; expansions on a chosen
-support are not cached.
+Everything here groups the polar terms of a germ by the span of their pole
+forms and by total pole order, and reads off projections (polynomial part,
+a single graded component, the highest-order part) from the grouping.
+Subdivision keeps each term's span, order and sum, so no map depends on
+the Laurent support.  Each map takes a germ or a ready expansion, whose own
+terms it reads: to use a chosen support, pass
+``laurent_expand(space, f, support=...)``.  On a germ, all but ``p_order``
+and ``p_res`` read the terms of ``decompose`` and build no cones.  Those
+two share one canonical expansion per (space, germ): ``laurent_expand``
+keeps the 8 most recent ones and returns them as shared immutable objects.
 """
 
 from __future__ import annotations
@@ -37,6 +34,7 @@ from .germs import (
     GermSum,
     PolarGerm,
     as_mero,
+    decompose,
     make_germ_sum,
     make_mero,
     mero_mul,
@@ -121,39 +119,45 @@ def _as_expansion(space: AmbientSpace, f) -> FormalExpansion:
     return laurent_expand(space, as_mero(f))
 
 
+def _polar_terms(space: AmbientSpace, f) -> GermSum:
+    """The polar terms and polynomial part of ``f``: an expansion's own,
+    else those of ``decompose(space, f)``."""
+    if isinstance(f, FormalExpansion):
+        x = _as_expansion(space, f)
+        return GermSum(tuple(PolarGerm(num, dc.factors)
+                             for dc, num in x.terms), x.polynomial_part)
+    return decompose(space, f)
+
+
 def graded_split(space: AmbientSpace, f) -> dict[GradedComponentKey, GermSum]:
-    """Group the Laurent terms of ``f`` by (pole span, total pole order).
+    """Group the polar terms of ``f`` by (pole span, total pole order).
 
     The polynomial part, when nonzero, sits at the key (zero subspace, 0).
     Summing every component recovers ``f``; the components themselves do not
     depend on the Laurent support used.
     """
-    x = _as_expansion(space, f)
-    k = x.nvars
-    buckets: dict[GradedComponentKey, list[PolarGerm]] = {}
-    for dc, num in x.terms:
-        key = GradedComponentKey(span_key([v for v, _ in dc.factors]),
-                                 sum(s for _, s in dc.factors))
-        buckets.setdefault(key, []).append(PolarGerm(num, dc.factors))
-    out = {key: make_germ_sum(terms, Polynomial.zero(k))
-           for key, terms in sorted(buckets.items(),
-                                    key=lambda kv: (kv[0].support_span,
-                                                    kv[0].p_order))}
-    if not x.polynomial_part.is_zero():
-        out[GradedComponentKey((), 0)] = make_germ_sum([], x.polynomial_part)
+    s = _polar_terms(space, f)
+    buckets: dict[tuple, list[PolarGerm]] = {}
+    for t in s.terms:
+        key = (span_key([v for v, _ in t.factors]), t.p_order)
+        buckets.setdefault(key, []).append(t)
+    zero = Polynomial.zero(s.nvars)
+    out = {GradedComponentKey(*key): make_germ_sum(terms, zero)
+           for key, terms in sorted(buckets.items())}
+    if not s.poly.is_zero():
+        out[GradedComponentKey((), 0)] = make_germ_sum([], s.poly)
     return out
 
 
 def pi_plus(space: AmbientSpace, f) -> Polynomial:
     """Projection onto the holomorphic part along the polar part."""
-    return _as_expansion(space, f).polynomial_part
+    return _polar_terms(space, f).poly
 
 
 def pi_minus(space: AmbientSpace, f) -> GermSum:
     """Projection onto the polar part along the holomorphic part."""
-    x = _as_expansion(space, f)
-    return make_germ_sum([PolarGerm(num, dc.factors) for dc, num in x.terms],
-                         Polynomial.zero(x.nvars))
+    s = _polar_terms(space, f)
+    return make_germ_sum(s.terms, Polynomial.zero(s.nvars))
 
 
 def project_U_p(space: AmbientSpace, f, subspace: Sequence[Sequence],
@@ -203,17 +207,13 @@ def brion_vergne_split(space: AmbientSpace, f,
         if v not in allowed:
             raise NotInRDelta(f"pole direction ({', '.join(map(str, v))}) "
                               "is not in the arrangement")
+    s = _polar_terms(space, f)
     r = arr.r
-    k = g.nvars
-    full: list[PolarGerm] = []
-    rest: list[PolarGerm] = []
-    poly = Polynomial.zero(k)
-    for key, component in graded_split(space, f).items():
-        target = full if key.span_dim == r else rest
-        target.extend(component.terms)
-        poly = poly + component.poly
-    return (make_germ_sum(full, Polynomial.zero(k)),
-            make_germ_sum(rest, poly))
+    # the pole forms of a term are independent: one span dimension each
+    full = [t for t in s.terms if len(t.factors) == r]
+    rest = [t for t in s.terms if len(t.factors) != r]
+    return (make_germ_sum(full, Polynomial.zero(s.nvars)),
+            make_germ_sum(rest, s.poly))
 
 
 def p_order(space: AmbientSpace, f) -> int:
@@ -234,31 +234,22 @@ def p_res(space: AmbientSpace, f) -> GermSum:
     x = _as_expansion(space, f)
     k = x.nvars
     top = p_order(space, x)
-    if top == 0:
-        return make_germ_sum([], Polynomial.zero(k))
-    picked = []
-    for dc, num in x.terms:
-        if sum(s for _, s in dc.factors) != top:
-            continue
-        c = num.constant_term()
-        if c == 0:
-            continue
-        picked.append(PolarGerm(Polynomial.constant(k, c), dc.factors))
+    picked = [PolarGerm(Polynomial.constant(k, num.constant_term()),
+                        dc.factors)
+              for dc, num in x.terms if sum(s for _, s in dc.factors) == top]
     return make_germ_sum(picked, Polynomial.zero(k))
 
 
 def coproduct(space: AmbientSpace, f) -> list[CoproductTerm]:
-    """Separate each Laurent term into numerator ⊗ pure pole fraction.
+    """Separate each polar term into numerator ⊗ pure pole fraction.
 
     Multiplying the two legs of every term and summing returns ``f``; the
     holomorphic part appears as (h, 1) when nonzero.
     """
-    x = _as_expansion(space, f)
-    k = x.nvars
-    out = []
-    for dc, num in x.terms:
-        unit = Polynomial.constant(k, Fraction(1))
-        out.append(CoproductTerm(num, PolarGerm(unit, dc.factors)))
-    if not x.polynomial_part.is_zero():
-        out.append(CoproductTerm(x.polynomial_part, None))
+    s = _polar_terms(space, f)
+    unit = Polynomial.constant(s.nvars, Fraction(1))
+    out = [CoproductTerm(t.numerator, PolarGerm(unit, t.factors))
+           for t in s.terms]
+    if not s.poly.is_zero():
+        out.append(CoproductTerm(s.poly, None))
     return out

@@ -12,11 +12,14 @@ from itertools import combinations
 from laurentgerms import (
     AmbientSpace,
     MeromorphicGerm,
+    PolarGerm,
     Polynomial,
     TruncatedGerm,
     bernoulli_tail_coeffs,
     canonicalize_polar,
+    coproduct,
     decompose,
+    germ_equal,
     make_expansion,
     make_germ_sum,
     make_mero,
@@ -292,6 +295,32 @@ def is_subdivision_reference(pieces, target):
         if not any(_satisfies(interior, p.eqs, p.ineqs) for p in parts):
             return False
     return True
+
+
+def coproduct_at(terms, point):
+    """Sum of left(point) * right over the terms of a coproduct: the tensor
+    with its left legs evaluated, a right leg of None read as 1."""
+    k = len(point)
+    polar, poly = [], Polynomial.zero(k)
+    for t in terms:
+        c = t.left.evaluate(point)
+        if t.right is None:
+            poly = poly + Polynomial.constant(k, c)
+        else:
+            polar.append(PolarGerm(t.right.numerator.scale(c),
+                                   t.right.factors))
+    return make_germ_sum(polar, poly)
+
+
+def assert_coproducts_agree(space, f, g, points: int = 3):
+    """``coproduct`` of f and of g are one tensor: at ``points`` seeded
+    random integer points p, sum(left_i(p) * right_i) is one germ.  Term by
+    term they may differ, as subdivision moves constants between legs."""
+    rng = random.Random(points)
+    cf, cg = coproduct(space, f), coproduct(space, g)
+    for _ in range(points):
+        p = [rng.randint(-5, 5) for _ in range(space.dimension)]
+        assert germ_equal(coproduct_at(cf, p), coproduct_at(cg, p)), p
 
 
 def mero_sum(germs, nvars: int) -> MeromorphicGerm:

@@ -49,6 +49,7 @@ from laurentgerms.germs import (
 from laurentgerms.residues import graded_split, p_order, p_res, pi_plus
 
 from conftest import (
+    assert_coproducts_agree,
     common_refinement_reference,
     expansion_from_raw,
     mero_sum,
@@ -493,7 +494,8 @@ def reference_support(space, f):
 
 def assert_maps_agree(sp, f, x, y):
     """Two expansions of ``f`` on different supports: ``phi`` of each is
-    ``f``, and residues and gradings read the same."""
+    ``f``, residues and gradings read the same, and so does the coproduct
+    as a tensor."""
     assert phi(x) == f and phi(y) == f
     assert p_order(sp, x) == p_order(sp, y)
     assert pi_plus(sp, x) == pi_plus(sp, y)
@@ -501,6 +503,7 @@ def assert_maps_agree(sp, f, x, y):
     gx, gy = graded_split(sp, x), graded_split(sp, y)
     assert gx.keys() == gy.keys()
     assert all(germ_equal(gx[key], gy[key]) for key in gx)
+    assert_coproducts_agree(sp, x, y)
 
 
 def test_expansions_on_the_coarser_and_the_finer_refinement_agree():

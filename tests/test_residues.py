@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import laurentgerms.expand as expand
 import laurentgerms.residues as residues
 from laurentgerms.cones import make_simplicial_cone
 from laurentgerms.errors import NotInRDelta
@@ -12,6 +13,7 @@ from laurentgerms.exact import AmbientSpace, Polynomial, mat, span_key, vec
 from laurentgerms.expand import laurent_expand
 from laurentgerms.germs import (
     as_mero,
+    decompose,
     germ_equal,
     make_germ_sum,
     make_mero,
@@ -32,7 +34,12 @@ from laurentgerms.residues import (
     project_U_p,
 )
 
-from conftest import random_germ
+from conftest import (
+    assert_coproducts_agree,
+    random_germ,
+    round_trip_corpus,
+    skew_space,
+)
 
 F = Fraction
 SP = AmbientSpace.standard(2)
@@ -155,7 +162,54 @@ def test_project_U_p_and_jk_residue_refuse_rows_of_another_length():
         jk_residue(SP, f, [vec([1])])
 
 
-def test_project_U_p_and_jk_residue_expand_once(monkeypatch):
+def test_project_U_p_and_jk_residue_decompose_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(residues, "decompose", counting)
+    f = mero_add(mero(1, ([1, 0], 1), ([0, 1], 1)), mero(1, ([1, 0], 2)))
+    project_U_p(SP, f, [vec([1, 0])], 2)
+    assert len(calls) == 1
+    jk_residue(SP, f)
+    assert len(calls) == 2
+    assert project_U_p(SP, f, [vec([1, 1])], 1) == make_germ_sum(
+        [], Polynomial.zero(2))
+
+
+def test_the_maps_on_a_germ_build_no_cones(monkeypatch):
+    # only p_order and p_res expand; the other seven group the terms of
+    # one decompose call
+    def refuse(*args, **kwargs):
+        raise AssertionError("built cones")
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(residues, "laurent_expand", refuse)
+    monkeypatch.setattr(expand, "common_refinement", refuse)
+    monkeypatch.setattr(residues, "decompose", counting)
+    f = mero_add(mero(1, ([1, 0], 1), ([1, 1], 1)),
+                 mero(1, ([0, 1], 1), ([1, -1], 2)),
+                 mero(Polynomial.variable(2, 0), ([1, 2], 1)), mero(5))
+    cones = {tuple(v for v, _ in t.factors)
+             for t in decompose(SP, f).terms}
+    assert len(cones) >= 3
+    arr = make_arrangement([[1, 0], [1, 1], [0, 1], [1, -1], [1, 2]])
+    maps = [graded_split, pi_plus, pi_minus, jk_residue, coproduct,
+            lambda sp, g: project_U_p(sp, g, [vec([1, 0]), vec([0, 1])], 2),
+            lambda sp, g: brion_vergne_split(sp, g, arr)]
+    for n, m in enumerate(maps, 1):
+        m(SP, f)
+        assert len(calls) == n
+
+
+def test_p_order_and_p_res_expand_a_germ_once_each(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
@@ -164,12 +218,29 @@ def test_project_U_p_and_jk_residue_expand_once(monkeypatch):
 
     monkeypatch.setattr(residues, "laurent_expand", counting)
     f = mero_add(mero(1, ([1, 0], 1), ([0, 1], 1)), mero(1, ([1, 0], 2)))
-    project_U_p(SP, f, [vec([1, 0])], 2)
+    assert p_order(SP, f) == 2
     assert len(calls) == 1
-    jk_residue(SP, f)
+    p_res(SP, f)
     assert len(calls) == 2
-    assert project_U_p(SP, f, [vec([1, 1])], 1) == make_germ_sum(
-        [], Polynomial.zero(2))
+
+
+def test_the_maps_on_a_germ_agree_with_those_on_its_expansion():
+    # a germ's terms come from decompose, the expansion's from subdividing
+    # them; subdivision keeps each term's span, order and sum
+    split_differs = coproduct_differs = 0
+    for k, f in round_trip_corpus():
+        for sp in (AmbientSpace.standard(k), skew_space(k)):
+            x = laurent_expand(sp, f)
+            assert pi_plus(sp, f) == pi_plus(sp, x)
+            assert germ_equal(pi_minus(sp, f), pi_minus(sp, x))
+            assert germ_equal(jk_residue(sp, f), jk_residue(sp, x))
+            gf, gx = graded_split(sp, f), graded_split(sp, x)
+            assert gf.keys() == gx.keys()
+            assert all(germ_equal(gf[key], gx[key]) for key in gf)
+            assert_coproducts_agree(sp, f, x)
+            split_differs += gf != gx
+            coproduct_differs += coproduct(sp, f) != coproduct(sp, x)
+    assert split_differs > 30 and coproduct_differs > 30
 
 
 def test_jk_residue_defaults_to_full_pole_span():
