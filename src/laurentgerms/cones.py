@@ -200,10 +200,12 @@ def _simplicial_piece(gens: Sequence[Vec]) -> _Piece:
     """The cone over independent generators, cut out exactly by the rows
     of the inverse of [generators | annihilator of their span], primitive:
     the first n are its n facet normals (and the extreme rays of the dual
-    cone within the span), the others span the equalities.
+    cone within the span), the others span the equalities.  Generators of
+    full rank span the ambient space, which leaves no equalities.
     """
     n = len(gens)
-    comp = nullspace(tuple(gens))  # annihilator of the span
+    # annihilator of the span
+    comp = nullspace(tuple(gens)) if n < len(gens[0]) else []
     rows = [primitive_vector(r)
             for r, _ in int_inverse(mat_from_columns(list(gens) + comp))]
     return _Piece(tuple(rows[n:]), tuple(rows[:n]), tuple(gens), n)
@@ -484,13 +486,16 @@ def common_refinement(
     positive combination and meet their negatives only in 0, so no v and -v
     can both lie in the union.
 
-    A family of one member is returned as it is.  Otherwise the span and
-    facet hyperplanes of the maximal members, those whose generators are
-    no proper subset of another member's, slice every member, in the
-    global sorted order, wherever their normal takes both signs on its
-    generators; any other hyperplane leaves the member, and so each of its
-    pieces, on one closed side.  A member's first piece is its simplicial
-    H-representation, whose n inequalities are exactly its n facets.
+    The span and facet hyperplanes of the maximal members, those whose
+    generators are no proper subset of another member's, slice every
+    member, in the global sorted order, wherever their normal takes both
+    signs on its generators; any other hyperplane leaves the member, and so
+    each of its pieces, on one closed side.  So only the maximal members
+    and the members some hyperplane cuts are built as pieces: a member no
+    hyperplane cuts is its own single piece.  A cut member's first piece is
+    its simplicial H-representation, whose n inequalities are exactly its n
+    facets.  A family with one maximal member is made of faces of it, with
+    no line in their union, and comes back unchanged (repeats merged).
 
     A face F of a member C needs no hyperplanes of its own: F is C cut by
     facet hyperplanes of C, so it is a union of faces of C's cells, on
@@ -502,34 +507,39 @@ def common_refinement(
     if not cones:
         return [], []
     _common_ambient(cones)
-    if len(cones) == 1:
-        return cones, [[0]]
-    if (not all(is_pseudo_positive(g) for c in cones for g in c.generators)
-            and union_contains_line(cones)):
-        raise NotStrictlyConvexUnion(
-            "the union of the cones contains a linear subspace")
-    firsts = [_simplicial_piece(c.generators) for c in cones]
     gens = [set(c.generators) for c in cones]
-    hyperplanes = sorted({_sign_canonical(w)
-                          for g, p in zip(gens, firsts)
-                          if not any(g < h for h in gens)
-                          for w in p.eqs + p.ineqs})
+    maximal = dict.fromkeys(c for c, g in zip(cones, gens)
+                            if not any(g < h for h in gens))
+    hyperplanes: list[Vec] = []
+    firsts: dict[SimplicialCone, _Piece] = {}
+    if len({frozenset(c.generators) for c in maximal}) > 1:
+        if (not all(is_pseudo_positive(g) for c in cones for g in c.generators)
+                and union_contains_line(cones)):
+            raise NotStrictlyConvexUnion(
+                "the union of the cones contains a linear subspace")
+        firsts = {c: _simplicial_piece(c.generators) for c in maximal}
+        hyperplanes = sorted({_sign_canonical(w) for p in firsts.values()
+                              for w in p.eqs + p.ineqs})
     piece_index: dict[tuple, int] = {}
     collected: list[SimplicialCone] = []
     index_sets: list[list[int]] = []
-    for cone, first in zip(cones, firsts):
-        pieces = [first]
+    for cone in cones:
+        pieces = None
         for w in hyperplanes:
             vals = [vec_dot(w, g) for g in cone.generators]
             if min(vals) < 0 < max(vals):
+                if pieces is None:
+                    pieces = [firsts.get(cone)
+                              or _simplicial_piece(cone.generators)]
                 pieces = [half for p in pieces for half in _split_piece(p, w)]
+        simplices = ([cone.generators] if pieces is None
+                     else [s for p in pieces for s in _pull_triangulate(p)])
         mine = set()
-        for p in pieces:
-            for simplex in _pull_triangulate(p):
-                if simplex not in piece_index:
-                    piece_index[simplex] = len(collected)
-                    collected.append(SimplicialCone(simplex))
-                mine.add(piece_index[simplex])
+        for simplex in simplices:
+            if simplex not in piece_index:
+                piece_index[simplex] = len(collected)
+                collected.append(SimplicialCone(simplex))
+            mine.add(piece_index[simplex])
         index_sets.append(sorted(mine))
     return collected, index_sets
 

@@ -358,15 +358,18 @@ def _canonical_expansion(space: AmbientSpace, f: MeromorphicGerm
     stays far below the 80 distinct keys that one pass of the repeat-count
     test in ``perfbench/tests`` cycles through, so a second identical pass
     misses exactly as the first did and its call counts repeat.  Exceptions
-    are not cached.
+    are not cached.  When the refinement leaves every cone as its own
+    single piece, the terms of ``decompose`` are the expansion's terms.
     """
     s = decompose(space, f)
+    terms = [(t.factors, t.numerator) for t in s.terms]
     cones = list(dict.fromkeys(DecoratedCone(t.factors).cone for t in s.terms))
     pieces, index_sets = common_refinement(cones)
+    if pieces == cones:
+        return make_expansion(terms, s.poly)
     assignment = {c: [pieces[i] for i in idx]
                   for c, idx in zip(cones, index_sets)}
-    return _resupport([(t.factors, t.numerator) for t in s.terms],
-                      assignment, s.poly)
+    return _resupport(terms, assignment, s.poly)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence, TypeVar
 
@@ -39,7 +40,6 @@ from .exact import (
     mat_vec,
     primitive_pseudo_positive,
     q_orthogonal_complement,
-    rref,
     vec_dot,
 )
 
@@ -405,12 +405,14 @@ def germ_equal(f, g) -> bool:
 
     Every constructor reduces a ``MeromorphicGerm`` to lowest terms over
     canonical forms, so two of them are equal iff they are structurally
-    equal.  Otherwise f - g is summed exactly and tested for zero.
+    equal.  Any other two inputs that are structurally equal (of one type,
+    field by field) are equal at once.  Otherwise f - g is summed exactly
+    and tested for zero.
     """
     if isinstance(f, MeromorphicGerm) and isinstance(g, MeromorphicGerm):
         return f == g
     pairs = _fractions(f) + [(-num, den) for num, den in _fractions(g)]
-    return fraction_sum(pairs, pairs[0][0].nvars).is_zero()
+    return f == g or fraction_sum(pairs, pairs[0][0].nvars).is_zero()
 
 
 def evaluate(x, point: Sequence) -> Fraction:
@@ -484,7 +486,9 @@ def reduce_to_independent(
     The numerator polynomial is shared by all output fractions; only the
     denominators change, by repeated use of the exchange identity
     1/(L_1...L_r) = sum_i a_i/(L_1...L_i-hat...L_r L_0) for a dependent form
-    L_0 = sum_i a_i L_i among the poles.
+    L_0 = sum_i a_i L_i among the poles.  Independent forms (or none) give
+    ``[(1, numerator, den)]`` at once; the elimination that tells is the
+    first exchange step otherwise, and forms met again reuse theirs.
 
     Equal denominators reached along different exchange paths are merged,
     their coefficients summed, before they are expanded further.  Every
@@ -495,24 +499,33 @@ def reduce_to_independent(
     f = as_mero(f)
     if f.is_zero():
         return []
-    position = {v: i for i, v in enumerate(sorted(v for v, _ in f.den))}
+
+    @cache
+    def step(forms: tuple[Vec, ...]):
+        # one reduction of the forms as columns: the pivot columns are the
+        # greedy independent subset in canonical order, the first other
+        # column is the first dependent form, and the reduced rows hold its
+        # coordinates over the pivot forms (all of them earlier forms)
+        rows, pivots = _reduced_rows(mat_from_columns(forms))
+        dep = next((j for j in range(len(forms)) if j not in pivots), None)
+        if dep is None:
+            return None
+        return forms[dep], [(forms[p], Fraction(row[dep], row[p]))
+                            for row, p in zip(rows, pivots) if row[dep]]
 
     def expand(key: Factors, coef: Fraction):
         if coef == 0:
             return []
-        forms = [v for v, _ in key]
-        # one rref of the forms as columns: the pivot columns are the greedy
-        # independent subset in canonical order, the first other column is
-        # the first dependent form, and its rref column holds its
-        # coordinates over the pivot forms (all of them earlier forms)
-        red, pivots = rref(mat_from_columns(forms))
-        dep = next((j for j in range(len(forms)) if j not in pivots), None)
-        if dep is None:
+        found = step(tuple(v for v, _ in key))
+        if found is None:
             return None
-        return [(_exchanged(key, forms[p], forms[dep]), coef * red[i][dep])
-                for i, p in enumerate(pivots) if red[i][dep]]
+        dep, coords = found
+        return [(_exchanged(key, v, dep), coef * c) for v, c in coords]
 
     start = tuple(sorted((v, e) for v, e in f.den if e))
+    if step(tuple(v for v, _ in start)) is None:
+        return [(ONE, f.numerator, start)]
+    position = {v: i for i, v in enumerate(sorted(v for v, _ in f.den))}
     out = _exchange_worklist(
         {start: ONE}, lambda key: sum(position[v] * e for v, e in key), expand)
     return [(c, f.numerator, den) for den, c in sorted(out.items())]
@@ -586,7 +599,10 @@ def polar_split(space: AmbientSpace,
 def _pole_coordinates(space: AmbientSpace, forms: tuple[Vec, ...]
                       ) -> tuple[list[Polynomial], list[Polynomial]]:
     """Images for eps -> (u, w) and back, u = the forms and w = a
-    Q-orthogonal basis of them: eps is the int inverse of the basis."""
-    basis = tuple(forms) + tuple(q_orthogonal_complement(space, forms))
+    Q-orthogonal basis of them: eps is the int inverse of the basis.  The
+    forms are independent, so k of them leave no complement to find."""
+    basis = tuple(forms)
+    if len(forms) < space.dimension:
+        basis += tuple(q_orthogonal_complement(space, forms))
     to_u = [Polynomial.linear_form(row, d) for row, d in int_inverse(basis)]
     return to_u, [Polynomial.linear_form(b) for b in basis]

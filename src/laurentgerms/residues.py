@@ -15,6 +15,7 @@ keeps the 8 most recent ones and returns them as shared immutable objects.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .errors import NotInRDelta
@@ -134,12 +135,14 @@ def graded_split(space: AmbientSpace, f) -> dict[GradedComponentKey, GermSum]:
 
     The polynomial part, when nonzero, sits at the key (zero subspace, 0).
     Summing every component recovers ``f``; the components themselves do not
-    depend on the Laurent support used.
+    depend on the Laurent support used.  Terms over the same pole forms
+    share one span.
     """
     s = _polar_terms(space, f)
+    span = cache(span_key)
     buckets: dict[tuple, list[PolarGerm]] = {}
     for t in s.terms:
-        key = (span_key([v for v, _ in t.factors]), t.p_order)
+        key = (span(tuple(v for v, _ in t.factors)), t.p_order)
         buckets.setdefault(key, []).append(t)
     zero = Polynomial.zero(s.nvars)
     out = {GradedComponentKey(*key): make_germ_sum(terms, zero)

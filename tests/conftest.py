@@ -37,10 +37,12 @@ from laurentgerms.cones import (
     _simplicial_piece,
     _split_piece,
     common_refinement,
+    union_contains_line,
 )
-from laurentgerms.errors import NotSimplicial
+from laurentgerms.errors import NotSimplicial, NotStrictlyConvexUnion
 from laurentgerms.exact import (
     int_inverse,
+    is_pseudo_positive,
     mat,
     mat_from_columns,
     mat_rank,
@@ -243,6 +245,48 @@ def common_refinement_reference(cones):
     firsts = [_simplicial_piece(c.generators) for c in cones]
     hyperplanes = sorted({_sign_canonical(w)
                           for p in firsts for w in p.eqs + p.ineqs})
+    piece_index = {}
+    collected = []
+    index_sets = []
+    for cone, first in zip(cones, firsts):
+        pieces = [first]
+        for w in hyperplanes:
+            vals = [vec_dot(w, g) for g in cone.generators]
+            if min(vals) < 0 < max(vals):
+                pieces = [half for p in pieces for half in _split_piece(p, w)]
+        mine = set()
+        for p in pieces:
+            for simplex in _pull_triangulate(p):
+                if simplex not in piece_index:
+                    piece_index[simplex] = len(collected)
+                    collected.append(SimplicialCone(simplex))
+                mine.add(piece_index[simplex])
+        index_sets.append(sorted(mine))
+    return collected, index_sets
+
+
+def common_refinement_eager(cones):
+    """``common_refinement`` as it was before it skipped work whose answer
+    is known: the line test and a simplicial piece for every member, and
+    every member sliced from that piece, whether a hyperplane cuts it or
+    not.  The same hyperplanes (those of the maximal members) slice, so
+    the output must be identical."""
+    cones = list(cones)
+    if not cones:
+        return [], []
+    _common_ambient(cones)
+    if len(cones) == 1:
+        return cones, [[0]]
+    if (not all(is_pseudo_positive(g) for c in cones for g in c.generators)
+            and union_contains_line(cones)):
+        raise NotStrictlyConvexUnion(
+            "the union of the cones contains a linear subspace")
+    firsts = [_simplicial_piece(c.generators) for c in cones]
+    gens = [set(c.generators) for c in cones]
+    hyperplanes = sorted({_sign_canonical(w)
+                          for g, p in zip(gens, firsts)
+                          if not any(g < h for h in gens)
+                          for w in p.eqs + p.ineqs})
     piece_index = {}
     collected = []
     index_sets = []

@@ -650,6 +650,27 @@ def test_the_cache_keeps_only_the_most_recent_expansions(decompose_calls):
 # ---------------------------------------------------------------------------
 # kernel elements of phi
 
+def test_an_unrefined_family_keeps_the_terms_of_decompose(monkeypatch):
+    # the pole cones <x1, x1+x2> and <x2, x1+x2> cut neither the other, so
+    # the expansion is made of the terms of decompose without subdividing
+    def refuse(*args):
+        raise AssertionError("_subdivide_term called")
+
+    f = make_mero(Polynomial(2, {(1, 0): 3, (0, 1): 1}),
+                  ((vec([1, 0]), 2), (vec([0, 1]), 1), (vec([1, 1]), 1)))
+    s = decompose(SP, f)
+    cones = list(dict.fromkeys(DecoratedCone(t.factors).cone
+                               for t in s.terms))
+    assert len(cones) == 2 and common_refinement(cones) == (cones, [[0], [1]])
+    expand._canonical_expansion.cache_clear()
+    monkeypatch.setattr(expand, "_subdivide_term", refuse)
+    x = laurent_expand(SP, f)
+    expand._canonical_expansion.cache_clear()
+    assert x == make_expansion([(t.factors, t.numerator) for t in s.terms],
+                               s.poly)
+    assert germ_equal(phi(x), f)
+
+
 def test_kernel_generators_vanish_under_phi():
     sample = canonicalize_polar(None, Polynomial.constant(2, 1),
                                 ((vec([1, 0]), 1), (vec([0, 1]), 1)))

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import laurentgerms.exact as exact_module
+import laurentgerms.germs as germs_module
 from laurentgerms.cones import make_poly_cone, triangulate_cone
 from laurentgerms.exact import (
     AmbientSpace,
@@ -24,7 +26,7 @@ from laurentgerms.exact import (
     vec_dot,
 )
 from laurentgerms.errors import DependentInput, NotPolar, PoleHit
-from laurentgerms.expand import laurent_expand, phi
+from laurentgerms.expand import FormalExpansion, laurent_expand, phi
 from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import (
     GermSum,
@@ -205,6 +207,33 @@ def test_germ_equal_sees_through_representation():
     b = make_mero(lin(1, 1), ((vec([1, 0]), 1), (vec([0, 1]), 1)))
     assert germ_equal(a, b)
     assert not germ_equal(a, make_mero(const(2, 1)))
+
+
+def test_structurally_equal_inputs_are_equal_without_a_sum(monkeypatch):
+    space = AmbientSpace.standard(2)
+    f = parse_germ("(x1+3*x2)/(x1^2*x2*(x1+x2))", 2)
+    s, x = decompose(space, f), laurent_expand(space, f)
+    t = s.terms[0]
+    assert len(s.terms) > 1
+    calls = []
+
+    def counting(pairs, nvars):
+        calls.append(pairs)
+        return fraction_sum(pairs, nvars)
+
+    monkeypatch.setattr(germs_module, "fraction_sum", counting)
+    for a, b in ((s, GermSum(tuple(s.terms), s.poly)),
+                 (t, PolarGerm(t.numerator, t.factors)),
+                 (x, FormalExpansion(tuple(x.terms), x.polynomial_part))):
+        assert a is not b
+        assert germ_equal(a, b) and germ_equal(b, a)
+    assert not calls
+    # unequal inputs and mixed types are still summed
+    assert germ_equal(s, x) and germ_equal(t, GermSum((t,), Polynomial.zero(2)))
+    assert not germ_equal(s, GermSum(s.terms[1:], s.poly))
+    assert len(calls) == 3
+    with pytest.raises(TypeError, match="cannot interpret int as a germ"):
+        germ_equal(3, 3)
 
 
 def test_germ_equal_of_meromorphic_germs_is_structural_equality():
@@ -485,6 +514,36 @@ def test_reduce_merges_equal_denominators():
     assert _reassemble(2, parts) == g
 
 
+def test_independent_forms_need_no_exchange(monkeypatch):
+    # independent forms, or none, come back as they are after one
+    # elimination and no rref; a dependent germ makes one elimination per
+    # form set, the first being the test that found it dependent
+    independent = [parse_germ(text, 3) for text in (
+        "(x1+x2^2)/(x1^2*(x1+x2))", "x1*x2+3", "1/(x1*x2*(x1+2*x2+x3))")]
+    dependent = parse_germ("1/(x1*x2*(x1+x2))", 2)
+    expected = _reduce_by_greedy_rank_loop(dependent)
+
+    def refuse(*args):
+        raise AssertionError("rref called")
+
+    eliminations = []
+
+    def counting(m):
+        eliminations.append(m)
+        return exact_module._reduced_rows(m)
+
+    monkeypatch.setattr(exact_module, "rref", refuse)
+    monkeypatch.setattr(germs_module, "rref", refuse, raising=False)
+    monkeypatch.setattr(germs_module, "_reduced_rows", counting)
+    for f in independent:
+        del eliminations[:]
+        assert reduce_to_independent(f) == [(1, f.numerator, f.den)]
+        assert len(eliminations) == 1
+    del eliminations[:]
+    assert reduce_to_independent(dependent) == expected
+    assert len(eliminations) == 3
+
+
 # ---------------------------------------------------------------------------
 # decomposition into polar + holomorphic
 
@@ -614,6 +673,37 @@ def test_decompose_is_structurally_the_recursive_split():
     for k, f in germs:
         for space in (AmbientSpace.standard(k), skew_space(k), _digest_space(k)):
             assert decompose(space, f) == _reference_decompose(space, f)
+
+
+def test_full_rank_pole_sets_need_no_nullspace(monkeypatch):
+    # every pole set of (x1+3x2)/(x1^2 (x1+x2)) that is put into pole
+    # coordinates has two forms in two variables (the terms that lose a
+    # form are constant), so no complement is looked for; one form in
+    # three variables still needs its complement
+    spaces = [AmbientSpace.standard(2), _digest_space(2)]
+    f = parse_germ("(x1+3*x2)/(x1^2*(x1+x2))", 2)
+    g = parse_germ("x2/x1^2", 3)
+    space3 = _digest_space(3)
+    expected = [decompose(space, f) for space in spaces]
+    calls, sets = [], []
+
+    def counting(m):
+        calls.append(m)
+        return nullspace(m)
+
+    def spy(space, forms):
+        sets.append(forms)
+        return pole_coordinates(space, forms)
+
+    nullspace = exact_module.nullspace
+    pole_coordinates = germs_module._pole_coordinates
+    monkeypatch.setattr(exact_module, "nullspace", counting)
+    monkeypatch.setattr(germs_module, "_pole_coordinates", spy)
+    assert [decompose(space, f) for space in spaces] == expected
+    assert len(sets) == 2 and all(len(forms) == 2 for forms in sets)
+    assert not calls
+    decompose(space3, g)
+    assert len(calls) == 1
 
 
 def test_decompose_and_residues_refuse_a_germ_in_other_variables():

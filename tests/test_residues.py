@@ -11,7 +11,9 @@ from laurentgerms.cones import make_simplicial_cone
 from laurentgerms.errors import NotInRDelta
 from laurentgerms.exact import AmbientSpace, Polynomial, mat, span_key, vec
 from laurentgerms.expand import laurent_expand
+from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import (
+    PolarGerm,
     as_mero,
     decompose,
     germ_equal,
@@ -70,6 +72,34 @@ def test_graded_split_groups_by_span_and_order():
                           GradedComponentKey(axis, 1)}
     assert germ_equal(split[GradedComponentKey(axis, 1)],
                       mero(1, ([1, 0], 1)))
+
+
+def test_graded_split_reads_one_span_per_pole_form_tuple(monkeypatch):
+    # the k = 4 growth germ's canonical expansion: 2,797 terms over 560
+    # distinct tuples of pole forms; the split is the one that reads a span
+    # per term
+    k = 4
+    space = AmbientSpace.standard(k)
+    x = laurent_expand(space, parse_germ(
+        "1/(x1*x2*x3*x4*(x1+x2+x3+x4)*(x1+2*x2+3*x3+4*x4))", k))
+    buckets = {}
+    for dc, num in x.terms:
+        key = (span_key([v for v, _ in dc.factors]),
+               sum(e for _, e in dc.factors))
+        buckets.setdefault(key, []).append(PolarGerm(num, dc.factors))
+    expected = {GradedComponentKey(*key): make_germ_sum(terms,
+                                                        Polynomial.zero(k))
+                for key, terms in sorted(buckets.items())}
+    calls = []
+
+    def counting(vectors):
+        calls.append(vectors)
+        return span_key(vectors)
+
+    monkeypatch.setattr(residues, "span_key", counting)
+    assert graded_split(space, x) == expected
+    assert (len(x.terms), len(calls)) == (2797, 560)
+    assert len(calls) == len({dc.cone for dc, _ in x.terms})
 
 
 def test_graded_split_puts_polynomial_at_trivial_key():
