@@ -561,20 +561,6 @@ class Polynomial:
         return Polynomial.from_ints(self.nvars, {
             e: c for e, c in self.coeffs.items() if sum(e) <= n}, self.den)
 
-    def split_over(self, exps: Sequence[int]
-                   ) -> dict[tuple[int, ...], "Polynomial"]:
-        """``self / prod_i x_i^exps[i]`` as fractions in lowest terms: each
-        monomial cancels what it can, and the result maps the exponents left
-        in the denominator to the numerator over them."""
-        m = len(exps)
-        groups: dict[tuple[int, ...], IntTerms] = {}
-        for e, c in self.coeffs.items():
-            left = tuple(s - a if a < s else 0 for a, s in zip(e, exps))
-            top = tuple(a - s if a > s else 0 for a, s in zip(e, exps))
-            groups.setdefault(left, {})[top + e[m:]] = c
-        return {left: Polynomial.from_ints(self.nvars, g, self.den)
-                for left, g in groups.items()}
-
     # -- arithmetic --------------------------------------------------------
     def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign * other over the lcm of the two denominators."""

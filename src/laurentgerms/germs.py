@@ -15,31 +15,35 @@ germs plus a polynomial, the exact analogue of the Laurent split of a
 one-variable meromorphic function into principal part plus holomorphic part.
 Its worklist ``polar_split`` merges the numerators that reach a denominator
 before it splits them, which is exact as the split on the faces of one
-simplicial cone is unique.
+simplicial cone is unique.  It works in eps throughout: the polar part of
+num / L_F^s is num composed with the Q-orthogonal projector that kills the
+forms F, and the rest, which vanishes where F = 0, is divided exactly by
+the forms.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
+from math import lcm
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import NotPolar, PoleHit
 from .exact import (
     ONE,
     AmbientSpace,
+    Mat,
     Polynomial,
     Record,
     Vec,
     _reduced_rows,
-    int_inverse,
     mat_from_columns,
     mat_rank,
     mat_vec,
     primitive_pseudo_positive,
-    q_orthogonal_complement,
+    unit_vec,
     vec_dot,
 )
 
@@ -554,55 +558,78 @@ def polar_split(space: AmbientSpace,
     """Split a sum of ``(numerator, canonical factors)`` fractions, the
     forms of each independent, into polar germs plus a polynomial.
 
-    One worklist takes the denominators most pole forms first, each with
-    the sum of the numerators that reached it.  In the coordinates u = the
-    pole forms, w = a Q-orthogonal basis, each monomial cancels what it can:
-    one that keeps every form is free of u, a polar term summed in (u, w)
-    until the end; any other has lost a form and moves to a denominator with
-    fewer forms, taken later.  So a face is substituted once, however many
-    fractions reach it.  Merging first is exact, as the polar split on the
-    faces of one simplicial cone is unique.
+    Each denominator L_F^s is split once, in eps, with the sum of the
+    numerators that reached it, highest total order first.  Its polar part
+    is num o P, for P the Q-orthogonal projector onto the complement of the
+    forms F (P = 0 when F spans the space: the constant term).  The rest
+    vanishes where F = 0, so exact division by a reverse echelon basis of F
+    writes it as sum_j q_j L_j, and each q_j moves to the denominator with
+    one power of L_j less.  Merging first is exact, as the polar split on
+    the faces of one simplicial cone is unique.
     """
     k = space.dimension
-    zero = Polynomial.zero(k)
-    pending = [defaultdict(lambda: zero) for _ in range(k + 1)]
-    for num, den in fractions:
-        pending[len(den)][den] += num
-    polar: dict[Factors, Polynomial] = defaultdict(lambda: zero)
-    maps: dict[tuple[Vec, ...], tuple[list[Polynomial], list[Polynomial]]] = {}
-    for m in range(k, 0, -1):
-        for den, num in pending[m].items():
-            if num.is_constant():
-                # a constant has no part along a pole direction
-                polar[den] += num
-                continue
-            forms = tuple(v for v, _ in den)
-            if forms not in maps:
-                maps[forms] = _pole_coordinates(space, forms)
-            to_u, to_eps = maps[forms]
-            parts = num.substitute(to_u).split_over([e for _, e in den])
-            for left, part in parts.items():
-                child = tuple((v, e) for (v, _), e in zip(den, left) if e)
-                if len(child) == m:
-                    polar[child] += part
-                else:
-                    pending[len(child)][child] += part.substitute(to_eps)
-    terms = []
-    for den, num in sorted(polar.items()):
-        if not num.is_constant():
-            num = num.substitute(maps[tuple(v for v, _ in den)][1])
-        if not num.is_zero():
-            terms.append(PolarGerm(num, den))
-    return GermSum(tuple(terms), pending[0][()])
+    scale = lcm(*(a.denominator for row in space.gram for a in row))
+    gram = tuple(tuple(int(a * scale) for a in row) for row in space.gram)
+    faces: dict[tuple[Vec, ...], tuple] = {}
+    polar: dict[Factors, Polynomial] = {}
+
+    def expand(den: Factors, num: Polynomial):
+        if not den:
+            return None
+        if num.is_constant():
+            # a constant has no part along a pole direction
+            polar[den] = num
+            return []
+        forms = tuple(v for v, _ in den)
+        if forms not in faces:
+            faces[forms] = _face_split(gram, forms)
+        projector, basis = faces[forms]
+        part = polar[den] = (
+            Polynomial.constant(k, num.constant_term()) if projector is None
+            else num.substitute(projector))
+        rest, quotients = num - part, [Polynomial.zero(k)] * len(forms)
+        for row, coords in basis:
+            q, rest = rest.divmod_linear(row)
+            for j, c in enumerate(coords):
+                if c:
+                    quotients[j] += q if c == 1 else q.scale(c)
+        return [(tuple((u, e - (u == v)) for u, e in den if e - (u == v)), q)
+                for v, q in zip(forms, quotients) if not q.is_zero()]
+
+    poly = _exchange_worklist(sum_by_factors(fractions),
+                              lambda den: -sum(e for _, e in den), expand)
+    terms = tuple(PolarGerm(num, den) for den, num in sorted(polar.items())
+                  if not num.is_zero())
+    return GermSum(terms, poly.get((), Polynomial.zero(k)))
 
 
-def _pole_coordinates(space: AmbientSpace, forms: tuple[Vec, ...]
-                      ) -> tuple[list[Polynomial], list[Polynomial]]:
-    """Images for eps -> (u, w) and back, u = the forms and w = a
-    Q-orthogonal basis of them: eps is the int inverse of the basis.  The
-    forms are independent, so k of them leave no complement to find."""
-    basis = tuple(forms)
-    if len(forms) < space.dimension:
-        basis += tuple(q_orthogonal_complement(space, forms))
-    to_u = [Polynomial.linear_form(row, d) for row, d in int_inverse(basis)]
-    return to_u, [Polynomial.linear_form(b) for b in basis]
+def _face_split(gram: Mat, forms: tuple[Vec, ...]):
+    """The images of P = I - Q F^T (F Q F^T)^-1 F for independent forms F,
+    None when they span the space, and pairs (R_i, A_i), R_i = sum_j A_ij
+    L_j, whose R_i each hold a highest-index variable that no other R_j
+    holds.  ``gram`` is Q times a positive scalar, which cancels in P.  One
+    form needs no elimination: F Q F^T is a scalar, and L is its own R."""
+    k, m = len(gram), len(forms)
+    projector = None
+    if m < k:
+        qf = [mat_vec(gram, v) for v in forms]
+        if m == 1:
+            x, dens = forms, [vec_dot(forms[0], qf[0])]
+        else:
+            # row i of the reduced [F Q F^T | F] is (F Q F^T)^-1 F over its
+            # pivot
+            rows, _ = _reduced_rows(tuple(
+                tuple(vec_dot(u, q) for q in qf) + u for u in forms))
+            x, dens = [r[m:] for r in rows], [r[i] for i, r in enumerate(rows)]
+        d = lcm(*dens)
+        projector = [Polynomial.linear_form(tuple(
+            d * (i == j) - sum(q[i] * r[j] * (d // di)
+                               for q, r, di in zip(qf, x, dens))
+            for j in range(k)), d) for i in range(k)]
+    if m == 1:
+        return projector, [(forms[0], (1,))]
+    # the pivots of the reduced [F reversed | I] are the highest-index
+    # variables, and the identity block records A
+    rows, _ = _reduced_rows(tuple(
+        v[::-1] + unit_vec(m, i) for i, v in enumerate(forms)))
+    return projector, [(tuple(r[k - 1::-1]), r[k:]) for r in rows]

@@ -170,7 +170,12 @@ def project_U_p(space: AmbientSpace, f, subspace: Sequence[Sequence],
     Every row of ``subspace`` must have one coordinate per dimension of the
     space (ValueError otherwise).
     """
-    components = graded_split(space, f)
+    return _component(space, graded_split(space, f), subspace, p)
+
+
+def _component(space: AmbientSpace, components: dict, subspace, p: int
+               ) -> GermSum:
+    """The component of ``graded_split``'s result at (span(subspace), p)."""
     k = space.dimension
     for row in subspace:
         if len(row) != k:
@@ -184,15 +189,16 @@ def jk_residue(space: AmbientSpace, f,
                subspace: Sequence[Sequence] | None = None) -> GermSum:
     """Component of maximal pole order dim(U) on the subspace U.
 
-    U defaults to the span of all pole forms of ``f``.  Simple fractions
-    whose forms span U are fixed; any germ whose poles do not fill U, or
-    fill it with order above dim(U), is annihilated.
+    U defaults to the span of all pole forms of ``f``, which is the span of
+    the supports of its graded components.  Simple fractions whose forms
+    span U are fixed; any germ whose poles do not fill U, or fill it with
+    order above dim(U), is annihilated.
     """
+    components = graded_split(space, f)
     if subspace is None:
-        g = as_mero(f)
-        subspace = [v for v, _ in g.den]
+        subspace = [v for key in components for v in key.support_span]
     span = span_key(subspace)
-    return project_U_p(space, f, span, len(span))
+    return _component(space, components, span, len(span))
 
 
 def brion_vergne_split(space: AmbientSpace, f,

@@ -161,6 +161,17 @@ def skew_space(k: int) -> AmbientSpace:
     return AmbientSpace(k, mat(padded))
 
 
+def half_space(k: int) -> AmbientSpace:
+    """The Gram matrix [[2, 1, 0], [1, 2, 0], [0, 0, 1/2]] of the CLI
+    golden's ``gram3``, padded by the identity; below dimension 3 its
+    trailing k x k block, so that every dimension keeps the entry 1/2."""
+    gram = ((2, 1, 0), (1, 2, 0), (0, 0, Fraction(1, 2)))
+    off = max(3 - k, 0)
+    return AmbientSpace(k, mat([[gram[i + off][j + off] if max(i, j) < 3 - off
+                                 else int(i == j) for j in range(k)]
+                                for i in range(k)]))
+
+
 def mat_mul(a, b):
     bt = mat_transpose(b)
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)

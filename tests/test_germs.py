@@ -48,6 +48,7 @@ from laurentgerms.germs import (
     mero_scale,
     mero_sub,
     numerator_is_orthogonal,
+    polar_split,
     reduce_to_independent,
 )
 from laurentgerms.latticeexp import exp_integral, make_lattice_cone
@@ -63,6 +64,7 @@ from laurentgerms.residues import (
 
 from conftest import (
     fraction_sum_reference,
+    half_space,
     mat_inverse,
     mero_sum,
     orthogonal_projection_images,
@@ -671,39 +673,45 @@ def test_decompose_is_structurally_the_recursive_split():
     germs += [(k, _pooled_germ(rng, k))
               for k in (rng.randint(1, 4) for _ in range(300))]
     for k, f in germs:
-        for space in (AmbientSpace.standard(k), skew_space(k), _digest_space(k)):
+        for space in (AmbientSpace.standard(k), skew_space(k), _digest_space(k),
+                      half_space(k)):
             assert decompose(space, f) == _reference_decompose(space, f)
 
 
-def test_full_rank_pole_sets_need_no_nullspace(monkeypatch):
-    # every pole set of (x1+3x2)/(x1^2 (x1+x2)) that is put into pole
-    # coordinates has two forms in two variables (the terms that lose a
-    # form are constant), so no complement is looked for; one form in
-    # three variables still needs its complement
-    spaces = [AmbientSpace.standard(2), _digest_space(2)]
-    f = parse_germ("(x1+3*x2)/(x1^2*(x1+x2))", 2)
-    g = parse_germ("x2/x1^2", 3)
-    space3 = _digest_space(3)
-    expected = [decompose(space, f) for space in spaces]
-    calls, sets = [], []
+def test_polar_split_projects_and_divides_in_eps(monkeypatch):
+    # decompose looks for no complement basis; a pole set whose forms span
+    # the space keeps the constant term, so it substitutes nothing; a
+    # one-form pole set projects with the scalar Q(L, L) and is its own
+    # division basis, so it runs no elimination.  The numerators of the
+    # full-rank germs have lower degree than every pole power: each face
+    # they reach with a nonconstant numerator still spans the space.
+    full = [(2, "(x1+x2)^2*x2/(x1^3*(x1+x2)^3)"),
+            (3, "(x1*x2+x3^2)/(x1^2*x2^2*(x1+x3)^2)")]
+    one = [(2, "(x1+x2)^3/(x1+2*x2)^2"), (3, "(x1*x2+x3^2)/(x2+x3)^3")]
+    cases = [(name, space_of(k), parse_germ(text, k))
+             for name, texts in (("substitute", full), ("_reduced_rows", one))
+             for k, text in texts
+             for space_of in (AmbientSpace.standard, _digest_space, half_space)]
+    expected = [(decompose(sp, f), polar_split(sp, [(f.numerator, f.den)]))
+                for _, sp, f in cases]
+    counts = dict.fromkeys(("nullspace", "substitute", "_reduced_rows"), 0)
 
-    def counting(m):
-        calls.append(m)
-        return nullspace(m)
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def spy(space, forms):
-        sets.append(forms)
-        return pole_coordinates(space, forms)
-
-    nullspace = exact_module.nullspace
-    pole_coordinates = germs_module._pole_coordinates
-    monkeypatch.setattr(exact_module, "nullspace", counting)
-    monkeypatch.setattr(germs_module, "_pole_coordinates", spy)
-    assert [decompose(space, f) for space in spaces] == expected
-    assert len(sets) == 2 and all(len(forms) == 2 for forms in sets)
-    assert not calls
-    decompose(space3, g)
-    assert len(calls) == 1
+    for owner, name in ((exact_module, "nullspace"), (Polynomial, "substitute"),
+                        (germs_module, "_reduced_rows")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    for (name, sp, f), (whole, split) in zip(cases, expected):
+        before = counts[name]
+        assert polar_split(sp, [(f.numerator, f.den)]) == split
+        assert counts[name] == before
+        assert decompose(sp, f) == whole
+    assert counts["nullspace"] == 0
+    assert counts["substitute"] > 0 and counts["_reduced_rows"] > 0
 
 
 def test_decompose_and_residues_refuse_a_germ_in_other_variables():

@@ -62,6 +62,7 @@ from laurentgerms.residues import p_res
 
 from conftest import (
     exp_sum_smooth_reference,
+    half_space,
     random_pseudo_positive_cone,
     skew_space,
 )
@@ -69,7 +70,8 @@ from conftest import (
 F = Fraction
 SP = AmbientSpace.standard(2)
 SPACES = pytest.mark.parametrize(
-    "space_of", [AmbientSpace.standard, skew_space], ids=["identity", "skew"])
+    "space_of", [AmbientSpace.standard, skew_space, half_space],
+    ids=["identity", "skew", "half"])
 
 
 def mero(num, *factors, k=2):

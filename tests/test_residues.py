@@ -278,6 +278,24 @@ def test_jk_residue_defaults_to_full_pole_span():
     assert germ_equal(jk_residue(SP, f), f)
 
 
+def test_jk_residue_reads_its_default_span_off_the_graded_split(monkeypatch):
+    # the supports of the graded components span what the reduced germ's
+    # forms span: the expansion's terms keep the spans of the decompose
+    # terms, and those use every form of the reduced germ
+    cases = []
+    for k, f in round_trip_corpus():
+        for sp in (AmbientSpace.standard(k), skew_space(k)):
+            for g in (f, laurent_expand(sp, f)):
+                forms = [v for v, _ in as_mero(g).den]
+                cases.append((sp, g, jk_residue(sp, g, forms)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reduced the germ")
+
+    monkeypatch.setattr(residues, "as_mero", refuse)
+    assert all(jk_residue(sp, g) == expected for sp, g, expected in cases)
+
+
 def test_jk_residue_fixes_spanning_simple_fractions():
     f = mero(1, ([1, 0], 1), ([1, 1], 1))
     u = [vec([1, 0]), vec([0, 1])]
