@@ -23,7 +23,10 @@ pieces are triangulated by the canonical pulling triangulation keyed to a
 single global lexicographic order on primitive rays.  Sign-pure pieces
 over one hyperplane set always intersect in common faces, and pulling
 triangulations restrict consistently to faces, so the output is properly
-positioned by construction.
+positioned by construction.  Pseudo-positive generators hold no line
+(``union_contains_line``).  A supplied family is checked pair by pair once;
+the facet count alone then decides each tiling (``_facets_tile``).  A point
+lies in a cone when it satisfies the cone's inequalities.
 
 A piece keeps both representations: its extreme rays and one inequality
 per facet.  Slicing and facet finding then need incidences only, which
@@ -57,7 +60,6 @@ from .exact import (
     nullspace,
     primitive_vector,
     rref,
-    solve,
     vec,
     vec_dot,
     vec_is_zero,
@@ -164,9 +166,12 @@ def make_poly_cone(rays: Iterable[Sequence]) -> PolyCone:
 
 
 def cone_contains(cone: SimplicialCone, x: Sequence) -> bool:
-    """Exact membership in a simplicial cone."""
-    coords = solve(mat_from_columns(list(cone.generators)), vec(x))
-    return coords is not None and all(c >= 0 for c in coords)
+    """Exact membership in a simplicial cone: x satisfies its inequalities.
+    A point of another length is refused (ValueError)."""
+    _common_length([cone.ambient, len(x)],
+                   "a cone and a point live in ambient dimensions")
+    piece = _simplicial_piece(cone.generators)
+    return _satisfies(vec(x), piece.eqs, piece.ineqs)
 
 
 def _neg(v):
@@ -330,12 +335,14 @@ def _pair_contains_line(a: _Piece, b: _Piece) -> bool:
 def union_contains_line(cones: Sequence[SimplicialCone]) -> bool:
     """True when some nonzero v has v in one member and -v in another.
 
-    Only pairs of distinct members are tested: a simplicial cone has
-    independent generators, so it contains no line on its own.
-    """
-    if not cones:
+    False at once when every generator is pseudo-positive, as stored pole
+    forms and their refinement's rays are: such vectors are closed under
+    positive combination and meet their negatives only in 0.  Else each
+    pair of distinct members is tested (a simplicial cone has no line)."""
+    if cones:
+        _common_ambient(cones)
+    if all(is_pseudo_positive(g) for c in cones for g in c.generators):
         return False
-    _common_ambient(cones)
     pieces = [_simplicial_piece(c.generators) for c in cones]
     return any(_pair_contains_line(a, b) for a, b in combinations(pieces, 2))
 
@@ -346,17 +353,16 @@ def positioning_witness(cones: Sequence[SimplicialCone]
 
     Pairs i < j whose union contains a line are searched first, then pairs
     i < j whose intersection is not a common face; the result is
-    (i, j, reason), or None when the family is properly positioned.
+    (i, j, reason), or None when the family is properly positioned.  Pairs
+    are searched for a line only once ``union_contains_line`` finds one.
     """
     cones = list(cones)
-    if not cones:
-        return None
-    _common_ambient(cones)
     pieces = [_simplicial_piece(c.generators) for c in cones]
     pairs = list(combinations(range(len(pieces)), 2))
-    for a, b in pairs:
-        if _pair_contains_line(pieces[a], pieces[b]):
-            return a, b, "union contains a line"
+    if union_contains_line(cones):
+        for a, b in pairs:
+            if _pair_contains_line(pieces[a], pieces[b]):
+                return a, b, "union contains a line"
     for a, b in pairs:
         if not _pieces_meet_along_face(pieces[a], pieces[b]):
             return a, b, "intersection is not a common face"
@@ -479,12 +485,8 @@ def common_refinement(
     Returns (pieces, index_sets): pieces is the deduplicated list of
     simplicial cones; index_sets[i] lists the pieces that tile cones[i].
     Raises NotStrictlyConvexUnion when the union of the input contains a
-    nonzero linear subspace (no such refinement exists then).
-
-    The line test is skipped when every generator is pseudo-positive, as
-    the pole forms ``decompose`` stores are: such vectors are closed under
-    positive combination and meet their negatives only in 0, so no v and -v
-    can both lie in the union.
+    nonzero linear subspace (``union_contains_line``, at once False on the
+    pseudo-positive pole forms ``decompose`` stores): no refinement exists.
 
     The span and facet hyperplanes of the maximal members, those whose
     generators are no proper subset of another member's, slice every
@@ -513,8 +515,7 @@ def common_refinement(
     hyperplanes: list[Vec] = []
     firsts: dict[SimplicialCone, _Piece] = {}
     if len({frozenset(c.generators) for c in maximal}) > 1:
-        if (not all(is_pseudo_positive(g) for c in cones for g in c.generators)
-                and union_contains_line(cones)):
+        if union_contains_line(cones):
             raise NotStrictlyConvexUnion(
                 "the union of the cones contains a linear subspace")
         firsts = {c: _simplicial_piece(c.generators) for c in maximal}
@@ -554,37 +555,54 @@ def _sign_canonical(w: Vec) -> Vec:
 
 def is_subdivision(pieces: Sequence[SimplicialCone],
                    target: SimplicialCone | PolyCone) -> bool:
-    """Exact check that the pieces tile the target cone.
-
-    Distinct pieces of the target's dimension, contained in it and meeting
-    pairwise along common faces, tile it exactly when each facet of a piece
-    (its generators but one) lies on the target's boundary, where some
-    inequality of the target vanishes on it, and in no other piece, or off
-    the boundary and in exactly one other piece (De Loera, Rambau & Santos,
-    *Triangulations*, ch. 4).  No sampling, no tolerance.
-    """
+    """Exact check that the pieces tile the target cone: each lies in it
+    with its dimension, they meet pairwise along common faces and pass the
+    facet count of ``_facets_tile``.  No sampling, no tolerance."""
     pieces = list(pieces)
-    if not pieces:
-        return False
     _common_ambient([target] + pieces)
-    if isinstance(target, SimplicialCone):
-        cell = _simplicial_piece(target.generators)
-    else:
-        cell = _poly_piece(target.rays)
-    if any(p.dim != cell.dim for p in pieces):
-        return False
-    if not all(_satisfies(g, cell.eqs, cell.ineqs)
-               for p in pieces for g in p.generators):
-        return False
+    cell = _poly_piece(target.rays)
+    return (all(_inside(p, cell) for p in pieces)
+            and _facets_tile(pieces, cell)
+            and all(_pieces_meet_along_face(a, b) for a, b in combinations(
+                [_simplicial_piece(p.generators) for p in pieces], 2)))
+
+
+def _inside(cone: SimplicialCone, cell: _Piece) -> bool:
+    """The cone has the cell's dimension and lies in it."""
+    return cone.dim == cell.dim and all(
+        _satisfies(g, cell.eqs, cell.ineqs) for g in cone.generators)
+
+
+def _facets_tile(pieces: Sequence[SimplicialCone], cell: _Piece) -> bool:
+    """Pieces inside the cell with its dimension, meeting pairwise along
+    common faces, tile it exactly when they are distinct and each facet of
+    a piece (its generators but one) lies once on the cell's boundary, where
+    an inequality of the cell vanishes on it, or twice off it (De Loera,
+    Rambau & Santos, *Triangulations*, ch. 4).  No pieces tile nothing."""
     rays = [tuple(sorted(map(primitive_vector, p.generators))) for p in pieces]
-    parts = [_simplicial_piece(p.generators) for p in pieces]
-    if len(set(rays)) < len(rays) or not all(
-            _pieces_meet_along_face(a, b) for a, b in combinations(parts, 2)):
+    if not rays or len(set(rays)) < len(rays):
         return False
     facets = Counter(f for r in rays for f in combinations(r, len(r) - 1))
     return all(n == 2 - any(all(vec_dot(c, g) == 0 for g in f)
                             for c in cell.ineqs)
                for f, n in facets.items())
+
+
+def _pieces_by_cone(cones: Sequence[SimplicialCone],
+                    family: Sequence[SimplicialCone]
+                    ) -> dict[SimplicialCone, list[SimplicialCone]]:
+    """For each cone, the members of a properly positioned family that lie
+    in it with its dimension.  They meet along common faces, so the facet
+    count alone decides that they tile it (NotASubdivision otherwise)."""
+    assignment: dict[SimplicialCone, list[SimplicialCone]] = {}
+    for cone in cones:
+        cell = _simplicial_piece(cone.generators)
+        mine = [d for d in family if _inside(d, cell)]
+        if not _facets_tile(mine, cell):
+            raise NotASubdivision(
+                f"family does not tile the supporting cone {cone!r}")
+        assignment[cone] = mine
+    return assignment
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,10 @@ from .exact import (
 )
 from .cones import (
     SimplicialCone,
-    cone_contains,
+    _common_length,
+    _pieces_by_cone,
     common_refinement,
     is_properly_positioned,
-    is_subdivision,
 )
 from .germs import (
     Factors,
@@ -262,41 +262,26 @@ def _resupport(terms: Iterable[tuple[Factors, Polynomial]],
     return make_expansion(items, polynomial_part)
 
 
-def _pieces_by_cone(cones: Sequence[SimplicialCone],
-                    family: Sequence[SimplicialCone]
-                    ) -> dict[SimplicialCone, list[SimplicialCone]]:
-    """For each cone, the members of the family that tile it."""
-    assignment: dict[SimplicialCone, list[SimplicialCone]] = {}
-    for cone in cones:
-        mine = [d for d in family
-                if d.dim == cone.dim
-                and all(cone_contains(cone, g) for g in d.generators)]
-        if not is_subdivision(mine, cone):
-            raise NotASubdivision(
-                f"family does not tile the supporting cone {cone!r}")
-        assignment[cone] = mine
-    return assignment
-
-
 def subdivision_operator(x: FormalExpansion,
                          family: Sequence[SimplicialCone]) -> FormalExpansion:
     """Rewrite an expansion onto a finer properly positioned family.
 
     The family is read as a set, so a repeated member counts once.  It
-    must be properly positioned (NotProperlyPositioned otherwise) and tile
-    every supporting cone of ``x`` by its members contained in that cone
-    (NotASubdivision otherwise); members lying in no supporting cone are
-    unused.  ``phi`` of the result equals ``phi`` of the input; the
-    polynomial part passes through unchanged.  The coefficients are
-    coordinates in each cone's basis, so no inner product enters.
+    must share the expansion's ambient dimension (ValueError naming both),
+    pass one pairwise check (NotProperlyPositioned) and tile each
+    supporting cone of ``x`` by its members inside it, which the facet
+    count then decides (NotASubdivision).  ``phi`` of the result equals
+    ``phi`` of the input; the polynomial part passes through unchanged.
+    The coefficients are coordinates in each cone's basis, so no inner
+    product enters.
     """
     family = list(dict.fromkeys(family))
-    support = x.support()
+    _common_length([x.nvars] + [d.ambient for d in family],
+                   "an expansion and its family live in ambient dimensions")
     if not is_properly_positioned(family):
         raise NotProperlyPositioned("target family is not properly positioned")
-    assignment = _pieces_by_cone(support, family)
-    return _resupport([(dc.factors, num) for dc, num in x.terms], assignment,
-                      x.polynomial_part)
+    return _resupport([(dc.factors, num) for dc, num in x.terms],
+                      _pieces_by_cone(x.support(), family), x.polynomial_part)
 
 
 # ---------------------------------------------------------------------------

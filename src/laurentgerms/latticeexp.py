@@ -20,8 +20,7 @@ oracle used to sanity-check truncated germs numerically.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import exp, factorial
-from itertools import product as iter_product
+from math import exp, factorial, prod
 from typing import Sequence
 
 from .errors import (
@@ -440,13 +439,11 @@ def p_res_exp_sum(lc: LatticeCone,
 def lattice_sum_numeric(lc: LatticeCone, point: Sequence,
                         height: int) -> float:
     """Direct summation oracle: sum e^{<n, point>} over monoid elements with
-    generator coefficients at most ``height`` (smooth cones only)."""
+    generator coefficients at most ``height`` (smooth cones only).  The
+    monoid is free on the generators g_i, so the box sums as the product of
+    the sums of e^{n <g_i, point>} over n = 0..height."""
     if not is_smooth(lc):
         raise NotSmooth("direct summation enumerates a free monoid")
-    gens = lc.cone.generators
     pt = tuple(frac(c) for c in point)
-    pairings = [float(vec_dot(g, pt)) for g in gens]
-    total = 0.0
-    for combo in iter_product(range(height + 1), repeat=len(gens)):
-        total += exp(vec_dot(combo, pairings))
-    return total
+    return prod(sum(exp(n * float(vec_dot(g, pt))) for n in range(height + 1))
+                for g in lc.cone.generators)

@@ -29,6 +29,7 @@ from laurentgerms import (
 from laurentgerms.cones import (
     SimplicialCone,
     _common_ambient,
+    _pair_contains_line,
     _pieces_meet_along_face,
     _poly_piece,
     _pull_triangulate,
@@ -316,6 +317,25 @@ def common_refinement_eager(cones):
                 mine.add(piece_index[simplex])
         index_sets.append(sorted(mine))
     return collected, index_sets
+
+
+def positioning_witness_reference(cones):
+    """``positioning_witness`` as it was before its line pass skipped
+    pseudo-positive families: the line test and then the face test on
+    every pair i < j of members, whatever their generators."""
+    cones = list(cones)
+    if not cones:
+        return None
+    _common_ambient(cones)
+    pieces = [_simplicial_piece(c.generators) for c in cones]
+    pairs = list(combinations(range(len(pieces)), 2))
+    for a, b in pairs:
+        if _pair_contains_line(pieces[a], pieces[b]):
+            return a, b, "union contains a line"
+    for a, b in pairs:
+        if not _pieces_meet_along_face(pieces[a], pieces[b]):
+            return a, b, "intersection is not a common face"
+    return None
 
 
 def is_subdivision_reference(pieces, target):

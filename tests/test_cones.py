@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -61,6 +62,7 @@ from conftest import (
     common_refinement_eager,
     common_refinement_reference,
     is_subdivision_reference,
+    positioning_witness_reference,
     random_pseudo_positive_cone,
     random_vector,
     round_trip_corpus,
@@ -124,6 +126,13 @@ def test_containment_in_lower_dimensional_cone():
     assert not cone_contains(c, (-1, -1, 0))
 
 
+def test_containment_refuses_a_point_of_another_length():
+    with pytest.raises(ValueError, match="dimensions 2 and 3$"):
+        cone_contains(cone((1, 0), (1, 2)), (1, 1, 0))
+    with pytest.raises(ValueError, match="dimensions 3 and 2$"):
+        cone_contains(cone((1, 1, 0)), (1, 1))
+
+
 def test_poly_cone_extreme_rays_drop_interior_generators():
     pc = make_poly_cone([(1, 0), (1, 1), (0, 1)])
     assert pc.rays == ((F(0), F(1)), (F(1), F(0)))
@@ -164,14 +173,17 @@ def test_union_contains_line_detection():
     assert union_contains_line([cone((1, 0), (0, 1)), cone((-1, -1))])
     assert not union_contains_line([cone((1, 0), (0, 1)),
                                     cone((0, 1), (-1, 1))])
-    # pseudo-positive generators never make a line: the full test agrees
-    # with the shortcut common_refinement takes on such families
+    # pseudo-positive generators never make a line: the pairwise test
+    # agrees with the answer union_contains_line gives such families at once
     rng = random.Random(12)
     for _ in range(40):
         k = rng.randint(1, 3)
         family = [random_pseudo_positive_cone(rng, k, rng.randint(1, k))
                   for _ in range(rng.randint(2, 4))]
         assert union_contains_line(family) is False
+        pieces = [_simplicial_piece(c.generators) for c in family]
+        assert not any(_pair_contains_line(a, b)
+                       for a, b in combinations(pieces, 2))
 
 
 def test_proper_positioning():
@@ -533,6 +545,66 @@ def test_a_separating_facet_does_not_make_the_meet_a_common_face():
         0, 1, "intersection is not a common face")
     assert not cones_meet_along_face(a, b)
     assert not union_contains_line([a, b])
+
+
+def _random_positioning_family(rng):
+    """A family with faces (some generators not pseudo-positive), a
+    refinement of one, maybe with a member repeated, or pseudo-positive
+    cones; then a member repeated, the negated ray of a generator added, or
+    the whole family replaced by the pair pinned above."""
+    family = _random_family_with_faces(rng)
+    if rng.random() < 0.4:
+        try:
+            pieces = common_refinement(family)[0]
+        except NotStrictlyConvexUnion:
+            pieces = family
+        family = pieces + [rng.choice(family)] * rng.randint(0, 1)
+        rng.shuffle(family)
+    elif rng.random() < 0.3:
+        k = rng.randint(2, 3)
+        family = [random_pseudo_positive_cone(rng, k, rng.randint(1, k))
+                  for _ in range(rng.randint(2, 4))]
+    if rng.random() < 1 / 3:
+        family.insert(rng.randint(0, len(family)), rng.choice(family))
+    if rng.random() < 0.15:
+        ray = _neg(rng.choice(rng.choice(family).generators))
+        family.insert(rng.randint(0, len(family)), cone(ray))
+    if rng.random() < 0.1:
+        family = [cone((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                  cone((1, 2, 0), (2, 1, 0), (1, 1, -1))]
+    return family
+
+
+def test_positioning_witness_matches_the_pairwise_reference():
+    rng = random.Random(48)
+    reasons = Counter()
+    for _ in range(150):
+        family = _random_positioning_family(rng)
+        found = positioning_witness(family)
+        assert found == positioning_witness_reference(family)
+        assert is_properly_positioned(family) == (found is None)
+        reasons[found and found[2]] += 1
+    assert min(reasons[None], reasons["union contains a line"],
+               reasons["intersection is not a common face"]) >= 10
+
+
+def test_a_pseudo_positive_family_runs_no_line_pass(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_pair_contains_line called")
+
+    rng = random.Random(49)
+    families = [common_refinement([random_pseudo_positive_cone(rng, 3, 3)
+                                   for _ in range(3)])[0]
+                for _ in range(5)]
+    overlap = [cone((1, 0), (0, 1)), cone((1, 0), (1, 1))]
+    expected = [positioning_witness_reference(f) for f in families + [overlap]]
+    monkeypatch.setattr(cones_module, "_pair_contains_line", refuse)
+    assert [positioning_witness(f) for f in families + [overlap]] == expected
+    assert expected[-1] == (0, 1, "intersection is not a common face")
+    assert expected[:-1] == [None] * len(families)
+    for family in families:
+        assert not union_contains_line(family)
+        common_refinement(family)
 
 
 def test_common_refinement_rejects_union_with_line():

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from laurentgerms import expand
+import laurentgerms.cones as cones_module
+from laurentgerms import exact, expand
 from laurentgerms.cones import common_refinement, make_simplicial_cone
 from laurentgerms.errors import (
     NotASubdivision,
@@ -323,6 +324,53 @@ def test_subdivision_operator_rejects_an_improper_family():
     overlapping = [cone((1, 0), (0, 1)), cone((1, 1), (1, -1))]
     with pytest.raises(NotProperlyPositioned):
         subdivision_operator(x, overlapping)
+
+
+def test_subdivision_operator_checks_each_pair_of_the_family_once(
+        monkeypatch):
+    # the growth germ of dimension 3 on its refinement: one pass over the
+    # pairs of the family, then facet counts; no coordinate solve anywhere
+    calls = []
+    meet = cones_module._pieces_meet_along_face
+
+    def counting(a, b):
+        calls.append((a, b))
+        return meet(a, b)
+
+    def refuse(*args):
+        raise AssertionError("solve called")
+
+    f = make_mero(Polynomial.constant(3, 1),
+                  [(vec(v), 1) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                         (1, 1, 1), (1, 2, 3))])
+    sp = AmbientSpace.standard(3)
+    s = decompose(sp, f)
+    cones = list(dict.fromkeys(DecoratedCone(t.factors).cone
+                               for t in s.terms))
+    family = common_refinement(cones)[0]
+    n = len(family)
+    polar = make_expansion([(t.factors, t.numerator) for t in s.terms],
+                           s.poly)
+    monkeypatch.setattr(cones_module, "_pieces_meet_along_face", counting)
+    monkeypatch.setattr(exact, "solve", refuse)
+    assert "solve" not in vars(cones_module) and "solve" not in vars(expand)
+    assert subdivision_operator(polar, family) == laurent_expand(sp, f)
+    assert n > len(cones) and len(calls) == n * (n - 1) // 2
+    calls.clear()
+    assert laurent_expand(sp, f, support=family[::-1]) == laurent_expand(sp, f)
+    assert len(calls) == n * (n - 1) // 2
+
+
+def test_a_family_of_another_ambient_dimension_is_refused_by_name():
+    g = make_mero(Polynomial.constant(2, 1),
+                  ((vec([1, 0]), 1), (vec([0, 1]), 1)))
+    solid = [cone((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    pattern = ("^an expansion and its family live in ambient "
+               "dimensions 2 and 3$")
+    with pytest.raises(ValueError, match=pattern):
+        subdivision_operator(laurent_expand(SP, g), solid)
+    with pytest.raises(ValueError, match=pattern):
+        laurent_expand(SP, g, support=solid)
 
 
 # ---------------------------------------------------------------------------

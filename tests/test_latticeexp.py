@@ -394,6 +394,24 @@ def test_lattice_sum_numeric_enumerates_the_monoid():
         lattice_sum_numeric(make_lattice_cone([(1, 0), (1, 2)]), (-1, -1), 5)
 
 
+def test_lattice_sum_numeric_of_a_six_dimensional_smooth_cone():
+    # a unimodular cone: the box of 41^6 monoid points sums as a product of
+    # geometric sums, prod (1 - e^((H+1) x_i)) / (1 - e^(x_i)) at the
+    # pairings x_i of the point with the generators
+    gens = [tuple(1 if j == i else (1 if j == i + 1 else 0) for j in range(6))
+            for i in range(6)]
+    lc = make_lattice_cone(gens)
+    assert is_smooth(lc)
+    point = (F(-1), F(-1, 2), F(-3, 4), F(-1, 3), F(-2), F(-1, 5))
+    height = 40
+    want = 1.0
+    for g in lc.cone.generators:
+        x = float(sum(a * b for a, b in zip(g, point)))
+        want *= (1 - math.exp((height + 1) * x)) / (1 - math.exp(x))
+    got = lattice_sum_numeric(lc, point, height)
+    assert abs(got - want) <= 1e-12 * want
+
+
 # ---------------------------------------------------------------------------
 # cone integrals
 
