@@ -52,6 +52,7 @@ from .exact import (
     Polynomial,
     Record,
     Vec,
+    _common_length,
     int_inverse,
     is_pseudo_positive,
     mat_from_columns,
@@ -309,16 +310,6 @@ def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone) -> bool:
     _common_ambient((c1, c2))
     return _pieces_meet_along_face(_simplicial_piece(c1.generators),
                                    _simplicial_piece(c2.generators))
-
-
-def _common_length(lengths: Sequence[int], what: str) -> int:
-    """The one length in ``lengths``, else ValueError naming two: mixed
-    lengths are refused before any geometry runs (``vec_dot`` ignores them).
-    """
-    for n in lengths:
-        if n != lengths[0]:
-            raise ValueError(f"{what} {lengths[0]} and {n}")
-    return lengths[0]
 
 
 def _common_ambient(cones: Sequence[SimplicialCone | PolyCone]) -> int:

@@ -62,9 +62,17 @@ def vec_dot(u: Vec, v: Vec) -> int | Fraction:
     """Plain coordinate dot product (duality pairing, no inner product).
 
     An int on int rows and a Fraction once an entry is one.  The vectors
-    must have equal length; it is not checked.
+    must have equal length; it is not checked here (``_common_length`` is).
     """
     return sum(map(mul, u, v))
+
+
+def _common_length(lengths: Sequence[int], what: str) -> int:
+    """The one length in ``lengths``, else ValueError naming two."""
+    for n in lengths:
+        if n != lengths[0]:
+            raise ValueError(f"{what} {lengths[0]} and {n}")
+    return lengths[0]
 
 
 def vec_is_zero(v: Vec) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,6 +31,7 @@ from .exact import (
     Polynomial,
     Record,
     Vec,
+    _common_length,
     det,
     int_inverse,
     mat_from_columns,
@@ -38,7 +39,6 @@ from .exact import (
 )
 from .cones import (
     SimplicialCone,
-    _common_length,
     _pieces_by_cone,
     common_refinement,
     is_properly_positioned,
@@ -210,6 +210,8 @@ def _subdivide_term(factors: Factors, num: Polynomial,
     piece, its minor sum over that of the forms, is |det| of its generators'
     c: each n-minor of the piece is that det times the forms' matching minor.
     So every coefficient is a coordinate in the cone's basis, free of Q.
+    A piece's state is an integer polynomial in the reciprocals of its
+    generators, keyed by exponents: raise paths to one denominator merge.
     """
     forms = [v for v, _ in factors]
     if len(pieces) == 1 and pieces[0].generators == tuple(forms):
@@ -225,28 +227,23 @@ def _subdivide_term(factors: Factors, num: Polynomial,
     coords = {v: mat_vec(to_basis, v)
               for piece in pieces for v in piece.generators}
     # d^n from the det and one more d for each of the sum(s_j - 1) raises
-    scale = ONE / d ** sum(exps)
-    for s in exps:
-        scale /= factorial(s - 1)
+    scale = ONE / (d ** sum(exps) * prod(factorial(s - 1) for s in exps))
     out: list[tuple[Factors, Polynomial]] = []
     for piece in pieces:
-        weight = abs(det(tuple(coords[v] for v in piece.generators)))
-        state: list[tuple[Fraction, dict[Vec, int]]] = [
-            (weight, {v: 1 for v in piece.generators})]
+        gens = piece.generators
+        cols = [coords[v] for v in gens]
+        state = {(1,) * len(gens): abs(det(tuple(cols)))}
         for j, s in enumerate(exps):
             for _ in range(s - 1):
-                nxt = []
-                for coef, den in state:
-                    for v, r in den.items():
-                        q = coords[v][j]
-                        if q == 0:
-                            continue
-                        bumped = dict(den)
-                        bumped[v] = r + 1
-                        nxt.append((coef * r * q, bumped))
+                nxt = {}
+                for e, coef in state.items():
+                    for i, c in enumerate(cols):
+                        if c[j]:
+                            r = e[:i] + (e[i] + 1,) + e[i + 1:]
+                            nxt[r] = nxt.get(r, 0) + coef * e[i] * c[j]
                 state = nxt
-        for coef, den in state:
-            out.append((tuple(sorted(den.items())), num.scale(coef * scale)))
+        for e, coef in state.items():
+            out.append((tuple(sorted(zip(gens, e))), num.scale(coef * scale)))
     return out
 
 

@@ -59,8 +59,9 @@ def canonical_fraction(numerator: Polynomial,
     Every form becomes its primitive pseudo-positive vector, equal forms are
     merged and sorted, and the scalar taken out of the forms moves into the
     numerator, so the fraction keeps its value.  This is how every germ type
-    stores its factors.
+    stores its factors, so a form of another length is refused here.
     """
+    _check_form_lengths(numerator.nvars, [v for v, _ in raw])
     merged: dict[Vec, int] = {}
     scale = ONE
     for v, e in raw:
@@ -435,6 +436,13 @@ def evaluate(x, point: Sequence) -> Fraction:
 # ---------------------------------------------------------------------------
 # orthogonality (the Q-structure on numerators)
 
+def _check_form_lengths(k: int, forms: Iterable[Vec]) -> None:
+    for v in forms:
+        if len(v) != k:
+            raise ValueError(f"numerator in {k} variables, pole form of "
+                             f"length {len(v)}")
+
+
 def numerator_is_orthogonal(space: AmbientSpace | None, numerator: Polynomial,
                             forms: Sequence[Vec]) -> bool:
     """Whether every derivative of the numerator along Q v, v a form, is
@@ -445,10 +453,7 @@ def numerator_is_orthogonal(space: AmbientSpace | None, numerator: Polynomial,
     if space is not None and space.dimension != k:
         raise ValueError(f"numerator in {k} variables, space of dimension "
                          f"{space.dimension}")
-    for v in forms:
-        if len(v) != k:
-            raise ValueError(f"numerator in {k} variables, pole form of "
-                             f"length {len(v)}")
+    _check_form_lengths(k, forms)
     if numerator.is_constant():
         return True
     if space is None:

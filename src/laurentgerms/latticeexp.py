@@ -37,6 +37,7 @@ from .exact import (
     Polynomial,
     Record,
     Vec,
+    _common_length,
     det,
     frac,
     mat_from_columns,
@@ -188,12 +189,12 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
         basis = ([unit_vec(k, i) for i in range(k)] if d == k
                  else _integer_kernel(nullspace(rays), k))
     else:
-        basis = []
-        for b in lattice_basis:
-            b = vec(b)
-            if any(c.denominator != 1 for c in b):
-                raise ValueError("lattice basis vectors must be integer")
-            basis.append(tuple(c.numerator for c in b))
+        basis = [vec(b) for b in lattice_basis]
+        if any(c.denominator != 1 for b in basis for c in b):
+            raise ValueError("lattice basis vectors must be integer")
+        basis = [tuple(c.numerator for c in b) for b in basis]
+        _common_length([k] + [len(b) for b in basis],
+                       "a cone and its lattice basis live in ambient dimensions")
         if mat_rank(tuple(basis)) != len(basis) or len(basis) != d:
             raise ValueError("lattice basis must be independent and span lin(C)")
         if mat_rank(tuple(rays) + tuple(basis)) != d:
@@ -367,8 +368,6 @@ def smooth_subdivide_2d(lc: LatticeCone) -> list[LatticeCone]:
     rays = lc.rays
     if len(rays) != 2 or lc.dim != 2:
         raise NotDimensionTwo("smooth subdivision needs a rank-two cone")
-    if isinstance(lc.cone, SimplicialCone) and is_smooth(lc):
-        return [lc]
     u1 = [int(c) for c in _lattice_coords(lc.lattice_basis, rays[0])]
     u2 = [int(c) for c in _lattice_coords(lc.lattice_basis, rays[1])]
     # the unimodular map with rows (s, t) and (-u1[1], u1[0]) sends u1 to
@@ -384,14 +383,13 @@ def smooth_subdivide_2d(lc: LatticeCone) -> list[LatticeCone]:
         n, d = d, a * d - n
         (x0, y0), (x1, y1) = chain[-2:]
         chain.append((a * x1 - x0, a * y1 - y0))
-    # (x, y) = ((q x - p y)/q) (1,0) + (y/q) (p,q), so it is the same
-    # combination of u1 and u2 in the cone's own lattice coordinates
+    # (x, y) = ((q x - p y)/q) (1,0) + (y/q) (p,q): the same combination of
+    # u1 and u2 in lattice coordinates, so a primitive lattice vector
     gens = [_from_coords(lc.lattice_basis, [
         ((q * x - p * y) * c1 + y * c2) // q for c1, c2 in zip(u1, u2)])
         for x, y in chain]
-    return [LatticeCone(SimplicialCone(tuple(sorted(
-        primitive_vector(g) for g in pair))), lc.lattice_basis)
-        for pair in zip(gens, gens[1:])]
+    return [LatticeCone(SimplicialCone(tuple(sorted(pair))), lc.lattice_basis)
+            for pair in zip(gens, gens[1:])]
 
 
 def p_res_exp_sum(lc: LatticeCone,
@@ -444,6 +442,8 @@ def lattice_sum_numeric(lc: LatticeCone, point: Sequence,
     the sums of e^{n <g_i, point>} over n = 0..height."""
     if not is_smooth(lc):
         raise NotSmooth("direct summation enumerates a free monoid")
+    _common_length([lc.ambient, len(point)],
+                   "a cone and a point live in ambient dimensions")
     pt = tuple(frac(c) for c in point)
     return prod(sum(exp(n * float(vec_dot(g, pt))) for n in range(height + 1))
                 for g in lc.cone.generators)

@@ -24,6 +24,7 @@ from .exact import (
     Polynomial,
     Record,
     Vec,
+    _common_length,
     mat_rank,
     primitive_pseudo_positive,
     span_key,
@@ -87,11 +88,9 @@ def make_arrangement(forms: Sequence[Sequence]) -> Arrangement:
     rows = [vec(f) for f in forms]
     if not rows:
         raise ValueError("an arrangement needs at least one form")
-    for v in rows:
-        if len(v) != len(rows[0]):
-            raise ValueError(f"forms of length {len(rows[0])} and {len(v)}")
-        if vec_is_zero(v):
-            raise ValueError("the zero form cannot be a pole direction")
+    _common_length([len(v) for v in rows], "forms of length")
+    if any(vec_is_zero(v) for v in rows):
+        raise ValueError("the zero form cannot be a pole direction")
     normalized = [primitive_pseudo_positive(v)[1] for v in rows]
     return Arrangement(tuple(sorted(dict.fromkeys(normalized))))
 

@@ -37,6 +37,7 @@ from laurentgerms.expand import (
     phi,
     subdivision_operator,
 )
+from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import (
     as_mero,
     canonicalize_polar,
@@ -46,6 +47,7 @@ from laurentgerms.germs import (
     mero_add,
     mero_scale,
     numerator_is_orthogonal,
+    sum_by_factors,
 )
 from laurentgerms.residues import graded_split, p_order, p_res, pi_plus
 
@@ -408,9 +410,14 @@ def _reference_subdivide_term(space, factors, num, pieces):
     return out
 
 
+def _by_denominator(items):
+    return sum_by_factors((num, factors) for factors, num in items)
+
+
 def test_subdivision_coefficients_are_the_minor_sum_and_dual_formula():
     # the coefficients come from coordinates in the cone's basis; they must
-    # equal the Q-dependent formula under both pairings of acceptance 9
+    # equal the Q-dependent formula under both pairings of acceptance 9,
+    # once the reference's raise paths are added up by denominator
     rng = random.Random(12)
     split = low_split = unsplit = 0
     for _ in range(100):
@@ -422,14 +429,46 @@ def test_subdivision_coefficients_are_the_minor_sum_and_dual_formula():
         mine = [pieces[i] for i in index_sets[0]]
         factors = tuple((g, rng.randint(1, 3)) for g in target.generators)
         num = random_polynomial(rng, k)
-        got = _subdivide_term(factors, num, mine)
+        got = _by_denominator(_subdivide_term(factors, num, mine))
         for space in (AmbientSpace.standard(k), skew_space(k)):
-            assert got == _reference_subdivide_term(space, factors, num, mine)
+            assert got == _by_denominator(
+                _reference_subdivide_term(space, factors, num, mine))
         split += len(mine) > 1
         low_split += len(mine) > 1 and target.dim < k == 3
         # a term whose only piece is its own cone passes through unchanged
         unsplit += mine == [target]
     assert split >= 30 and low_split >= 10 and unsplit >= 50
+
+
+def test_subdivision_yields_each_denominator_once():
+    # one raise path per ordered raise sequence would repeat a denominator
+    # many times; the merged state keeps one entry for each
+    for forms, exps in [(((1, 0), (0, 1)), (4, 3)),
+                        (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (3, 2, 3))]:
+        target = cone(*forms)
+        pieces, index_sets = common_refinement(
+            [target, cone(*forms[1:], tuple(1 for _ in forms))])
+        mine = [pieces[i] for i in index_sets[0]]
+        factors = tuple(zip(target.generators, exps))
+        num = Polynomial.constant(len(forms), 1)
+        got = _subdivide_term(factors, num, mine)
+        dens = [den for den, _ in got]
+        assert len(mine) > 1 and len(dens) == len(set(dens))
+        want = _reference_subdivide_term(AmbientSpace.standard(len(forms)),
+                                         factors, num, mine)
+        assert len(want) > len(dens)
+        assert _by_denominator(got) == _by_denominator(want)
+
+
+@pytest.mark.parametrize("text, k", [
+    ("1/(x1^6*x2^6*(x1+x2)^6*(x1+2*x2)^6)", 2),
+    ("1/(x1^3*x2^3*x3^3*(x1+x2+x3)^3*(x1+2*x2+3*x3)^3)", 3)])
+def test_high_pole_orders_round_trip(text, k):
+    # exponentially many raise paths, polynomially many terms: the merged
+    # subdivision expands these in well under a second
+    f = parse_germ(text, k)
+    for space in (AmbientSpace.standard(k), skew_space(k)):
+        assert phi(laurent_expand(space, f)) == f
 
 
 # ---------------------------------------------------------------------------

@@ -115,6 +115,14 @@ def test_make_mero_merges_repeated_forms():
     assert g.numerator == const(2, F(1, 4))
 
 
+def test_a_pole_form_of_another_length_is_refused_by_name():
+    # every germ type stores its factors through canonical_fraction, so a
+    # 2-variable germ never carries a 3-entry form into decompose
+    with pytest.raises(ValueError, match="^numerator in 2 variables, pole "
+                                         "form of length 3$"):
+        make_mero(const(2, 1), ((vec([1, 0, 0]), 1),))
+
+
 def test_denominators_are_primitive_pseudo_positive():
     rng = random.Random(20)
     for _ in range(80):

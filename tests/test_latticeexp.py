@@ -117,6 +117,17 @@ def test_make_lattice_cone_validates_basis():
                           lattice_basis=[(2, 0), (0, 1)])
 
 
+def test_a_lattice_basis_of_another_length_is_refused_by_name():
+    pattern = "^a cone and its lattice basis live in ambient dimensions 3 and 2$"
+    with pytest.raises(ValueError, match=pattern):
+        make_lattice_cone([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1]])
+    # explicit pieces are built on the cone's lattice, so the same check
+    # refuses pieces of another ambient dimension
+    with pytest.raises(ValueError, match=pattern):
+        p_res_exp_sum(make_lattice_cone([(1, 0), (1, 2)]),
+                      [[(1, 0, 0), (0, 1, 0)]])
+
+
 def random_pointed_rays(rng, k, rank):
     """Rays of a pointed cone of the given rank in Z^k: integer
     combinations of ``rank`` independent vectors whose first coefficient
@@ -394,6 +405,13 @@ def test_lattice_sum_numeric_enumerates_the_monoid():
         lattice_sum_numeric(make_lattice_cone([(1, 0), (1, 2)]), (-1, -1), 5)
 
 
+def test_lattice_sum_numeric_refuses_a_point_of_another_length():
+    lc = make_lattice_cone([(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match="^a cone and a point live in "
+                                         "ambient dimensions 2 and 3$"):
+        lattice_sum_numeric(lc, (-1, -2, -3), 5)
+
+
 def test_lattice_sum_numeric_of_a_six_dimensional_smooth_cone():
     # a unimodular cone: the box of 41^6 monoid points sums as a product of
     # geometric sums, prod (1 - e^((H+1) x_i)) / (1 - e^(x_i)) at the
@@ -562,12 +580,22 @@ def embedded_cone(p, q, m, basis):
     return lc, embed
 
 
+def lattice_primitive(basis, v):
+    """The primitive vector of the lattice spanned by ``basis`` on the ray
+    of ``v``: on a lattice that is not saturated it need not be the
+    ambient primitive vector."""
+    c = primitive_vector(_lattice_coords(basis, v))
+    return tuple(sum(a * b[i] for a, b in zip(c, basis))
+                 for i in range(len(v)))
+
+
 def hull_walk_subdivide(p, q, m, basis):
     lc, embed = embedded_cone(p, q, m, basis)
     if q == 1:
         return lc, [lc]
-    rays = [primitive_vector(embed(v)) for v in hull_walk_chain(p, q)]
-    if rays[0] != primitive_vector(lc.rays[0]):
+    rays = [lattice_primitive(lc.lattice_basis, embed(v))
+            for v in hull_walk_chain(p, q)]
+    if rays[0] != lc.rays[0]:
         rays.reverse()
     return lc, [LatticeCone(SimplicialCone(tuple(sorted(pair))),
                             lc.lattice_basis)
@@ -600,6 +628,29 @@ def test_smooth_subdivide_matches_the_hull_walk():
         lc, expected = hull_walk_subdivide(
             p, q, random_unimodular(rng), [(2, 0), (1, 3)])
         assert smooth_subdivide_2d(lc) == expected, (p, q)
+
+
+@pytest.mark.parametrize("basis", [[(2, 0), (0, 1)], [(2, 0), (1, 3)],
+                                   [(3, 1), (1, 2)]])
+def test_smooth_pieces_on_a_lattice_that_is_not_saturated(basis):
+    # pieces carry primitive lattice vectors, not ambient primitive ones,
+    # so each is smooth and the filtered residue is the cone's integral
+    rng = random.Random(5)
+    for _ in range(10):
+        q = rng.randint(2, 9)
+        lc, _ = embedded_cone(rng.randrange(q), q, random_unimodular(rng),
+                              basis)
+        assert all(is_smooth(p) for p in smooth_subdivide_2d(lc))
+        assert germ_equal(p_res_exp_sum(lc), exp_integral(lc))
+
+
+def test_smooth_pieces_keep_lattice_vectors_off_the_ambient_primitive():
+    # (2, 2) is the primitive lattice vector on the diagonal; the ambient
+    # primitive (1, 1) is not in the lattice
+    lc = make_lattice_cone([(2, 0), (2, 3)], [(2, 0), (0, 1)])
+    assert ray_sets(smooth_subdivide_2d(lc)) == {
+        ((2, 0), (2, 1)), ((2, 1), (2, 2)), ((2, 2), (2, 3))}
+    assert germ_equal(p_res_exp_sum(lc), exp_integral(lc))
 
 
 def test_smooth_subdivide_of_a_huge_determinant_cone():
