@@ -547,15 +547,14 @@ def _sign_canonical(w: Vec) -> Vec:
 def is_subdivision(pieces: Sequence[SimplicialCone],
                    target: SimplicialCone | PolyCone) -> bool:
     """Exact check that the pieces tile the target cone: each lies in it
-    with its dimension, they meet pairwise along common faces and pass the
-    facet count of ``_facets_tile``.  No sampling, no tolerance."""
+    with its dimension, they pass the facet count of ``_facets_tile`` and
+    they are properly positioned.  No sampling, no tolerance."""
     pieces = list(pieces)
     _common_ambient([target] + pieces)
     cell = _poly_piece(target.rays)
     return (all(_inside(p, cell) for p in pieces)
             and _facets_tile(pieces, cell)
-            and all(_pieces_meet_along_face(a, b) for a, b in combinations(
-                [_simplicial_piece(p.generators) for p in pieces], 2)))
+            and is_properly_positioned(pieces))
 
 
 def _inside(cone: SimplicialCone, cell: _Piece) -> bool:

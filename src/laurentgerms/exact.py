@@ -233,7 +233,10 @@ def mat_rank(m: Mat) -> int:
 
 def span_key(vectors: Sequence[Sequence]) -> tuple[Vec, ...]:
     """Canonical key for a rational subspace: its reduced echelon basis."""
-    red, pivots = rref(tuple(vec(v) for v in vectors))
+    rows = tuple(vec(v) for v in vectors)
+    if rows:
+        _common_length([len(v) for v in rows], "spanning vectors have lengths")
+    red, pivots = rref(rows)
     return red[:len(pivots)]
 
 
@@ -415,6 +418,8 @@ class AmbientSpace(Record):
 
 def q_orthogonal_complement(space: AmbientSpace, vs: Sequence[Vec]) -> list[Vec]:
     """Basis of { w : Q(w, v) = 0 for all given v }, primitive and canonical."""
+    _common_length([space.dimension] + [len(v) for v in vs],
+                   "a space and its vectors live in dimensions")
     if not vs:
         return [unit_vec(space.dimension, i) for i in range(space.dimension)]
     return nullspace(tuple(mat_vec(space.gram, v) for v in vs))

@@ -337,20 +337,6 @@ def exp_integral(lc: LatticeCone) -> GermSum:
 # ---------------------------------------------------------------------------
 # smooth subdivision in rank two
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
-
-
 def smooth_subdivide_2d(lc: LatticeCone) -> list[LatticeCone]:
     """Subdivide a two-dimensional lattice cone into smooth pieces.
 
@@ -372,8 +358,10 @@ def smooth_subdivide_2d(lc: LatticeCone) -> list[LatticeCone]:
     u2 = [int(c) for c in _lattice_coords(lc.lattice_basis, rays[1])]
     # the unimodular map with rows (s, t) and (-u1[1], u1[0]) sends u1 to
     # (1,0) and u2 to (p', +-q); a reflection and a shear fixing (1,0) then
-    # bring u2 to (p, q) with p = p' mod q
-    s, t = _ext_gcd(*u1)
+    # bring u2 to (p, q) with p = p' mod q; every solution of s u1[0] +
+    # t u1[1] = 1 (u1 is primitive) gives the same p
+    s = pow(u1[0], -1, abs(u1[1])) if u1[1] else u1[0]
+    t = (1 - s * u1[0]) // u1[1] if u1[1] else 0
     q = abs(u1[0] * u2[1] - u1[1] * u2[0])
     p = (s * u2[0] + t * u2[1]) % q
     chain = [(1, 0), (1, 1) if q > 1 else (0, 1)]

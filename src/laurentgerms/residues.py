@@ -4,12 +4,12 @@ Everything here groups the polar terms of a germ by the span of their pole
 forms and by total pole order, and reads off projections (polynomial part,
 a single graded component, the highest-order part) from the grouping.
 Subdivision keeps each term's span, order and sum, so no map depends on
-the Laurent support.  Each map takes a germ or a ready expansion, whose own
-terms it reads: to use a chosen support, pass
-``laurent_expand(space, f, support=...)``.  On a germ, all but ``p_order``
-and ``p_res`` read the terms of ``decompose`` and build no cones.  Those
-two share one canonical expansion per (space, germ): ``laurent_expand``
-keeps the 8 most recent ones and returns them as shared immutable objects.
+the Laurent support.  Each map reads its terms through one reader,
+``_polar_terms``: a ready expansion's own terms, else those of
+``decompose``, which builds no cones; to use a chosen support, pass
+``laurent_expand(space, f, support=...)``.  Only ``p_order`` and ``p_res``
+expand a germ first, into one canonical expansion per (space, germ):
+``laurent_expand`` keeps the 8 most recent ones, shared and immutable.
 """
 
 from __future__ import annotations
@@ -110,23 +110,23 @@ class CoproductTerm(Record):
 
 # ---------------------------------------------------------------------------
 
-def _as_expansion(space: AmbientSpace, f) -> FormalExpansion:
-    if isinstance(f, FormalExpansion):
-        if f.nvars != space.dimension:
-            raise ValueError(f"expansion in {f.nvars} variables, space of "
-                             f"dimension {space.dimension}")
-        return f
-    return laurent_expand(space, as_mero(f))
-
-
 def _polar_terms(space: AmbientSpace, f) -> GermSum:
     """The polar terms and polynomial part of ``f``: an expansion's own,
     else those of ``decompose(space, f)``."""
     if isinstance(f, FormalExpansion):
-        x = _as_expansion(space, f)
+        if f.nvars != space.dimension:
+            raise ValueError(f"expansion in {f.nvars} variables, space of "
+                             f"dimension {space.dimension}")
         return GermSum(tuple(PolarGerm(num, dc.factors)
-                             for dc, num in x.terms), x.polynomial_part)
+                             for dc, num in f.terms), f.polynomial_part)
     return decompose(space, f)
+
+
+def _expanded_terms(space: AmbientSpace, f) -> GermSum:
+    """``_polar_terms`` of ``f``, a germ expanded first."""
+    if not isinstance(f, FormalExpansion):
+        f = laurent_expand(space, as_mero(f))
+    return _polar_terms(space, f)
 
 
 def graded_split(space: AmbientSpace, f) -> dict[GradedComponentKey, GermSum]:
@@ -169,19 +169,23 @@ def project_U_p(space: AmbientSpace, f, subspace: Sequence[Sequence],
     Every row of ``subspace`` must have one coordinate per dimension of the
     space (ValueError otherwise).
     """
-    return _component(space, graded_split(space, f), subspace, p)
+    return _component(space, graded_split(space, f), _span(space, subspace), p)
 
 
-def _component(space: AmbientSpace, components: dict, subspace, p: int
-               ) -> GermSum:
-    """The component of ``graded_split``'s result at (span(subspace), p)."""
-    k = space.dimension
+def _span(space: AmbientSpace, subspace) -> tuple[Vec, ...]:
+    """The echelon basis of the caller's rows, checked against the space."""
     for row in subspace:
-        if len(row) != k:
+        if len(row) != space.dimension:
             raise ValueError(f"subspace row of length {len(row)}, space of "
-                             f"dimension {k}")
-    key = GradedComponentKey(span_key(subspace), int(p))
-    return components.get(key, make_germ_sum([], Polynomial.zero(k)))
+                             f"dimension {space.dimension}")
+    return span_key(subspace)
+
+
+def _component(space: AmbientSpace, components: dict, span, p: int
+               ) -> GermSum:
+    """The component of ``graded_split``'s result at (span, p)."""
+    zero = make_germ_sum([], Polynomial.zero(space.dimension))
+    return components.get(GradedComponentKey(span, int(p)), zero)
 
 
 def jk_residue(space: AmbientSpace, f,
@@ -196,7 +200,7 @@ def jk_residue(space: AmbientSpace, f,
     components = graded_split(space, f)
     if subspace is None:
         subspace = [v for key in components for v in key.support_span]
-    span = span_key(subspace)
+    span = _span(space, subspace)
     return _component(space, components, span, len(span))
 
 
@@ -215,7 +219,7 @@ def brion_vergne_split(space: AmbientSpace, f,
         if v not in allowed:
             raise NotInRDelta(f"pole direction ({', '.join(map(str, v))}) "
                               "is not in the arrangement")
-    s = _polar_terms(space, f)
+    s = _polar_terms(space, f if isinstance(f, FormalExpansion) else g)
     r = arr.r
     # the pole forms of a term are independent: one span dimension each
     full = [t for t in s.terms if len(t.factors) == r]
@@ -226,8 +230,7 @@ def brion_vergne_split(space: AmbientSpace, f,
 
 def p_order(space: AmbientSpace, f) -> int:
     """Maximal total pole order over the Laurent terms (0 if holomorphic)."""
-    x = _as_expansion(space, f)
-    return max((sum(s for _, s in dc.factors) for dc, _ in x.terms),
+    return max((t.p_order for t in _expanded_terms(space, f).terms),
                default=0)
 
 
@@ -239,12 +242,11 @@ def p_res(space: AmbientSpace, f) -> GermSum:
     with transcendental tails (truncated data) it only sees the exact polar
     part, so no truncation error enters.
     """
-    x = _as_expansion(space, f)
-    k = x.nvars
-    top = p_order(space, x)
-    picked = [PolarGerm(Polynomial.constant(k, num.constant_term()),
-                        dc.factors)
-              for dc, num in x.terms if sum(s for _, s in dc.factors) == top]
+    s = _expanded_terms(space, f)
+    k = s.nvars
+    top = max((t.p_order for t in s.terms), default=0)
+    picked = [PolarGerm(Polynomial.constant(k, t.numerator.constant_term()),
+                        t.factors) for t in s.terms if t.p_order == top]
     return make_germ_sum(picked, Polynomial.zero(k))
 
 

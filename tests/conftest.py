@@ -11,20 +11,26 @@ from itertools import combinations
 
 from laurentgerms import (
     AmbientSpace,
+    CoproductTerm,
+    FormalExpansion,
+    GradedComponentKey,
     MeromorphicGerm,
     PolarGerm,
     Polynomial,
     TruncatedGerm,
+    as_mero,
     bernoulli_tail_coeffs,
     canonicalize_polar,
     coproduct,
     decompose,
     germ_equal,
+    laurent_expand,
     make_expansion,
     make_germ_sum,
     make_mero,
     make_simplicial_cone,
     mero_mul,
+    span_key,
 )
 from laurentgerms.cones import (
     SimplicialCone,
@@ -396,6 +402,55 @@ def assert_coproducts_agree(space, f, g, points: int = 3):
     for _ in range(points):
         p = [rng.randint(-5, 5) for _ in range(space.dimension)]
         assert germ_equal(coproduct_at(cf, p), coproduct_at(cg, p)), p
+
+
+def residue_maps_reference(space: AmbientSpace, f, arr) -> dict:
+    """The maps of ``residues`` on a germ or an expansion, by name, each
+    read straight off a term list: an expansion's own terms, else those of
+    ``decompose`` (the canonical expansion's for ``p_order`` and
+    ``p_res``).  ``project_U_p`` is left out: it picks one component of
+    ``graded_split``.  The reference the maps are checked against,
+    structurally."""
+    k = space.dimension
+    zero = Polynomial.zero(k)
+    x = f if isinstance(f, FormalExpansion) else laurent_expand(space,
+                                                                as_mero(f))
+    expanded = [PolarGerm(num, dc.factors) for dc, num in x.terms]
+    if isinstance(f, FormalExpansion):
+        terms, poly = expanded, f.polynomial_part
+    else:
+        s = decompose(space, f)
+        terms, poly = list(s.terms), s.poly
+    buckets = {}
+    for t in terms:
+        key = GradedComponentKey(span_key([v for v, _ in t.factors]),
+                                 sum(e for _, e in t.factors))
+        buckets.setdefault(key, []).append(t)
+    split = {key: make_germ_sum(ts, zero) for key, ts in buckets.items()}
+    if not poly.is_zero():
+        split[GradedComponentKey((), 0)] = make_germ_sum([], poly)
+    span = span_key([v for t in terms for v, _ in t.factors])
+    r = mat_rank(arr.delta)
+    top = max((sum(e for _, e in t.factors) for t in expanded), default=0)
+    one = Polynomial.constant(k, 1)
+    return {
+        "graded_split": split,
+        "pi_plus": poly,
+        "pi_minus": make_germ_sum(terms, zero),
+        "jk_residue": split.get(GradedComponentKey(span, len(span)),
+                                make_germ_sum([], zero)),
+        "brion_vergne_split": (
+            make_germ_sum([t for t in terms if len(t.factors) == r], zero),
+            make_germ_sum([t for t in terms if len(t.factors) != r], poly)),
+        "p_order": top,
+        "p_res": make_germ_sum(
+            [PolarGerm(Polynomial.constant(k, t.numerator.constant_term()),
+                       t.factors)
+             for t in expanded if sum(e for _, e in t.factors) == top], zero),
+        "coproduct": [CoproductTerm(t.numerator, PolarGerm(one, t.factors))
+                      for t in terms]
+        + ([] if poly.is_zero() else [CoproductTerm(poly, None)]),
+    }
 
 
 def mero_sum(germs, nvars: int) -> MeromorphicGerm:

@@ -23,6 +23,7 @@ from laurentgerms.exact import (
     q_orthogonal_complement,
     rref,
     solve,
+    span_key,
     unit_vec,
     vec,
     vec_dot,
@@ -453,6 +454,26 @@ def test_orthogonal_complement_dimensions_and_pairings():
     # no vectors to be orthogonal to: the whole space
     assert q_orthogonal_complement(AmbientSpace.standard(3), []) == [
         unit_vec(3, i) for i in range(3)]
+
+
+def test_span_key_refuses_a_shorter_row():
+    with pytest.raises(ValueError, match="lengths 3 and 2"):
+        span_key([vec([1, 0, 0]), vec([0, 1])])
+
+
+def test_span_key_refuses_a_longer_row():
+    with pytest.raises(ValueError, match="lengths 2 and 3"):
+        span_key([vec([1, 0]), vec([0, 1, 5])])
+
+
+def test_orthogonal_complement_refuses_a_shorter_vector():
+    with pytest.raises(ValueError, match="dimensions 2 and 1"):
+        q_orthogonal_complement(AmbientSpace.standard(2), [vec([1])])
+
+
+def test_orthogonal_complement_refuses_a_longer_vector():
+    with pytest.raises(ValueError, match="dimensions 2 and 3"):
+        q_orthogonal_complement(AmbientSpace.standard(2), [vec([1, 0, 5])])
 
 
 def test_dual_family_pairs_like_kronecker_delta():

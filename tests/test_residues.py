@@ -6,10 +6,18 @@ from fractions import Fraction
 import pytest
 
 import laurentgerms.expand as expand
+import laurentgerms.germs as germs
 import laurentgerms.residues as residues
 from laurentgerms.cones import make_simplicial_cone
 from laurentgerms.errors import NotInRDelta
-from laurentgerms.exact import AmbientSpace, Polynomial, mat, span_key, vec
+from laurentgerms.exact import (
+    AmbientSpace,
+    Polynomial,
+    mat,
+    span_key,
+    unit_vec,
+    vec,
+)
 from laurentgerms.expand import laurent_expand
 from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import (
@@ -38,7 +46,9 @@ from laurentgerms.residues import (
 
 from conftest import (
     assert_coproducts_agree,
+    half_space,
     random_germ,
+    residue_maps_reference,
     round_trip_corpus,
     skew_space,
 )
@@ -190,6 +200,14 @@ def test_project_U_p_and_jk_residue_refuse_rows_of_another_length():
         jk_residue(SP, f, [vec([1, 0, 0]), vec([0, 1, 0])])
     with pytest.raises(ValueError, match="length 1, space of dimension 2"):
         jk_residue(SP, f, [vec([1])])
+    # the caller's rows are checked, not their echelon basis: a ragged pair
+    # would reduce to the identity, or fail inside the elimination
+    for rows in ([[1, 0], [0, 1, 5]], [[0, 1], [1]]):
+        u = [vec(r) for r in rows]
+        with pytest.raises(ValueError, match="subspace row of length"):
+            project_U_p(SP, f, u, 2)
+        with pytest.raises(ValueError, match="subspace row of length"):
+            jk_residue(SP, f, u)
 
 
 def test_project_U_p_and_jk_residue_decompose_once(monkeypatch):
@@ -252,6 +270,53 @@ def test_p_order_and_p_res_expand_a_germ_once_each(monkeypatch):
     assert len(calls) == 1
     p_res(SP, f)
     assert len(calls) == 2
+
+
+def test_p_res_finds_its_top_order_without_p_order(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called p_order")
+
+    monkeypatch.setattr(residues, "p_order", refuse)
+    f = mero_add(mero(1, ([1, 0], 1), ([0, 1], 1)), mero(1, ([1, 1], 1)))
+    for g in (f, laurent_expand(SP, f)):
+        assert germ_equal(p_res(SP, g), mero(1, ([1, 0], 1), ([0, 1], 1)))
+
+
+def test_brion_vergne_split_sums_a_germ_sum_once(monkeypatch):
+    calls = []
+    fraction_sum = germs.fraction_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fraction_sum(*args, **kwargs)
+
+    f = mero_add(mero(1, ([1, 0], 1), ([1, 1], 1)),
+                 mero(1, ([0, 1], 1), ([1, -1], 2)), mero(5))
+    s = decompose(SP, f)
+    arr = make_arrangement([[1, 0], [1, 1], [0, 1], [1, -1]])
+    monkeypatch.setattr(germs, "fraction_sum", counting)
+    full, rest = brion_vergne_split(SP, s, arr)
+    assert len(calls) == 1
+    assert germ_equal(mero_add(as_mero(full), as_mero(rest)), f)
+
+
+def test_the_maps_match_the_reference_on_germs_and_expansions():
+    # structurally, on the acceptance-04 corpus under three inner products;
+    # project_U_p at every key of the split
+    for k, f in round_trip_corpus():
+        forms = [v for v, _ in f.den] + [unit_vec(k, i) for i in range(k)]
+        arr = make_arrangement(forms)
+        for sp in (AmbientSpace.standard(k), skew_space(k), half_space(k)):
+            for g in (f, laurent_expand(sp, f)):
+                expected = residue_maps_reference(sp, g, arr)
+                got = {m.__name__: m(sp, g)
+                       for m in (graded_split, pi_plus, pi_minus, jk_residue,
+                                 p_order, p_res, coproduct)}
+                got["brion_vergne_split"] = brion_vergne_split(sp, g, arr)
+                assert got == expected
+                for key, component in expected["graded_split"].items():
+                    assert project_U_p(sp, g, key.support_span,
+                                       key.p_order) == component
 
 
 def test_the_maps_on_a_germ_agree_with_those_on_its_expansion():
