@@ -53,14 +53,15 @@ from .exact import (
     Record,
     Vec,
     _common_length,
+    _reduced_rows,
     int_inverse,
     is_pseudo_positive,
     mat_from_columns,
     mat_rank,
     max_minor_abs_sum,
     nullspace,
+    primitive_pseudo_positive,
     primitive_vector,
-    rref,
     vec,
     vec_dot,
     vec_is_zero,
@@ -276,11 +277,11 @@ def _poly_piece(rays: Sequence[Vec]) -> _Piece:
     and the given rays, sorted (a piece once they are its extreme rays).
 
     The facet normals are the extreme rays of the dual cone within the
-    span.  The dual of the rays at the rref pivots is simplicial, and each
-    other ray r cuts it by r.y >= 0.
+    span.  The dual of the rays at the pivot columns of their reduced
+    echelon form is simplicial, and each other ray r cuts it by r.y >= 0.
     """
     rays = tuple(sorted(rays))
-    _, cols = rref(mat_from_columns(rays))
+    _, cols = _reduced_rows(mat_from_columns(rays))
     basis = _simplicial_piece([rays[j] for j in cols])
     dual = _Piece(basis.eqs, basis.rays, basis.ineqs, basis.dim)
     normals = _meet(dual, (), [r for j, r in enumerate(rays) if j not in cols])
@@ -313,7 +314,7 @@ def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone) -> bool:
 
 
 def _common_ambient(cones: Sequence[SimplicialCone | PolyCone]) -> int:
-    """The ambient dimension the members of a nonempty family share."""
+    """The ambient dimension the members of a family share (0 for none)."""
     return _common_length([c.ambient for c in cones],
                           "cones of one family live in ambient dimensions")
 
@@ -323,38 +324,41 @@ def _pair_contains_line(a: _Piece, b: _Piece) -> bool:
     return bool(_meet(a, b.eqs, map(_neg, b.ineqs)))
 
 
-def union_contains_line(cones: Sequence[SimplicialCone]) -> bool:
-    """True when some nonzero v has v in one member and -v in another.
-
-    False at once when every generator is pseudo-positive, as stored pole
-    forms and their refinement's rays are: such vectors are closed under
-    positive combination and meet their negatives only in 0.  Else each
-    pair of distinct members is tested (a simplicial cone has no line)."""
-    if cones:
-        _common_ambient(cones)
+def _line_pair(cones: Sequence[SimplicialCone], pieces: Iterable[_Piece]
+               ) -> tuple[int, int] | None:
+    """The first pair i < j of members with v in one and -v in the other
+    for some nonzero v, read off their simplicial pieces.  None at once,
+    ``pieces`` unread, when every generator is pseudo-positive, as stored
+    pole forms and their refinement's rays are: such vectors are closed
+    under positive combination and meet their negatives only in 0."""
+    _common_ambient(cones)
     if all(is_pseudo_positive(g) for c in cones for g in c.generators):
-        return False
-    pieces = [_simplicial_piece(c.generators) for c in cones]
-    return any(_pair_contains_line(a, b) for a, b in combinations(pieces, 2))
+        return None
+    return next(((i, j) for (i, a), (j, b)
+                 in combinations(enumerate(pieces), 2)
+                 if _pair_contains_line(a, b)), None)
+
+
+def union_contains_line(cones: Sequence[SimplicialCone]) -> bool:
+    """True when some nonzero v has v in one member and -v in another (a
+    simplicial cone has no line); ``_line_pair`` builds the pieces only
+    when it reads them."""
+    return _line_pair(cones, (_simplicial_piece(c.generators)
+                              for c in cones)) is not None
 
 
 def positioning_witness(cones: Sequence[SimplicialCone]
                         ) -> tuple[int, int, str] | None:
-    """First pair (i, j) of members that are not properly positioned.
-
-    Pairs i < j whose union contains a line are searched first, then pairs
-    i < j whose intersection is not a common face; the result is
-    (i, j, reason), or None when the family is properly positioned.  Pairs
-    are searched for a line only once ``union_contains_line`` finds one.
-    """
+    """First pair (i, j) of members that are not properly positioned: the
+    first pair i < j whose union contains a line (``_line_pair``, on the
+    pieces the face pass uses), else the first whose intersection is not a
+    common face.  The result is (i, j, reason), or None when the family is
+    properly positioned."""
     cones = list(cones)
     pieces = [_simplicial_piece(c.generators) for c in cones]
-    pairs = list(combinations(range(len(pieces)), 2))
-    if union_contains_line(cones):
-        for a, b in pairs:
-            if _pair_contains_line(pieces[a], pieces[b]):
-                return a, b, "union contains a line"
-    for a, b in pairs:
+    if line := _line_pair(cones, pieces):
+        return *line, "union contains a line"
+    for a, b in combinations(range(len(pieces)), 2):
         if not _pieces_meet_along_face(pieces[a], pieces[b]):
             return a, b, "intersection is not a common face"
     return None
@@ -510,7 +514,8 @@ def common_refinement(
             raise NotStrictlyConvexUnion(
                 "the union of the cones contains a linear subspace")
         firsts = {c: _simplicial_piece(c.generators) for c in maximal}
-        hyperplanes = sorted({_sign_canonical(w) for p in firsts.values()
+        hyperplanes = sorted({primitive_pseudo_positive(w)[1]
+                              for p in firsts.values()
                               for w in p.eqs + p.ineqs})
     piece_index: dict[tuple, int] = {}
     collected: list[SimplicialCone] = []
@@ -534,11 +539,6 @@ def common_refinement(
             mine.add(piece_index[simplex])
         index_sets.append(sorted(mine))
     return collected, index_sets
-
-
-def _sign_canonical(w: Vec) -> Vec:
-    """The pseudo-positive one of the primitive normals w and -w."""
-    return w if is_pseudo_positive(w) else _neg(w)
 
 
 # ---------------------------------------------------------------------------

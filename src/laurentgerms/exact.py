@@ -15,6 +15,9 @@ Python ints: rows are scaled to integers and reduced fraction-free (Bareiss
 1968); only results become Fractions, not even determinants of int rows
 or inverses.  There is one coordinate solve, :func:`solve`, and it returns
 None exactly when the right-hand side is outside the column span.
+Every elimination starts in ``_echelon``, which refuses rows of unequal
+length (``_common_length``), as ``mat_from_columns`` and ``pairing`` refuse
+ragged input; ``vec_dot``, an expansion's innermost loop, is not checked.
 
 A :class:`Polynomial` is stored the same way: int numerators keyed by
 exponent tuples over one positive int denominator, reduced so that the form
@@ -68,11 +71,11 @@ def vec_dot(u: Vec, v: Vec) -> int | Fraction:
 
 
 def _common_length(lengths: Sequence[int], what: str) -> int:
-    """The one length in ``lengths``, else ValueError naming two."""
+    """The one value of ``lengths`` (0 if none); else ValueError naming two."""
     for n in lengths:
         if n != lengths[0]:
             raise ValueError(f"{what} {lengths[0]} and {n}")
-    return lengths[0]
+    return lengths[0] if lengths else 0
 
 
 def vec_is_zero(v: Vec) -> bool:
@@ -121,13 +124,14 @@ def primitive_pseudo_positive(v: Vec) -> tuple[Fraction, Vec]:
 
     Raises ValueError on the zero vector (it has no direction).
     """
-    if vec_is_zero(v):
-        raise ValueError("zero vector has no primitive representative")
     w = primitive_vector(v)
-    # v = c*w with c > 0; flip if w is not pseudo-positive.
-    if not is_pseudo_positive(w):
+    i = len(w) - 1
+    while i >= 0 and not w[i]:
+        i -= 1
+    if i < 0:
+        raise ValueError("zero vector has no primitive representative")
+    if w[i] < 0:
         w = tuple(-a for a in w)
-    i = next(j for j, a in enumerate(w) if a != 0)
     return Fraction(v[i], w[i]), w
 
 
@@ -143,6 +147,7 @@ def mat_transpose(m: Mat) -> Mat:
 
 
 def mat_from_columns(cols: Sequence[Vec]) -> Mat:
+    _common_length([len(c) for c in cols], "columns have lengths")
     return mat_transpose(tuple(cols))
 
 
@@ -158,10 +163,10 @@ def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
     and no entry grows beyond the minors.  Columns without a pivot are
     skipped.  Returns the pivot columns and the sign of the row
     permutation; the last pivot of a nonsingular square matrix is its
-    determinant.
+    determinant.  Raises ValueError on rows of unequal length.
     """
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    ncols = _common_length([len(r) for r in rows], "rows have lengths")
     pivots: list[int] = []
     sign = 1
     prev = 1
@@ -233,10 +238,7 @@ def mat_rank(m: Mat) -> int:
 
 def span_key(vectors: Sequence[Sequence]) -> tuple[Vec, ...]:
     """Canonical key for a rational subspace: its reduced echelon basis."""
-    rows = tuple(vec(v) for v in vectors)
-    if rows:
-        _common_length([len(v) for v in rows], "spanning vectors have lengths")
-    red, pivots = rref(rows)
+    red, pivots = rref(tuple(vec(v) for v in vectors))
     return red[:len(pivots)]
 
 
@@ -277,14 +279,14 @@ def solve(m: Mat, b: Vec) -> Vec | None:
     """
     if not m:
         return None if any(b) else ()
-    ncols = len(m[0])
+    ncols = _common_length([len(r) for r in m], "rows have lengths")
     aug = tuple(row + (bi,) for row, bi in zip(m, b, strict=True))
-    red, pivots = rref(aug)
+    rows, pivots = _reduced_rows(aug)
     if ncols in pivots:
         return None
     x = [ZERO] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
+    for row, p in zip(rows, pivots):
+        x[p] = Fraction(row[ncols], row[p])
     return tuple(x)
 
 
@@ -317,7 +319,7 @@ def int_inverse(m: Mat) -> list[tuple[list[int], int]]:
     terms.  One :func:`_reduced_rows` pass over ``[m | I]``, whose first n
     rows are ``[d_i e_i | r_i]`` when the n columns of ``m`` are
     independent; DependentInput when they are not (``m`` singular)."""
-    n = len(m[0]) if m else 0
+    n = _common_length([len(r) for r in m], "rows have lengths")
     aug = tuple(tuple(row) + unit_vec(len(m), i) for i, row in enumerate(m))
     rows, pivots = _reduced_rows(aug)
     if pivots[:n] != list(range(n)):
@@ -413,6 +415,8 @@ class AmbientSpace(Record):
         return cls(k, tuple(unit_vec(k, i) for i in range(k)))
 
     def pairing(self, u: Vec, v: Vec) -> int | Fraction:
+        _common_length([self.dimension, len(u), len(v)],
+                       "a space and its vectors live in dimensions")
         return vec_dot(u, mat_vec(self.gram, v))
 
 

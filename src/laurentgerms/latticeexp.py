@@ -289,17 +289,11 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
     elif space.dimension != k:
         raise ValueError(f"germ in {k} variables, space of dimension "
                          f"{space.dimension}")
-    coeffs = bernoulli_tail_coeffs(trunc)
-    tails = []
-    for g in gens:
-        form = Polynomial.linear_form(g)
-        tail = Polynomial.zero(k)
-        power = Polynomial.constant(k, ONE)
-        for j, c in enumerate(coeffs):
-            if j > 0:
-                power = (power * form).truncated(trunc)
-            tail = tail + power.scale(c)
-        tails.append(tail)
+    # each tail is the series sum_j c_j x^j of 1/(1-e^x) + 1/x at x = <g,eps>;
+    # its terms have degree j <= trunc, so none needs truncating
+    series = Polynomial(1, {(j,): c for j, c in
+                            enumerate(bernoulli_tail_coeffs(trunc))})
+    tails = [series.substitute([Polynomial.linear_form(g)]) for g in gens]
     # one product per set of generators kept as poles, times the tails of
     # the others; the poles are members of one basis, so one polar split
     # takes all the products and splits each face of the cone once

@@ -40,7 +40,6 @@ from laurentgerms.cones import (
     _poly_piece,
     _pull_triangulate,
     _satisfies,
-    _sign_canonical,
     _simplicial_piece,
     _split_piece,
     common_refinement,
@@ -261,7 +260,7 @@ def common_refinement_reference(cones):
     if len(cones) < 2:
         return common_refinement(cones)
     firsts = [_simplicial_piece(c.generators) for c in cones]
-    hyperplanes = sorted({_sign_canonical(w)
+    hyperplanes = sorted({primitive_pseudo_positive(w)[1]
                           for p in firsts for w in p.eqs + p.ineqs})
     piece_index = {}
     collected = []
@@ -301,7 +300,7 @@ def common_refinement_eager(cones):
             "the union of the cones contains a linear subspace")
     firsts = [_simplicial_piece(c.generators) for c in cones]
     gens = [set(c.generators) for c in cones]
-    hyperplanes = sorted({_sign_canonical(w)
+    hyperplanes = sorted({primitive_pseudo_positive(w)[1]
                           for g, p in zip(gens, firsts)
                           if not any(g < h for h in gens)
                           for w in p.eqs + p.ineqs})
@@ -369,7 +368,8 @@ def is_subdivision_reference(pieces, target):
                for a, b in combinations(parts, 2)):
         return False
     cells = [cell]
-    for w in sorted({_sign_canonical(w) for p in parts for w in p.ineqs}):
+    for w in sorted({primitive_pseudo_positive(w)[1]
+                     for p in parts for w in p.ineqs}):
         cells = [half for c in cells for half in _split_piece(c, w)]
     for c in cells:
         interior = tuple(sum(r[i] for r in c.rays) for i in range(k))

@@ -607,6 +607,25 @@ def test_a_pseudo_positive_family_runs_no_line_pass(monkeypatch):
         common_refinement(family)
 
 
+def test_the_witness_builds_each_piece_once_and_stops_at_the_first_line(
+        monkeypatch):
+    # pair (0, 1) holds no line and pair (0, 2) does: the line pass tests
+    # those two and stops, on the one piece per member the face pass uses
+    calls = Counter()
+    for name in ("_pair_contains_line", "_simplicial_piece"):
+        def counting(*args, _f=getattr(cones_module, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(cones_module, name, counting)
+    family = [cone((1, 0), (1, 1)), cone((0, 1), (1, 1)),
+              cone((-1, 0), (-1, -1))]
+    assert positioning_witness(family) == (0, 2, "union contains a line")
+    assert calls == {"_pair_contains_line": 2, "_simplicial_piece": 3}
+    calls.clear()
+    assert union_contains_line(family)
+    assert calls == {"_pair_contains_line": 2, "_simplicial_piece": 3}
+
+
 def test_common_refinement_rejects_union_with_line():
     # each family holds a generator that is not pseudo-positive, so the
     # line test runs

@@ -15,6 +15,7 @@ from laurentgerms.exact import (
     int_inverse,
     linear_factorization,
     mat,
+    mat_from_columns,
     mat_rank,
     max_minor_abs_sum,
     nullspace,
@@ -464,6 +465,51 @@ def test_span_key_refuses_a_shorter_row():
 def test_span_key_refuses_a_longer_row():
     with pytest.raises(ValueError, match="lengths 2 and 3"):
         span_key([vec([1, 0]), vec([0, 1, 5])])
+
+
+# a ragged row or column, truncated, gives a wrong answer rather than an
+# error; every elimination refuses one where it starts (``_echelon``)
+RAGGED = ((1, 0), (0, 1, 5))
+
+
+def test_solve_refuses_ragged_rows():
+    with pytest.raises(ValueError, match="lengths 2 and 3$"):
+        solve(RAGGED, (1, 2))
+
+
+def test_int_inverse_refuses_ragged_rows():
+    with pytest.raises(ValueError, match="lengths 2 and 3$"):
+        int_inverse(RAGGED)
+
+
+def test_nullspace_refuses_a_longer_row():
+    with pytest.raises(ValueError, match="lengths 2 and 3$"):
+        nullspace(RAGGED)
+
+
+def test_nullspace_refuses_a_shorter_row():
+    with pytest.raises(ValueError, match="lengths 3 and 2$"):
+        nullspace(((1, 0, 0), (0, 1)))
+
+
+def test_mat_rank_refuses_ragged_rows():
+    with pytest.raises(ValueError, match="lengths 2 and 3$"):
+        mat_rank(RAGGED)
+
+
+def test_rref_refuses_ragged_rows():
+    with pytest.raises(ValueError, match="lengths 2 and 3$"):
+        rref(RAGGED)
+
+
+def test_mat_from_columns_refuses_ragged_columns():
+    with pytest.raises(ValueError, match="lengths 2 and 3$"):
+        mat_from_columns([(1, 0), (0, 1, 5)])
+
+
+def test_pairing_refuses_vectors_off_the_dimension():
+    with pytest.raises(ValueError, match="dimensions 2 and 3$"):
+        AmbientSpace.standard(2).pairing((1, 0, 7), (1, 0, 9))
 
 
 def test_orthogonal_complement_refuses_a_shorter_vector():
