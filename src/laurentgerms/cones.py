@@ -23,10 +23,12 @@ pieces are triangulated by the canonical pulling triangulation keyed to a
 single global lexicographic order on primitive rays.  Sign-pure pieces
 over one hyperplane set always intersect in common faces, and pulling
 triangulations restrict consistently to faces, so the output is properly
-positioned by construction.  Pseudo-positive generators hold no line
-(``union_contains_line``).  A supplied family is checked pair by pair once;
-the facet count alone then decides each tiling (``_facets_tile``).  A point
-lies in a cone when it satisfies the cone's inequalities.
+positioned by construction.  Two simplicial members meet in a common face
+exactly when the extreme rays of their intersection are the rays they share.
+Pseudo-positive generators hold no line (``union_contains_line``).  A
+supplied family is checked pair by pair once; the facet count alone then
+decides each tiling (``_facets_tile``).  A point lies in a cone when it
+satisfies the cone's inequalities.
 
 A piece keeps both representations: its extreme rays and one inequality
 per facet.  Slicing and facet finding then need incidences only, which
@@ -292,18 +294,12 @@ def _poly_piece(rays: Sequence[Vec]) -> _Piece:
 # face relations
 
 def _pieces_meet_along_face(a: _Piece, b: _Piece) -> bool:
-    """True when two simplicial pieces meet in a face of both: the support
-    of every ray of the intersection lies in it.  The j-th facet normal of
-    a simplicial piece is positive on a ray of the piece exactly when the
-    ray's support holds the j-th generator."""
-    rays = _meet(a, b.eqs, b.ineqs)
-    eqs, ineqs = a.eqs + b.eqs, a.ineqs + b.ineqs
-    for p in (a, b):
-        inside = {g for g in p.rays if _satisfies(g, eqs, ineqs)}
-        if any(vec_dot(c, r) != 0 and g not in inside
-               for r in rays for g, c in zip(p.rays, p.ineqs)):
-            return False
-    return True
+    """True when the extreme rays of the meet of two simplicial pieces are
+    the rays they share (compared primitive, as a directly built cone may
+    scale them): those span a face of each, and a common face is spanned
+    by generators of both."""
+    return _meet(a, b.eqs, b.ineqs) == sorted(
+        {*map(primitive_vector, a.rays)} & {*map(primitive_vector, b.rays)})
 
 
 def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone) -> bool:

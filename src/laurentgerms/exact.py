@@ -17,7 +17,9 @@ or inverses.  There is one coordinate solve, :func:`solve`, and it returns
 None exactly when the right-hand side is outside the column span.
 Every elimination starts in ``_echelon``, which refuses rows of unequal
 length (``_common_length``), as ``mat_from_columns`` and ``pairing`` refuse
-ragged input; ``vec_dot``, an expansion's innermost loop, is not checked.
+ragged input, and ``Polynomial`` a form or image of another length; the hot
+loops ``vec_dot`` and ``Polynomial.numerator_at`` are not checked (``evaluate``
+checks its point).
 
 A :class:`Polynomial` is stored the same way: int numerators keyed by
 exponent tuples over one positive int denominator, reduced so that the form
@@ -677,7 +679,8 @@ class Polynomial:
         """
         if len(images) != self.nvars:
             raise ValueError("need one image per variable")
-        nvars_out = images[0].nvars if images else self.nvars
+        nvars_out = _common_length([im.nvars for im in images],
+                                   "images have numbers of variables")
         if not self.coeffs:
             return Polynomial.zero(nvars_out)
         tops = list(map(max, zip(*self.coeffs)))
@@ -719,6 +722,7 @@ class Polynomial:
 
     def directional_derivative(self, w: Vec) -> "Polynomial":
         """Derivative along the coordinate vector ``w``."""
+        _common_length([self.nvars, len(w)], "polynomial and vector lengths")
         out = Polynomial.zero(self.nvars)
         for i, c in enumerate(w):
             if c != 0:
@@ -736,6 +740,7 @@ class Polynomial:
         quotient's x_j^(k-1) layer is T_k / (den a^(t-k+1)) and the
         remainder is T_0 / (den a^t).
         """
+        _common_length([self.nvars, len(form)], "polynomial and form lengths")
         if vec_is_zero(form):
             raise ZeroDivisionError("division by the zero form")
         ell = primitive_vector(form)
@@ -785,6 +790,7 @@ class Polynomial:
         entry of the primitive form ell, that point has x_i = a (i + 2) for
         i != j and x_j = -sum_(i != j) ell_i (i + 2).
         """
+        _common_length([self.nvars, len(form)], "polynomial and form lengths")
         if vec_is_zero(form):
             raise ZeroDivisionError("division by the zero form")
         if not self.coeffs:

@@ -60,9 +60,9 @@ from .cones import (
 )
 from .germs import (
     GermSum,
+    canonical_fraction,
     evaluate,
     make_germ_sum,
-    make_mero,
     polar_split,
 )
 
@@ -199,18 +199,14 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
             raise ValueError("lattice basis must be independent and span lin(C)")
         if mat_rank(tuple(rays) + tuple(basis)) != d:
             raise ValueError("lattice basis must span the same space as the cone")
-    if raw_rows is not None:
-        # membership is a condition on the vectors the caller supplied;
-        # cone objects carry only ray directions, which always rescale
-        for r in raw_rows:
-            coords = _lattice_coords(basis, r)
-            if any(c.denominator != 1 for c in coords):
-                raise ValueError(f"generator ({', '.join(map(str, r))}) "
-                                 "is not a lattice vector")
+    # raw rows must be lattice vectors; coordinates primitivize to the ray's
     normalized = []
-    for g in rays:
-        prim = primitive_vector(_lattice_coords(basis, g))
-        normalized.append(_from_coords(basis, prim))
+    for r in rays if raw_rows is None else raw_rows:
+        coords = _lattice_coords(basis, r)
+        if raw_rows is not None and any(c.denominator != 1 for c in coords):
+            raise ValueError(f"generator ({', '.join(map(str, r))}) "
+                             "is not a lattice vector")
+        normalized.append(_from_coords(basis, primitive_vector(coords)))
     return LatticeCone(type(cone)(tuple(sorted(normalized))), tuple(basis))
 
 
@@ -302,8 +298,9 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
         products = [p for num, poles in products
                     for p in (((num * tail).truncated(trunc), poles),
                               (-num, poles + ((g, 1),)))]
-    reduced = [make_mero(num, poles) for num, poles in products]
-    s = polar_split(space, [(g.numerator, g.den) for g in reduced])
+    # each numerator has constant term +-(1/2)^m, so no pole form divides it
+    s = polar_split(space, [canonical_fraction(num, poles)
+                            for num, poles in products])
     return TruncatedGerm(GermSum(s.terms, Polynomial.zero(k)),
                          s.poly.truncated(trunc), trunc)
 

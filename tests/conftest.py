@@ -35,8 +35,8 @@ from laurentgerms import (
 from laurentgerms.cones import (
     SimplicialCone,
     _common_ambient,
+    _meet,
     _pair_contains_line,
-    _pieces_meet_along_face,
     _poly_piece,
     _pull_triangulate,
     _satisfies,
@@ -324,6 +324,22 @@ def common_refinement_eager(cones):
     return collected, index_sets
 
 
+def pieces_meet_along_face_reference(a, b):
+    """``cones._pieces_meet_along_face`` as it was before it compared the
+    meet's rays with the shared rays: two simplicial pieces meet in a face
+    of both when the support of every ray of the intersection lies in it.
+    The j-th facet normal of a simplicial piece is positive on a ray of the
+    piece exactly when the ray's support holds the j-th generator."""
+    rays = _meet(a, b.eqs, b.ineqs)
+    eqs, ineqs = a.eqs + b.eqs, a.ineqs + b.ineqs
+    for p in (a, b):
+        inside = {g for g in p.rays if _satisfies(g, eqs, ineqs)}
+        if any(vec_dot(c, r) != 0 and g not in inside
+               for r in rays for g, c in zip(p.rays, p.ineqs)):
+            return False
+    return True
+
+
 def positioning_witness_reference(cones):
     """``positioning_witness`` as it was before its line pass skipped
     pseudo-positive families: the line test and then the face test on
@@ -338,7 +354,7 @@ def positioning_witness_reference(cones):
         if _pair_contains_line(pieces[a], pieces[b]):
             return a, b, "union contains a line"
     for a, b in pairs:
-        if not _pieces_meet_along_face(pieces[a], pieces[b]):
+        if not pieces_meet_along_face_reference(pieces[a], pieces[b]):
             return a, b, "intersection is not a common face"
     return None
 
@@ -364,7 +380,7 @@ def is_subdivision_reference(pieces, target):
                for p in pieces for g in p.generators):
         return False
     parts = [_simplicial_piece(p.generators) for p in pieces]
-    if not all(_pieces_meet_along_face(a, b)
+    if not all(pieces_meet_along_face_reference(a, b)
                for a, b in combinations(parts, 2)):
         return False
     cells = [cell]

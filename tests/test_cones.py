@@ -62,6 +62,7 @@ from conftest import (
     common_refinement_eager,
     common_refinement_reference,
     is_subdivision_reference,
+    pieces_meet_along_face_reference,
     positioning_witness_reference,
     random_pseudo_positive_cone,
     random_vector,
@@ -545,6 +546,56 @@ def test_a_separating_facet_does_not_make_the_meet_a_common_face():
         0, 1, "intersection is not a common face")
     assert not cones_meet_along_face(a, b)
     assert not union_contains_line([a, b])
+
+
+def _random_face_pair(rng):
+    """Two simplicial cones in 2 to 4 dimensions on 1 to k generators, the
+    second often sharing generators with the first.  Some are built
+    directly, with their generators scaled by positive Fractions and
+    unsorted, as a caller may build them."""
+    k = rng.randint(2, 4)
+
+    def members(n, shared=()):
+        while True:
+            gens = list(shared) + [random_vector(rng, k, -2, 2)
+                                   for _ in range(n - len(shared))]
+            if mat_rank(tuple(gens)) == n:
+                return gens
+
+    def build(gens):
+        if rng.random() < 0.3:
+            rng.shuffle(gens)
+            scales = [F(rng.randint(1, 4), rng.randint(1, 3)) for _ in gens]
+            return SimplicialCone(tuple(tuple(s * c for c in g)
+                                        for s, g in zip(scales, gens)))
+        return make_simplicial_cone(gens)
+
+    a = members(rng.randint(1, k))
+    shared = (rng.sample(a, rng.randint(1, len(a))) if rng.random() < 0.6
+              else [])
+    b = members(rng.randint(max(1, len(shared)), k), shared)
+    return build(a), build(b), bool(shared)
+
+
+def test_the_shared_ray_rule_is_the_incidence_face_test_on_random_pairs():
+    # two simplicial cones meet in a common face exactly when the extreme
+    # rays of their meet are the rays they share; the reference tests every
+    # generator of both against both cones' inequalities
+    rng = random.Random(57)
+    seen = Counter()
+    for _ in range(5000):
+        a, b, shared = _random_face_pair(rng)
+        pa, pb = (_simplicial_piece(c.generators) for c in (a, b))
+        for x, y in ((pa, pb), (pb, pa)):
+            verdict = cones_module._pieces_meet_along_face(x, y)
+            assert verdict == pieces_meet_along_face_reference(x, y)
+            seen[verdict] += 1
+        assert cones_meet_along_face(a, b) == verdict
+        seen["shared"] += shared
+        seen["direct"] += any(c.generators != cone(*c.generators).generators
+                              for c in (a, b))
+        seen["flat"] += min(a.dim, b.dim) < a.ambient
+    assert min(seen.values()) >= 1000, seen
 
 
 def _random_positioning_family(rng):

@@ -1257,6 +1257,49 @@ def test_arithmetic_refuses_polynomials_in_other_variables():
                 op(b)
 
 
+# x1*x2 + 3*x2^2: a form or image of another length is refused by name, not
+# read by position (a shorter one as if padded with zeros)
+P2 = Polynomial(2, {(1, 1): 1, (0, 2): 3})
+
+
+def test_substitute_refuses_images_in_other_variables():
+    with pytest.raises(ValueError, match="variables 2 and 3$"):
+        P2.substitute([Polynomial.variable(2, 0), Polynomial.variable(3, 2)])
+
+
+def test_divmod_linear_refuses_a_shorter_form():
+    with pytest.raises(ValueError, match="lengths 2 and 1$"):
+        P2.divmod_linear((1,))
+
+
+def test_divmod_linear_refuses_a_longer_form():
+    with pytest.raises(ValueError, match="lengths 2 and 3$"):
+        P2.divmod_linear((1, 2, 3))
+
+
+def test_strip_form_refuses_a_shorter_form():
+    with pytest.raises(ValueError, match="lengths 2 and 1$"):
+        P2.strip_form((1,))
+
+
+def test_strip_form_refuses_a_longer_form():
+    square = Polynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    with pytest.raises(ValueError, match="lengths 2 and 3$"):
+        square.strip_form((1, 1, 0))
+    with pytest.raises(ValueError, match="lengths 2 and 3$"):
+        P2.strip_form((0, 0, 1))
+
+
+def test_directional_derivative_refuses_a_shorter_vector():
+    with pytest.raises(ValueError, match="lengths 2 and 1$"):
+        P2.directional_derivative((1,))
+
+
+def test_directional_derivative_refuses_a_longer_vector():
+    with pytest.raises(ValueError, match="lengths 2 and 3$"):
+        P2.directional_derivative((1, 2, 3))
+
+
 def test_vec_is_zero():
     assert vec_is_zero(vec([0, 0]))
     assert not vec_is_zero(vec([0, "1/5"]))
