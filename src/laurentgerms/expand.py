@@ -201,8 +201,8 @@ def delta_op(space: AmbientSpace, lstar: Vec,
     return make_expansion(items, Polynomial.zero(x.nvars))
 
 
-def _subdivide_term(factors: Factors, num: Polynomial,
-                    pieces: Sequence[SimplicialCone]) -> list[tuple[Factors, Polynomial]]:
+def _subdivide_term(factors: Factors, num: Polynomial, pieces: Sequence[SimplicialCone],
+                    tables: dict | None = None) -> list[tuple[Factors, Polynomial]]:
     """One decorated term onto tiling pieces: simple split, then delta powers.
 
     A piece generator is v = sum_j c_j L_j in the basis of the pole forms.
@@ -212,12 +212,15 @@ def _subdivide_term(factors: Factors, num: Polynomial,
     So every coefficient is a coordinate in the cone's basis, free of Q.
     A piece's state is an integer polynomial in the reciprocals of its
     generators, keyed by exponents: raise paths to one denominator merge.
+    A dict ``tables`` keeps the coefficients by factors for later numerators.
     """
     forms = [v for v, _ in factors]
     if len(pieces) == 1 and pieces[0].generators == tuple(forms):
         # the cone tiles itself: the weight d^n and the raises
         # d^(sum(s_j - 1)) * prod((s_j - 1)!) cancel the scale exactly
         return [(factors, num)]
+    if tables and factors in tables:
+        return [(fac, num.scale(c)) for fac, c in tables[factors]]
     exps = [s for _, s in factors]
     # a left inverse of the forms as columns, times the lcm d of its
     # denominators, sends a vector of their span to d * c
@@ -228,7 +231,7 @@ def _subdivide_term(factors: Factors, num: Polynomial,
               for piece in pieces for v in piece.generators}
     # d^n from the det and one more d for each of the sum(s_j - 1) raises
     scale = ONE / (d ** sum(exps) * prod(factorial(s - 1) for s in exps))
-    out: list[tuple[Factors, Polynomial]] = []
+    table: list[tuple[Factors, Fraction]] = []
     for piece in pieces:
         gens = piece.generators
         cols = [coords[v] for v in gens]
@@ -243,19 +246,22 @@ def _subdivide_term(factors: Factors, num: Polynomial,
                             nxt[r] = nxt.get(r, 0) + coef * e[i] * c[j]
                 state = nxt
         for e, coef in state.items():
-            out.append((tuple(sorted(zip(gens, e))), num.scale(coef * scale)))
-    return out
+            table.append((tuple(sorted(zip(gens, e))), coef * scale))
+    if tables is not None:
+        tables[factors] = table
+    return [(fac, num.scale(c)) for fac, c in table]
 
 
 def _resupport(terms: Iterable[tuple[Factors, Polynomial]],
                assignment: dict[SimplicialCone, Sequence[SimplicialCone]],
-               polynomial_part: Polynomial) -> FormalExpansion:
+               polynomial_part: Polynomial,
+               tables: dict | None = None) -> FormalExpansion:
     """Every term onto the pieces assigned to its cone, merged into one
     expansion with the given polynomial part."""
     items: list[tuple[Factors, Polynomial]] = []
     for factors, num in terms:
-        items.extend(_subdivide_term(factors, num,
-                                     assignment[DecoratedCone(factors).cone]))
+        pieces = assignment[DecoratedCone(factors).cone]
+        items.extend(_subdivide_term(factors, num, pieces, tables))
     return make_expansion(items, polynomial_part)
 
 
@@ -299,10 +305,10 @@ def laurent_expand(space: AmbientSpace, f,
 
     The canonical expansion depends only on the space and the germ, so
     ``p_order`` and ``p_res`` on one (space, germ) share it (the other maps
-    of ``residues`` read ``decompose`` and expand nothing): at most the 8
-    most recent canonical expansions are kept, keyed by the space and
-    ``as_mero(f)``, and a repeat call returns the same shared immutable
-    object.
+    of ``residues`` read ``decompose`` and expand nothing): the 8 most
+    recent germs ``as_mero(f)`` keep theirs per space, a repeat call returns
+    the same shared immutable object, and the work free of Q (the rewrite
+    onto independent forms, the refinement) is shared across spaces.
 
     With an explicit ``support`` (read as a set, never cached) the terms of
     ``decompose`` go through ``subdivision_operator`` onto its members:
@@ -330,28 +336,34 @@ _EXPANSION_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=_EXPANSION_CACHE_SIZE)
+def _germ_entry(f: MeromorphicGerm) -> tuple[dict, dict]:
+    """A germ's canonical expansions by space and refinements by family."""
+    return {}, {}
+
+
 def _canonical_expansion(space: AmbientSpace, f: MeromorphicGerm
                          ) -> FormalExpansion:
     """The expansion of ``f`` on the common refinement of its pole cones.
 
-    Only ``p_order`` and ``p_res`` share it.  The bound is small on
-    purpose.  It holds two keys, so both can read one germ under two inner
-    products in turn without expanding it again.  It
-    stays far below the 80 distinct keys that one pass of the repeat-count
-    test in ``perfbench/tests`` cycles through, so a second identical pass
-    misses exactly as the first did and its call counts repeat.  Exceptions
-    are not cached.  When the refinement leaves every cone as its own
-    single piece, the terms of ``decompose`` are the expansion's terms.
+    Only ``p_order`` and ``p_res`` share it.  The entry of ``f`` keeps it
+    per space, and per family of pole cones (in order) the work free of Q:
+    the refinement and the terms' subdivision tables.  Exceptions are not
+    cached.  An uncut family keeps the terms of ``decompose``.
     """
+    expansions, refinements = _germ_entry(f)
+    if space in expansions:
+        return expansions[space]
     s = decompose(space, f)
     terms = [(t.factors, t.numerator) for t in s.terms]
     cones = list(dict.fromkeys(DecoratedCone(t.factors).cone for t in s.terms))
-    pieces, index_sets = common_refinement(cones)
-    if pieces == cones:
-        return make_expansion(terms, s.poly)
+    if tuple(cones) not in refinements:
+        refinements[tuple(cones)] = (*common_refinement(cones), {})
+    pieces, index_sets, tables = refinements[tuple(cones)]
     assignment = {c: [pieces[i] for i in idx]
                   for c, idx in zip(cones, index_sets)}
-    return _resupport(terms, assignment, s.poly)
+    expansions[space] = (make_expansion(terms, s.poly) if pieces == cones
+                         else _resupport(terms, assignment, s.poly, tables))
+    return expansions[space]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import Iterable, Sequence, TypeVar
@@ -421,16 +421,22 @@ def germ_equal(f, g) -> bool:
 
 
 def evaluate(x, point: Sequence) -> Fraction:
-    """Exact value at a rational point; raises PoleHit on a pole hyperplane."""
-    f = as_mero(x)
-    num = f.numerator.evaluate(point)
-    den = ONE
-    for v, e in f.den:
-        val = vec_dot(v, tuple(Fraction(p) for p in point))
-        if val == 0:
-            raise PoleHit(f"point lies on the pole <{Polynomial.linear_form(v).to_string()}>")
-        den *= val ** e
-    return num / den
+    """Exact value at a rational point, summed fraction by fraction.  On a
+    pole of one fraction the reduced germ ``as_mero(x)`` is evaluated
+    instead, so PoleHit means that the point lies on a pole of the sum."""
+    point = tuple(Fraction(p) for p in point)
+    total, dot = 0, cache(lambda v: vec_dot(v, point))
+    for num, den in _fractions(x):
+        value = num.evaluate(point)
+        for v, e in den:
+            val = dot(v)
+            if val == 0:
+                if isinstance(x, MeromorphicGerm):
+                    raise PoleHit(f"point lies on the pole <{Polynomial.linear_form(v).to_string()}>")
+                return evaluate(as_mero(x), point)
+            value /= val ** e
+        total += value
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -548,14 +554,20 @@ def decompose(space: AmbientSpace, f) -> GermSum:
     ``reduce_to_independent`` rewrites it over independent denominators, and
     the shared worklist ``polar_split`` splits all of those at once.  Raises
     ValueError when the germ and the space differ in their numbers of
-    variables.
+    variables.  Only the split uses Q; the 8 latest germs keep the rewrite.
     """
     f = as_mero(f)
     k = space.dimension
     if f.nvars != k:
         raise ValueError(f"germ in {f.nvars} variables, space of dimension {k}")
     return polar_split(space, [(num.scale(coef), den)
-                               for coef, num, den in reduce_to_independent(f)])
+                               for coef, num, den in _rewrite(f)])
+
+
+@lru_cache(maxsize=8)
+def _rewrite(f: MeromorphicGerm) -> tuple:
+    """``reduce_to_independent(f)``, kept as a tuple for the latest germs."""
+    return tuple(reduce_to_independent(f))
 
 
 def polar_split(space: AmbientSpace,

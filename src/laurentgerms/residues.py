@@ -9,7 +9,8 @@ the Laurent support.  Each map reads its terms through one reader,
 ``decompose``, which builds no cones; to use a chosen support, pass
 ``laurent_expand(space, f, support=...)``.  Only ``p_order`` and ``p_res``
 expand a germ first, into one canonical expansion per (space, germ):
-``laurent_expand`` keeps the 8 most recent ones, shared and immutable.
+``laurent_expand`` keeps them, shared and immutable, for the 8 latest germs,
+with the work free of Q that a germ's expansions share.
 """
 
 from __future__ import annotations

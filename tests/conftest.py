@@ -59,11 +59,15 @@ from laurentgerms.exact import (
     solve,
     vec_dot,
 )
+from laurentgerms.expand import DecoratedCone, _germ_entry, _resupport
 from laurentgerms.germs import (
     _exchange_worklist,
     _exchanged,
+    _rewrite,
     den_poly,
     fraction_sum,
+    polar_split,
+    reduce_to_independent,
     sum_by_factors,
 )
 
@@ -131,6 +135,28 @@ def round_trip_corpus():
         k = rng.randint(1, 3)
         out.append((k, random_germ(rng, k, max_forms=4, degree=3)))
     return out
+
+
+def clear_expansion_caches():
+    """Empty the germ-keyed caches of ``laurent_expand`` and ``decompose``."""
+    _germ_entry.cache_clear()
+    _rewrite.cache_clear()
+
+
+def canonical_expansion_reference(space, f):
+    """Reference for ``laurent_expand(space, f)`` that reads no cache: the
+    polar split of ``reduce_to_independent(f)``, as ``decompose`` makes it,
+    then the common refinement of its pole cones and every term onto the
+    pieces of its cone."""
+    f = as_mero(f)
+    s = polar_split(space, [(num.scale(c), den)
+                            for c, num, den in reduce_to_independent(f)])
+    cones = list(dict.fromkeys(DecoratedCone(t.factors).cone
+                               for t in s.terms))
+    pieces, index_sets = common_refinement(cones)
+    return _resupport([(t.factors, t.numerator) for t in s.terms],
+                      {c: [pieces[i] for i in idx]
+                       for c, idx in zip(cones, index_sets)}, s.poly)
 
 
 def expansion_from_raw(space, items, polynomial_part):

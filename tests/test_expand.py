@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import laurentgerms.cones as cones_module
+import laurentgerms.germs as germs_module
 from laurentgerms import exact, expand
 from laurentgerms.cones import common_refinement, make_simplicial_cone
 from laurentgerms.errors import (
@@ -47,12 +48,15 @@ from laurentgerms.germs import (
     mero_add,
     mero_scale,
     numerator_is_orthogonal,
+    reduce_to_independent,
     sum_by_factors,
 )
 from laurentgerms.residues import graded_split, p_order, p_res, pi_plus
 
 from conftest import (
     assert_coproducts_agree,
+    canonical_expansion_reference,
+    clear_expansion_caches,
     common_refinement_reference,
     expansion_from_raw,
     mero_sum,
@@ -650,7 +654,7 @@ def test_expansions_on_a_stellar_subdivision_agree():
 
 @pytest.fixture
 def decompose_calls(monkeypatch):
-    """An empty expansion cache and a list that grows by one per
+    """Empty expansion caches and a list that grows by one per
     ``decompose`` call made by ``laurent_expand``."""
     calls = []
 
@@ -658,10 +662,10 @@ def decompose_calls(monkeypatch):
         calls.append(f)
         return decompose(space, f)
 
-    expand._canonical_expansion.cache_clear()
+    clear_expansion_caches()
     monkeypatch.setattr(expand, "decompose", counting)
     yield calls
-    expand._canonical_expansion.cache_clear()
+    clear_expansion_caches()
 
 
 def test_repeat_expansions_of_one_germ_share_one_entry(decompose_calls):
@@ -713,7 +717,7 @@ def test_expansions_on_a_chosen_support_bypass_the_cache(decompose_calls):
     assert len(decompose_calls) == 3
     assert laurent_expand(SP, g) is canonical
     assert len(decompose_calls) == 3
-    expand._canonical_expansion.cache_clear()
+    clear_expansion_caches()
     laurent_expand(SP, g, support=support)
     laurent_expand(SP, g)
     assert len(decompose_calls) == 5
@@ -734,6 +738,88 @@ def test_the_cache_keeps_only_the_most_recent_expansions(decompose_calls):
     assert len(decompose_calls) == bound + 2
 
 
+def counted(monkeypatch, module, name):
+    """A list that grows by the arguments of each call of ``module.name``."""
+    calls, fn = [], getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_cached_expansions_equal_the_uncached_reference_on_the_corpus():
+    # both products in both orders: a cold entry, the entry of a germ that
+    # the other product filled, and a repeat that hits
+    corpus = round_trip_corpus()
+    spaces = {k: (AmbientSpace.standard(k), skew_space(k)) for k in (1, 2, 3)}
+    reference = [[canonical_expansion_reference(sp, f) for sp in spaces[k]]
+                 for k, f in corpus]
+    for order in (0, 1), (1, 0):
+        clear_expansion_caches()
+        for (k, f), expected in zip(corpus, reference):
+            firsts = [laurent_expand(spaces[k][i], f) for i in order]
+            assert firsts == [expected[i] for i in order]
+            assert all(laurent_expand(spaces[k][i], f) is x
+                       for i, x in zip(order, firsts))
+    clear_expansion_caches()
+
+
+def test_one_germ_under_two_products_shares_its_rewrite_and_refinement(
+        monkeypatch, decompose_calls):
+    k, f = round_trip_corpus()[16]
+    identity, skew = AmbientSpace.standard(k), skew_space(k)
+    assert len(reduce_to_independent(f)) > 1
+    rewrites = counted(monkeypatch, germs_module, "reduce_to_independent")
+    refinements = counted(monkeypatch, expand, "common_refinement")
+    orders = {p_order(sp, f) for sp in (identity, skew, identity, skew)}
+    residues = [p_res(sp, f) for sp in (identity, skew, identity, skew)]
+    assert len(orders) == 1 and residues[:2] == residues[2:]
+    assert len(decompose_calls) == 2
+    assert len(rewrites) == len(refinements) == 1
+    (cones,), = refinements
+    assert len(common_refinement(cones)[0]) > len(cones)
+    assert laurent_expand(identity, f) != laurent_expand(skew, f)
+
+
+def test_a_product_with_other_pole_cones_is_refined_again(
+        monkeypatch, decompose_calls):
+    k, f = round_trip_corpus()[83]
+    spaces = AmbientSpace.standard(k), skew_space(k)
+    rewrites = counted(monkeypatch, germs_module, "reduce_to_independent")
+    refinements = counted(monkeypatch, expand, "common_refinement")
+    for sp in spaces:
+        assert laurent_expand(sp, f) == canonical_expansion_reference(sp, f)
+    assert len(rewrites) == 1 and len(decompose_calls) == 2
+    families = [list(dict.fromkeys(DecoratedCone(t.factors).cone
+                                   for t in decompose(sp, f).terms))
+                for sp in spaces]
+    assert families[0] != families[1]
+    assert [cones for cones, in refinements] == families
+
+
+def test_an_evicted_germ_recomputes_its_rewrite_and_refinement(
+        monkeypatch, decompose_calls):
+    bound = expand._EXPANSION_CACHE_SIZE
+    rewrites = counted(monkeypatch, germs_module, "reduce_to_independent")
+    refinements = counted(monkeypatch, expand, "common_refinement")
+    germs = [make_mero(Polynomial.constant(2, 1),
+                       ((vec([1, 0]), 1), (vec([1, j]), 1), (vec([j, 1]), 1)))
+             for j in range(2, bound + 3)]
+    for g in germs[:bound] + germs[:bound]:
+        for sp in (SP, skew_space(2)):
+            laurent_expand(sp, g)
+    assert expand._germ_entry.cache_info().currsize == bound
+    assert (len(rewrites), len(refinements)) == (bound, bound)
+    laurent_expand(SP, germs[bound])
+    assert expand._germ_entry.cache_info().currsize == bound
+    laurent_expand(SP, germs[0])
+    assert (len(rewrites), len(refinements)) == (bound + 2, bound + 2)
+    assert len(decompose_calls) == 2 * bound + 2
+
+
 # ---------------------------------------------------------------------------
 # kernel elements of phi
 
@@ -749,10 +835,10 @@ def test_an_unrefined_family_keeps_the_terms_of_decompose(monkeypatch):
     cones = list(dict.fromkeys(DecoratedCone(t.factors).cone
                                for t in s.terms))
     assert len(cones) == 2 and common_refinement(cones) == (cones, [[0], [1]])
-    expand._canonical_expansion.cache_clear()
+    clear_expansion_caches()
     monkeypatch.setattr(expand, "_subdivide_term", refuse)
     x = laurent_expand(SP, f)
-    expand._canonical_expansion.cache_clear()
+    clear_expansion_caches()
     assert x == make_expansion([(t.factors, t.numerator) for t in s.terms],
                                s.poly)
     assert germ_equal(phi(x), f)

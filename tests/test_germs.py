@@ -210,6 +210,40 @@ def test_evaluate_needs_one_coordinate_per_variable():
             evaluate(g, point)
 
 
+def test_evaluate_sums_a_large_residue_term_by_term(monkeypatch):
+    # the k = 4 growth germ's p_res has 2,797 terms; no point off their
+    # poles sums them into one germ
+    k = 4
+    r = p_res(AmbientSpace.standard(k), parse_germ(
+        "1/(x1*x2*x3*x4*(x1+x2+x3+x4)*(x1+2*x2+3*x3+4*x4))", k))
+    assert len(r.terms) == 2797
+    point = [F(1, 3), F(-2, 7), F(5, 11), F(7, 13)]
+    reduced = as_mero(r)
+
+    def refuse(*args):
+        raise AssertionError("summed the fractions")
+
+    with monkeypatch.context() as m:
+        m.setattr(germs_module, "fraction_sum", refuse)
+        value = evaluate(r, point)
+    assert value == evaluate(reduced, point) != 0
+
+
+def test_evaluate_sees_through_a_pole_that_the_sum_cancels():
+    # 1/(x1 (x1+x2)) + 1/(x2 (x1+x2)) = 1/(x1 x2): x1 + x2 = 0 is a pole of
+    # each term and not of the sum
+    terms = [canonicalize_polar(None, const(2, 1),
+                                ((vec(v), 1), (vec([1, 1]), 1)))
+             for v in ([1, 0], [0, 1])]
+    s = make_germ_sum(terms, Polynomial.zero(2))
+    x = laurent_expand(AmbientSpace.standard(2), s)
+    for g in (s, x):
+        assert evaluate(g, [2, -2]) == F(-1, 4)
+        assert evaluate(g, [1, 3]) == F(1, 3)
+        with pytest.raises(PoleHit):
+            evaluate(g, [0, 1])
+
+
 def test_germ_equal_sees_through_representation():
     # 1/x1 + 1/x2 == (x1+x2)/(x1 x2)
     a = mero_add(make_mero(const(2, 1), ((vec([1, 0]), 1),)),
