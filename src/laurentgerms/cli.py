@@ -11,6 +11,10 @@ checked before any cone geometry runs.  Only ``laurent``, ``p-order``,
 read ``decompose`` or nothing, and the library itself has no cap.
 The cap (``DEFAULT_DIMENSION_CAP``) is this tool's policy alone: commands
 read their settings from the parsed arguments and build their own space.
+
+A command imports the modules it runs inside its own branch, and ``import
+laurentgerms`` loads its submodules only on the first read of a package
+attribute, so a cold call compiles only what that command uses.
 """
 
 from __future__ import annotations
@@ -28,33 +32,6 @@ from .errors import (
 )
 from .exact import ONE, AmbientSpace, mat, solve, vec
 from .germs import decompose, germ_equal
-from .cones import (
-    ConeFamily,
-    common_refinement,
-    positioning_witness,
-)
-from .expand import laurent_expand
-from .residues import (
-    brion_vergne_split,
-    coproduct,
-    graded_split,
-    jk_residue,
-    make_arrangement,
-    p_order,
-    p_res,
-    pi_minus,
-    pi_plus,
-)
-from .latticeexp import (
-    DEFAULT_TRUNCATION,
-    evaluate_truncated,
-    exp_integral,
-    exp_sum_smooth,
-    is_smooth,
-    lattice_sum_numeric,
-    make_lattice_cone,
-    p_res_exp_sum,
-)
 from .exprio import (
     frac_str,
     load_cone_family,
@@ -78,8 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--gram", metavar="FILE",
                      help="JSON file with a KxK rational inner-product matrix "
                           "(default: identity)")
-    top.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION,
-                     metavar="N", help="truncation order for exponential sums")
+    # None stands for latticeexp.DEFAULT_TRUNCATION, read by exp-sum alone
+    top.add_argument("--trunc", type=int, metavar="N",
+                     help="truncation order for exponential sums")
     top.add_argument("--dim-cap", type=int, default=DEFAULT_DIMENSION_CAP,
                      metavar="D",
                      help="dimension cap of the commands that build cones")
@@ -131,7 +109,7 @@ def _space(args) -> AmbientSpace:
     k = args.dim
     if k < 1:
         raise FormatError("--dim must be a positive integer")
-    if args.trunc < 0:
+    if args.trunc is not None and args.trunc < 0:
         raise FormatError("--trunc must be a non-negative integer")
     if not args.gram:
         return AmbientSpace.standard(k)
@@ -171,6 +149,7 @@ def _run(args) -> int:
     if args.command == "decompose":
         _emit(serialize(decompose(space, parse_germ(args.expr, k))))
     elif args.command == "laurent":
+        from .expand import laurent_expand
         support = None
         if args.support:
             support = load_cone_family(args.support)
@@ -179,10 +158,13 @@ def _run(args) -> int:
         g = parse_germ(args.expr, k)
         _emit(serialize(laurent_expand(space, g, support=support)))
     elif args.command == "project-plus":
+        from .residues import pi_plus
         _emit(serialize(pi_plus(space, parse_germ(args.expr, k))))
     elif args.command == "project-minus":
+        from .residues import pi_minus
         _emit(serialize(pi_minus(space, parse_germ(args.expr, k))))
     elif args.command == "grade":
+        from .residues import graded_split
         split = graded_split(space, parse_germ(args.expr, k))
         components = []
         for key in sorted(split, key=lambda key: (key.span_dim, key.p_order,
@@ -192,6 +174,7 @@ def _run(args) -> int:
                                "component": serialize(split[key])})
         _emit({"kind": "graded-split", "dim": k, "components": components})
     elif args.command == "jk":
+        from .residues import jk_residue
         subspace = None
         if args.subspace:
             subspace = load_rows(args.subspace)
@@ -199,6 +182,7 @@ def _run(args) -> int:
         g = parse_germ(args.expr, k)
         _emit(serialize(jk_residue(space, g, subspace=subspace)))
     elif args.command == "brion-vergne":
+        from .residues import brion_vergne_split, make_arrangement
         rows = load_rows(args.arrangement)
         _check_file_dim(args.arrangement, len(rows[0]), k)
         arr = make_arrangement(rows)
@@ -206,11 +190,14 @@ def _run(args) -> int:
         _emit({"kind": "brion-vergne", "dim": k,
                "generating": serialize(gen), "rest": serialize(rest)})
     elif args.command == "p-order":
+        from .residues import p_order
         _emit({"kind": "p-order", "dim": k,
                "p_order": p_order(space, parse_germ(args.expr, k))})
     elif args.command == "p-res":
+        from .residues import p_res
         _emit(serialize(p_res(space, parse_germ(args.expr, k))))
     elif args.command == "coproduct":
+        from .residues import coproduct
         terms = []
         for t in coproduct(space, parse_germ(args.expr, k)):
             right = None if t.right is None else serialize(t.right)
@@ -228,6 +215,7 @@ def _run(args) -> int:
 
 
 def _run_cone(args) -> int:
+    from .cones import ConeFamily, common_refinement, positioning_witness
     cones = load_cone_family(args.family)
     _check_dim_cap(cones[0].ambient if cones else 0, args)
     if args.cone_command == "refine":
@@ -247,6 +235,14 @@ def _run_cone(args) -> int:
 
 
 def _run_exp_sum(args, space: AmbientSpace) -> int:
+    from .latticeexp import (
+        DEFAULT_TRUNCATION,
+        exp_integral,
+        exp_sum_smooth,
+        is_smooth,
+        make_lattice_cone,
+        p_res_exp_sum,
+    )
     gens = load_rows(args.cone)
     basis = load_rows(args.lattice) if args.lattice else None
     for path, rows in ((args.cone, gens), (args.lattice, basis)):
@@ -265,7 +261,8 @@ def _run_exp_sum(args, space: AmbientSpace) -> int:
               "exp_integral": serialize(integral)}
 
     if report["smooth"]:
-        ts = exp_sum_smooth(lc, trunc=args.trunc, space=space)
+        trunc = DEFAULT_TRUNCATION if args.trunc is None else args.trunc
+        ts = exp_sum_smooth(lc, trunc=trunc, space=space)
         report["truncation"] = ts.truncation_order
         report["polar"] = serialize(ts.polar_part)
         report["tail"] = ts.taylor_tail.to_string()
@@ -285,6 +282,7 @@ def _numeric_check(lc, ts) -> dict:
     The test point has pairing -1 with every generator, so the defining
     series converges fast and the comparison is meaningful.
     """
+    from .latticeexp import evaluate_truncated, lattice_sum_numeric
     rows = mat(lc.rays)
     point = solve(rows, vec([-ONE] * len(lc.rays)))
     direct = lattice_sum_numeric(lc, point, height=40)

@@ -9,6 +9,8 @@ Conversion to a meromorphic germ is where denominators are validated: the
 parser happily builds ``1/(x1^2+1)``, but germ conversion must factor every
 denominator into rational linear forms and rejects it otherwise.  Session
 settings (dimension, inner product, truncation, cap) belong to ``cli``.
+Cones and expansions are read and written by importing ``cones`` and
+``expand`` where they are met, so that germs alone load neither.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import (
     ExprSyntaxError,
@@ -46,8 +49,9 @@ from .germs import (
     mero_neg,
     mero_sub,
 )
-from .cones import ConeFamily, SimplicialCone, make_simplicial_cone
-from .expand import FormalExpansion, make_expansion
+
+if TYPE_CHECKING:
+    from .cones import SimplicialCone
 
 __all__ = [
     "Num",
@@ -414,12 +418,7 @@ def serialize(obj) -> dict:
                            "factors": _factors_out(t.factors)}
                           for t in obj.terms],
                 "poly": obj.poly.to_string()}
-    if isinstance(obj, FormalExpansion):
-        return {"kind": "expansion", "dim": obj.nvars,
-                "terms": [{"factors": _factors_out(dc.factors),
-                           "numerator": num.to_string()}
-                          for dc, num in obj.terms],
-                "poly": obj.polynomial_part.to_string()}
+    from .cones import ConeFamily, SimplicialCone
     if isinstance(obj, SimplicialCone):
         return {"kind": "cone", "dim": obj.ambient,
                 "generators": [_vec_out(g) for g in obj.generators]}
@@ -428,6 +427,13 @@ def serialize(obj) -> dict:
                 "dim": obj.cones[0].ambient if obj.cones else 0,
                 "cones": [[_vec_out(g) for g in c.generators]
                           for c in obj.cones]}
+    from .expand import FormalExpansion
+    if isinstance(obj, FormalExpansion):
+        return {"kind": "expansion", "dim": obj.nvars,
+                "terms": [{"factors": _factors_out(dc.factors),
+                           "numerator": num.to_string()}
+                          for dc, num in obj.terms],
+                "poly": obj.polynomial_part.to_string()}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -454,12 +460,14 @@ def deserialize(data: dict):
         poly = _poly_in(data.get("poly", "0"), k, "poly")
         return make_germ_sum(terms, poly)
     if kind == "expansion":
+        from .expand import make_expansion
         terms = [(fac, num) for num, fac in _fractions_in(data, "terms", k)]
         poly = _poly_in(data.get("poly", "0"), k, "poly")
         return make_expansion(terms, poly)
     if kind == "cone":
         return _cones_in([data.get("generators")], "generators", k)[0]
     if kind == "cone-family":
+        from .cones import ConeFamily
         rows = data.get("cones")
         if not isinstance(rows, list):
             raise FormatError("cones: expected a list")
@@ -500,6 +508,7 @@ def _cone_in(rows, where: str) -> SimplicialCone:
     if not isinstance(rows, list) or not rows:
         raise FormatError(f"{where}: expected a nonempty list of generators")
     gens = [_vec_in(r, f"{where}[{i}]") for i, r in enumerate(rows)]
+    from .cones import make_simplicial_cone
     try:
         return make_simplicial_cone(gens)
     except (NotSimplicial, ValueError) as exc:
@@ -573,6 +582,7 @@ def load_cone_family(path: str) -> list[SimplicialCone]:
         family = deserialize(data)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    from .cones import ConeFamily, SimplicialCone
     if isinstance(family, ConeFamily):
         return list(family.cones)
     if isinstance(family, SimplicialCone):

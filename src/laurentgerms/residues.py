@@ -10,7 +10,8 @@ the Laurent support.  Each map reads its terms through one reader,
 ``laurent_expand(space, f, support=...)``.  Only ``p_order`` and ``p_res``
 expand a germ first, into one canonical expansion per (space, germ):
 ``laurent_expand`` keeps them, shared and immutable, for the 8 latest germs,
-with the work free of Q that a germ's expansions share.
+with the work free of Q that a germ's expansions share.  They alone import
+``expand``; the other maps tell an expansion by its ``fractions`` method.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .exact import (
     vec,
     vec_is_zero,
 )
-from .expand import FormalExpansion, laurent_expand
 from .germs import (
     GermSum,
     PolarGerm,
@@ -114,7 +114,7 @@ class CoproductTerm(Record):
 def _polar_terms(space: AmbientSpace, f) -> GermSum:
     """The polar terms and polynomial part of ``f``: an expansion's own,
     else those of ``decompose(space, f)``."""
-    if isinstance(f, FormalExpansion):
+    if hasattr(f, "fractions"):  # a FormalExpansion
         if f.nvars != space.dimension:
             raise ValueError(f"expansion in {f.nvars} variables, space of "
                              f"dimension {space.dimension}")
@@ -125,7 +125,8 @@ def _polar_terms(space: AmbientSpace, f) -> GermSum:
 
 def _expanded_terms(space: AmbientSpace, f) -> GermSum:
     """``_polar_terms`` of ``f``, a germ expanded first."""
-    if not isinstance(f, FormalExpansion):
+    if not hasattr(f, "fractions"):
+        from .expand import laurent_expand
         f = laurent_expand(space, as_mero(f))
     return _polar_terms(space, f)
 
@@ -214,13 +215,16 @@ def brion_vergne_split(space: AmbientSpace, f,
     components and the polynomial part.  Every pole form of ``f`` must be
     proportional to a member of Δ.
     """
-    g = as_mero(f)
+    g = f if hasattr(f, "fractions") else as_mero(f)
+    s = _polar_terms(space, g)
     allowed = set(arr.delta)
-    for v, _ in g.den:
-        if v not in allowed:
-            raise NotInRDelta(f"pole direction ({', '.join(map(str, v))}) "
-                              "is not in the arrangement")
-    s = _polar_terms(space, f if isinstance(f, FormalExpansion) else g)
+    # the poles of f lie among its terms' forms; only when one of those is
+    # outside Δ are f's own read (an expansion summed: its rays may cancel)
+    if any(v not in allowed for t in s.terms for v, _ in t.factors):
+        for v, _ in as_mero(g).den:
+            if v not in allowed:
+                raise NotInRDelta(f"pole direction ({', '.join(map(str, v))}) "
+                                  "is not in the arrangement")
     r = arr.r
     # the pole forms of a term are independent: one span dimension each
     full = [t for t in s.terms if len(t.factors) == r]

@@ -10,7 +10,6 @@ import pytest
 
 import laurentgerms.expand as expand_module
 import laurentgerms.latticeexp as latticeexp_module
-import laurentgerms.residues as residues_module
 from laurentgerms.cones import (
     SimplicialCone,
     is_subdivision,
@@ -806,9 +805,9 @@ def test_p_res_exp_sum_expands_nothing_again(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(residues_module, "laurent_expand",
+    monkeypatch.setattr(expand_module, "laurent_expand",
                         counted("laurent_expand",
-                                residues_module.laurent_expand))
+                                expand_module.laurent_expand))
     monkeypatch.setattr(latticeexp_module, "exp_sum_smooth",
                         counted("exp_sum_smooth",
                                 latticeexp_module.exp_sum_smooth))

@@ -1,18 +1,11 @@
 """The value types compare, hash, print and freeze by their fields.
 
 Hashes are pinned to the hash of the field tuple, as they always were, so
-set and dict order stay the same.  A fresh import of the CLI stays free of
-the modules that only dataclass generation needs.
+set and dict order stay the same.
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import laurentgerms
 from laurentgerms.cones import PolyCone, SimplicialCone
 from laurentgerms.exact import AmbientSpace, Polynomial, Record
 from laurentgerms.germs import (
@@ -71,15 +64,3 @@ def test_repr_lists_the_fields_unless_the_class_defines_one():
     assert isinstance(total, GermSum)
     assert repr(total) == "GermSum(1 polar terms, poly=3)"
 
-
-def test_importing_the_cli_loads_no_dataclass_machinery():
-    script = ("import sys\n"
-              "before = set(sys.modules)\n"
-              "import laurentgerms.cli\n"
-              "print(' '.join(sorted(set(sys.modules) - before)))\n")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(laurentgerms.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
-    assert "laurentgerms.cli" in out
-    assert "dataclasses" not in out and "inspect" not in out

@@ -240,7 +240,7 @@ def test_the_maps_on_a_germ_build_no_cones(monkeypatch):
         calls.append(args)
         return decompose(*args, **kwargs)
 
-    monkeypatch.setattr(residues, "laurent_expand", refuse)
+    monkeypatch.setattr(expand, "laurent_expand", refuse)
     monkeypatch.setattr(expand, "common_refinement", refuse)
     monkeypatch.setattr(residues, "decompose", counting)
     f = mero_add(mero(1, ([1, 0], 1), ([1, 1], 1)),
@@ -265,7 +265,7 @@ def test_p_order_and_p_res_expand_a_germ_once_each(monkeypatch):
         calls.append(args)
         return laurent_expand(*args, **kwargs)
 
-    monkeypatch.setattr(residues, "laurent_expand", counting)
+    monkeypatch.setattr(expand, "laurent_expand", counting)
     f = mero_add(mero(1, ([1, 0], 1), ([0, 1], 1)), mero(1, ([1, 0], 2)))
     assert p_order(SP, f) == 2
     assert len(calls) == 1
@@ -398,6 +398,34 @@ def test_jk_residue_is_linear():
 def arrangement():
     return make_arrangement([vec([1, 0]), vec([0, 1]), vec([1, 1])])
 
+
+def test_brion_vergne_split_sums_an_expansion_only_for_a_form_outside_delta(
+        monkeypatch):
+    # the k = 3 growth germ: its refinement adds rays that are not poles
+    sp = AmbientSpace.standard(3)
+    f = parse_germ("1/(x1*x2*x3*(x1+x2+x3)*(x1+2*x2+3*x3))", 3)
+    x = laurent_expand(sp, f)
+    terms = sorted({v for dc, _ in x.terms for v, _ in dc.factors})
+    poles = [v for v, _ in f.den]
+    assert not set(terms) <= set(poles)
+    calls = []
+    fraction_sum = germs.fraction_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fraction_sum(*args, **kwargs)
+
+    monkeypatch.setattr(germs, "fraction_sum", counting)
+    arr = make_arrangement(terms)
+    got = brion_vergne_split(sp, x, arr)
+    assert calls == []
+    assert got == residue_maps_reference(sp, x, arr)["brion_vergne_split"]
+    # the rays outside Δ cancel in the sum: one sum, and no error
+    assert brion_vergne_split(sp, x, make_arrangement(poles)) == got
+    assert len(calls) == 1
+    with pytest.raises(NotInRDelta):
+        brion_vergne_split(sp, x, make_arrangement(poles[:-1]))
+    assert len(calls) == 2
 
 def test_brion_vergne_split_classifies_by_span():
     arr = arrangement()
