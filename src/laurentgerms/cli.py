@@ -295,6 +295,9 @@ def _numeric_check(lc, ts) -> dict:
 
 
 def main(argv=None) -> int:
+    # exact results of any size parse and print (no 4,300-digit int cap)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)

@@ -220,6 +220,8 @@ def parse_expr(text: str, k: int) -> Node:
         node = parser.expr()
     except RecursionError:
         raise ExprSyntaxError("expression nested too deeply") from None
+    except ValueError as exc:  # an int beyond sys.get_int_max_str_digits()
+        raise ExprSyntaxError(f"integer too long: {exc}") from None
     kind, val, pos = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"trailing input {val!r}", pos)
@@ -537,7 +539,7 @@ def to_json(obj) -> str:
 def from_json(text: str):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int beyond the digit cap
         raise FormatError(f"invalid JSON: {exc}") from exc
     return deserialize(data)
 
@@ -552,7 +554,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -18,7 +18,8 @@ before it splits them, which is exact as the split on the faces of one
 simplicial cone is unique.  It works in eps throughout: the polar part of
 num / L_F^s is num composed with the Q-orthogonal projector that kills the
 forms F, and the rest, which vanishes where F = 0, is divided exactly by
-the forms.
+the forms, or, when they span the space, sent monomial by monomial to its
+highest-index variable, a fixed combination of the forms.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import lcm
 from typing import Iterable, Sequence, TypeVar
 
@@ -38,6 +40,7 @@ from .exact import (
     Polynomial,
     Record,
     Vec,
+    _nonzero,
     _reduced_rows,
     mat_from_columns,
     mat_rank,
@@ -578,11 +581,12 @@ def polar_split(space: AmbientSpace,
     Each denominator L_F^s is split once, in eps, with the sum of the
     numerators that reached it, highest total order first.  Its polar part
     is num o P, for P the Q-orthogonal projector onto the complement of the
-    forms F (P = 0 when F spans the space: the constant term).  The rest
-    vanishes where F = 0, so exact division by a reverse echelon basis of F
-    writes it as sum_j q_j L_j, and each q_j moves to the denominator with
-    one power of L_j less.  Merging first is exact, as the polar split on
-    the faces of one simplicial cone is unique.
+    forms F.  The rest vanishes where F = 0, so exact division by a reverse
+    echelon basis of F writes it as sum_j q_j L_j, and each q_j moves to
+    the denominator with one power of L_j less.  Spanning forms F keep the
+    constant term (P = 0) and divide nothing: each monomial goes in one pass
+    to its highest-index x_p = sum_j A_pj L_j / d_p.  Merging first is exact,
+    as the polar split on the faces of one simplicial cone is unique.
     """
     k = space.dimension
     scale = lcm(*(a.denominator for row in space.gram for a in row))
@@ -601,15 +605,26 @@ def polar_split(space: AmbientSpace,
         if forms not in faces:
             faces[forms] = _face_split(gram, forms)
         projector, basis = faces[forms]
-        part = polar[den] = (
-            Polynomial.constant(k, num.constant_term()) if projector is None
-            else num.substitute(projector))
-        rest, quotients = num - part, [Polynomial.zero(k)] * len(forms)
-        for row, coords in basis:
-            q, rest = rest.divmod_linear(row)
-            for j, c in enumerate(coords):
-                if c:
-                    quotients[j] += q if c == 1 else q.scale(c)
+        if projector is None:
+            d, lifts = basis
+            parts: list[dict] = [{} for _ in forms]
+            for e, c in num.coeffs.items():
+                if any(e):
+                    p = max(compress(range(k), e))
+                    e = e[:p] + (e[p] - 1,) + e[p + 1:]
+                    for j, a in lifts[p]:
+                        parts[j][e] = parts[j].get(e, 0) + a * c
+            polar[den] = Polynomial.constant(k, num.constant_term())
+            quotients = [Polynomial.from_ints(k, _nonzero(q), num.den * d)
+                         for q in parts]
+        else:
+            part = polar[den] = num.substitute(projector)
+            rest, quotients = num - part, [Polynomial.zero(k)] * len(forms)
+            for row, coords in basis:
+                q, rest = rest.divmod_linear(row)
+                for j, c in enumerate(coords):
+                    if c:
+                        quotients[j] += q if c == 1 else q.scale(c)
         return [(tuple((u, e - (u == v)) for u, e in den if e - (u == v)), q)
                 for v, q in zip(forms, quotients) if not q.is_zero()]
 
@@ -622,10 +637,12 @@ def polar_split(space: AmbientSpace,
 
 def _face_split(gram: Mat, forms: tuple[Vec, ...]):
     """The images of P = I - Q F^T (F Q F^T)^-1 F for independent forms F,
-    None when they span the space, and pairs (R_i, A_i), R_i = sum_j A_ij
-    L_j, whose R_i each hold a highest-index variable that no other R_j
-    holds.  ``gram`` is Q times a positive scalar, which cancels in P.  One
-    form needs no elimination: F Q F^T is a scalar, and L is its own R."""
+    and pairs (R_i, A_i), R_i = sum_j A_ij L_j, whose R_i each hold a
+    highest-index variable that no other R_j holds.  ``gram`` is Q times a
+    positive scalar, which cancels in P.  One form needs no elimination:
+    F Q F^T is a scalar, and L is its own R.  Spanning forms have P = None
+    and R = d_p x_p: the pairs become (d = lcm(d_p), lifts), lifts[p] the
+    (j, A_pj d / d_p) with A_pj != 0."""
     k, m = len(gram), len(forms)
     projector = None
     if m < k:
@@ -639,14 +656,21 @@ def _face_split(gram: Mat, forms: tuple[Vec, ...]):
                 tuple(vec_dot(u, q) for q in qf) + u for u in forms))
             x, dens = [r[m:] for r in rows], [r[i] for i, r in enumerate(rows)]
         d = lcm(*dens)
-        projector = [Polynomial.linear_form(tuple(
-            d * (i == j) - sum(q[i] * r[j] * (d // di)
-                               for q, r, di in zip(qf, x, dens))
-            for j in range(k)), d) for i in range(k)]
-    if m == 1:
-        return projector, [(forms[0], (1,))]
+        dp = [[d * (i == j) for j in range(k)] for i in range(k)]
+        for q, r, di in zip(qf, x, dens):
+            for i, qi in enumerate(q):
+                if qi:
+                    dp[i] = [a - qi * (d // di) * b for a, b in zip(dp[i], r)]
+        projector = [Polynomial.linear_form(row, d) for row in dp]
+        if m == 1:
+            return projector, [(forms[0], (1,))]
     # the pivots of the reduced [F reversed | I] are the highest-index
     # variables, and the identity block records A
     rows, _ = _reduced_rows(tuple(
         v[::-1] + unit_vec(m, i) for i, v in enumerate(forms)))
+    if projector is None:
+        d = lcm(*(r[i] for i, r in enumerate(rows)))
+        return None, (d, [tuple((j, a * (d // r[k - 1 - p]))
+                                for j, a in enumerate(r[k:]) if a)
+                          for p, r in enumerate(reversed(rows))])
     return projector, [(tuple(r[k - 1::-1]), r[k:]) for r in rows]

@@ -6,8 +6,11 @@ failures reproduce bit-for-bit.
 
 import functools
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+
+import pytest
 
 from laurentgerms import (
     AmbientSpace,
@@ -70,6 +73,19 @@ from laurentgerms.germs import (
     reduce_to_independent,
     sum_by_factors,
 )
+
+
+@pytest.fixture
+def default_int_digits():
+    """The interpreter's default cap of 4,300 digits on int <-> str
+    conversions, whatever an earlier in-process command set; the limit in
+    force before the test is restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter does not cap int <-> str conversions")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
 
 
 def random_fraction(rng: random.Random, lo: int = -3, hi: int = 3,

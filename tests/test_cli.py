@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exit codes, and output formats."""
 
 import json
+import sys
 
 import pytest
 
@@ -52,6 +53,20 @@ def test_decompose_of_a_pole_form_with_a_huge_coefficient(capsys):
     assert got["poly"] == "0"
     assert got["polar"] == [{"numerator": "1", "factors": [
         {"form": ["1", str(10 ** 40)], "power": 1}]}]
+
+
+def test_integers_beyond_the_interpreters_digit_cap_parse_and_print(
+        capsys, default_int_digits):
+    # 4,300 digits is the default cap on int <-> str conversions; the
+    # command lifts it, so both the literal and the computed power work
+    literal = 7 * (10 ** 5000 - 1) // 9
+    for text, value in (("7" * 5000 + "/x1", literal),
+                        ("10^5000/x1", 10 ** 5000)):
+        sys.set_int_max_str_digits(4300)
+        got = run_json(capsys, "decompose", text)
+        [term] = deserialize(got).terms
+        assert term.numerator.constant_term() == value
+        assert term.factors == (((1, 0), 1),)
 
 
 def test_laurent_expansion_known_coefficients(capsys, tmp_path):

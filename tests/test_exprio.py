@@ -196,6 +196,15 @@ def test_parse_errors_carry_positions():
         parse_expr("x1^x2", 2)
 
 
+def test_an_integer_beyond_the_interpreters_digit_cap_is_refused(
+        default_int_digits):
+    for text in ("7" * 5000 + "/x1", "x1^" + "1" * 5000, "x" + "1" * 5000):
+        with pytest.raises(ExprSyntaxError, match="5000 digits"):
+            parse_germ(text, 2)
+    with pytest.raises(FormatError, match="5000 digits"):
+        from_json('{"kind": "germ", "dim": 2, "numerator": ' + "1" * 5000 + "}")
+
+
 def test_too_deep_input_is_a_syntax_error_not_a_crash():
     with pytest.raises(ExprSyntaxError, match="nested too deeply"):
         parse_expr("(" * 2000 + "x1" + ")" * 2000, 2)

@@ -720,9 +720,26 @@ def test_decompose_is_structurally_the_recursive_split():
             assert decompose(space, f) == _reference_decompose(space, f)
 
 
+def test_decompose_is_the_recursive_split_where_quotients_span_again():
+    # pole powers up to 3 over forms from a small pool and numerators up to
+    # degree 6: quotients reach spanning pole sets again with nonconstant
+    # numerators; each germ is split under its own random Gram matrix
+    rng = random.Random(77)
+    for _ in range(400):
+        k = rng.randint(1, 4)
+        pool = [random_vector(rng, k, -2, 2) for _ in range(rng.randint(k, k + 2))]
+        factors = [(rng.choice(pool), rng.randint(1, 3))
+                   for _ in range(rng.randint(1, k + 1))]
+        f = make_mero(random_polynomial(rng, k, degree=rng.randint(0, 6)),
+                      factors)
+        space = random_space(rng, k)
+        assert decompose(space, f) == _reference_decompose(space, f)
+
+
 def test_polar_split_projects_and_divides_in_eps(monkeypatch):
     # decompose looks for no complement basis; a pole set whose forms span
-    # the space keeps the constant term, so it substitutes nothing; a
+    # the space keeps the constant term and sends each monomial to its
+    # highest-index variable, so it substitutes and divides nothing; a
     # one-form pole set projects with the scalar Q(L, L) and is its own
     # division basis, so it runs no elimination.  The numerators of the
     # full-rank germs have lower degree than every pole power: each face
@@ -730,13 +747,15 @@ def test_polar_split_projects_and_divides_in_eps(monkeypatch):
     full = [(2, "(x1+x2)^2*x2/(x1^3*(x1+x2)^3)"),
             (3, "(x1*x2+x3^2)/(x1^2*x2^2*(x1+x3)^2)")]
     one = [(2, "(x1+x2)^3/(x1+2*x2)^2"), (3, "(x1*x2+x3^2)/(x2+x3)^3")]
-    cases = [(name, space_of(k), parse_germ(text, k))
-             for name, texts in (("substitute", full), ("_reduced_rows", one))
+    cases = [(names, space_of(k), parse_germ(text, k))
+             for names, texts in ((("substitute", "divmod_linear"), full),
+                                  (("_reduced_rows",), one))
              for k, text in texts
              for space_of in (AmbientSpace.standard, _digest_space, half_space)]
     expected = [(decompose(sp, f), polar_split(sp, [(f.numerator, f.den)]))
                 for _, sp, f in cases]
-    counts = dict.fromkeys(("nullspace", "substitute", "_reduced_rows"), 0)
+    counts = dict.fromkeys(
+        ("nullspace", "substitute", "divmod_linear", "_reduced_rows"), 0)
 
     def counted(name, fn):
         def wrapper(*args):
@@ -745,15 +764,17 @@ def test_polar_split_projects_and_divides_in_eps(monkeypatch):
         return wrapper
 
     for owner, name in ((exact_module, "nullspace"), (Polynomial, "substitute"),
+                        (Polynomial, "divmod_linear"),
                         (germs_module, "_reduced_rows")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
-    for (name, sp, f), (whole, split) in zip(cases, expected):
-        before = counts[name]
+    for (names, sp, f), (whole, split) in zip(cases, expected):
+        before = [counts[name] for name in names]
         assert polar_split(sp, [(f.numerator, f.den)]) == split
-        assert counts[name] == before
         assert decompose(sp, f) == whole
+        assert [counts[name] for name in names] == before
     assert counts["nullspace"] == 0
     assert counts["substitute"] > 0 and counts["_reduced_rows"] > 0
+    assert counts["divmod_linear"] > 0
 
 
 def test_decompose_and_residues_refuse_a_germ_in_other_variables():
