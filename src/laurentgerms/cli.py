@@ -3,12 +3,15 @@
 Every command reads expressions in the x1..xk syntax, prints one JSON
 object to stdout, and is deterministic for a fixed configuration.
 
-Exit codes: 0 success; 2 parse or format error in an expression or input
-file; 3 mathematical precondition violated (nonlinear pole, improper
+Exit codes: 0 success; 1 the result could not be written (silently when
+the reader of stdout has gone); 2 parse or format error in an expression or
+input file; 3 mathematical precondition violated (nonlinear pole, improper
 support, non-smooth cone, ...); 4 ambient dimension above ``--dim-cap``,
-checked before any cone geometry runs.  Only ``laurent``, ``p-order``,
-``p-res``, ``exp-sum`` and ``cone`` build cones and are capped; the others
-read ``decompose`` or nothing, and the library itself has no cap.
+checked before any cone geometry runs.  Each library error type carries its
+code as ``exit_code``; a stray ZeroDivisionError or ValueError exits 3.
+Only ``laurent``, ``p-order``, ``p-res``, ``exp-sum`` and ``cone`` build
+cones and are capped; the others read ``decompose`` or nothing, and the
+library itself has no cap.
 The cap (``DEFAULT_DIMENSION_CAP``) is this tool's policy alone: commands
 read their settings from the parsed arguments and build their own space.
 
@@ -21,15 +24,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .errors import (
-    DimensionCapExceeded,
-    ExprSyntaxError,
-    FormatError,
-    LaurentGermsError,
-    UnknownVariable,
-)
+from .errors import DimensionCapExceeded, FormatError, LaurentGermsError
 from .exact import ONE, AmbientSpace, mat, solve, vec
 from .germs import decompose, germ_equal
 from .exprio import (
@@ -131,23 +129,18 @@ def _check_file_dim(path: str, found: int, k: int):
         raise FormatError(f"{path}: rows of dimension {found} under --dim {k}")
 
 
-def _emit(payload: dict):
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
 def _span_rows(span) -> list[list[str]]:
     return [[frac_str(c) for c in row] for row in span]
 
 
-def _run(args) -> int:
+def _run(args) -> dict:
     space = _space(args)
     k = space.dimension
     if args.command in ("laurent", "p-order", "p-res", "exp-sum"):
         _check_dim_cap(k, args)  # cone checks its family's dimension
 
     if args.command == "decompose":
-        _emit(serialize(decompose(space, parse_germ(args.expr, k))))
+        return serialize(decompose(space, parse_germ(args.expr, k)))
     elif args.command == "laurent":
         from .expand import laurent_expand
         support = None
@@ -156,13 +149,13 @@ def _run(args) -> int:
             if support:
                 _check_file_dim(args.support, support[0].ambient, k)
         g = parse_germ(args.expr, k)
-        _emit(serialize(laurent_expand(space, g, support=support)))
+        return serialize(laurent_expand(space, g, support=support))
     elif args.command == "project-plus":
         from .residues import pi_plus
-        _emit(serialize(pi_plus(space, parse_germ(args.expr, k))))
+        return serialize(pi_plus(space, parse_germ(args.expr, k)))
     elif args.command == "project-minus":
         from .residues import pi_minus
-        _emit(serialize(pi_minus(space, parse_germ(args.expr, k))))
+        return serialize(pi_minus(space, parse_germ(args.expr, k)))
     elif args.command == "grade":
         from .residues import graded_split
         split = graded_split(space, parse_germ(args.expr, k))
@@ -172,7 +165,7 @@ def _run(args) -> int:
             components.append({"span": _span_rows(key.support_span),
                                "p_order": key.p_order,
                                "component": serialize(split[key])})
-        _emit({"kind": "graded-split", "dim": k, "components": components})
+        return {"kind": "graded-split", "dim": k, "components": components}
     elif args.command == "jk":
         from .residues import jk_residue
         subspace = None
@@ -180,29 +173,29 @@ def _run(args) -> int:
             subspace = load_rows(args.subspace)
             _check_file_dim(args.subspace, len(subspace[0]), k)
         g = parse_germ(args.expr, k)
-        _emit(serialize(jk_residue(space, g, subspace=subspace)))
+        return serialize(jk_residue(space, g, subspace=subspace))
     elif args.command == "brion-vergne":
         from .residues import brion_vergne_split, make_arrangement
         rows = load_rows(args.arrangement)
         _check_file_dim(args.arrangement, len(rows[0]), k)
         arr = make_arrangement(rows)
         gen, rest = brion_vergne_split(space, parse_germ(args.expr, k), arr)
-        _emit({"kind": "brion-vergne", "dim": k,
-               "generating": serialize(gen), "rest": serialize(rest)})
+        return {"kind": "brion-vergne", "dim": k,
+                "generating": serialize(gen), "rest": serialize(rest)}
     elif args.command == "p-order":
         from .residues import p_order
-        _emit({"kind": "p-order", "dim": k,
-               "p_order": p_order(space, parse_germ(args.expr, k))})
+        return {"kind": "p-order", "dim": k,
+                "p_order": p_order(space, parse_germ(args.expr, k))}
     elif args.command == "p-res":
         from .residues import p_res
-        _emit(serialize(p_res(space, parse_germ(args.expr, k))))
+        return serialize(p_res(space, parse_germ(args.expr, k)))
     elif args.command == "coproduct":
         from .residues import coproduct
         terms = []
         for t in coproduct(space, parse_germ(args.expr, k)):
             right = None if t.right is None else serialize(t.right)
             terms.append({"left": t.left.to_string(), "right": right})
-        _emit({"kind": "coproduct", "dim": k, "terms": terms})
+        return {"kind": "coproduct", "dim": k, "terms": terms}
     elif args.command == "cone":
         return _run_cone(args)
     elif args.command == "exp-sum":
@@ -210,31 +203,28 @@ def _run(args) -> int:
     elif args.command == "verify":
         g1 = parse_germ(args.expr1, k)
         g2 = parse_germ(args.expr2, k)
-        _emit({"kind": "verify", "dim": k, "equal": germ_equal(g1, g2)})
-    return 0
+        return {"kind": "verify", "dim": k, "equal": germ_equal(g1, g2)}
 
 
-def _run_cone(args) -> int:
+def _run_cone(args) -> dict:
     from .cones import ConeFamily, common_refinement, positioning_witness
     cones = load_cone_family(args.family)
     _check_dim_cap(cones[0].ambient if cones else 0, args)
     if args.cone_command == "refine":
         pieces, index_sets = common_refinement(cones)
-        _emit({"kind": "refinement",
-               "dim": pieces[0].ambient if pieces else 0,
-               "pieces": serialize(ConeFamily(tuple(pieces)))["cones"],
-               "index_sets": [sorted(s) for s in index_sets]})
-        return 0
+        return {"kind": "refinement",
+                "dim": pieces[0].ambient if pieces else 0,
+                "pieces": serialize(ConeFamily(tuple(pieces)))["cones"],
+                "index_sets": [sorted(s) for s in index_sets]}
     found = positioning_witness(cones)
     witness = None if found is None else {"pair": [found[0], found[1]],
                                           "reason": found[2]}
-    _emit({"kind": "positioning-check",
-           "properly_positioned": witness is None,
-           "witness": witness})
-    return 0
+    return {"kind": "positioning-check",
+            "properly_positioned": witness is None,
+            "witness": witness}
 
 
-def _run_exp_sum(args, space: AmbientSpace) -> int:
+def _run_exp_sum(args, space: AmbientSpace) -> dict:
     from .latticeexp import (
         DEFAULT_TRUNCATION,
         exp_integral,
@@ -272,8 +262,7 @@ def _run_exp_sum(args, space: AmbientSpace) -> int:
         report["polar"] = None
         report["tail"] = None
         report["numeric_check"] = None
-    _emit(report)
-    return 0
+    return report
 
 
 def _numeric_check(lc, ts) -> dict:
@@ -300,16 +289,23 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
-    except (ExprSyntaxError, UnknownVariable, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DimensionCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        payload = _run(args)
     except (LaurentGermsError, ZeroDivisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return getattr(exc, "exit_code", 3)
+    try:
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()  # a buffered write would fail only at exit
+    except OSError as exc:
+        # as the SIGPIPE note of the signal docs advises: stdout goes to
+        # devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed reader is silent
+            print(f"error: the result could not be written: {exc}",
+                  file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

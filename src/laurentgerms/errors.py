@@ -2,14 +2,16 @@
 
 Every error raised by the library is a subclass of :class:`LaurentGermsError`,
 so callers (and the CLI) can map failures to exit codes without fishing for
-stdlib exception types.
+stdlib exception types.  Each class carries the CLI's exit code for it as
+``exit_code``: 3 for a violated mathematical precondition, unless a subclass
+says otherwise (2 for unparsable input, 4 for the dimension cap).
 """
-
-from __future__ import annotations
 
 
 class LaurentGermsError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 3
 
 
 class DependentInput(LaurentGermsError):
@@ -35,6 +37,8 @@ class OrthogonalityViolated(LaurentGermsError):
 
 class DimensionCapExceeded(LaurentGermsError):
     """Ambient dimension exceeds the command-line cap (``--dim-cap``)."""
+
+    exit_code = 4
 
 
 class NotStrictlyConvexUnion(LaurentGermsError):
@@ -81,6 +85,8 @@ class NonLinearPole(LaurentGermsError):
 class ExprSyntaxError(LaurentGermsError):
     """Expression text failed to parse; carries the offending position."""
 
+    exit_code = 2
+
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message if position is None
                          else f"{message} (at position {position})")
@@ -90,6 +96,10 @@ class ExprSyntaxError(LaurentGermsError):
 class UnknownVariable(LaurentGermsError):
     """Expression refers to a variable outside x1..xk."""
 
+    exit_code = 2
+
 
 class FormatError(LaurentGermsError):
     """Serialized data is malformed; message carries the location."""
+
+    exit_code = 2

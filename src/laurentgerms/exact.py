@@ -41,6 +41,11 @@ from typing import Iterable, Sequence
 
 from .errors import DependentInput, RankDeficient
 
+__all__ = [
+    "AmbientSpace", "Polynomial", "frac", "linear_factorization",
+    "q_orthogonal_complement", "span_key",
+]
+
 Vec = tuple[int | Fraction, ...]
 Mat = tuple[Vec, ...]
 
@@ -390,7 +395,8 @@ class AmbientSpace(Record):
     ``gram`` holds Q in the standard basis; ``pairing(u, v) = u^T Q v`` is the
     inner product used for orthogonality of numerator directions against pole
     forms.  Positive-definiteness is checked eagerly via leading principal
-    minors so misuse fails at construction, not deep inside an expansion.
+    minors, all read off one elimination, so misuse fails at construction,
+    not deep inside an expansion.
     An integral ``gram`` is stored as ints, so pairings stay on ints.
     """
 
@@ -404,10 +410,18 @@ class AmbientSpace(Record):
             raise ValueError(f"gram matrix must be {k}x{k}")
         if g != mat_transpose(g):
             raise ValueError("gram matrix must be symmetric")
-        for j in range(1, k + 1):
-            minor = tuple(row[:j] for row in g[:j])
-            if det(minor) <= 0:
+        # Sylvester: Bareiss without row exchanges leaves the j-th leading
+        # minor as the j-th pivot, and positive row scales keep its sign
+        rows = [_scaled_row(row)[0] for row in g]
+        prev = 1
+        while rows:
+            top, *rows = rows
+            piv = top[0]
+            if piv <= 0:
                 raise ValueError("gram matrix must be positive definite")
+            rows = [[(a * piv - row[0] * b) // prev
+                     for a, b in zip(row[1:], top[1:])] for row in rows]
+            prev = piv
         if all(a.denominator == 1 for row in g for a in row):
             object.__setattr__(self, "gram",
                                tuple(tuple(int(a) for a in row) for row in g))

@@ -131,6 +131,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _shown(token: str) -> str:
+    """The token quoted for an error message, cut after 40 characters."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}…"
+
+
 class _Parser:
     def __init__(self, text: str, k: int):
         self.tokens = _tokenize(text)
@@ -200,17 +205,18 @@ class _Parser:
         if kind == "name":
             m = re.fullmatch(r"(x|eps)(\d+)", val)
             if m is None:
-                raise UnknownVariable(f"unknown name {val!r} at position {pos}")
+                raise UnknownVariable(
+                    f"unknown name {_shown(val)} at position {pos}")
             idx = int(m.group(2))
             if not 1 <= idx <= self.k:
                 raise UnknownVariable(
-                    f"variable {val!r} outside dimension {self.k}")
+                    f"variable {_shown(val)} outside dimension {self.k}")
             return Var(idx - 1)
         if kind == "op" and val == "(":
             node = self.expr()
             self.expect_op(")")
             return node
-        raise ExprSyntaxError(f"unexpected token {val!r}", pos)
+        raise ExprSyntaxError(f"unexpected token {_shown(val)}", pos)
 
 
 def parse_expr(text: str, k: int) -> Node:
@@ -224,7 +230,7 @@ def parse_expr(text: str, k: int) -> Node:
         raise ExprSyntaxError(f"integer too long: {exc}") from None
     kind, val, pos = parser.peek()
     if kind != "end":
-        raise ExprSyntaxError(f"trailing input {val!r}", pos)
+        raise ExprSyntaxError(f"trailing input {_shown(val)}", pos)
     return node
 
 
@@ -348,7 +354,7 @@ def parse_frac(value, where: str = "value") -> Fraction:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"{where}: bad rational {value!r}") from exc
+            raise FormatError(f"{where}: bad rational {_shown(value)}") from exc
     raise FormatError(f"{where}: expected a rational, got {type(value).__name__}")
 
 
@@ -370,7 +376,7 @@ def _poly_in(text, k: int, where: str) -> Polynomial:
     except (ExprSyntaxError, UnknownVariable, NonLinearPole) as exc:
         raise FormatError(f"{where}: {exc}") from exc
     if not g.is_polynomial():
-        raise FormatError(f"{where}: {text!r} is not a polynomial")
+        raise FormatError(f"{where}: {_shown(text)} is not a polynomial")
     return g.numerator
 
 

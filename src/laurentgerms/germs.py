@@ -50,6 +50,14 @@ from .exact import (
     vec_dot,
 )
 
+__all__ = [
+    "GermSum", "MeromorphicGerm", "PolarGerm", "as_mero",
+    "canonicalize_polar", "decompose", "evaluate", "germ_equal",
+    "make_germ_sum", "make_mero", "mero_add", "mero_mul", "mero_neg",
+    "mero_scale", "mero_sub", "numerator_is_orthogonal",
+    "reduce_to_independent",
+]
+
 Factors = tuple[tuple[Vec, int], ...]
 K = TypeVar("K")
 V = TypeVar("V")

@@ -1,7 +1,10 @@
 """End-to-end command-line behavior, exit codes, and output formats."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -470,3 +473,70 @@ def test_decompose_of_many_dependent_forms_finishes(capsys):
     expr = " + ".join(f"{i}/(x1+{i}*x2)" for i in range(1, 13))
     got = run_json(capsys, "decompose", expr)
     assert germ_equal(deserialize(got), parse_germ(expr, 2))
+
+
+def test_a_large_inner_product_space_is_checked_in_one_elimination(capsys):
+    # one determinant per leading minor took over 20 s at this size
+    code, captured = run(capsys, "--dim", "300", "decompose", "1/(x1*x300)")
+    assert code == 0, captured.err
+
+
+@pytest.mark.parametrize("expr", ["x" + "7" * 5000, "y" + "7" * 5000,
+                                  "x1 " + "7" * 5000],
+                         ids=["outside", "unknown", "trailing"])
+def test_a_parse_error_quotes_a_long_token_cut_short(capsys, expr):
+    code, captured = run(capsys, "decompose", expr)
+    assert code == 2 and captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("error:") and len(line) < 200
+    assert "…" in line
+
+
+def test_a_format_error_quotes_a_long_value_cut_short(capsys, tmp_path):
+    gram = write_json(tmp_path, "gram.json", [["1/" + "7" * 5000 + "x", 0],
+                                              [0, 1]])
+    code, captured = run(capsys, "--gram", gram, "decompose", "1/x1")
+    assert code == 2
+    line, = captured.err.splitlines()
+    assert len(line) < 200 + len(gram) and line.endswith("…")
+
+
+def test_a_parse_error_quotes_a_short_token_whole(capsys):
+    code, captured = run(capsys, "decompose", "x9")
+    assert code == 2
+    assert captured.err == "error: variable 'x9' outside dimension 2\n"
+
+
+# ---------------------------------------------------------------------------
+# output that cannot be written
+
+GROWTH4 = "1/(x1*x2*x3*x4*(x1+x2+x3+x4)*(x1+2*x2+3*x3+4*x4))"
+
+
+def run_cli_into(stdout, *argv) -> subprocess.CompletedProcess:
+    """``python -m laurentgerms.cli argv`` writing to the file ``stdout``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout fails at the flush
+    return subprocess.run([sys.executable, "-m", "laurentgerms.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          text=True, timeout=120)
+
+
+def test_a_full_device_ends_in_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = run_cli_into(full, "decompose", "1/(x1*(x1+x2))")
+    assert proc.returncode == 1
+    line, = proc.stderr.splitlines()
+    assert line.startswith("error: the result could not be written")
+
+
+def test_a_closed_pipe_ends_silently():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = run_cli_into(write_end, "--dim", "4", "laurent", GROWTH4)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

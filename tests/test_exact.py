@@ -424,6 +424,52 @@ def test_space_rejects_bad_gram_matrices():
         AmbientSpace(2, mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))  # wrong size
 
 
+def leading_minors_positive(g) -> bool:
+    """Sylvester's criterion by one determinant per leading minor."""
+    return all(det(tuple(row[:j] for row in g[:j])) > 0
+               for j in range(1, len(g) + 1))
+
+
+def random_symmetric(rng, k: int, kind: str):
+    """A symmetric rational k x k matrix: B B^T (+ a positive diagonal for
+    "definite"), with B of rank below k for "semidefinite"; any symmetric
+    matrix for "indefinite"; and "zero-lead" zeroes the (0, 0) entry."""
+    if kind == "indefinite":
+        rows = [[random_fraction(rng) for _ in range(k)] for _ in range(k)]
+        g = [[rows[min(i, j)][max(i, j)] for j in range(k)] for i in range(k)]
+    else:
+        rank = rng.randint(0, k - 1) if kind == "semidefinite" else k
+        b = [[random_fraction(rng) for _ in range(rank)] for _ in range(k)]
+        g = [[sum((x * y for x, y in zip(b[i], b[j])), F(0))
+              for j in range(k)] for i in range(k)]
+        if kind == "definite":
+            for i in range(k):
+                g[i][i] += F(rng.randint(1, 3), rng.randint(1, 4))
+    if kind == "zero-lead":
+        g[0][0] = F(0)
+    return tuple(tuple(row) for row in g)
+
+
+def test_space_accepts_exactly_the_gram_matrices_of_positive_minors():
+    rng = random.Random(41)
+    verdicts = {}
+    for _ in range(400):
+        k = rng.randint(1, 6)
+        kind = rng.choice(("definite", "semidefinite", "indefinite",
+                           "zero-lead"))
+        g = random_symmetric(rng, k, kind)
+        try:
+            AmbientSpace(k, g)
+            accepted = True
+        except ValueError as exc:
+            assert str(exc) == "gram matrix must be positive definite"
+            accepted = False
+        assert accepted == leading_minors_positive(g), g
+        verdicts.setdefault(kind, set()).add(accepted)
+    assert verdicts == {"definite": {True}, "semidefinite": {False},
+                        "indefinite": {True, False}, "zero-lead": {False}}
+
+
 def test_pairing_is_bilinear_and_symmetric():
     rng = random.Random(9)
     for _ in range(20):

@@ -168,3 +168,24 @@ def test_a_star_import_in_a_new_interpreter_binds_every_public_name():
               "print(*namespace, file=sys.stderr)\n")
     bound = set(_fresh(script).split())
     assert set(HOMES) | set(EXPORTS) | {"errors"} <= bound
+
+
+def test_the_package_binds_each_modules_all_and_nothing_else():
+    declared = set()
+    for module in ("exact", "germs", "cones", "expand", "residues",
+                   "latticeexp", "exprio"):
+        home = getattr(laurentgerms, module)
+        for name in home.__all__:
+            assert getattr(laurentgerms, name) is getattr(home, name), name
+        declared.update(home.__all__)
+    error_classes = {name for name, value in vars(errors).items()
+                     if isinstance(value, type)
+                     and issubclass(value, errors.LaurentGermsError)}
+    submodules = {name for name, value in vars(laurentgerms).items()
+                  if getattr(value, "__name__", None)
+                  == f"laurentgerms.{name}"}
+    # __version__ and the other dunders aside
+    rest = {name for name in dir(laurentgerms)
+            if not (name.startswith("__") and name.endswith("__"))}
+    assert rest - declared - error_classes - submodules == set()
+    assert "annotations" not in dir(laurentgerms)
