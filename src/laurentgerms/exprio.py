@@ -373,7 +373,8 @@ def _poly_in(text, k: int, where: str) -> Polynomial:
         raise FormatError(f"{where}: expected a polynomial string")
     try:
         g = parse_germ(text, k)
-    except (ExprSyntaxError, UnknownVariable, NonLinearPole) as exc:
+    except (ExprSyntaxError, UnknownVariable, NonLinearPole,
+            ZeroDivisionError) as exc:
         raise FormatError(f"{where}: {exc}") from exc
     if not g.is_polynomial():
         raise FormatError(f"{where}: {_shown(text)} is not a polynomial")

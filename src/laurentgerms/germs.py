@@ -6,7 +6,9 @@ primitive pseudo-positive integer vectors (scalars are absorbed into the
 numerator, using 1/(-L)^s = (-1)^s/L^s), sorted canonically, and reduced so
 that no pole form divides the numerator.  A reduced germ is unique, so two
 germs are equal iff they are structurally equal, and exact sums
-(``fraction_sum``) may group their summands in any way.
+(``fraction_sum``) may group their summands in any way.  One exchange
+rewrite, ``_nbc_rewrite``, moves fractions onto denominators of
+independent forms, for ``fraction_sum`` and for ``decompose`` alike.
 
 A *polar* germ additionally keeps its numerator orthogonal to the pole forms:
 the numerator is a polynomial in linear functions <w, eps> with Q(w, v_i) = 0
@@ -211,6 +213,8 @@ def _nbc_rewrite(fractions: dict[Factors, Polynomial], arrangement: list[Vec],
     """The same sum with every pole set nbc under the arrangement's order,
     which may be any order of its forms, or None as soon as it is certain
     to have ``limit`` fractions or more.  The factors come back canonical.
+    ``fraction_sum`` orders its forms by use, ``reduce_to_independent``
+    one germ's own forms canonically descending.
 
     A pole set S holds a broken circuit iff some form L0 of the arrangement
     lies in the span of the members of S later than L0.  For the earliest
@@ -222,8 +226,8 @@ def _nbc_rewrite(fractions: dict[Factors, Polynomial], arrangement: list[Vec],
     """
     n = len(arrangement)
     index = {v: i for i, v in enumerate(arrangement)}
-    steps: dict[tuple[int, ...], tuple[int, list[tuple[int, Fraction]]] | None] = {}
 
+    @cache
     def nbc_step(forms: tuple[int, ...]):
         # the forms before position i and from the previous member on have
         # forms[j:] as their later members; search them in order.  One
@@ -253,10 +257,7 @@ def _nbc_rewrite(fractions: dict[Factors, Polynomial], arrangement: list[Vec],
     def expand(key, num: Polynomial):
         if num.is_zero():
             return []
-        forms = tuple(i for i, _ in key)
-        if forms not in steps:
-            steps[forms] = nbc_step(forms)
-        step = steps[forms]
+        step = nbc_step(tuple(i for i, _ in key))
         if step is None:
             return None
         l0, coords = step
@@ -509,52 +510,31 @@ def reduce_to_independent(
         f) -> list[tuple[Fraction, Polynomial, Factors]]:
     """Rewrite f as sum_i c_i * numerator / prod(independent forms)^s.
 
-    The numerator polynomial is shared by all output fractions; only the
-    denominators change, by repeated use of the exchange identity
-    1/(L_1...L_r) = sum_i a_i/(L_1...L_i-hat...L_r L_0) for a dependent form
-    L_0 = sum_i a_i L_i among the poles.  Independent forms (or none) give
-    ``[(1, numerator, den)]`` at once; the elimination that tells is the
-    first exchange step otherwise, and forms met again reuse theirs.
+    Independent forms (or none) give ``[(1, numerator, den)]`` after one
+    elimination; otherwise the c_i are the constant numerators of the
+    ``_nbc_rewrite`` of 1/den under the descending canonical order of the
+    germ's own forms.
 
-    Equal denominators reached along different exchange paths are merged,
-    their coefficients summed, before they are expanded further.  Every
-    step moves one power from a form to a later form in the sorted order,
-    so the sum of exponent times sort position grows strictly, as
-    ``_exchange_worklist`` needs.
+    That is the output of the greedy exchange loop, which in canonical
+    order a_1 < ... < a_n moves a power from each greedy pivot onto the
+    first dependent form.  Each pole set S it reaches keeps every missing
+    form a_j outside span{a_i in S : i < j}: at the start S holds every
+    form, and an exchange adds none and removes only a pivot a_p, outside
+    span(S_{<p}) as pivots are chosen from below, which only shrinks the
+    spans the other missing forms are tested against.  So an independent S
+    holds no broken circuit of the descending order, and the expansion onto
+    nbc sets is unique, their reciprocal monomials being linearly
+    independent (Terao, J. Algebra 250, 2002).
     """
     f = as_mero(f)
     if f.is_zero():
         return []
-
-    @cache
-    def step(forms: tuple[Vec, ...]):
-        # one reduction of the forms as columns: the pivot columns are the
-        # greedy independent subset in canonical order, the first other
-        # column is the first dependent form, and the reduced rows hold its
-        # coordinates over the pivot forms (all of them earlier forms)
-        rows, pivots = _reduced_rows(mat_from_columns(forms))
-        dep = next((j for j in range(len(forms)) if j not in pivots), None)
-        if dep is None:
-            return None
-        return forms[dep], [(forms[p], Fraction(row[dep], row[p]))
-                            for row, p in zip(rows, pivots) if row[dep]]
-
-    def expand(key: Factors, coef: Fraction):
-        if coef == 0:
-            return []
-        found = step(tuple(v for v, _ in key))
-        if found is None:
-            return None
-        dep, coords = found
-        return [(_exchanged(key, v, dep), coef * c) for v, c in coords]
-
-    start = tuple(sorted((v, e) for v, e in f.den if e))
-    if step(tuple(v for v, _ in start)) is None:
-        return [(ONE, f.numerator, start)]
-    position = {v: i for i, v in enumerate(sorted(v for v, _ in f.den))}
-    out = _exchange_worklist(
-        {start: ONE}, lambda key: sum(position[v] * e for v, e in key), expand)
-    return [(c, f.numerator, den) for den, c in sorted(out.items())]
+    forms = [v for v, _ in f.den]
+    if len(_reduced_rows(mat_from_columns(forms))[1]) == len(forms):
+        return [(ONE, f.numerator, f.den)]
+    out = _nbc_rewrite({f.den: Polynomial.constant(f.nvars, 1)}, forms[::-1])
+    return [(num.constant_term(), f.numerator, den)
+            for den, num in sorted(out.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +542,9 @@ def reduce_to_independent(
 
 def decompose(space: AmbientSpace, f) -> GermSum:
     """Split a germ into polar germs plus a polynomial (exact, canonical):
-    ``reduce_to_independent`` rewrites it over independent denominators, and
-    the shared worklist ``polar_split`` splits all of those at once.  Raises
+    ``reduce_to_independent`` rewrites it over independent denominators by
+    the nbc rewrite of its own forms, and the shared worklist
+    ``polar_split`` splits all of those at once.  Raises
     ValueError when the germ and the space differ in their numbers of
     variables.  Only the split uses Q; the 8 latest germs keep the rewrite.
     """

@@ -439,6 +439,8 @@ def test_cone_family_of_mixed_dimension_is_a_format_error(capsys, tmp_path,
     ({"a": 1}, "top level: expected an object with a 'kind' field"),
     ({"kind": "cone-family", "dim": 2, "cones": 1}, "cones: expected a list"),
     ({"kind": "germ", "dim": 2, "numerator": "1"}, "not a cone family"),
+    ({"kind": "polynomial", "dim": 2, "poly": "1/0"},
+     "poly: division by the zero germ"),
 ])
 def test_a_malformed_support_file_is_named_in_the_error(capsys, tmp_path,
                                                         family, message):

@@ -457,6 +457,10 @@ def test_empty_cone_family_round_trips():
     ({"kind": "germ-sum", "dim": 2, "polar": {}}, "polar: expected a list"),
     ({"kind": "expansion", "dim": 2, "terms": ["x1"]},
      r"terms\[0\]: expected an object"),
+    ({"kind": "polynomial", "dim": 2, "poly": "1/0"},
+     "poly: division by the zero germ"),
+    ({"kind": "germ", "dim": 2, "numerator": "1/(x1-x1)"},
+     "numerator: division by the zero germ"),
 ])
 def test_deserialize_names_what_is_wrong(data, message):
     with pytest.raises(FormatError, match=message):

@@ -529,11 +529,30 @@ def _reduce_by_greedy_rank_loop(f):
     return [(c, f.numerator, den) for den, c in sorted(out.items()) if c]
 
 
+def _dependent_germ(rng, k, forms, order):
+    """``forms`` pole forms of powers 1 to 3 and total order at most
+    ``order``, drawn from a pool of k + 1 to k + 3 primitive vectors."""
+    pool = set()
+    size = rng.randint(k + 1, k + 3)
+    while len(pool) < size:
+        v = random_vector(rng, k, -2, 2)
+        if any(v):
+            pool.add(primitive_pseudo_positive(v)[1])
+    powers = [order + 1]
+    while sum(powers) > order:
+        powers = [rng.randint(1, 3) for _ in range(forms)]
+    return make_mero(Polynomial.constant(k, rng.randint(1, 5)),
+                     list(zip(rng.sample(sorted(pool), forms), powers)))
+
+
 def test_reduce_is_structurally_the_greedy_rank_loop():
     germs = [g for _, g in round_trip_corpus()]
     rng = random.Random(26)
     germs += [random_germ(rng, rng.randint(1, 4), max_forms=5, degree=2)
               for _ in range(100)]
+    # six forms in k = 5, so always dependent; the reference recursion
+    # grows steeply with the total order, which 12 keeps to about a second
+    germs += [_dependent_germ(rng, 5, 6, 12) for _ in range(40)]
     for g in germs:
         assert reduce_to_independent(g) == _reduce_by_greedy_rank_loop(g)
 
@@ -560,8 +579,9 @@ def test_reduce_merges_equal_denominators():
 
 def test_independent_forms_need_no_exchange(monkeypatch):
     # independent forms, or none, come back as they are after one
-    # elimination and no rref; a dependent germ makes one elimination per
-    # form set, the first being the test that found it dependent
+    # elimination and no rref; a dependent germ makes that test, then one
+    # reduction per member suffix the nbc rewrite searches: one in each of
+    # the three pole sets it meets here
     independent = [parse_germ(text, 3) for text in (
         "(x1+x2^2)/(x1^2*(x1+x2))", "x1*x2+3", "1/(x1*x2*(x1+2*x2+x3))")]
     dependent = parse_germ("1/(x1*x2*(x1+x2))", 2)
@@ -585,7 +605,7 @@ def test_independent_forms_need_no_exchange(monkeypatch):
         assert len(eliminations) == 1
     del eliminations[:]
     assert reduce_to_independent(dependent) == expected
-    assert len(eliminations) == 3
+    assert len(eliminations) == 4
 
 
 # ---------------------------------------------------------------------------
