@@ -294,8 +294,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 3)
     try:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        text = json.dumps(payload, indent=2) + "\n"
+        if hasattr(sys.stdout, "buffer"):  # whole, not one write per chunk
+            data = memoryview(text.encode())
+            while data:  # a raw stdout may take only part of it
+                data = data[sys.stdout.buffer.write(data):]
+        else:  # an in-process text stream
+            sys.stdout.write(text)
         sys.stdout.flush()  # a buffered write would fail only at exit
     except OSError as exc:
         # as the SIGPIPE note of the signal docs advises: stdout goes to

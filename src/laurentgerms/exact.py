@@ -168,14 +168,14 @@ def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
     Bareiss (Math. Comp. 22, 1968): every update is divided exactly by the
     previous pivot, so each entry of row r is an (r+1)-minor of the input
     and no entry grows beyond the minors.  Columns without a pivot are
-    skipped.  Returns the pivot columns and the sign of the row
-    permutation; the last pivot of a nonsingular square matrix is its
-    determinant.  Raises ValueError on rows of unequal length.
+    skipped.  Returns the pivot columns and the number of row exchanges;
+    without one, the j-th pivot of a square matrix is its j-th leading
+    minor, the last its determinant.  Raises ValueError on unequal rows.
     """
     nrows = len(rows)
     ncols = _common_length([len(r) for r in rows], "rows have lengths")
     pivots: list[int] = []
-    sign = 1
+    swaps = 0
     prev = 1
     r = 0
     for c in range(ncols):
@@ -186,7 +186,7 @@ def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
             continue
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
-            sign = -sign
+            swaps += 1
         top = rows[r]
         piv = top[c]
         for i in range(r + 1, nrows):
@@ -196,7 +196,7 @@ def _echelon(rows: list[list[int]]) -> tuple[list[int], int]:
         prev = piv
         pivots.append(c)
         r += 1
-    return pivots, sign
+    return pivots, swaps
 
 
 def _reduced_rows(m: Mat) -> tuple[list[list[int]], list[int]]:
@@ -313,8 +313,8 @@ def det(m: Mat) -> int | Fraction:
         return 1
     scaled = [_scaled_row(r) for r in m]
     rows = [r for r, _ in scaled]
-    pivots, sign = _echelon(rows)
-    value = sign * rows[-1][-1] if len(pivots) == n else 0
+    pivots, swaps = _echelon(rows)
+    value = (-1) ** swaps * rows[-1][-1] if len(pivots) == n else 0
     if all(isinstance(a, int) for row in m for a in row):
         return value
     return Fraction(value, prod(d for _, d in scaled))
@@ -410,18 +410,11 @@ class AmbientSpace(Record):
             raise ValueError(f"gram matrix must be {k}x{k}")
         if g != mat_transpose(g):
             raise ValueError("gram matrix must be symmetric")
-        # Sylvester: Bareiss without row exchanges leaves the j-th leading
-        # minor as the j-th pivot, and positive row scales keep its sign
+        # Sylvester: without row exchanges the j-th pivot is the j-th
+        # leading minor, and positive row scales keep its sign
         rows = [_scaled_row(row)[0] for row in g]
-        prev = 1
-        while rows:
-            top, *rows = rows
-            piv = top[0]
-            if piv <= 0:
-                raise ValueError("gram matrix must be positive definite")
-            rows = [[(a * piv - row[0] * b) // prev
-                     for a, b in zip(row[1:], top[1:])] for row in rows]
-            prev = piv
+        if _echelon(rows)[1] or any(rows[j][j] <= 0 for j in range(k)):
+            raise ValueError("gram matrix must be positive definite")
         if all(a.denominator == 1 for row in g for a in row):
             object.__setattr__(self, "gram",
                                tuple(tuple(int(a) for a in row) for row in g))

@@ -221,37 +221,38 @@ def _nbc_rewrite(fractions: dict[Factors, Polynomial], arrangement: list[Vec],
     such L0, write L0 = sum_i c_i L_i over a basis of those members; then
     1/prod = sum_i c_i/(L0 * prod/L_i) moves one power from each L_i to the
     earlier L0, so the sum of exponent times reversed position grows
-    strictly and the exchange worklist terminates.  Denominators are keyed
-    by the positions of their forms, sorted, while they are rewritten.
+    strictly and the exchange worklist terminates.  The basis is the pivot
+    members among the later ones, latest first, all read off one
+    elimination per pole set.  Other bases of dependent members pass
+    through other pole sets to the same output: the constant expansion onto
+    nbc denominators is unique (Terao), numerators are only scaled, and
+    final keys leave the worklist in (potential, key) order.  Denominators
+    are keyed by the positions of their forms, sorted, while rewritten.
     """
     n = len(arrangement)
     index = {v: i for i, v in enumerate(arrangement)}
 
     @cache
     def nbc_step(forms: tuple[int, ...]):
-        # the forms before position i and from the previous member on have
-        # forms[j:] as their later members; search them in order.  One
-        # reduction of [members | candidates] as columns: a candidate lies
-        # in the members' span iff it has no entry in a row whose pivot is
-        # a candidate, and the rows whose pivots are members then hold its
-        # coordinates.  Members may be dependent (a germ's den can hold more
-        # forms than its rank), so only the pivot members form the basis.
-        lo = 0
-        for j, i in enumerate(forms):
-            members = forms[j:]
-            candidates = range(lo, i)
-            lo = i
-            if not candidates:
+        # reduce [members, latest first | I]: right of the bar, the rows
+        # whose pivot is not among the t latest members are normals of
+        # their span, and the other rows give the coordinates in it
+        if not forms or not forms[-1]:
+            return None
+        members, k = forms[::-1], len(arrangement[0])
+        rows, pivots = _reduced_rows(mat_from_columns(
+            [arrangement[i] for i in members]
+            + [unit_vec(k, i) for i in range(k)]))
+        t = len(members)
+        for l0 in range(forms[-1]):
+            while members[t - 1] <= l0:
+                t -= 1
+            x = (0,) * len(members) + arrangement[l0]
+            if any(vec_dot(row, x) for row, p in zip(rows, pivots) if p >= t):
                 continue
-            rows, pivots = _reduced_rows(mat_from_columns(
-                [arrangement[m] for m in members + tuple(candidates)]))
-            m = len(members)
-            for col, l0 in enumerate(candidates, m):
-                if any(row[col] for row, p in zip(rows, pivots) if p >= m):
-                    continue
-                return l0, [(members[p], Fraction(row[col], row[p]))
-                            for row, p in zip(rows, pivots)
-                            if p < m and row[col]]
+            return l0, [(members[p], Fraction(c, row[p]))
+                        for row, p in zip(rows, pivots)
+                        if p < t and (c := vec_dot(row, x))]
         return None
 
     def expand(key, num: Polynomial):

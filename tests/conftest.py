@@ -50,6 +50,7 @@ from laurentgerms.cones import (
 )
 from laurentgerms.errors import NotSimplicial, NotStrictlyConvexUnion
 from laurentgerms.exact import (
+    _reduced_rows,
     int_inverse,
     is_pseudo_positive,
     mat,
@@ -584,4 +585,52 @@ def _lexicographic_nbc_rewrite(fractions, arrangement, limit=None):
     if out is None:
         return None
     return {tuple((arrangement[i], e) for i, e in key): num
+            for key, num in out.items()}
+
+
+def _per_suffix_nbc_rewrite(fractions, arrangement, limit=None):
+    """``germs._nbc_rewrite`` with its nbc step searched one member suffix
+    at a time: the candidates between two members are tested in one
+    reduction of [the later members | those candidates] as columns, and
+    the pivot members, earliest first, give the coordinates.  The reference
+    the one-elimination step is checked against, key order included."""
+    n = len(arrangement)
+    index = {v: i for i, v in enumerate(arrangement)}
+
+    @functools.cache
+    def nbc_step(forms):
+        lo = 0
+        for j, i in enumerate(forms):
+            members = forms[j:]
+            candidates = range(lo, i)
+            lo = i
+            if not candidates:
+                continue
+            rows, pivots = _reduced_rows(mat_from_columns(
+                [arrangement[m] for m in members + tuple(candidates)]))
+            m = len(members)
+            for col, l0 in enumerate(candidates, m):
+                if any(row[col] for row, p in zip(rows, pivots) if p >= m):
+                    continue
+                return l0, [(members[p], Fraction(row[col], row[p]))
+                            for row, p in zip(rows, pivots)
+                            if p < m and row[col]]
+        return None
+
+    def expand(key, num):
+        if num.is_zero():
+            return []
+        step = nbc_step(tuple(i for i, _ in key))
+        if step is None:
+            return None
+        l0, coords = step
+        return [(_exchanged(key, i, l0), num.scale(c)) for i, c in coords]
+
+    start = {tuple(sorted((index[v], e) for v, e in den)): num
+             for den, num in fractions.items()}
+    out = _exchange_worklist(
+        start, lambda key: sum((n - i) * e for i, e in key), expand, limit)
+    if out is None:
+        return None
+    return {tuple(sorted((arrangement[i], e) for i, e in key)): num
             for key, num in out.items()}

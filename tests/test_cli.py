@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, exit codes, and output formats."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -515,30 +517,101 @@ def test_a_parse_error_quotes_a_short_token_whole(capsys):
 GROWTH4 = "1/(x1*x2*x3*x4*(x1+x2+x3+x4)*(x1+2*x2+3*x3+4*x4))"
 
 
-def run_cli_into(stdout, *argv) -> subprocess.CompletedProcess:
-    """``python -m laurentgerms.cli argv`` writing to the file ``stdout``."""
+def cli_env(unbuffered: bool = False) -> dict[str, str]:
+    """The environment of a CLI child: this checkout's package, and a
+    buffered stdout unless ``unbuffered``."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout fails at the flush
+    if unbuffered:  # a raw stdout fails at the first write
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_cli_into(stdout, *argv,
+                 unbuffered: bool = False) -> subprocess.CompletedProcess:
+    """``python -m laurentgerms.cli argv`` writing to the file ``stdout``."""
     return subprocess.run([sys.executable, "-m", "laurentgerms.cli", *argv],
-                          stdout=stdout, stderr=subprocess.PIPE, env=env,
-                          text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE,
+                          env=cli_env(unbuffered), text=True, timeout=120)
 
 
 def test_a_full_device_ends_in_one_error_line():
-    with open("/dev/full", "w") as full:
-        proc = run_cli_into(full, "decompose", "1/(x1*(x1+x2))")
-    assert proc.returncode == 1
-    line, = proc.stderr.splitlines()
-    assert line.startswith("error: the result could not be written")
+    for unbuffered in (False, True):
+        with open("/dev/full", "w") as full:
+            proc = run_cli_into(full, "decompose", "1/(x1*(x1+x2))",
+                                unbuffered=unbuffered)
+        assert proc.returncode == 1
+        line, = proc.stderr.splitlines()
+        assert line.startswith("error: the result could not be written")
 
 
 def test_a_closed_pipe_ends_silently():
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader is gone before anything is written
-    try:
-        proc = run_cli_into(write_end, "--dim", "4", "laurent", GROWTH4)
-    finally:
-        os.close(write_end)
+    for unbuffered in (False, True):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        try:
+            proc = run_cli_into(write_end, "--dim", "4", "laurent", GROWTH4,
+                                unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+
+def test_an_unbuffered_stdout_gets_the_same_bytes():
+    # the 1.77 MB k = 4 expansion, written whole rather than chunk by chunk
+    runs = [run_cli_into(subprocess.PIPE, "--dim", "4", "laurent", GROWTH4,
+                         unbuffered=unbuffered) for unbuffered in (False, True)]
+    assert [p.returncode for p in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert len(runs[0].stdout) > 10 ** 6
+
+
+def test_an_unbuffered_reader_that_closes_mid_write_is_not_told_success():
+    # the 1.77 MB document fills the pipe; the reader takes 10 bytes and
+    # leaves, so the write in progress comes back short and the next fails
+    with subprocess.Popen(
+            [sys.executable, "-m", "laurentgerms.cli", "--dim", "4",
+             "laurent", GROWTH4], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=cli_env(unbuffered=True)) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
     assert proc.returncode == 1
-    assert proc.stderr == ""
+    assert err == b""
+
+
+class ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most ``size`` bytes per write."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.data = bytearray()
+        self.writes = 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes += 1
+        self.data += bytes(b[:self.size])
+        return min(len(b), self.size)
+
+
+def test_the_document_is_encoded_once_and_written_through_short_writes(
+        monkeypatch):
+    # as under PYTHONUNBUFFERED: no buffer between the text layer and the
+    # file, which may take part of a write
+    raw = ShortWrites(1000)
+    monkeypatch.setattr(sys, "stdout",
+                        io.TextIOWrapper(raw, write_through=True))
+    assert main(["--dim", "3", "decompose", "1/(x1*x2*x3*(x1+x2+x3))"]) == 0
+    text = raw.data.decode()
+    assert raw.writes == -(-len(text) // 1000) > 1
+    # an in-process text stream without a byte layer gets the same text
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["--dim", "3", "decompose",
+                     "1/(x1*x2*x3*(x1+x2+x3))"]) == 0
+    assert out.getvalue() == text
+    assert len(json.loads(text)["polar"]) == 3

@@ -50,6 +50,7 @@ from laurentgerms.germs import (
     numerator_is_orthogonal,
     polar_split,
     reduce_to_independent,
+    sum_by_factors,
 )
 from laurentgerms.latticeexp import exp_integral, make_lattice_cone
 from laurentgerms.residues import (
@@ -63,6 +64,7 @@ from laurentgerms.residues import (
 )
 
 from conftest import (
+    _per_suffix_nbc_rewrite,
     fraction_sum_reference,
     half_space,
     mat_inverse,
@@ -580,8 +582,7 @@ def test_reduce_merges_equal_denominators():
 def test_independent_forms_need_no_exchange(monkeypatch):
     # independent forms, or none, come back as they are after one
     # elimination and no rref; a dependent germ makes that test, then one
-    # reduction per member suffix the nbc rewrite searches: one in each of
-    # the three pole sets it meets here
+    # reduction per pole set the nbc rewrite meets: three here
     independent = [parse_germ(text, 3) for text in (
         "(x1+x2^2)/(x1^2*(x1+x2))", "x1*x2+3", "1/(x1*x2*(x1+2*x2+x3))")]
     dependent = parse_germ("1/(x1*x2*(x1+x2))", 2)
@@ -610,6 +611,35 @@ def test_independent_forms_need_no_exchange(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # decomposition into polar + holomorphic
+
+def test_reduce_makes_one_elimination_per_pole_set_it_meets(monkeypatch):
+    # the growth germ 1/(x1...xk (x1+...+xk) (x1+2x2+...+kxk)): the
+    # independence test, then one reduction per pole set nbc_step meets,
+    # not one per member suffix of each (36, 67, 113, 177 and 262)
+    eliminations = []
+
+    def counting(m):
+        eliminations.append(m)
+        return exact_module._reduced_rows(m)
+
+    monkeypatch.setattr(germs_module, "_reduced_rows", counting)
+    for k, expected in zip(range(4, 9), (16, 22, 29, 37, 46)):
+        xs = [f"x{i}" for i in range(1, k + 1)]
+        f = parse_germ(f"1/({'*'.join(xs)}*({'+'.join(xs)})*("
+                       + "+".join(f"{i}*{x}" for i, x in enumerate(xs, 1))
+                       + "))", k)
+        del eliminations[:]
+        parts = reduce_to_independent(f)
+        assert len(eliminations) == expected
+        assert len(parts) == k * (k + 1) // 2
+        assert all(len(m) == k for m in eliminations)
+    # a pole set with no members, or none below its last, is final at once
+    del eliminations[:]
+    one = const(2, 1)
+    fractions = {(): one, (((1, 0), 2),): one}
+    assert _nbc_rewrite(fractions, [(1, 0), (0, 1), (1, 1)]) == fractions
+    assert eliminations == []
+
 
 def test_decompose_separates_polynomial_part():
     sp = AmbientSpace.standard(2)
@@ -964,6 +994,36 @@ def test_nbc_rewrite_keeps_the_sum_and_leaves_only_nbc_pole_sets():
                         == sum(evaluate(g, point) for g in summands))
             rewrites[i] += out != merged
     assert rewrites[0] > 60 and rewrites[1] > 50
+
+
+def test_nbc_rewrite_is_the_per_suffix_search_key_order_included():
+    # one elimination per pole set finds the same earliest broken circuit
+    # as the search one member suffix at a time; where the members are
+    # dependent its basis differs, but the nbc expansion it ends in is the
+    # same, in the same order, and it stops at the same ``limit``
+    rng = random.Random(43)
+    rewritten = stopped = 0
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        pool = list({primitive_pseudo_positive(random_vector(rng, k))[1]
+                     for _ in range(rng.randint(k, k + 5))})
+        fractions = []
+        for _ in range(rng.randint(1, 5)):
+            forms = rng.sample(pool, rng.randint(1, min(k + 2, len(pool))))
+            fractions.append((random_polynomial(rng, k, degree=1, terms=2),
+                              tuple(sorted((v, rng.randint(1, 3))
+                                           for v in forms))))
+        merged = sum_by_factors(fractions)
+        arrangement = list({v for den in merged for v, _ in den})
+        rng.shuffle(arrangement)
+        limit = rng.choice((None, len(merged)))
+        got = _nbc_rewrite(merged, arrangement, limit)
+        expected = _per_suffix_nbc_rewrite(merged, arrangement, limit)
+        assert got == expected
+        assert got is None or list(got) == list(expected)
+        rewritten += got is not None and got != merged
+        stopped += got is None
+    assert rewritten > 50 and stopped > 100
 
 
 def test_nbc_rewrite_stops_once_it_cannot_shrink_the_sum():
