@@ -120,12 +120,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             at = len(text) - len(rest)
             raise ExprSyntaxError(f"unexpected character {rest[0]!r}", at)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup  # the one of num, name and op that matched
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -255,78 +251,82 @@ def _mero_pow(g: MeromorphicGerm, e: int) -> MeromorphicGerm:
     return make_mero(g.numerator ** e, [(v, s * e) for v, s in g.den])
 
 
-def _inverse(node: Node, k: int) -> MeromorphicGerm:
-    """1 / node, as ``_mero_invert`` of the whole divisor gives it.
-
-    A product is inverted one factor at a time, a positive power by
-    inverting its base, a negation by inverting its operand and a quotient
-    a/b as b times 1/a, so a power of a linear form is never expanded and
-    factored again; when some factor has no inverse the whole divisor is
-    inverted, which keeps the result and the error of the whole.
-    """
-    if (isinstance(node, Neg) or isinstance(node, Pow) and node.exponent > 0
-            or isinstance(node, BinOp) and node.op in ("*", "/")):
-        try:
-            return _inverse_by_factors(node, k)
-        except (NonLinearPole, ZeroDivisionError):
-            pass
-    return _mero_invert(to_germ(node, k))
-
-
-def _inverse_by_factors(node: Node, k: int) -> MeromorphicGerm:
-    if isinstance(node, Pow) and node.exponent > 0:
-        return _mero_pow(_inverse_by_factors(node.base, k), node.exponent)
-    if isinstance(node, Neg):
-        return mero_neg(_inverse_by_factors(node.operand, k))
-    if isinstance(node, BinOp) and node.op == "/":
-        # the whole divisor a/b fails when b is zero or does not factor,
-        # even where b times 1/a would not
-        _inverse(node.right, k)
-        return mero_mul(to_germ(node.right, k),
-                        _inverse_by_factors(node.left, k))
-    chain = []
-    while isinstance(node, BinOp) and node.op == "*":
-        chain.append(node.right)
-        node = node.left
-    if not chain:
-        return _mero_invert(to_germ(node, k))
-    out = _inverse_by_factors(node, k)
-    for right in reversed(chain):
-        out = mero_mul(out, _inverse_by_factors(right, k))
-    return out
-
-
 _BINOPS = {"+": mero_add, "-": mero_sub, "*": mero_mul, "/": mero_mul}
 
 
 def to_germ(node: Node, k: int) -> MeromorphicGerm:
     """Interpret the tree as an exact meromorphic germ in k variables.
 
-    Division requires the (reduced) divisor numerator to factor into linear
-    forms; NonLinearPole otherwise.
+    A divisor must be nonzero (ZeroDivisionError otherwise) with a reduced
+    numerator that factors into linear forms (NonLinearPole).  It is
+    inverted by its factors (a product's one by one, a positive power's
+    base, a negation's operand, and a/b as b times 1/a), so a power of a
+    linear form is never expanded and factored again; where a factor has no
+    inverse the whole is inverted, so the result and the error are the
+    whole's.  Each divisor is inverted once per call, failures included.
     """
-    if isinstance(node, Num):
-        return make_mero(Polynomial.constant(k, node.value))
-    if isinstance(node, Var):
-        return make_mero(Polynomial.variable(k, node.index))
-    if isinstance(node, Neg):
-        return mero_neg(to_germ(node.operand, k))
-    if isinstance(node, Pow):
-        if node.exponent < 0:
-            return _mero_pow(_inverse(node.base, k), -node.exponent)
-        return _mero_pow(to_germ(node.base, k), node.exponent)
-    # a flat sum or product of n operands is n levels deep on the left:
-    # walk that spine in a loop and recurse only into the right operands
-    chain = []
-    while isinstance(node, BinOp):
-        chain.append(node)
-        node = node.left
-    a = to_germ(node, k)
-    for link in reversed(chain):
-        right = (_inverse(link.right, k) if link.op == "/"
-                 else to_germ(link.right, k))
-        a = _BINOPS[link.op](a, right)
-    return a
+    inverses: dict[int, MeromorphicGerm | Exception] = {}  # by id(divisor)
+
+    def germ(node: Node) -> MeromorphicGerm:
+        if isinstance(node, Num):
+            return make_mero(Polynomial.constant(k, node.value))
+        if isinstance(node, Var):
+            return make_mero(Polynomial.variable(k, node.index))
+        if isinstance(node, Neg):
+            return mero_neg(germ(node.operand))
+        if isinstance(node, Pow):
+            if node.exponent < 0:
+                return _mero_pow(inverse(node.base), -node.exponent)
+            return _mero_pow(germ(node.base), node.exponent)
+        # a flat sum or product of n operands is n levels deep on the left:
+        # walk that spine in a loop and recurse only into the right operands
+        chain = []
+        while isinstance(node, BinOp):
+            chain.append(node)
+            node = node.left
+        a = germ(node)
+        for link in reversed(chain):
+            right = inverse(link.right) if link.op == "/" else germ(link.right)
+            a = _BINOPS[link.op](a, right)
+        return a
+
+    def inverse(d: Node) -> MeromorphicGerm:
+        if id(d) not in inverses:
+            # 1/d is out times 1/f^e for each (f, e) left to do
+            out, todo = make_mero(Polynomial.constant(k, 1)), [(d, 1)]
+            try:
+                while todo:
+                    f, e = todo.pop()
+                    if isinstance(f, Neg):
+                        out = mero_neg(out) if e % 2 else out
+                        todo.append((f.operand, e))
+                    elif isinstance(f, Pow) and f.exponent > 0:
+                        todo.append((f.base, e * f.exponent))
+                    elif isinstance(f, BinOp) and f.op == "*":
+                        todo += [(f.left, e), (f.right, e)]
+                    elif isinstance(f, BinOp) and f.op == "/":
+                        # the whole a/b fails where b does: b is a divisor
+                        inverse(f.right)
+                        out = mero_mul(out, _mero_pow(germ(f.right), e))
+                        todo.append((f.left, e))
+                    elif f is not d:
+                        out = mero_mul(out, _mero_pow(inverse(f), e))
+                    else:  # d has no factors
+                        out = None
+            except (NonLinearPole, ZeroDivisionError):
+                out = None
+            if out is None:  # invert the whole divisor
+                try:
+                    out = _mero_invert(germ(d))
+                except (NonLinearPole, ZeroDivisionError) as exc:
+                    out = exc
+            inverses[id(d)] = out
+        out = inverses[id(d)]
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    return germ(node)
 
 
 def parse_germ(text: str, k: int) -> MeromorphicGerm:
@@ -546,7 +546,7 @@ def to_json(obj) -> str:
 def from_json(text: str):
     try:
         data = json.loads(text)
-    except ValueError as exc:  # also an int beyond the digit cap
+    except (ValueError, RecursionError) as exc:  # a long int, deep nesting
         raise FormatError(f"invalid JSON: {exc}") from exc
     return deserialize(data)
 
@@ -561,7 +561,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # a long int, deep nesting
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
 
 

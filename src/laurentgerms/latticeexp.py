@@ -112,38 +112,28 @@ def _integer_kernel(rows: Sequence[Vec], k: int) -> list[Vec]:
     """Basis of the lattice { x in Z^k : rows . x = 0 } (saturated), for
     integer rows.
 
-    Unimodular column elimination: reduce the matrix to column echelon form
-    while tracking the operations on an identity matrix; the tracked columns
-    over the zeroed-out part are exactly a kernel lattice basis.
+    Unimodular column elimination on the columns of [rows; I]: reduce the
+    rows to column echelon form; the lower block under the zeroed-out
+    columns is exactly a kernel lattice basis.
     """
-    a = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    n = len(rows)
+    m = [list(r) for r in rows] + [[int(i == j) for j in range(k)]
+                                   for i in range(k)]
     start = 0
-
-    def colop(j2: int, j1: int, q: int):
-        for row in a:
-            row[j2] -= q * row[j1]
-        for row in u:
-            row[j2] -= q * row[j1]
-
-    def colswap(j1: int, j2: int):
-        for row in a:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in u:
-            row[j1], row[j2] = row[j2], row[j1]
-
-    for r in range(len(a)):
+    for top in m[:n]:
         while True:
-            nz = [j for j in range(start, k) if a[r][j] != 0]
+            nz = [j for j in range(start, k) if top[j] != 0]
             if len(nz) <= 1:
                 break
-            nz.sort(key=lambda j: abs(a[r][j]))
-            colop(nz[1], nz[0], a[r][nz[1]] // a[r][nz[0]])
-        nz = [j for j in range(start, k) if a[r][j] != 0]
+            nz.sort(key=lambda j: abs(top[j]))
+            q = top[nz[1]] // top[nz[0]]
+            for row in m:
+                row[nz[1]] -= q * row[nz[0]]
         if nz:
-            colswap(start, nz[0])
+            for row in m:
+                row[start], row[nz[0]] = row[nz[0]], row[start]
             start += 1
-    return [tuple(u[i][j] for i in range(k)) for j in range(start, k)]
+    return [tuple(row[j] for row in m[n:]) for j in range(start, k)]
 
 
 def _lattice_coords(basis: Sequence[Vec], v: Vec) -> Vec:

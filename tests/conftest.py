@@ -48,7 +48,11 @@ from laurentgerms.cones import (
     common_refinement,
     union_contains_line,
 )
-from laurentgerms.errors import NotSimplicial, NotStrictlyConvexUnion
+from laurentgerms.errors import (
+    NonLinearPole,
+    NotSimplicial,
+    NotStrictlyConvexUnion,
+)
 from laurentgerms.exact import (
     _reduced_rows,
     int_inverse,
@@ -64,12 +68,23 @@ from laurentgerms.exact import (
     vec_dot,
 )
 from laurentgerms.expand import DecoratedCone, _germ_entry, _resupport
+from laurentgerms.exprio import (
+    _BINOPS,
+    BinOp,
+    Neg,
+    Num,
+    Pow,
+    Var,
+    _mero_invert,
+    _mero_pow,
+)
 from laurentgerms.germs import (
     _exchange_worklist,
     _exchanged,
     _rewrite,
     den_poly,
     fraction_sum,
+    mero_neg,
     polar_split,
     reduce_to_independent,
     sum_by_factors,
@@ -634,3 +649,63 @@ def _per_suffix_nbc_rewrite(fractions, arrangement, limit=None):
         return None
     return {tuple(sorted((arrangement[i], e) for i, e in key)): num
             for key, num in out.items()}
+
+
+def to_germ_reference(node, k: int) -> MeromorphicGerm:
+    """``exprio.to_germ`` with nothing kept: a divisor is inverted anew
+    wherever it is met, by its factors first and whole where a factor has
+    no inverse, and a quotient divisor a/b inverts b once to check it and
+    again inside the conversion of b.  The reference the conversion that
+    inverts each divisor once is checked against, errors included."""
+    if isinstance(node, Num):
+        return make_mero(Polynomial.constant(k, node.value))
+    if isinstance(node, Var):
+        return make_mero(Polynomial.variable(k, node.index))
+    if isinstance(node, Neg):
+        return mero_neg(to_germ_reference(node.operand, k))
+    if isinstance(node, Pow):
+        if node.exponent < 0:
+            return _mero_pow(_inverse_reference(node.base, k), -node.exponent)
+        return _mero_pow(to_germ_reference(node.base, k), node.exponent)
+    chain = []
+    while isinstance(node, BinOp):
+        chain.append(node)
+        node = node.left
+    a = to_germ_reference(node, k)
+    for link in reversed(chain):
+        right = (_inverse_reference(link.right, k) if link.op == "/"
+                 else to_germ_reference(link.right, k))
+        a = _BINOPS[link.op](a, right)
+    return a
+
+
+def _inverse_reference(node, k: int) -> MeromorphicGerm:
+    if (isinstance(node, Neg) or isinstance(node, Pow) and node.exponent > 0
+            or isinstance(node, BinOp) and node.op in ("*", "/")):
+        try:
+            return _inverse_by_factors_reference(node, k)
+        except (NonLinearPole, ZeroDivisionError):
+            pass
+    return _mero_invert(to_germ_reference(node, k))
+
+
+def _inverse_by_factors_reference(node, k: int) -> MeromorphicGerm:
+    if isinstance(node, Pow) and node.exponent > 0:
+        return _mero_pow(_inverse_by_factors_reference(node.base, k),
+                         node.exponent)
+    if isinstance(node, Neg):
+        return mero_neg(_inverse_by_factors_reference(node.operand, k))
+    if isinstance(node, BinOp) and node.op == "/":
+        _inverse_reference(node.right, k)
+        return mero_mul(to_germ_reference(node.right, k),
+                        _inverse_by_factors_reference(node.left, k))
+    chain = []
+    while isinstance(node, BinOp) and node.op == "*":
+        chain.append(node.right)
+        node = node.left
+    if not chain:
+        return _mero_invert(to_germ_reference(node, k))
+    out = _inverse_by_factors_reference(node, k)
+    for right in reversed(chain):
+        out = mero_mul(out, _inverse_by_factors_reference(right, k))
+    return out

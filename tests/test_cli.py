@@ -323,6 +323,18 @@ def test_deeply_nested_input_is_a_syntax_error(capsys):
     assert captured.err == "error: expression nested too deeply\n"
 
 
+def test_a_json_file_nested_too_deeply_is_a_format_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (["cone", "check", str(deep)],
+                 ["--gram", str(deep), "decompose", "1/x1"]):
+        code, captured = run(capsys, *argv)
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {deep}: invalid JSON: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_exit_code_3_for_mathematical_errors(capsys, tmp_path):
     cases = [
         ["decompose", "1/(x1*x2+1)"],

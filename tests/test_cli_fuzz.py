@@ -36,6 +36,9 @@ def expression(rng, k: int) -> str:
     poles = [f"({linear_form(rng, names)})^{rng.randint(0, 3)}"
              for _ in range(rng.randint(0, 4))]
     text = f"({numerator})/({'*'.join(poles)})" if poles else numerator
+    if rng.random() < 0.05:  # nested quotients x1/(x1/(…/text))
+        depth = rng.randint(20, 40)
+        text = "x1/(" * depth + text + ")" * depth
     roll = rng.random()
     if roll < 0.1:  # cut short
         return text[:rng.randrange(len(text))]
@@ -66,7 +69,7 @@ def gram(rng, k: int):
 
 MALFORMED = ("[[1, 0]", "[]", "{}", '{"kind": "cone"}', "[[1, 0], [1]]",
              '[["a", 1]]', "[[true, 0]]", "[[[1, 0]], [[0, 1, 1]]]", "3",
-             "[[[]]]", "[[0, 0], [0, 0]]")
+             "[[[]]]", "[[0, 0], [0, 0]]", "[" * 100_000 + "]" * 100_000)
 
 
 def input_file(rng, tmp_path, k: int, family: bool) -> str:
@@ -116,7 +119,8 @@ def flags(rng, tmp_path) -> tuple[list[str], int]:
         argv += ["--dim-cap", str(rng.randint(0, 4))]
     if rng.random() < 0.3 and k > 0:
         path = tmp_path / f"gram{rng.randrange(10 ** 9)}.json"
-        path.write_text(json.dumps(gram(rng, k)))
+        path.write_text(rng.choice(MALFORMED) if rng.random() < 0.1
+                        else json.dumps(gram(rng, k)))
         argv += ["--gram", str(path)]
     return argv, max(k, 1)
 

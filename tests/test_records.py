@@ -6,14 +6,19 @@ set and dict order stay the same.
 
 import pytest
 
-from laurentgerms.cones import PolyCone, SimplicialCone
+from laurentgerms.cones import PolyCone, SimplicialCone, make_simplicial_cone
 from laurentgerms.exact import AmbientSpace, Polynomial, Record
+from laurentgerms.expand import laurent_expand
+from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import (
     GermSum,
     MeromorphicGerm,
     PolarGerm,
+    decompose,
     make_germ_sum,
 )
+from laurentgerms.latticeexp import exp_sum_smooth, make_lattice_cone
+from laurentgerms.residues import graded_split
 
 NUM = Polynomial.variable(2, 0)
 FACTORS = (((0, 1), 2), ((1, 1), 1))
@@ -63,4 +68,22 @@ def test_repr_lists_the_fields_unless_the_class_defines_one():
     total = make_germ_sum([PolarGerm(NUM, FACTORS)], Polynomial.constant(2, 3))
     assert isinstance(total, GermSum)
     assert repr(total) == "GermSum(1 polar terms, poly=3)"
+    space = AmbientSpace.standard(2)
+    germ = parse_germ("(x1+2*x2)/(x1*(x1+x2)*x2)", 2)
+    assert repr(germ) == ("MeromorphicGerm((2*eps2 + eps1) / (eps2) * (eps1) "
+                          "* (eps2 + eps1))")
+    assert repr(decompose(space, germ).terms[0]) == (
+        "PolarGerm(MeromorphicGerm((1) / (eps2) * (eps2 + eps1)))")
+    assert repr(laurent_expand(space, germ)) == (
+        "FormalExpansion(<(0,1) (1,1)>: 1 (+) <(1,0) (1,1)>: 2)")
+    squared = laurent_expand(space, parse_germ("(1+x2)/(x1^2*(x1+x2))", 2))
+    assert [repr(cone) for cone, _ in squared.terms] == [
+        "<(1,0) (1,1)>", "<(1,0)^2>", "<(1,0)^2 (1,1)>"]
+    assert repr(laurent_expand(space, parse_germ("1+x1", 2))) == (
+        "FormalExpansion(1 + eps1)")
+    assert [repr(key) for key in graded_split(space, germ)] == [
+        "GradedComponentKey([1,0; 0,1], p=2)"]
+    cone = make_lattice_cone(make_simplicial_cone([(1, 0), (1, 1)]))
+    assert repr(exp_sum_smooth(cone, trunc=2)) == (
+        "TruncatedGerm(3 polar terms, tail to degree 2)")
 
