@@ -11,8 +11,8 @@ The arithmetic is integer.  Generators, rays and facet normals are
 primitive integer vectors, stored as tuples of ints (see
 ``exact.primitive_vector``), so every incidence and sign test is an
 ``exact.vec_dot`` of int rows, itself an int, and every rank test runs on
-integer rows.  A cone built directly with non-integral generators keeps
-them as Fractions; the same tests then run on Fractions.
+integer rows.  Generators get this form (``_rays``) where they enter a
+piece or leave the refinement uncut; the face test compares rays as stored.
 
 The refinement algorithm makes a family of cones "properly positioned"
 (pairwise intersections are common faces and the union contains no line):
@@ -133,17 +133,19 @@ class ConeFamily(Record):
         return iter(self.cones)
 
 
+def _rays(gens: Iterable[Vec]) -> tuple[Vec, ...]:
+    """The normal form of a cone's generators: primitive ints, sorted."""
+    return tuple(sorted(map(primitive_vector, gens)))
+
+
 def make_simplicial_cone(generators: Iterable[Sequence]) -> SimplicialCone:
-    gens = []
-    for g in generators:
-        v = vec(g)
-        if vec_is_zero(v):
-            raise NotSimplicial("zero vector cannot generate a cone")
-        gens.append(primitive_vector(v))
+    gens = [vec(g) for g in generators]
+    if any(map(vec_is_zero, gens)):
+        raise NotSimplicial("zero vector cannot generate a cone")
     if not gens:
         raise NotSimplicial("a cone needs at least one generator")
     _common_length([len(g) for g in gens], "generators of a cone have lengths")
-    gens = tuple(sorted(gens))
+    gens = _rays(gens)
     if mat_rank(gens) != len(gens):
         raise NotSimplicial("generators must be linearly independent")
     return SimplicialCone(gens)
@@ -193,10 +195,10 @@ def _satisfies(x: Vec, eqs: Iterable[Vec], ineqs: Iterable[Vec]) -> bool:
 class _Piece(Record):
     """A pointed cone tracked in both representations.
 
-    Normals are primitive int vectors.  Rays are int vectors too, except the
-    non-integral generators of a directly built cone, which stay Fractions.
-    The rays are exactly the extreme rays, and every facet is cut out by one
-    of the inequalities; the incidence tests below rely on both.
+    Normals are primitive int vectors, and so are the rays of a simplicial
+    piece and every ray a cut adds.  The rays are exactly the extreme rays,
+    and every facet is cut out by one of the inequalities; the incidence
+    tests below rely on both.
     """
 
     eqs: tuple[Vec, ...]
@@ -206,13 +208,13 @@ class _Piece(Record):
 
 
 def _simplicial_piece(gens: Sequence[Vec]) -> _Piece:
-    """The cone over independent generators, cut out exactly by the rows
-    of the inverse of [generators | annihilator of their span], primitive:
-    the first n are its n facet normals (and the extreme rays of the dual
-    cone within the span), the others span the equalities.  Generators of
-    full rank span the ambient space, which leaves no equalities.
+    """The cone over the normal form of independent generators, cut out
+    exactly by the rows of the inverse of [rays | annihilator of their
+    span], primitive: the first n are its n facet normals (and the extreme
+    rays of the dual cone within the span), the others span the equalities.
+    Generators of full rank span the ambient space, which leaves no equalities.
     """
-    n = len(gens)
+    gens, n = _rays(gens), len(gens)
     # annihilator of the span
     comp = nullspace(tuple(gens)) if n < len(gens[0]) else []
     rows = [primitive_vector(r)
@@ -254,8 +256,8 @@ def _cut(ineqs: Sequence[Vec], rays: Sequence[Vec], w: Vec
 
 def _meet(piece: _Piece, eqs: Iterable[Vec], ineqs: Iterable[Vec]
           ) -> list[Vec]:
-    """Extreme rays of { x in piece : eqs x = 0, ineqs x >= 0 }, primitive
-    and sorted; none when only 0 is left.
+    """Extreme rays of { x in piece : eqs x = 0, ineqs x >= 0 }, sorted;
+    none when only 0 is left.
 
     One ``_cut`` per constraint.  An equality keeps the rays on it and the
     fresh ones; an inequality that cuts keeps those on its closed positive
@@ -271,7 +273,7 @@ def _meet(piece: _Piece, eqs: Iterable[Vec], ineqs: Iterable[Vec]
         elif minus:
             rays = plus + zero + fresh
             normals += (w,)
-    return sorted(primitive_vector(r) for r in rays)
+    return sorted(rays)
 
 
 def _poly_piece(rays: Sequence[Vec]) -> _Piece:
@@ -295,11 +297,9 @@ def _poly_piece(rays: Sequence[Vec]) -> _Piece:
 
 def _pieces_meet_along_face(a: _Piece, b: _Piece) -> bool:
     """True when the extreme rays of the meet of two simplicial pieces are
-    the rays they share (compared primitive, as a directly built cone may
-    scale them): those span a face of each, and a common face is spanned
-    by generators of both."""
-    return _meet(a, b.eqs, b.ineqs) == sorted(
-        {*map(primitive_vector, a.rays)} & {*map(primitive_vector, b.rays)})
+    the rays they share: those span a face of each, and a common face is
+    spanned by generators of both."""
+    return _meet(a, b.eqs, b.ineqs) == sorted({*a.rays} & {*b.rays})
 
 
 def cones_meet_along_face(c1: SimplicialCone, c2: SimplicialCone) -> bool:
@@ -525,7 +525,7 @@ def common_refinement(
                     pieces = [firsts.get(cone)
                               or _simplicial_piece(cone.generators)]
                 pieces = [half for p in pieces for half in _split_piece(p, w)]
-        simplices = ([cone.generators] if pieces is None
+        simplices = ([_rays(cone.generators)] if pieces is None
                      else [s for p in pieces for s in _pull_triangulate(p)])
         mine = set()
         for simplex in simplices:
@@ -565,7 +565,7 @@ def _facets_tile(pieces: Sequence[SimplicialCone], cell: _Piece) -> bool:
     a piece (its generators but one) lies once on the cell's boundary, where
     an inequality of the cell vanishes on it, or twice off it (De Loera,
     Rambau & Santos, *Triangulations*, ch. 4).  No pieces tile nothing."""
-    rays = [tuple(sorted(map(primitive_vector, p.generators))) for p in pieces]
+    rays = [_rays(p.generators) for p in pieces]
     if not rays or len(set(rays)) < len(rays):
         return False
     facets = Counter(f for r in rays for f in combinations(r, len(r) - 1))

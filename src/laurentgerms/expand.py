@@ -265,24 +265,31 @@ def _resupport(terms: Iterable[tuple[Factors, Polynomial]],
     return make_expansion(items, polynomial_part)
 
 
+def _checked_family(family: Sequence[SimplicialCone],
+                    nvars: int) -> list[SimplicialCone]:
+    """The family read as a set, so a repeated member counts once.  It
+    must live in ``nvars`` dimensions (ValueError naming both) and pass
+    one pairwise check (NotProperlyPositioned)."""
+    family = list(dict.fromkeys(family))
+    _common_length([nvars] + [d.ambient for d in family],
+                   "an expansion and its family live in ambient dimensions")
+    if not is_properly_positioned(family):
+        raise NotProperlyPositioned("target family is not properly positioned")
+    return family
+
+
 def subdivision_operator(x: FormalExpansion,
                          family: Sequence[SimplicialCone]) -> FormalExpansion:
     """Rewrite an expansion onto a finer properly positioned family.
 
-    The family is read as a set, so a repeated member counts once.  It
-    must share the expansion's ambient dimension (ValueError naming both),
-    pass one pairwise check (NotProperlyPositioned) and tile each
-    supporting cone of ``x`` by its members inside it, which the facet
-    count then decides (NotASubdivision).  ``phi`` of the result equals
-    ``phi`` of the input; the polynomial part passes through unchanged.
-    The coefficients are coordinates in each cone's basis, so no inner
-    product enters.
+    The family is checked (``_checked_family``, against the expansion's
+    ambient dimension) and must tile each supporting cone of ``x`` by its
+    members inside it, which the facet count then decides
+    (NotASubdivision).  ``phi`` of the result equals ``phi`` of the input;
+    the polynomial part passes through unchanged.  The coefficients are
+    coordinates in each cone's basis, so no inner product enters.
     """
-    family = list(dict.fromkeys(family))
-    _common_length([x.nvars] + [d.ambient for d in family],
-                   "an expansion and its family live in ambient dimensions")
-    if not is_properly_positioned(family):
-        raise NotProperlyPositioned("target family is not properly positioned")
+    family = _checked_family(family, x.nvars)
     return _resupport([(dc.factors, num) for dc, num in x.terms],
                       _pieces_by_cone(x.support(), family), x.polynomial_part)
 
@@ -310,23 +317,26 @@ def laurent_expand(space: AmbientSpace, f,
     the same shared immutable object, and the work free of Q (the rewrite
     onto independent forms, the refinement) is shared across spaces.
 
-    With an explicit ``support`` (read as a set, never cached) the terms of
-    ``decompose`` go through ``subdivision_operator`` onto its members:
-    NotProperlyPositioned when it is not properly positioned.  When its
-    members cannot tile the supporting cones of those terms, the canonical
-    expansion is the answer if every cone of its ``support()`` is a member
-    (the expansion on a properly positioned family is unique), as for a
-    family that leaves out cones whose terms cancel; else NotInLaurentSubspace.
+    An explicit ``support`` (never cached) is checked first, as
+    ``subdivision_operator`` checks a family, and the terms of ``decompose``
+    then move onto its members.  When those cannot tile the supporting
+    cones of the terms, the canonical expansion is the answer if every cone
+    of its ``support()`` is a member (the expansion on a properly positioned
+    family is unique), as for a family that leaves out cones whose terms
+    cancel; else NotInLaurentSubspace.
     """
+    f = as_mero(f)
     if support is None:
-        return _canonical_expansion(space, as_mero(f))
+        return _canonical_expansion(space, f)
+    family = _checked_family(support, f.nvars)
     s = decompose(space, f)
     x = make_expansion([(t.factors, t.numerator) for t in s.terms], s.poly)
     try:
-        return subdivision_operator(x, support)
+        return _resupport([(dc.factors, num) for dc, num in x.terms],
+                          _pieces_by_cone(x.support(), family), s.poly)
     except NotASubdivision as exc:
-        canonical = _canonical_expansion(space, as_mero(f))
-        if set(canonical.support()) <= set(support):
+        canonical = _canonical_expansion(space, f)
+        if set(canonical.support()) <= set(family):
             return canonical
         raise NotInLaurentSubspace("the support does not tile the pole "
                                    "cones of decompose(f)") from exc

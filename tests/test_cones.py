@@ -421,29 +421,55 @@ def test_refinement_returns_the_faces_of_one_cone_unchanged():
     assert len(common_refinement_reference(family)[0]) > 7
 
 
-def test_refinement_keeps_directly_built_non_primitive_generators():
+def test_refinement_returns_primitive_int_generators():
+    # generators get the normal form of make_simplicial_cone (primitive
+    # ints, sorted) where they enter a piece or leave uncut, so a directly
+    # built cone with scaled or Fraction generators is listed in that form,
+    # and each cone once: the halves of the cone of (0,3) and (2,0) are
+    # (0,1), (1,1) and (1,0), (1,1), and the first is also a piece of the
+    # other member
     scaled = SimplicialCone(((F(0), F(3)), (F(2), F(0))))
     pieces, index_sets, witness = _refinement_record(
         [scaled, cone([1, 1], [-1, 2])])
-    assert pieces == [(("0", "3"), ("1", "1")), (("1", "1"), ("2", "0")),
-                      (("0", "1"), ("1", "1")), (("-1", "2"), ("0", "1"))]
-    assert index_sets == [[0, 1], [2, 3]]
+    assert pieces == [(("0", "1"), ("1", "1")), (("1", "0"), ("1", "1")),
+                      (("-1", "2"), ("0", "1"))]
+    assert index_sets == [[0, 1], [0, 2]]
     assert witness == (0, 1, "intersection is not a common face")
     rational = SimplicialCone(((F(2), F(0), F(0)), (F(0), F(2), F(2)),
                                (F(0), F(0), F(3, 2))))
     pieces, index_sets, witness = _refinement_record(
         [rational, cone([1, 1, 0], [0, 1, 0], [1, 0, 1])])
     assert pieces == [
-        (("0", "0", "3/2"), ("0", "2", "2"), ("1", "1", "1")),
-        (("0", "0", "3/2"), ("1", "0", "1"), ("1", "1", "1")),
+        (("0", "0", "1"), ("0", "1", "1"), ("1", "1", "1")),
+        (("0", "0", "1"), ("1", "0", "1"), ("1", "1", "1")),
         (("1", "0", "1"), ("1", "1", "1"), ("2", "1", "1")),
-        (("1", "0", "1"), ("2", "0", "0"), ("2", "1", "1")),
+        (("1", "0", "0"), ("1", "0", "1"), ("2", "1", "1")),
         (("0", "1", "0"), ("1", "1", "0"), ("2", "1", "1")),
         (("0", "1", "0"), ("1", "1", "1"), ("2", "1", "1"))]
     assert index_sets == [[0, 1, 2, 3], [2, 4, 5]]
     assert witness == (0, 1, "intersection is not a common face")
-    refined, _ = common_refinement([rational])
-    assert all(type(x) is F for p in refined for g in p.generators for x in g)
+    # an uncut member too, and a repeat of it scaled differently
+    refined, index_sets = common_refinement(
+        [rational, SimplicialCone(((0, 0, 1), (0, 1, 1), (1, 0, 0)))])
+    assert refined == [cone((1, 0, 0), (0, 1, 1), (0, 0, 1))]
+    assert index_sets == [[0], [0]]
+    assert all(type(x) is int for p in refined for g in p.generators for x in g)
+
+
+def test_the_face_test_normalizes_no_ray_of_its_own(monkeypatch):
+    # rays get their normal form once, where they enter a piece: the
+    # witness of the 25-piece k = 3 growth support makes 150 primitive_vector
+    # calls (2,020 when every pair re-normalized both members' rays)
+    pieces, _ = common_refinement(_growth_cones(3))
+    calls = []
+
+    def counting(v):
+        calls.append(v)
+        return primitive_vector(v)
+
+    monkeypatch.setattr(cones_module, "primitive_vector", counting)
+    assert len(pieces) == 25 and positioning_witness(pieces) is None
+    assert len(calls) <= 200
 
 
 def _pole_cones(space, f):

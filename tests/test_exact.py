@@ -13,6 +13,7 @@ from laurentgerms.exact import (
     det,
     frac,
     int_inverse,
+    is_pseudo_positive,
     linear_factorization,
     mat,
     mat_from_columns,
@@ -65,9 +66,11 @@ def test_primitive_vector_clears_denominators_and_content():
         w = primitive_vector(v)
         assert w == expected
         assert all(type(c) is int for c in w)
-    # the zero vector has a primitive vector but no pseudo-positive one
+    # the zero vector has a primitive vector but no pseudo-positive one,
+    # though it counts as pseudo-positive itself
     with pytest.raises(ValueError, match="zero vector"):
         primitive_pseudo_positive(vec([0, 0]))
+    assert is_pseudo_positive((0, 0))
 
 
 def test_vec_dot_matches_sum():
@@ -144,6 +147,8 @@ def test_nullspace_vectors_are_annihilated():
         assert len(basis) == m - mat_rank(a)
         for v in basis:
             assert all(vec_dot(row, v) == 0 for row in a)
+    # no rows: no columns to solve for
+    assert nullspace(()) == []
 
 
 def test_det_multiplicative():

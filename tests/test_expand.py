@@ -9,7 +9,11 @@ import pytest
 import laurentgerms.cones as cones_module
 import laurentgerms.germs as germs_module
 from laurentgerms import exact, expand
-from laurentgerms.cones import common_refinement, make_simplicial_cone
+from laurentgerms.cones import (
+    SimplicialCone,
+    common_refinement,
+    make_simplicial_cone,
+)
 from laurentgerms.errors import (
     NotASubdivision,
     NotInLaurentSubspace,
@@ -555,6 +559,19 @@ def test_a_supplied_support_is_read_as_a_set():
     assert subdivision_operator(polar, [a, a, b]) == x
 
 
+def test_a_refinement_of_scaled_generators_can_be_expanded_onto():
+    # a directly built cone with scaled generators and a cone it overlaps:
+    # each refinement piece is listed once, in primitive form (pinned in
+    # test_cones), so the two pieces inside the quadrant tile it and
+    # 1/(x1 x2) moves onto them
+    scaled = SimplicialCone(((F(0), F(3)), (F(2), F(0))))
+    pieces, _ = common_refinement([scaled, cone((1, 1), (-1, 2))])
+    g = make_mero(Polynomial.constant(2, 1),
+                  ((vec([1, 0]), 1), (vec([0, 1]), 1)))
+    x = subdivision_operator(laurent_expand(SP, g), pieces)
+    assert x.support() == pieces[:2] and phi(x) == g
+
+
 def test_laurent_expand_on_a_support_without_the_cancelling_pieces():
     # corpus germ 147: 1 of the 14 refinement pieces carries only terms
     # that cancel, so the canonical support does not tile the cones of
@@ -705,6 +722,21 @@ def test_mismatched_variable_count_raises_on_every_call(decompose_calls):
         with pytest.raises(ValueError, match="3 variables"):
             laurent_expand(SP, f)
     assert len(decompose_calls) == 2
+
+
+def test_a_supplied_support_is_checked_before_decompose(decompose_calls):
+    # the germ's decompose takes seconds; an improper support is refused
+    # before it runs
+    f = parse_germ("((1/2)*x1^19*x2)/(((1/2)*x2-x1)*(x1+2*x3-3*x2)^3)", 3)
+    support = [cone((F(1, 2), F(1, 2), 1), (0, 2, 2)),
+               cone((1, 1, 1), (-1, F(1, 2), 1))]
+    with pytest.raises(NotProperlyPositioned,
+                       match="^target family is not properly positioned$"):
+        laurent_expand(AmbientSpace.standard(3), f, support=support)
+    overlapping = [cone((1, 0), (0, 1)), cone((1, 1), (1, -1))]
+    with pytest.raises(NotProperlyPositioned):
+        laurent_expand(SP, parse_germ("1/(x1*x2)", 2), support=overlapping)
+    assert decompose_calls == []
 
 
 def test_expansions_on_a_chosen_support_bypass_the_cache(decompose_calls):

@@ -407,6 +407,8 @@ def test_serialization_round_trips_every_kind():
             assert back.polynomial_part == obj.polynomial_part
         else:
             assert back == obj
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        serialize(object())
 
 
 def test_json_output_never_contains_floats():

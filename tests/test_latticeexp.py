@@ -12,8 +12,11 @@ import laurentgerms.expand as expand_module
 import laurentgerms.latticeexp as latticeexp_module
 from laurentgerms.cones import (
     SimplicialCone,
+    common_refinement,
+    is_properly_positioned,
     is_subdivision,
     make_poly_cone,
+    make_simplicial_cone,
     triangulate_cone,
 )
 from laurentgerms.errors import (
@@ -257,6 +260,7 @@ def test_truncation_order_must_be_non_negative():
         exp_sum_smooth(orthant, trunc=-1)
     # order 0 is the least one, and it keeps the -1/2 * 1/x_i terms
     tg = exp_sum_smooth(orthant, trunc=0)
+    assert tg.nvars == exp_sum_smooth(orthant, 2).nvars == 2
     assert germ_equal(tg.polar_part, mero_add(
         mero(1, ([1, 0], 1), ([0, 1], 1)),
         mero(F(-1, 2), ([1, 0], 1)), mero(F(-1, 2), ([0, 1], 1))))
@@ -650,6 +654,23 @@ def test_smooth_pieces_keep_lattice_vectors_off_the_ambient_primitive():
     assert ray_sets(smooth_subdivide_2d(lc)) == {
         ((2, 0), (2, 1)), ((2, 1), (2, 2)), ((2, 2), (2, 3))}
     assert germ_equal(p_res_exp_sum(lc), exp_integral(lc))
+
+
+def test_a_refinement_with_smooth_pieces_lists_each_cone_once():
+    # the smooth pieces keep the lattice vectors (2, 0) and (2, 2); the
+    # refinement's pieces carry primitive ambient generators, so the three
+    # smooth pieces and the cone they overlap give four cones, each once
+    lc = make_lattice_cone([(2, 0), (2, 3)], [(2, 0), (0, 1)])
+    family = [p.cone for p in smooth_subdivide_2d(lc)]
+    family.append(make_simplicial_cone([(1, 0), (1, 2)]))
+    pieces, index_sets = common_refinement(family)
+    assert [p.generators for p in pieces] == [
+        ((1, 0), (2, 1)), ((1, 1), (2, 1)), ((1, 1), (2, 3)),
+        ((1, 2), (2, 3))]
+    assert index_sets == [[0], [1], [2], [0, 1, 2, 3]]
+    assert is_properly_positioned(pieces)
+    assert all(is_subdivision([pieces[i] for i in mine], member)
+               for member, mine in zip(family, index_sets))
 
 
 def test_smooth_subdivide_of_a_huge_determinant_cone():

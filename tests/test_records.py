@@ -6,9 +6,14 @@ set and dict order stay the same.
 
 import pytest
 
-from laurentgerms.cones import PolyCone, SimplicialCone, make_simplicial_cone
+from laurentgerms.cones import (
+    ConeFamily,
+    PolyCone,
+    SimplicialCone,
+    make_simplicial_cone,
+)
 from laurentgerms.exact import AmbientSpace, Polynomial, Record
-from laurentgerms.expand import laurent_expand
+from laurentgerms.expand import DecoratedCone, laurent_expand
 from laurentgerms.exprio import parse_germ
 from laurentgerms.germs import (
     GermSum,
@@ -16,6 +21,7 @@ from laurentgerms.germs import (
     PolarGerm,
     decompose,
     make_germ_sum,
+    make_mero,
 )
 from laurentgerms.latticeexp import exp_sum_smooth, make_lattice_cone
 from laurentgerms.residues import graded_split
@@ -86,4 +92,11 @@ def test_repr_lists_the_fields_unless_the_class_defines_one():
     cone = make_lattice_cone(make_simplicial_cone([(1, 0), (1, 1)]))
     assert repr(exp_sum_smooth(cone, trunc=2)) == (
         "TruncatedGerm(3 polar terms, tail to degree 2)")
+    assert repr(NUM) == "Polynomial(eps1)"
+    assert repr(make_mero(NUM)) == "MeromorphicGerm(eps1)"
+    decorated = DecoratedCone((((0, 1), 1), ((1, 0), 2)))
+    assert repr(decorated) == "<(0,1) (1,0)^2>" and decorated.dim == 2
+    family = ConeFamily((cone.cone,))
+    assert repr(family) == "ConeFamily(cones=(SimplicialCone<1,0; 1,1>,))"
+    assert list(family) == [cone.cone]
 
