@@ -12,7 +12,7 @@ primitive integer vectors, stored as tuples of ints (see
 ``exact.primitive_vector``), so every incidence and sign test is an
 ``exact.vec_dot`` of int rows, itself an int, and every rank test runs on
 integer rows.  Generators get this form (``_rays``) where they enter a
-piece or leave the refinement uncut; the face test compares rays as stored.
+piece or wherever a family is read; the face test compares rays as stored.
 
 The refinement algorithm makes a family of cones "properly positioned"
 (pairwise intersections are common faces and the union contains no line):
@@ -47,6 +47,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     NotASubdivision,
+    NotProperlyPositioned,
     NotSimplicial,
     NotStrictlyConvexUnion,
 )
@@ -479,16 +480,16 @@ def common_refinement(
     nonzero linear subspace (``union_contains_line``, at once False on the
     pseudo-positive pole forms ``decompose`` stores): no refinement exists.
 
-    The span and facet hyperplanes of the maximal members, those whose
-    generators are no proper subset of another member's, slice every
-    member, in the global sorted order, wherever their normal takes both
-    signs on its generators; any other hyperplane leaves the member, and so
-    each of its pieces, on one closed side.  So only the maximal members
-    and the members some hyperplane cuts are built as pieces: a member no
-    hyperplane cuts is its own single piece.  A cut member's first piece is
+    The span and facet hyperplanes of the maximal members, those whose rays
+    (``_rays``, alike at any positive scaling) are no proper subset of another
+    member's, slice every member, in the global sorted order, wherever their
+    normal takes both signs on its rays; any other hyperplane leaves the
+    member, and so each of its pieces, on one closed side.  So only the maximal
+    members and the members some hyperplane cuts are built as pieces: a member
+    no hyperplane cuts is its own single piece.  A cut member's first piece is
     its simplicial H-representation, whose n inequalities are exactly its n
-    facets.  A family with one maximal member is made of faces of it, with
-    no line in their union, and comes back unchanged (repeats merged).
+    facets.  A family with one maximal member is made of faces of it, with no
+    line in their union, and comes back as its rays, each once.
 
     A face F of a member C needs no hyperplanes of its own: F is C cut by
     facet hyperplanes of C, so it is a union of faces of C's cells, on
@@ -500,32 +501,32 @@ def common_refinement(
     if not cones:
         return [], []
     _common_ambient(cones)
-    gens = [set(c.generators) for c in cones]
-    maximal = dict.fromkeys(c for c, g in zip(cones, gens)
-                            if not any(g < h for h in gens))
+    rays = [_rays(c.generators) for c in cones]
+    sets = [set(r) for r in rays]
+    maximal = dict.fromkeys(r for r, g in zip(rays, sets)
+                            if not any(g < h for h in sets))
     hyperplanes: list[Vec] = []
-    firsts: dict[SimplicialCone, _Piece] = {}
-    if len({frozenset(c.generators) for c in maximal}) > 1:
+    firsts: dict[tuple[Vec, ...], _Piece] = {}
+    if len(maximal) > 1:
         if union_contains_line(cones):
             raise NotStrictlyConvexUnion(
                 "the union of the cones contains a linear subspace")
-        firsts = {c: _simplicial_piece(c.generators) for c in maximal}
+        firsts = {r: _simplicial_piece(r) for r in maximal}
         hyperplanes = sorted({primitive_pseudo_positive(w)[1]
                               for p in firsts.values()
                               for w in p.eqs + p.ineqs})
     piece_index: dict[tuple, int] = {}
     collected: list[SimplicialCone] = []
     index_sets: list[list[int]] = []
-    for cone in cones:
+    for r in rays:
         pieces = None
         for w in hyperplanes:
-            vals = [vec_dot(w, g) for g in cone.generators]
+            vals = [vec_dot(w, g) for g in r]
             if min(vals) < 0 < max(vals):
                 if pieces is None:
-                    pieces = [firsts.get(cone)
-                              or _simplicial_piece(cone.generators)]
+                    pieces = [firsts.get(r) or _simplicial_piece(r)]
                 pieces = [half for p in pieces for half in _split_piece(p, w)]
-        simplices = ([_rays(cone.generators)] if pieces is None
+        simplices = ([r] if pieces is None
                      else [s for p in pieces for s in _pull_triangulate(p)])
         mine = set()
         for simplex in simplices:
@@ -572,6 +573,21 @@ def _facets_tile(pieces: Sequence[SimplicialCone], cell: _Piece) -> bool:
     return all(n == 2 - any(all(vec_dot(c, g) == 0 for g in f)
                             for c in cell.ineqs)
                for f, n in facets.items())
+
+
+def _checked_family(family: Sequence[SimplicialCone],
+                    nvars: int) -> list[SimplicialCone]:
+    """A supplied support read as a set of cones: each member in its normal
+    form (``_rays``), so a cone listed twice, at any positive scaling,
+    counts once.  It must live in ``nvars`` dimensions (ValueError naming
+    both) and pass one pairwise check (NotProperlyPositioned)."""
+    family = list(dict.fromkeys(SimplicialCone(_rays(c.generators))
+                                for c in family))
+    _common_length([nvars] + [len(g) for d in family for g in d.generators],
+                   "an expansion and its family live in ambient dimensions")
+    if not is_properly_positioned(family):
+        raise NotProperlyPositioned("target family is not properly positioned")
+    return family
 
 
 def _pieces_by_cone(cones: Sequence[SimplicialCone],

@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 from .errors import (
     NotASubdivision,
     NotInLaurentSubspace,
-    NotProperlyPositioned,
     OrthogonalityViolated,
 )
 from .exact import (
@@ -31,7 +30,6 @@ from .exact import (
     Polynomial,
     Record,
     Vec,
-    _common_length,
     det,
     int_inverse,
     mat_from_columns,
@@ -39,9 +37,9 @@ from .exact import (
 )
 from .cones import (
     SimplicialCone,
+    _checked_family,
     _pieces_by_cone,
     common_refinement,
-    is_properly_positioned,
 )
 from .germs import (
     Factors,
@@ -263,19 +261,6 @@ def _resupport(terms: Iterable[tuple[Factors, Polynomial]],
         pieces = assignment[DecoratedCone(factors).cone]
         items.extend(_subdivide_term(factors, num, pieces, tables))
     return make_expansion(items, polynomial_part)
-
-
-def _checked_family(family: Sequence[SimplicialCone],
-                    nvars: int) -> list[SimplicialCone]:
-    """The family read as a set, so a repeated member counts once.  It
-    must live in ``nvars`` dimensions (ValueError naming both) and pass
-    one pairwise check (NotProperlyPositioned)."""
-    family = list(dict.fromkeys(family))
-    _common_length([nvars] + [d.ambient for d in family],
-                   "an expansion and its family live in ambient dimensions")
-    if not is_properly_positioned(family):
-        raise NotProperlyPositioned("target family is not properly positioned")
-    return family
 
 
 def subdivision_operator(x: FormalExpansion,

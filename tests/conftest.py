@@ -452,6 +452,63 @@ def is_subdivision_reference(pieces, target):
     return True
 
 
+def _sympy_ray(v):
+    """A vector's ray as sympy Rationals: v over |its first nonzero entry|."""
+    from sympy import Rational
+    v = [Rational(x) for x in v]
+    pivot = abs(next(x for x in v if x != 0))
+    return tuple(x / pivot for x in v)
+
+
+def common_face_certificate(a, b) -> bool:
+    """Whether two simplicial cones meet in a common face, decided by one
+    exact linear program of sympy (``sympy.solvers.simplex.linprog``) and
+    nothing of this package.
+
+    A point of A ∩ B is sum λ_i a_i = sum μ_j b_j with λ, μ >= 0, and
+    those coefficients are unique in a simplicial cone.  The meet is a
+    common face exactly when every such point uses only the rays the two
+    cones share: the most weight on the other rays, over sum λ + sum μ <= 1,
+    is 0.  ``linprog`` minimizes, so the optimum of minus that weight is 0
+    exactly for a common face."""
+    from sympy import Matrix
+    from sympy.solvers.simplex import linprog
+    rays_a = [_sympy_ray(g) for g in a.generators]
+    rays_b = [_sympy_ray(g) for g in b.generators]
+    shared = set(rays_a) & set(rays_b)
+    columns = rays_a + [tuple(-x for x in r) for r in rays_b]
+    n = len(columns)
+    cost = Matrix([[0 if r in shared else -1 for r in rays_a + rays_b]])
+    equalities = Matrix([[c[i] for c in columns]
+                         for i in range(len(rays_a[0]))])
+    optimum, _ = linprog(cost, Matrix([[1] * n]), Matrix([1]),
+                         equalities, Matrix.zeros(len(rays_a[0]), 1))
+    return optimum == 0
+
+
+def polar_certificate(space, germ) -> bool:
+    """Whether a term h / prod L_i^(s_i) is a polar germ, decided in sympy:
+    its pole forms v_i are independent, and h(x + t Q v_i) - h(x) expands
+    to 0 for each of them, so no direction Q v_i varies the numerator."""
+    from sympy import Matrix, Mul, Rational, expand, symbols
+    xs, t = symbols(f"x1:{germ.numerator.nvars + 1}"), symbols("t")
+
+    def h(point):
+        return sum(Rational(c) * Mul(*(x ** n for x, n in zip(point, e)))
+                   for e, c in germ.numerator.terms.items())
+
+    forms = Matrix([[Rational(x) for x in v] for v, _ in germ.factors])
+    if forms.rank() != len(germ.factors):
+        return False
+    gram = Matrix([[Rational(x) for x in row] for row in space.gram])
+    for i in range(forms.rows):
+        direction = gram * forms.row(i).T
+        moved = [x + t * d for x, d in zip(xs, direction)]
+        if expand(h(moved) - h(xs)) != 0:
+            return False
+    return True
+
+
 def coproduct_at(terms, point):
     """Sum of left(point) * right over the terms of a coproduct: the tensor
     with its left legs evaluated, a right leg of None read as 1."""

@@ -59,6 +59,7 @@ from laurentgerms.germs import (
 )
 
 from conftest import (
+    common_face_certificate,
     common_refinement_eager,
     common_refinement_reference,
     is_subdivision_reference,
@@ -454,6 +455,16 @@ def test_refinement_returns_primitive_int_generators():
     assert refined == [cone((1, 0, 0), (0, 1, 1), (0, 0, 1))]
     assert index_sets == [[0], [0]]
     assert all(type(x) is int for p in refined for g in p.generators for x in g)
+    # maximal members are found by rays too: the obtuse cone built with
+    # doubled generators has (1,0,0), (1,1,3) as a face, so that face's
+    # hyperplanes, one through (1,10,0), do not cut it
+    doubled = SimplicialCone(((2, 0, 0), (-2, 4, 0), (2, 2, 6)))
+    face = cone((1, 0, 0), (1, 1, 3))
+    refined, index_sets = common_refinement([doubled, face])
+    assert refined == [cone((1, 0, 0), (-1, 2, 0), (1, 1, 3)), face]
+    assert index_sets == [[0], [1]]
+    assert common_refinement([cone(*doubled.generators), face]) == (
+        refined, index_sets)
 
 
 def test_the_face_test_normalizes_no_ray_of_its_own(monkeypatch):
@@ -572,6 +583,32 @@ def test_a_separating_facet_does_not_make_the_meet_a_common_face():
         0, 1, "intersection is not a common face")
     assert not cones_meet_along_face(a, b)
     assert not union_contains_line([a, b])
+
+
+def test_the_common_face_certificate_agrees_with_the_face_test():
+    # an exact linear program of sympy decides each pair independently of
+    # the package: every pair of the 25 k = 3 growth pieces meets in a
+    # common face, and the overlapping pair, the pair a facet separates and
+    # the doubled obtuse cone beside its face are decided as the package does
+    pytest.importorskip("sympy")
+    pairs = list(combinations(common_refinement(_growth_cones(3))[0], 2))
+    assert len(pairs) == 300
+    assert all(common_face_certificate(a, b) for a, b in pairs)
+    assert all(cones_meet_along_face(a, b) for a, b in pairs)
+    doubled = SimplicialCone(((2, 0, 0), (-2, 4, 0), (2, 2, 6)))
+    cases = [
+        (cone((1, 0), (0, 1)), cone((1, 1), (-1, 2)), False),
+        (cone((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+         cone((1, 2, 0), (2, 1, 0), (1, 1, -1)), False),
+        (doubled, cone((1, 0, 0), (1, 1, 3)), True),
+        (doubled, cone((1, 0, 0), (1, 10, 0)), False),
+    ]
+    for a, b, common in cases:
+        assert common_face_certificate(a, b) is common
+        assert cones_meet_along_face(a, b) is common
+    pieces, _ = common_refinement([doubled, cone((1, 0, 0), (1, 1, 3))])
+    assert all(common_face_certificate(a, b) and cones_meet_along_face(a, b)
+               for a, b in combinations(pieces, 2))
 
 
 def _random_face_pair(rng):

@@ -42,7 +42,7 @@ from laurentgerms.expand import (
     phi,
     subdivision_operator,
 )
-from laurentgerms.exprio import parse_germ
+from laurentgerms.exprio import deserialize, parse_germ, serialize
 from laurentgerms.germs import (
     as_mero,
     canonicalize_polar,
@@ -381,6 +381,13 @@ def test_a_family_of_another_ambient_dimension_is_refused_by_name():
         subdivision_operator(laurent_expand(SP, g), solid)
     with pytest.raises(ValueError, match=pattern):
         laurent_expand(SP, g, support=solid)
+    # a directly built member is read by every generator's length, whatever
+    # the order its normal form gives them
+    ragged = [cone((1, 0), (0, 1)), SimplicialCone(((0, 1), (1, 0, 0)))]
+    with pytest.raises(ValueError, match=pattern):
+        laurent_expand(SP, g, support=ragged)
+    with pytest.raises(ValueError, match=pattern):
+        laurent_expand(SP, g, support=[SimplicialCone(((1, 0, 0), (0, 1)))])
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +564,12 @@ def test_a_supplied_support_is_read_as_a_set():
     assert phi(laurent_expand(SP, g, support=[b, a, b, a])) == g
     polar = simple_exp(SP, [(([(1, 0), 1], [(0, 1), 1]), 1)])
     assert subdivision_operator(polar, [a, a, b]) == x
+    # a set of cones: a member listed again at another positive scaling of
+    # its generators is the same member
+    doubled = SimplicialCone(((0, 2), (2, 0)))
+    assert subdivision_operator(polar, [cone((1, 0), (0, 1)), doubled]) == polar
+    assert laurent_expand(
+        SP, g, support=[a, SimplicialCone(((3, 3), (2, 0))), b]) == x
 
 
 def test_a_refinement_of_scaled_generators_can_be_expanded_onto():
@@ -570,6 +583,50 @@ def test_a_refinement_of_scaled_generators_can_be_expanded_onto():
                   ((vec([1, 0]), 1), (vec([0, 1]), 1)))
     x = subdivision_operator(laurent_expand(SP, g), pieces)
     assert x.support() == pieces[:2] and phi(x) == g
+    # a supplied support with scaled generators is read in the normal form
+    # of make_simplicial_cone: its terms carry primitive forms, as on the
+    # same support built by make_simplicial_cone, and serialize back
+    support = [SimplicialCone(((0, 3), (3, 3))),
+               SimplicialCone(((1, 1), (2, 0)))]
+    y = laurent_expand(SP, g, support=support)
+    assert y == laurent_expand(SP, g,
+                               support=[cone(*c.generators) for c in support])
+    assert repr(y) == "FormalExpansion(<(0,1) (1,1)>: 1 (+) <(1,0) (1,1)>: 1)"
+    assert deserialize(serialize(y)) == y
+
+
+def test_a_cone_is_read_alike_at_any_positive_scaling_of_its_generators():
+    # each member rebuilt directly on its generators, shuffled, each times
+    # a random positive rational, is the same cone: a family with a face of
+    # one member refines as before, and a germ expands on the scaled pieces
+    # of its canonical support exactly as on the pieces themselves
+    rng = random.Random(46)
+
+    def scaled(c):
+        gens = [tuple(x * s for x in g) for g, s in zip(c.generators, [
+            F(rng.randint(1, 5), rng.randint(1, 5)) for _ in c.generators])]
+        rng.shuffle(gens)
+        return SimplicialCone(tuple(gens))
+
+    for _ in range(40):
+        k = rng.randint(2, 3)
+        member = random_pseudo_positive_cone(rng, k, k)
+        face = cone(*rng.sample(member.generators, rng.randint(1, k - 1)))
+        family = [member, face, random_pseudo_positive_cone(
+            rng, k, rng.randint(1, k))]
+        rng.shuffle(family)
+        assert (common_refinement([scaled(c) for c in family])
+                == common_refinement(family))
+        g = make_mero(Polynomial.constant(k, 1))
+        for c in family:
+            g = mero_add(g, make_mero(Polynomial.constant(k, 1),
+                                      tuple((v, 1) for v in c.generators)))
+        sp = AmbientSpace.standard(k)
+        poles = dict.fromkeys(DecoratedCone(t.factors).cone
+                              for t in decompose(sp, g).terms)
+        pieces = common_refinement(poles)[0]
+        assert (laurent_expand(sp, g, support=[scaled(p) for p in pieces])
+                == laurent_expand(sp, g, support=pieces))
 
 
 def test_laurent_expand_on_a_support_without_the_cancelling_pieces():
@@ -884,6 +941,14 @@ def test_kernel_generators_vanish_under_phi():
         assert phi(x).is_zero()
     for x in kernel_generators(sample, subdivision):
         assert phi(x).is_zero()
+    # pieces built with scaled generators are read in normal form: the
+    # re-supported part has primitive factors, as with primitive pieces
+    scaled = [SimplicialCone(((2, 0), (3, 3))), SimplicialCone(((0, 5), (1, 1)))]
+    elements = kernel_generators(sample, scaled)
+    assert elements == kernel_generators(sample, subdivision)
+    assert all(primitive_vector(v) == v
+               for dc, _ in elements[1].terms for v, _ in dc.factors)
+    assert phi(elements[1]).is_zero()
 
 
 def test_type_two_kernel_element_is_structurally_nonzero():

@@ -70,6 +70,7 @@ from conftest import (
     mat_inverse,
     mero_sum,
     orthogonal_projection_images,
+    polar_certificate,
     random_fraction,
     round_trip_corpus,
     random_germ,
@@ -684,6 +685,36 @@ def test_decompose_faithful_under_random_inner_products():
         assert germ_equal(s, g)
         for t in s.terms:
             assert numerator_is_orthogonal(sp, t.numerator, [v for v, _ in t.factors])
+
+
+def test_the_polar_certificate_agrees_with_numerator_is_orthogonal():
+    # sympy decides each term independently of the package: the decompose
+    # terms of the first 40 corpus germs are polar under the identity and
+    # the skew product, and a hand-built term is not where its numerator
+    # varies along a pole direction or its forms depend
+    pytest.importorskip("sympy")
+    checked = 0
+    for k, f in round_trip_corpus()[:40]:
+        for sp in (AmbientSpace.standard(k), skew_space(k)):
+            for t in decompose(sp, f).terms:
+                forms = [v for v, _ in t.factors]
+                assert polar_certificate(sp, t)
+                assert numerator_is_orthogonal(sp, t.numerator, forms)
+                checked += 1
+    assert checked > 40
+    sp = skew_space(2)
+    x2 = Polynomial.variable(2, 1)
+    varying = PolarGerm(x2, (((1, 0), 1),))
+    assert not polar_certificate(sp, varying)
+    assert not numerator_is_orthogonal(sp, x2, [(1, 0)])
+    # under the skew product, x1 - 2 x2 is constant along Q (1, 0) = (2, 1)
+    orthogonal = PolarGerm(Polynomial.variable(2, 0) - x2.scale(2),
+                           (((1, 0), 1),))
+    assert polar_certificate(sp, orthogonal)
+    assert numerator_is_orthogonal(sp, orthogonal.numerator, [(1, 0)])
+    dependent = PolarGerm(Polynomial.constant(2, 1),
+                          (((1, 1), 1), ((2, 2), 1)))
+    assert not polar_certificate(sp, dependent)
 
 
 def _reference_decompose(space, f):
