@@ -153,23 +153,22 @@ def make_simplicial_cone(generators: Iterable[Sequence]) -> SimplicialCone:
 
 
 def make_poly_cone(rays: Iterable[Sequence]) -> PolyCone:
-    """Pointed cone from (possibly redundant) generating rays."""
+    """Pointed cone from (possibly redundant) generating rays.
+
+    The extreme rays are the facets of the dual piece: the facets tight at
+    a ray cut out the least face holding it, a ray is extreme exactly when
+    that set is maximal among the proper ones, and no two extreme rays
+    share one.  The rank check refuses a line, so no set is full."""
     raw = [primitive_vector(vec(r)) for r in rays]
     raw = list(dict.fromkeys(r for r in raw if not vec_is_zero(r)))
     if not raw:
         raise ValueError("a cone needs at least one nonzero ray")
     k = _common_length([len(r) for r in raw], "rays of a cone have lengths")
     hull = _poly_piece(raw)
-    # a nontrivial lineality space means the cone contains a line
     if mat_rank(hull.eqs + hull.ineqs) < k:
         raise NotStrictlyConvexUnion("rays do not span a pointed cone")
-    # the facets tight at a ray cut out the least face holding it, and an
-    # extreme ray is the only ray in that face
-    tight = [sum(1 << j for j, c in enumerate(hull.ineqs)
-                 if vec_dot(c, r) == 0) for r in hull.rays]
     return PolyCone(tuple(
-        r for i, (r, t) in enumerate(zip(hull.rays, tight))
-        if not any(t & o == t for j, o in enumerate(tight) if j != i)))
+        _facets(_Piece(hull.eqs, hull.rays, hull.ineqs, hull.dim)).values()))
 
 
 def cone_contains(cone: SimplicialCone, x: Sequence) -> bool:

@@ -250,17 +250,15 @@ def _subdivide_term(factors: Factors, num: Polynomial, pieces: Sequence[Simplici
     return [(fac, num.scale(c)) for fac, c in table]
 
 
-def _resupport(terms: Iterable[tuple[Factors, Polynomial]],
+def _resupport(x: FormalExpansion,
                assignment: dict[SimplicialCone, Sequence[SimplicialCone]],
-               polynomial_part: Polynomial,
                tables: dict | None = None) -> FormalExpansion:
-    """Every term onto the pieces assigned to its cone, merged into one
-    expansion with the given polynomial part."""
+    """Every term of ``x`` onto the pieces assigned to its cone, merged
+    into one expansion; the polynomial part of ``x`` is kept."""
     items: list[tuple[Factors, Polynomial]] = []
-    for factors, num in terms:
-        pieces = assignment[DecoratedCone(factors).cone]
-        items.extend(_subdivide_term(factors, num, pieces, tables))
-    return make_expansion(items, polynomial_part)
+    for dc, num in x.terms:
+        items += _subdivide_term(dc.factors, num, assignment[dc.cone], tables)
+    return make_expansion(items, x.polynomial_part)
 
 
 def subdivision_operator(x: FormalExpansion,
@@ -275,8 +273,7 @@ def subdivision_operator(x: FormalExpansion,
     coordinates in each cone's basis, so no inner product enters.
     """
     family = _checked_family(family, x.nvars)
-    return _resupport([(dc.factors, num) for dc, num in x.terms],
-                      _pieces_by_cone(x.support(), family), x.polynomial_part)
+    return _resupport(x, _pieces_by_cone(x.support(), family))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +314,7 @@ def laurent_expand(space: AmbientSpace, f,
     s = decompose(space, f)
     x = make_expansion([(t.factors, t.numerator) for t in s.terms], s.poly)
     try:
-        return _resupport([(dc.factors, num) for dc, num in x.terms],
-                          _pieces_by_cone(x.support(), family), s.poly)
+        return _resupport(x, _pieces_by_cone(x.support(), family))
     except NotASubdivision as exc:
         canonical = _canonical_expansion(space, f)
         if set(canonical.support()) <= set(family):
@@ -343,21 +339,22 @@ def _canonical_expansion(space: AmbientSpace, f: MeromorphicGerm
     Only ``p_order`` and ``p_res`` share it.  The entry of ``f`` keeps it
     per space, and per family of pole cones (in order) the work free of Q:
     the refinement and the terms' subdivision tables.  Exceptions are not
-    cached.  An uncut family keeps the terms of ``decompose``.
+    cached.  The pole cones are the ``support()`` of the terms of
+    ``decompose`` as an expansion, which an uncut family keeps as it is.
     """
     expansions, refinements = _germ_entry(f)
     if space in expansions:
         return expansions[space]
     s = decompose(space, f)
-    terms = [(t.factors, t.numerator) for t in s.terms]
-    cones = list(dict.fromkeys(DecoratedCone(t.factors).cone for t in s.terms))
+    x = make_expansion([(t.factors, t.numerator) for t in s.terms], s.poly)
+    cones = x.support()
     if tuple(cones) not in refinements:
         refinements[tuple(cones)] = (*common_refinement(cones), {})
     pieces, index_sets, tables = refinements[tuple(cones)]
     assignment = {c: [pieces[i] for i in idx]
                   for c, idx in zip(cones, index_sets)}
-    expansions[space] = (make_expansion(terms, s.poly) if pieces == cones
-                         else _resupport(terms, assignment, s.poly, tables))
+    expansions[space] = (x if pieces == cones
+                         else _resupport(x, assignment, tables))
     return expansions[space]
 
 
@@ -377,14 +374,13 @@ def kernel_generators(sample: PolarGerm,
       collapses structurally to the zero expansion — the normalization bakes
       this part of the kernel into the representation itself.
     * re-supporting: the sample minus the subdivision operator applied to it
-      over any subdivision of its cone (the trivial one when none is given);
-      a nontrivial subdivision gives a structurally nonzero expansion with
-      vanishing ``phi``-image.
+      over any subdivision of its cone (the trivial one, its ``support()``,
+      when none is given); a nontrivial subdivision gives a structurally
+      nonzero expansion with vanishing ``phi``-image.
     """
-    x = FormalExpansion(((DecoratedCone(sample.factors), sample.numerator),),
-                        Polynomial.zero(sample.nvars))
-    if subdivision is None:
-        subdivision = [SimplicialCone(tuple(v for v, _ in sample.factors))]
-    resupported = subdivision_operator(x, list(subdivision))
+    x = make_expansion([(sample.factors, sample.numerator)],
+                       Polynomial.zero(sample.nvars))
+    resupported = subdivision_operator(
+        x, x.support() if subdivision is None else list(subdivision))
     return [FormalExpansion((), Polynomial.zero(sample.nvars)),
             expansion_add(x, expansion_neg(resupported))]

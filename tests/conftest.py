@@ -9,6 +9,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -186,9 +187,10 @@ def canonical_expansion_reference(space, f):
     cones = list(dict.fromkeys(DecoratedCone(t.factors).cone
                                for t in s.terms))
     pieces, index_sets = common_refinement(cones)
-    return _resupport([(t.factors, t.numerator) for t in s.terms],
+    return _resupport(make_expansion([(t.factors, t.numerator)
+                                      for t in s.terms], s.poly),
                       {c: [pieces[i] for i in idx]
-                       for c, idx in zip(cones, index_sets)}, s.poly)
+                       for c, idx in zip(cones, index_sets)})
 
 
 def expansion_from_raw(space, items, polynomial_part):
@@ -507,6 +509,119 @@ def polar_certificate(space, germ) -> bool:
         if expand(h(moved) - h(xs)) != 0:
             return False
     return True
+
+
+def _in_cone_certificate(v, gens) -> bool:
+    """Whether v lies in the cone of ``gens`` (sympy Rationals), by one
+    bounded linear program: the most t with sum λ_i g_i = t v, λ, t >= 0
+    and sum λ + t <= 1 is positive exactly when it does.  ``linprog``
+    minimizes, so the optimum of -t is then negative.  The bound keeps the
+    program finite; the zero-cost feasibility form runs for minutes."""
+    from sympy import Matrix
+    from sympy.solvers.simplex import linprog
+    n = len(gens)
+    cost = Matrix([[0] * n + [-1]])
+    equalities = Matrix([[g[i] for g in gens] + [-v[i]]
+                         for i in range(len(v))])
+    optimum, _ = linprog(cost, Matrix([[1] * (n + 1)]), Matrix([1]),
+                         equalities, Matrix.zeros(len(v), 1))
+    return optimum < 0
+
+
+def _primitive_rays(rays) -> list[tuple[int, ...]]:
+    """The nonzero rays as primitive integer vectors, deduplicated, sorted:
+    each one times the lcm of its denominators, over the gcd of its
+    entries."""
+    out = set()
+    for r in rays:
+        r = [Fraction(x) for x in r]
+        if any(r):
+            m = lcm(*(x.denominator for x in r))
+            scaled = [int(x * m) for x in r]
+            out.add(tuple(x // gcd(*scaled) for x in scaled))
+    return sorted(out)
+
+
+def extreme_ray_certificate(rays):
+    """The extreme rays of the cone the rays generate, decided with sympy's
+    linear program and nothing of this package; None when it holds a line.
+
+    The rays are read as primitive and deduplicated.  The cone holds a line
+    exactly when some -r lies in the cone of the rays, and a ray of a
+    pointed cone is extreme exactly when it does not lie in the cone of
+    the others."""
+    from sympy import Rational
+    rays = _primitive_rays(rays)
+    gens = [tuple(Rational(x) for x in r) for r in rays]
+    if any(_in_cone_certificate([-x for x in g], gens) for g in gens):
+        return None
+    return [r for r, g in zip(rays, gens)
+            if not _in_cone_certificate(g, [h for h in gens if h != g])]
+
+
+def tiling_certificate(pieces, member) -> bool:
+    """Whether simplicial pieces that meet pairwise in common faces tile a
+    member, decided in sympy alone; pair it with
+    ``common_face_certificate``, since volumes see no overlap.  The member
+    is given by its extreme rays, of dimension d >= 2, and its facets must
+    be simplicial: a simplicial cone, or a cone of dimension 3.
+
+    Member coordinates are those in a basis of its rays (the generators of
+    a simplicial member), found by ``Matrix.gauss_jordan_solve``.  There
+    the facets are the sets of d - 1 rays with every ray on one side of
+    their span, and u, the sum of the facet normals, is positive on the
+    cone and 1 on each generator of a simplicial member.  Each piece must
+    have dimension d, its rays on the inner side of every facet and
+    nonzero volume.  The pieces then cover the member exactly when their
+    volumes below u = 1 add up to the member's.  Times d!, that volume is
+    |det(c_i / <u, c_i>)| for a cone on rays of member coordinates c_i,
+    and for the member the sum over its facets of |det(m, c_i / <u, c_i>)|
+    on the facet's rays, with m the mean of the member's rays so cut."""
+    from sympy import Matrix, Rational, zeros
+
+    def column(v):
+        return Matrix([Rational(x) for x in v])
+
+    rays = [column(r) for r in member.rays]
+    _, pivots = Matrix.hstack(*rays).rref()
+    basis = Matrix.hstack(*(rays[j] for j in pivots))
+    d = basis.cols
+    own = [basis.gauss_jordan_solve(r)[0] for r in rays]
+    facets, normals = [], []
+    for face in combinations(own, d - 1):
+        kernel = Matrix.hstack(*face).T.nullspace()
+        if len(kernel) == 1:
+            sides = {kernel[0].dot(c) for c in own} - {0}
+            if all(x > 0 for x in sides) or all(x < 0 for x in sides):
+                facets.append(face)
+                normals.append(kernel[0] * (1 if max(sides) > 0 else -1))
+    u = sum(normals, zeros(d, 1))
+
+    def cut(c):
+        return c / u.dot(c)
+
+    mean = sum(map(cut, own), zeros(d, 1)) / len(own)
+    whole = sum(abs(Matrix.hstack(mean, *map(cut, f)).det()) for f in facets)
+    gens = list(dict.fromkeys(g for p in pieces for g in p.generators))
+    if not gens:
+        return False
+    try:
+        solved, _ = basis.gauss_jordan_solve(Matrix.hstack(*map(column, gens)))
+    except ValueError:  # a ray off the member's span
+        return False
+    coords = dict(zip(gens, (solved.col(j) for j in range(len(gens)))))
+    if any(n.dot(c) < 0 for n in normals for c in coords.values()):
+        return False
+    total = 0
+    for piece in pieces:
+        if len(piece.generators) != d:
+            return False
+        volume = abs(Matrix.hstack(*(cut(coords[g])
+                                     for g in piece.generators)).det())
+        if volume == 0:
+            return False
+        total += volume
+    return total == whole
 
 
 def coproduct_at(terms, point):

@@ -14,6 +14,7 @@ from laurentgerms.cones import (
     _meet,
     _neg,
     _pair_contains_line,
+    _pieces_by_cone,
     _poly_piece,
     _simplicial_piece,
     ConeFamily,
@@ -62,14 +63,17 @@ from conftest import (
     common_face_certificate,
     common_refinement_eager,
     common_refinement_reference,
+    extreme_ray_certificate,
     is_subdivision_reference,
     pieces_meet_along_face_reference,
     positioning_witness_reference,
     random_pseudo_positive_cone,
     random_vector,
     round_trip_corpus,
+    tiling_certificate,
 )
 from test_digest import _spaces
+from test_latticeexp import unimodular_rows
 
 F = Fraction
 
@@ -609,6 +613,173 @@ def test_the_common_face_certificate_agrees_with_the_face_test():
     pieces, _ = common_refinement([doubled, cone((1, 0, 0), (1, 1, 3))])
     assert all(common_face_certificate(a, b) and cones_meet_along_face(a, b)
                for a, b in combinations(pieces, 2))
+
+
+def _random_ray_set(rng):
+    """Rays of a cone in 2D to 4D: base rays in the cone of k or k - 1
+    random vectors (some in the positive orthant), so some cones have
+    lower dimension, then a base ray doubled, positive sums of base rays
+    and, in about a third of the sets, the negative of such a sum, which
+    makes a line; shuffled."""
+    k = rng.randint(2, 4)
+    lo = rng.choice((-3, -1, 0))
+    span = [[rng.randint(lo, 3) for _ in range(k)]
+            for _ in range(rng.choice((k, k, k - 1)))]
+    n, base = rng.randint(1, k + 2), []
+    while len(base) < n or not any(map(any, base)):
+        base.append([sum(rng.randint(0, 2) * v[i] for v in span)
+                     for i in range(k)])
+    rays = base + [[2 * x for x in rng.choice(base)]]
+    for sign in [1] * rng.randint(0, 2) + [-1] * (rng.random() < 0.3):
+        chosen = rng.sample(base, rng.randint(1, len(base)))
+        rays.append([sign * sum(rng.randint(1, 3) * r[i] for r in chosen)
+                     for i in range(k)])
+    rng.shuffle(rays)
+    return rays
+
+
+def _parabola_cone(rng, n):
+    """The rays (t, t^2, 1) for n distinct t in [-4, 4] under a unimodular
+    map, all extreme, as the benchmark's non-simplicial cones."""
+    u = unimodular_rows(rng, 3)
+    return [[sum(a * b for a, b in zip(row, (t, t * t, 1))) for row in u]
+            for t in sorted(rng.sample(range(-4, 5), n))]
+
+
+def _poly_cone_or_line(rays):
+    try:
+        return list(make_poly_cone(rays).rays)
+    except NotStrictlyConvexUnion:
+        return None
+
+
+def test_the_extreme_ray_certificate_agrees_with_make_poly_cone():
+    # sympy's linear program decides each ray set independently of the
+    # package: a line exactly when some -r lies in the cone of the rays,
+    # and otherwise the rays outside the cone of the others are extreme;
+    # make_poly_cone refuses exactly the sets with a line
+    pytest.importorskip("sympy")
+    rng = random.Random(4701)
+    sets = [_random_ray_set(rng) for _ in range(60)]
+    lines = [
+        [(1, 0), (-1, 0), (0, 1)],
+        [(1, 0), (0, 1), (-1, -1)],
+        [(1, 2, 0), (-2, -4, 0), (0, 0, 1)],
+        [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)],
+        # no two rays are opposite, yet their sum is 0
+        [(1, 1, 1), (1, -1, 0), (-2, 0, -1)],
+        [(0, 3, 0), (0, -1, 0)],
+    ]
+    parabolas = [_parabola_cone(rng, n) for n in (3, 4, 5, 6, 7, 9)]
+    everything = sets + lines + parabolas
+    certified = [extreme_ray_certificate(rays) for rays in everything]
+    assert [_poly_cone_or_line(rays) for rays in everything] == certified
+    assert certified[len(sets):len(sets) + len(lines)] == [None] * len(lines)
+    assert [len(c) for c in certified[-len(parabolas):]] == [3, 4, 5, 6, 7, 9]
+    # random sets with a line, pointed ones of lower dimension, and pointed
+    # ones with rays that are not extreme are all covered
+    found = Counter()
+    for rays, extreme in zip(sets, certified):
+        found["line"] += extreme is None
+        if extreme is not None:
+            found["flat"] += mat_rank(extreme) < len(rays[0])
+            found["redundant"] += len(extreme) < len(
+                {primitive_vector(vec(r)) for r in rays if any(r)})
+    assert min(found.values()) >= 10, found
+
+
+def test_the_tiling_certificate_agrees_with_the_facet_count():
+    # sympy decides each tiling independently of the package: the 25
+    # pieces of the k = 3 growth germ's 6 pole cones tile each cone, as do
+    # the pieces of one k = 4 member and the pulling triangulations of the
+    # benchmark's non-simplicial cones; dropping a piece or adding an
+    # overlapping one is refused, as is_subdivision and _pieces_by_cone
+    # refuse it.  Volumes see no overlap, so each tiling's pairs meet in
+    # common faces by the other certificate: here for k = 4 and the
+    # cones, and for all 300 pairs of the k = 3 pieces in the test above
+    pytest.importorskip("sympy")
+    rng = random.Random(4702)
+    cases, paired = [], []
+    for k in (3, 4):
+        members = _growth_cones(k)
+        pieces, index_sets = common_refinement(members)
+        assignment = _pieces_by_cone(members, pieces)
+        chosen = list(zip(members, index_sets))
+        if k == 4:  # the member of fewest pieces: 25, so 300 pairs
+            chosen = [min(chosen, key=lambda c: len(c[1]))]
+        for member, idx in chosen:
+            mine = [pieces[j] for j in idx]
+            assert assignment[member] == mine
+            cases.append((mine, member, True))
+            if k == 4:
+                paired.append(mine)
+            j = rng.randrange(len(mine))
+            without = [p for p in pieces if p != mine[j]]
+            with pytest.raises(NotASubdivision):
+                _pieces_by_cone([member], without)
+            cases.append((mine[:j] + mine[j + 1:], member, False))
+            cases.append((mine + [member], member, False))
+    for n in (4, 5, 7):
+        hull = make_poly_cone(_parabola_cone(rng, n))
+        first = triangulate_cone(hull)
+        cases.append((first, hull, True))
+        paired.append(first)
+        cases.append((first[1:], hull, False))
+        cases.append((first + triangulate_cone(hull, True)[:1], hull, False))
+    for pieces, member, tiles in cases:
+        assert tiling_certificate(pieces, member) is tiles
+        assert is_subdivision(pieces, member) is tiles
+    assert [len(c[0]) for c in cases if c[2]] == [5, 7, 3, 13, 5, 3, 25,
+                                                  2, 3, 5]
+    assert all(common_face_certificate(a, b)
+               for pieces in paired for a, b in combinations(pieces, 2))
+    # two overlapping pieces whose volumes add up to the quadrant's: only
+    # the common-face certificate refuses them
+    quadrant = cone((1, 0), (0, 1))
+    a, b = cone((1, 0), (1, 1)), cone((3, 1), (1, 3))
+    assert tiling_certificate([a, b], quadrant)
+    assert not common_face_certificate(a, b)
+    assert not is_subdivision([a, b], quadrant)
+
+
+def test_the_common_face_certificate_agrees_on_random_and_k4_families():
+    # the pairs of members of seeded random pseudo-positive 2D and 3D
+    # families, which often overlap, and of their refinement pieces, which
+    # never do; then 100 of the 156,520 pairs of the 560 k = 4 growth
+    # pieces, half of them sharing rays and half from different members
+    pytest.importorskip("sympy")
+    rng = random.Random(4703)
+    pairs = []
+    for _ in range(8):
+        k = rng.randint(2, 3)
+        family = [random_pseudo_positive_cone(rng, k, k) for _ in range(3)]
+        pieces, _ = common_refinement(family)
+        pairs += combinations(family, 2)
+        pairs += rng.sample(list(combinations(pieces, 2)),
+                            min(10, len(pieces) * (len(pieces) - 1) // 2))
+    members = _growth_cones(4)
+    pieces, index_sets = common_refinement(members)
+    assert len(pieces) == 560
+    owners = [set() for _ in pieces]
+    for m, idx in enumerate(index_sets):
+        for j in idx:
+            owners[j].add(m)
+    sharing, apart = [], []
+    while len(sharing) < 50 or len(apart) < 50:
+        i, j = rng.sample(range(len(pieces)), 2)
+        pair = pieces[i], pieces[j]
+        if set(pair[0].generators) & set(pair[1].generators):
+            if len(sharing) < 50:
+                sharing.append(pair)
+        elif not owners[i] & owners[j] and len(apart) < 50:
+            apart.append(pair)
+    pairs += sharing + apart
+    verdicts = Counter()
+    for a, b in pairs:
+        common = common_face_certificate(a, b)
+        assert cones_meet_along_face(a, b) is common
+        verdicts[common] += 1
+    assert verdicts[True] > 100 and verdicts[False] >= 5, verdicts
 
 
 def _random_face_pair(rng):

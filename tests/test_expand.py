@@ -44,6 +44,7 @@ from laurentgerms.expand import (
 )
 from laurentgerms.exprio import deserialize, parse_germ, serialize
 from laurentgerms.germs import (
+    PolarGerm,
     as_mero,
     canonicalize_polar,
     decompose,
@@ -64,6 +65,7 @@ from conftest import (
     common_refinement_reference,
     expansion_from_raw,
     mero_sum,
+    polar_certificate,
     q_dual_family,
     random_germ,
     random_polynomial,
@@ -854,6 +856,38 @@ def test_cached_expansions_equal_the_uncached_reference_on_the_corpus():
             assert all(laurent_expand(spaces[k][i], f) is x
                        for i, x in zip(order, firsts))
     clear_expansion_caches()
+
+
+def test_the_polar_certificate_agrees_on_the_terms_of_laurent_expand():
+    # sympy decides every term that the subdivision writes: the 24 corpus
+    # germs whose pole cones the refinement cuts under the identity, and
+    # the first three it leaves uncut, under the identity and the skew
+    # product; a subdivided term with x1 for its numerator is not polar
+    pytest.importorskip("sympy")
+    corpus = round_trip_corpus()
+    cut, uncut = [], []
+    for k, f in corpus:
+        sp = AmbientSpace.standard(k)
+        poles = {SimplicialCone(tuple(v for v, _ in t.factors))
+                 for t in decompose(sp, f).terms}
+        (cut if set(laurent_expand(sp, f).support()) != poles
+         else uncut).append((k, f))
+    assert len(cut) == 24
+    checked = 0
+    for k, f in cut + uncut[:3]:
+        for sp in (AmbientSpace.standard(k), skew_space(k)):
+            for dc, num in laurent_expand(sp, f).terms:
+                forms = [v for v, _ in dc.factors]
+                assert polar_certificate(sp, PolarGerm(num, dc.factors))
+                assert numerator_is_orthogonal(sp, num, forms)
+                checked += 1
+    assert checked > 300
+    k, f = cut[0]
+    dc, _ = laurent_expand(skew_space(k), f).terms[0]
+    x1 = Polynomial.variable(k, 0)
+    assert not polar_certificate(skew_space(k), PolarGerm(x1, dc.factors))
+    assert not numerator_is_orthogonal(skew_space(k), x1,
+                                       [v for v, _ in dc.factors])
 
 
 def test_one_germ_under_two_products_shares_its_rewrite_and_refinement(
