@@ -31,7 +31,7 @@ from .errors import DimensionCapExceeded, FormatError, LaurentGermsError
 from .exact import ONE, AmbientSpace, mat, solve, vec
 from .germs import decompose, germ_equal
 from .exprio import (
-    frac_str,
+    _vec_out,
     load_cone_family,
     load_rows,
     parse_germ,
@@ -129,10 +129,6 @@ def _check_file_dim(path: str, found: int, k: int):
         raise FormatError(f"{path}: rows of dimension {found} under --dim {k}")
 
 
-def _span_rows(span) -> list[list[str]]:
-    return [[frac_str(c) for c in row] for row in span]
-
-
 def _run(args) -> dict:
     space = _space(args)
     k = space.dimension
@@ -162,7 +158,7 @@ def _run(args) -> dict:
         components = []
         for key in sorted(split, key=lambda key: (key.span_dim, key.p_order,
                                                   key.support_span)):
-            components.append({"span": _span_rows(key.support_span),
+            components.append({"span": list(map(_vec_out, key.support_span)),
                                "p_order": key.p_order,
                                "component": serialize(split[key])})
         return {"kind": "graded-split", "dim": k, "components": components}
@@ -207,14 +203,14 @@ def _run(args) -> dict:
 
 
 def _run_cone(args) -> dict:
-    from .cones import ConeFamily, common_refinement, positioning_witness
+    from .cones import common_refinement, positioning_witness
     cones = load_cone_family(args.family)
     _check_dim_cap(cones[0].ambient if cones else 0, args)
     if args.cone_command == "refine":
         pieces, index_sets = common_refinement(cones)
         return {"kind": "refinement",
                 "dim": pieces[0].ambient if pieces else 0,
-                "pieces": serialize(ConeFamily(tuple(pieces)))["cones"],
+                "pieces": [list(map(_vec_out, c.generators)) for c in pieces],
                 "index_sets": [sorted(s) for s in index_sets]}
     found = positioning_witness(cones)
     witness = None if found is None else {"pair": [found[0], found[1]],
@@ -244,7 +240,7 @@ def _run_exp_sum(args, space: AmbientSpace) -> dict:
     integral = exp_integral(lc)
     order = max((t.p_order for t in pres.terms), default=0)
     report = {"kind": "exp-sum", "dim": lc.ambient,
-              "generators": _span_rows(lc.rays),
+              "generators": list(map(_vec_out, lc.rays)),
               "smooth": is_smooth(lc),
               "p_order": order,
               "p_res": serialize(pres),
@@ -276,7 +272,7 @@ def _numeric_check(lc, ts) -> dict:
     point = solve(rows, vec([-ONE] * len(lc.rays)))
     direct = lattice_sum_numeric(lc, point, height=40)
     value = float(evaluate_truncated(ts, point))
-    return {"point": [frac_str(c) for c in point],
+    return {"point": _vec_out(point),
             "height": 40,
             "lattice_sum": direct,
             "truncated_value": value,

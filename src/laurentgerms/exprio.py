@@ -151,25 +151,15 @@ class _Parser:
         if kind != "op" or val != symbol:
             raise ExprSyntaxError(f"expected {symbol!r}", pos)
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                node = BinOp(val, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                node = BinOp(val, node, self.factor())
-            else:
-                return node
+    def expr(self, ops: str = "+-") -> Node:
+        # a left-associated chain of ops; the operands are direct calls, so a
+        # level of parentheses takes expr, expr, factor, power and atom
+        node = self.expr("*/") if ops == "+-" else self.factor()
+        while (tok := self.peek())[0] == "op" and tok[1] in ops:
+            self.take()
+            node = BinOp(tok[1], node,
+                         self.expr("*/") if ops == "+-" else self.factor())
+        return node
 
     def factor(self) -> Node:
         kind, val, _ = self.peek()
@@ -579,8 +569,9 @@ def load_rows(path: str) -> list[Vec]:
 def load_cone_family(path: str) -> list[SimplicialCone]:
     """A JSON file holding a list of cones, each a list of generator rows.
 
-    The wrapped {"kind": "cone-family", ...} form is accepted too.  All
-    cones must have the same ambient dimension.
+    The wrapped {"kind": "cone-family", ...} form is accepted too, and so
+    are a "cone" document and the "refinement" that ``cone refine`` writes.
+    All cones must have the same ambient dimension.
     """
     data = _load_json(path)
     try:
@@ -588,6 +579,9 @@ def load_cone_family(path: str) -> list[SimplicialCone]:
             return _cones_in(data, "cone {}")
         if not isinstance(data, dict):
             raise FormatError("expected a list of cones")
+        if data.get("kind") == "refinement":  # its index_sets are not read
+            data = {"kind": "cone-family", "dim": data.get("dim"),
+                    "cones": data.get("pieces")}
         family = deserialize(data)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -166,6 +166,36 @@ def test_cone_refine_reports_pieces_per_input(capsys, tmp_path):
     assert got["index_sets"] == [[0, 1], [1]]
 
 
+def test_a_refinement_reads_back_as_a_cone_family(capsys, tmp_path):
+    # cone refine of a cut family writes pieces that cone check and
+    # laurent --support read as they are
+    expr = "1/(x1*x2*(x1+x2))"
+    family = write_json(tmp_path, "family.json",
+                        [[[1, 0], [0, 1]], [[1, 0], [1, 1]],
+                         [[0, 1], [1, 1]]])
+    refined = run_json(capsys, "cone", "refine", family)
+    assert len(refined["pieces"]) == 2
+    path = write_json(tmp_path, "refined.json", refined)
+    got = run_json(capsys, "cone", "check", path)
+    assert got == {"kind": "positioning-check",
+                   "properly_positioned": True, "witness": None}
+    assert main(["laurent", expr]) == 0
+    plain = capsys.readouterr().out
+    assert main(["laurent", expr, "--support", path]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_an_empty_support_file_expands_only_a_polynomial(capsys, tmp_path):
+    empty = write_json(tmp_path, "empty.json", [])
+    code, captured = run(capsys, "laurent", "1/(x1*x2)", "--support", empty)
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("error: the support does not tile the pole "
+                            "cones of decompose(f)\n")
+    got = run_json(capsys, "laurent", "x1^2+3*x2", "--support", empty)
+    assert got == run_json(capsys, "laurent", "x1^2+3*x2")
+    assert got["terms"] == []
+
+
 def test_cone_check_finds_witnesses(capsys, tmp_path):
     good = write_json(tmp_path, "good.json",
                       [[[1, 0], [1, 1]], [[0, 1], [1, 1]]])

@@ -556,6 +556,20 @@ def test_laurent_expand_rejects_bad_supports():
         laurent_expand(SP, g2, support=coarse)
 
 
+def test_an_empty_support_carries_only_a_polynomial():
+    # no member tiles a pole cone, so a germ with poles has no expansion on
+    # the empty family; a polynomial has its own, which needs no cone
+    g = make_mero(Polynomial.constant(2, 1),
+                  ((vec([1, 0]), 1), (vec([0, 1]), 1)))
+    with pytest.raises(NotInLaurentSubspace,
+                       match=r"^the support does not tile the pole cones "
+                             r"of decompose\(f\)$"):
+        laurent_expand(SP, g, support=[])
+    p = make_mero(Polynomial.variable(2, 0) ** 2 + Polynomial.constant(2, 3))
+    x = laurent_expand(SP, p, support=[])
+    assert x == laurent_expand(SP, p) and x.terms == ()
+
+
 def test_a_supplied_support_is_read_as_a_set():
     # a repeated member counts once; summed twice, phi would be 2f
     g = make_mero(Polynomial.constant(2, 1),

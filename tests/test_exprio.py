@@ -12,6 +12,7 @@ from laurentgerms.cones import ConeFamily, make_simplicial_cone
 from laurentgerms.errors import (
     ExprSyntaxError,
     FormatError,
+    LaurentGermsError,
     NonLinearPole,
     UnknownVariable,
 )
@@ -21,6 +22,7 @@ from laurentgerms.germs import (
     MeromorphicGerm,
     as_mero,
     decompose,
+    den_poly,
     evaluate,
     germ_equal,
     make_mero,
@@ -366,6 +368,42 @@ def test_ast_and_germ_evaluation_agree():
             done += 1
 
 
+def test_parse_germ_agrees_with_sympy_on_the_fuzz_expressions():
+    # an oracle outside the package: sympy parses the same text (^ read as
+    # a power) and cancels it to p/q; the germ is numerator/den_poly, so
+    # numerator * q == p * den_poly in the polynomial ring over QQ
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import (
+        convert_xor,
+        parse_expr as sympy_parse,
+        standard_transformations,
+    )
+    from test_cli_fuzz import expression
+
+    def ring_element(ring, p: Polynomial):
+        return ring.from_dict({e: sympy.QQ(c.numerator, c.denominator)
+                               for e, c in p.terms.items()})
+
+    rng = random.Random(48)
+    accepted = 0
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        text = expression(rng, k)
+        try:
+            g = parse_germ(text, k)
+        except (LaurentGermsError, ZeroDivisionError):
+            continue  # refused by the package: nothing to compare
+        names = sympy.symbols(f"x1:{k + 1}")
+        ring = sympy.ring(names, sympy.QQ)[0]
+        p, q = sympy.fraction(sympy.cancel(sympy_parse(
+            text, local_dict={str(x): x for x in names},
+            transformations=standard_transformations + (convert_xor,))))
+        assert (ring_element(ring, g.numerator) * ring(q)
+                == ring(p) * ring_element(ring, den_poly(k, g.den))), text
+        accepted += 1
+    assert accepted > 150
+
+
 # ---------------------------------------------------------------------------
 # rational scalars
 
@@ -638,6 +676,24 @@ def test_load_cone_family_accepts_both_shapes(tmp_path):
     single.write_text(json.dumps(
         {"kind": "cone", "dim": 2, "generators": [["1", "0"]]}))
     assert len(load_cone_family(str(single))) == 1
+
+    # the document cone refine writes: its pieces, in order, are the family
+    refined = tmp_path / "refined.json"
+    refined.write_text(json.dumps(
+        {"kind": "refinement", "dim": 2,
+         "pieces": [[["0", "1"], ["1", "1"]], [["1", "0"], ["1", "1"]]],
+         "index_sets": [[0], [0, 1]]}))
+    assert [c.generators for c in load_cone_family(str(refined))] == [
+        (vec([0, 1]), vec([1, 1])), (vec([1, 0]), vec([1, 1]))]
+    refined.write_text(json.dumps(
+        {"kind": "refinement", "dim": 0, "pieces": [], "index_sets": []}))
+    assert load_cone_family(str(refined)) == []
+    refined.write_text(json.dumps(
+        {"kind": "refinement", "dim": 3, "pieces": [[["1", "0"]]],
+         "index_sets": [[0]]}))
+    with pytest.raises(FormatError, match=r"refined\.json: dim: 3, but the "
+                                          r"generators have 2 coordinates$"):
+        load_cone_family(str(refined))
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([[[1, 0], [2, 0]]]))
