@@ -497,8 +497,6 @@ def common_refinement(
     an obtuse 2D cone.
     """
     cones = list(cones)
-    if not cones:
-        return [], []
     _common_ambient(cones)
     rays = [_rays(c.generators) for c in cones]
     sets = [set(r) for r in rays]

@@ -688,8 +688,6 @@ class Polynomial:
             raise ValueError("need one image per variable")
         nvars_out = _common_length([im.nvars for im in images],
                                    "images have numbers of variables")
-        if not self.coeffs:
-            return Polynomial.zero(nvars_out)
         tops = list(map(max, zip(*self.coeffs)))
         dens = [im.den for im in images]
         # powers[i][p] holds the numerators of images[i] ** p, p >= 1

@@ -143,12 +143,8 @@ def expansion_add(x: FormalExpansion, y: FormalExpansion) -> FormalExpansion:
 
 
 def expansion_scale(c, x: FormalExpansion) -> FormalExpansion:
-    c = Fraction(c)
-    if c == 0:
-        return FormalExpansion((), Polynomial.zero(x.nvars))
-    return FormalExpansion(
-        tuple((dc, num.scale(c)) for dc, num in x.terms),
-        x.polynomial_part.scale(c))
+    return make_expansion([(dc.factors, num.scale(c)) for dc, num in x.terms],
+                          x.polynomial_part.scale(c))
 
 
 def expansion_neg(x: FormalExpansion) -> FormalExpansion:

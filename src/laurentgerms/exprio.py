@@ -442,8 +442,8 @@ def deserialize(data: dict):
         raise FormatError("top level: expected an object with a 'kind' field")
     kind = data["kind"]
     k = data.get("dim")
-    # an empty cone family has no dimension: it is written with dim 0
-    least = 0 if kind == "cone-family" else 1
+    # an empty family or refinement has no dimension: it is written with dim 0
+    least = 0 if kind in ("cone-family", "refinement") else 1
     if isinstance(k, bool) or not isinstance(k, int) or k < least:
         raise FormatError("dim: expected a positive integer")
     if kind == "polynomial":
@@ -465,12 +465,13 @@ def deserialize(data: dict):
         return make_expansion(terms, poly)
     if kind == "cone":
         return _cones_in([data.get("generators")], "generators", k)[0]
-    if kind == "cone-family":
+    if kind in ("cone-family", "refinement"):
         from .cones import ConeFamily
-        rows = data.get("cones")
+        key = "cones" if kind == "cone-family" else "pieces"  # not index_sets
+        rows = data.get(key)
         if not isinstance(rows, list):
-            raise FormatError("cones: expected a list")
-        return ConeFamily(tuple(_cones_in(rows, "cones[{}]", k)))
+            raise FormatError(f"{key}: expected a list")
+        return ConeFamily(tuple(_cones_in(rows, key + "[{}]", k)))
     raise FormatError(f"kind: unknown kind {kind!r}")
 
 
@@ -579,9 +580,6 @@ def load_cone_family(path: str) -> list[SimplicialCone]:
             return _cones_in(data, "cone {}")
         if not isinstance(data, dict):
             raise FormatError("expected a list of cones")
-        if data.get("kind") == "refinement":  # its index_sets are not read
-            data = {"kind": "cone-family", "dim": data.get("dim"),
-                    "cones": data.get("pieces")}
         family = deserialize(data)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -620,9 +620,8 @@ def polar_split(space: AmbientSpace,
 
     poly = _exchange_worklist(sum_by_factors(fractions),
                               lambda den: -sum(e for _, e in den), expand)
-    terms = tuple(PolarGerm(num, den) for den, num in sorted(polar.items())
-                  if not num.is_zero())
-    return GermSum(terms, poly.get((), Polynomial.zero(k)))
+    return make_germ_sum([PolarGerm(num, den) for den, num in polar.items()],
+                         poly.get((), Polynomial.zero(k)))
 
 
 def _face_split(gram: Mat, forms: tuple[Vec, ...]):

@@ -246,8 +246,7 @@ class TruncatedGerm(Record):
                 f"tail to degree {self.truncation_order})")
 
 
-def evaluate_truncated(tg: TruncatedGerm, point: Sequence) -> Fraction:
-    return evaluate(tg.as_germ_sum(), point)
+evaluate_truncated = evaluate  # it reads a TruncatedGerm by as_germ_sum
 
 
 # ---------------------------------------------------------------------------

@@ -215,13 +215,12 @@ def brion_vergne_split(space: AmbientSpace, f,
     components and the polynomial part.  Every pole form of ``f`` must be
     proportional to a member of Δ.
     """
-    g = f if hasattr(f, "fractions") else as_mero(f)
-    s = _polar_terms(space, g)
+    s = _polar_terms(space, f)
     allowed = set(arr.delta)
     # the poles of f lie among its terms' forms; only when one of those is
     # outside Δ are f's own read (an expansion summed: its rays may cancel)
     if any(v not in allowed for t in s.terms for v, _ in t.factors):
-        for v, _ in as_mero(g).den:
+        for v, _ in as_mero(f).den:
             if v not in allowed:
                 raise NotInRDelta(f"pole direction ({', '.join(map(str, v))}) "
                                   "is not in the arrangement")

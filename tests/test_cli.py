@@ -11,7 +11,12 @@ from pathlib import Path
 import pytest
 
 from laurentgerms.cli import main
-from laurentgerms.exprio import deserialize, parse_germ
+from laurentgerms.cones import (
+    ConeFamily,
+    common_refinement,
+    make_simplicial_cone,
+)
+from laurentgerms.exprio import deserialize, from_json, parse_germ
 from laurentgerms.germs import germ_equal
 
 
@@ -168,13 +173,14 @@ def test_cone_refine_reports_pieces_per_input(capsys, tmp_path):
 
 def test_a_refinement_reads_back_as_a_cone_family(capsys, tmp_path):
     # cone refine of a cut family writes pieces that cone check and
-    # laurent --support read as they are
+    # laurent --support read as they are, and from_json reads as a family
     expr = "1/(x1*x2*(x1+x2))"
-    family = write_json(tmp_path, "family.json",
-                        [[[1, 0], [0, 1]], [[1, 0], [1, 1]],
-                         [[0, 1], [1, 1]]])
+    rows = [[[1, 0], [0, 1]], [[1, 0], [1, 1]], [[0, 1], [1, 1]]]
+    family = write_json(tmp_path, "family.json", rows)
     refined = run_json(capsys, "cone", "refine", family)
     assert len(refined["pieces"]) == 2
+    pieces, _ = common_refinement([make_simplicial_cone(c) for c in rows])
+    assert from_json(json.dumps(refined)) == ConeFamily(tuple(pieces))
     path = write_json(tmp_path, "refined.json", refined)
     got = run_json(capsys, "cone", "check", path)
     assert got == {"kind": "positioning-check",
@@ -183,6 +189,12 @@ def test_a_refinement_reads_back_as_a_cone_family(capsys, tmp_path):
     plain = capsys.readouterr().out
     assert main(["laurent", expr, "--support", path]) == 0
     assert capsys.readouterr().out == plain
+    # a malformed refinement is named by its own key
+    bad = write_json(tmp_path, "bad.json",
+                     {"kind": "refinement", "dim": 2, "pieces": 3})
+    code, captured = run(capsys, "cone", "check", bad)
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {bad}: pieces: expected a list\n"
 
 
 def test_an_empty_support_file_expands_only_a_polynomial(capsys, tmp_path):

@@ -28,14 +28,26 @@ def monomial(rng, names) -> str:
     return f"({rng.choice(COEFFICIENTS)})" + (f"*{powers}" if powers else "")
 
 
+def pole(rng, names) -> str:
+    """(L)^e, now and then a power of a power: the parser refuses a^b^c,
+    so it is written ((L)^a)^b."""
+    form = f"({linear_form(rng, names)})"
+    if rng.random() < 0.2:
+        return f"({form}^{rng.randint(1, 2)})^{rng.randint(2, 3)}"
+    return f"{form}^{rng.randint(0, 3)}"
+
+
 def expression(rng, k: int) -> str:
     """Mostly over the variables of the space; now and then over x1..x3."""
     names = VARIABLES[:k] if rng.random() < 0.9 else VARIABLES
-    numerator = "+".join(monomial(rng, names)
-                         for _ in range(rng.randint(1, 3)))
-    poles = [f"({linear_form(rng, names)})^{rng.randint(0, 3)}"
-             for _ in range(rng.randint(0, 4))]
+    numerator = monomial(rng, names)
+    for _ in range(rng.randint(0, 2)):  # a binary + or -
+        numerator += rng.choice("+-") + monomial(rng, names)
+    poles = [pole(rng, names) for _ in range(rng.randint(0, 4))]
     text = f"({numerator})/({'*'.join(poles)})" if poles else numerator
+    if rng.random() < 0.2:  # an unparenthesised chain (…)/(…)*(L)^-2
+        text += (f"{rng.choice('*/')}({linear_form(rng, names)})"
+                 f"^{rng.choice((-2, -1, 1, 2))}")
     if rng.random() < 0.05:  # nested quotients x1/(x1/(…/text))
         depth = rng.randint(20, 40)
         text = "x1/(" * depth + text + ")" * depth

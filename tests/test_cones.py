@@ -424,6 +424,8 @@ def test_refinement_returns_the_faces_of_one_cone_unchanged():
     family = [top] + faces
     assert common_refinement(family) == (family, [[i] for i in range(7)])
     assert len(common_refinement_reference(family)[0]) > 7
+    # no member at all: no maximal member and no piece
+    assert common_refinement([]) == ([], [])
 
 
 def test_refinement_returns_primitive_int_generators():

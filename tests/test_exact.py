@@ -654,6 +654,9 @@ def test_substitute_agrees_with_evaluation():
         direct = p.substitute(images).evaluate(pt)
         via_values = p.evaluate([im.evaluate(pt) for im in images])
         assert direct == via_values
+    # the zero polynomial goes to the zero polynomial in the images' variables
+    images = [Polynomial.variable(3, 0), Polynomial.variable(3, 2)]
+    assert Polynomial.zero(2).substitute(images) == Polynomial.zero(3)
     with pytest.raises(ValueError, match="one image per variable"):
         Polynomial.variable(2, 0).substitute([Polynomial.variable(2, 0)])
 

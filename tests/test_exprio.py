@@ -469,6 +469,9 @@ def test_empty_cone_family_round_trips():
     assert data == {"kind": "cone-family", "dim": 0, "cones": []}
     assert deserialize(data) == ConeFamily(())
     assert deserialize(json.loads(json.dumps(data))) == ConeFamily(())
+    # cone refine writes an empty refinement with dim 0 too
+    assert deserialize({"kind": "refinement", "dim": 0, "pieces": [],
+                        "index_sets": []}) == ConeFamily(())
 
 
 @pytest.mark.parametrize("data, message", [
@@ -501,6 +504,10 @@ def test_empty_cone_family_round_trips():
      "poly: division by the zero germ"),
     ({"kind": "germ", "dim": 2, "numerator": "1/(x1-x1)"},
      "numerator: division by the zero germ"),
+    ({"kind": "refinement", "dim": 2, "pieces": 3},
+     "pieces: expected a list"),
+    ({"kind": "refinement", "dim": 2, "pieces": [[[1, 0], [2, 0]]]},
+     r"pieces\[0\]: generators must be linearly independent"),
 ])
 def test_deserialize_names_what_is_wrong(data, message):
     with pytest.raises(FormatError, match=message):
