@@ -123,10 +123,18 @@ def _check_dim_cap(k: int, args):
             f"ambient dimension {k} exceeds the cap {args.dim_cap}")
 
 
-def _check_file_dim(path: str, found: int, k: int):
-    """Vectors read from ``path`` must live in the ``--dim`` space."""
-    if found != k:
-        raise FormatError(f"{path}: rows of dimension {found} under --dim {k}")
+def _read(path: str | None, k: int, load=load_rows):
+    """The rows of the file ``path``, or with ``load=load_cone_family`` its
+    cones, in the ``--dim`` space k (FormatError otherwise).  No file named
+    reads as None, and an empty family as [], with no dimension to check."""
+    if not path:
+        return None
+    found = load(path)
+    if found:
+        n = found[0].ambient if load is load_cone_family else len(found[0])
+        if n != k:
+            raise FormatError(f"{path}: rows of dimension {n} under --dim {k}")
+    return found
 
 
 def _run(args) -> dict:
@@ -139,11 +147,7 @@ def _run(args) -> dict:
         return serialize(decompose(space, parse_germ(args.expr, k)))
     elif args.command == "laurent":
         from .expand import laurent_expand
-        support = None
-        if args.support:
-            support = load_cone_family(args.support)
-            if support:
-                _check_file_dim(args.support, support[0].ambient, k)
+        support = _read(args.support, k, load_cone_family)
         g = parse_germ(args.expr, k)
         return serialize(laurent_expand(space, g, support=support))
     elif args.command == "project-plus":
@@ -164,17 +168,12 @@ def _run(args) -> dict:
         return {"kind": "graded-split", "dim": k, "components": components}
     elif args.command == "jk":
         from .residues import jk_residue
-        subspace = None
-        if args.subspace:
-            subspace = load_rows(args.subspace)
-            _check_file_dim(args.subspace, len(subspace[0]), k)
+        subspace = _read(args.subspace, k)
         g = parse_germ(args.expr, k)
         return serialize(jk_residue(space, g, subspace=subspace))
     elif args.command == "brion-vergne":
         from .residues import brion_vergne_split, make_arrangement
-        rows = load_rows(args.arrangement)
-        _check_file_dim(args.arrangement, len(rows[0]), k)
-        arr = make_arrangement(rows)
+        arr = make_arrangement(_read(args.arrangement, k))
         gen, rest = brion_vergne_split(space, parse_germ(args.expr, k), arr)
         return {"kind": "brion-vergne", "dim": k,
                 "generating": serialize(gen), "rest": serialize(rest)}
@@ -229,12 +228,8 @@ def _run_exp_sum(args, space: AmbientSpace) -> dict:
         make_lattice_cone,
         p_res_exp_sum,
     )
-    gens = load_rows(args.cone)
-    basis = load_rows(args.lattice) if args.lattice else None
-    for path, rows in ((args.cone, gens), (args.lattice, basis)):
-        if rows:
-            _check_file_dim(path, len(rows[0]), space.dimension)
-    lc = make_lattice_cone(gens, basis)
+    k = space.dimension
+    lc = make_lattice_cone(_read(args.cone, k), _read(args.lattice, k))
 
     pres = p_res_exp_sum(lc)
     integral = exp_integral(lc)

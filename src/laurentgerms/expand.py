@@ -296,12 +296,12 @@ def laurent_expand(space: AmbientSpace, f,
     onto independent forms, the refinement) is shared across spaces.
 
     An explicit ``support`` (never cached) is checked first, as
-    ``subdivision_operator`` checks a family, and the terms of ``decompose``
-    then move onto its members.  When those cannot tile the supporting
-    cones of the terms, the canonical expansion is the answer if every cone
-    of its ``support()`` is a member (the expansion on a properly positioned
-    family is unique), as for a family that leaves out cones whose terms
-    cancel; else NotInLaurentSubspace.
+    ``subdivision_operator`` checks a family.  The expansion on a properly
+    positioned family is unique, so it is an expansion of ``f`` moved onto
+    the members: the terms of ``decompose`` first, else, when the members
+    cannot tile their pole cones, the canonical expansion (a family may
+    leave out cones whose terms cancel, or cut the canonical pieces
+    finer); NotInLaurentSubspace when the members tile neither.
     """
     f = as_mero(f)
     if support is None:
@@ -311,10 +311,11 @@ def laurent_expand(space: AmbientSpace, f,
     x = make_expansion([(t.factors, t.numerator) for t in s.terms], s.poly)
     try:
         return _resupport(x, _pieces_by_cone(x.support(), family))
+    except NotASubdivision:
+        x = _canonical_expansion(space, f)
+    try:
+        return _resupport(x, _pieces_by_cone(x.support(), family))
     except NotASubdivision as exc:
-        canonical = _canonical_expansion(space, f)
-        if set(canonical.support()) <= set(family):
-            return canonical
         raise NotInLaurentSubspace("the support does not tile the pole "
                                    "cones of decompose(f)") from exc
 

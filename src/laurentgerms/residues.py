@@ -185,9 +185,10 @@ def _span(space: AmbientSpace, subspace) -> tuple[Vec, ...]:
 
 def _component(space: AmbientSpace, components: dict, span, p: int
                ) -> GermSum:
-    """The component of ``graded_split``'s result at (span, p)."""
+    """The component of ``graded_split``'s result at (span, p), with p
+    compared as given: 2.0 finds order 2 and 2.5 no component."""
     zero = make_germ_sum([], Polynomial.zero(space.dimension))
-    return components.get(GradedComponentKey(span, int(p)), zero)
+    return components.get(GradedComponentKey(span, p), zero)
 
 
 def jk_residue(space: AmbientSpace, f,

@@ -208,6 +208,27 @@ def test_an_empty_support_file_expands_only_a_polynomial(capsys, tmp_path):
     assert got["terms"] == []
 
 
+def test_laurent_expands_on_a_support_finer_than_the_canonical_one(
+        capsys, tmp_path):
+    # one full-dimensional piece of the canonical support, starred at the
+    # sum of its generators: the members do not tile the pole cones of
+    # decompose, and the canonical expansion moves onto them
+    expr = ("(1/4*x2+1/4*x3^2-1/8*x2^2)/"
+            "((2*x3+x2-2*x1)*(x3+x2-x1)*(x3-2*x2)*(x3-x2))")
+    plain = run_json(capsys, "--dim", "3", "laurent", expr)
+    support = list(dict.fromkeys(tuple(tuple(int(c) for c in f["form"])
+                                       for f in t["factors"])
+                                 for t in plain["terms"]))
+    sigma = next(c for c in support if len(c) == 3)
+    w = [sum(c) for c in zip(*sigma)]
+    family = ([c for c in support if c != sigma]
+              + [[w if h == g else h for h in sigma] for g in sigma])
+    path = write_json(tmp_path, "starred.json", family)
+    got = run_json(capsys, "--dim", "3", "laurent", expr, "--support", path)
+    assert len(plain["terms"]) == 13 and len(got["terms"]) == 15
+    assert germ_equal(deserialize(got), parse_germ(expr, 3))
+
+
 def test_cone_check_finds_witnesses(capsys, tmp_path):
     good = write_json(tmp_path, "good.json",
                       [[[1, 0], [1, 1]], [[0, 1], [1, 1]]])

@@ -663,6 +663,45 @@ def test_laurent_expand_on_a_support_without_the_cancelling_pieces():
             subdivision_operator(polar, x.support())
         assert laurent_expand(sp, f, support=x.support()) == x
         assert laurent_expand(sp, f, support=pieces) == x
+        # finer than the canonical support and still not a tiling of the
+        # cones of decompose: the canonical expansion moves onto it
+        sigma = next(c for c in x.support() if c.dim == 3)
+        family = starred(x.support(), sigma)
+        assert len(family) == 15
+        y = laurent_expand(sp, f, support=family)
+        assert y == subdivision_operator(x, family) and phi(y) == f
+
+
+def starred(support, sigma):
+    """``support`` with its member ``sigma`` replaced by the stellar
+    subdivision of ``sigma`` at the primitive sum of its generators."""
+    w = primitive_vector([sum(c) for c in zip(*sigma.generators)])
+    stellar = [cone(*(w if h == g else h for h in sigma.generators))
+               for g in sigma.generators]
+    return [p for p in support if p != sigma] + stellar
+
+
+def test_a_support_finer_than_the_canonical_one_carries_its_expansion():
+    # every corpus germ whose canonical support has a full-dimensional
+    # cone: starring that cone gives the canonical expansion moved onto
+    # the finer family, and leaving it out leaves a cone untiled
+    checked = 0
+    for k, f in round_trip_corpus():
+        for sp in (AmbientSpace.standard(k), skew_space(k)):
+            x = laurent_expand(sp, f)
+            sigma = next((c for c in x.support() if c.dim == k), None)
+            if sigma is None:
+                continue
+            family = starred(x.support(), sigma)
+            assert (laurent_expand(sp, f, support=family)
+                    == subdivision_operator(x, family))
+            without = [c for c in x.support() if c != sigma]
+            with pytest.raises(NotInLaurentSubspace,
+                               match=r"^the support does not tile the pole "
+                                     r"cones of decompose\(f\)$"):
+                laurent_expand(sp, f, support=without)
+            checked += 1
+    assert checked == 130
 
 
 def reference_support(space, f):
@@ -713,11 +752,7 @@ def stellar_support(space, f, x, rng):
         set(p.generators) < set(q.generators) for q in pieces)]
     if not maximal:
         return None
-    sigma = rng.choice(maximal)
-    w = primitive_vector([sum(c) for c in zip(*sigma.generators)])
-    stellar = [cone(*(w if h == g else h for h in sigma.generators))
-               for g in sigma.generators]
-    return [p for p in pieces if p != sigma] + stellar
+    return starred(pieces, rng.choice(maximal))
 
 
 def test_expansions_on_a_stellar_subdivision_agree():

@@ -190,6 +190,10 @@ def test_project_U_p_extracts_named_component():
     got = project_U_p(SP, f, axis, 2)
     assert germ_equal(got, mero(1, ([1, 0], 2)))
     assert project_U_p(SP, f, axis, 1).is_zero()
+    # the order is compared as given, not truncated to an int
+    for p in (2.0, Fraction(2)):
+        assert project_U_p(SP, f, axis, p) == got
+    assert project_U_p(SP, f, axis, 2.5).is_zero()
 
 
 def test_project_U_p_and_jk_residue_refuse_rows_of_another_length():
