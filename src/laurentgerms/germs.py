@@ -28,26 +28,29 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import NotPolar, PoleHit
 from .exact import (
     ONE,
     AmbientSpace,
+    IntTerms,
     Mat,
     Polynomial,
     Record,
     Vec,
+    _mul_terms,
     _nonzero,
     _reduced_rows,
     mat_from_columns,
     mat_rank,
     mat_vec,
     primitive_pseudo_positive,
+    primitive_vector,
     unit_vec,
     vec_dot,
 )
@@ -71,21 +74,33 @@ def canonical_fraction(numerator: Polynomial,
 
     Every form becomes its primitive pseudo-positive vector, equal forms are
     merged and sorted, and the scalar taken out of the forms moves into the
-    numerator, so the fraction keeps its value.  This is how every germ type
-    stores its factors, so a form of another length is refused here.
+    numerator, so the fraction keeps its value.  The scalar of a form of
+    ints is its gcd, signed by its last nonzero entry, so on such forms the
+    product of the scalars stays an int and the numerator is scaled once at
+    the end, or not at all when the product is 1.  This is how every germ
+    type stores its factors, so a form of another length is refused here.
     """
     _check_form_lengths(numerator.nvars, [v for v, _ in raw])
     merged: dict[Vec, int] = {}
-    scale = ONE
+    scale = 1
     for v, e in raw:
         if e == 0:
             continue
         if e < 0:
             raise ValueError("negative pole multiplicity")
-        c, w = primitive_pseudo_positive(tuple(v))
+        c = gcd(*v) if all(type(a) is int for a in v) else 0
+        if c:
+            if next(a for a in reversed(v) if a) < 0:
+                c = -c
+            w = tuple(v) if c == 1 else tuple(a // c for a in v)
+        else:
+            # a form with a Fraction entry, or the zero form (ValueError)
+            c, w = primitive_pseudo_positive(tuple(v))
         scale *= c ** e
         merged[w] = merged.get(w, 0) + e
-    return numerator.scale(ONE / scale), tuple(sorted(merged.items()))
+    if scale != 1:
+        numerator = numerator.scale(ONE / scale)
+    return numerator, tuple(sorted(merged.items()))
 
 
 class MeromorphicGerm(Record):
@@ -571,12 +586,16 @@ def polar_split(space: AmbientSpace,
     Each denominator L_F^s is split once, in eps, with the sum of the
     numerators that reached it, highest total order first.  Its polar part
     is num o P, for P the Q-orthogonal projector onto the complement of the
-    forms F.  The rest vanishes where F = 0, so exact division by a reverse
-    echelon basis of F writes it as sum_j q_j L_j, and each q_j moves to
-    the denominator with one power of L_j less.  Spanning forms F keep the
-    constant term (P = 0) and divide nothing: each monomial goes in one pass
-    to its highest-index x_p = sum_j A_pj L_j / d_p.  Merging first is exact,
-    as the polar split on the faces of one simplicial cone is unique.
+    forms F.  When F has k - 1 forms, P = beta ell / d has rank one, and
+    num o P is a polynomial in the one linear form ell, summed on ints from
+    one coefficient per degree of num (``_rank_one_image``); fewer forms
+    compose num with the k images of P.  The rest vanishes where F = 0, so
+    exact division by a reverse echelon basis of F writes it as
+    sum_j q_j L_j, and each q_j moves to the denominator with one power of
+    L_j less.  Spanning forms F keep the constant term (P = 0) and divide
+    nothing: each monomial goes in one pass to its highest-index
+    x_p = sum_j A_pj L_j / d_p.  Merging first is exact, as the polar split
+    on the faces of one simplicial cone is unique.
     """
     k = space.dimension
     scale = lcm(*(a.denominator for row in space.gram for a in row))
@@ -608,7 +627,7 @@ def polar_split(space: AmbientSpace,
             quotients = [Polynomial.from_ints(k, _nonzero(q), num.den * d)
                          for q in parts]
         else:
-            part = polar[den] = num.substitute(projector)
+            part = polar[den] = projector(num)
             rest, quotients = num - part, [Polynomial.zero(k)] * len(forms)
             for row, coords in basis:
                 q, rest = rest.divmod_linear(row)
@@ -625,13 +644,17 @@ def polar_split(space: AmbientSpace,
 
 
 def _face_split(gram: Mat, forms: tuple[Vec, ...]):
-    """The images of P = I - Q F^T (F Q F^T)^-1 F for independent forms F,
-    and pairs (R_i, A_i), R_i = sum_j A_ij L_j, whose R_i each hold a
-    highest-index variable that no other R_j holds.  ``gram`` is Q times a
-    positive scalar, which cancels in P.  One form needs no elimination:
-    F Q F^T is a scalar, and L is its own R.  Spanning forms have P = None
-    and R = d_p x_p: the pairs become (d = lcm(d_p), lifts), lifts[p] the
-    (j, A_pj d / d_p) with A_pj != 0."""
+    """The polar projection num -> num o P, for P = I - Q F^T (F Q F^T)^-1 F
+    and independent forms F, and pairs (R_i, A_i), R_i = sum_j A_ij L_j,
+    whose R_i each hold a highest-index variable that no other R_j holds.
+    ``gram`` is Q times a positive scalar, which cancels in P.  One form
+    needs no elimination: F Q F^T is a scalar, and L is its own R.  With
+    k - 1 forms P has rank one, and every row of d P is beta_i ell for one
+    primitive row ell, so the projection is ``_rank_one_image`` of (beta,
+    ell, d); with fewer, num is composed with the images of P by
+    ``Polynomial.substitute``.  Spanning forms have P = None and R = d_p x_p:
+    the pairs become (d = lcm(d_p), lifts), lifts[p] the (j, A_pj d / d_p)
+    with A_pj != 0."""
     k, m = len(gram), len(forms)
     projector = None
     if m < k:
@@ -650,7 +673,16 @@ def _face_split(gram: Mat, forms: tuple[Vec, ...]):
             for i, qi in enumerate(q):
                 if qi:
                     dp[i] = [a - qi * (d // di) * b for a, b in zip(dp[i], r)]
-        projector = [Polynomial.linear_form(row, d) for row in dp]
+        if m == k - 1:
+            # every row of d P is beta_i ell for one primitive row ell
+            ell = primitive_vector(next(filter(any, dp)))
+            p = next(j for j, a in enumerate(ell) if a)
+            beta = [row[p] // ell[p] for row in dp]
+            projector = partial(_rank_one_image, beta, {
+                unit_vec(k, j): a for j, a in enumerate(ell) if a}, d)
+        else:
+            images = [Polynomial.linear_form(row, d) for row in dp]
+            projector = lambda num: num.substitute(images)
         if m == 1:
             return projector, [(forms[0], (1,))]
     # the pivots of the reduced [F reversed | I] are the highest-index
@@ -663,3 +695,28 @@ def _face_split(gram: Mat, forms: tuple[Vec, ...]):
                                 for j, a in enumerate(r[k:]) if a)
                           for p, r in enumerate(reversed(rows))])
     return projector, [(tuple(r[k - 1::-1]), r[k:]) for r in rows]
+
+
+def _rank_one_image(beta: Sequence[int], ell: IntTerms, d: int,
+                    num: Polynomial) -> Polynomial:
+    """num o P for the rank-one P with x_i o P = beta_i ell / d, ``ell`` a
+    linear form as int terms.  A monomial c x^e goes to c beta^e ell^|e| /
+    d^|e|, so with g_j the sum of c beta^e over |e| = j, num o P is
+    sum_j g_j ell^j / d^j: one int per degree, then one Horner pass in ell
+    over the shared denominator den d^top."""
+    g: dict[int, int] = {}
+    for e, c in num.coeffs.items():
+        for b, p in zip(beta, e):
+            if p:
+                c *= b ** p
+        j = sum(e)
+        g[j] = g.get(j, 0) + c
+    top, zero = max(g, default=0), (0,) * num.nvars
+    h: IntTerms = {}
+    dj = 1
+    for j in range(top, -1, -1):
+        h = _mul_terms(h, ell)
+        if g.get(j):
+            h[zero] = h.get(zero, 0) + g[j] * dj
+        dj *= d
+    return Polynomial.from_ints(num.nvars, _nonzero(h), num.den * d ** top)

@@ -20,7 +20,9 @@ oracle used to sanity-check truncated germs numerically.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import exp, factorial, prod
+from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -34,10 +36,12 @@ from .exact import (
     ONE,
     ZERO,
     AmbientSpace,
+    IntTerms,
     Polynomial,
     Record,
     Vec,
     _common_length,
+    _nonzero,
     det,
     frac,
     mat_from_columns,
@@ -209,12 +213,20 @@ def is_smooth(lc: LatticeCone) -> bool:
     return abs(det(tuple(coords))) == 1
 
 
+def _check_truncation(n) -> None:
+    """ValueError unless ``n`` is a non-negative int (a bool is refused)."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"truncation order must be an int >= 0, got {n!r}")
+
+
 def bernoulli_tail_coeffs(n: int) -> list[Fraction]:
     """Taylor coefficients c_0..c_n of 1/(1-e^x) + 1/x at zero.
 
     Obtained by exact power-series inversion of (e^x - 1)/x and a sign flip:
-    1/(1-e^x) = -(1/x) * [x/(e^x-1)].
+    1/(1-e^x) = -(1/x) * [x/(e^x-1)].  ValueError unless ``n`` is an int
+    >= 0.
     """
+    _check_truncation(n)
     g = [ONE / factorial(j + 1) for j in range(n + 2)]
     b = [ONE]
     for m in range(1, n + 2):
@@ -223,6 +235,31 @@ def bernoulli_tail_coeffs(n: int) -> list[Fraction]:
             acc += g[i] * b[m - i]
         b.append(-acc)
     return [-b[j + 1] for j in range(n + 1)]
+
+
+@lru_cache(maxsize=8)
+def _tail_series(n: int) -> Polynomial:
+    """The series sum_j c_j x^j of ``bernoulli_tail_coeffs(n)`` in one
+    variable: a constant of the truncation, built once per order."""
+    return Polynomial(1, {(j,): c for j, c in
+                          enumerate(bernoulli_tail_coeffs(n))})
+
+
+def _product_to_degree(a: Polynomial, b: Polynomial, n: int) -> Polynomial:
+    """The terms of ``a * b`` of total degree at most ``n``, without the
+    pairs of terms above it: b's terms are taken in order of degree, so
+    each term of a stops at the first that would pass ``n``."""
+    by_degree = sorted((sum(e), e, c) for e, c in b.coeffs.items())
+    out: IntTerms = {}
+    get = out.get
+    for e1, c1 in a.coeffs.items():
+        room = n - sum(e1)
+        for d2, e2, c2 in by_degree:
+            if d2 > room:
+                break
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return Polynomial.from_ints(a.nvars, _nonzero(out), a.den * b.den)
 
 
 class TruncatedGerm(Record):
@@ -260,11 +297,12 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
     expansion of the product keeps every pole exact and truncates only the
     holomorphic content at total degree ``trunc``.  The highest-order polar
     term is exactly (-1)^d / (L_1 ... L_d) independent of the truncation.
-    Raises ValueError when ``trunc`` is negative or ``space`` has another
-    dimension than the cone's ambient space.
+    Each tail is the cached series of ``trunc`` in <g, eps>, and each
+    product of a numerator and a tail is built only up to degree ``trunc``.
+    Raises ValueError when ``trunc`` is not an int >= 0 or ``space`` has
+    another dimension than the cone's ambient space.
     """
-    if trunc < 0:
-        raise ValueError(f"truncation order must be >= 0, got {trunc}")
+    _check_truncation(trunc)
     if not is_smooth(lc):
         raise NotSmooth("the generators are not a lattice basis of the span")
     gens = lc.cone.generators
@@ -276,8 +314,7 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
                          f"{space.dimension}")
     # each tail is the series sum_j c_j x^j of 1/(1-e^x) + 1/x at x = <g,eps>;
     # its terms have degree j <= trunc, so none needs truncating
-    series = Polynomial(1, {(j,): c for j, c in
-                            enumerate(bernoulli_tail_coeffs(trunc))})
+    series = _tail_series(trunc)
     tails = [series.substitute([Polynomial.linear_form(g)]) for g in gens]
     # one product per set of generators kept as poles, times the tails of
     # the others; the poles are members of one basis, so one polar split
@@ -285,13 +322,14 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
     products = [(Polynomial.constant(k, ONE), ())]
     for g, tail in zip(gens, tails):
         products = [p for num, poles in products
-                    for p in (((num * tail).truncated(trunc), poles),
+                    for p in ((_product_to_degree(num, tail, trunc), poles),
                               (-num, poles + ((g, 1),)))]
-    # each numerator has constant term +-(1/2)^m, so no pole form divides it
+    # each numerator has constant term +-(1/2)^m, so no pole form divides
+    # it; it has degree <= trunc, and the split only lowers degrees, so the
+    # polynomial part needs no cut
     s = polar_split(space, [canonical_fraction(num, poles)
                             for num, poles in products])
-    return TruncatedGerm(GermSum(s.terms, Polynomial.zero(k)),
-                         s.poly.truncated(trunc), trunc)
+    return TruncatedGerm(GermSum(s.terms, Polynomial.zero(k)), s.poly, trunc)
 
 
 def exp_integral(lc: LatticeCone) -> GermSum:

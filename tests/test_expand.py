@@ -1,5 +1,6 @@
 """Formal expansions, the subdivision operator, and Laurent expansion."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -49,6 +50,7 @@ from laurentgerms.germs import (
     canonicalize_polar,
     decompose,
     germ_equal,
+    make_germ_sum,
     make_mero,
     mero_add,
     mero_scale,
@@ -62,6 +64,7 @@ from conftest import (
     assert_coproducts_agree,
     canonical_expansion_reference,
     clear_expansion_caches,
+    common_face_certificate,
     common_refinement_reference,
     expansion_from_raw,
     mero_sum,
@@ -72,6 +75,7 @@ from conftest import (
     random_pseudo_positive_cone,
     round_trip_corpus,
     skew_space,
+    tiling_certificate,
 )
 
 F = Fraction
@@ -1110,3 +1114,73 @@ def test_phi_of_heavy_expansions_is_the_germ():
     x = laurent_expand(sp, heavy, support=reference_support(sp, heavy))
     assert len(x.terms) == 315
     assert phi(x) == heavy
+
+
+def _braid_germ(k):
+    """A_k = 1/prod_{1<=i<=j<=k}(x_i + ... + x_j): its forms are the positive
+    roots of the root system A_k in the basis of simple roots."""
+    forms = [tuple(int(i <= t <= j) for t in range(k))
+             for i in range(k) for j in range(i, k)]
+    return make_mero(Polynomial.constant(k, 1), [(v, 1) for v in forms])
+
+
+def test_the_braid_arrangement_germ_through_the_pipeline():
+    # decompose(A_k) sits on k! pole sets, the nbc bases of the braid
+    # arrangement (Orlik-Solomon) under the descending canonical order of
+    # its forms, as sympy's rank decides; every term is a constant over
+    # total order k(k+1)/2, so p_order is that order, p_res keeps every
+    # term, and sympy sums the terms back to the germ.  At k = 3 the
+    # expansion also goes round through phi, with the polar and tiling
+    # certificates of conftest
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5102)
+    for k, count in ((2, 2), (3, 10), (4, 92)):
+        f, space = _braid_germ(k), AmbientSpace.standard(k)
+        top = k * (k + 1) // 2
+        s = decompose(space, f)
+        assert len(s.terms) == count and s.poly.is_zero()
+        assert decompose(skew_space(k), f) == s
+        assert all(t.numerator.is_constant() and t.p_order == top
+                   for t in s.terms)
+        pole_sets = {tuple(v for v, _ in t.factors) for t in s.terms}
+        assert len(pole_sets) == math.factorial(k)
+        order = [v for v, _ in f.den][::-1]
+        for poles in pole_sets:
+            for i, l0 in enumerate(order):
+                later = [list(v) for v in poles if order.index(v) > i]
+                if later:
+                    assert (sympy.Matrix(later + [list(l0)]).rank()
+                            > sympy.Matrix(later).rank()), (poles, l0)
+        # the sum of the terms is the germ in sympy: as rational functions
+        # up to k = 3; at k = 4, where cancel takes about 17 s, by exact
+        # values at points with positive coordinates, where no form vanishes
+        xs = sympy.symbols(f"x1:{k + 1}")
+        total = sum(sympy.Rational(t.numerator.constant_term())
+                    / sympy.Mul(*(sum(a * x for a, x in zip(v, xs)) ** e
+                                  for v, e in t.factors)) for t in s.terms)
+        germ = 1 / sympy.Mul(*(sum(a * x for a, x in zip(v, xs))
+                               for v, _ in f.den))
+        if k < 4:
+            assert sympy.cancel(sympy.together(total - germ)) == 0
+        for _ in range(4):
+            point = {x: sympy.Rational(rng.randint(1, 9), rng.randint(1, 9))
+                     for x in xs}
+            assert total.subs(point) == germ.subs(point)
+        # p_res reads the canonical expansion, and every one of its terms
+        # has the top order and a constant numerator
+        x = laurent_expand(space, f)
+        assert p_order(space, f) == top
+        assert all(num.is_constant() and sum(e for _, e in dc.factors) == top
+                   for dc, num in x.terms)
+        assert p_res(space, f) == make_germ_sum(
+            [PolarGerm(num, dc.factors) for dc, num in x.terms],
+            Polynomial.zero(k))
+        if k == 3:
+            assert germ_equal(phi(x), f)
+            assert all(polar_certificate(space, PolarGerm(num, dc.factors))
+                       for dc, num in x.terms)
+            members = [SimplicialCone(poles) for poles in pole_sets]
+            assignment = cones_module._pieces_by_cone(members, x.support())
+            assert all(tiling_certificate(assignment[m], m) for m in members)
+            assert all(common_face_certificate(a, b) for a, b in
+                       itertools.combinations(x.support(), 2))

@@ -1,8 +1,10 @@
 """Germ arithmetic, canonical forms, and polar decomposition."""
 
 import itertools
+import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -861,6 +863,66 @@ def test_polar_split_projects_and_divides_in_eps(monkeypatch):
     assert counts["divmod_linear"] > 0
 
 
+def test_a_rank_one_projector_composes_through_one_linear_form(monkeypatch):
+    # with k - 1 forms the projector has rank one: the polar part is a
+    # polynomial in one linear form, built without substitute; with fewer
+    # forms the numerator is composed with the images of the projector.
+    # Both are the reference projection of conftest on numerators of
+    # degree up to 9, under the identity, the skew and random products
+    rng = random.Random(5101)
+    calls = []
+    substitute = Polynomial.substitute
+    monkeypatch.setattr(Polynomial, "substitute", lambda p, images: (
+        calls.append(1), substitute(p, images))[1])
+    ranks = Counter()
+    for trial in range(90):
+        k = 2 + trial % 2
+        space = (AmbientSpace.standard(k), skew_space(k),
+                 random_space(rng, k))[trial // 2 % 3]
+        m = rng.randint(1, k - 1)
+        forms = []
+        while len(forms) < m:
+            v = primitive_pseudo_positive(random_vector(rng, k))[1]
+            if mat_rank(mat(forms + [v])) == len(forms) + 1:
+                forms.append(v)
+        scale = math.lcm(*(a.denominator for row in space.gram for a in row))
+        gram = tuple(tuple(int(a * scale) for a in row) for row in space.gram)
+        project, _ = germs_module._face_split(gram, tuple(forms))
+        num = random_polynomial(rng, k, degree=rng.randint(0, 9), terms=8)
+        expected = num.substitute(orthogonal_projection_images(space, forms))
+        calls.clear()
+        assert project(num) == expected, (trial, forms)
+        assert len(calls) == (m < k - 1)
+        ranks[k - m] += 1
+    assert ranks[1] > 50 and ranks[2] > 10
+
+
+def test_the_projection_of_a_high_degree_numerator_grows_with_its_output(
+        monkeypatch):
+    # decompose((x1+x2)^n/(x1+2*x2)) has n + 1 numerator terms in its one
+    # polar term; the rank-one projector takes them through one linear form,
+    # so the monomial pairs multiplied grow about x4 per doubling of n, not
+    # the x7 of composing a degree-n numerator with two images
+    germs = {n: parse_germ(f"(x1+x2)^{n}/(x1+2*x2)", 2)
+             for n in (25, 50, 100, 200)}
+    pairs = [0]
+    mul_terms = exact_module._mul_terms
+
+    def counted(a, b):
+        pairs[0] += len(a) * len(b)
+        return mul_terms(a, b)
+
+    for module in (exact_module, germs_module):
+        monkeypatch.setattr(module, "_mul_terms", counted)
+    ladder = []
+    for n, f in germs.items():
+        pairs[0] = 0
+        s = decompose(AmbientSpace.standard(2), f)
+        assert len(s.terms) == 1 and len(s.terms[0].numerator.coeffs) == n + 1
+        ladder.append(pairs[0])
+    assert all(0 < b <= 4.5 * a for a, b in zip(ladder, ladder[1:])), ladder
+
+
 def test_decompose_and_residues_refuse_a_germ_in_other_variables():
     cases = [(2, "1/(x1*(x1+x2+x3))", 3), (3, "x2/(x1*(x1+x2))", 2),
              (2, "(x1+x3)/(x1*(x1+x2+x3))", 3), (4, "1/(x1*(x1+x2+x3))", 3)]
@@ -1196,6 +1258,54 @@ def test_canonical_fraction_drops_zero_and_refuses_negative_multiplicities():
         Polynomial.constant(2, F(1, 2)), ((vec([1, 0]), 1),))
     with pytest.raises(ValueError, match="negative pole multiplicity"):
         canonical_fraction(one, ((vec([1, 0]), -1),))
+
+
+def test_canonical_fraction_takes_an_int_scale_out_of_int_forms(monkeypatch):
+    # the scale of a form of ints is its signed gcd; only a form with a
+    # Fraction entry goes through primitive_pseudo_positive and its rational
+    # scale; both give the value-preserving canonical fraction, also beyond
+    # float precision
+    rational_forms = []
+    monkeypatch.setattr(germs_module, "primitive_pseudo_positive", lambda v: (
+        rational_forms.append(v), primitive_pseudo_positive(v))[1])
+    big = 2 ** 60 + 1
+    num = Polynomial(2, {(1, 0): F(3, 7), (0, 2): F(-2)})
+    cases = [
+        [((4, -6), 1)],
+        [((-3, 0), 2), ((0, 5), 1)],
+        [((F(1, 2), F(-3, 4)), 1)],
+        [((1, F(1, 3)), 1), ((2, -4), 3)],
+        [((6 * big, -9 * big), 1), ((-big, 0), 2)],
+        [((3 * 2 ** 55, 2 ** 54 + 1), 1)],
+        [((2, 2), 1), ((F(-1), F(-1)), 1), ((0, 1), 0)],
+    ]
+    point = (F(5, 3), F(-7, 2))
+    for raw in cases:
+        expected_num, expected = num, {}
+        for v, e in raw:
+            if e:
+                c, w = primitive_pseudo_positive(tuple(v))
+                expected_num = expected_num.scale(1 / c ** e)
+                expected[w] = expected.get(w, 0) + e
+        rational_forms.clear()
+        got_num, got = canonical_fraction(num, raw)
+        assert (got_num, got) == (expected_num, tuple(sorted(expected.items())))
+        assert rational_forms == [tuple(v) for v, e in raw if e and any(
+            type(a) is not int for a in v)]
+        assert all(type(a) is int for v, _ in got for a in v)
+        value = num.evaluate(point)
+        for v, e in raw:
+            value /= vec_dot(v, point) ** e
+        assert evaluate(make_mero(got_num, got), point) == value
+    # an int form and the equal Fraction form give the same fraction
+    assert canonical_fraction(num, [((4, -6), 2)]) == canonical_fraction(
+        num, [((F(4), F(-6)), 2)])
+    # the gcd beyond 2^53 is exact: the form keeps its primitive entries
+    assert canonical_fraction(num, [((6 * big, -9 * big), 1)]) == (
+        num.scale(F(-1, 3 * big)), (((-2, 3), 1),))
+    for zero in ((0, 0), (F(0), F(0))):
+        with pytest.raises(ValueError, match="zero vector"):
+            canonical_fraction(num, [(zero, 1)])
 
 
 def test_as_mero_refuses_what_is_not_a_germ():

@@ -222,6 +222,35 @@ def test_tail_coefficients_invert_the_exponential_series():
     assert low == Polynomial(1, {(1,): F(1)})
 
 
+def test_a_truncation_order_is_an_int_checked_before_any_cache():
+    # the tail series is cached by truncation order; True, 2.0 and F(2)
+    # hash like the cached 1 and 2, so each is refused before the cache is
+    # read, as a miss refuses it
+    lc = make_lattice_cone([(1, 0), (0, 1)])
+    exp_sum_smooth(lc, 1)
+    exp_sum_smooth(lc, 2)
+    for bad in (True, False, 2.0, F(2), -1, "2", None):
+        with pytest.raises(ValueError, match="truncation order"):
+            exp_sum_smooth(lc, bad)
+        with pytest.raises(ValueError, match="truncation order"):
+            bernoulli_tail_coeffs(bad)
+
+
+def test_the_tail_series_is_built_once_per_truncation(monkeypatch):
+    built = []
+    monkeypatch.setattr(latticeexp_module, "bernoulli_tail_coeffs", lambda n: (
+        built.append(n), bernoulli_tail_coeffs(n))[1])
+    latticeexp_module._tail_series.cache_clear()
+    lc = make_lattice_cone([(1, 0, -1), (0, 1, -1), (0, 0, 1)])
+    sums = [exp_sum_smooth(lc, trunc) for trunc in (3, 5, 3, 5, 3)]
+    assert built == [3, 5]
+    assert sums[0] == sums[2] == sums[4] and sums[1] == sums[3]
+    # the coefficients themselves still come as a fresh list on each call
+    coeffs = bernoulli_tail_coeffs(4)
+    coeffs.clear()
+    assert len(bernoulli_tail_coeffs(4)) == 5
+
+
 # ---------------------------------------------------------------------------
 # truncated germs
 
