@@ -37,6 +37,9 @@ One double-description cut finds every ray: a piece sliced by a
 hyperplane, a piece met with more constraints (the line and face tests
 start from a member's simplicial piece), and the facets of a cone given by
 rays, which are the rays of its dual cone cut out one generator at a time.
+A pointed cone (``PolyCone``) keeps both representations too: the piece
+``make_poly_cone`` built it from, so its triangulations and subdivision
+checks derive no facets again.
 """
 
 from __future__ import annotations
@@ -113,9 +116,18 @@ class SimplicialCone(Record):
 
 
 class PolyCone(Record):
-    """Pointed cone given by its extreme rays (primitive, sorted)."""
+    """Pointed cone given by its extreme rays, sorted integer vectors.
+
+    They are primitive, except inside a ``LatticeCone`` on a lattice that
+    is not saturated, where they are primitive lattice vectors such as
+    (0, 2, 0).  The cone keeps its hull, the piece ``_poly_piece(rays)``
+    gives (``_hull``): ``make_poly_cone`` stores the one it built the cone
+    from, and a cone built directly finds it on first use.  The hull is no
+    field, so ``==``, ``hash`` and ``repr`` do not see it.
+    """
 
     rays: tuple[Vec, ...]
+    _piece = None  # the kept hull; no annotation, so no field
 
     @property
     def ambient(self) -> int:
@@ -158,7 +170,9 @@ def make_poly_cone(rays: Iterable[Sequence]) -> PolyCone:
     The extreme rays are the facets of the dual piece: the facets tight at
     a ray cut out the least face holding it, a ray is extreme exactly when
     that set is maximal among the proper ones, and no two extreme rays
-    share one.  The rank check refuses a line, so no set is full."""
+    share one.  The rank check refuses a line, so no set is full.  The
+    cone keeps that hull, its rays cut down to the extreme ones: the facet
+    normals do not depend on redundant rays."""
     raw = [primitive_vector(vec(r)) for r in rays]
     raw = list(dict.fromkeys(r for r in raw if not vec_is_zero(r)))
     if not raw:
@@ -167,8 +181,12 @@ def make_poly_cone(rays: Iterable[Sequence]) -> PolyCone:
     hull = _poly_piece(raw)
     if mat_rank(hull.eqs + hull.ineqs) < k:
         raise NotStrictlyConvexUnion("rays do not span a pointed cone")
-    return PolyCone(tuple(
-        _facets(_Piece(hull.eqs, hull.rays, hull.ineqs, hull.dim)).values()))
+    extreme = tuple(
+        _facets(_Piece(hull.eqs, hull.rays, hull.ineqs, hull.dim)).values())
+    cone = PolyCone(extreme)
+    object.__setattr__(cone, "_piece",
+                       _Piece(hull.eqs, hull.ineqs, extreme, hull.dim))
+    return cone
 
 
 def cone_contains(cone: SimplicialCone, x: Sequence) -> bool:
@@ -290,6 +308,16 @@ def _poly_piece(rays: Sequence[Vec]) -> _Piece:
     dual = _Piece(basis.eqs, basis.rays, basis.ineqs, basis.dim)
     normals = _meet(dual, (), [r for j, r in enumerate(rays) if j not in cols])
     return _Piece(basis.eqs, tuple(normals), rays, basis.dim)
+
+
+def _hull(cone: SimplicialCone | PolyCone) -> _Piece:
+    """``_poly_piece(cone.rays)``, which a PolyCone keeps (written as
+    ``Record`` writes its fields, with ``object.__setattr__``)."""
+    if isinstance(cone, SimplicialCone):
+        return _poly_piece(cone.rays)
+    if cone._piece is None:
+        object.__setattr__(cone, "_piece", _poly_piece(cone.rays))
+    return cone._piece
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +484,13 @@ def triangulate_cone(cone: SimplicialCone | PolyCone,
 
     ``reverse_order`` keys the pulling to the reversed lexicographic order,
     which is useful for producing a second, independent triangulation of the
-    same cone in tests of subdivision invariance.
+    same cone in tests of subdivision invariance.  It pulls on the hull the
+    cone keeps (``_hull``), so both orders share one set of facets.
     """
     if isinstance(cone, SimplicialCone):
         return [cone]
     return [SimplicialCone(s)
-            for s in _pull_triangulate(_poly_piece(cone.rays), reverse_order)]
+            for s in _pull_triangulate(_hull(cone), reverse_order)]
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +571,11 @@ def is_subdivision(pieces: Sequence[SimplicialCone],
                    target: SimplicialCone | PolyCone) -> bool:
     """Exact check that the pieces tile the target cone: each lies in it
     with its dimension, they pass the facet count of ``_facets_tile`` and
-    they are properly positioned.  No sampling, no tolerance."""
+    they are properly positioned, all read off the target's hull
+    (``_hull``).  No sampling, no tolerance."""
     pieces = list(pieces)
     _common_ambient([target] + pieces)
-    cell = _poly_piece(target.rays)
+    cell = _hull(target)
     return (all(_inside(p, cell) for p in pieces)
             and _facets_tile(pieces, cell)
             and is_properly_positioned(pieces))

@@ -194,12 +194,15 @@ def fraction_sum(fractions: Iterable[tuple[Polynomial, Factors]],
     present.  Those span every fraction over the arrangement (Brion &
     Vergne, Ann. Sci. ENS 32, 1999; Terao, J. Algebra 250, 2002), so the
     many pieces of a subdivision collapse onto a few shared denominators,
-    where they cancel as plain polynomial sums.  The arrangement is ordered
-    by use, the forms held by most fractions first (ties by the form): each
-    exchange moves a power onto an earlier form, so the survivors gather on
-    the forms most terms share, which in an expansion are the germ's own
-    poles rather than the rays the refinement added, and their least common
-    denominator stays small.  The survivors are then added by one
+    where they cancel as plain polynomial sums.  Each exchange moves a power
+    onto an earlier form, so the survivors gather on the first forms of the
+    arrangement.  Those should be the germ's own poles, not the rays a
+    refinement added: a refinement ray is a positive combination of pole
+    forms, so it tends to be taller.  So the arrangement is ordered by the
+    l1 norm of the form, then by use, the forms held by most fractions
+    first, then by the form, which keeps the least common denominator of
+    the survivors small.  That is a heuristic: any order gives the same
+    sum, and only the speed differs.  The survivors are then added by one
     ``mero_add`` over their least common denominator, which reduces the sum
     once.  When the forms present are independent every pole set is
     already nbc and the rewrite is skipped.  When it would not leave fewer
@@ -213,7 +216,7 @@ def fraction_sum(fractions: Iterable[tuple[Polynomial, Factors]],
     """
     merged = sum_by_factors(fractions)
     uses = Counter(v for den in merged for v, _ in den)
-    arrangement = sorted(uses, key=lambda v: (-uses[v], v))
+    arrangement = sorted(uses, key=lambda v: (sum(map(abs, v)), -uses[v], v))
     if len(merged) > 1 and mat_rank(tuple(arrangement)) < len(arrangement):
         rewritten = _nbc_rewrite(merged, arrangement, len(merged))
         if rewritten is not None:
@@ -228,8 +231,9 @@ def _nbc_rewrite(fractions: dict[Factors, Polynomial], arrangement: list[Vec],
     """The same sum with every pole set nbc under the arrangement's order,
     which may be any order of its forms, or None as soon as it is certain
     to have ``limit`` fractions or more.  The factors come back canonical.
-    ``fraction_sum`` orders its forms by use, ``reduce_to_independent``
-    one germ's own forms canonically descending.
+    ``fraction_sum`` orders its forms by height, then use;
+    ``reduce_to_independent`` orders one germ's own forms canonically
+    descending.
 
     A pole set S holds a broken circuit iff some form L0 of the arrangement
     lies in the span of the members of S later than L0.  For the earliest

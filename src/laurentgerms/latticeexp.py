@@ -140,14 +140,18 @@ def _integer_kernel(rows: Sequence[Vec], k: int) -> list[Vec]:
     return [tuple(row[j] for row in m[n:]) for j in range(start, k)]
 
 
+@lru_cache(maxsize=8)
+def _standard_basis(k: int) -> tuple[Vec, ...]:
+    """The unit vectors of Z^k, built once per dimension."""
+    return tuple(unit_vec(k, i) for i in range(k))
+
+
 def _lattice_coords(basis: Sequence[Vec], v: Vec) -> Vec:
     """Coordinates of ``v`` in ``basis``; ValueError outside its span.
 
     On the standard basis of the whole space they are ``v`` itself.
     """
-    k = len(v)
-    if len(basis) == k and all(b == unit_vec(k, i)
-                               for i, b in enumerate(basis)):
+    if tuple(basis) == _standard_basis(len(v)):
         return v
     coords = solve(mat_from_columns(list(basis)), v)
     if coords is None:
@@ -156,7 +160,10 @@ def _lattice_coords(basis: Sequence[Vec], v: Vec) -> Vec:
 
 
 def _from_coords(basis: Sequence[Vec], coords: Sequence[int]) -> Vec:
-    """The lattice vector with integer ``coords`` in ``basis``."""
+    """The lattice vector with integer ``coords`` in ``basis``: on the
+    standard basis, the coordinates themselves."""
+    if tuple(basis) == _standard_basis(len(coords)):
+        return tuple(coords)
     return mat_vec(mat_from_columns(basis), coords)
 
 
@@ -169,6 +176,8 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
     or the integer kernel of the span's normals) is so by construction.
     Raw generator rows must be integer combinations of the basis; each
     generator is then rescaled to the primitive lattice vector of its ray.
+    A given cone whose rays are already those vectors, as on the standard
+    lattice, is kept as it is, with the hull a PolyCone keeps.
     """
     if isinstance(generators, (SimplicialCone, PolyCone)):
         cone = generators
@@ -180,7 +189,7 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
     k = cone.ambient
     d = mat_rank(rays)
     if lattice_basis is None:
-        basis = ([unit_vec(k, i) for i in range(k)] if d == k
+        basis = (_standard_basis(k) if d == k
                  else _integer_kernel(nullspace(rays), k))
     else:
         basis = [vec(b) for b in lattice_basis]
@@ -201,7 +210,10 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
             raise ValueError(f"generator ({', '.join(map(str, r))}) "
                              "is not a lattice vector")
         normalized.append(_from_coords(basis, primitive_vector(coords)))
-    return LatticeCone(type(cone)(tuple(sorted(normalized))), tuple(basis))
+    normalized.sort()
+    if tuple(normalized) != rays:
+        cone = type(cone)(tuple(normalized))
+    return LatticeCone(cone, tuple(basis))
 
 
 def is_smooth(lc: LatticeCone) -> bool:
@@ -340,6 +352,8 @@ def exp_integral(lc: LatticeCone) -> GermSum:
     Per-generator scaling invariance makes the choice of ray representatives
     irrelevant, and the weight makes the result subdivision-invariant.
     A piece with dependent generators has weight 0 and raises NotSimplicial.
+    The triangulation reads the hull a PolyCone keeps, and on the standard
+    lattice the coordinates are the generators themselves.
     """
     terms = []
     for piece in triangulate_cone(lc.cone):

@@ -559,6 +559,40 @@ def extreme_ray_certificate(rays):
             if not _in_cone_certificate(g, [h for h in gens if h != g])]
 
 
+def facet_certificate(rays, eqs, normals) -> bool:
+    """Whether ``eqs`` and ``normals`` are the hull of the pointed cone the
+    rays generate, decided with sympy's ``Matrix.rank`` and nothing of
+    this package.
+
+    With d the rank of the rays, the equalities must annihilate their span
+    and have rank k - d.  A facet is a supporting hyperplane whose tight
+    rays have rank d - 1; each such set of d - 1 independent rays, with
+    the annihilator, leaves one normal line, and a primitive y on it in the
+    span of the rays is a facet normal when y >= 0 on every ray (after a
+    sign flip).  Every kept normal must be one of those, each must be
+    kept, once and sorted.  Lying in the span makes a normal unique."""
+    from sympy import Matrix
+    rays = _primitive_rays(rays)
+    k, d = len(rays[0]), Matrix(rays).rank()
+    eqs = [list(e) for e in eqs]
+    if len(eqs) != k - d or (eqs and (Matrix(eqs).rank() != k - d or any(
+            sum(a * b for a, b in zip(e, r)) for e in eqs for r in rays))):
+        return False
+    annihilator = [list(v) for v in Matrix(rays).nullspace()]
+    facets = set()
+    for tight in combinations(rays, d - 1):
+        if d > 1 and Matrix(tight).rank() != d - 1:
+            continue
+        (y,) = Matrix([*map(list, tight), *annihilator]
+                      if tight or annihilator else [[0] * k]).nullspace()
+        y = _primitive_rays([y])[0]
+        values = [sum(a * b for a, b in zip(y, r)) for r in rays]
+        if min(values) < 0 < max(values):
+            continue
+        facets.add(y if max(values) > 0 else tuple(-a for a in y))
+    return list(normals) == sorted(facets)
+
+
 def tiling_certificate(pieces, member) -> bool:
     """Whether simplicial pieces that meet pairwise in common faces tile a
     member, decided in sympy alone; pair it with

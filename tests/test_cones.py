@@ -11,15 +11,18 @@ import pytest
 
 import laurentgerms.cones as cones_module
 from laurentgerms.cones import (
+    _hull,
     _meet,
     _neg,
     _pair_contains_line,
     _pieces_by_cone,
     _poly_piece,
+    _pull_triangulate,
     _simplicial_piece,
     ConeFamily,
     I_cone,
     I_simplicial,
+    PolyCone,
     SimplicialCone,
     common_refinement,
     cone_contains,
@@ -29,6 +32,7 @@ from laurentgerms.cones import (
     make_poly_cone,
     make_simplicial_cone,
     positioning_witness,
+    signed_cone_term,
     triangulate_cone,
     union_contains_line,
 )
@@ -41,6 +45,7 @@ from laurentgerms.exact import (
     AmbientSpace,
     Polynomial,
     Vec,
+    det,
     mat_rank,
     max_minor_abs_sum,
     nullspace,
@@ -55,8 +60,14 @@ from laurentgerms.germs import (
     canonicalize_polar,
     decompose,
     germ_equal,
+    make_germ_sum,
     make_mero,
     mero_add,
+)
+from laurentgerms.latticeexp import (
+    _lattice_coords,
+    exp_integral,
+    make_lattice_cone,
 )
 
 from conftest import (
@@ -64,6 +75,7 @@ from conftest import (
     common_refinement_eager,
     common_refinement_reference,
     extreme_ray_certificate,
+    facet_certificate,
     is_subdivision_reference,
     pieces_meet_along_face_reference,
     positioning_witness_reference,
@@ -150,6 +162,118 @@ def test_poly_cone_extreme_rays_drop_interior_generators():
 def test_poly_cone_rejects_halfplane():
     with pytest.raises(NotStrictlyConvexUnion):
         make_poly_cone([(1, 0), (-1, 0), (0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# the hull a pointed cone keeps
+
+def _hull_cases(seed):
+    """Ray sets of pointed cones: random ones in 2D to 4D, of full and of
+    lower dimension, some with rays that are not extreme, and the parabola
+    cones of the benchmark with 4, 5 and 6 rays."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < 30:
+        rays = _random_ray_set(rng)
+        if _poly_cone_or_line(rays) is not None:
+            cases.append(rays)
+    extreme = [make_poly_cone(r).rays for r in cases]
+    assert any(mat_rank(e) < len(e[0]) for e in extreme)
+    assert any(len(e) < len({primitive_vector(vec(x)) for x in r if any(x)})
+               for e, r in zip(extreme, cases))
+    return cases + [_parabola_cone(rng, n) for n in (4, 5, 6, 4, 5, 6)]
+
+
+def test_the_kept_hull_passes_the_facet_certificate():
+    # sympy decides the facets independently of the package; the hull
+    # make_poly_cone keeps and the one a directly built cone finds are
+    # _poly_piece of the extreme rays: the same normals, in the same
+    # order, and equalities that span the same space
+    pytest.importorskip("sympy")
+    for rays in _hull_cases(5201):
+        made = make_poly_cone(rays)
+        direct = PolyCone(made.rays)
+        fresh = _poly_piece(made.rays)
+        for hull in (_hull(made), _hull(direct)):
+            assert facet_certificate(made.rays, hull.eqs, hull.ineqs)
+            assert (hull.ineqs, hull.rays, hull.dim) == (
+                fresh.ineqs, fresh.rays, fresh.dim)
+            assert mat_rank(hull.eqs) == mat_rank(fresh.eqs) == mat_rank(
+                hull.eqs + fresh.eqs)
+        normals = _hull(made).ineqs
+        assert not facet_certificate(made.rays, (), normals[1:])
+        assert not facet_certificate(
+            made.rays, (), normals + (tuple(map(sum, zip(*normals))),))
+
+
+def test_a_pointed_cone_derives_its_hull_once(monkeypatch):
+    # one _poly_piece, and the one _meet it makes, from make_poly_cone to
+    # I_cone: each consumer below derived a hull of its own (eight in all)
+    # before the cone kept the one it was built from
+    poly_piece, meet = cones_module._poly_piece, cones_module._meet
+    depth, counts = [0], Counter()
+
+    def counted_poly_piece(rays):
+        counts["hulls"] += 1
+        depth[0] += 1
+        try:
+            return poly_piece(rays)
+        finally:
+            depth[0] -= 1
+
+    def counted_meet(*args):
+        counts["meets"] += depth[0] > 0
+        return meet(*args)
+
+    monkeypatch.setattr(cones_module, "_poly_piece", counted_poly_piece)
+    monkeypatch.setattr(cones_module, "_meet", counted_meet)
+    pc = make_poly_cone(_parabola_cone(random.Random(5202), 5))
+    lc = make_lattice_cone(pc)
+    assert lc.cone is pc
+    exp_integral(lc)
+    first, second = triangulate_cone(pc), triangulate_cone(pc, True)
+    assert is_subdivision(first, pc) and is_subdivision(second, pc)
+    assert germ_equal(I_cone(pc), I_cone(pc, second))
+    assert counts == Counter(hulls=1, meets=1)
+    # a cone built directly finds its hull on first use, once
+    direct = PolyCone(pc.rays)
+    assert triangulate_cone(direct) == first
+    assert triangulate_cone(direct, True) == second
+    assert counts == Counter(hulls=2, meets=2)
+
+
+def test_three_ways_to_build_a_cone_give_the_same_outputs():
+    # make_poly_cone, a directly built PolyCone and the path that derives
+    # the hull afresh (_pull_triangulate of _poly_piece) give structurally
+    # equal triangulations, integrals, valuations and subdivision checks;
+    # the kept hull is no field, so == and hash ignore it
+    for rays in _hull_cases(5203):
+        made = make_poly_cone(rays)
+        direct = PolyCone(made.rays)
+        assert made == direct and hash(made) == hash(direct)
+        assert repr(made) == repr(direct) == f"PolyCone(rays={made.rays!r})"
+        fresh = _poly_piece(made.rays)
+        basis = make_lattice_cone(direct).lattice_basis
+        zero = Polynomial.zero(len(made.rays[0]))
+        tri = [SimplicialCone(s) for s in _pull_triangulate(fresh)]
+        integral = make_germ_sum([signed_cone_term(s.generators, abs(det(
+            [_lattice_coords(basis, g) for g in s.generators]))) for s in tri],
+            zero)
+        for pc in (made, direct):
+            assert exp_integral(make_lattice_cone(pc)) == integral
+            assert I_cone(pc) == make_germ_sum([I_simplicial(s) for s in tri], zero)
+        for reverse in (False, True):
+            tri = [SimplicialCone(s) for s in _pull_triangulate(fresh, reverse)]
+            valuation = make_germ_sum([I_simplicial(s) for s in tri], zero)
+            assert [is_subdivision_reference(t, PolyCone(made.rays))
+                    for t in (tri, tri[1:])] == [True, False]
+            for pc in (made, direct):
+                assert triangulate_cone(pc, reverse) == tri
+                assert I_cone(pc, tri) == valuation
+                assert is_subdivision(tri, pc)
+                assert not is_subdivision(tri[1:], pc)
+        # both now hold a hull, and a fresh cone holds none
+        assert len({made, direct, PolyCone(made.rays)}) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 import laurentgerms.expand as expand_module
 import laurentgerms.latticeexp as latticeexp_module
 from laurentgerms.cones import (
+    PolyCone,
     SimplicialCone,
     common_refinement,
     is_properly_positioned,
@@ -49,6 +50,7 @@ from laurentgerms.germs import (
 from laurentgerms.latticeexp import (
     LatticeCone,
     TruncatedGerm,
+    _from_coords,
     _lattice_coords,
     bernoulli_tail_coeffs,
     evaluate_truncated,
@@ -191,6 +193,24 @@ def test_lattice_coords_on_the_standard_lattice_are_the_vector():
     # a raw generator off the standard lattice is still refused
     with pytest.raises(ValueError, match="not a lattice vector"):
         make_lattice_cone([(F(1, 2), 0), (0, 1)])
+
+
+def test_a_cone_of_lattice_primitive_rays_is_kept_as_it_is():
+    # on the standard lattice, and on the saturated lattice of a span, the
+    # rays are their own primitive lattice vectors, so the cone itself,
+    # with the hull a PolyCone keeps, is kept;
+    # on (2, 0), (0, 1) the ray (1, 1) becomes the lattice vector (2, 2)
+    for cone in (make_poly_cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+                 make_poly_cone([(1, 2, 0), (0, 1, 1)]),
+                 make_simplicial_cone([(1, 0), (1, 2)])):
+        assert make_lattice_cone(cone).cone is cone
+    diagonal = make_poly_cone([(1, 0), (1, 1)])
+    lc = make_lattice_cone(diagonal, [(2, 0), (0, 1)])
+    assert type(lc.cone) is PolyCone and lc.rays == ((2, 0), (2, 2))
+    assert make_lattice_cone([(4, 0), (2, 2)], [(2, 0), (0, 1)]).rays == (
+        (2, 0), (2, 2))
+    assert _from_coords([(2, 0), (0, 1)], [1, 2]) == (2, 2)
+    assert _from_coords([(1, 0), (0, 1)], [1, 2]) == (1, 2)
 
 
 def test_is_smooth_depends_on_the_lattice():
