@@ -123,11 +123,12 @@ class PolyCone(Record):
     (0, 2, 0).  The cone keeps its hull, the piece ``_poly_piece(rays)``
     gives (``_hull``): ``make_poly_cone`` stores the one it built the cone
     from, and a cone built directly finds it on first use.  The hull is no
-    field, so ``==``, ``hash`` and ``repr`` do not see it.
+    field, so ``==``, ``hash`` and ``repr`` do not see it; ``dim`` reads it.
     """
 
     rays: tuple[Vec, ...]
     _piece = None  # the kept hull; no annotation, so no field
+    dim = property(lambda self: _hull(self).dim)  # as SimplicialCone.dim
 
     @property
     def ambient(self) -> int:
@@ -311,10 +312,10 @@ def _poly_piece(rays: Sequence[Vec]) -> _Piece:
 
 
 def _hull(cone: SimplicialCone | PolyCone) -> _Piece:
-    """``_poly_piece(cone.rays)``, which a PolyCone keeps (written as
-    ``Record`` writes its fields, with ``object.__setattr__``)."""
+    """``_simplicial_piece`` of a SimplicialCone, or the ``_poly_piece`` a
+    PolyCone keeps (set with ``object.__setattr__``, as ``Record`` does)."""
     if isinstance(cone, SimplicialCone):
-        return _poly_piece(cone.rays)
+        return _simplicial_piece(cone.generators)
     if cone._piece is None:
         object.__setattr__(cone, "_piece", _poly_piece(cone.rays))
     return cone._piece

@@ -126,10 +126,11 @@ def is_pseudo_positive(v: Vec) -> bool:
     return True
 
 
-def primitive_pseudo_positive(v: Vec) -> tuple[Fraction, Vec]:
+def primitive_pseudo_positive(v: Vec) -> tuple[int | Fraction, Vec]:
     """Write ``v = c * w`` with ``w`` primitive pseudo-positive, ``c != 0``.
 
-    Raises ValueError on the zero vector (it has no direction).
+    ``c`` is an int when integral, as on every form of ints, else a
+    Fraction.  Raises ValueError on the zero vector (it has no direction).
     """
     w = primitive_vector(v)
     i = len(w) - 1
@@ -139,7 +140,8 @@ def primitive_pseudo_positive(v: Vec) -> tuple[Fraction, Vec]:
         raise ValueError("zero vector has no primitive representative")
     if w[i] < 0:
         w = tuple(-a for a in w)
-    return Fraction(v[i], w[i]), w
+    c, r = divmod(v[i], w[i])
+    return (c, w) if not r else (Fraction(v[i], w[i]), w)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +256,7 @@ def nullspace(m: Mat) -> list[tuple[int, ...]]:
 
     For a free column f the vector has x_f = L, the lcm of the pivots of
     the integer reduced rows, and x_p = -row[f] * L / row[p] at each pivot
-    p; dividing by the gcd gives the primitive vector of the same ray.
+    p; ``primitive_vector`` gives the primitive vector of the same ray.
     """
     if not m:
         return []
@@ -269,8 +271,7 @@ def nullspace(m: Mat) -> list[tuple[int, ...]]:
         x[free] = big
         for row, c in zip(rows, pivots):
             x[c] = -row[free] * (big // row[c])
-        g = gcd(*x)
-        basis.append(tuple(a // g for a in x))
+        basis.append(primitive_vector(x))
     return basis
 
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import NotPolar, PoleHit
@@ -74,11 +74,11 @@ def canonical_fraction(numerator: Polynomial,
 
     Every form becomes its primitive pseudo-positive vector, equal forms are
     merged and sorted, and the scalar taken out of the forms moves into the
-    numerator, so the fraction keeps its value.  The scalar of a form of
-    ints is its gcd, signed by its last nonzero entry, so on such forms the
-    product of the scalars stays an int and the numerator is scaled once at
-    the end, or not at all when the product is 1.  This is how every germ
-    type stores its factors, so a form of another length is refused here.
+    numerator, so the fraction keeps its value (``primitive_pseudo_positive``
+    gives both).  On forms of ints the scalars are ints, so the numerator is
+    scaled once at the end, or not at all when their product is 1.  This is
+    how every germ type stores its factors, so a form of another length is
+    refused here.
     """
     _check_form_lengths(numerator.nvars, [v for v, _ in raw])
     merged: dict[Vec, int] = {}
@@ -88,14 +88,7 @@ def canonical_fraction(numerator: Polynomial,
             continue
         if e < 0:
             raise ValueError("negative pole multiplicity")
-        c = gcd(*v) if all(type(a) is int for a in v) else 0
-        if c:
-            if next(a for a in reversed(v) if a) < 0:
-                c = -c
-            w = tuple(v) if c == 1 else tuple(a // c for a in v)
-        else:
-            # a form with a Fraction entry, or the zero form (ValueError)
-            c, w = primitive_pseudo_positive(tuple(v))
+        c, w = primitive_pseudo_positive(v)
         scale *= c ** e
         merged[w] = merged.get(w, 0) + e
     if scale != 1:

@@ -171,9 +171,10 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
     """Build a lattice cone; defaults to the integer points of the span.
 
     ``generators`` may be a SimplicialCone, a PolyCone, or raw generator
-    rows.  Only a supplied basis is checked to be independent integer
-    vectors spanning the cone's linear span; the default one (unit vectors,
-    or the integer kernel of the span's normals) is so by construction.
+    rows.  The span's dimension is the cone's ``dim``; only a supplied basis
+    is checked (by rank) to be independent integer vectors spanning it; the
+    default one (unit vectors, or the integer kernel of the span's normals)
+    is so by construction.
     Raw generator rows must be integer combinations of the basis; each
     generator is then rescaled to the primitive lattice vector of its ray.
     A given cone whose rays are already those vectors, as on the standard
@@ -187,7 +188,7 @@ def make_lattice_cone(generators, lattice_basis=None) -> LatticeCone:
         cone = make_simplicial_cone(raw_rows)
     rays = cone.rays
     k = cone.ambient
-    d = mat_rank(rays)
+    d = cone.dim
     if lattice_basis is None:
         basis = (_standard_basis(k) if d == k
                  else _integer_kernel(nullspace(rays), k))

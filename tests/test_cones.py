@@ -206,6 +206,46 @@ def test_the_kept_hull_passes_the_facet_certificate():
             made.rays, (), normals + (tuple(map(sum, zip(*normals))),))
 
 
+def test_a_cone_reads_its_dimension_from_its_hull():
+    # PolyCone.dim is the rank of its rays, which sympy decides apart from
+    # the package, on cones of full and of lower dimension; a cone built
+    # directly finds its hull for it, once, and keeps it
+    sympy = pytest.importorskip("sympy")
+    dims = Counter()
+    for rays in _hull_cases(5303)[:30]:
+        made = make_poly_cone(rays)
+        rank = sympy.Matrix(made.rays).rank()
+        assert made.dim == rank
+        direct = PolyCone(made.rays)
+        assert direct._piece is None
+        assert direct.dim == rank
+        kept = direct._piece
+        assert kept is not None and _hull(direct) is kept
+        dims[rank == len(made.rays[0])] += 1
+    assert dims[True] and dims[False]
+
+
+def test_a_simplicial_cone_is_its_own_hull(monkeypatch):
+    # is_subdivision reads a simplicial target's hull off its generators:
+    # _poly_piece's equalities, rays and dimension, and its facet normals
+    # in another order, with no pivot elimination and no dual cut
+    cones = [make_simplicial_cone(g) for g in (
+        [(1, 0, 0), (1, 2, 0), (0, 1, 3)], [(1, 1, 0), (0, 1, 1)], [(2, -1)])]
+    fresh = [_poly_piece(c.rays) for c in cones]
+    monkeypatch.setattr(cones_module, "_poly_piece",
+                        lambda rays: pytest.fail("a simplicial hull ran _poly_piece"))
+    for c, f in zip(cones, fresh):
+        hull = _hull(c)
+        assert hull == _simplicial_piece(c.generators)
+        assert (hull.eqs, hull.rays, hull.dim) == (f.eqs, f.rays, f.dim)
+        assert sorted(hull.ineqs) == list(f.ineqs)
+        w = tuple(map(sum, zip(*c.generators)))
+        star = [make_simplicial_cone([w if h == g else h for h in c.generators])
+                for g in c.generators]
+        assert is_subdivision(star, c) and is_subdivision([c], c)
+        assert not is_subdivision(star[1:], c)
+
+
 def test_a_pointed_cone_derives_its_hull_once(monkeypatch):
     # one _poly_piece, and the one _meet it makes, from make_poly_cone to
     # I_cone: each consumer below derived a hull of its own (eight in all)

@@ -145,11 +145,59 @@ def test_int_forms_beyond_float_precision_stay_exact():
     n = 10 ** 20 + 1
     scale, form = primitive_pseudo_positive((n, 2 * n))
     assert form == (1, 2)
-    assert type(scale) is Fraction and scale == n
+    assert type(scale) is int and scale == n
     assert (make_mero(const(2, 1), [((n, 2 * n), 1)])
             == make_mero(const(2, F(1, n)), [((1, 2), 1)]))
     scale, form = primitive_pseudo_positive((-n, 1 - n))
     assert form == (n, n - 1) and scale == -1
+
+
+def _pseudo_positive_reference(v):
+    """``v = c * w`` by Fraction arithmetic: clear the denominators, divide
+    by the gcd, and sign by the last nonzero entry."""
+    entries = [Fraction(a) for a in v]
+    d = math.lcm(*(a.denominator for a in entries))
+    ints = [int(a * d) for a in entries]
+    g = math.gcd(*ints)
+    if next(a for a in reversed(ints) if a) < 0:
+        g = -g
+    return Fraction(g, d), tuple(a // g for a in ints)
+
+
+def test_the_scale_of_a_form_is_an_int_when_it_is_integral():
+    # an int on every form of ints, beyond 2^53 and with a negative lead
+    # too, and on a Fraction form with an integral scale; a Fraction
+    # otherwise; canonical_fraction, which takes every form through
+    # primitive_pseudo_positive, agrees with a Fraction-only reference
+    big = 2 ** 60 + 1
+    ints = [(4, -6), (-3, 0), (0, 5), (2, 2), (6 * big, -9 * big),
+            (-big, 0), (3 * 2 ** 55, -(2 ** 54) - 1), (0, -7)]
+    integral = [(F(2), F(4)), (F(-1), F(-1)), (F(6), F(-3, 1))]
+    rational = [(1, F(1, 3)), (F(1, 2), F(-3, 4)), (F(-big, 3), F(big, 6))]
+    for forms, kind in ((ints, int), (integral, int), (rational, Fraction)):
+        for v in forms:
+            scale, form = primitive_pseudo_positive(v)
+            assert type(scale) is kind
+            assert (scale, form) == _pseudo_positive_reference(v)
+            assert all(type(a) is int for a in form)
+    assert primitive_pseudo_positive((F(2), F(4))) == (2, (1, 2))
+    assert primitive_pseudo_positive((1, F(1, 3))) == (F(1, 3), (3, 1))
+    for zero in ((0, 0), (F(0), F(0))):
+        with pytest.raises(ValueError, match="zero vector"):
+            primitive_pseudo_positive(zero)
+    num = Polynomial(2, {(1, 0): F(3, 7), (0, 2): F(-2)})
+    rng = random.Random(5301)
+    for _ in range(40):
+        raw = [(rng.choice(ints + integral + rational), rng.randint(0, 3))
+               for _ in range(rng.randint(1, 3))]
+        scale, expected = F(1), {}
+        for v, e in raw:
+            if e:
+                c, w = _pseudo_positive_reference(v)
+                scale *= c ** e
+                expected[w] = expected.get(w, 0) + e
+        assert canonical_fraction(num, raw) == (
+            num.scale(1 / scale), tuple(sorted(expected.items())))
 
 
 def test_zero_numerator_collapses():
@@ -1261,13 +1309,12 @@ def test_canonical_fraction_drops_zero_and_refuses_negative_multiplicities():
 
 
 def test_canonical_fraction_takes_an_int_scale_out_of_int_forms(monkeypatch):
-    # the scale of a form of ints is its signed gcd; only a form with a
-    # Fraction entry goes through primitive_pseudo_positive and its rational
-    # scale; both give the value-preserving canonical fraction, also beyond
-    # float precision
-    rational_forms = []
+    # every form goes through primitive_pseudo_positive, whose scale is an
+    # int on a form of ints (its signed gcd); both kinds of form give the
+    # value-preserving canonical fraction, also beyond float precision
+    seen_forms = []
     monkeypatch.setattr(germs_module, "primitive_pseudo_positive", lambda v: (
-        rational_forms.append(v), primitive_pseudo_positive(v))[1])
+        seen_forms.append(v), primitive_pseudo_positive(v))[1])
     big = 2 ** 60 + 1
     num = Polynomial(2, {(1, 0): F(3, 7), (0, 2): F(-2)})
     cases = [
@@ -1285,13 +1332,12 @@ def test_canonical_fraction_takes_an_int_scale_out_of_int_forms(monkeypatch):
         for v, e in raw:
             if e:
                 c, w = primitive_pseudo_positive(tuple(v))
-                expected_num = expected_num.scale(1 / c ** e)
+                expected_num = expected_num.scale(F(1) / c ** e)
                 expected[w] = expected.get(w, 0) + e
-        rational_forms.clear()
+        seen_forms.clear()
         got_num, got = canonical_fraction(num, raw)
         assert (got_num, got) == (expected_num, tuple(sorted(expected.items())))
-        assert rational_forms == [tuple(v) for v, e in raw if e and any(
-            type(a) is not int for a in v)]
+        assert seen_forms == [tuple(v) for v, e in raw if e]
         assert all(type(a) is int for v, _ in got for a in v)
         value = num.evaluate(point)
         for v, e in raw:

@@ -213,6 +213,30 @@ def test_a_cone_of_lattice_primitive_rays_is_kept_as_it_is():
     assert _from_coords([(1, 0), (0, 1)], [1, 2]) == (1, 2)
 
 
+def test_the_span_dimension_is_read_from_the_cone(monkeypatch):
+    # make_lattice_cone takes the dimension of the span from the cone (a
+    # simplicial cone's generators, a PolyCone's kept hull) and runs
+    # mat_rank only to validate a supplied basis
+    calls = []
+    monkeypatch.setattr(latticeexp_module, "mat_rank", lambda m: (
+        calls.append(m), mat_rank(m))[1])
+    rng = random.Random(5302)
+    cones = [make_simplicial_cone([(1, 0, 0), (1, 2, 0), (0, 1, 3)]),
+             make_simplicial_cone([(1, 1, 0), (0, 1, 1)]),
+             make_poly_cone([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+             make_poly_cone([(1, 2, 0), (0, 1, 1), (1, 3, 1)])]
+    for rank in (1, 2, 3):
+        cones.append(random_pseudo_positive_cone(rng, 3, rank))
+        cones.append(make_poly_cone(random_pointed_rays(rng, 3, rank)))
+    for cone in cones:
+        lc = make_lattice_cone(cone)
+        assert lc.cone is cone and lc.dim == cone.dim == mat_rank(cone.rays)
+    assert calls == []
+    basis = [(2, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert make_lattice_cone(cones[0], basis).lattice_basis == tuple(basis)
+    assert len(calls) == 2
+
+
 def test_is_smooth_depends_on_the_lattice():
     assert is_smooth(make_lattice_cone([(1, 0), (0, 1)]))
     assert not is_smooth(make_lattice_cone([(1, 0), (1, 2)]))
