@@ -23,11 +23,11 @@ checks its point).
 
 A :class:`Polynomial` is stored the same way: int numerators keyed by
 exponent tuples over one positive int denominator, reduced so that the form
-is unique.  Sums, products, substitution and derivatives run on ints
-(sparse term-by-term products, Johnson 1974), and division by a linear form
-is a pseudo-division by its primitive integer form.  The Fraction
-coefficients are a read-only view (``Polynomial.terms``) built on each
-read; the canonical term order for printing is graded lexicographic.
+is unique.  Sums, products (whole or cut at a degree), substitution and
+derivatives run on ints (sparse term-by-term products, Johnson 1974), and
+division by a linear form is a pseudo-division by its primitive integer form.
+The Fraction coefficients are a read-only view (``Polynomial.terms``) built
+on each read; the canonical term order for printing is graded lexicographic.
 """
 
 from __future__ import annotations
@@ -583,11 +583,6 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]))
 
-    def truncated(self, n: int) -> "Polynomial":
-        """The terms of total degree at most ``n``."""
-        return Polynomial.from_ints(self.nvars, {
-            e: c for e, c in self.coeffs.items() if sum(e) <= n}, self.den)
-
     # -- arithmetic --------------------------------------------------------
     def _combine(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign * other over the lcm of the two denominators."""
@@ -626,6 +621,26 @@ class Polynomial:
         if other.nvars != self.nvars:
             raise _mixed_nvars(self, other)
         out = _mul_terms(self.coeffs, other.coeffs)
+        return Polynomial.from_ints(self.nvars, _nonzero(out),
+                                    self.den * other.den)
+
+    def mul_to_degree(self, other: "Polynomial", n: int) -> "Polynomial":
+        """The terms of ``self * other`` of total degree at most ``n``,
+        without the pairs of terms above it: other's terms are taken in
+        order of degree, so each term of self stops at the first that would
+        pass ``n``.  ValueError on another number of variables."""
+        if other.nvars != self.nvars:
+            raise _mixed_nvars(self, other)
+        by_degree = sorted((sum(e), e, c) for e, c in other.coeffs.items())
+        out: IntTerms = {}
+        get = out.get
+        for e1, c1 in self.coeffs.items():
+            room = n - sum(e1)
+            for d2, e2, c2 in by_degree:
+                if d2 > room:
+                    break
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
         return Polynomial.from_ints(self.nvars, _nonzero(out),
                                     self.den * other.den)
 

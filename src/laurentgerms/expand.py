@@ -167,7 +167,8 @@ def phi(x: FormalExpansion) -> MeromorphicGerm:
 def delta_op(space: AmbientSpace, lstar: Vec,
              x: FormalExpansion) -> FormalExpansion:
     """Derivation raising pole orders: each denominator slot M_j of each term
-    gains a copy with coefficient r_j * Q(lstar, M_j).
+    gains a copy with coefficient r_j * Q(lstar, M_j); a copy whose pairing
+    is 0 has a zero numerator, which ``make_expansion`` drops.
 
     Numerators ride along unchanged; that is only consistent when the
     direction associated with ``lstar`` does not vary any numerator, which is
@@ -186,12 +187,9 @@ def delta_op(space: AmbientSpace, lstar: Vec,
             raise OrthogonalityViolated(
                 "delta direction varies a numerator polynomial")
         for j, (v, s) in enumerate(dc.factors):
-            q = space.pairing(lstar, v)
-            if q == 0:
-                continue
             bumped = tuple((u, r + 1 if i == j else r)
                            for i, (u, r) in enumerate(dc.factors))
-            items.append((bumped, num.scale(s * q)))
+            items.append((bumped, num.scale(s * space.pairing(lstar, v))))
     return make_expansion(items, Polynomial.zero(x.nvars))
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import exp, factorial, prod
-from operator import add
 from typing import Sequence
 
 from .errors import (
@@ -36,12 +35,10 @@ from .exact import (
     ONE,
     ZERO,
     AmbientSpace,
-    IntTerms,
     Polynomial,
     Record,
     Vec,
     _common_length,
-    _nonzero,
     det,
     frac,
     mat_from_columns,
@@ -258,23 +255,6 @@ def _tail_series(n: int) -> Polynomial:
                           enumerate(bernoulli_tail_coeffs(n))})
 
 
-def _product_to_degree(a: Polynomial, b: Polynomial, n: int) -> Polynomial:
-    """The terms of ``a * b`` of total degree at most ``n``, without the
-    pairs of terms above it: b's terms are taken in order of degree, so
-    each term of a stops at the first that would pass ``n``."""
-    by_degree = sorted((sum(e), e, c) for e, c in b.coeffs.items())
-    out: IntTerms = {}
-    get = out.get
-    for e1, c1 in a.coeffs.items():
-        room = n - sum(e1)
-        for d2, e2, c2 in by_degree:
-            if d2 > room:
-                break
-            e = tuple(map(add, e1, e2))
-            out[e] = get(e, 0) + c1 * c2
-    return Polynomial.from_ints(a.nvars, _nonzero(out), a.den * b.den)
-
-
 class TruncatedGerm(Record):
     """Exact polar data plus a Taylor tail known up to a stated degree."""
 
@@ -310,8 +290,8 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
     expansion of the product keeps every pole exact and truncates only the
     holomorphic content at total degree ``trunc``.  The highest-order polar
     term is exactly (-1)^d / (L_1 ... L_d) independent of the truncation.
-    Each tail is the cached series of ``trunc`` in <g, eps>, and each
-    product of a numerator and a tail is built only up to degree ``trunc``.
+    Each tail is the cached series of ``trunc`` in <g, eps>; numerator
+    times tail is ``Polynomial.mul_to_degree``, built only to degree ``trunc``.
     Raises ValueError when ``trunc`` is not an int >= 0 or ``space`` has
     another dimension than the cone's ambient space.
     """
@@ -335,7 +315,7 @@ def exp_sum_smooth(lc: LatticeCone, trunc: int = DEFAULT_TRUNCATION,
     products = [(Polynomial.constant(k, ONE), ())]
     for g, tail in zip(gens, tails):
         products = [p for num, poles in products
-                    for p in ((_product_to_degree(num, tail, trunc), poles),
+                    for p in ((num.mul_to_degree(tail, trunc), poles),
                               (-num, poles + ((g, 1),)))]
     # each numerator has constant term +-(1/2)^m, so no pole form divides
     # it; it has degree <= trunc, and the split only lowers degrees, so the

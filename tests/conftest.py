@@ -276,6 +276,12 @@ def orthogonal_projection_images(space: AmbientSpace,
     return [image.substitute(w_only) for image in to_u]
 
 
+def _cut(p: Polynomial, n: int) -> Polynomial:
+    """The terms of ``p`` of total degree at most ``n``."""
+    return Polynomial(p.nvars,
+                      {e: c for e, c in p.terms.items() if sum(e) <= n})
+
+
 def exp_sum_smooth_reference(lc, trunc: int,
                              space: AmbientSpace) -> TruncatedGerm:
     """``exp_sum_smooth`` with one ``decompose`` per product: each set of
@@ -291,7 +297,7 @@ def exp_sum_smooth_reference(lc, trunc: int,
         power = Polynomial.constant(k, 1)
         for j, c in enumerate(bernoulli_tail_coeffs(trunc)):
             if j > 0:
-                power = (power * form).truncated(trunc)
+                power = _cut(power * form, trunc)
             tail = tail + power.scale(c)
         tails.append(tail)
     polar = []
@@ -302,12 +308,12 @@ def exp_sum_smooth_reference(lc, trunc: int,
         num = Polynomial.constant(k, (-1) ** len(polar_idx))
         for i in range(d):
             if i not in polar_idx:
-                num = (num * tails[i]).truncated(trunc)
+                num = _cut(num * tails[i], trunc)
         s = decompose(space, make_mero(num, [(gens[i], 1) for i in polar_idx]))
         polar.extend(s.terms)
         poly = poly + s.poly
     return TruncatedGerm(make_germ_sum(polar, Polynomial.zero(k)),
-                         poly.truncated(trunc), trunc)
+                         _cut(poly, trunc), trunc)
 
 
 def common_refinement_reference(cones):

@@ -795,6 +795,25 @@ def test_int_kernel_matches_fraction_arithmetic():
         assert multiple.divmod_linear(form)[1].is_zero()
 
 
+def test_mul_to_degree_is_the_product_cut_at_the_degree():
+    # against the Fraction-dict product cut by a filter of its own, at
+    # every degree from below the constants to above the product's top
+    rng = random.Random(54)
+    for _ in range(120):
+        k = rng.randint(1, 4)
+        p = random_polynomial(rng, k, degree=4, terms=6)
+        q = random_polynomial(rng, k, degree=3, terms=5)
+        zero = Polynomial.zero(k)
+        for a, b in ((p, q), (q, p), (p, zero), (zero, q)):
+            full = _ref_mul(dict(a.terms), dict(b.terms))
+            top = max((sum(e) for e in full), default=-1)
+            for n in range(-1, top + 2):
+                _same(a.mul_to_degree(b, n),
+                      {e: c for e, c in full.items() if sum(e) <= n})
+    with pytest.raises(ValueError, match="polynomials in 2 and 3 variables"):
+        Polynomial.variable(2, 0).mul_to_degree(Polynomial.variable(3, 0), 1)
+
+
 def test_division_by_a_variable_power_is_the_cofactor():
     rng = random.Random(53)
     for _ in range(40):

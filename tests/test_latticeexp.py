@@ -372,6 +372,31 @@ def test_exp_sum_matches_one_decompose_per_product(space_of, trunc):
         assert got == exp_sum_smooth_reference(lc, trunc, space), lc
 
 
+@SPACES
+def test_exp_sum_forms_no_product_above_the_truncation(monkeypatch, space_of):
+    # each of the 2^d - 1 products of a numerator and a tail is cut as it is
+    # formed; none is a full product cut afterwards
+    counts = Counter()
+
+    def counted(name):
+        fn = getattr(Polynomial, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("__mul__", "mul_to_degree"):
+        monkeypatch.setattr(Polynomial, name, counted(name))
+    rng = random.Random(5401)
+    for k in (2, 3):
+        for trunc in (0, 1, 4, 8):
+            lc = make_lattice_cone(unimodular_rows(rng, k))
+            counts.clear()
+            exp_sum_smooth(lc, trunc, space_of(k))
+            assert counts == {"mul_to_degree": 2 ** k - 1}, (lc, trunc)
+
+
 def test_exp_sum_refuses_a_space_of_another_dimension():
     lc = make_lattice_cone([(1, 0), (1, 1)])
     for k in (1, 3):

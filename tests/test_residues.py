@@ -510,6 +510,43 @@ def test_p_order_and_p_res_do_not_depend_on_inner_product():
         assert germ_equal(p_res(SP, f), p_res(other, f))
 
 
+def _growth_germ(k):
+    """G_k = 1/(x1...xk (x1+...+xk) (x1+2x2+...+kxk))."""
+    poles = "*".join(f"x{i}" for i in range(1, k + 1))
+    plain = "+".join(f"x{i}" for i in range(1, k + 1))
+    graded = "+".join(f"{i}*x{i}" for i in range(1, k + 1))
+    return parse_germ(f"1/({poles}*({plain})*({graded}))", k)
+
+
+def _braid_germ(k):
+    """A_k = 1/prod_{1<=i<=j<=k}(x_i + ... + x_j)."""
+    forms = [tuple(int(i <= t <= j) for t in range(k))
+             for i in range(k) for j in range(i, k)]
+    return make_mero(Polynomial.constant(k, 1), [(v, 1) for v in forms])
+
+
+def test_p_order_and_p_res_read_the_top_order_terms_of_decompose():
+    # the order and residue of a germ are those of its polar terms: the
+    # largest order among the terms of decompose (0 when there is none),
+    # and the terms of that order with their numerators at zero; whatever
+    # support the maps read the terms from
+    cases = [(sp, f) for k, f in round_trip_corpus()
+             for sp in (AmbientSpace.standard(k), skew_space(k), half_space(k))]
+    named = ([_braid_germ(k) for k in (2, 3, 4)]
+             + [_growth_germ(k) for k in (3, 4)])
+    cases += [(sp, f) for f in named
+              for sp in (AmbientSpace.standard(f.nvars), skew_space(f.nvars))]
+    for sp, f in cases:
+        k = sp.dimension
+        terms = decompose(sp, f).terms
+        top = max((t.p_order for t in terms), default=0)
+        assert p_order(sp, f) == top
+        assert germ_equal(p_res(sp, f), make_germ_sum(
+            [PolarGerm(Polynomial.constant(k, t.numerator.constant_term()),
+                       t.factors) for t in terms if t.p_order == top],
+            Polynomial.zero(k)))
+
+
 def _order_and_residue_on_lines(rng, space, f, lines):
     """Check ``p_order`` and ``p_res`` of f against sympy's ring series of
     f(t w) on random lines t w, w integral and off the poles.
